@@ -142,6 +142,16 @@ pub trait Mergeable: Clone + Send + 'static {
         0
     }
 
+    /// Undo everything recorded on `self` since `fork` was taken from it
+    /// (merges included): state, retained history and the fusion barrier
+    /// of every contained log go back to what they were when
+    /// `self.fork()` returned `fork`, so `self` is indistinguishable from
+    /// a copy that never made those changes. `fork` must be an unmodified
+    /// fork of `self` whose fork point is still retained; forks taken
+    /// after it are invalidated. This is what makes a failed in-place
+    /// merge transactional without cloning `self` first.
+    fn rollback_to(&mut self, fork: &Self);
+
     /// Stage a whole batch of sibling merges for off-thread pre-rebasing
     /// (see [`parallel`]): return a [`parallel::StagedCommit`] whose
     /// per-child commits are bit-identical to calling
@@ -184,6 +194,8 @@ impl Mergeable for () {
     fn pending_ops(&self) -> usize {
         0
     }
+
+    fn rollback_to(&mut self, _fork: &Self) {}
 
     fn stage_merge_all(
         &self,
@@ -237,6 +249,14 @@ impl<M: Mergeable> Mergeable for Vec<M> {
         self.iter_mut()
             .map(|m| m.truncate_history(watermark, cursor))
             .sum()
+    }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        // A shape drift since the fork cannot be undone element-wise.
+        assert_eq!(self.len(), fork.len(), "rollback target length differs");
+        for (m, f) in self.iter_mut().zip(fork) {
+            m.rollback_to(f);
+        }
     }
 
     fn stage_merge_all(
@@ -310,6 +330,10 @@ macro_rules! impl_mergeable_tuple {
 
             fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
                 0 $( + self.$idx.truncate_history(watermark, cursor) )+
+            }
+
+            fn rollback_to(&mut self, fork: &Self) {
+                $( self.$idx.rollback_to(&fork.$idx); )+
             }
 
             fn stage_merge_all(
@@ -430,6 +454,10 @@ macro_rules! mergeable_struct {
                 cursor: &mut usize,
             ) -> usize {
                 0 $( + $crate::Mergeable::truncate_history(&mut self.$field, watermark, cursor) )+
+            }
+
+            fn rollback_to(&mut self, fork: &Self) {
+                $( $crate::Mergeable::rollback_to(&mut self.$field, &fork.$field); )+
             }
 
             fn stage_merge_all(

@@ -210,6 +210,10 @@ impl<T: Element> Mergeable for MList<T> {
         *cursor += 1;
         self.inner.truncate_prefix(w)
     }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        self.inner.rollback_to(&fork.inner);
+    }
 }
 
 #[cfg(test)]

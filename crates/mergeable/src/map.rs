@@ -152,6 +152,10 @@ impl<K: Key, V: Value> Mergeable for MMap<K, V> {
         *cursor += 1;
         self.inner.truncate_prefix(w)
     }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        self.inner.rollback_to(&fork.inner);
+    }
 }
 
 #[cfg(test)]

@@ -100,6 +100,10 @@ impl<T: Value> Mergeable for MRegister<T> {
         *cursor += 1;
         self.inner.truncate_prefix(w)
     }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        self.inner.rollback_to(&fork.inner);
+    }
 }
 
 #[cfg(test)]

@@ -142,6 +142,10 @@ impl<T: Element> Mergeable for MSet<T> {
         *cursor += 1;
         self.inner.truncate_prefix(w)
     }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        self.inner.rollback_to(&fork.inner);
+    }
 }
 
 #[cfg(test)]

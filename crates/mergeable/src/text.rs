@@ -189,6 +189,10 @@ impl Mergeable for MText {
         *cursor += 1;
         self.inner.truncate_prefix(w)
     }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        self.inner.rollback_to(&fork.inner);
+    }
 }
 
 #[cfg(test)]

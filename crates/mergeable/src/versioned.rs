@@ -440,6 +440,15 @@ impl<O: Operation> Versioned<O> {
         result
     }
 
+    /// The state handle another instance gets: shared under copy-on-write,
+    /// an eager deep copy under [`CopyMode::Deep`].
+    fn share_state(&self) -> Arc<O::State> {
+        match self.mode {
+            CopyMode::CopyOnWrite => Arc::clone(&self.state),
+            CopyMode::Deep => Arc::new((*self.state).clone()),
+        }
+    }
+
     /// Fork a child copy: same state, empty log, fork point at the current
     /// end of this instance's history. O(1) under copy-on-write.
     ///
@@ -448,14 +457,10 @@ impl<O: Operation> Versioned<O> {
     /// always be rebased against an exact suffix of the history.
     #[must_use]
     pub fn fork(&self) -> Self {
-        let state = match self.mode {
-            CopyMode::CopyOnWrite => Arc::clone(&self.state),
-            CopyMode::Deep => Arc::new((*self.state).clone()),
-        };
         let here = self.history_len();
         self.fuse_barrier.fetch_max(here, Ordering::Relaxed);
         Versioned {
-            state,
+            state: self.share_state(),
             log: Vec::new(),
             log_start: 0,
             fork_base: here,
@@ -613,6 +618,39 @@ impl<O: Operation> Versioned<O> {
             self.shape = LogShape::default();
         }
         keep_from
+    }
+
+    /// Undo everything recorded here since `fork` was taken: the state,
+    /// the retained log and the fuse barrier go back to what they were
+    /// right after `self.fork()` returned `fork`, so whatever is recorded
+    /// next fuses, numbers and exports exactly as if the undone operations
+    /// had never happened. O(1) plus dropping the undone log suffix.
+    ///
+    /// `fork` must be an **unmodified** fork of `self` (nothing recorded on
+    /// it), `self` must not have been truncated past its fork point, and
+    /// every fork of `self` taken after it is invalidated.
+    ///
+    /// # Panics
+    /// Panics if `fork`'s fork point lies outside the retained history —
+    /// it was not forked from this structure, or the prefix was truncated
+    /// past it.
+    pub fn rollback_to(&mut self, fork: &Self) {
+        assert!(
+            (self.log_start..=self.history_len()).contains(&fork.fork_base),
+            "rollback target {} outside retained history {}..={}",
+            fork.fork_base,
+            self.log_start,
+            self.history_len()
+        );
+        assert!(fork.log.is_empty(), "rollback target was modified");
+        self.state = fork.share_state();
+        self.log.truncate(fork.fork_base - self.log_start);
+        if self.log.is_empty() {
+            self.shape = LogShape::default();
+        }
+        // `fork()` left the barrier exactly here (barrier ≤ history length
+        // always); seals and later forks since then are being undone.
+        *self.fuse_barrier.get_mut() = fork.fork_base;
     }
 
     /// Whether the state allocation is currently shared with a fork
@@ -964,6 +1002,39 @@ mod tests {
             parent.state().clone()
         };
         assert_eq!(build(false), build(true));
+    }
+
+    #[test]
+    fn rollback_restores_state_log_and_fuse_barrier() {
+        let mut v = V::new(ct(vec![]));
+        v.record(ListOp::Insert(0, 1)).unwrap();
+        let base = v.fork(); // barrier = 1
+        let mut child = base.clone();
+        child.record(ListOp::Insert(1, 2)).unwrap();
+        v.merge(&child).unwrap();
+        v.seal(); // barrier = 2, as a journal commit would leave it
+        v.rollback_to(&base);
+        assert_eq!(v.state(), &vec![1]);
+        assert_eq!((v.pending_ops(), v.history_len()), (1, 1));
+        // With the barrier back at 1 the next two appends fuse with each
+        // other (a barrier left at 2 would keep them apart) but not into
+        // the operation below the fork point.
+        v.record(ListOp::Insert(1, 3)).unwrap();
+        v.record(ListOp::Insert(2, 4)).unwrap();
+        assert_eq!(v.pending_ops(), 2);
+        // The fork is still a valid merge base afterwards.
+        v.merge(&child).unwrap();
+        assert_eq!(v.state(), &vec![1, 3, 4, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside retained history")]
+    fn rollback_past_a_truncated_fork_point_panics() {
+        let mut v = V::new(ct(vec![]));
+        let base = v.fork(); // fork_base = 0
+        v.record(ListOp::Insert(0, 1)).unwrap();
+        v.truncate_prefix(v.history_len());
+        v.rollback_to(&base);
     }
 
     #[test]

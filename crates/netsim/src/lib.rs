@@ -119,6 +119,17 @@ pub fn run_setup(setup: Setup, cfg: &SimConfig) -> SimResult {
     }
 }
 
+/// The `sm_obs` recorder slot is process-global: every test of this
+/// crate that installs or uninstalls a recorder holds this lock, so one
+/// module's `uninstall` cannot land in the middle of another's run.
+#[cfg(test)]
+pub(crate) fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

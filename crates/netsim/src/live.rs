@@ -115,18 +115,9 @@ mod tests {
     use crate::run_setup;
     use crate::Setup;
 
-    // This module's tests own the process-global recorder slot within
-    // this crate's test binary.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn endpoint_serves_while_simulation_runs() {
-        let _guard = serial();
+        let _guard = crate::recorder_lock();
         let cfg = SimConfig::small(2, Routing::NextHost);
         let report = run_live(&cfg, 9310);
         assert_eq!(report.result.total_processed, cfg.expected_hops());
@@ -148,7 +139,7 @@ mod tests {
 
     #[test]
     fn live_telemetry_does_not_change_the_simulation_result() {
-        let _guard = serial();
+        let _guard = crate::recorder_lock();
         let cfg = SimConfig::small(1, Routing::HashDerived);
         let bare = run_setup(Setup::SpawnMergeNonDet, &cfg);
         let cfg = SimConfig {

@@ -368,14 +368,29 @@ fn client_thread(c: usize, cfg: &TenantConfig, net: &Network, barrier: &Barrier)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_obs::{install, uninstall};
+    use sm_obs::{install, uninstall, Recorder};
+
+    /// Forwards only the session commit stream. The simulation tests of
+    /// this binary run concurrently without the recorder lock, and their
+    /// task paths (`0/1`, `0/2`, …) are this workload's session paths:
+    /// unfiltered, their events would fold into the server's chains.
+    struct SessionStream(Arc<DeterminismAuditor>);
+
+    impl Recorder for SessionStream {
+        fn record(&self, event: &ObsEvent) {
+            if matches!(event.kind, EventKind::SessionCommitted { .. }) {
+                self.0.record(event);
+            }
+        }
+    }
 
     #[test]
     fn multi_tenant_workload_converges() {
+        let _guard = crate::recorder_lock();
         let dir = std::env::temp_dir().join(format!("sm-tenant-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let auditor = Arc::new(DeterminismAuditor::new());
-        install(auditor.clone());
+        install(Arc::new(SessionStream(auditor.clone())));
 
         let cfg = TenantConfig::small(&dir);
         let report = run_tenants(&cfg, Some(auditor));

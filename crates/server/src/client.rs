@@ -3,10 +3,13 @@
 //! A client keeps one **mirror** per attached session — a copy of the
 //! authoritative state advanced *only* by applying the server's
 //! `Committed` broadcast slices in sequence order. Edits never touch the
-//! mirror directly: [`commit_with`](SessionClient::commit_with) clones
-//! it, applies the caller's edit closure to the clone, and ships the
-//! recorded ops to the server; the state change lands back on the mirror
-//! via the broadcast, rebased — exactly like every other subscriber's.
+//! mirror directly: [`commit_with`](SessionClient::commit_with) forks
+//! it (O(1), empty log), applies the caller's edit closure to the fork,
+//! and ships the fork's log to the server; the state change lands back on
+//! the mirror via the broadcast, rebased — exactly like every other
+//! subscriber's. Nothing ever rebases against the mirror's own history,
+//! so it is dropped after every applied broadcast: a commit costs what
+//! the edit costs, however old the session is.
 //! Two clients of a session therefore converge to bit-identical mirrors
 //! no matter who committed what, which the lifecycle tests assert via
 //! [`state_digest`](SessionClient::state_digest).
@@ -101,16 +104,20 @@ pub struct CommitEvent {
 struct Mirror<D> {
     data: D,
     seq: u64,
-    /// History marks at the mirror's current head — the base against
-    /// which local edits are encoded for the next commit.
+    /// History marks at the mirror's current head: the watermark its
+    /// retained history is truncated to.
     marks: Vec<usize>,
 }
 
 impl<D: Persist> Mirror<D> {
+    /// Seal the head and drop the history below it. Commits edit a fork
+    /// taken at the head, so no live fork ever needs an older position;
+    /// the marks keep counting absolutely.
     fn recapture(&mut self) {
         self.data.seal_history();
         self.marks.clear();
         self.data.history_marks(&mut self.marks);
+        self.data.truncate_history(&self.marks, &mut 0);
     }
 }
 
@@ -169,7 +176,7 @@ impl<D: Persist> SessionClient<D> {
     }
 
     /// Edit `session` and commit the result, blocking until the server
-    /// confirms or rejects. `edit` runs on a clone of the mirror; the
+    /// confirms or rejects. `edit` runs on a fork of the mirror; the
     /// ops it records are shipped, rebased server-side over anything
     /// committed since this mirror's head, and land back here via the
     /// broadcast (so after `Committed` the mirror includes the edit in
@@ -183,13 +190,12 @@ impl<D: Persist> SessionClient<D> {
             let mirror = self.mirrors.get(&session).ok_or_else(|| {
                 ClientError::Protocol(format!("commit on unattached session {session}"))
             })?;
-            let mut work = mirror.data.clone();
+            let mut work = mirror.data.fork();
             edit(&mut work);
-            work.seal_history();
+            // The fork's log starts empty: its whole log is the commit.
             let mut buf = BytesMut::new();
-            let mut cursor = 0usize;
-            work.encode_committed_since(&mirror.marks, &mut cursor, &mut buf);
-            (mirror.seq, buf.to_vec())
+            work.encode_log(&mut buf);
+            (mirror.seq, buf.into())
         };
         self.send(&ClientMsg::Commit {
             session,

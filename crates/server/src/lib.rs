@@ -29,12 +29,17 @@
 //! authoritative state plus a bounded ring of `fork()` bases, one per
 //! recent commit sequence. A client commit names the sequence number its
 //! ops were made against; the shard clones that base, replays the ops
-//! onto it, and OT-merges the clone into the authoritative state —
-//! rebasing the client's ops over everything committed since its base.
-//! The rebased slice (`encode_committed_since`) is journaled and fanned
-//! out to every subscriber, whose mirrors advance by `apply_log` only —
-//! so all subscribers of a session stay digest-converged by
-//! construction.
+//! onto it, and OT-merges the result into the authoritative state in
+//! place — rebasing the client's ops over everything committed since its
+//! base. A merge or journal failure is rolled back to the newest base
+//! (`Mergeable::rollback_to`), so a rejected commit leaves the session
+//! untouched. The rebased slice (`encode_committed_since`) is journaled
+//! and fanned out to every subscriber, whose mirrors advance by
+//! `apply_log` only — so all subscribers of a session stay
+//! digest-converged by construction. The authoritative state retains
+//! history only as far back as the oldest base in the ring, and a client
+//! mirror retains none: a commit costs what the commit contains, not
+//! what the session has accumulated.
 //!
 //! **Back-pressure.** All server→client traffic goes through a bounded
 //! per-connection outbound queue with an ack window

@@ -2,7 +2,7 @@
 //! subscriber lists.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,6 +40,8 @@ pub enum ShardCmd {
 /// One in-memory session: authoritative state, its fork-base ring, and
 /// the subscriber fan-out list.
 struct Session<D> {
+    /// The head. Its retained history reaches back to the oldest ring
+    /// base and no further (see [`Session::truncate_to_ring`]).
     data: D,
     /// History marks of `data` as of the last broadcast — the base for
     /// the next `encode_committed_since`.
@@ -47,8 +49,10 @@ struct Session<D> {
     /// Commit sequence number (equals the store's last appended seq).
     seq: u64,
     /// `(seq, fork)` bases for recent commits, oldest first. A commit
-    /// whose `base_seq` fell off the front is rejected as stale.
-    ring: std::collections::VecDeque<(u64, D)>,
+    /// whose `base_seq` fell off the front is rejected as stale. The back
+    /// is always an unmodified fork of `data` at `seq` — the rollback
+    /// target of a commit that fails after merging in place.
+    ring: VecDeque<(u64, D)>,
     store: Store,
     subscribers: Vec<(u64, Arc<ConnShared>)>,
     last_active: Instant,
@@ -63,10 +67,36 @@ impl<D: Persist> Session<D> {
         self.data.history_marks(&mut self.marks);
     }
 
-    /// Fan `msg` out to every live subscriber, dropping dead ones.
-    fn broadcast(&mut self, make: impl Fn(&u64) -> ServerMsg) {
-        self.subscribers
-            .retain(|(conn_id, conn)| conn.send_msg(&make(conn_id)));
+    /// Drop the head's history below the oldest ring base: a commit is
+    /// only ever rebased over what was committed since its base, and no
+    /// base older than the ring's front is accepted.
+    fn truncate_to_ring(&mut self) {
+        let Some((_, oldest)) = self.ring.front() else {
+            return;
+        };
+        let mut watermark = Vec::new();
+        oldest.fork_marks(&mut watermark);
+        let dropped = self.data.truncate_history(&watermark, &mut 0);
+        if dropped > 0 {
+            emit(&self.path, || EventKind::LogTruncated { dropped });
+        }
+    }
+
+    /// Fan a landed commit out to every live subscriber, dropping dead
+    /// ones. One message owns the slice; only `applied` differs per copy.
+    fn broadcast_commit(&mut self, session: u64, seq: u64, committer: u64, ops: Vec<u8>) {
+        let mut msg = ServerMsg::Committed {
+            session,
+            seq,
+            applied: false,
+            ops,
+        };
+        self.subscribers.retain(|(conn_id, conn)| {
+            if let ServerMsg::Committed { applied, .. } = &mut msg {
+                *applied = *conn_id == committer;
+            }
+            conn.send_msg(&msg)
+        });
     }
 }
 
@@ -183,7 +213,7 @@ fn handle_attach<D: Persist + 'static>(
     conn.send_msg(&ServerMsg::Attached {
         session,
         seq: sess.seq,
-        state: state.to_vec(),
+        state: state.into(),
     });
 }
 
@@ -221,7 +251,7 @@ fn open_session<D: Persist + 'static>(
         data,
         marks: Vec::new(),
         seq,
-        ring: std::collections::VecDeque::new(),
+        ring: VecDeque::new(),
         store,
         subscribers: Vec::new(),
         last_active: Instant::now(),
@@ -229,6 +259,8 @@ fn open_session<D: Persist + 'static>(
     };
     sess.recapture_marks();
     sess.ring.push_back((seq, sess.data.fork()));
+    // A rehydrated head carries its whole replayed journal as history.
+    sess.truncate_to_ring();
     Ok(sess)
 }
 
@@ -285,41 +317,48 @@ fn handle_commit<D: Persist>(
         }
     };
 
-    // Merge into a clone of the authoritative state so a failed merge or
-    // journal append leaves the session untouched.
-    let mut next = sess.data.clone();
-    if let Err(e) = next.merge(&work) {
-        conn.send_msg(&ServerMsg::Rejected {
-            session,
-            reason: RejectReason::BadOps(format!("merge: {e}")),
+    // Merge in place. The newest ring base is an unmodified fork of the
+    // head at `sess.seq`, so a failed merge or journal append is undone
+    // by rolling back to it: state, history and marks are as before.
+    let journaled = sess
+        .data
+        .merge(&work)
+        .map_err(|e| format!("merge: {e}"))
+        .and_then(|_| {
+            sess.store
+                .commit(&sess.data, &TaskPath::root().child(sess.seq + 1))
+                .map_err(|e| format!("journal: {e}"))
         });
-        return;
-    }
-    let seq = sess.seq + 1;
-    if let Err(e) = sess.store.commit(&next, &TaskPath::root().child(seq)) {
+    if let Err(reason) = journaled {
+        let (_, head) = sess.ring.back().expect("the ring is never empty");
+        sess.data.rollback_to(head);
         conn.send_msg(&ServerMsg::Rejected {
             session,
-            reason: RejectReason::BadOps(format!("journal: {e}")),
+            reason: RejectReason::BadOps(reason),
         });
         return;
     }
 
-    // The commit is durable: adopt the new state and fan it out.
-    sess.data = next;
+    // The commit is durable: fan it out.
+    let seq = sess.seq + 1;
     sess.seq = seq;
     sess.data.seal_history();
     let mut slice = BytesMut::new();
-    let mut cursor = 0usize;
     let broadcast_ops = sess
         .data
-        .encode_committed_since(&sess.marks, &mut cursor, &mut slice);
-    let slice = slice.to_vec();
+        .encode_committed_since(&sess.marks, &mut 0, &mut slice);
+    let slice: Vec<u8> = slice.into();
     sess.recapture_marks();
     sess.ring.push_back((seq, sess.data.fork()));
-    while sess.ring.len() > cfg.ring.max(1) {
+    let ring = cfg.ring.max(1);
+    while sess.ring.len() > ring {
         sess.ring.pop_front();
     }
-    let committer = conn.id();
+    // Once per ring wrap, not per commit: the drain moves the whole
+    // retained window, which therefore stays under two ring lengths.
+    if seq % ring as u64 == 0 {
+        sess.truncate_to_ring();
+    }
 
     emit(&sess.path, || EventKind::SessionCommitted {
         session,
@@ -327,12 +366,7 @@ fn handle_commit<D: Persist>(
         ops: broadcast_ops,
         digest: fnv1a(&slice),
     });
-    sess.broadcast(|conn_id| ServerMsg::Committed {
-        session,
-        seq,
-        applied: *conn_id == committer,
-        ops: slice.clone(),
-    });
+    sess.broadcast_commit(session, seq, conn.id(), slice);
 }
 
 /// Drop sessions that have no subscribers and have been idle past the

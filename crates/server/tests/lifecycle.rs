@@ -21,6 +21,13 @@ use sm_server::{CommitOutcome, ServerConfig, SessionClient, SessionServer};
 use std::collections::BTreeMap;
 
 const SESSION: u64 = 0xC0FFEE;
+/// Fork-base ring length. The scenario commits more than two ring
+/// lengths before the eviction, so the head's history has been truncated
+/// to the ring window (twice) by the time it is evicted and rehydrated.
+const RING: usize = 4;
+/// Commits before the eviction point / in the whole scenario.
+const BEFORE_EVICT: u64 = 2 + 2 * RING as u64 + 1;
+const TOTAL: u64 = BEFORE_EVICT + 1;
 
 struct RunResult {
     state_digest: u64,
@@ -29,10 +36,10 @@ struct RunResult {
     metrics: MetricsSnapshot,
 }
 
-/// Drive three commits on one session. `evict` = None: stay attached
-/// throughout. `evict` = Some(snapshot_on_evict): detach after the
-/// second commit, wait for the idle eviction, re-attach, then make the
-/// third commit against the rehydrated state.
+/// Drive [`TOTAL`] commits on one session. `evict` = None: stay attached
+/// throughout. `evict` = Some(snapshot_on_evict): detach after
+/// [`BEFORE_EVICT`] commits, wait for the idle eviction, re-attach, then
+/// make the last commit against the rehydrated state.
 fn run_scenario(tag: &str, port: u16, evict: Option<bool>) -> RunResult {
     let dir = std::env::temp_dir().join(format!("sm-lifecycle-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -47,6 +54,7 @@ fn run_scenario(tag: &str, port: u16, evict: Option<bool>) -> RunResult {
     let mut cfg = ServerConfig::new(&dir);
     cfg.shards = 2;
     cfg.idle_after = Duration::from_millis(50);
+    cfg.ring = RING;
     cfg.snapshot_on_evict = evict.unwrap_or(true);
     let net = Network::new();
     let server =
@@ -69,6 +77,12 @@ fn run_scenario(tag: &str, port: u16, evict: Option<bool>) -> RunResult {
             .unwrap(),
         CommitOutcome::Committed { seq: 2 }
     ));
+    for seq in 3..=BEFORE_EVICT {
+        let out = client
+            .commit_with(SESSION, |t| t.insert_str(3, format!("<{seq}>")))
+            .unwrap();
+        assert_eq!(out, CommitOutcome::Committed { seq });
+    }
 
     if evict.is_some() {
         client.detach(SESSION).unwrap();
@@ -86,19 +100,19 @@ fn run_scenario(tag: &str, port: u16, evict: Option<bool>) -> RunResult {
         // Re-attach: the shard must rehydrate from the store.
         assert_eq!(
             client.attach(SESSION).unwrap(),
-            2,
+            BEFORE_EVICT,
             "seq must survive eviction"
         );
         let snap = metrics.snapshot();
         assert!(snap.sessions_rehydrated >= 1, "attach did not rehydrate");
     }
 
-    assert!(matches!(
+    assert_eq!(
         client
-            .commit_with(SESSION, |t| t.insert_str(6, "[three]"))
+            .commit_with(SESSION, |t| t.insert_str(6, "[last]"))
             .unwrap(),
-        CommitOutcome::Committed { seq: 3 }
-    ));
+        CommitOutcome::Committed { seq: TOTAL }
+    );
 
     let result = RunResult {
         state_digest: client.state_digest(SESSION).unwrap(),
@@ -124,7 +138,7 @@ fn eviction_and_crash_rehydration_are_bit_identical() {
     let crashed = run_scenario("crash", 4502, Some(false));
 
     for run in [&baseline, &evicted, &crashed] {
-        assert_eq!(run.final_seq, 3);
+        assert_eq!(run.final_seq, TOTAL);
     }
 
     // The rehydrated runs must be indistinguishable from the baseline:
@@ -158,4 +172,8 @@ fn eviction_and_crash_rehydration_are_bit_identical() {
         "crash-window rehydration must have replayed the journal suffix"
     );
     assert_eq!(baseline.metrics.sessions_evicted, 0);
+    // Every run truncated its head to the ring window along the way.
+    for run in [&baseline, &evicted, &crashed] {
+        assert!(run.metrics.log_truncations >= 2);
+    }
 }

@@ -225,6 +225,12 @@ impl BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    fn from(b: BytesMut) -> Self {
+        b.data
+    }
+}
+
 impl BufMut for BytesMut {
     fn put_u8(&mut self, v: u8) {
         self.data.push(v);

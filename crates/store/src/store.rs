@@ -255,6 +255,11 @@ impl Store {
 
     /// Append one commit record for the slice of `data`'s committed logs
     /// since the previous commit, attributing it to `child`.
+    ///
+    /// `Err` means the record was not appended. A failure of the automatic
+    /// snapshot a commit may trigger afterwards is parked for
+    /// [`take_error`](Store::take_error) instead, like a background
+    /// snapshot's.
     pub fn commit<D: Persist>(&self, data: &D, child: &TaskPath) -> Result<(), StoreError> {
         self.inner.lock().commit(data, child)
     }
@@ -308,9 +313,10 @@ impl Store {
         Ok(appended)
     }
 
-    /// The first error a sink callback swallowed, if any. The sink
-    /// interface is infallible, so failures stick here;
-    /// [`run_with_store`] checks this after the program finishes.
+    /// The first error a sink callback or an automatic snapshot
+    /// swallowed, if any. The sink interface is infallible and a commit
+    /// whose record is appended reports `Ok`, so those failures stick
+    /// here; [`run_with_store`] checks this after the program finishes.
     pub fn take_error(&self) -> Option<StoreError> {
         self.inner.lock().error.take()
     }
@@ -364,13 +370,26 @@ impl Inner {
         if self.options.snapshot_every_ops > 0
             && self.ops_since_snapshot >= self.options.snapshot_every_ops
         {
-            if self.options.snapshot_in_background {
-                self.snapshot_background(data)?;
+            // The record is in the journal: a snapshot failure from here
+            // on must not read as "commit not appended".
+            let snapshot = if self.options.snapshot_in_background {
+                self.snapshot_background(data)
             } else {
-                self.snapshot_auto(data)?;
+                self.snapshot_auto(data)
+            };
+            if let Err(e) = snapshot {
+                self.park_error(e);
             }
         }
         Ok(())
+    }
+
+    /// Keep `e` for [`Store::take_error`] unless an earlier failure is
+    /// already parked there.
+    fn park_error(&mut self, e: StoreError) {
+        if self.error.is_none() {
+            self.error = Some(e);
+        }
     }
 
     /// Frame `record` and append it to the current segment, rotating
@@ -553,20 +572,14 @@ impl Inner {
             match result {
                 Ok(()) if full => {
                     if let Err(e) = inner.prune_covered(covered) {
-                        if inner.error.is_none() {
-                            inner.error = Some(e);
-                        }
+                        inner.park_error(e);
                     }
                     if inner.options.delta_snapshots {
                         inner.delta_base = Some((covered, Box::new(fork)));
                     }
                 }
                 Ok(()) => {}
-                Err(e) => {
-                    if inner.error.is_none() {
-                        inner.error = Some(e);
-                    }
-                }
+                Err(e) => inner.park_error(e),
             }
             inner.snapshot_in_flight = false;
             cv.notify_all();

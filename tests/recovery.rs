@@ -726,6 +726,43 @@ fn crash_between_snapshot_and_prune_leaves_recovery_sound() {
     );
 }
 
+/// `Store::commit` reports `Err` only when the record was not appended:
+/// an automatic snapshot that fails *after* the append is parked for
+/// `take_error`, and recovery replays the commit the journal holds.
+#[test]
+fn snapshot_failure_after_append_is_parked_not_returned() {
+    let dir = scratch_dir("snap-after-append");
+    let options = StoreOptions {
+        snapshot_every_ops: 1,
+        ..StoreOptions::default()
+    };
+    let store = Store::open(&dir, options.clone()).unwrap();
+    let mut data = MList::<u64>::new();
+    store.begin(&data).unwrap();
+    // A directory squatting on the snapshot's temp path makes the
+    // automatic snapshot of commit 1 fail at `File::create`.
+    fs::create_dir(dir.join("snap-00000000000000000001.tmp")).unwrap();
+
+    data.push(7);
+    store
+        .commit(&data, &TaskPath::root())
+        .expect("the record was appended, so the commit succeeded");
+    assert_eq!(store.last_seq(), 1);
+    assert!(
+        matches!(store.take_error(), Some(StoreError::Io(_))),
+        "the snapshot failure must be parked"
+    );
+    drop(store);
+
+    let rec = Store::open(&dir, options)
+        .unwrap()
+        .recover::<MList<u64>>()
+        .unwrap()
+        .expect("journal exists");
+    assert_eq!(rec.replayed_ops, 1, "no snapshot covers the commit");
+    assert_eq!(rec.data.to_vec(), vec![7]);
+}
+
 /// Background snapshots take serialization and fsync off the commit
 /// path: with the same workload and snapshot cadence, the summed
 /// commit-path latency with background snapshots stays below the inline
