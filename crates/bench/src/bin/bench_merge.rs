@@ -12,14 +12,13 @@
 //! Final scenarios time the full `MList::merge` entry point end to end
 //! and report its delta/grid rebase split.
 //!
-//! End-of-file scenarios exercise the parallel merge engine through the
-//! full runtime: a 1000-child insert-only `merge_all` timed with staging
-//! off (the sequential creation-order fold) and on (tree-reduction
-//! staging on the pool); the same fan-out with deletes mixed in (the
-//! fold-parallel/combine-serial mixed lane) and under a merge condition
-//! (speculative staging with rollback); a huge-child split/fuse fold
-//! comparison; and a field-parallel composite merge through
-//! `Mergeable::merge_with_exec`.
+//! End-of-file scenarios exercise the merge-staging engine: a 1000-child
+//! insert-only `merge_all` through the full runtime against the plain
+//! `merge` fold of the same children (the sequential creation-order
+//! fold); the same fan-out with deletes mixed in and under a merge
+//! condition (speculative staging with rollback); and, through an
+//! explicit `StageCtx`, a lane sweep (threads vs algorithm) and a
+//! huge-child split/fuse fold comparison.
 //!
 //! Usage:
 //!
@@ -38,11 +37,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sm_core::{
-    run_with_pool, set_parallel_merge_lanes, set_parallel_merge_min_children,
-    set_parallel_split_min_ops, Pool,
-};
-use sm_mergeable::parallel::StageCtx;
+use sm_core::{run_with_pool, Pool};
+use sm_mergeable::parallel::{Job, StageCtx};
 use sm_mergeable::{MList, Mergeable};
 use sm_netsim::workload::lcg_positions;
 use sm_ot::compose::compact;
@@ -65,7 +61,6 @@ const FLOORS: &[(&str, f64)] = &[
     ("mixed_delete_merge_all_1000", 3.0),
     ("conditional_merge_all_1000", 1.5),
     ("huge_child_split_fuse", 1.2),
-    ("field_parallel_struct_merge", 0.5),
 ];
 
 /// Best-of-`iters` wall time of `f`, in nanoseconds.
@@ -202,21 +197,20 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// What each child of a [`fanout_merge_all`] records, and how the
-/// parent merges.
+/// What each child of a fan-out records, and how the parent merges.
 #[derive(Clone, Copy, PartialEq)]
 enum FanoutMode {
-    /// Strided inserts only — the insert-only tree-reduction lane.
+    /// Strided inserts only.
     InsertOnly,
     /// Every fourth op is a delete, each child confined to its own
-    /// 8-element segment of the base — the mixed fold-parallel lane.
-    /// Disjoint segments keep the order-sensitivity screen quiet (no
-    /// child insert can reach another child's insert through deleted
-    /// units), so the lane is measured, not its serial fallback.
+    /// 8-element segment of the base. Disjoint segments keep the
+    /// order-sensitivity screen quiet (no child insert can reach another
+    /// child's insert through deleted units), so the staged plan is
+    /// measured, not its poisoned fallback.
     Mixed,
-    /// Insert-only children merged through `merge_all_with` — the
-    /// speculative conditional staging path (the condition rejects the
-    /// odd child, so staging pays a real rollback/re-stage round).
+    /// Insert-only children merged under [`condition`] — the speculative
+    /// conditional staging path (the condition rejects a scatter of
+    /// children, so staging pays real rollback/re-stage rounds).
     Conditional,
     /// Inserts strided over the last ~60 local positions — deep logs
     /// whose delta folds are span-scattered but whose state applies
@@ -224,10 +218,63 @@ enum FanoutMode {
     TailInserts,
 }
 
-/// One timed `merge_all` over a scattered fan-out: `children` tasks each
-/// record `ops_per_child` non-fusing ops (shape per `mode`), every
-/// completion is allowed to land, and only the merge call is timed.
-/// Returns (merge nanoseconds, final state, pool peak workers).
+/// The base list of a fan-out. Mixed mode gives every child its own
+/// 8-element segment; element `i * 8` of each segment is never edited,
+/// so a surviving retain always separates one child's spans from the
+/// next child's.
+fn fanout_base(children: usize, mode: FanoutMode) -> MList<u64> {
+    let base_len = if mode == FanoutMode::Mixed {
+        children * 8
+    } else {
+        64
+    };
+    MList::from_vec((0..base_len as u64).collect())
+}
+
+/// Child `i`'s `ops_per_child` non-fusing edits (shape per `mode`).
+fn child_edits(list: &mut MList<u64>, i: u64, ops_per_child: usize, mode: FanoutMode) {
+    for j in 0..ops_per_child as u64 {
+        let len = list.len();
+        match mode {
+            FanoutMode::Mixed => {
+                // Segment-local strided positions, first segment element
+                // untouched. Every fourth op deletes; net growth keeps
+                // the segment populated.
+                let at = i as usize * 8 + 1 + (j as usize * 3) % 6;
+                if j % 4 == 3 {
+                    list.remove(at);
+                } else {
+                    list.insert(at, i * 1000 + j);
+                }
+            }
+            FanoutMode::TailInserts => {
+                // Strided over the last ~60 local slots: span-scattered
+                // folds, cheap tail applies.
+                let window = 60.min(len - 1);
+                let at = len - 1 - (j as usize * 13) % window.max(1);
+                list.insert(at, i * 1000 + j);
+            }
+            _ => {
+                // Strided positions: consecutive ops never touch, so
+                // record-time fusion cannot collapse the log and every
+                // merge rebases real spans.
+                let at = ((i * 7 + j * 13) as usize) % (len + 1);
+                list.insert(at, i * 1000 + j);
+            }
+        }
+    }
+}
+
+/// The merge condition of [`FanoutMode::Conditional`]: deterministic on
+/// the child's own data, rejects ~5% of children.
+fn condition(d: &MList<u64>) -> bool {
+    d.to_vec().iter().sum::<u64>() % 257 != 0
+}
+
+/// One timed `merge_all` over a scattered fan-out through the runtime:
+/// `children` tasks each record [`child_edits`], every completion is
+/// allowed to land, and only the merge call is timed. Returns (merge
+/// nanoseconds, final state, pool peak workers).
 fn fanout_merge_all(
     children: usize,
     ops_per_child: usize,
@@ -237,58 +284,18 @@ fn fanout_merge_all(
     let stats_pool = pool.clone();
     let done = Arc::new(AtomicUsize::new(0));
     let done_in = Arc::clone(&done);
-    // Mixed mode gives every child its own 8-element segment; element
-    // `i * 8` of each segment is never edited, so a surviving retain
-    // always separates one child's spans from the next child's.
-    let base_len = if mode == FanoutMode::Mixed {
-        children * 8
-    } else {
-        64
-    };
-    let base = MList::from_vec((0..base_len as u64).collect());
-    let (list, merge_ns) = run_with_pool(base, pool, move |ctx| {
+    let (list, merge_ns) = run_with_pool(fanout_base(children, mode), pool, move |ctx| {
         for i in 0..children as u64 {
             let done = Arc::clone(&done_in);
             ctx.spawn(move |c| {
-                for j in 0..ops_per_child as u64 {
-                    let len = c.data().len();
-                    match mode {
-                        FanoutMode::Mixed => {
-                            // Segment-local strided positions, first
-                            // segment element untouched. Every fourth
-                            // op deletes; net growth keeps the segment
-                            // populated.
-                            let at = i as usize * 8 + 1 + (j as usize * 3) % 6;
-                            if j % 4 == 3 {
-                                c.data_mut().remove(at);
-                            } else {
-                                c.data_mut().insert(at, i * 1000 + j);
-                            }
-                        }
-                        FanoutMode::TailInserts => {
-                            // Strided over the last ~60 local slots:
-                            // span-scattered folds, cheap tail applies.
-                            let window = 60.min(len - 1);
-                            let at = len - 1 - (j as usize * 13) % window.max(1);
-                            c.data_mut().insert(at, i * 1000 + j);
-                        }
-                        _ => {
-                            // Strided positions: consecutive ops never
-                            // touch, so record-time fusion cannot
-                            // collapse the log and every merge rebases
-                            // real spans.
-                            let at = ((i * 7 + j * 13) as usize) % (len + 1);
-                            c.data_mut().insert(at, i * 1000 + j);
-                        }
-                    }
-                }
+                child_edits(c.data_mut(), i, ops_per_child, mode);
                 done.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             });
         }
         // One committed parent op after the forks: the realistic
-        // shape (the parent works too), and what lets the staged
-        // fold qualify for the delta lane.
+        // shape (the parent works too), and what lets the batch
+        // qualify for staging.
         ctx.data_mut().push(u64::MAX);
         // Let every completion event land so the timer measures the
         // merge fold, not child compute (stragglers would merge
@@ -299,16 +306,48 @@ fn fanout_merge_all(
         std::thread::sleep(std::time::Duration::from_millis(100));
         let t = Instant::now();
         if mode == FanoutMode::Conditional {
-            // Deterministic on the child's own data; rejects a scatter
-            // of children, so staging pays real rollback/re-stage
-            // rounds.
-            ctx.merge_all_with(&|d: &MList<u64>| d.to_vec().iter().sum::<u64>() % 257 != 0);
+            ctx.merge_all_with(&condition);
         } else {
             ctx.merge_all();
         }
         t.elapsed().as_nanos() as u64
     });
     (merge_ns, list.to_vec(), stats_pool.stats().peak_workers)
+}
+
+/// The same fan-out outside the runtime, children folded in creation
+/// order: by plain `merge` — the sequential baseline — or, with a `ctx`,
+/// staged under it and committed. Returns (fold nanoseconds, state).
+fn fanout_fold(
+    children: usize,
+    ops_per_child: usize,
+    mode: FanoutMode,
+    ctx: Option<&StageCtx>,
+) -> (u64, Vec<u64>) {
+    let mut parent = fanout_base(children, mode);
+    let kids: Vec<MList<u64>> = (0..children as u64)
+        .map(|i| {
+            let mut kid = parent.fork();
+            child_edits(&mut kid, i, ops_per_child, mode);
+            kid
+        })
+        .collect();
+    parent.push(u64::MAX);
+    let refs: Vec<&MList<u64>> = kids.iter().collect();
+    let t = Instant::now();
+    let mut stage = ctx.map(|ctx| {
+        parent
+            .stage_merge_all(&refs, ctx)
+            .expect("the fan-out qualifies for staging")
+    });
+    for (i, kid) in kids.iter().enumerate() {
+        match &mut stage {
+            Some(stage) => stage.commit(&mut parent, kid, i).unwrap(),
+            None if mode == FanoutMode::Conditional && !condition(kid) => continue,
+            None => parent.merge(kid).unwrap(),
+        };
+    }
+    (t.elapsed().as_nanos() as u64, parent.to_vec())
 }
 
 fn main() {
@@ -324,8 +363,15 @@ fn main() {
     let iters = if quick { 3 } else { 25 };
     let mut speedups: Vec<(String, f64)> = Vec::new();
 
+    // What the staged numbers below depend on: the runtime sizes its
+    // staging lanes at twice the available parallelism (min 2).
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let lanes = (cores * 2).max(2);
     let mut json = String::from("{\n  \"bench\": \"merge\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
+    let _ = writeln!(
+        json,
+        "  \"env\": {{\"cores\": {cores}, \"lanes\": {lanes}, \"quick\": {quick}}},"
+    );
     json.push_str("  \"rebase_scenarios\": [\n");
 
     for (si, sc) in scenarios().iter().enumerate() {
@@ -478,117 +524,108 @@ fn main() {
     );
     json.push_str(",\n");
 
-    // Tree-reduction merge_all: the same 1000-child scattered fan-out
-    // folded sequentially (staging disabled) and staged on the pool. The
-    // sequential fold refolds the whole committed suffix per child; the
-    // staged fold builds the committed composite incrementally across
-    // reduction chunks — the win is algorithmic first, threaded second.
+    // Staged merge_all: the same scattered fan-out folded by plain
+    // `merge` (the sequential creation-order fold) and merged through the
+    // runtime, which stages it on the pool. The sequential fold refolds
+    // the whole committed suffix per child; the staged walk grows the
+    // committed composite incrementally — the win is algorithmic first,
+    // threaded second (the lane sweep below separates the two). The
+    // mixed fan-out adds a delete as every fourth child op; the
+    // conditional one rejects ~5% of children, so staging pays real
+    // speculation rollbacks (drop the stage, re-stage the remainder).
     let children = if quick { 200 } else { 1000 };
     let ops_per_child = 4;
-    set_parallel_merge_min_children(None);
-    let (seq_ns, seq_state, _) = fanout_merge_all(children, ops_per_child, FanoutMode::InsertOnly);
-    set_parallel_merge_min_children(Some(8));
-    set_parallel_merge_lanes(8);
-    let (par_ns, par_state, peak_workers) =
-        fanout_merge_all(children, ops_per_child, FanoutMode::InsertOnly);
-    set_parallel_merge_min_children(Some(8));
-    set_parallel_merge_lanes(0);
-    assert_eq!(
-        seq_state, par_state,
-        "staged merge_all diverged from the sequential fold"
-    );
-    let par_speedup = seq_ns as f64 / par_ns.max(1) as f64;
-    eprintln!(
-        "parallel_merge_all ({children} children x {ops_per_child} ops): \
-         sequential {seq_ns} ns -> staged {par_ns} ns ({par_speedup:.2}x, peak {peak_workers} workers)"
-    );
-    let _ = writeln!(
-        json,
-        "  \"parallel_merge_all\": {{\"name\": \"parallel_merge_all_1000\", \
-         \"children\": {children}, \"ops_per_child\": {ops_per_child}, \
-         \"sequential_ns\": {seq_ns}, \"staged_ns\": {par_ns}, \"speedup\": {par_speedup:.2}, \
-         \"lanes\": 8, \"peak_workers\": {peak_workers}, \"states_identical\": true}},"
-    );
-    speedups.push(("parallel_merge_all_1000".to_string(), par_speedup));
+    for (key, name, mode) in [
+        (
+            "parallel_merge_all",
+            "parallel_merge_all_1000",
+            FanoutMode::InsertOnly,
+        ),
+        (
+            "mixed_delete_merge_all",
+            "mixed_delete_merge_all_1000",
+            FanoutMode::Mixed,
+        ),
+        (
+            "conditional_merge_all",
+            "conditional_merge_all_1000",
+            FanoutMode::Conditional,
+        ),
+    ] {
+        let (seq_ns, seq_state) = fanout_fold(children, ops_per_child, mode, None);
+        let (par_ns, par_state, peak_workers) = fanout_merge_all(children, ops_per_child, mode);
+        assert_eq!(
+            seq_state, par_state,
+            "{name}: staged merge_all diverged from the sequential fold"
+        );
+        let speedup = seq_ns as f64 / par_ns.max(1) as f64;
+        eprintln!(
+            "{name} ({children} children x {ops_per_child} ops): \
+             sequential {seq_ns} ns -> staged {par_ns} ns ({speedup:.2}x, peak {peak_workers} workers)"
+        );
+        let _ = writeln!(
+            json,
+            "  \"{key}\": {{\"name\": \"{name}\", \
+             \"children\": {children}, \"ops_per_child\": {ops_per_child}, \
+             \"sequential_ns\": {seq_ns}, \"staged_ns\": {par_ns}, \"speedup\": {speedup:.2}, \
+             \"peak_workers\": {peak_workers}, \"states_identical\": true}},"
+        );
+        speedups.push((name.to_string(), speedup));
+    }
 
-    // Mixed insert/delete merge_all: same fan-out, every fourth child op
-    // a delete — the batch that used to be screened off the delta lane
-    // entirely. The staged mixed plan parallelizes the per-child folds
-    // and grows the committed composite incrementally on one
-    // coordinator instead of refolding it per child.
-    set_parallel_merge_min_children(None);
-    let (seq_ns, seq_state, _) = fanout_merge_all(children, ops_per_child, FanoutMode::Mixed);
-    set_parallel_merge_min_children(Some(8));
-    set_parallel_merge_lanes(8);
-    let (par_ns, par_state, peak_workers) =
-        fanout_merge_all(children, ops_per_child, FanoutMode::Mixed);
-    set_parallel_merge_min_children(Some(8));
-    set_parallel_merge_lanes(0);
-    assert_eq!(
-        seq_state, par_state,
-        "staged mixed merge_all diverged from the sequential fold"
-    );
-    let mixed_speedup = seq_ns as f64 / par_ns.max(1) as f64;
-    eprintln!(
-        "mixed_delete_merge_all ({children} children x {ops_per_child} ops, 1 delete each): \
-         sequential {seq_ns} ns -> staged {par_ns} ns ({mixed_speedup:.2}x, peak {peak_workers} workers)"
-    );
-    let _ = writeln!(
-        json,
-        "  \"mixed_delete_merge_all\": {{\"name\": \"mixed_delete_merge_all_1000\", \
-         \"children\": {children}, \"ops_per_child\": {ops_per_child}, \
-         \"sequential_ns\": {seq_ns}, \"staged_ns\": {par_ns}, \"speedup\": {mixed_speedup:.2}, \
-         \"lanes\": 8, \"peak_workers\": {peak_workers}, \"states_identical\": true}},"
-    );
-    speedups.push(("mixed_delete_merge_all_1000".to_string(), mixed_speedup));
+    // Lane sweep: the insert-only fan-out staged under an explicit
+    // context — inline on one lane (no thread at all), then on the pool.
+    let pool = Pool::new();
+    let pooled = |lanes: usize, split_min_ops: usize| {
+        let pool = pool.clone();
+        StageCtx {
+            exec: Arc::new(move |job: Job| pool.execute(job)),
+            lanes,
+            split_min_ops,
+            ..StageCtx::inline()
+        }
+    };
+    let (want_ns, want_state) = fanout_fold(children, ops_per_child, FanoutMode::InsertOnly, None);
+    json.push_str("  \"lane_sweep\": [");
+    for (k, (exec, ctx)) in [
+        ("inline", StageCtx::inline()),
+        ("pool", pooled(2, usize::MAX)),
+        ("pool", pooled(8, usize::MAX)),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (ns, state) = fanout_fold(children, ops_per_child, FanoutMode::InsertOnly, Some(&ctx));
+        assert_eq!(state, want_state, "lanes={} diverged", ctx.lanes);
+        let speedup = want_ns as f64 / ns.max(1) as f64;
+        eprintln!(
+            "lane_sweep: {exec} x{} lanes: {ns} ns ({speedup:.2}x)",
+            ctx.lanes
+        );
+        let _ = write!(
+            json,
+            "{}{{\"exec\": \"{exec}\", \"lanes\": {}, \"staged_ns\": {ns}, \"speedup\": {speedup:.2}}}",
+            if k > 0 { ", " } else { "" },
+            ctx.lanes
+        );
+    }
+    json.push_str("],\n");
 
-    // Conditional merge_all: the condition rejects ~5% of children, so
-    // the staged path pays real speculation rollbacks (drop the stage,
-    // re-stage the remainder) and must still come out ahead of the
-    // sequential conditional fold.
-    set_parallel_merge_min_children(None);
-    let (seq_ns, seq_state, _) = fanout_merge_all(children, ops_per_child, FanoutMode::Conditional);
-    set_parallel_merge_min_children(Some(8));
-    set_parallel_merge_lanes(8);
-    let (par_ns, par_state, peak_workers) =
-        fanout_merge_all(children, ops_per_child, FanoutMode::Conditional);
-    set_parallel_merge_min_children(Some(8));
-    set_parallel_merge_lanes(0);
-    assert_eq!(
-        seq_state, par_state,
-        "speculatively staged conditional merge_all diverged from the sequential fold"
-    );
-    let cond_speedup = seq_ns as f64 / par_ns.max(1) as f64;
-    eprintln!(
-        "conditional_merge_all ({children} children x {ops_per_child} ops): \
-         sequential {seq_ns} ns -> staged {par_ns} ns ({cond_speedup:.2}x, peak {peak_workers} workers)"
-    );
-    let _ = writeln!(
-        json,
-        "  \"conditional_merge_all\": {{\"name\": \"conditional_merge_all_1000\", \
-         \"children\": {children}, \"ops_per_child\": {ops_per_child}, \
-         \"sequential_ns\": {seq_ns}, \"staged_ns\": {par_ns}, \"speedup\": {cond_speedup:.2}, \
-         \"lanes\": 8, \"peak_workers\": {peak_workers}, \"states_identical\": true}},"
-    );
-    speedups.push(("conditional_merge_all_1000".to_string(), cond_speedup));
-
-    // Split/fuse: a handful of children with huge logs. Staged both
-    // times; the comparison isolates the split knob — segment folds in
+    // Split/fuse: a handful of children with huge logs, staged both
+    // times; the comparison isolates `split_min_ops` — segment folds in
     // parallel, composites fused in order — against one worker folding
     // each giant log alone.
     let split_children = 4;
     let split_ops = if quick { 4000 } else { 12000 };
-    set_parallel_merge_min_children(Some(2));
-    set_parallel_merge_lanes(8);
-    set_parallel_split_min_ops(None);
-    let (unsplit_ns, unsplit_state, _) =
-        fanout_merge_all(split_children, split_ops, FanoutMode::TailInserts);
-    set_parallel_split_min_ops(Some(256));
-    let (split_ns, split_state, peak_workers) =
-        fanout_merge_all(split_children, split_ops, FanoutMode::TailInserts);
-    set_parallel_split_min_ops(Some(65536));
-    set_parallel_merge_min_children(Some(8));
-    set_parallel_merge_lanes(0);
+    let tails = FanoutMode::TailInserts;
+    let (unsplit_ns, unsplit_state) = fanout_fold(
+        split_children,
+        split_ops,
+        tails,
+        Some(&pooled(8, usize::MAX)),
+    );
+    let (split_ns, split_state) =
+        fanout_fold(split_children, split_ops, tails, Some(&pooled(8, 256)));
     assert_eq!(
         unsplit_state, split_state,
         "split/fuse fold diverged from the unsplit staged fold"
@@ -596,76 +633,16 @@ fn main() {
     let split_speedup = unsplit_ns as f64 / split_ns.max(1) as f64;
     eprintln!(
         "huge_child_split_fuse ({split_children} children x {split_ops} ops): \
-         unsplit {unsplit_ns} ns -> split {split_ns} ns ({split_speedup:.2}x, peak {peak_workers} workers)"
+         unsplit {unsplit_ns} ns -> split {split_ns} ns ({split_speedup:.2}x)"
     );
     let _ = writeln!(
         json,
         "  \"huge_child_split_fuse\": {{\"name\": \"huge_child_split_fuse\", \
          \"children\": {split_children}, \"ops_per_child\": {split_ops}, \
          \"unsplit_ns\": {unsplit_ns}, \"split_ns\": {split_ns}, \"speedup\": {split_speedup:.2}, \
-         \"lanes\": 8, \"split_min_ops\": 256, \"states_identical\": true}},"
+         \"lanes\": 8, \"split_min_ops\": 256, \"states_identical\": true}}"
     );
     speedups.push(("huge_child_split_fuse".to_string(), split_speedup));
-
-    // Field-parallel composite merge: a two-field tuple where each field
-    // carries heavy scattered divergence, merged with the plain
-    // field-by-field fold and with `merge_with_exec` shipping each field
-    // to its own pool worker. On one core the worker hop is pure
-    // overhead (recorded honestly); with idle cores the fields rebase
-    // concurrently.
-    let mut parent = (
-        MList::from_vec((0..64u64).collect()),
-        MList::from_vec((0..64u64).collect()),
-    );
-    let mut child = parent.fork();
-    for (i, p) in lcg_positions(400, 64).into_iter().enumerate() {
-        child.0.insert(p, i as u64);
-        child.1.insert(63 - p, i as u64);
-        parent.0.insert(63 - p, 1000 + i as u64);
-        parent.1.insert(p, 1000 + i as u64);
-    }
-    let field_seq_ns = time_ns(iters, || {
-        let mut p = parent.clone();
-        p.merge(&child).unwrap()
-    });
-    let pool = Pool::new();
-    let exec_pool = pool.clone();
-    let ctx = StageCtx {
-        exec: Arc::new(move |job| exec_pool.execute(job)),
-        lanes: 2,
-        field_min_ops: 1,
-        split_min_ops: usize::MAX,
-        seal_per_commit: false,
-        timing: false,
-    };
-    let field_par_ns = time_ns(iters, || {
-        let mut p = parent.clone();
-        p.merge_with_exec(&child, &ctx).unwrap()
-    });
-    {
-        let mut seq = parent.clone();
-        seq.merge(&child).unwrap();
-        let mut par = parent.clone();
-        par.merge_with_exec(&child, &ctx).unwrap();
-        assert_eq!(
-            (seq.0.to_vec(), seq.1.to_vec()),
-            (par.0.to_vec(), par.1.to_vec()),
-            "field-parallel merge diverged from the sequential field fold"
-        );
-    }
-    let field_speedup = field_seq_ns as f64 / field_par_ns.max(1) as f64;
-    eprintln!(
-        "field_parallel_struct_merge (2 fields x 400 ops): \
-         sequential {field_seq_ns} ns -> field-parallel {field_par_ns} ns ({field_speedup:.2}x)"
-    );
-    let _ = writeln!(
-        json,
-        "  \"field_parallel\": {{\"name\": \"field_parallel_struct_merge\", \"fields\": 2, \
-         \"ops_per_field\": 400, \"sequential_ns\": {field_seq_ns}, \
-         \"parallel_ns\": {field_par_ns}, \"speedup\": {field_speedup:.2}, \
-         \"states_identical\": true}}"
-    );
-    speedups.push(("field_parallel_struct_merge".to_string(), field_speedup));
     json.push_str("}\n");
 
     match std::fs::write(&out_path, &json) {

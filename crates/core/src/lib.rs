@@ -69,12 +69,7 @@ mod trace;
 
 pub use error::{AbortReason, SyncError, TaskAbort, TaskResult};
 pub use journal::CommitSink;
-pub use merge::{
-    field_parallel_min_ops, parallel_merge_lanes, parallel_merge_min_children,
-    parallel_split_min_ops, set_field_parallel_min_ops, set_parallel_merge_lanes,
-    set_parallel_merge_min_children, set_parallel_split_min_ops, Condition, Disposition,
-    MergeReport, MergedChild,
-};
+pub use merge::{Condition, Disposition, MergeReport, MergedChild};
 pub use pool::{Pool, PoolStats};
 pub use runtime::{run, run_with_pool, run_with_sink};
 pub use task::{TaskCtx, TaskHandle, TaskId, TaskOutcome};

@@ -21,107 +21,51 @@
 //! is what makes a `for { MergeAll() }` loop over syncing children proceed
 //! in deterministic rounds (the simulation pattern of listing 4).
 //!
-//! # Parallel staging
+//! # Staging
 //!
-//! When a `merge_all` finds a large prefix of children with clean
-//! completions already in hand, it stages their rebases on the worker
-//! pool (see [`sm_mergeable::parallel`]) and then *commits* the
+//! When a `merge_all` finds a prefix of at least `STAGE_MIN_CHILDREN`
+//! children with clean completions already in hand, it asks the data for
+//! a stage (see [`sm_mergeable::parallel`]): sequence logs whose batch
+//! qualifies pre-rebase on the worker pool, and the parent *commits* the
 //! pre-rebased runs in creation order — the schedule of observable
 //! effects, the merged state, and the determinism-auditor digests are
 //! bit-identical to the sequential fold; only wall-clock changes.
 //! Conditional merges stage speculatively (a rejection drops the stage
 //! and re-stages the remainder), and a durability sink coexists with
-//! staging (the serial lane mirrors its per-commit history seal). The
-//! sequential path remains for syncs, small fan-outs, and the
-//! `serial-merge` escape-hatch feature, and debug builds re-derive every
-//! staged run sequentially at commit and assert equality (see
-//! `Versioned::commit_staged`).
+//! staging (runs are appended under the live fuse barrier at commit
+//! time). Everything else — syncs, small fan-outs, data with no stage —
+//! is the plain sequential fold on the merging thread, and debug builds
+//! re-derive every staged run sequentially at commit and assert equality
+//! (see `Versioned::commit_staged`).
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
+use sm_mergeable::parallel::{Job, StageCtx, StagedCommit};
 use sm_mergeable::{MergeStats, Mergeable};
 use sm_obs::{emit, EventKind, MergeOpStats, Phase};
 
 use crate::error::AbortReason;
 use crate::task::{Event, EventBody, SyncReply, TaskCtx, TaskHandle, TaskId};
 
-#[cfg(not(feature = "serial-merge"))]
-use sm_mergeable::parallel::StageCtx;
-use sm_mergeable::parallel::StagedCommit;
+/// Fewest simultaneously-ready children worth staging: below this the
+/// hand-off costs more than the incrementally grown composite saves.
+const STAGE_MIN_CHILDREN: usize = 8;
+/// Op count at which a single log's delta fold is split across segment
+/// workers and fused in order (the huge-child split/fuse path).
+const STAGE_SPLIT_MIN_OPS: usize = 65_536;
 
-/// `usize::MAX` sentinel = disabled.
-static PAR_MIN_CHILDREN: AtomicUsize = AtomicUsize::new(8);
-/// 0 = auto (twice the machine's available parallelism, min 2).
-static PAR_LANES: AtomicUsize = AtomicUsize::new(0);
-/// `usize::MAX` sentinel = disabled.
-static PAR_FIELD_MIN_OPS: AtomicUsize = AtomicUsize::new(512);
-/// `usize::MAX` sentinel = disabled.
-static PAR_SPLIT_MIN_OPS: AtomicUsize = AtomicUsize::new(65536);
-
-/// Set the minimum number of simultaneously-ready children an
-/// unconditional `merge_all` needs before staging the batch on the pool;
-/// `None` disables parallel staging entirely (every merge folds
-/// sequentially, as if built with the `serial-merge` feature).
-pub fn set_parallel_merge_min_children(min: Option<usize>) {
-    PAR_MIN_CHILDREN.store(min.unwrap_or(usize::MAX).max(1), Ordering::Relaxed);
-}
-
-/// Current staging threshold; `None` when parallel staging is disabled.
-pub fn parallel_merge_min_children() -> Option<usize> {
-    match PAR_MIN_CHILDREN.load(Ordering::Relaxed) {
-        usize::MAX => None,
-        n => Some(n),
-    }
-}
-
-/// Set the number of parallel reduction chunks the delta staging lane
-/// splits a batch into; `0` restores the default (auto: sized to the
-/// machine's available parallelism).
-pub fn set_parallel_merge_lanes(lanes: usize) {
-    PAR_LANES.store(lanes, Ordering::Relaxed);
-}
-
-/// The resolved reduction-lane count (≥ 1).
-pub fn parallel_merge_lanes() -> usize {
-    match PAR_LANES.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
+/// Pass-A chunk count: twice the machine's available parallelism (min
+/// 2), read once — the query walks cgroup files on Linux.
+fn stage_lanes() -> usize {
+    static LANES: OnceLock<usize> = OnceLock::new();
+    *LANES.get_or_init(|| {
+        std::thread::available_parallelism()
             .map(|n| n.get() * 2)
             .unwrap_or(2)
-            .max(2),
-        n => n,
-    }
-}
-
-/// Set the minimum child-side pending-op count for a top-level field of a
-/// composite (tuple / `mergeable_struct!`) to be rebased on its own
-/// worker during a single merge; `None` disables field parallelism.
-pub fn set_field_parallel_min_ops(min: Option<usize>) {
-    PAR_FIELD_MIN_OPS.store(min.unwrap_or(usize::MAX).max(1), Ordering::Relaxed);
-}
-
-/// Current field-parallelism threshold; `None` when disabled.
-pub fn field_parallel_min_ops() -> Option<usize> {
-    match PAR_FIELD_MIN_OPS.load(Ordering::Relaxed) {
-        usize::MAX => None,
-        n => Some(n),
-    }
-}
-
-/// Set the minimum op count at which a *single* log's delta fold is
-/// split across segment workers and fused in order during staging (the
-/// huge-child split/fuse path); `None` disables splitting.
-pub fn set_parallel_split_min_ops(min: Option<usize>) {
-    PAR_SPLIT_MIN_OPS.store(min.unwrap_or(usize::MAX).max(1), Ordering::Relaxed);
-}
-
-/// Current split/fuse threshold; `None` when splitting is disabled.
-pub fn parallel_split_min_ops() -> Option<usize> {
-    match PAR_SPLIT_MIN_OPS.load(Ordering::Relaxed) {
-        usize::MAX => None,
-        n => Some(n),
-    }
+            .max(2)
+    })
 }
 
 /// What happened to one child during a merge call.
@@ -279,12 +223,9 @@ impl<D: Mergeable> TaskCtx<D> {
         // evaluated at commit time exactly as the sequential fold would,
         // and a rejection rolls the speculation back by dropping the
         // stage and re-staging the remainder against the updated parent.
-        #[cfg(not(feature = "serial-merge"))]
-        let consumed = self.merge_all_staged(&ids, cond, &mut report);
-        #[cfg(feature = "serial-merge")]
-        let consumed = 0;
-        let default_cond: &dyn Fn(&D) -> bool = &|_| true;
-        let cond = cond.unwrap_or(default_cond);
+        let conditional = cond.is_some();
+        let cond = cond.unwrap_or(&|_| true);
+        let consumed = self.merge_all_staged(&ids, cond, conditional, &mut report);
         for id in &ids[consumed..] {
             let ev = self.next_event_for(*id);
             report.children.push(self.handle_event(ev, cond, None));
@@ -298,15 +239,14 @@ impl<D: Mergeable> TaskCtx<D> {
     /// ids were fully processed (their reports are appended); the caller
     /// folds the rest sequentially. Never blocks on an event: staging
     /// only covers children whose completions have already arrived.
-    #[cfg(not(feature = "serial-merge"))]
     fn merge_all_staged(
         &mut self,
         ids: &[TaskId],
-        cond: Option<Condition<'_, D>>,
+        cond: Condition<'_, D>,
+        conditional: bool,
         report: &mut MergeReport,
     ) -> usize {
-        let min = PAR_MIN_CHILDREN.load(Ordering::Relaxed);
-        if ids.len() < min || self.data.is_none() {
+        if ids.len() < STAGE_MIN_CHILDREN || self.data.is_none() {
             return 0;
         }
         while let Ok(ev) = self.events_rx.try_recv() {
@@ -339,7 +279,7 @@ impl<D: Mergeable> TaskCtx<D> {
             }
             batch.push(self.pending.remove(pos).expect("position is valid"));
         }
-        if batch.len() < min {
+        if batch.len() < STAGE_MIN_CHILDREN {
             // Too small to pay for staging: hand the events back for the
             // sequential walk (`next_event_for` checks `pending` first).
             for ev in batch.into_iter().rev() {
@@ -349,20 +289,10 @@ impl<D: Mergeable> TaskCtx<D> {
         }
         let n = batch.len();
         let span = sm_obs::timer::start(Phase::MergeParallel);
-        let default_cond: &dyn Fn(&D) -> bool = &|_| true;
-        let effective_cond = cond.unwrap_or(default_cond);
+        let mut staged = false;
         let mut queue: std::collections::VecDeque<Event<D>> = batch.into();
-        while !queue.is_empty() {
-            if queue.len() < min {
-                // Too few left to pay for (re-)staging: finish the
-                // remainder sequentially, events already in hand.
-                for ev in queue.drain(..) {
-                    report
-                        .children
-                        .push(self.handle_event(ev, effective_cond, None));
-                }
-                break;
-            }
+        // Too few left to pay for (re-)staging ends the loop too.
+        while queue.len() >= STAGE_MIN_CHILDREN {
             let ctx = self.stage_ctx();
             let stage = {
                 let kids: Vec<&D> = queue
@@ -374,36 +304,27 @@ impl<D: Mergeable> TaskCtx<D> {
                     .collect();
                 self.data().stage_merge_all(&kids, &ctx)
             };
-            let Some(mut stage) = stage else {
-                // No parallel seam in this data type: fold the drained
-                // events sequentially — they are already in hand.
-                for ev in queue.drain(..) {
-                    report
-                        .children
-                        .push(self.handle_event(ev, effective_cond, None));
-                }
-                break;
-            };
+            // `None`: no field of this data stages this batch.
+            let Some(mut stage) = stage else { break };
+            staged = true;
             let profile = stage.profile();
-            let lane = if cond.is_some() {
+            let lane = if conditional {
                 "conditional"
             } else if profile.mixed_leaves > 0 {
                 "mixed"
-            } else if profile.delta_leaves > 0 {
-                "insert-only"
             } else {
-                "serial"
+                "insert-only"
             };
             emit(&self.path, || EventKind::MergeStaged {
                 children: queue.len(),
                 lane,
                 delta_lanes: profile.delta_leaves,
-                serial_lanes: profile.serial_leaves,
+                serial_lanes: profile.inline_leaves,
                 chunks: profile.chunks,
             });
             let mut index = 0usize;
             while let Some(ev) = queue.pop_front() {
-                let merged = self.handle_event(ev, effective_cond, Some((stage.as_mut(), index)));
+                let merged = self.handle_event(ev, cond, Some((stage.as_mut(), index)));
                 index += 1;
                 let dismissed = !merged.disposition.is_merged();
                 report.children.push(merged);
@@ -418,7 +339,13 @@ impl<D: Mergeable> TaskCtx<D> {
                 }
             }
         }
-        if let Some(span) = span {
+        // Whatever was not staged folds sequentially, events in hand.
+        for ev in queue {
+            report.children.push(self.handle_event(ev, cond, None));
+        }
+        // The phase is about staged batches: a batch nothing staged for
+        // was an ordinary sequential fold.
+        if let Some(span) = span.filter(|_| staged) {
             span.finish(&self.path);
         }
         n
@@ -427,18 +354,12 @@ impl<D: Mergeable> TaskCtx<D> {
     /// The staging environment for this task: jobs run on the family's
     /// worker pool (which grows on demand, so staging can never deadlock
     /// behind blocked tasks).
-    #[cfg(not(feature = "serial-merge"))]
     fn stage_ctx(&self) -> StageCtx {
         let pool = self.family.pool.clone();
         StageCtx {
-            exec: std::sync::Arc::new(move |job: sm_mergeable::parallel::Job| pool.execute(job)),
-            lanes: parallel_merge_lanes(),
-            field_min_ops: PAR_FIELD_MIN_OPS.load(Ordering::Relaxed),
-            split_min_ops: PAR_SPLIT_MIN_OPS.load(Ordering::Relaxed),
-            // A durability sink journals and seals after every commit,
-            // which moves the fuse barrier mid-batch; the serial lane's
-            // replica mirrors that seal when this is set.
-            seal_per_commit: self.sink.is_some(),
+            exec: std::sync::Arc::new(move |job: Job| pool.execute(job)),
+            lanes: stage_lanes(),
+            split_min_ops: STAGE_SPLIT_MIN_OPS,
             timing: sm_obs::is_enabled(),
         }
     }
@@ -724,7 +645,10 @@ impl<D: Mergeable> TaskCtx<D> {
             Some((stage, index)) => stage
                 .commit(self.data_mut(), child_data, index)
                 .expect("merging a forked child cannot fail"),
-            None => self.merge_unstaged(child_data),
+            None => self
+                .data_mut()
+                .merge(child_data)
+                .expect("merging a forked child cannot fail"),
         };
         if let Some(t0) = merge_t0 {
             let merge_nanos = t0.elapsed().as_nanos() as u64;
@@ -763,22 +687,6 @@ impl<D: Mergeable> TaskCtx<D> {
             self.sink = Some(sink);
         }
         stats
-    }
-
-    /// The plain (non-staged) merge, dispatching large composite children
-    /// to the field-parallel `merge_with_exec` path when enabled.
-    fn merge_unstaged(&mut self, child_data: &D) -> MergeStats {
-        #[cfg(not(feature = "serial-merge"))]
-        if child_data.pending_ops() >= PAR_FIELD_MIN_OPS.load(Ordering::Relaxed) {
-            let ctx = self.stage_ctx();
-            return self
-                .data_mut()
-                .merge_with_exec(child_data, &ctx)
-                .expect("merging a forked child cannot fail");
-        }
-        self.data_mut()
-            .merge(child_data)
-            .expect("merging a forked child cannot fail")
     }
 }
 

@@ -113,8 +113,6 @@ impl<K: Key> PartialEq for MCounterMap<K> {
 }
 
 impl<K: Key> Mergeable for MCounterMap<K> {
-    stage_versioned_inner!(stage_versioned);
-
     fn fork(&self) -> Self {
         MCounterMap {
             inner: self.inner.fork(),

@@ -79,8 +79,6 @@ impl PartialEq for MCounter {
 }
 
 impl Mergeable for MCounter {
-    stage_versioned_inner!(stage_versioned);
-
     fn fork(&self) -> Self {
         MCounter {
             inner: self.inner.fork(),

@@ -48,23 +48,22 @@
 #![warn(missing_docs)]
 
 /// Implements [`Mergeable::stage_merge_all`] for a façade wrapping a
-/// single `inner: Versioned<_>` log by projecting the batch onto that
-/// log and staging it on the named lane (`stage_versioned_delta` for
-/// sequence algebras, `stage_versioned` for everything else).
+/// single `inner: Versioned<_>` sequence log: the batch stages on that
+/// log (`parallel::stage_versioned_delta`).
 macro_rules! stage_versioned_inner {
-    ($lane:ident) => {
+    () => {
         fn stage_merge_all(
             &self,
             children: &[&Self],
             ctx: &crate::parallel::StageCtx,
         ) -> Option<Box<dyn crate::parallel::StagedCommit<Self>>> {
-            let inners: Vec<_> = children.iter().map(|c| &c.inner).collect();
-            let stage = crate::parallel::$lane(&self.inner, &inners, ctx)?;
-            Some(crate::parallel::map_stage(
+            crate::parallel::stage_versioned_delta(
+                self,
+                children,
                 |m: &Self| &m.inner,
                 |m: &mut Self| &mut m.inner,
-                stage,
-            ))
+                ctx,
+            )
         }
     };
 }
@@ -156,9 +155,9 @@ pub trait Mergeable: Clone + Send + 'static {
     /// (see [`parallel`]): return a [`parallel::StagedCommit`] whose
     /// per-child commits are bit-identical to calling
     /// [`Mergeable::merge`] on the children in order, or `None` when the
-    /// structure has no parallel seam — the caller then merges
-    /// sequentially. The default is `None`; the bundled structures and
-    /// the composite derives override it.
+    /// structure has no parallel seam or the batch does not qualify —
+    /// the caller then merges sequentially. The default is `None`; the
+    /// bundled sequence structures and the composite derives override it.
     fn stage_merge_all(
         &self,
         children: &[&Self],
@@ -166,20 +165,6 @@ pub trait Mergeable: Clone + Send + 'static {
     ) -> Option<Box<dyn parallel::StagedCommit<Self>>> {
         let _ = (children, ctx);
         None
-    }
-
-    /// [`Mergeable::merge`] with an executor for intra-merge (per-field)
-    /// parallelism: composite structures merge their large fields on
-    /// `ctx.exec` concurrently, folding the per-field results in field
-    /// declaration order. The result and stats are identical to `merge`;
-    /// the default *is* `merge`.
-    fn merge_with_exec(
-        &mut self,
-        child: &Self,
-        ctx: &parallel::StageCtx,
-    ) -> Result<MergeStats, MergeError> {
-        let _ = ctx;
-        self.merge(child)
     }
 }
 
@@ -196,14 +181,6 @@ impl Mergeable for () {
     }
 
     fn rollback_to(&mut self, _fork: &Self) {}
-
-    fn stage_merge_all(
-        &self,
-        _children: &[&Self],
-        _ctx: &parallel::StageCtx,
-    ) -> Option<Box<dyn parallel::StagedCommit<Self>>> {
-        Some(Box::new(parallel::NoopStage))
-    }
 }
 
 /// Element-wise merge for homogeneous collections of mergeables.
@@ -269,37 +246,16 @@ impl<M: Mergeable> Mergeable for Vec<M> {
         if children.iter().any(|c| c.len() != self.len()) {
             return None;
         }
-        let mut fields: Vec<Box<dyn parallel::StagedCommit<Self>>> = Vec::with_capacity(self.len());
-        for idx in 0..self.len() {
+        let mut fields = parallel::FieldStage::default();
+        for (idx, elem) in self.iter().enumerate() {
             let kids: Vec<&M> = children.iter().map(|c| &c[idx]).collect();
-            let stage = self[idx].stage_merge_all(&kids, ctx);
-            fields.push(Box::new(parallel::IndexStage { idx, stage }));
+            fields.field(
+                move |d: &Self| &d[idx],
+                move |d: &mut Self| &mut d[idx],
+                elem.stage_merge_all(&kids, ctx),
+            );
         }
-        Some(Box::new(parallel::FieldStage::new(fields)))
-    }
-
-    fn merge_with_exec(
-        &mut self,
-        child: &Self,
-        ctx: &parallel::StageCtx,
-    ) -> Result<MergeStats, MergeError> {
-        if self.len() != child.len() {
-            return Err(MergeError::ShapeMismatch {
-                detail: format!("Vec length {} vs child {}", self.len(), child.len()),
-            });
-        }
-        let mut jobs: Vec<Option<parallel::FieldMergeJob<M>>> = Vec::with_capacity(self.len());
-        for (p, c) in self.iter().zip(child) {
-            jobs.push(parallel::spawn_field_merge(p, c, ctx));
-        }
-        let mut stats = MergeStats::default();
-        for ((p, c), job) in self.iter_mut().zip(child).zip(jobs) {
-            stats += match job {
-                Some(rx) => parallel::recv_field_merge(p, rx)?,
-                None => p.merge_with_exec(c, ctx)?,
-            };
-        }
-        Ok(stats)
+        fields.finish()
     }
 }
 
@@ -341,40 +297,19 @@ macro_rules! impl_mergeable_tuple {
                 children: &[&Self],
                 ctx: &parallel::StageCtx,
             ) -> Option<Box<dyn parallel::StagedCommit<Self>>> {
-                let mut fields: Vec<Box<dyn parallel::StagedCommit<Self>>> = Vec::new();
+                let mut fields = parallel::FieldStage::default();
                 $(
                     {
                         let kids: Vec<&$name> =
                             children.iter().map(|c| &c.$idx).collect();
-                        let stage = self.$idx.stage_merge_all(&kids, ctx);
-                        fields.push(parallel::project_stage(
+                        fields.field(
                             |d: &Self| &d.$idx,
                             |d: &mut Self| &mut d.$idx,
-                            stage,
-                        ));
+                            self.$idx.stage_merge_all(&kids, ctx),
+                        );
                     }
                 )+
-                Some(Box::new(parallel::FieldStage::new(fields)))
-            }
-
-            fn merge_with_exec(
-                &mut self,
-                child: &Self,
-                ctx: &parallel::StageCtx,
-            ) -> Result<MergeStats, MergeError> {
-                // One job slot per field, in field order — the receiver
-                // tuple mirrors the data tuple, so `jobs.N` is field N's.
-                let mut jobs =
-                    ( $( parallel::spawn_field_merge(&self.$idx, &child.$idx, ctx), )+ );
-                let mut stats = MergeStats::default();
-                $(
-                    stats += match jobs.$idx.take() {
-                        Some(rx) => parallel::recv_field_merge(&mut self.$idx, rx)?,
-                        None => self.$idx.merge_with_exec(&child.$idx, ctx)?,
-                    };
-                )+
-                let _ = &mut jobs;
-                Ok(stats)
+                fields.finish()
             }
         }
     };
@@ -467,49 +402,19 @@ macro_rules! mergeable_struct {
             ) -> ::std::option::Option<
                 ::std::boxed::Box<dyn $crate::parallel::StagedCommit<Self>>,
             > {
-                let mut fields: ::std::vec::Vec<
-                    ::std::boxed::Box<dyn $crate::parallel::StagedCommit<Self>>,
-                > = ::std::vec::Vec::new();
+                let mut fields = $crate::parallel::FieldStage::default();
                 $(
                     {
                         let kids: ::std::vec::Vec<&$fty> =
                             children.iter().map(|c| &c.$field).collect();
-                        let stage =
-                            $crate::Mergeable::stage_merge_all(&self.$field, &kids, ctx);
-                        fields.push($crate::parallel::project_stage(
+                        fields.field(
                             |d: &Self| &d.$field,
                             |d: &mut Self| &mut d.$field,
-                            stage,
-                        ));
+                            $crate::Mergeable::stage_merge_all(&self.$field, &kids, ctx),
+                        );
                     }
                 )+
-                ::std::option::Option::Some(::std::boxed::Box::new(
-                    $crate::parallel::FieldStage::new(fields),
-                ))
-            }
-
-            fn merge_with_exec(
-                &mut self,
-                child: &Self,
-                ctx: &$crate::parallel::StageCtx,
-            ) -> Result<$crate::MergeStats, $crate::MergeError> {
-                // One job binding per field, in field order, named after
-                // the field itself.
-                let ( $( mut $field, )+ ) = ( $(
-                    $crate::parallel::spawn_field_merge(&self.$field, &child.$field, ctx),
-                )+ );
-                let mut stats = $crate::MergeStats::default();
-                $(
-                    stats += match $field.take() {
-                        ::std::option::Option::Some(rx) => {
-                            $crate::parallel::recv_field_merge(&mut self.$field, rx)?
-                        }
-                        ::std::option::Option::None => {
-                            $crate::Mergeable::merge_with_exec(&mut self.$field, &child.$field, ctx)?
-                        }
-                    };
-                )+
-                Ok(stats)
+                fields.finish()
             }
         }
     };

@@ -181,7 +181,7 @@ impl<T: Element> PartialEq for MList<T> {
 }
 
 impl<T: Element> Mergeable for MList<T> {
-    stage_versioned_inner!(stage_versioned_delta);
+    stage_versioned_inner!();
 
     fn fork(&self) -> Self {
         MList {

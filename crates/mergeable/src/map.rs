@@ -123,8 +123,6 @@ impl<K: Key, V: Value> PartialEq for MMap<K, V> {
 }
 
 impl<K: Key, V: Value> Mergeable for MMap<K, V> {
-    stage_versioned_inner!(stage_versioned);
-
     fn fork(&self) -> Self {
         MMap {
             inner: self.inner.fork(),

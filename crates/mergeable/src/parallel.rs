@@ -1,5 +1,5 @@
-//! The parallel merge-staging engine: off-thread rebasing that is
-//! **bit-identical** to the sequential creation-order fold.
+//! The merge-staging engine: off-thread rebasing that is **bit-identical**
+//! to the sequential creation-order fold.
 //!
 //! # The seam
 //!
@@ -16,52 +16,32 @@
 //! sequential rebase at every commit and assert the staged run matches
 //! operation for operation.
 //!
-//! # Three lanes
+//! # One plan
 //!
-//! **Insert-only delta lane** ([`stage_versioned_delta`]) — for
-//! insert-only sequence batches sharing one fork base (the overwhelming
-//! fan-out shape: every child appends its results). Sibling logs fold
-//! into normalized span-set deltas over the fork-base coordinates and
-//! reduce pairwise: each chunk of siblings folds its local composite in
-//! parallel, the chunk composites sequence in O(#chunks) combines, and
-//! each chunk then transforms its members against its start composite
-//! concurrently — O(log-depth) critical path in the reduction sense,
-//! and, just as important, the committed composite is built
-//! *incrementally* instead of refolded from the whole committed log per
-//! child, collapsing the sequential fold's O(n³) total work at high
-//! fan-out. The unique normal form of insert-only deltas makes every
-//! re-association of `combine(a, b) = a ∘ T(b, a)` produce the same
-//! normalized delta, so the re-materialized runs equal the sequential
-//! ones span for span.
+//! A sequence log ([`stage_versioned_delta`]) stages when every child of
+//! the batch has a non-empty span-expressible log, all share one fork
+//! base inside the parent's retained history, and the parent committed
+//! something since that fork. Everything else — other algebras, `Set`s,
+//! mixed fork bases, an idle parent — has no stage (`None`): the caller
+//! folds it with plain [`Mergeable::merge`] on the merging thread, and a
+//! composite whose every field declines has no stage either.
 //!
-//! **Mixed delta lane** (also [`stage_versioned_delta`]) — batches whose
-//! logs mix inserts and deletes (still span-expressible, one shared
-//! fork base). Deletes forfeit the insert-only re-association proof, so
-//! this lane parallelizes only the *folds* (each chunk of sibling logs
-//! folds to deltas concurrently; a huge single log additionally
-//! split/fuses across segment workers, see below) and keeps the
-//! committed-composite walk on one worker, performing **exactly** the
-//! delta-level operations of the sequential kernel in the same order:
-//! screen with [`Delta::rebase_is_order_sensitive`], transform, compose.
-//! When the screen fires for a member, that member and every later one
-//! in the batch fall back per-child to the plain sequential merge (the
-//! poison protocol below) — per-batch fallback, not global.
-//!
-//! **Serial lane** ([`stage_versioned`]) — everything else (`Set`s,
-//! mixed fork bases, non-sequence algebras). One worker replays the
-//! exact sequential rebase pipeline against a [`LogReplica`] — same
-//! rebase kernel, same tail-fusion rules, same fuse barrier, including
-//! the per-commit history *seal* a durable `CommitSink` performs when
-//! `StageCtx::seal_per_commit` is set — so a composite structure can
-//! still stage *fields* in parallel: each field's lane runs concurrently
-//! with every other field's even when no single field parallelizes
-//! internally. That is the field-parallel merge of tuple /
-//! `mergeable_struct!` data.
+//! **Pass A** (parallel): the sibling logs split into [`StageCtx::lanes`]
+//! chunks and each chunk folds its logs into normalized span-set deltas
+//! over the fork-base coordinates. **The walk** (one coordinator, index
+//! order) performs exactly the delta-level operations of the sequential
+//! kernel: screen with [`Delta::rebase_is_order_sensitive`], transform
+//! against the committed composite, emit the rebased run, compose it
+//! into the composite. The committed composite therefore grows
+//! *incrementally* instead of being refolded from the whole committed
+//! log per child — that, not the threads, is what collapses the
+//! sequential fold's O(n³) total work at high fan-out. The parent
+//! commits the runs in creation order as they arrive.
 //!
 //! # Split/fuse for one huge log
 //!
 //! A single ≥[`StageCtx::split_min_ops`]-op log (one 10⁶-op child, or a
-//! long committed slice) no longer serializes its own fold: the staging
+//! long committed slice) does not serialize its own fold: the staging
 //! thread segments the log, ships each segment's fold to an executor
 //! worker, and fuses the segment composites in order under the log's
 //! [`GapBias`] — exact because composition under a fixed bias is
@@ -70,18 +50,17 @@
 //!
 //! # The poison protocol
 //!
-//! Lane workers send `(index, Option<StagedRun>)`; `None` marks a member
-//! the lane could not stage exactly (order-sensitivity screen fire, or a
-//! span-inexpressible op discovered mid-fold). Commits happen in index
+//! The coordinator sends `(index, Option<StagedRun>)`; `None` marks a
+//! member it could not stage exactly (order-sensitivity screen fire, or
+//! a span-inexpressible op discovered mid-fold). Commits happen in index
 //! order, and the first consumed `None` **poisons** the leaf: that child
 //! and every later child in the batch commit through the plain
-//! sequential `merge` (the exact kernel, grid fallback included), and
-//! stale staged runs still arriving from in-flight workers are ignored.
-//! The committed outcome is therefore always the sequential one — a
-//! staged prefix that is bit-identical by construction, then a plainly
-//! merged suffix. Fallbacks are counted in `MergeStats::screen_rejects`.
+//! sequential `merge` (the exact kernel, grid fallback included). The
+//! committed outcome is therefore always the sequential one — a staged
+//! prefix that is bit-identical by construction, then a plainly merged
+//! suffix. Fallbacks are counted in `MergeStats::screen_rejects`.
 //!
-//! No lane ever blocks event collection and the parent commits in
+//! Staging never blocks event collection and the parent commits in
 //! creation order, so the schedule of observable effects is the
 //! sequential one; only wall-clock (never hashed) differs.
 
@@ -89,93 +68,65 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sm_ot::compose::shape_of_log;
-use sm_ot::delta::{from_ops_biased, Delta, DeltaOp, DeltaPayload, GapBias};
-use sm_ot::{OpShape, Operation};
+use sm_ot::delta::{from_ops_biased, Delta, DeltaOp, GapBias};
+use sm_ot::Operation;
 
-use crate::versioned::rebase_over;
-use crate::{LogShape, MergeError, MergeStats, Mergeable, Versioned};
+use crate::versioned::elapsed_nanos;
+use crate::{MergeError, MergeStats, Mergeable, Versioned};
 
 /// A unit of staging work shipped to the executor.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A clonable handle that runs staging jobs — in the runtime this wraps
-/// the task pool's `execute`; tests and defaults use [`inline_exec`].
+/// the task pool's `execute`.
 pub type ExecHandle = Arc<dyn Fn(Job) + Send + Sync>;
 
-/// An executor that runs every job synchronously on the calling thread.
-/// Staging through it is pure overhead but exercises the identical code
-/// path — useful as a differential harness and as a safe default.
-pub fn inline_exec() -> ExecHandle {
-    Arc::new(|job: Job| job())
-}
-
-/// Everything a staging lane needs to know about its environment.
+/// Everything the staging plan needs to know about its environment. The
+/// runtime derives every field (pool, hardware parallelism, a constant,
+/// recorder state); tests build one directly to drive the seam.
 #[derive(Clone)]
 pub struct StageCtx {
     /// Where staging jobs run.
     pub exec: ExecHandle,
-    /// Target number of parallel chunks for the delta lane (≥ 1).
+    /// Target number of parallel pass-A chunks / split segments (≥ 1).
     pub lanes: usize,
-    /// Minimum child-side op count for a *field* of a composite to be
-    /// merged on its own worker in
-    /// [`Mergeable::merge_with_exec`](crate::Mergeable::merge_with_exec);
-    /// smaller fields merge inline.
-    pub field_min_ops: usize,
     /// Minimum op count at which a *single* log's fold is split across
     /// segment workers and fused in order ([`from_ops_chunked`]
     /// semantics); `usize::MAX` disables the split.
     ///
     /// [`from_ops_chunked`]: sm_ot::delta::from_ops_chunked
     pub split_min_ops: usize,
-    /// Whether a durable `CommitSink` is installed on the runtime: the
-    /// sink seals the parent's fusible history after *every* commit, so
-    /// the serial lane's [`LogReplica`] must move its fuse barrier the
-    /// same way or staged tail fusion would diverge from the sequential
-    /// schedule.
-    pub seal_per_commit: bool,
     /// Whether an `sm_obs` recorder is installed: gates every clock read
     /// so uninstalled staging reads no clocks, like the sequential path.
     pub timing: bool,
 }
 
 impl StageCtx {
-    /// A context that runs everything inline on the calling thread.
+    /// A context that runs every job synchronously on the calling thread:
+    /// staging through it is pure overhead but exercises the identical
+    /// code path — the differential harness.
     pub fn inline() -> Self {
         StageCtx {
-            exec: inline_exec(),
+            exec: Arc::new(|job: Job| job()),
             lanes: 1,
-            field_min_ops: usize::MAX,
             split_min_ops: usize::MAX,
-            seal_per_commit: false,
             timing: false,
         }
-    }
-}
-
-impl std::fmt::Debug for StageCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageCtx")
-            .field("lanes", &self.lanes)
-            .field("field_min_ops", &self.field_min_ops)
-            .field("split_min_ops", &self.split_min_ops)
-            .field("seal_per_commit", &self.seal_per_commit)
-            .field("timing", &self.timing)
-            .finish_non_exhaustive()
     }
 }
 
 /// Shape of the staging plan a [`StagedCommit`] built, for telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageProfile {
-    /// Leaves staged on the chunked delta lane (insert-only or mixed).
+    /// Leaves staged on the delta plan.
     pub delta_leaves: usize,
-    /// Delta-lane leaves that took the fold-parallel *mixed* plan
-    /// (a subset of `delta_leaves`).
+    /// Delta leaves whose batch carries deletes (by the push-time shape
+    /// cache; a subset of `delta_leaves`).
     pub mixed_leaves: usize,
-    /// Leaves staged on the serial-replay lane (or committed inline).
-    pub serial_leaves: usize,
-    /// Total parallel chunks across all delta-lane leaves.
+    /// Composite fields with no stage of their own, merged inline at
+    /// commit time.
+    pub inline_leaves: usize,
+    /// Total parallel chunks across all delta leaves.
     pub chunks: usize,
 }
 
@@ -183,7 +134,7 @@ impl std::ops::AddAssign for StageProfile {
     fn add_assign(&mut self, rhs: Self) {
         self.delta_leaves += rhs.delta_leaves;
         self.mixed_leaves += rhs.mixed_leaves;
-        self.serial_leaves += rhs.serial_leaves;
+        self.inline_leaves += rhs.inline_leaves;
         self.chunks += rhs.chunks;
     }
 }
@@ -192,9 +143,10 @@ impl std::ops::AddAssign for StageProfile {
 /// batch, committed one child at a time in creation order.
 ///
 /// `commit` must be called with the same parent the batch was staged
-/// from, the same child data in the same order, and each index exactly
-/// once, with no other mutation of the parent's mergeable state in
-/// between — the runtime's `merge_all` upholds this by construction.
+/// from, the same child data in the same order, and the indices
+/// `0, 1, 2, …` in that order (a batch may be abandoned early, never
+/// skipped into), with no other mutation of the parent's mergeable state
+/// in between — the runtime's `merge_all` upholds this by construction.
 pub trait StagedCommit<D> {
     /// Merge child `index`'s staged run into `parent`, blocking only if
     /// that child's staging work has not finished yet. Equivalent to
@@ -210,80 +162,45 @@ pub trait StagedCommit<D> {
 struct StagedRun<O> {
     run: Vec<O>,
     pre: MergeStats,
-    /// True when the lane reports compaction counters as raw lengths
-    /// (the delta path's convention).
-    raw_compacted: bool,
 }
 
-/// One slot of a [`StagedLeaf`]'s commit schedule.
-enum Slot<O> {
-    /// Not delivered yet.
-    Pending,
-    /// A staged run, ready to commit.
-    Run(StagedRun<O>),
-    /// The lane could not stage this member exactly (screen fire,
-    /// span-inexpressible op): this child and every later one fall back
-    /// to the plain sequential merge.
-    Poison,
-}
-
-/// The leaf [`StagedCommit`] over a single [`Versioned`] log: collects
-/// `(index, Option<run>)` pairs from the lane workers and commits them
-/// in order, with `None` poisoning the batch suffix (see the module
-/// docs).
-struct StagedLeaf<O: Operation> {
-    slots: Vec<Slot<O>>,
+/// The leaf [`StagedCommit`] over the single [`Versioned`] log that
+/// `get` / `get_mut` project out of a façade `D`: receives
+/// `(index, Option<run>)` pairs from the coordinator — in index order,
+/// there being one coordinator and one channel — and commits them, with
+/// `None` poisoning the batch suffix (see the module docs).
+struct StagedLeaf<O: Operation, G, H> {
+    get: G,
+    get_mut: H,
     rx: Receiver<(usize, Option<StagedRun<O>>)>,
     profile: StageProfile,
     timing: bool,
     poisoned: bool,
 }
 
-impl<O: Operation> StagedLeaf<O> {
-    /// Block until slot `index` resolves; `None` means the lane marked
-    /// it (and therefore the whole batch suffix) unstageable. Lanes
-    /// poison the *first* unstaged index and then stop sending, so this
-    /// never waits on an index past a poison marker.
-    fn take(&mut self, index: usize) -> Option<StagedRun<O>> {
-        loop {
-            match std::mem::replace(&mut self.slots[index], Slot::Pending) {
-                Slot::Run(staged) => return Some(staged),
-                Slot::Poison => {
-                    self.slots[index] = Slot::Poison;
-                    return None;
-                }
-                Slot::Pending => {
-                    let (i, staged) = self
-                        .rx
-                        .recv()
-                        .expect("a merge-staging worker died before delivering its rebased run");
-                    self.slots[i] = match staged {
-                        Some(run) => Slot::Run(run),
-                        None => Slot::Poison,
-                    };
-                }
-            }
-        }
-    }
-}
-
-impl<O: Operation> StagedCommit<Versioned<O>> for StagedLeaf<O> {
+impl<D, O, G, H> StagedCommit<D> for StagedLeaf<O, G, H>
+where
+    O: Operation,
+    G: for<'a> Fn(&'a D) -> &'a Versioned<O>,
+    H: for<'a> Fn(&'a mut D) -> &'a mut Versioned<O>,
+{
     fn commit(
         &mut self,
-        parent: &mut Versioned<O>,
-        child: &Versioned<O>,
+        parent: &mut D,
+        child: &D,
         index: usize,
     ) -> Result<MergeStats, MergeError> {
+        let (parent, child) = ((self.get_mut)(parent), (self.get)(child));
         if !self.poisoned {
-            if let Some(staged) = self.take(index) {
-                return parent.commit_staged(
-                    child,
-                    staged.run,
-                    staged.pre,
-                    staged.raw_compacted,
-                    self.timing,
-                );
+            let (i, staged) = self
+                .rx
+                .recv()
+                .expect("the staging coordinator died before delivering its rebased run");
+            assert_eq!(i, index, "staged runs commit in batch order");
+            if let Some(staged) = staged {
+                return parent.commit_staged(child, staged.run, staged.pre, self.timing);
             }
+            // The poison marker is the coordinator's last message.
             self.poisoned = true;
         }
         // Poisoned suffix: the staged prefix left `parent` in exactly
@@ -298,124 +215,6 @@ impl<O: Operation> StagedCommit<Versioned<O>> for StagedLeaf<O> {
         self.profile
     }
 }
-
-/// A log-only stand-in for the parent's `Versioned` that can cross
-/// threads (the state cannot, and rebasing never needs it): the committed
-/// log, its absolute start, and the fuse barrier captured at staging
-/// time. `extend` mirrors `Versioned`'s tail-fusion rules exactly, so the
-/// committed slice each staged child rebases against is byte-identical
-/// to what the sequential schedule would have seen.
-struct LogReplica<O: Operation> {
-    log: Vec<O>,
-    log_start: usize,
-    barrier: usize,
-}
-
-impl<O: Operation> LogReplica<O> {
-    fn suffix(&self, fork_base: usize) -> &[O] {
-        &self.log[fork_base - self.log_start..]
-    }
-
-    fn extend(&mut self, ops: &[O]) {
-        for op in ops {
-            if !self.log.is_empty() && self.log_start + self.log.len() > self.barrier {
-                let last = self.log.last().expect("non-empty");
-                if Operation::annihilates(last, op) {
-                    self.log.pop();
-                    continue;
-                }
-                if let Some(fused) = Operation::compose(last, op) {
-                    *self.log.last_mut().expect("non-empty") = fused;
-                    continue;
-                }
-            }
-            self.log.push(op.clone());
-        }
-    }
-}
-
-/// Stage a batch on the **serial lane**: one worker replays the exact
-/// sequential rebase pipeline — per child, rebase over the replica's
-/// committed suffix from its fork base, then extend the replica with the
-/// run under the same fusion rules. Returns `None` only when a child's
-/// fork point does not lie inside the parent's retained history (the
-/// sequential path is then the one that must surface the error).
-pub fn stage_versioned<O: Operation>(
-    parent: &Versioned<O>,
-    children: &[&Versioned<O>],
-    ctx: &StageCtx,
-) -> Option<Box<dyn StagedCommit<Versioned<O>>>> {
-    if children.is_empty() {
-        return None;
-    }
-    let lo = parent.log_start();
-    let hi = parent.history_len();
-    if children
-        .iter()
-        .any(|c| c.fork_base() < lo || c.fork_base() > hi)
-    {
-        return None;
-    }
-    let mut replica = LogReplica {
-        log: parent.log().to_vec(),
-        log_start: lo,
-        barrier: parent.barrier_value(),
-    };
-    let work: Vec<(usize, Vec<O>)> = children
-        .iter()
-        .map(|c| (c.fork_base(), c.log().to_vec()))
-        .collect();
-    let (tx, rx) = channel();
-    let timing = ctx.timing;
-    let seal_per_commit = ctx.seal_per_commit;
-    (ctx.exec)(Box::new(move || {
-        for (i, (fork_base, log)) in work.into_iter().enumerate() {
-            let (run, pre) = rebase_over(&log, replica.suffix(fork_base), timing);
-            replica.extend(&run);
-            if seal_per_commit {
-                // Mirror the sink's post-commit history seal: the next
-                // child must not fuse into ops this commit made durable.
-                replica.barrier = replica.log_start + replica.log.len();
-            }
-            let _ = tx.send((
-                i,
-                Some(StagedRun {
-                    run,
-                    pre,
-                    raw_compacted: false,
-                }),
-            ));
-        }
-    }));
-    Some(Box::new(StagedLeaf {
-        slots: (0..children.len()).map(|_| Slot::Pending).collect(),
-        rx,
-        profile: StageProfile {
-            serial_leaves: 1,
-            chunks: 1,
-            ..StageProfile::default()
-        },
-        timing,
-        poisoned: false,
-    }))
-}
-
-/// `committed ∘ T(next, committed)`: extend a committed composite delta
-/// by one more sibling's delta, exactly the step the sequential fold
-/// performs when it commits that sibling's rebased run.
-fn combine<P: DeltaPayload>(committed: &Delta<P>, next: &Delta<P>) -> Delta<P> {
-    let (_, rebased) = committed.transform(next);
-    committed.compose(&rebased)
-}
-
-/// Saturating elapsed nanoseconds since `t0`.
-fn elapsed_nanos(t0: Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// One chunk's pass-A report: its members' deltas plus their local
-/// composite.
-type ChunkFold<P> = (Vec<Delta<P>>, Delta<P>);
 
 /// A sibling log handed to pass A: either the raw ops, or — for a log
 /// big enough that one worker folding it alone would dominate the
@@ -442,7 +241,7 @@ impl<O: DeltaOp> FoldItem<O> {
 /// ([`sm_ot::delta::from_ops_chunked`] is the sequential oracle).
 ///
 /// Called from the staging thread only; the pool grows on demand, so
-/// blocking here on segment results cannot starve the lane workers.
+/// blocking here on segment results cannot starve the pass-A workers.
 fn fold_log_split<O: DeltaOp>(
     ops: &[O],
     bias: GapBias,
@@ -456,278 +255,145 @@ fn fold_log_split<O: DeltaOp>(
         .div_ceil(ctx.lanes)
         .max(ctx.split_min_ops / 2)
         .max(1);
-    let (tx, rx) = channel();
-    let mut segs = 0usize;
-    for (k, seg) in ops.chunks(seg_len).enumerate() {
+    let mut segs = Vec::new();
+    for seg in ops.chunks(seg_len) {
         let seg = seg.to_vec();
-        let tx = tx.clone();
+        let (tx, rx) = channel();
+        segs.push(rx);
         (ctx.exec)(Box::new(move || {
-            let _ = tx.send((k, from_ops_biased(&seg, bias)));
+            let _ = tx.send(from_ops_biased(&seg, bias));
         }));
-        segs += 1;
-    }
-    drop(tx);
-    let mut folds: Vec<Option<Delta<O::Payload>>> = (0..segs).map(|_| None).collect();
-    for _ in 0..segs {
-        let (k, d) = rx.recv().ok()?;
-        folds[k] = d;
     }
     let mut acc = Delta::identity();
-    for d in folds {
-        acc = acc.compose_biased(&d?, bias);
+    for seg in segs {
+        acc = acc.compose_biased(&seg.recv().ok()??, bias);
     }
     Some(acc)
 }
 
-/// Stage a batch on the **delta lane** when the batch qualifies
-/// (delta-foldable sequence logs by the push-time [`LogShape`] cache —
-/// no rescans — one shared in-history fork base, non-empty committed
-/// slice), falling back to the serial lane otherwise.
+/// Stage a batch of sibling sequence logs (the module docs' one plan) —
+/// each the [`Versioned`] log `get` / `get_mut` project out of its façade
+/// — or `None` when the batch does not qualify (by the push-time
+/// [`LogShape`](crate::LogShape) cache, no rescans) and the caller folds
+/// it sequentially.
 ///
-/// Two plans share this entry point:
-///
-/// **Insert-only** (every child's cache says [`LogShape::InsertOnly`]
-/// and the committed slice is insert-only too): siblings split into
-/// `ctx.lanes` chunks. Pass A folds each chunk's logs into deltas and
-/// its local composite concurrently; a coordinator sequences the
-/// chunk-start composites (`#chunks` combines) and fans out pass B,
-/// where each chunk walks its members against a running committed
-/// composite, emitting every member's rebased run. All reductions
-/// re-associate `combine`, which for insert-only deltas is exact down
-/// to the span representation.
-///
-/// **Mixed** (deletes anywhere in the batch): deletes forfeit the
-/// re-association proof, so only pass A runs in parallel; a single
-/// coordinator walks every member delta in index order performing
+/// Pass A folds each chunk of sibling logs into deltas concurrently (a
+/// huge single log additionally split/fuses across segment workers); one
+/// coordinator then walks every member delta in index order performing
 /// exactly the sequential kernel's delta steps — screen with
-/// [`Delta::rebase_is_order_sensitive`], transform, compose. A screen
-/// fire poisons the batch suffix (module docs) instead of bailing the
-/// whole batch. Still a large win at fan-out: the committed composite
-/// grows incrementally instead of being refolded from the whole
-/// committed log per child.
-pub fn stage_versioned_delta<O: DeltaOp>(
-    parent: &Versioned<O>,
-    children: &[&Versioned<O>],
+/// [`Delta::rebase_is_order_sensitive`], transform, compose — against an
+/// incrementally grown committed composite. A screen fire poisons the
+/// batch suffix (module docs) instead of bailing the whole batch.
+pub(crate) fn stage_versioned_delta<D, O, G, H>(
+    parent: &D,
+    children: &[&D],
+    get: G,
+    get_mut: H,
     ctx: &StageCtx,
-) -> Option<Box<dyn StagedCommit<Versioned<O>>>> {
-    if children.is_empty() {
-        return None;
-    }
+) -> Option<Box<dyn StagedCommit<D>>>
+where
+    D: 'static,
+    O: DeltaOp,
+    G: for<'a> Fn(&'a D) -> &'a Versioned<O> + 'static,
+    H: for<'a> Fn(&'a mut D) -> &'a mut Versioned<O> + 'static,
+{
+    let parent = get(parent);
+    let children: Vec<&Versioned<O>> = children.iter().map(|c| get(c)).collect();
+    let fork_base = children.first()?.fork_base();
     let lo = parent.log_start();
-    let hi = parent.history_len();
-    let fork_base = children[0].fork_base();
+    // A non-empty committed slice: the fork base lies strictly inside
+    // the parent's retained log.
     let qualified = fork_base >= lo
-        && fork_base <= hi
+        && fork_base - lo < parent.log().len()
         && children.iter().all(|c| {
             c.fork_base() == fork_base && !c.log().is_empty() && c.log_shape().delta_foldable()
-        })
-        && fork_base - lo < parent.log().len();
+        });
     if !qualified {
-        return stage_versioned(parent, children, ctx);
+        return None;
     }
-    let committed = &parent.log()[fork_base - lo..];
-    // The committed *slice* of an insert-only log is insert-only; any
-    // other cache state needs one O(slice) scan to decide (a slice of a
-    // Mixed log can itself be insert-only, and Foreign must bail).
-    let committed_shape = match parent.log_shape() {
-        LogShape::InsertOnly => OpShape::Insert,
-        _ => shape_of_log(committed),
-    };
-    if committed_shape == OpShape::Foreign {
-        return stage_versioned(parent, children, ctx);
-    }
-    let insert_only_batch =
-        committed_shape == OpShape::Insert && children.iter().all(|c| c.log_shape().insert_only());
-
-    let Some(c0) = fold_log_split(committed, GapBias::Start, ctx) else {
-        // Shape cache said foldable but a fold failed (conservative
-        // seam for foreign algebras): the serial lane is always exact.
-        return stage_versioned(parent, children, ctx);
-    };
-    let n = children.len();
-    let lanes = ctx.lanes.clamp(1, n);
-    let chunk_len = n.div_ceil(lanes);
+    // The shape cache is a conservative bound and the committed slice is
+    // not covered by it at all: a fold that meets a span-inexpressible op
+    // after all declines the batch.
+    let c0 = fold_log_split(&parent.log()[fork_base - lo..], GapBias::Start, ctx)?;
     let timing = ctx.timing;
 
-    // Pre-fold huge sibling logs on the staging thread (split/fuse), so
-    // no single pass-A worker serializes a giant fold.
-    let mut items: Vec<FoldItem<O>> = Vec::with_capacity(n);
-    for c in children {
-        if c.log().len() >= ctx.split_min_ops {
-            match fold_log_split(c.log(), GapBias::End, ctx) {
-                Some(d) => items.push(FoldItem::Folded(d)),
-                None => return stage_versioned(parent, children, ctx),
-            }
-        } else {
-            items.push(FoldItem::Log(c.log().to_vec()));
+    // Pass A (parallel per chunk): fold only — re-associating the
+    // transform/compose walk over deltas with deletes is unproven. One
+    // channel per chunk, so the coordinator starts on chunk 0 while the
+    // later ones still fold.
+    let chunk_len = children.len().div_ceil(ctx.lanes.clamp(1, children.len()));
+    let mut folds = Vec::new();
+    for chunk in children.chunks(chunk_len) {
+        // Huge logs pre-fold here on the staging thread (split/fuse), so
+        // no single pass-A worker serializes a giant fold.
+        let mut items: Vec<FoldItem<O>> = Vec::with_capacity(chunk.len());
+        for c in chunk {
+            items.push(if c.log().len() >= ctx.split_min_ops {
+                FoldItem::Folded(fold_log_split(c.log(), GapBias::End, ctx)?)
+            } else {
+                FoldItem::Log(c.log().to_vec())
+            });
         }
-    }
-    let mut chunked: Vec<Vec<FoldItem<O>>> = Vec::with_capacity(lanes);
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<FoldItem<O>> = it.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunked.push(chunk);
-    }
-    let chunks = chunked.len();
-    let (slot_tx, slot_rx) = channel();
-
-    if insert_only_batch {
-        // Pass A (parallel per chunk): fold each sibling log into a
-        // delta over the fork-base coordinates and reduce the chunk's
-        // local composite.
         let (fold_tx, fold_rx) = channel();
-        for (k, chunk) in chunked.into_iter().enumerate() {
-            let fold_tx = fold_tx.clone();
-            (ctx.exec)(Box::new(move || {
-                let ds: Option<Vec<Delta<O::Payload>>> = chunk
-                    .into_iter()
-                    .map(|item| item.fold(GapBias::End))
-                    .collect();
-                let report: Option<ChunkFold<O::Payload>> = ds.map(|ds| {
-                    let mut total: Option<Delta<O::Payload>> = None;
-                    for d in &ds {
-                        total = Some(match total {
-                            None => d.clone(),
-                            Some(t) => combine(&t, d),
-                        });
-                    }
-                    let total = total.expect("chunks are non-empty");
-                    (ds, total)
-                });
-                let _ = fold_tx.send((k, report));
-            }));
-        }
-        drop(fold_tx);
-
-        // Coordinator: sequence the chunk-start composites, fan out
-        // pass B.
-        let exec = Arc::clone(&ctx.exec);
+        folds.push(fold_rx);
         (ctx.exec)(Box::new(move || {
-            let mut folds: Vec<Option<Option<ChunkFold<O::Payload>>>> =
-                (0..chunks).map(|_| None).collect();
-            for _ in 0..chunks {
-                let Ok((k, report)) = fold_rx.recv() else {
-                    break;
-                };
-                folds[k] = Some(report);
-            }
-            let mut base = c0;
-            for (k, fold) in folds.into_iter().enumerate() {
-                let start = k * chunk_len;
-                let Some(Some((ds, total))) = fold else {
-                    // A fold worker failed or died: poison from this
-                    // chunk's first member on.
-                    let _ = slot_tx.send((start, None));
-                    return;
-                };
-                let next_base = combine(&base, &total);
-                let slot_tx = slot_tx.clone();
-                let chunk_base = base.clone();
-                // Pass B (parallel per chunk): walk the chunk's members
-                // against a running committed composite — identical to
-                // the sequential fold's committed delta at each member,
-                // by the insert-only normal form.
-                exec(Box::new(move || {
-                    let mut committed = chunk_base;
-                    for (t, d) in ds.into_iter().enumerate() {
-                        let t0 = timing.then(Instant::now);
-                        let (_, rebased) = committed.transform(&d);
-                        let pre = MergeStats {
-                            delta_rebases: 1,
-                            delta_spans: committed.span_count() + d.span_count(),
-                            delta_nanos: t0.map_or(0, elapsed_nanos),
-                            ..MergeStats::default()
-                        };
-                        committed = committed.compose(&rebased);
-                        let _ = slot_tx.send((
-                            start + t,
-                            Some(StagedRun {
-                                run: rebased.into_ops(),
-                                pre,
-                                raw_compacted: true,
-                            }),
-                        ));
-                    }
-                }));
-                base = next_base;
-            }
+            let ds: Option<Vec<Delta<O::Payload>>> = items
+                .into_iter()
+                .map(|item| item.fold(GapBias::End))
+                .collect();
+            let _ = fold_tx.send(ds);
         }));
-    } else {
-        // Mixed plan. Pass A (parallel per chunk): fold only — no chunk
-        // composites, since re-associating `combine` over deltas with
-        // deletes is unproven.
-        let (fold_tx, fold_rx) = channel();
-        for (k, chunk) in chunked.into_iter().enumerate() {
-            let fold_tx = fold_tx.clone();
-            (ctx.exec)(Box::new(move || {
-                let ds: Option<Vec<Delta<O::Payload>>> = chunk
-                    .into_iter()
-                    .map(|item| item.fold(GapBias::End))
-                    .collect();
-                let _ = fold_tx.send((k, ds));
-            }));
-        }
-        drop(fold_tx);
+    }
+    let chunks = folds.len();
 
-        // Coordinator: the sequential kernel's delta walk, verbatim —
-        // screen, transform, compose — against an incrementally grown
-        // committed composite. One worker, index order.
-        (ctx.exec)(Box::new(move || {
-            // Outer Option: chunk not yet received; inner: fold failure.
-            type ChunkFolds<P> = Option<Option<Vec<Delta<P>>>>;
-            let mut folds: Vec<ChunkFolds<O::Payload>> = (0..chunks).map(|_| None).collect();
-            for _ in 0..chunks {
-                let Ok((k, ds)) = fold_rx.recv() else { break };
-                folds[k] = Some(ds);
-            }
-            let mut base = c0;
-            let mut index = 0usize;
-            for fold in folds {
-                let Some(Some(ds)) = fold else {
+    // Coordinator: the sequential kernel's delta walk, verbatim —
+    // screen, transform, compose — against an incrementally grown
+    // committed composite. One worker, index order.
+    let (slot_tx, slot_rx) = channel();
+    (ctx.exec)(Box::new(move || {
+        let mut base = c0;
+        let mut index = 0usize;
+        for fold in folds {
+            // A fold that failed (or whose worker died) poisons from
+            // its chunk's first member on.
+            let Some(ds) = fold.recv().ok().flatten() else {
+                let _ = slot_tx.send((index, None));
+                return;
+            };
+            for d in ds {
+                if base.rebase_is_order_sensitive(&d) {
+                    // The exact committed-vs-incoming screen the
+                    // sequential kernel would run for this child:
+                    // poison here, grid fallback at commit time.
                     let _ = slot_tx.send((index, None));
                     return;
-                };
-                for d in ds {
-                    if base.rebase_is_order_sensitive(&d) {
-                        // The exact committed-vs-incoming screen the
-                        // sequential kernel would run for this child:
-                        // poison here, grid fallback at commit time.
-                        let _ = slot_tx.send((index, None));
-                        return;
-                    }
-                    let t0 = timing.then(Instant::now);
-                    let (_, rebased) = base.transform(&d);
-                    let pre = MergeStats {
-                        delta_rebases: 1,
-                        delta_spans: base.span_count() + d.span_count(),
-                        delta_nanos: t0.map_or(0, elapsed_nanos),
-                        ..MergeStats::default()
-                    };
-                    base = base.compose(&rebased);
-                    let _ = slot_tx.send((
-                        index,
-                        Some(StagedRun {
-                            run: rebased.into_ops(),
-                            pre,
-                            raw_compacted: true,
-                        }),
-                    ));
-                    index += 1;
                 }
+                let t0 = timing.then(Instant::now);
+                let (_, rebased) = base.transform(&d);
+                let pre = MergeStats {
+                    delta_rebases: 1,
+                    delta_spans: base.span_count() + d.span_count(),
+                    delta_nanos: t0.map_or(0, elapsed_nanos),
+                    ..MergeStats::default()
+                };
+                base = base.compose(&rebased);
+                let run = rebased.into_ops();
+                let _ = slot_tx.send((index, Some(StagedRun { run, pre })));
+                index += 1;
             }
-        }));
-    }
+        }
+    }));
 
+    let insert_only =
+        parent.log_shape().insert_only() && children.iter().all(|c| c.log_shape().insert_only());
     Some(Box::new(StagedLeaf {
-        slots: (0..n).map(|_| Slot::Pending).collect(),
+        get,
+        get_mut,
         rx: slot_rx,
         profile: StageProfile {
             delta_leaves: 1,
-            mixed_leaves: usize::from(!insert_only_batch),
-            serial_leaves: 0,
+            mixed_leaves: usize::from(!insert_only),
+            inline_leaves: 0,
             chunks,
         },
         timing,
@@ -735,114 +401,54 @@ pub fn stage_versioned_delta<O: DeltaOp>(
     }))
 }
 
-/// Lift a leaf stage over a projection (façade `inner` field, tuple
-/// element, struct field).
-struct MappedStage<D, F> {
-    get: Box<dyn for<'a> Fn(&'a D) -> &'a F>,
-    get_mut: Box<dyn for<'a> Fn(&'a mut D) -> &'a mut F>,
-    stage: Box<dyn StagedCommit<F>>,
+/// Commits one field of one child of the batch.
+type FieldCommit<D> = Box<dyn FnMut(&mut D, &D, usize) -> Result<MergeStats, MergeError>>;
+
+/// Field-wise composite of per-field stages: commits every field of one
+/// child (in declaration order, summing stats) before moving on, exactly
+/// like the sequential field-wise merge. Built by the tuple, `Vec<M>`
+/// and [`mergeable_struct!`](crate::mergeable_struct) derives.
+pub struct FieldStage<D> {
+    fields: Vec<FieldCommit<D>>,
+    profile: StageProfile,
 }
 
-impl<D, F> StagedCommit<D> for MappedStage<D, F> {
-    fn commit(
-        &mut self,
-        parent: &mut D,
-        child: &D,
-        index: usize,
-    ) -> Result<MergeStats, MergeError> {
-        let c = (self.get)(child);
-        self.stage.commit((self.get_mut)(parent), c, index)
-    }
-
-    fn profile(&self) -> StageProfile {
-        self.stage.profile()
-    }
-}
-
-/// A field with no staging seam of its own: committed by plain
-/// sequential `merge` at commit time, inside the batch walk.
-struct InlineStage<D, F: Mergeable> {
-    get: Box<dyn for<'a> Fn(&'a D) -> &'a F>,
-    get_mut: Box<dyn for<'a> Fn(&'a mut D) -> &'a mut F>,
-}
-
-impl<D, F: Mergeable> StagedCommit<D> for InlineStage<D, F> {
-    fn commit(
-        &mut self,
-        parent: &mut D,
-        child: &D,
-        _index: usize,
-    ) -> Result<MergeStats, MergeError> {
-        let c = (self.get)(child);
-        (self.get_mut)(parent).merge(c)
-    }
-
-    fn profile(&self) -> StageProfile {
-        StageProfile {
-            serial_leaves: 1,
-            ..StageProfile::default()
+impl<D: 'static> Default for FieldStage<D> {
+    fn default() -> Self {
+        FieldStage {
+            fields: Vec::new(),
+            profile: StageProfile::default(),
         }
     }
 }
 
-/// Lift an optional leaf stage over a field projection: staged fields
-/// commit their pre-rebased runs, seamless fields merge inline. Used by
-/// the tuple and [`mergeable_struct!`](crate::mergeable_struct) derives.
-pub fn project_stage<D, F, G, H>(
-    get: G,
-    get_mut: H,
-    stage: Option<Box<dyn StagedCommit<F>>>,
-) -> Box<dyn StagedCommit<D>>
-where
-    D: 'static,
-    F: Mergeable,
-    G: for<'a> Fn(&'a D) -> &'a F + 'static,
-    H: for<'a> Fn(&'a mut D) -> &'a mut F + 'static,
-{
-    match stage {
-        Some(stage) => Box::new(MappedStage {
-            get: Box::new(get),
-            get_mut: Box::new(get_mut),
-            stage,
-        }),
-        None => Box::new(InlineStage {
-            get: Box::new(get),
-            get_mut: Box::new(get_mut),
-        }),
+impl<D: 'static> FieldStage<D> {
+    /// Add the next field in declaration order: `stage` is what the
+    /// field's own `stage_merge_all` returned for the projected batch. A
+    /// field that declined merges by plain sequential `merge` inside the
+    /// batch walk.
+    pub fn field<F, G, H>(&mut self, get: G, get_mut: H, stage: Option<Box<dyn StagedCommit<F>>>)
+    where
+        F: Mergeable,
+        G: for<'a> Fn(&'a D) -> &'a F + 'static,
+        H: for<'a> Fn(&'a mut D) -> &'a mut F + 'static,
+    {
+        self.fields.push(match stage {
+            Some(mut stage) => {
+                self.profile += stage.profile();
+                Box::new(move |p: &mut D, c: &D, i| stage.commit(get_mut(p), get(c), i))
+            }
+            None => {
+                self.profile.inline_leaves += 1;
+                Box::new(move |p: &mut D, c: &D, _| get_mut(p).merge(get(c)))
+            }
+        });
     }
-}
 
-/// [`project_stage`] for a required stage with no `Mergeable` bound on
-/// the projected field — the façade-to-[`Versioned`] hop.
-pub fn map_stage<D, F, G, H>(
-    get: G,
-    get_mut: H,
-    stage: Box<dyn StagedCommit<F>>,
-) -> Box<dyn StagedCommit<D>>
-where
-    D: 'static,
-    F: 'static,
-    G: for<'a> Fn(&'a D) -> &'a F + 'static,
-    H: for<'a> Fn(&'a mut D) -> &'a mut F + 'static,
-{
-    Box::new(MappedStage {
-        get: Box::new(get),
-        get_mut: Box::new(get_mut),
-        stage,
-    })
-}
-
-/// Field-wise composite of per-field stages: commits every field of one
-/// child (in declaration order, summing stats) before moving on, exactly
-/// like the sequential field-wise merge.
-pub struct FieldStage<D> {
-    fields: Vec<Box<dyn StagedCommit<D>>>,
-}
-
-impl<D> FieldStage<D> {
-    /// Compose per-field stages in field declaration order.
-    pub fn new(fields: Vec<Box<dyn StagedCommit<D>>>) -> Self {
-        FieldStage { fields }
+    /// The composite stage — `None` when every field declined, so the
+    /// caller folds the batch sequentially with no staging overhead.
+    pub fn finish(self) -> Option<Box<dyn StagedCommit<D>>> {
+        (self.profile.delta_leaves > 0).then(|| Box::new(self) as Box<dyn StagedCommit<D>>)
     }
 }
 
@@ -855,109 +461,12 @@ impl<D> StagedCommit<D> for FieldStage<D> {
     ) -> Result<MergeStats, MergeError> {
         let mut stats = MergeStats::default();
         for field in &mut self.fields {
-            stats += field.commit(parent, child, index)?;
+            stats += field(parent, child, index)?;
         }
         Ok(stats)
     }
 
     fn profile(&self) -> StageProfile {
-        let mut p = StageProfile::default();
-        for field in &self.fields {
-            p += field.profile();
-        }
-        p
-    }
-}
-
-/// Per-element stage for `Vec<M>` composites.
-pub(crate) struct IndexStage<M: Mergeable> {
-    pub(crate) idx: usize,
-    pub(crate) stage: Option<Box<dyn StagedCommit<M>>>,
-}
-
-impl<M: Mergeable> StagedCommit<Vec<M>> for IndexStage<M> {
-    fn commit(
-        &mut self,
-        parent: &mut Vec<M>,
-        child: &Vec<M>,
-        index: usize,
-    ) -> Result<MergeStats, MergeError> {
-        let c = &child[self.idx];
-        let p = &mut parent[self.idx];
-        match &mut self.stage {
-            Some(stage) => stage.commit(p, c, index),
-            None => p.merge(c),
-        }
-    }
-
-    fn profile(&self) -> StageProfile {
-        match &self.stage {
-            Some(stage) => stage.profile(),
-            None => StageProfile {
-                serial_leaves: 1,
-                ..StageProfile::default()
-            },
-        }
-    }
-}
-
-/// Receiver for one composite field being merged on its own worker.
-pub type FieldMergeJob<M> = Receiver<Result<(M, MergeStats), MergeError>>;
-
-/// Ship one composite field's merge to the executor when the child side
-/// is large enough (`ctx.field_min_ops`) to pay for the clone; `None`
-/// means merge it inline. The worker merges *clones* of both sides —
-/// deterministically the same result and stats as merging in place —
-/// and sends the merged field back wholesale.
-pub fn spawn_field_merge<M: Mergeable>(
-    parent: &M,
-    child: &M,
-    ctx: &StageCtx,
-) -> Option<FieldMergeJob<M>> {
-    if child.pending_ops() < ctx.field_min_ops {
-        return None;
-    }
-    let (tx, rx) = channel();
-    let mut mine = parent.clone();
-    let theirs = child.clone();
-    (ctx.exec)(Box::new(move || {
-        let result = match mine.merge(&theirs) {
-            Ok(stats) => Ok((mine, stats)),
-            Err(e) => Err(e),
-        };
-        let _ = tx.send(result);
-    }));
-    Some(rx)
-}
-
-/// Collect one field's off-thread merge, installing the merged field in
-/// place. Field-order error semantics match the sequential fold: fields
-/// before a failure are committed, fields after it are untouched.
-pub fn recv_field_merge<M: Mergeable>(
-    parent: &mut M,
-    rx: FieldMergeJob<M>,
-) -> Result<MergeStats, MergeError> {
-    let (merged, stats) = rx
-        .recv()
-        .expect("a field-merge worker died before reporting")?;
-    *parent = merged;
-    Ok(stats)
-}
-
-/// The stage for `()`: nothing to rebase, nothing to commit.
-pub(crate) struct NoopStage;
-
-impl StagedCommit<()> for NoopStage {
-    fn commit(
-        &mut self,
-        _parent: &mut (),
-        _child: &(),
-        _index: usize,
-    ) -> Result<MergeStats, MergeError> {
-        Ok(MergeStats::default())
-    }
-
-    fn profile(&self) -> StageProfile {
-        StageProfile::default()
+        self.profile
     }
 }

@@ -146,7 +146,7 @@ impl<T: Element> PartialEq for MQueue<T> {
 }
 
 impl<T: Element> Mergeable for MQueue<T> {
-    stage_versioned_inner!(stage_versioned_delta);
+    stage_versioned_inner!();
 
     fn fork(&self) -> Self {
         MQueue {

@@ -71,8 +71,6 @@ impl<T: Value> PartialEq for MRegister<T> {
 }
 
 impl<T: Value> Mergeable for MRegister<T> {
-    stage_versioned_inner!(stage_versioned);
-
     fn fork(&self) -> Self {
         MRegister {
             inner: self.inner.fork(),

@@ -113,8 +113,6 @@ impl<T: Element> PartialEq for MSet<T> {
 }
 
 impl<T: Element> Mergeable for MSet<T> {
-    stage_versioned_inner!(stage_versioned);
-
     fn fork(&self) -> Self {
         MSet {
             inner: self.inner.fork(),

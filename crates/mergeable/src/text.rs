@@ -160,7 +160,7 @@ impl PartialEq<&str> for MText {
 }
 
 impl Mergeable for MText {
-    stage_versioned_inner!(stage_versioned_delta);
+    stage_versioned_inner!();
 
     fn fork(&self) -> Self {
         MText {

@@ -123,8 +123,6 @@ impl<V: Value> PartialEq for MTree<V> {
 }
 
 impl<V: Value> Mergeable for MTree<V> {
-    stage_versioned_inner!(stage_versioned);
-
     fn fork(&self) -> Self {
         MTree {
             inner: self.inner.fork(),

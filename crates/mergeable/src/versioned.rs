@@ -49,22 +49,21 @@ use sm_ot::compose::compact_cow;
 use sm_ot::{seq, ApplyError, OpShape, Operation};
 
 /// Saturating elapsed nanoseconds since `t0`.
-fn elapsed_nanos(t0: std::time::Instant) -> u64 {
+pub(crate) fn elapsed_nanos(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Cached classification of a [`Versioned`]'s retained log, maintained
 /// incrementally as operations are pushed so the staged `merge_all`
-/// engine can route a batch to a fold lane without rescanning every
-/// child log (the old `insert_only` scan was O(total batch ops) per
-/// `merge_all`).
+/// engine can qualify a batch without rescanning every child log (a
+/// scan would be O(total batch ops) per `merge_all`).
 ///
 /// The cache is a *conservative upper bound*: tail fusion and
 /// annihilation can only keep or lower an op's
 /// [`sm_ot::OpShape`], and a wrong-towards-`Mixed`/`Foreign` answer
-/// only costs the fast lane, never correctness — the staging lanes
-/// re-screen with [`sm_ot::delta::Delta::rebase_is_order_sensitive`]
-/// and debug-assert against the sequential rebase regardless.
+/// only costs the staged path, never correctness — the staging walk
+/// re-screens with [`sm_ot::delta::Delta::rebase_is_order_sensitive`]
+/// and debug-asserts against the sequential rebase regardless.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LogShape {
     /// Every retained op is a pure insertion (also the empty log).
@@ -75,7 +74,7 @@ pub enum LogShape {
     /// Span-expressible inserts and deletes: delta-foldable behind the
     /// order-sensitivity screen.
     Mixed,
-    /// At least one op a span-set cannot express: serial-replay lane.
+    /// At least one op a span-set cannot express: never staged.
     Foreign,
 }
 
@@ -143,7 +142,7 @@ pub struct MergeStats {
     /// Total normalized spans swept by delta-path rebases (incoming +
     /// committed sides): the m+n the linear transform actually paid.
     pub delta_spans: usize,
-    /// Staged-lane commits that fell back to the sequential kernel
+    /// Staged commits that fell back to the sequential kernel
     /// because the order-sensitivity screen (or a span-inexpressible
     /// op discovered mid-fold) fired after staging had started. Counts
     /// per fallen-back child; zero on the plain sequential path, whose
@@ -470,6 +469,24 @@ impl<O: Operation> Versioned<O> {
         }
     }
 
+    /// `child`'s fork point must lie inside this instance's retained
+    /// history.
+    fn check_fork_point(&self, child: &Self) -> Result<(), MergeError> {
+        if child.fork_base > self.history_len() {
+            return Err(MergeError::InvalidForkPoint {
+                fork_base: child.fork_base,
+                parent_log_len: self.history_len(),
+            });
+        }
+        if child.fork_base < self.log_start {
+            return Err(MergeError::ForkPointTruncated {
+                fork_base: child.fork_base,
+                log_start: self.log_start,
+            });
+        }
+        Ok(())
+    }
+
     /// Merge a forked child back: rebase its log over everything committed
     /// here since the fork, apply, and append to this history.
     ///
@@ -488,18 +505,7 @@ impl<O: Operation> Versioned<O> {
     /// Merging never aborts on conflicting operations — that is the OT
     /// guarantee; the error cases are structural misuse only.
     pub fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        if child.fork_base > self.history_len() {
-            return Err(MergeError::InvalidForkPoint {
-                fork_base: child.fork_base,
-                parent_log_len: self.history_len(),
-            });
-        }
-        if child.fork_base < self.log_start {
-            return Err(MergeError::ForkPointTruncated {
-                fork_base: child.fork_base,
-                log_start: self.log_start,
-            });
-        }
+        self.check_fork_point(child)?;
         // Phase timing is live-telemetry only: clocks are read solely
         // while an sm_obs recorder is installed, so the uninstalled
         // merge path pays one relaxed load and no syscalls.
@@ -516,13 +522,6 @@ impl<O: Operation> Versioned<O> {
         Ok(stats)
     }
 
-    /// The current fuse-barrier position (absolute history coordinate).
-    /// Staging replicas capture it once so off-thread tail fusion mirrors
-    /// what [`Versioned::extend_ops`] will do at commit time.
-    pub(crate) fn barrier_value(&self) -> usize {
-        self.fuse_barrier.load(Ordering::Relaxed)
-    }
-
     /// Commit a pre-rebased run produced by the staging engine
     /// ([`crate::parallel`]): validate the fork point exactly like
     /// [`Versioned::merge`], apply the run, and append it to the history.
@@ -530,9 +529,9 @@ impl<O: Operation> Versioned<O> {
     /// `pre` carries the stats measured at staging time; the fields the
     /// determinism auditor hashes (`child_ops`, `applied_ops`,
     /// `committed_ops`) are re-derived here from the real parent log so
-    /// they are exact by construction, not by trust. With
-    /// `raw_compacted`, the compaction counters are set to the raw
-    /// lengths — what the sequential delta path reports.
+    /// they are exact by construction, not by trust, and the compaction
+    /// counters are the raw lengths — every staged run is a delta run,
+    /// and that is what the sequential delta path reports.
     ///
     /// Debug builds additionally recompute the sequential rebase against
     /// the live parent log and assert the staged run is bit-identical:
@@ -542,21 +541,9 @@ impl<O: Operation> Versioned<O> {
         child: &Self,
         run: Vec<O>,
         pre: MergeStats,
-        raw_compacted: bool,
         timing: bool,
     ) -> Result<MergeStats, MergeError> {
-        if child.fork_base > self.history_len() {
-            return Err(MergeError::InvalidForkPoint {
-                fork_base: child.fork_base,
-                parent_log_len: self.history_len(),
-            });
-        }
-        if child.fork_base < self.log_start {
-            return Err(MergeError::ForkPointTruncated {
-                fork_base: child.fork_base,
-                log_start: self.log_start,
-            });
-        }
+        self.check_fork_point(child)?;
         #[cfg(debug_assertions)]
         {
             let committed_raw = &self.log[child.fork_base - self.log_start..];
@@ -571,10 +558,8 @@ impl<O: Operation> Versioned<O> {
         stats.child_ops = child.log.len();
         stats.committed_ops = self.history_len() - child.fork_base;
         stats.applied_ops = run.len();
-        if raw_compacted {
-            stats.child_ops_compacted = stats.child_ops;
-            stats.committed_ops_compacted = stats.committed_ops;
-        }
+        stats.child_ops_compacted = stats.child_ops;
+        stats.committed_ops_compacted = stats.committed_ops;
         let apply_t0 = timing.then(std::time::Instant::now);
         let state = Arc::make_mut(&mut self.state);
         for op in &run {
@@ -662,10 +647,9 @@ impl<O: Operation> Versioned<O> {
 
 /// Rebase `child_log` over `committed_raw` (both rooted at the same fork
 /// base): the delta fast path when the algebra supports it, the compacted
-/// pairwise grid otherwise. This is the single rebase kernel shared by
-/// [`Versioned::merge`] and the off-thread staging lanes in
-/// [`crate::parallel`] — both paths compute, by construction, the same
-/// operation run and the same [`MergeStats`] for the same inputs.
+/// pairwise grid otherwise. This is the single rebase kernel:
+/// [`Versioned::merge`] runs it, and debug builds re-run it at every
+/// [`Versioned::commit_staged`] as the oracle for the staged run.
 ///
 /// `timing` gates the wall-clock fields (live telemetry only; stats
 /// nanos stay zero otherwise and no clock is read).

@@ -181,14 +181,15 @@ pub enum EventKind {
     MergeStaged {
         /// Children covered by this staged batch.
         children: usize,
-        /// Which staging plan ran: `"insert-only"`, `"mixed"`,
-        /// `"conditional"` (speculative, any delta plan), or `"serial"`.
+        /// What the batch looked like: `"insert-only"`, `"mixed"`
+        /// (deletes somewhere), or `"conditional"` (speculative, either
+        /// shape).
         lane: &'static str,
-        /// Leaves staged on the delta (span-set) fast path.
+        /// Leaves staged on the delta (span-set) plan.
         delta_lanes: usize,
-        /// Leaves staged on the serial replica path.
+        /// Composite fields with no stage, merged inline at commit.
         serial_lanes: usize,
-        /// Reduction chunks staged concurrently (tree width).
+        /// Fold chunks staged concurrently.
         chunks: usize,
     },
     /// `task` called sync and is now blocked waiting for its parent.

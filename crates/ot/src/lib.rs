@@ -51,7 +51,6 @@ pub mod seq;
 pub mod set;
 pub mod state;
 pub mod text;
-pub mod tp2;
 pub mod tree;
 
 use std::fmt;
@@ -178,7 +177,7 @@ pub enum OpShape {
     /// overwrite): delta-foldable, but pairs containing it must pass
     /// the order-sensitivity screen.
     SpanEdit,
-    /// Not expressible as a span; forces the serial-replay lane.
+    /// Not expressible as a span; a log holding one is never staged.
     Foreign,
 }
 

@@ -45,8 +45,8 @@
 //! independent corruptions: the parallel path verifies all chains before
 //! applying any operation, so a digest mismatch in a later segment is
 //! reported even if an earlier commit would have failed replay first.
-//! Either way recovery fails closed; the `serial-recovery` feature
-//! restores the exact serial interleaving.
+//! Either way recovery fails closed; [`Store::recover_serial`] keeps the
+//! exact serial interleaving as the reference.
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
@@ -304,22 +304,14 @@ impl Store {
     /// interior corruption or digest mismatch; see the module docs for
     /// the exact rules.
     ///
-    /// Segment scanning fans out on a task pool unless the crate is
-    /// built with the `serial-recovery` feature, which pins the
-    /// original single-threaded replay ([`Store::recover_serial`]).
+    /// Segment scanning fans out on a task pool;
+    /// [`Store::recover_serial`] is the single-threaded reference.
     pub fn recover<D: Persist + 'static>(&self) -> Result<Option<Recovered<D>>, StoreError> {
-        #[cfg(feature = "serial-recovery")]
-        {
-            self.recover_telemetry(|s| s.recover_serial_inner::<D>())
-        }
-        #[cfg(not(feature = "serial-recovery"))]
-        {
-            self.recover_telemetry(|s| s.recover_parallel_inner::<D>())
-        }
+        self.recover_telemetry(|s| s.recover_parallel_inner::<D>())
     }
 
-    /// [`Store::recover`] pinned to the single-threaded replay path.
-    /// Always compiled — differential tests replay the same journal
+    /// [`Store::recover`] pinned to the single-threaded replay path:
+    /// the reference — differential tests replay the same journal
     /// through both paths and compare states and digest chains.
     pub fn recover_serial<D: Persist>(&self) -> Result<Option<Recovered<D>>, StoreError> {
         self.recover_telemetry(|s| s.recover_serial_inner::<D>())
@@ -481,7 +473,6 @@ impl Store {
         }))
     }
 
-    #[cfg_attr(feature = "serial-recovery", allow(dead_code))]
     fn recover_parallel_inner<D: Persist + 'static>(
         &self,
     ) -> Result<Option<Recovered<D>>, StoreError> {

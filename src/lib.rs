@@ -67,11 +67,8 @@ pub use sm_store as store;
 
 // The everyday API, flattened.
 pub use sm_core::{
-    field_parallel_min_ops, parallel_merge_lanes, parallel_merge_min_children,
-    parallel_split_min_ops, run, run_with_pool, run_with_sink, set_field_parallel_min_ops,
-    set_parallel_merge_lanes, set_parallel_merge_min_children, set_parallel_split_min_ops,
-    AbortReason, CommitSink, Condition, Disposition, MergeReport, MergedChild, Pool, SyncError,
-    TaskAbort, TaskCtx, TaskHandle, TaskId, TaskResult,
+    run, run_with_pool, run_with_sink, AbortReason, CommitSink, Condition, Disposition,
+    MergeReport, MergedChild, Pool, SyncError, TaskAbort, TaskCtx, TaskHandle, TaskId, TaskResult,
 };
 pub use sm_mergeable::{
     mergeable_struct, CopyMode, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText,

@@ -1,71 +1,225 @@
-//! The parallel merge engine's contract: staging sibling rebases on the
-//! pool (tree-reduction `merge_all`) and field-parallel single merges
-//! must be **observably indistinguishable** from the sequential
+//! The merge-staging engine's contract: pre-rebasing sibling logs on the
+//! pool must be **observably indistinguishable** from the sequential
 //! creation-order fold — bit-identical final state and bit-identical
 //! `DeterminismAuditor` digest chains, with the full telemetry plane
-//! installed, regardless of worker count, lane count, or pool warmth.
+//! installed, regardless of lane count or pool warmth.
 //!
-//! Debug builds double every staged commit with the sequential rebase
-//! (see `Versioned::commit_staged`), so each test here is also a
-//! differential oracle of the staged runs themselves.
+//! The sequential oracle is [`Seq`]: the same data behind a newtype that
+//! keeps the trait-default `stage_merge_all` (`None`), so the same
+//! program runs unstaged through the same runtime. Debug builds double
+//! every staged commit with the sequential rebase (see
+//! `Versioned::commit_staged`); release builds rely on the digest
+//! comparison here alone.
 //!
-//! The recorder slot and the parallel-merge knobs are process-global, so
-//! every test serializes on one mutex and restores defaults on exit.
-
-#![cfg(not(feature = "serial-merge"))]
+//! The recorder slot is process-global, so every test serializes on one
+//! mutex and uninstalls on exit.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
+use spawn_merge::codec::DecodeError;
+use spawn_merge::mergeable::parallel::{Job, StageCtx};
 use spawn_merge::mergeable_struct;
 use spawn_merge::obs::{
-    self, DeterminismAuditor, FlightRecorder, Metrics, MultiRecorder, Recorder,
+    self, DeterminismAuditor, EventKind, FlightRecorder, Metrics, MetricsSnapshot, MultiRecorder,
+    Recorder,
 };
 use spawn_merge::{
-    run, run_with_pool, run_with_store, set_field_parallel_min_ops, set_parallel_merge_lanes,
-    set_parallel_merge_min_children, set_parallel_split_min_ops, MCounter, MList, MText, Pool,
-    Store, StoreOptions,
+    run, run_with_pool, run_with_store, MCounter, MList, MMap, MText, MergeError, MergeStats,
+    Mergeable, Persist, Pool, ReplayError, Store, StoreOptions,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Serialize on the global knobs + recorder slot, restoring the default
-/// configuration (and uninstalling any recorder) when the test ends —
-/// even on panic, so one failure cannot cascade.
-struct KnobGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+/// Serialize on the recorder slot and uninstall any recorder when the
+/// test ends — even on panic, so one failure cannot cascade.
+struct PlaneGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-fn serial() -> KnobGuard {
-    KnobGuard(SERIAL.lock().unwrap_or_else(PoisonError::into_inner))
+fn serial() -> PlaneGuard {
+    PlaneGuard(SERIAL.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
-impl Drop for KnobGuard {
+impl Drop for PlaneGuard {
     fn drop(&mut self) {
-        set_parallel_merge_min_children(Some(8));
-        set_parallel_merge_lanes(0);
-        set_field_parallel_min_ops(Some(512));
-        set_parallel_split_min_ops(Some(65536));
         obs::uninstall();
     }
 }
 
+/// The sequential oracle: `D`, minus its staging seam.
+#[derive(Debug, Clone)]
+struct Seq<D>(D);
+
+impl<D: Mergeable> Mergeable for Seq<D> {
+    fn fork(&self) -> Self {
+        Seq(self.0.fork())
+    }
+
+    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
+        self.0.merge(&child.0)
+    }
+
+    fn pending_ops(&self) -> usize {
+        self.0.pending_ops()
+    }
+
+    fn history_marks(&self, out: &mut Vec<usize>) {
+        self.0.history_marks(out)
+    }
+
+    fn fork_marks(&self, out: &mut Vec<usize>) {
+        self.0.fork_marks(out)
+    }
+
+    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
+        self.0.truncate_history(watermark, cursor)
+    }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        self.0.rollback_to(&fork.0)
+    }
+}
+
+impl<D: Persist> Persist for Seq<D> {
+    fn encode_state(&self, buf: &mut BytesMut) {
+        self.0.encode_state(buf)
+    }
+
+    fn decode_state(buf: &mut Bytes) -> Result<Self, DecodeError> {
+        D::decode_state(buf).map(Seq)
+    }
+
+    fn encode_log(&self, buf: &mut BytesMut) {
+        self.0.encode_log(buf)
+    }
+
+    fn apply_log(&mut self, buf: &mut Bytes) -> Result<usize, ReplayError> {
+        self.0.apply_log(buf)
+    }
+
+    fn seal_history(&self) {
+        self.0.seal_history()
+    }
+
+    fn encode_committed_since(
+        &self,
+        marks: &[usize],
+        cursor: &mut usize,
+        buf: &mut BytesMut,
+    ) -> usize {
+        self.0.encode_committed_since(marks, cursor, buf)
+    }
+}
+
+/// Lets one program body run on `D` (staged) and on `Seq<D>` (oracle).
+trait Host<D>: Mergeable {
+    fn host(data: D) -> Self;
+    fn d(&self) -> &D;
+    fn d_mut(&mut self) -> &mut D;
+}
+
+impl<D: Mergeable> Host<D> for D {
+    fn host(data: D) -> Self {
+        data
+    }
+    fn d(&self) -> &D {
+        self
+    }
+    fn d_mut(&mut self) -> &mut D {
+        self
+    }
+}
+
+impl<D: Mergeable> Host<D> for Seq<D> {
+    fn host(data: D) -> Self {
+        Seq(data)
+    }
+    fn d(&self) -> &D {
+        &self.0
+    }
+    fn d_mut(&mut self) -> &mut D {
+        &mut self.0
+    }
+}
+
+/// One `MergeStaged` event: (lane tag, delta leaves, inline fields).
+type Staged = (&'static str, usize, usize);
+
+/// What the telemetry plane saw of one run.
+struct Seen {
+    staged: Vec<Staged>,
+    snap: MetricsSnapshot,
+    digest: u64,
+}
+
 /// Install the full telemetry plane (metrics + flight recorder + a fresh
-/// auditor), run `f`, uninstall, and return the auditor digest.
-fn with_plane<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// auditor), run `f`, uninstall.
+fn with_plane<T>(f: impl FnOnce() -> T) -> (T, Seen) {
+    let metrics = Arc::new(Metrics::new());
     let auditor = Arc::new(DeterminismAuditor::new());
-    let sinks: Vec<Arc<dyn Recorder>> = vec![
-        Arc::new(Metrics::new()),
-        Arc::new(FlightRecorder::new(64)),
-        auditor.clone(),
-    ];
+    // Deep enough to still hold the root's `MergeStaged` events at exit.
+    let flight = Arc::new(FlightRecorder::new(4096));
+    let sinks: Vec<Arc<dyn Recorder>> = vec![metrics.clone(), flight.clone(), auditor.clone()];
     obs::install(Arc::new(MultiRecorder::new(sinks)));
     let out = f();
     obs::uninstall();
-    (out, auditor.digest())
+    let staged = flight
+        .dump()
+        .into_iter()
+        .filter_map(|e| match e.event.kind {
+            EventKind::MergeStaged {
+                lane,
+                delta_lanes,
+                serial_lanes,
+                ..
+            } => Some((lane, delta_lanes, serial_lanes)),
+            _ => None,
+        });
+    let seen = Seen {
+        staged: staged.collect(),
+        snap: metrics.snapshot(),
+        digest: auditor.digest(),
+    };
+    (out, seen)
 }
 
-/// One scripted child mutation. `Remove` and `Set` force the rebase off
-/// the insert-only delta lane onto the serial staging lane, so scripts
-/// mixing them sweep both lanes (and the lane-selection gates).
+/// Run the oracle instantiation and the plain one under the plane and
+/// assert state and digest equality; returns the common output and what
+/// the plain run showed.
+fn assert_matches_seq<T: PartialEq + std::fmt::Debug>(
+    oracle: impl FnOnce() -> T,
+    plain: impl FnOnce() -> T,
+) -> (T, Seen) {
+    let (seq_out, seq) = with_plane(oracle);
+    let (out, seen) = with_plane(plain);
+    assert!(seq.staged.is_empty(), "the oracle must never stage");
+    assert_eq!(seq_out, out, "state diverged from the sequential fold");
+    assert_eq!(
+        seq.digest, seen.digest,
+        "digest diverged from the sequential fold"
+    );
+    (out, seen)
+}
+
+/// The run must have staged a batch of shape `want`.
+fn assert_staged(seen: &Seen, want: Staged) {
+    assert!(
+        seen.staged.contains(&want),
+        "expected a staged {want:?} batch among {:?}",
+        seen.staged
+    );
+}
+
+/// Long enough for every spawned child's completion to queue up, so
+/// `merge_all` has a ready batch to stage.
+fn settle() {
+    std::thread::sleep(Duration::from_millis(120));
+}
+
+/// One scripted child mutation. A `Set` is span-inexpressible: one in
+/// any child's log makes the whole batch decline, so scripts sweep the
+/// qualification gate as well as the staged plan.
 #[derive(Debug, Clone)]
 enum Cmd {
     Push(u8),
@@ -74,28 +228,20 @@ enum Cmd {
     Set(usize, u8),
 }
 
-fn apply(list: &mut MList<u8>, cmds: &[Cmd]) {
+/// Apply a script; with `sets` off a `Set` lands as an `Insert`, so the
+/// batch stays span-expressible.
+fn apply(list: &mut MList<u8>, cmds: &[Cmd], sets: bool) {
     for c in cmds {
         match *c {
             Cmd::Push(v) => list.push(v),
-            Cmd::Insert(i, v) => {
-                let at = if list.is_empty() {
-                    0
-                } else {
-                    i % (list.len() + 1)
-                };
-                list.insert(at, v);
-            }
+            Cmd::Insert(i, v) => list.insert(i % (list.len() + 1), v),
             Cmd::Remove(i) => {
                 if !list.is_empty() {
                     list.remove(i % list.len());
                 }
             }
-            Cmd::Set(i, v) => {
-                if !list.is_empty() {
-                    list.set(i % list.len(), v);
-                }
-            }
+            Cmd::Set(i, v) if sets && !list.is_empty() => list.set(i % list.len(), v),
+            Cmd::Set(i, v) => list.insert(i % (list.len() + 1), v),
         }
     }
 }
@@ -110,194 +256,174 @@ fn scripts() -> impl Strategy<Value = Vec<Vec<Cmd>>> {
                 any::<usize>().prop_map(Cmd::Remove),
                 (any::<usize>(), any::<u8>()).prop_map(|(i, v)| Cmd::Set(i, v)),
             ],
-            0..8,
+            1..8,
         ),
-        1..14,
+        8..20,
     )
 }
 
-/// Run one fan-out program: each script drives one child, the parent
-/// waits long enough for completions to queue up (so staging actually
-/// has a ready batch to bite on), then merges all.
-fn run_fanout(scripts: &[Vec<Cmd>], settle: bool) -> Vec<u8> {
+/// One fan-out program: each script drives one child, the parent edits
+/// too (a non-empty committed slice), then merges all.
+fn run_fanout<W: Host<MList<u8>>>(scripts: &[Vec<Cmd>], sets: bool) -> Vec<u8> {
     let scripts = scripts.to_vec();
-    let (list, ()) = run(MList::from_iter([1u8, 2, 3]), move |ctx| {
+    let (list, ()) = run(W::host(MList::from_iter([1u8, 2, 3])), move |ctx| {
         for s in scripts {
             ctx.spawn(move |c| {
-                apply(c.data_mut(), &s);
+                apply(c.data_mut().d_mut(), &s, sets);
                 Ok(())
             });
         }
-        if settle {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-        }
-        ctx.data_mut().push(99);
+        std::thread::sleep(Duration::from_millis(30));
+        ctx.data_mut().d_mut().push(99);
         ctx.merge_all();
     });
-    list.to_vec()
+    list.d().to_vec()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The differential sweep of the acceptance criteria: arbitrary op
-    /// mixes and fan-outs, sequential fold vs staged fold, telemetry
-    /// plane installed — final state and digest chains must be
-    /// bit-identical.
+    /// The differential sweep: arbitrary op mixes and fan-outs past the
+    /// staging threshold, oracle vs plain, telemetry plane installed —
+    /// final state and digest chains must be bit-identical.
     #[test]
-    fn staged_merge_all_is_digest_identical_to_sequential(fan in scripts()) {
+    fn staged_merge_all_is_digest_identical_to_sequential(
+        fan in scripts(),
+        sets in any::<bool>(),
+    ) {
         let guard = serial();
-        set_parallel_merge_min_children(None);
-        let (seq_state, seq_digest) = with_plane(|| run_fanout(&fan, false));
-        set_parallel_merge_min_children(Some(2));
-        set_parallel_merge_lanes(3);
-        let (par_state, par_digest) = with_plane(|| run_fanout(&fan, true));
+        let (seq_state, seq) = with_plane(|| run_fanout::<Seq<MList<u8>>>(&fan, sets));
+        let (state, seen) = with_plane(|| run_fanout::<MList<u8>>(&fan, sets));
         drop(guard);
-        prop_assert_eq!(seq_state, par_state);
-        prop_assert_eq!(seq_digest, par_digest);
+        prop_assert_eq!(seq_state, state);
+        prop_assert_eq!(seq.digest, seen.digest);
     }
 }
 
-/// A large all-ready fan-out must actually take the staged path (the
-/// `MergeStaged` telemetry event proves it) and still produce the
-/// sequential digest.
+/// A large all-ready insert-only fan-out must actually take the staged
+/// path (the `MergeStaged` telemetry event proves it) and still produce
+/// the sequential digest.
 #[test]
 fn large_fanout_stages_and_matches_sequential_digest() {
-    let _guard = serial();
-    let program = || {
-        let (list, ()) = run(MList::<u32>::new(), |ctx| {
+    fn program<W: Host<MList<u32>>>() -> Vec<u32> {
+        let (list, ()) = run(W::host(MList::new()), |ctx| {
             for i in 0..32u32 {
                 ctx.spawn(move |c| {
                     for j in 0..8 {
-                        c.data_mut().push(i * 100 + j);
+                        c.data_mut().d_mut().push(i * 100 + j);
                     }
                     Ok(())
                 });
             }
-            // Let every completion land so the whole batch is stageable.
-            std::thread::sleep(std::time::Duration::from_millis(120));
+            settle();
+            ctx.data_mut().d_mut().push(u32::MAX);
             ctx.merge_all();
         });
-        list.to_vec()
-    };
-
-    set_parallel_merge_min_children(None);
-    let (seq_state, seq_digest) = with_plane(program);
-
-    set_parallel_merge_min_children(Some(4));
-    set_parallel_merge_lanes(4);
-    let metrics = Arc::new(Metrics::new());
-    let auditor = Arc::new(DeterminismAuditor::new());
-    let sinks: Vec<Arc<dyn Recorder>> = vec![metrics.clone(), auditor.clone()];
-    obs::install(Arc::new(MultiRecorder::new(sinks)));
-    let par_state = program();
-    obs::uninstall();
-
-    let snap = metrics.snapshot();
+        list.d().to_vec()
+    }
+    let _guard = serial();
+    let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
+    assert_staged(&seen, ("insert-only", 1, 0));
     assert!(
-        snap.merges_staged >= 1,
-        "a 32-child all-ready merge_all must stage at least one batch"
-    );
-    assert!(
-        snap.merge_staged_children >= 4,
+        seen.snap.merge_staged_children >= 8,
         "the staged batch must cover at least the threshold"
     );
-    assert_eq!(seq_state, par_state);
-    assert_eq!(seq_digest, auditor.digest());
-    assert_eq!(par_state.len(), 32 * 8);
 }
 
-mergeable_struct! {
-    /// Two independently-versioned fields for the field-parallel seam.
-    #[derive(Debug, Clone)]
-    struct Doc {
-        items: MList<u8>,
-        notes: MText,
+/// Fork `n` children off `parent`, edit each, then commit one parent op
+/// — the batch shape that qualifies for staging.
+fn forked(parent: &mut MList<u32>, n: u32, edit: impl Fn(u32, &mut MList<u32>)) -> Vec<MList<u32>> {
+    let kids = (0..n)
+        .map(|i| {
+            let mut kid = parent.fork();
+            edit(i, &mut kid);
+            kid
+        })
+        .collect();
+    parent.push(u32::MAX);
+    kids
+}
+
+/// Fold `kids` into copies of `parent` by plain `merge` and through
+/// `stage_merge_all` under `ctx`: state, log and per-child stats must
+/// be equal.
+fn assert_stage_matches_merge(parent: &MList<u32>, kids: &[MList<u32>], ctx: &StageCtx) {
+    let mut want = parent.clone();
+    let want_stats: Vec<MergeStats> = kids.iter().map(|k| want.merge(k).unwrap()).collect();
+
+    let mut got = parent.clone();
+    let refs: Vec<&MList<u32>> = kids.iter().collect();
+    let mut stage = got
+        .stage_merge_all(&refs, ctx)
+        .expect("the batch qualifies for staging");
+    let stats: Vec<MergeStats> = (0..kids.len())
+        .map(|i| stage.commit(&mut got, &kids[i], i).unwrap())
+        .collect();
+
+    let what = format!("lanes={} split_min_ops={}", ctx.lanes, ctx.split_min_ops);
+    assert_eq!(got.to_vec(), want.to_vec(), "{what}: state");
+    assert_eq!(got.log(), want.log(), "{what}: runs");
+    assert_eq!(stats, want_stats, "{what}: stats");
+}
+
+/// A staging context whose jobs really run concurrently.
+fn threaded(lanes: usize, split_min_ops: usize) -> StageCtx {
+    StageCtx {
+        exec: Arc::new(|job: Job| drop(std::thread::spawn(job))),
+        lanes,
+        split_min_ops,
+        ..StageCtx::inline()
     }
 }
 
-/// Field-parallel single merges (`merge_with_exec`) must match the plain
-/// per-field fold bit for bit, state and digest.
-#[test]
-fn field_parallel_struct_merge_matches_sequential() {
-    let _guard = serial();
-    let program = || {
-        let init = Doc {
-            items: MList::from_iter([0u8]),
-            notes: MText::from("base"),
-        };
-        let (doc, ()) = run(init, |ctx| {
-            for i in 0..6u8 {
-                ctx.spawn(move |c| {
-                    for j in 0..20u8 {
-                        c.data_mut().items.push(i * 20 + j);
-                    }
-                    c.data_mut().notes.insert_str(0, format!("[{i}]"));
-                    Ok(())
-                });
-            }
-            ctx.merge_all();
-        });
-        (doc.items.to_vec(), doc.notes.to_string())
-    };
-
-    // Sequential: both parallel paths off.
-    set_parallel_merge_min_children(None);
-    set_field_parallel_min_ops(None);
-    let (seq_out, seq_digest) = with_plane(program);
-
-    // Field-parallel: every non-trivial field merges on its own worker
-    // (threshold 1 op); batch staging stays off to isolate the seam.
-    set_field_parallel_min_ops(Some(1));
-    let (par_out, par_digest) = with_plane(program);
-
-    assert_eq!(seq_out, par_out);
-    assert_eq!(seq_digest, par_digest);
-}
-
-/// Satellite: merge determinism under worker-count variation. The same
-/// program, staged with 1, 2, and `num_cpus` reduction lanes on pools of
-/// different warmth, must produce one digest chain.
+/// Merge determinism under worker-count variation: the same program on
+/// pools of different warmth must produce the oracle's digest chain, and
+/// the same batch staged with 1, 2, 3 and 8 lanes must produce the
+/// `merge` fold's state, log and stats.
 #[test]
 fn digest_is_identical_across_lanes_and_pool_warmth() {
-    let _guard = serial();
-    let ncpus = std::thread::available_parallelism().map_or(4, |n| n.get().max(2));
-    let run_once = |lanes: usize, warm: usize| {
-        set_parallel_merge_min_children(Some(2));
-        set_parallel_merge_lanes(lanes);
+    type Data = (MList<u8>, MCounter);
+    fn program<W: Host<Data>>(warm: usize) -> (Vec<u8>, i64) {
         let pool = Pool::new();
         for _ in 0..warm {
             pool.execute(|| {});
         }
-        with_plane(|| {
-            let (data, ()) = run_with_pool((MList::<u8>::new(), MCounter::new(0)), pool, |ctx| {
-                for i in 0..12u8 {
-                    ctx.spawn(move |c| {
-                        c.data_mut().0.push(i);
-                        c.data_mut().1.add(i64::from(i));
-                        Ok(())
-                    });
-                }
-                std::thread::sleep(std::time::Duration::from_millis(60));
-                ctx.merge_all();
-            });
-            (data.0.to_vec(), data.1.get())
-        })
-    };
-    let baseline = run_once(1, 0);
-    for (lanes, warm) in [(2, 0), (ncpus, 0), (1, 16), (ncpus, 16)] {
-        let got = run_once(lanes, warm);
-        assert_eq!(
-            got, baseline,
-            "lanes={lanes} warm={warm} changed the state or digest"
-        );
+        let init = W::host((MList::new(), MCounter::new(0)));
+        let (data, ()) = run_with_pool(init, pool, |ctx| {
+            for i in 0..12u8 {
+                ctx.spawn(move |c| {
+                    c.data_mut().d_mut().0.push(i);
+                    c.data_mut().d_mut().1.add(i64::from(i));
+                    Ok(())
+                });
+            }
+            settle();
+            ctx.data_mut().d_mut().0.push(u8::MAX);
+            ctx.merge_all();
+        });
+        (data.d().0.to_vec(), data.d().1.get())
     }
-    assert_eq!(baseline.0 .1, (0..12).map(i64::from).sum::<i64>());
+    let _guard = serial();
+    for warm in [0, 16] {
+        let (_, seen) = assert_matches_seq(|| program::<Seq<Data>>(0), || program::<Data>(warm));
+        assert_staged(&seen, ("insert-only", 1, 1));
+    }
+
+    let mut parent = MList::from_iter(0..16u32);
+    let kids = forked(&mut parent, 12, |i, kid| {
+        kid.insert(i as usize, 100 + i);
+        if i % 3 == 0 {
+            kid.remove(i as usize + 2);
+        }
+    });
+    for lanes in [1, 2, 3, 8] {
+        assert_stage_matches_merge(&parent, &kids, &threaded(lanes, usize::MAX));
+    }
 }
 
-/// Satellite regression: a duplicated handle in `merge_all_from_set`
-/// must count once — before the dedup fix the second occurrence waited
-/// forever for a second event from a child that only ever sends one.
+/// Regression: a duplicated handle in `merge_all_from_set` must count
+/// once — before the dedup fix the second occurrence waited forever for
+/// a second event from a child that only ever sends one.
 #[test]
 fn merge_all_from_set_dedups_duplicate_handles() {
     let _guard = serial();
@@ -333,279 +459,391 @@ fn merge_all_from_set_dedups_duplicate_handles() {
     );
 }
 
-/// Install metrics + auditor, run `f`, and return its output with the
-/// metrics snapshot and the auditor digest — for tests that must prove
-/// *which* path ran, not just that the result matches.
-fn with_metrics_plane<T>(f: impl FnOnce() -> T) -> (T, spawn_merge::obs::MetricsSnapshot, u64) {
-    let metrics = Arc::new(Metrics::new());
-    let auditor = Arc::new(DeterminismAuditor::new());
-    let sinks: Vec<Arc<dyn Recorder>> = vec![metrics.clone(), auditor.clone()];
-    obs::install(Arc::new(MultiRecorder::new(sinks)));
-    let out = f();
-    obs::uninstall();
-    (out, metrics.snapshot(), auditor.digest())
-}
-
-/// Tentpole: a fan-out whose children mix inserts and deletes must take
-/// the staged path (previously the `insert_only` gate forced the serial
-/// lane) and stay digest-identical to the sequential fold.
+/// A fan-out whose children mix inserts and deletes must take the staged
+/// path and stay digest-identical to the sequential fold.
 #[test]
 fn mixed_delete_fanout_stages_and_matches_sequential_digest() {
-    let _guard = serial();
-    let program = || {
-        let (list, ()) = run(MList::from_iter(0..32u32), |ctx| {
+    fn program<W: Host<MList<u32>>>() -> Vec<u32> {
+        let (list, ()) = run(W::host(MList::from_iter(0..32u32)), |ctx| {
             for i in 0..24u32 {
                 ctx.spawn(move |c| {
+                    let list = c.data_mut().d_mut();
                     for j in 0..6 {
-                        let at = ((i * 7 + j * 13) as usize) % (c.data().len() + 1);
-                        c.data_mut().insert(at, i * 100 + j);
+                        let at = ((i * 7 + j * 13) as usize) % (list.len() + 1);
+                        list.insert(at, i * 100 + j);
                     }
                     // Every third child also deletes, making its log
                     // shape Mixed rather than InsertOnly.
                     if i % 3 == 0 {
-                        let at = (i as usize * 5) % c.data().len();
-                        c.data_mut().remove(at);
+                        list.remove((i as usize * 5) % list.len());
                     }
                     Ok(())
                 });
             }
-            std::thread::sleep(std::time::Duration::from_millis(120));
-            ctx.data_mut().push(u32::MAX);
+            settle();
+            ctx.data_mut().d_mut().push(u32::MAX);
             ctx.merge_all();
         });
-        list.to_vec()
-    };
-
-    set_parallel_merge_min_children(None);
-    let (seq_state, seq_digest) = with_plane(program);
-
-    set_parallel_merge_min_children(Some(4));
-    set_parallel_merge_lanes(4);
-    let (par_state, snap, par_digest) = with_metrics_plane(program);
-
-    assert!(
-        snap.merges_staged >= 1,
-        "a mixed insert/delete batch must stage, not fall back to the serial fold"
-    );
-    assert_eq!(seq_state, par_state);
-    assert_eq!(seq_digest, par_digest);
+        list.d().to_vec()
+    }
+    let _guard = serial();
+    let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
+    assert_staged(&seen, ("mixed", 1, 0));
 }
 
-/// Tentpole: the runtime mirror of the order-sensitivity fixture in
-/// `sm_ot::delta` — a committed delete closes the gap between an
-/// incoming insert and a later committed insert, so the staged mixed
-/// lane must poison that child (and the batch suffix) back to the plain
-/// sequential kernel, counted in `sm_rebase_screen_rejects_total`, with
-/// the digest chain still bit-identical.
+/// The runtime mirror of the order-sensitivity fixture in `sm_ot::delta`
+/// — a committed delete closes the gap between an incoming insert and a
+/// later committed insert, so the staged walk must poison that child
+/// (and the batch suffix) back to the plain sequential kernel, counted
+/// in `sm_rebase_screen_rejects_total`, with the digest chain still
+/// bit-identical.
 #[test]
 fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
-    let _guard = serial();
-    let program = || {
-        let (text, ()) = run(MText::from("abcd"), |ctx| {
+    fn program<W: Host<MText>>() -> String {
+        let (text, ()) = run(W::host(MText::from("abcd")), |ctx| {
             // Child 0 commits first: delete, insert "XY", delete — the
             // committed side of the screened fixture.
             ctx.spawn(|c| {
-                c.data_mut().delete_range(1, 1);
-                c.data_mut().insert_str(2, "XY");
-                c.data_mut().delete_range(1, 1);
+                let text = c.data_mut().d_mut();
+                text.delete_range(1, 1);
+                text.insert_str(2, "XY");
+                text.delete_range(1, 1);
                 Ok(())
             });
             // Child 1's delta (delete at 2, insert "q" at 1) is
             // order-sensitive against child 0's committed composite.
             ctx.spawn(|c| {
-                c.data_mut().delete_range(2, 1);
-                c.data_mut().insert_str(1, "q");
+                let text = c.data_mut().d_mut();
+                text.delete_range(2, 1);
+                text.insert_str(1, "q");
                 Ok(())
             });
-            std::thread::sleep(std::time::Duration::from_millis(60));
+            // Bystanders appending at the far end carry the batch past
+            // the staging threshold; they merge in the poisoned suffix.
+            for i in 0..6 {
+                ctx.spawn(move |c| {
+                    let text = c.data_mut().d_mut();
+                    text.insert_str(text.char_len(), format!("<{i}>"));
+                    Ok(())
+                });
+            }
+            settle();
             // Parent edit far to the right keeps the committed slice
-            // non-empty (delta-lane qualification) without disturbing
-            // the low-position collision.
-            let end = ctx.data().char_len();
-            ctx.data_mut().insert_str(end, "Z");
+            // non-empty without disturbing the low-position collision.
+            let end = ctx.data().d().char_len();
+            ctx.data_mut().d_mut().insert_str(end, "Z");
             ctx.merge_all();
         });
-        text.to_string()
-    };
-
-    set_parallel_merge_min_children(None);
-    let (seq_state, seq_digest) = with_plane(program);
-
-    set_parallel_merge_min_children(Some(2));
-    set_parallel_merge_lanes(2);
-    let (par_state, snap, par_digest) = with_metrics_plane(program);
-
-    assert!(
-        snap.merges_staged >= 1,
-        "the two-child batch must stage on the mixed delta lane"
+        text.d().to_string()
+    }
+    let _guard = serial();
+    let (_, seen) = assert_matches_seq(program::<Seq<MText>>, program::<MText>);
+    assert_staged(&seen, ("mixed", 1, 0));
+    assert_eq!(
+        seen.snap.rebase_screen_rejects_total, 7,
+        "the order-sensitive child and the suffix behind it fall back through the poison protocol"
     );
-    assert!(
-        snap.rebase_screen_rejects_total >= 1,
-        "the order-sensitive child must fall back through the poison protocol"
-    );
-    assert_eq!(seq_state, par_state);
-    assert_eq!(seq_digest, par_digest);
 }
 
-/// Tentpole: conditional `merge_all_with` batches stage speculatively;
-/// dismissed children roll the speculation back (drop the stage,
-/// re-stage the remainder) and the committed outcome — state, rejected
-/// set, and digest chain — is exactly the sequential one.
+/// Conditional `merge_all_with` batches stage speculatively; dismissed
+/// children roll the speculation back (drop the stage, re-stage the
+/// remainder) and the committed outcome — state, rejected set, and
+/// digest chain — is exactly the sequential one.
 #[test]
 fn conditional_merge_all_stages_speculatively_and_matches_sequential() {
-    let _guard = serial();
-    let program = || {
-        let (list, report) = run(MList::from_iter([1u32, 2, 3]), |ctx| {
-            for i in 0..16u32 {
+    fn program<W: Host<MList<u32>>>() -> (Vec<u32>, usize) {
+        let (list, report) = run(W::host(MList::from_iter([1u32, 2, 3])), |ctx| {
+            for i in 0..24u32 {
                 ctx.spawn(move |c| {
                     for j in 0..4 {
-                        c.data_mut().push(i * 10 + j);
+                        c.data_mut().d_mut().push(i * 10 + j);
                     }
                     Ok(())
                 });
             }
-            std::thread::sleep(std::time::Duration::from_millis(120));
-            ctx.data_mut().push(500);
+            settle();
+            ctx.data_mut().d_mut().push(500);
             // Deterministic on the child's own data: rejects roughly a
             // third of the children, scattered through the batch, so
             // staging must survive several rollback/re-stage rounds.
-            ctx.merge_all_with(&|d: &MList<u32>| d.to_vec().iter().sum::<u32>() % 3 != 0)
+            ctx.merge_all_with(&|d: &W| d.d().to_vec().iter().sum::<u32>() % 3 != 0)
         });
-        (list.to_vec(), report.merged_count())
-    };
-
-    set_parallel_merge_min_children(None);
-    let ((seq_state, seq_merged), seq_digest) = with_plane(program);
-
-    set_parallel_merge_min_children(Some(2));
-    set_parallel_merge_lanes(3);
-    let ((par_state, par_merged), snap, par_digest) = with_metrics_plane(program);
-
+        (list.d().to_vec(), report.merged_count())
+    }
+    let _guard = serial();
+    let ((_, merged), seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
     assert!(
-        snap.merges_staged >= 1,
-        "a conditional merge_all must stage speculatively, not fold sequentially"
-    );
-    assert!(
-        seq_merged < 16,
+        merged < 24,
         "the condition must actually reject some children for this test to bite"
     );
-    assert_eq!(seq_merged, par_merged);
-    assert_eq!(seq_state, par_state);
-    assert_eq!(seq_digest, par_digest);
+    assert!(
+        seen.staged.len() >= 2 && seen.staged.iter().all(|s| s.0 == "conditional"),
+        "a conditional merge_all must stage speculatively and re-stage after a rejection: {:?}",
+        seen.staged
+    );
 }
 
-/// Tentpole: a durable `CommitSink` no longer forces the sequential
-/// fold — staged batches run with the journal installed (the serial
-/// lane mirrors the per-commit seal), the digest chain matches the
-/// sequential run, and recovery replays both journals to the same
-/// state.
+/// Run `body` journaled into a fresh store under `tag`, then reopen the
+/// journal and check it replays to the live state (compared through
+/// `view`). Returns that view.
+fn journaled<W: Persist, V: PartialEq + std::fmt::Debug>(
+    tag: &str,
+    init: W,
+    body: impl FnOnce(&mut spawn_merge::TaskCtx<W>),
+    view: impl Fn(&W) -> V,
+) -> V {
+    let dir = std::env::temp_dir().join(format!("sm-parallel-merge-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::open(&dir, StoreOptions::default()).unwrap();
+    let (live, ()) = run_with_store(init, Pool::new(), &store, body).unwrap();
+    drop(store);
+    let rec = Store::open(&dir, StoreOptions::default())
+        .unwrap()
+        .recover::<W>()
+        .unwrap()
+        .expect("journal exists");
+    assert_eq!(
+        view(&rec.data),
+        view(&live),
+        "{tag}: journal replay differs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    view(&live)
+}
+
+/// A durable `CommitSink` does not force the sequential fold: staged
+/// batches run with the journal installed (it seals the history after
+/// every commit; staged runs append under the live barrier), the digest
+/// chain matches the sequential run, and recovery replays both journals
+/// to the same state.
 #[test]
 fn staged_merge_coexists_with_store_sink_and_recovers() {
+    fn program<W: Host<MList<u32>> + Persist>(tag: &str) -> Vec<u32> {
+        journaled(
+            tag,
+            W::host(MList::new()),
+            |ctx| {
+                for i in 0..16u32 {
+                    ctx.spawn(move |c| {
+                        let list = c.data_mut().d_mut();
+                        for j in 0..6 {
+                            list.push(i * 10 + j);
+                        }
+                        if i % 4 == 0 {
+                            list.remove(list.len() - 1);
+                        }
+                        Ok(())
+                    });
+                }
+                settle();
+                ctx.data_mut().d_mut().push(9999);
+                ctx.merge_all();
+            },
+            |w| w.d().to_vec(),
+        )
+    }
     let _guard = serial();
-    let scratch = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!(
-            "sm-parallel-merge-sink-{}-{tag}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    };
-    let program = |dir: &std::path::Path| {
-        let store = Store::open(dir, StoreOptions::default()).unwrap();
-        let (list, ()) = run_with_store(MList::<u32>::new(), Pool::new(), &store, |ctx| {
-            for i in 0..16u32 {
-                ctx.spawn(move |c| {
-                    for j in 0..6 {
-                        c.data_mut().push(i * 10 + j);
-                    }
-                    if i % 4 == 0 {
-                        let len = c.data().len();
-                        c.data_mut().remove(len - 1);
-                    }
-                    Ok(())
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(120));
-            ctx.data_mut().push(9999);
-            ctx.merge_all();
-        })
-        .unwrap();
-        list.to_vec()
-    };
-
-    let dir_seq = scratch("seq");
-    set_parallel_merge_min_children(None);
-    let (seq_state, seq_digest) = with_plane(|| program(&dir_seq));
-
-    let dir_par = scratch("par");
-    set_parallel_merge_min_children(Some(4));
-    set_parallel_merge_lanes(3);
-    let (par_state, snap, par_digest) = with_metrics_plane(|| program(&dir_par));
-
-    assert!(
-        snap.merges_staged >= 1,
-        "a sink must no longer disqualify the batch from staging"
+    let (_, seen) = assert_matches_seq(
+        || program::<Seq<MList<u32>>>("seq"),
+        || program::<MList<u32>>("par"),
     );
-    assert_eq!(seq_state, par_state);
-    assert_eq!(seq_digest, par_digest);
+    assert_staged(&seen, ("mixed", 1, 0));
+}
 
-    // Both journals must replay to the bit-identical live state.
-    for (dir, state) in [(&dir_seq, &seq_state), (&dir_par, &par_state)] {
-        let reopened = Store::open(dir, StoreOptions::default()).unwrap();
-        let rec = reopened
-            .recover::<MList<u32>>()
-            .unwrap()
-            .expect("journal exists");
-        assert_eq!(&rec.data.to_vec(), state);
-        let _ = std::fs::remove_dir_all(dir);
+mergeable_struct! {
+    /// A sequence field beside two fields that never stage.
+    #[derive(Debug, Clone)]
+    struct Board {
+        items: MList<u32>,
+        hits: MCounter,
+        tags: MMap<u8, u32>,
     }
 }
 
-/// Tentpole: one huge child log split across segment workers and fused
-/// in order must be indistinguishable — state and digest — from both
-/// the unsplit staged run and the sequential fold.
+impl Persist for Board {
+    fn encode_state(&self, buf: &mut BytesMut) {
+        self.items.encode_state(buf);
+        self.hits.encode_state(buf);
+        self.tags.encode_state(buf);
+    }
+
+    fn decode_state(buf: &mut Bytes) -> Result<Self, DecodeError> {
+        Ok(Board {
+            items: Persist::decode_state(buf)?,
+            hits: Persist::decode_state(buf)?,
+            tags: Persist::decode_state(buf)?,
+        })
+    }
+
+    fn encode_log(&self, buf: &mut BytesMut) {
+        self.items.encode_log(buf);
+        self.hits.encode_log(buf);
+        self.tags.encode_log(buf);
+    }
+
+    fn apply_log(&mut self, buf: &mut Bytes) -> Result<usize, ReplayError> {
+        Ok(self.items.apply_log(buf)? + self.hits.apply_log(buf)? + self.tags.apply_log(buf)?)
+    }
+
+    fn seal_history(&self) {
+        self.items.seal_history();
+        self.hits.seal_history();
+        self.tags.seal_history();
+    }
+
+    fn encode_committed_since(
+        &self,
+        marks: &[usize],
+        cursor: &mut usize,
+        buf: &mut BytesMut,
+    ) -> usize {
+        self.items.encode_committed_since(marks, cursor, buf)
+            + self.hits.encode_committed_since(marks, cursor, buf)
+            + self.tags.encode_committed_since(marks, cursor, buf)
+    }
+}
+
+/// A composite under a `Store` sink where only the list stages: the
+/// counter and the map commit inline inside the batch walk, between the
+/// sink's per-commit seals, and state, digest and journal all match the
+/// sequential run.
 #[test]
-fn huge_child_split_fuse_matches_unsplit_and_sequential_digests() {
+fn composite_stages_the_list_and_commits_other_fields_inline_under_a_sink() {
+    type View = (Vec<u32>, i64, Vec<(u8, u32)>);
+    fn program<W: Host<Board> + Persist>(tag: &str) -> View {
+        let init = Board {
+            items: MList::from_iter(0..8u32),
+            hits: MCounter::new(0),
+            tags: MMap::new(),
+        };
+        journaled(
+            tag,
+            W::host(init),
+            |ctx| {
+                for i in 0..12u32 {
+                    ctx.spawn(move |c| {
+                        let board = c.data_mut().d_mut();
+                        board.items.insert(i as usize % 8, 100 + i);
+                        board.items.push(200 + i);
+                        board.hits.add(i64::from(i));
+                        // Every key is written by three children: the
+                        // last merged wins.
+                        board.tags.insert((i % 4) as u8, i);
+                        Ok(())
+                    });
+                }
+                settle();
+                let board = ctx.data_mut().d_mut();
+                board.items.push(u32::MAX);
+                board.hits.add(1000);
+                board.tags.insert(0, u32::MAX);
+                ctx.merge_all();
+            },
+            |w| {
+                let b = w.d();
+                let tags = b.tags.iter().map(|(k, v)| (*k, *v)).collect();
+                (b.items.to_vec(), b.hits.get(), tags)
+            },
+        )
+    }
     let _guard = serial();
-    let program = || {
-        let (list, ()) = run(MList::from_iter(0..8u32), |ctx| {
-            for i in 0..4u32 {
+    let (_, seen) = assert_matches_seq(
+        || program::<Seq<Board>>("board-seq"),
+        || program::<Board>("board-par"),
+    );
+    assert_eq!(
+        seen.staged,
+        vec![("insert-only", 1, 2)],
+        "one delta leaf, two inline fields"
+    );
+}
+
+/// A composite whose every field declines has no stage at all: no
+/// `MergeStaged` event and not one pool job beyond the children.
+#[test]
+fn all_declining_composite_emits_no_merge_staged() {
+    fn program<W: Host<Vec<MCounter>>>() -> (Vec<i64>, u64) {
+        let pool = Pool::new();
+        let init = W::host((0..4).map(MCounter::new).collect());
+        let (data, ()) = run_with_pool(init, pool.clone(), |ctx| {
+            for i in 0..16usize {
                 ctx.spawn(move |c| {
-                    for j in 0..1500u32 {
-                        let at = ((i * 7 + j * 13) as usize) % (c.data().len() + 1);
-                        c.data_mut().insert(at, i * 10_000 + j);
-                    }
-                    if i % 2 == 0 {
-                        let at = (i as usize * 11) % c.data().len();
-                        c.data_mut().remove(at);
-                    }
+                    c.data_mut().d_mut()[i % 4].add(i as i64);
                     Ok(())
                 });
             }
-            std::thread::sleep(std::time::Duration::from_millis(150));
-            ctx.data_mut().push(u32::MAX);
+            settle();
+            ctx.data_mut().d_mut()[0].add(1000);
             ctx.merge_all();
         });
-        list.to_vec()
-    };
+        let counts = data.d().iter().map(MCounter::get).collect();
+        (counts, pool.stats().jobs_executed)
+    }
+    let _guard = serial();
+    // Equal outputs include equal job counts.
+    let (_, seen) = assert_matches_seq(program::<Seq<Vec<MCounter>>>, program::<Vec<MCounter>>);
+    assert_eq!(seen.staged, vec![], "nothing to stage");
+}
 
-    set_parallel_merge_min_children(None);
-    let (seq_state, seq_digest) = with_plane(program);
+/// One huge child log split across segment workers and fused in order
+/// must be indistinguishable from both the unsplit staged run and the
+/// sequential fold: through the runtime at its own threshold (state and
+/// digest against the oracle), and through the seam with a small
+/// `split_min_ops` (state, log and stats against the `merge` fold).
+#[test]
+fn huge_child_split_fuse_matches_unsplit_and_sequential_digests() {
+    /// Past the runtime's 65 536-op split threshold.
+    const HUGE: u32 = 70_000;
+    fn program<W: Host<MList<u32>>>() -> Vec<u32> {
+        let (list, ()) = run(W::host(MList::from_iter(0..8u32)), |ctx| {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            for i in 0..8u32 {
+                let done_tx = done_tx.clone();
+                ctx.spawn(move |c| {
+                    let list = c.data_mut().d_mut();
+                    // Two runs growing at their own ends, alternately:
+                    // consecutive ops never touch, so nothing fuses at
+                    // record time and child 0's log really is `HUGE` ops
+                    // long — in two spans that are cheap to fold.
+                    for j in 0..if i == 0 { HUGE } else { 6 } {
+                        let at = if j % 2 == 0 {
+                            list.len()
+                        } else {
+                            4 + j as usize / 2
+                        };
+                        list.insert(at, i * 100_000 + j);
+                    }
+                    if i % 3 == 1 {
+                        list.remove(i as usize / 3);
+                    }
+                    let _ = done_tx.send(());
+                    Ok(())
+                });
+            }
+            for _ in 0..8 {
+                done_rx.recv().unwrap();
+            }
+            settle();
+            ctx.data_mut().d_mut().push(u32::MAX);
+            ctx.merge_all();
+        });
+        list.d().to_vec()
+    }
+    let _guard = serial();
+    let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
+    assert_staged(&seen, ("mixed", 1, 0));
 
-    // Staged, splitting disabled: the whole 1500-op fold on one worker.
-    set_parallel_merge_min_children(Some(2));
-    set_parallel_merge_lanes(4);
-    set_parallel_split_min_ops(None);
-    let (unsplit_state, unsplit_digest) = with_plane(program);
-
-    // Staged with split/fuse biting on every child log.
-    set_parallel_split_min_ops(Some(256));
-    let (split_state, snap, split_digest) = with_metrics_plane(program);
-
-    assert!(snap.merges_staged >= 1, "the batch must stage");
-    assert_eq!(seq_state, unsplit_state);
-    assert_eq!(seq_state, split_state);
-    assert_eq!(seq_digest, unsplit_digest);
-    assert_eq!(seq_digest, split_digest);
+    let mut parent = MList::from_iter(0..8u32);
+    let kids = forked(&mut parent, 4, |i, kid| {
+        for j in 0..1500u32 {
+            let at = ((i * 7 + j * 13) as usize) % (kid.len() + 1);
+            kid.insert(at, i * 10_000 + j);
+        }
+        if i % 2 == 0 {
+            kid.remove((i as usize * 11) % kid.len());
+        }
+    });
+    for split_min_ops in [usize::MAX, 256] {
+        assert_stage_matches_merge(&parent, &kids, &threaded(4, split_min_ops));
+    }
 }

@@ -464,8 +464,8 @@ fn mid_stream_crash_recovery_converges_with_uninterrupted_run() {
     );
 }
 
-/// Parallel recovery (the default) and the `serial-recovery` escape
-/// hatch's code path must be observationally identical: same state, same
+/// Parallel recovery (`recover`) and the single-threaded reference
+/// (`recover_serial`) must be observationally identical: same state, same
 /// per-child digest chains, same bookkeeping — on both the mixed-op
 /// journal (raw fallback lane) and an insert-only journal (batch lane).
 #[test]
