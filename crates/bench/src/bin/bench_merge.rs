@@ -16,9 +16,8 @@
 //! insert-only `merge_all` through the full runtime against the plain
 //! `merge` fold of the same children (the sequential creation-order
 //! fold); the same fan-out with deletes mixed in and under a merge
-//! condition (speculative staging with rollback); and, through an
-//! explicit `StageCtx`, a lane sweep (threads vs algorithm) and a
-//! huge-child split/fuse fold comparison.
+//! condition (dismissed children are not fed to the stage); and, at the
+//! seam, four children whose logs are long enough to fold in segments.
 //!
 //! Usage:
 //!
@@ -38,7 +37,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sm_core::{run_with_pool, Pool};
-use sm_mergeable::parallel::{Job, StageCtx};
 use sm_mergeable::{MList, Mergeable};
 use sm_netsim::workload::lcg_positions;
 use sm_ot::compose::compact;
@@ -48,7 +46,7 @@ use sm_ot::seq::rebase;
 
 /// Speedup floors per scenario: a release run below its floor means a
 /// fast path regressed. `scattered_mixed_interleaved` is the honest grid
-/// fallback stuck at ~1.00×; its floor guards against the parallel-merge
+/// fallback stuck at ~1.00×; its floor guards against the merge-staging
 /// machinery pessimizing the path it does not take.
 const FLOORS: &[(&str, f64)] = &[
     ("contiguous_inserts_500x500", 100.0),
@@ -208,13 +206,12 @@ enum FanoutMode {
     /// child's insert through deleted units), so the staged plan is
     /// measured, not its poisoned fallback.
     Mixed,
-    /// Insert-only children merged under [`condition`] — the speculative
-    /// conditional staging path (the condition rejects a scatter of
-    /// children, so staging pays real rollback/re-stage rounds).
+    /// Insert-only children merged under [`condition`], which dismisses
+    /// a scatter of children out of the middle of the staged batch.
     Conditional,
     /// Inserts strided over the last ~60 local positions — deep logs
     /// whose delta folds are span-scattered but whose state applies
-    /// are cheap tail memmoves, isolating split/fuse fold time.
+    /// are cheap tail memmoves, isolating fold time.
     TailInserts,
 }
 
@@ -316,13 +313,13 @@ fn fanout_merge_all(
 }
 
 /// The same fan-out outside the runtime, children folded in creation
-/// order: by plain `merge` — the sequential baseline — or, with a `ctx`,
-/// staged under it and committed. Returns (fold nanoseconds, state).
+/// order: by plain `merge` — the sequential baseline — or `staged`
+/// through `stage_merge_all`. Returns (fold nanoseconds, state).
 fn fanout_fold(
     children: usize,
     ops_per_child: usize,
     mode: FanoutMode,
-    ctx: Option<&StageCtx>,
+    staged: bool,
 ) -> (u64, Vec<u64>) {
     let mut parent = fanout_base(children, mode);
     let kids: Vec<MList<u64>> = (0..children as u64)
@@ -335,15 +332,17 @@ fn fanout_fold(
     parent.push(u64::MAX);
     let refs: Vec<&MList<u64>> = kids.iter().collect();
     let t = Instant::now();
-    let mut stage = ctx.map(|ctx| {
+    let mut stage = staged.then(|| {
         parent
-            .stage_merge_all(&refs, ctx)
+            .stage_merge_all(&refs)
             .expect("the fan-out qualifies for staging")
     });
-    for (i, kid) in kids.iter().enumerate() {
+    for kid in &kids {
+        if mode == FanoutMode::Conditional && !condition(kid) {
+            continue;
+        }
         match &mut stage {
-            Some(stage) => stage.commit(&mut parent, kid, i).unwrap(),
-            None if mode == FanoutMode::Conditional && !condition(kid) => continue,
+            Some(stage) => stage.commit(&mut parent, kid).unwrap(),
             None => parent.merge(kid).unwrap(),
         };
     }
@@ -363,14 +362,11 @@ fn main() {
     let iters = if quick { 3 } else { 25 };
     let mut speedups: Vec<(String, f64)> = Vec::new();
 
-    // What the staged numbers below depend on: the runtime sizes its
-    // staging lanes at twice the available parallelism (min 2).
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let lanes = (cores * 2).max(2);
     let mut json = String::from("{\n  \"bench\": \"merge\",\n");
     let _ = writeln!(
         json,
-        "  \"env\": {{\"cores\": {cores}, \"lanes\": {lanes}, \"quick\": {quick}}},"
+        "  \"env\": {{\"cores\": {cores}, \"quick\": {quick}}},"
     );
     json.push_str("  \"rebase_scenarios\": [\n");
 
@@ -526,13 +522,11 @@ fn main() {
 
     // Staged merge_all: the same scattered fan-out folded by plain
     // `merge` (the sequential creation-order fold) and merged through the
-    // runtime, which stages it on the pool. The sequential fold refolds
-    // the whole committed suffix per child; the staged walk grows the
-    // committed composite incrementally — the win is algorithmic first,
-    // threaded second (the lane sweep below separates the two). The
-    // mixed fan-out adds a delete as every fourth child op; the
-    // conditional one rejects ~5% of children, so staging pays real
-    // speculation rollbacks (drop the stage, re-stage the remainder).
+    // runtime, which stages it. The sequential fold refolds the whole
+    // committed suffix per child; the staged walk grows the committed
+    // composite incrementally. The mixed fan-out adds a delete as every
+    // fourth child op; the conditional one rejects ~5% of children, which
+    // the walk simply does not feed to the stage.
     let children = if quick { 200 } else { 1000 };
     let ops_per_child = 4;
     for (key, name, mode) in [
@@ -552,7 +546,7 @@ fn main() {
             FanoutMode::Conditional,
         ),
     ] {
-        let (seq_ns, seq_state) = fanout_fold(children, ops_per_child, mode, None);
+        let (seq_ns, seq_state) = fanout_fold(children, ops_per_child, mode, false);
         let (par_ns, par_state, peak_workers) = fanout_merge_all(children, ops_per_child, mode);
         assert_eq!(
             seq_state, par_state,
@@ -573,74 +567,29 @@ fn main() {
         speedups.push((name.to_string(), speedup));
     }
 
-    // Lane sweep: the insert-only fan-out staged under an explicit
-    // context — inline on one lane (no thread at all), then on the pool.
-    let pool = Pool::new();
-    let pooled = |lanes: usize, split_min_ops: usize| {
-        let pool = pool.clone();
-        StageCtx {
-            exec: Arc::new(move |job: Job| pool.execute(job)),
-            lanes,
-            split_min_ops,
-            ..StageCtx::inline()
-        }
-    };
-    let (want_ns, want_state) = fanout_fold(children, ops_per_child, FanoutMode::InsertOnly, None);
-    json.push_str("  \"lane_sweep\": [");
-    for (k, (exec, ctx)) in [
-        ("inline", StageCtx::inline()),
-        ("pool", pooled(2, usize::MAX)),
-        ("pool", pooled(8, usize::MAX)),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let (ns, state) = fanout_fold(children, ops_per_child, FanoutMode::InsertOnly, Some(&ctx));
-        assert_eq!(state, want_state, "lanes={} diverged", ctx.lanes);
-        let speedup = want_ns as f64 / ns.max(1) as f64;
-        eprintln!(
-            "lane_sweep: {exec} x{} lanes: {ns} ns ({speedup:.2}x)",
-            ctx.lanes
-        );
-        let _ = write!(
-            json,
-            "{}{{\"exec\": \"{exec}\", \"lanes\": {}, \"staged_ns\": {ns}, \"speedup\": {speedup:.2}}}",
-            if k > 0 { ", " } else { "" },
-            ctx.lanes
-        );
-    }
-    json.push_str("],\n");
-
-    // Split/fuse: a handful of children with huge logs, staged both
-    // times; the comparison isolates `split_min_ops` — segment folds in
-    // parallel, composites fused in order — against one worker folding
-    // each giant log alone.
+    // Huge logs: four children past the engine's 65 536-op segmenting
+    // threshold, staged (each log folds in segments fused in order)
+    // against the plain `merge` fold (one straight fold per log).
     let split_children = 4;
-    let split_ops = if quick { 4000 } else { 12000 };
+    let split_ops = 70_000;
     let tails = FanoutMode::TailInserts;
-    let (unsplit_ns, unsplit_state) = fanout_fold(
-        split_children,
-        split_ops,
-        tails,
-        Some(&pooled(8, usize::MAX)),
-    );
-    let (split_ns, split_state) =
-        fanout_fold(split_children, split_ops, tails, Some(&pooled(8, 256)));
+    let (seq_ns, seq_state) = fanout_fold(split_children, split_ops, tails, false);
+    let (staged_ns, staged_state) = fanout_fold(split_children, split_ops, tails, true);
     assert_eq!(
-        unsplit_state, split_state,
-        "split/fuse fold diverged from the unsplit staged fold"
+        seq_state, staged_state,
+        "huge_child_split_fuse: staged fold diverged from the sequential fold"
     );
-    let split_speedup = unsplit_ns as f64 / split_ns.max(1) as f64;
+    let split_speedup = seq_ns as f64 / staged_ns.max(1) as f64;
     eprintln!(
         "huge_child_split_fuse ({split_children} children x {split_ops} ops): \
-         unsplit {unsplit_ns} ns -> split {split_ns} ns ({split_speedup:.2}x)"
+         sequential {seq_ns} ns -> staged {staged_ns} ns ({split_speedup:.2}x)"
     );
     let _ = writeln!(
         json,
         "  \"huge_child_split_fuse\": {{\"name\": \"huge_child_split_fuse\", \
          \"children\": {split_children}, \"ops_per_child\": {split_ops}, \
-         \"unsplit_ns\": {unsplit_ns}, \"split_ns\": {split_ns}, \"speedup\": {split_speedup:.2}, \
-         \"lanes\": 8, \"split_min_ops\": 256, \"states_identical\": true}}"
+         \"sequential_ns\": {seq_ns}, \"staged_ns\": {staged_ns}, \"speedup\": {split_speedup:.2}, \
+         \"states_identical\": true}}"
     );
     speedups.push(("huge_child_split_fuse".to_string(), split_speedup));
     json.push_str("}\n");

@@ -25,48 +25,33 @@
 //!
 //! When a `merge_all` finds a prefix of at least `STAGE_MIN_CHILDREN`
 //! children with clean completions already in hand, it asks the data for
-//! a stage (see [`sm_mergeable::parallel`]): sequence logs whose batch
-//! qualifies pre-rebase on the worker pool, and the parent *commits* the
-//! pre-rebased runs in creation order — the schedule of observable
-//! effects, the merged state, and the determinism-auditor digests are
-//! bit-identical to the sequential fold; only wall-clock changes.
-//! Conditional merges stage speculatively (a rejection drops the stage
-//! and re-stages the remainder), and a durability sink coexists with
-//! staging (runs are appended under the live fuse barrier at commit
-//! time). Everything else — syncs, small fan-outs, data with no stage —
-//! is the plain sequential fold on the merging thread, and debug builds
-//! re-derive every staged run sequentially at commit and assert equality
-//! (see `Versioned::commit_staged`).
+//! a stage (see [`sm_mergeable::stage`]): sequence logs whose batch
+//! qualifies fold what the parent committed since the fork once, and each
+//! child of the one creation-order walk then rebases against that
+//! incrementally grown composite instead of a refold of the whole
+//! committed log — the schedule of observable effects, the merged state,
+//! and the determinism-auditor digests are bit-identical to the
+//! sequential fold; only wall-clock changes. All of it runs on the
+//! merging thread. A child the merge condition dismisses is simply not
+//! fed to the stage, and a durability sink coexists with staging (runs
+//! are appended under the live fuse barrier at commit time). Everything
+//! else — syncs, small fan-outs, data with no stage — is the plain
+//! sequential fold, and debug builds re-derive every staged run
+//! sequentially at commit and assert equality (see
+//! `Versioned::commit_staged`).
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use sm_mergeable::parallel::{Job, StageCtx, StagedCommit};
+use sm_mergeable::stage::StagedCommit;
 use sm_mergeable::{MergeStats, Mergeable};
 use sm_obs::{emit, EventKind, MergeOpStats, Phase};
 
 use crate::error::AbortReason;
 use crate::task::{Event, EventBody, SyncReply, TaskCtx, TaskHandle, TaskId};
 
-/// Fewest simultaneously-ready children worth staging: below this the
-/// hand-off costs more than the incrementally grown composite saves.
+/// Fewest simultaneously-ready children worth staging.
 const STAGE_MIN_CHILDREN: usize = 8;
-/// Op count at which a single log's delta fold is split across segment
-/// workers and fused in order (the huge-child split/fuse path).
-const STAGE_SPLIT_MIN_OPS: usize = 65_536;
-
-/// Pass-A chunk count: twice the machine's available parallelism (min
-/// 2), read once — the query walks cgroup files on Linux.
-fn stage_lanes() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get() * 2)
-            .unwrap_or(2)
-            .max(2)
-    })
-}
 
 /// What happened to one child during a merge call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,12 +124,12 @@ impl<D: Mergeable> TaskCtx<D> {
     /// merged, handed a fresh fork, and stay live. One event per child per
     /// call.
     pub fn merge_all(&mut self) -> MergeReport {
-        self.merge_all_inner(None, None)
+        self.merge_all_inner(None, &|_| true)
     }
 
     /// [`merge_all`](Self::merge_all) with a merge condition.
     pub fn merge_all_with(&mut self, condition: Condition<'_, D>) -> MergeReport {
-        self.merge_all_inner(None, Some(condition))
+        self.merge_all_inner(None, condition)
     }
 
     /// **MergeAllFromSet**: wait for and merge exactly the children in
@@ -153,7 +138,7 @@ impl<D: Mergeable> TaskCtx<D> {
     /// once counts once, at its first position (a duplicate must not
     /// consume a second event from the same child).
     pub fn merge_all_from_set(&mut self, set: &[&TaskHandle]) -> MergeReport {
-        self.merge_all_inner(Some(dedup_handle_ids(set)), None)
+        self.merge_all_inner(Some(dedup_handle_ids(set)), &|_| true)
     }
 
     /// [`merge_all_from_set`](Self::merge_all_from_set) with a merge
@@ -163,7 +148,7 @@ impl<D: Mergeable> TaskCtx<D> {
         set: &[&TaskHandle],
         condition: Condition<'_, D>,
     ) -> MergeReport {
-        self.merge_all_inner(Some(dedup_handle_ids(set)), Some(condition))
+        self.merge_all_inner(Some(dedup_handle_ids(set)), condition)
     }
 
     /// **MergeAny**: wait for the first event from *any* live child and
@@ -203,7 +188,7 @@ impl<D: Mergeable> TaskCtx<D> {
     fn merge_all_inner(
         &mut self,
         subset: Option<Vec<TaskId>>,
-        cond: Option<Condition<'_, D>>,
+        cond: Condition<'_, D>,
     ) -> MergeReport {
         self.adopt_children();
         let ids: Vec<TaskId> = match subset {
@@ -216,16 +201,9 @@ impl<D: Mergeable> TaskCtx<D> {
                 .collect(),
         };
         let mut report = MergeReport::default();
-        // A ready prefix of the batch may stage on the pool; the
-        // committed schedule is the sequential one either way.
-        // Conditional merges stage *speculatively*: conditions only
-        // inspect the child's own immutable completion data, so they are
-        // evaluated at commit time exactly as the sequential fold would,
-        // and a rejection rolls the speculation back by dropping the
-        // stage and re-staging the remainder against the updated parent.
-        let conditional = cond.is_some();
-        let cond = cond.unwrap_or(&|_| true);
-        let consumed = self.merge_all_staged(&ids, cond, conditional, &mut report);
+        // A ready prefix of the batch may stage; the committed schedule
+        // is the sequential one either way.
+        let consumed = self.merge_all_staged(&ids, cond, &mut report);
         for id in &ids[consumed..] {
             let ev = self.next_event_for(*id);
             report.children.push(self.handle_event(ev, cond, None));
@@ -234,16 +212,15 @@ impl<D: Mergeable> TaskCtx<D> {
         report
     }
 
-    /// Stage the eligible ready prefix of `ids` on the pool and commit
-    /// the pre-rebased runs in creation order. Returns how many leading
-    /// ids were fully processed (their reports are appended); the caller
-    /// folds the rest sequentially. Never blocks on an event: staging
-    /// only covers children whose completions have already arrived.
+    /// Stage the eligible ready prefix of `ids` and fold it in creation
+    /// order against the stage. Returns how many leading ids were fully
+    /// processed (their reports are appended); the caller folds the rest
+    /// sequentially. Never blocks on an event: staging only covers
+    /// children whose completions have already arrived.
     fn merge_all_staged(
         &mut self,
         ids: &[TaskId],
         cond: Condition<'_, D>,
-        conditional: bool,
         report: &mut MergeReport,
     ) -> usize {
         if ids.len() < STAGE_MIN_CHILDREN || self.data.is_none() {
@@ -280,7 +257,7 @@ impl<D: Mergeable> TaskCtx<D> {
             batch.push(self.pending.remove(pos).expect("position is valid"));
         }
         if batch.len() < STAGE_MIN_CHILDREN {
-            // Too small to pay for staging: hand the events back for the
+            // Too small to stage: hand the events back for the
             // sequential walk (`next_event_for` checks `pending` first).
             for ev in batch.into_iter().rev() {
                 self.pending.push_front(ev);
@@ -289,79 +266,39 @@ impl<D: Mergeable> TaskCtx<D> {
         }
         let n = batch.len();
         let span = sm_obs::timer::start(Phase::MergeParallel);
-        let mut staged = false;
-        let mut queue: std::collections::VecDeque<Event<D>> = batch.into();
-        // Too few left to pay for (re-)staging ends the loop too.
-        while queue.len() >= STAGE_MIN_CHILDREN {
-            let ctx = self.stage_ctx();
-            let stage = {
-                let kids: Vec<&D> = queue
-                    .iter()
-                    .map(|ev| match &ev.body {
-                        EventBody::Done { data: Some(d), .. } => d,
-                        _ => unreachable!("batch holds only completions with data"),
-                    })
-                    .collect();
-                self.data().stage_merge_all(&kids, &ctx)
-            };
-            // `None`: no field of this data stages this batch.
-            let Some(mut stage) = stage else { break };
-            staged = true;
+        // `None`: no field of this data stages this batch, and the walk
+        // below is the ordinary sequential fold, events in hand.
+        let mut stage = {
+            let kids: Vec<&D> = batch
+                .iter()
+                .map(|ev| match &ev.body {
+                    EventBody::Done { data: Some(d), .. } => d,
+                    _ => unreachable!("batch holds only completions with data"),
+                })
+                .collect();
+            self.data().stage_merge_all(&kids)
+        };
+        if let Some(stage) = &stage {
             let profile = stage.profile();
-            let lane = if conditional {
-                "conditional"
-            } else if profile.mixed_leaves > 0 {
-                "mixed"
-            } else {
-                "insert-only"
-            };
             emit(&self.path, || EventKind::MergeStaged {
-                children: queue.len(),
-                lane,
+                children: n,
                 delta_lanes: profile.delta_leaves,
                 serial_lanes: profile.inline_leaves,
-                chunks: profile.chunks,
             });
-            let mut index = 0usize;
-            while let Some(ev) = queue.pop_front() {
-                let merged = self.handle_event(ev, cond, Some((stage.as_mut(), index)));
-                index += 1;
-                let dismissed = !merged.disposition.is_merged();
-                report.children.push(merged);
-                if dismissed {
-                    // The condition rejected this child (or an abort flag
-                    // raced in): its changes were dismissed, so every
-                    // later staged run — speculatively computed as if
-                    // they committed — is stale. Drop the stage and
-                    // re-stage the remainder against the rolled-back
-                    // parent (the outer loop).
-                    break;
-                }
-            }
         }
-        // Whatever was not staged folds sequentially, events in hand.
-        for ev in queue {
-            report.children.push(self.handle_event(ev, cond, None));
+        // One walk: conditions only inspect the child's own completion
+        // data, so they are evaluated here exactly as the sequential fold
+        // would, and a dismissed child (condition, or an abort flag that
+        // raced in) is never fed to the stage.
+        for ev in batch {
+            report
+                .children
+                .push(self.handle_event(ev, cond, stage.as_deref_mut()));
         }
-        // The phase is about staged batches: a batch nothing staged for
-        // was an ordinary sequential fold.
-        if let Some(span) = span.filter(|_| staged) {
+        if let Some(span) = span.filter(|_| stage.is_some()) {
             span.finish(&self.path);
         }
         n
-    }
-
-    /// The staging environment for this task: jobs run on the family's
-    /// worker pool (which grows on demand, so staging can never deadlock
-    /// behind blocked tasks).
-    fn stage_ctx(&self) -> StageCtx {
-        let pool = self.family.pool.clone();
-        StageCtx {
-            exec: std::sync::Arc::new(move |job: Job| pool.execute(job)),
-            lanes: stage_lanes(),
-            split_min_ops: STAGE_SPLIT_MIN_OPS,
-            timing: sm_obs::is_enabled(),
-        }
     }
 
     fn merge_any_inner(
@@ -463,14 +400,13 @@ impl<D: Mergeable> TaskCtx<D> {
         }
     }
 
-    /// Merge (or reject) one child event. `staged` carries this child's
-    /// pre-rebased run from a parallel batch (and its batch index); the
-    /// sequential path passes `None`.
+    /// Merge (or reject) one child event. `staged` is the stage of the
+    /// batch this child belongs to; the sequential path passes `None`.
     fn handle_event(
         &mut self,
         ev: Event<D>,
         cond: Condition<'_, D>,
-        staged: Option<(&mut dyn StagedCommit<D>, usize)>,
+        staged: Option<&mut (dyn StagedCommit<D> + 'static)>,
     ) -> MergedChild {
         let pos = self
             .children
@@ -627,29 +563,24 @@ impl<D: Mergeable> TaskCtx<D> {
 
     /// Perform the actual OT merge of one child's data, emitting the
     /// `MergeStarted` / `MergeFinished` observability pair around it.
-    /// With `staged` the child's rebased run was pre-computed on the pool
-    /// and is committed here — same result, same stats, same events as
-    /// the plain merge.
+    /// With `staged` the child commits through its batch's stage — same
+    /// result, same stats, same events as the plain merge.
     fn merge_child(
         &mut self,
         child_data: &D,
         child_path: &sm_obs::TaskPath,
         child_continues: bool,
-        staged: Option<(&mut dyn StagedCommit<D>, usize)>,
+        staged: Option<&mut (dyn StagedCommit<D> + 'static)>,
     ) -> MergeStats {
         emit(&self.path, || EventKind::MergeStarted {
             child: child_path.clone(),
         });
         let merge_t0 = sm_obs::is_enabled().then(Instant::now);
         let stats = match staged {
-            Some((stage, index)) => stage
-                .commit(self.data_mut(), child_data, index)
-                .expect("merging a forked child cannot fail"),
-            None => self
-                .data_mut()
-                .merge(child_data)
-                .expect("merging a forked child cannot fail"),
-        };
+            Some(stage) => stage.commit(self.data_mut(), child_data),
+            None => self.data_mut().merge(child_data),
+        }
+        .expect("merging a forked child cannot fail");
         if let Some(t0) = merge_t0 {
             let merge_nanos = t0.elapsed().as_nanos() as u64;
             let oplog_len = self.data().pending_ops();

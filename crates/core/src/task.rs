@@ -140,7 +140,7 @@ impl std::fmt::Debug for TaskHandle {
 /// * [`data`](TaskCtx::data) / [`data_mut`](TaskCtx::data_mut) — the task's
 ///   isolated copy,
 /// * [`spawn`](TaskCtx::spawn) — create a child task on a fork of the data,
-/// * the `Merge*` family (see [`crate::merge`]) — fold children back in,
+/// * the `Merge*` family (see `merge.rs`) — fold children back in,
 /// * [`sync`](TaskCtx::sync) — child-side: merge with the parent and
 ///   continue on fresh data,
 /// * [`clone_task`](TaskCtx::clone_task) — create a sibling task,

@@ -49,20 +49,18 @@
 
 /// Implements [`Mergeable::stage_merge_all`] for a façade wrapping a
 /// single `inner: Versioned<_>` sequence log: the batch stages on that
-/// log (`parallel::stage_versioned_delta`).
+/// log (`stage::stage_versioned_delta`).
 macro_rules! stage_versioned_inner {
     () => {
         fn stage_merge_all(
             &self,
             children: &[&Self],
-            ctx: &crate::parallel::StageCtx,
-        ) -> Option<Box<dyn crate::parallel::StagedCommit<Self>>> {
-            crate::parallel::stage_versioned_delta(
+        ) -> Option<Box<dyn crate::stage::StagedCommit<Self>>> {
+            crate::stage::stage_versioned_delta(
                 self,
                 children,
                 |m: &Self| &m.inner,
                 |m: &mut Self| &mut m.inner,
-                ctx,
             )
         }
     };
@@ -72,11 +70,11 @@ mod cmap;
 mod counter;
 mod list;
 mod map;
-pub mod parallel;
 pub mod persist;
 mod queue;
 mod register;
 mod set;
+pub mod stage;
 mod text;
 mod tree;
 mod versioned;
@@ -91,7 +89,7 @@ pub use register::MRegister;
 pub use set::MSet;
 pub use text::MText;
 pub use tree::MTree;
-pub use versioned::{CopyMode, LogShape, MergeError, MergeStats, Versioned};
+pub use versioned::{CopyMode, MergeError, MergeStats, Versioned};
 
 /// A data structure that can be forked for a child task and merged back.
 ///
@@ -151,19 +149,15 @@ pub trait Mergeable: Clone + Send + 'static {
     /// merge transactional without cloning `self` first.
     fn rollback_to(&mut self, fork: &Self);
 
-    /// Stage a whole batch of sibling merges for off-thread pre-rebasing
-    /// (see [`parallel`]): return a [`parallel::StagedCommit`] whose
-    /// per-child commits are bit-identical to calling
-    /// [`Mergeable::merge`] on the children in order, or `None` when the
-    /// structure has no parallel seam or the batch does not qualify —
-    /// the caller then merges sequentially. The default is `None`; the
-    /// bundled sequence structures and the composite derives override it.
-    fn stage_merge_all(
-        &self,
-        children: &[&Self],
-        ctx: &parallel::StageCtx,
-    ) -> Option<Box<dyn parallel::StagedCommit<Self>>> {
-        let _ = (children, ctx);
+    /// Stage a whole batch of sibling merges (see [`stage`]): return a
+    /// [`stage::StagedCommit`] whose per-child commits are bit-identical
+    /// to calling [`Mergeable::merge`] on the same children in order, or
+    /// `None` when the structure has no staging seam or the batch does
+    /// not qualify — the caller then merges sequentially. The default is
+    /// `None`; the bundled sequence structures and the composite derives
+    /// override it.
+    fn stage_merge_all(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
+        let _ = children;
         None
     }
 }
@@ -236,23 +230,19 @@ impl<M: Mergeable> Mergeable for Vec<M> {
         }
     }
 
-    fn stage_merge_all(
-        &self,
-        children: &[&Self],
-        ctx: &parallel::StageCtx,
-    ) -> Option<Box<dyn parallel::StagedCommit<Self>>> {
+    fn stage_merge_all(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
         // The shape is fixed at fork time; a drifted child must take the
         // sequential path so the mismatch surfaces as its usual error.
         if children.iter().any(|c| c.len() != self.len()) {
             return None;
         }
-        let mut fields = parallel::FieldStage::default();
+        let mut fields = stage::FieldStage::default();
         for (idx, elem) in self.iter().enumerate() {
             let kids: Vec<&M> = children.iter().map(|c| &c[idx]).collect();
             fields.field(
                 move |d: &Self| &d[idx],
                 move |d: &mut Self| &mut d[idx],
-                elem.stage_merge_all(&kids, ctx),
+                elem.stage_merge_all(&kids),
             );
         }
         fields.finish()
@@ -295,9 +285,8 @@ macro_rules! impl_mergeable_tuple {
             fn stage_merge_all(
                 &self,
                 children: &[&Self],
-                ctx: &parallel::StageCtx,
-            ) -> Option<Box<dyn parallel::StagedCommit<Self>>> {
-                let mut fields = parallel::FieldStage::default();
+            ) -> Option<Box<dyn stage::StagedCommit<Self>>> {
+                let mut fields = stage::FieldStage::default();
                 $(
                     {
                         let kids: Vec<&$name> =
@@ -305,7 +294,7 @@ macro_rules! impl_mergeable_tuple {
                         fields.field(
                             |d: &Self| &d.$idx,
                             |d: &mut Self| &mut d.$idx,
-                            self.$idx.stage_merge_all(&kids, ctx),
+                            self.$idx.stage_merge_all(&kids),
                         );
                     }
                 )+
@@ -398,11 +387,10 @@ macro_rules! mergeable_struct {
             fn stage_merge_all(
                 &self,
                 children: &[&Self],
-                ctx: &$crate::parallel::StageCtx,
             ) -> ::std::option::Option<
-                ::std::boxed::Box<dyn $crate::parallel::StagedCommit<Self>>,
+                ::std::boxed::Box<dyn $crate::stage::StagedCommit<Self>>,
             > {
-                let mut fields = $crate::parallel::FieldStage::default();
+                let mut fields = $crate::stage::FieldStage::default();
                 $(
                     {
                         let kids: ::std::vec::Vec<&$fty> =
@@ -410,7 +398,7 @@ macro_rules! mergeable_struct {
                         fields.field(
                             |d: &Self| &d.$field,
                             |d: &mut Self| &mut d.$field,
-                            $crate::Mergeable::stage_merge_all(&self.$field, &kids, ctx),
+                            $crate::Mergeable::stage_merge_all(&self.$field, &kids),
                         );
                     }
                 )+

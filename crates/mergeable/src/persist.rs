@@ -18,7 +18,7 @@
 //!   journaled slices through the normal OT apply path.
 //!
 //! Journaling is only sound if persisted operations are immutable, but
-//! [`Versioned`](crate::Versioned) opportunistically fuses new records
+//! [`Versioned`] opportunistically fuses new records
 //! into its log *tail* in place. [`Persist::seal_history`] closes that
 //! hole: it raises the fuse barrier over every contained log, after
 //! which the current history prefix can never be rewritten. A journal
@@ -390,7 +390,7 @@ macro_rules! persist_log_methods {
 /// Pre-decoded insert-only list commit: `(position, value start, run
 /// length)` spans in op order over a flat value buffer — the input shape
 /// of [`sm_ot::list::plan_insert_batch`], consumed by
-/// [`ListReplaySession`].
+/// `ListReplaySession`.
 pub struct ListPreparedLog<T: Element> {
     spans: Vec<(usize, usize, usize)>,
     /// Per-span: encoded as `InsertRun` (true) or `Insert` (false), so

@@ -1,0 +1,274 @@
+//! The merge-staging engine: a batch `merge_all` whose committed composite
+//! grows **incrementally**, bit-identical to the sequential creation-order
+//! fold.
+//!
+//! # The seam
+//!
+//! [`Mergeable::stage_merge_all`] turns
+//! a batch of forked children into a [`StagedCommit`]; the merging thread
+//! then feeds it the children it decides to merge, *in creation order*,
+//! and each [`StagedCommit::commit`] does exactly what `merge` would have.
+//! Nothing runs anywhere else: the engine owns no thread, channel or job.
+//!
+//! # Stage, commit, poison, dismissal
+//!
+//! **Stage** (`stage_versioned_delta`): a sequence log stages when every
+//! child of the batch has a non-empty log, all share one fork base inside
+//! the parent's retained history, and the parent committed something
+//! since that fork. The committed slice folds **once** into a normalized
+//! span-set delta over the fork-base coordinates — the *composite*.
+//! Everything else — other algebras, a span-inexpressible committed
+//! slice, mixed fork bases, an idle parent — has no stage (`None`): the
+//! caller folds it with plain [`Mergeable::merge`], and a composite whose
+//! every field declines has no stage either.
+//!
+//! **Commit** performs the delta steps of the sequential kernel
+//! ([`sm_ot::delta::rebase_delta`]) against the composite instead of a
+//! refold of the whole committed log: fold the child's log, screen with
+//! [`Delta::rebase_is_order_sensitive`], transform, commit the rebased
+//! run (`Versioned::commit_staged`), compose it into the composite. That
+//! one substitution is what collapses the sequential fold's O(n³) total
+//! work at high fan-out. The commit re-derives every field the
+//! determinism auditor hashes (`child_ops`, `applied_ops`,
+//! `committed_ops`, the post-fusion `oplog_len`) from the live parent
+//! log, so the observable event stream cannot diverge from the sequential
+//! schedule by construction — and debug builds recompute the sequential
+//! rebase at every commit and assert the staged run matches operation for
+//! operation.
+//!
+//! **Poison** is a local flag. A child whose fold meets a
+//! span-inexpressible op, or whose delta fires the order-sensitivity
+//! screen, sets it: that child and every later one commit through plain
+//! `merge` (the exact kernel, grid fallback included). The outcome is
+//! always the sequential one — a staged prefix that is bit-identical by
+//! construction, then a plainly merged suffix — and each fallback counts
+//! in `MergeStats::screen_rejects`.
+//!
+//! **Dismissal** is not feeding. A child's run is computed only when that
+//! child is committed, so a child the caller dismisses (a merge condition,
+//! an abort) never touches the composite, which stays exactly "everything
+//! committed since the fork base".
+//!
+//! # Huge logs
+//!
+//! A log of `SEGMENT_MIN_OPS` (65 536) ops or more folds in segments of
+//! the square root of that ([`from_ops_chunked`]): a fold is O(k · s) in
+//! ops × resulting spans, so short segment folds fused in order cost a
+//! fraction of one straight fold, and the result is equal because
+//! composition under a fixed [`GapBias`] is associative.
+
+use std::time::Instant;
+
+use sm_ot::delta::{from_ops_biased, from_ops_chunked, Delta, DeltaOp, GapBias};
+
+use crate::versioned::elapsed_nanos;
+use crate::{MergeError, MergeStats, Mergeable, Versioned};
+
+/// Op count from which one log folds in segments. A segment is the
+/// square root of this long: folding k ops in segments of c costs about
+/// k·c in the folds plus (k/c)·s in fusing s spans, least at c = √s ≤ √k.
+const SEGMENT_MIN_OPS: usize = 65_536;
+
+/// Fold one log into a base-coordinate delta; `None` when an op is not
+/// span-expressible.
+fn fold<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::Payload>> {
+    if ops.len() < SEGMENT_MIN_OPS {
+        from_ops_biased(ops, bias)
+    } else {
+        from_ops_chunked(ops, SEGMENT_MIN_OPS.isqrt(), bias)
+    }
+}
+
+/// Shape of the plan a [`StagedCommit`] built, for telemetry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageProfile {
+    /// Leaves staged on the delta plan.
+    pub delta_leaves: usize,
+    /// Composite fields with no stage of their own, merged by plain
+    /// `merge` at commit time.
+    pub inline_leaves: usize,
+}
+
+impl std::ops::AddAssign for StageProfile {
+    fn add_assign(&mut self, rhs: Self) {
+        self.delta_leaves += rhs.delta_leaves;
+        self.inline_leaves += rhs.inline_leaves;
+    }
+}
+
+/// A staged batch merge: commits children of one batch one at a time.
+///
+/// `commit` must be called with the parent the batch was staged from and
+/// with children of that batch in batch order — any of them may be left
+/// out — with no other mutation of the parent's mergeable state in
+/// between; the runtime's `merge_all` upholds this by construction.
+pub trait StagedCommit<D> {
+    /// Merge `child` into `parent`. Equivalent to `parent.merge(child)` —
+    /// same result, same stats (but for `screen_rejects`).
+    fn commit(&mut self, parent: &mut D, child: &D) -> Result<MergeStats, MergeError>;
+
+    /// The plan shape, for the `MergeStaged` telemetry event.
+    fn profile(&self) -> StageProfile;
+}
+
+/// The leaf [`StagedCommit`] over the single [`Versioned`] log that
+/// `get` / `get_mut` project out of a façade `D` (see the module docs).
+struct StagedLeaf<O: DeltaOp, G, H> {
+    get: G,
+    get_mut: H,
+    /// Everything committed since the batch's fork base, as one delta
+    /// over the fork-base coordinates.
+    composite: Delta<O::Payload>,
+    poisoned: bool,
+}
+
+impl<D, O, G, H> StagedCommit<D> for StagedLeaf<O, G, H>
+where
+    O: DeltaOp,
+    G: for<'a> Fn(&'a D) -> &'a Versioned<O>,
+    H: for<'a> Fn(&'a mut D) -> &'a mut Versioned<O>,
+{
+    fn commit(&mut self, parent: &mut D, child: &D) -> Result<MergeStats, MergeError> {
+        let (parent, child) = ((self.get_mut)(parent), (self.get)(child));
+        if !self.poisoned {
+            // Clocks are read only while a recorder is installed, like
+            // the sequential path.
+            let timing = sm_obs::is_enabled();
+            let t0 = timing.then(Instant::now);
+            // The exact committed-vs-incoming screen the sequential
+            // kernel would run for this child.
+            let incoming = fold(child.log(), GapBias::End)
+                .filter(|d| !self.composite.rebase_is_order_sensitive(d));
+            if let Some(incoming) = incoming {
+                let (_, rebased) = self.composite.transform(&incoming);
+                let pre = MergeStats {
+                    delta_rebases: 1,
+                    delta_spans: self.composite.span_count() + incoming.span_count(),
+                    delta_nanos: t0.map_or(0, elapsed_nanos),
+                    ..MergeStats::default()
+                };
+                let composite = self.composite.compose(&rebased);
+                let stats = parent.commit_staged(child, rebased.into_ops(), pre, timing)?;
+                self.composite = composite;
+                return Ok(stats);
+            }
+            self.poisoned = true;
+        }
+        // Poisoned suffix: the staged prefix left `parent` in exactly
+        // the sequential state, so the plain kernel (grid fallback and
+        // all) finishes the batch bit-identically.
+        let mut stats = parent.merge(child)?;
+        stats.screen_rejects = 1;
+        Ok(stats)
+    }
+
+    fn profile(&self) -> StageProfile {
+        StageProfile {
+            delta_leaves: 1,
+            inline_leaves: 0,
+        }
+    }
+}
+
+/// Stage a batch of sibling sequence logs — each the [`Versioned`] log
+/// `get` / `get_mut` project out of its façade — or `None` when the batch
+/// does not qualify (module docs) and the caller folds it sequentially.
+pub(crate) fn stage_versioned_delta<D, O, G, H>(
+    parent: &D,
+    children: &[&D],
+    get: G,
+    get_mut: H,
+) -> Option<Box<dyn StagedCommit<D>>>
+where
+    D: 'static,
+    O: DeltaOp,
+    G: for<'a> Fn(&'a D) -> &'a Versioned<O> + 'static,
+    H: for<'a> Fn(&'a mut D) -> &'a mut Versioned<O> + 'static,
+{
+    let parent = get(parent);
+    let fork_base = get(children.first()?).fork_base();
+    let lo = parent.log_start();
+    // A non-empty committed slice: the fork base lies strictly inside
+    // the parent's retained log.
+    let qualified = fork_base >= lo
+        && fork_base - lo < parent.log().len()
+        && children.iter().all(|c| {
+            let c = get(c);
+            c.fork_base() == fork_base && !c.log().is_empty()
+        });
+    if !qualified {
+        return None;
+    }
+    let composite = fold(&parent.log()[fork_base - lo..], GapBias::Start)?;
+    Some(Box::new(StagedLeaf {
+        get,
+        get_mut,
+        composite,
+        poisoned: false,
+    }))
+}
+
+/// Commits one field of one child of the batch.
+type FieldCommit<D> = Box<dyn FnMut(&mut D, &D) -> Result<MergeStats, MergeError>>;
+
+/// Field-wise composite of per-field stages: commits every field of one
+/// child (in declaration order, summing stats) before moving on, exactly
+/// like the sequential field-wise merge. Built by the tuple, `Vec<M>`
+/// and [`mergeable_struct!`](crate::mergeable_struct) derives.
+pub struct FieldStage<D> {
+    fields: Vec<FieldCommit<D>>,
+    profile: StageProfile,
+}
+
+impl<D: 'static> Default for FieldStage<D> {
+    fn default() -> Self {
+        FieldStage {
+            fields: Vec::new(),
+            profile: StageProfile::default(),
+        }
+    }
+}
+
+impl<D: 'static> FieldStage<D> {
+    /// Add the next field in declaration order: `stage` is what the
+    /// field's own `stage_merge_all` returned for the projected batch. A
+    /// field that declined merges by plain sequential `merge` inside the
+    /// batch walk.
+    pub fn field<F, G, H>(&mut self, get: G, get_mut: H, stage: Option<Box<dyn StagedCommit<F>>>)
+    where
+        F: Mergeable,
+        G: for<'a> Fn(&'a D) -> &'a F + 'static,
+        H: for<'a> Fn(&'a mut D) -> &'a mut F + 'static,
+    {
+        self.fields.push(match stage {
+            Some(mut stage) => {
+                self.profile += stage.profile();
+                Box::new(move |p: &mut D, c: &D| stage.commit(get_mut(p), get(c)))
+            }
+            None => {
+                self.profile.inline_leaves += 1;
+                Box::new(move |p: &mut D, c: &D| get_mut(p).merge(get(c)))
+            }
+        });
+    }
+
+    /// The composite stage — `None` when every field declined, so the
+    /// caller folds the batch sequentially with no staging overhead.
+    pub fn finish(self) -> Option<Box<dyn StagedCommit<D>>> {
+        (self.profile.delta_leaves > 0).then(|| Box::new(self) as Box<dyn StagedCommit<D>>)
+    }
+}
+
+impl<D> StagedCommit<D> for FieldStage<D> {
+    fn commit(&mut self, parent: &mut D, child: &D) -> Result<MergeStats, MergeError> {
+        let mut stats = MergeStats::default();
+        for field in &mut self.fields {
+            stats += field(parent, child)?;
+        }
+        Ok(stats)
+    }
+
+    fn profile(&self) -> StageProfile {
+        self.profile
+    }
+}

@@ -46,57 +46,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sm_ot::compose::compact_cow;
-use sm_ot::{seq, ApplyError, OpShape, Operation};
+use sm_ot::{seq, ApplyError, Operation};
 
 /// Saturating elapsed nanoseconds since `t0`.
 pub(crate) fn elapsed_nanos(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Cached classification of a [`Versioned`]'s retained log, maintained
-/// incrementally as operations are pushed so the staged `merge_all`
-/// engine can qualify a batch without rescanning every child log (a
-/// scan would be O(total batch ops) per `merge_all`).
-///
-/// The cache is a *conservative upper bound*: tail fusion and
-/// annihilation can only keep or lower an op's
-/// [`sm_ot::OpShape`], and a wrong-towards-`Mixed`/`Foreign` answer
-/// only costs the staged path, never correctness — the staging walk
-/// re-screens with [`sm_ot::delta::Delta::rebase_is_order_sensitive`]
-/// and debug-asserts against the sequential rebase regardless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LogShape {
-    /// Every retained op is a pure insertion (also the empty log).
-    /// Delta-foldable and incapable of firing the delete-gap
-    /// order-sensitivity screen on its own.
-    #[default]
-    InsertOnly,
-    /// Span-expressible inserts and deletes: delta-foldable behind the
-    /// order-sensitivity screen.
-    Mixed,
-    /// At least one op a span-set cannot express: never staged.
-    Foreign,
-}
-
-impl LogShape {
-    /// Join the shape of one more pushed op into the cached log shape.
-    fn join(self, op: OpShape) -> LogShape {
-        match (self, op) {
-            (LogShape::Foreign, _) | (_, OpShape::Foreign) => LogShape::Foreign,
-            (LogShape::Mixed, _) | (_, OpShape::SpanEdit) => LogShape::Mixed,
-            (LogShape::InsertOnly, OpShape::Insert) => LogShape::InsertOnly,
-        }
-    }
-
-    /// True when the log folds into a sorted span-set delta.
-    pub fn delta_foldable(self) -> bool {
-        !matches!(self, LogShape::Foreign)
-    }
-
-    /// True when every retained op is a pure insertion.
-    pub fn insert_only(self) -> bool {
-        matches!(self, LogShape::InsertOnly)
-    }
 }
 
 /// How forking copies the underlying state.
@@ -266,8 +220,6 @@ pub struct Versioned<O: Operation> {
     /// absolute position is ≥ this barrier — otherwise a live fork point
     /// would end up *between* two fused operations.
     fuse_barrier: AtomicUsize,
-    /// Cached [`LogShape`] of `log`, joined incrementally on push.
-    shape: LogShape,
     mode: CopyMode,
 }
 
@@ -279,7 +231,6 @@ impl<O: Operation> Clone for Versioned<O> {
             log_start: self.log_start,
             fork_base: self.fork_base,
             fuse_barrier: AtomicUsize::new(self.fuse_barrier.load(Ordering::Relaxed)),
-            shape: self.shape,
             mode: self.mode,
         }
     }
@@ -300,7 +251,6 @@ impl<O: Operation> Versioned<O> {
             log_start: 0,
             fork_base: 0,
             fuse_barrier: AtomicUsize::new(0),
-            shape: LogShape::default(),
             mode,
         }
     }
@@ -342,13 +292,6 @@ impl<O: Operation> Versioned<O> {
         self.mode
     }
 
-    /// Cached [`LogShape`] of the retained log — a conservative upper
-    /// bound maintained incrementally on push (see [`LogShape`]); equals
-    /// `sm_ot::compose::shape_of_log(self.log())` up to fusion slack.
-    pub fn log_shape(&self) -> LogShape {
-        self.shape
-    }
-
     /// Append `op` to the log, fusing or cancelling against the tail when
     /// the fork barrier allows it. Does not touch the state.
     fn push_op(&mut self, op: O) {
@@ -362,24 +305,14 @@ impl<O: Operation> Versioned<O> {
         if !self.log.is_empty() && self.log_start + self.log.len() > barrier {
             let last = self.log.last().expect("non-empty");
             if Operation::annihilates(last, &op) {
-                // The pair vanishes: nothing to join. Survivors keep the
-                // (possibly now over-wide) cached shape; an empty log
-                // resets to the join identity.
                 self.log.pop();
-                if self.log.is_empty() {
-                    self.shape = LogShape::default();
-                }
                 return;
             }
             if let Some(fused) = Operation::compose(last, &op) {
-                // Fusion can only keep or lower the tail's shape, so
-                // joining the unfused op's shape stays a sound bound.
-                self.shape = self.shape.join(op.shape());
                 *self.log.last_mut().expect("non-empty") = fused;
                 return;
             }
         }
-        self.shape = self.shape.join(op.shape());
         self.log.push(op);
     }
 
@@ -464,7 +397,6 @@ impl<O: Operation> Versioned<O> {
             log_start: 0,
             fork_base: here,
             fuse_barrier: AtomicUsize::new(0),
-            shape: LogShape::default(),
             mode: self.mode,
         }
     }
@@ -523,7 +455,7 @@ impl<O: Operation> Versioned<O> {
     }
 
     /// Commit a pre-rebased run produced by the staging engine
-    /// ([`crate::parallel`]): validate the fork point exactly like
+    /// ([`crate::stage`]): validate the fork point exactly like
     /// [`Versioned::merge`], apply the run, and append it to the history.
     ///
     /// `pre` carries the stats measured at staging time; the fields the
@@ -597,11 +529,6 @@ impl<O: Operation> Versioned<O> {
         }
         self.log.drain(..keep_from);
         self.log_start += keep_from;
-        if self.log.is_empty() {
-            // The cached shape described the dropped prefix too; an
-            // empty log is back at the join identity.
-            self.shape = LogShape::default();
-        }
         keep_from
     }
 
@@ -630,9 +557,6 @@ impl<O: Operation> Versioned<O> {
         assert!(fork.log.is_empty(), "rollback target was modified");
         self.state = fork.share_state();
         self.log.truncate(fork.fork_base - self.log_start);
-        if self.log.is_empty() {
-            self.shape = LogShape::default();
-        }
         // `fork()` left the barrier exactly here (barrier ≤ history length
         // always); seals and later forks since then are being undone.
         *self.fuse_barrier.get_mut() = fork.fork_base;
@@ -1058,46 +982,6 @@ mod tests {
             stats.applied_ops, 0,
             "duplicate delete collapses to nothing"
         );
-    }
-
-    #[test]
-    fn log_shape_cache_tracks_pushes() {
-        let mut v = V::new(ct(vec![1, 2, 3]));
-        assert!(v.log_shape().insert_only(), "empty log is the identity");
-        v.record(ListOp::Insert(3, 4)).unwrap();
-        assert_eq!(v.log_shape(), LogShape::InsertOnly);
-        v.record(ListOp::Delete(0)).unwrap();
-        assert_eq!(v.log_shape(), LogShape::Mixed);
-        v.record(ListOp::Set(0, 9)).unwrap();
-        assert_eq!(v.log_shape(), LogShape::Foreign);
-        // Truncating the whole log resets to the identity.
-        assert!(v.truncate_prefix(v.history_len()) > 0);
-        assert_eq!(v.log_shape(), LogShape::InsertOnly);
-        // The cache agrees with the scan oracle after every push.
-        let mut w = V::new(ct(vec![1, 2, 3]));
-        for op in [
-            ListOp::Insert(0, 7),
-            ListOp::Insert(1, 8),
-            ListOp::Delete(2),
-            ListOp::Insert(0, 9),
-        ] {
-            w.record(op).unwrap();
-            let oracle = match sm_ot::compose::shape_of_log(w.log()) {
-                OpShape::Insert => LogShape::InsertOnly,
-                OpShape::SpanEdit => LogShape::Mixed,
-                OpShape::Foreign => LogShape::Foreign,
-            };
-            assert_eq!(w.log_shape(), oracle);
-        }
-    }
-
-    #[test]
-    fn log_shape_resets_when_annihilation_empties_the_log() {
-        let mut v = V::new(ct(vec![1, 2]));
-        v.record(ListOp::Insert(1, 9)).unwrap();
-        v.record(ListOp::Delete(1)).unwrap();
-        assert_eq!(v.pending_ops(), 0);
-        assert!(v.log_shape().insert_only());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A second evaluation workload: **collaborative document editing**.
 //!
 //! The network simulator (§III) stresses queues; this workload stresses the
-//! text algebra and the chunked [`Rope`](sm_ot::state::Rope) state backend
+//! text algebra and the chunked `Rope` state backend
 //! behind [`MText`]. A crew of editor tasks forks one shared document; each
 //! round every editor makes a burst of scattered edits (position derived
 //! from a per-editor LCG stream, so runs are reproducible without a RNG

@@ -47,8 +47,8 @@ pub enum Routing {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// How Spawn & Merge forks copy the shared state.
-    /// [`CopyMode::CopyOnWrite`] is this implementation's optimized
-    /// default; [`CopyMode::Deep`] reproduces the paper's unoptimized
+    /// [`CopyOnWrite`](sm_mergeable::CopyMode::CopyOnWrite) is this implementation's optimized
+    /// default; [`Deep`](sm_mergeable::CopyMode::Deep) reproduces the paper's unoptimized
     /// prototype, whose eager copies caused the constant ~400 ms overhead.
     /// Ignored by the conventional setups.
     pub copy_mode: sm_mergeable::CopyMode,

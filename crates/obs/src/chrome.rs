@@ -187,20 +187,16 @@ impl ChromeTracer {
                 }
                 EventKind::MergeStaged {
                     children,
-                    lane,
                     delta_lanes,
                     serial_lanes,
-                    chunks,
                 } => {
                     let mut ev = instant(PID_TASKS, tid, &format!("merge staged ×{children}"), ts);
                     ev.set(
                         "args",
                         Json::obj([
                             ("children", Json::from(*children)),
-                            ("merge_stage_lane", Json::Str(lane.to_string())),
                             ("delta_lanes", Json::from(*delta_lanes)),
                             ("serial_lanes", Json::from(*serial_lanes)),
-                            ("chunks", Json::from(*chunks)),
                         ]),
                     );
                     out.push(ev);

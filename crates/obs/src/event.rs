@@ -174,23 +174,18 @@ pub enum EventKind {
     /// The merge of `child` was rejected or the child was aborted at the
     /// merge point; no operations were applied.
     MergeRejected { child: TaskPath },
-    /// `task` pre-rebased a batch of sibling deltas on the pool before
-    /// the creation-order fold committed them. Purely observational:
-    /// the committed result is bit-identical to the sequential fold, so
-    /// this event is excluded from determinism digests.
+    /// `task` staged a batch of ready children: its creation-order fold
+    /// rebases them against an incrementally grown composite of what it
+    /// committed since their fork. Purely observational: the committed
+    /// result is bit-identical to the sequential fold, so this event is
+    /// excluded from determinism digests.
     MergeStaged {
         /// Children covered by this staged batch.
         children: usize,
-        /// What the batch looked like: `"insert-only"`, `"mixed"`
-        /// (deletes somewhere), or `"conditional"` (speculative, either
-        /// shape).
-        lane: &'static str,
         /// Leaves staged on the delta (span-set) plan.
         delta_lanes: usize,
         /// Composite fields with no stage, merged inline at commit.
         serial_lanes: usize,
-        /// Fold chunks staged concurrently.
-        chunks: usize,
     },
     /// `task` called sync and is now blocked waiting for its parent.
     SyncBlocked,

@@ -245,16 +245,12 @@ fn event_detail(kind: &EventKind) -> Option<Json> {
         ]),
         EventKind::MergeStaged {
             children,
-            lane,
             delta_lanes,
             serial_lanes,
-            chunks,
         } => Json::obj([
             ("children", Json::from(*children)),
-            ("merge_stage_lane", Json::Str(lane.to_string())),
             ("delta_lanes", Json::from(*delta_lanes)),
             ("serial_lanes", Json::from(*serial_lanes)),
-            ("chunks", Json::from(*chunks)),
         ]),
         EventKind::SyncResumed {
             blocked_nanos,

@@ -2,7 +2,7 @@
 //!
 //! The offline dependency set has no `serde_json`, so the exporters in
 //! this crate build [`Json`] values directly and render them with
-//! [`Json::to_string`]; [`parse`] exists so tests (and the tracing
+//! `Json::to_string`; [`parse`] exists so tests (and the tracing
 //! example) can round-trip exported documents through a real parser and
 //! assert structure, which is the acceptance bar for the Chrome trace.
 //!

@@ -261,7 +261,7 @@ pub struct MetricsSnapshot {
     pub merges_started: u64,
     pub merges_finished: u64,
     pub merges_rejected: u64,
-    /// Staged merge batches (pre-rebased on the pool).
+    /// Staged merge batches.
     pub merges_staged: u64,
     /// Children covered by staged batches.
     pub merge_staged_children: u64,

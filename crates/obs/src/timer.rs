@@ -58,8 +58,8 @@ pub enum Phase {
     /// Full distributed round-trip: spawn shipped to a node until its
     /// Done merged back on the coordinator.
     WireRoundtrip,
-    /// The staged parallel merge: pre-rebasing a batch of sibling
-    /// deltas on the pool before the creation-order fold commits them.
+    /// One staged `merge_all` batch: staging it and folding its children
+    /// in creation order against the incrementally grown composite.
     MergeParallel,
     /// Session-server shard dispatch: decoding a client command, the
     /// commit rebase, and the broadcast fan-out for one message.

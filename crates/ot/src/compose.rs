@@ -105,36 +105,6 @@ pub fn compact_cow<O: Compose + Clone>(ops: &[O]) -> Cow<'_, [O]> {
     }
 }
 
-/// Join of [`Operation::shape`] over a whole log: the coarsest
-/// classification any member forces. `Insert`-only logs stay
-/// [`crate::OpShape::Insert`]; one span delete/overwrite lifts the log
-/// to [`crate::OpShape::SpanEdit`]; one span-inexpressible op makes it
-/// [`crate::OpShape::Foreign`]. `sm_mergeable::Versioned` maintains this
-/// join incrementally on push; this scan form is the oracle its cache is
-/// checked against in tests, and the fallback for callers holding a
-/// bare slice.
-///
-/// Fusion can only keep or lower a member's shape (inserts fuse to
-/// insert runs, deletes to delete ranges, insert/delete pairs
-/// annihilate; no fusion rule produces a `Set`-like op from span ops),
-/// so a push-time join remains a sound — merely conservative — upper
-/// bound for the compacted log.
-pub fn shape_of_log<O: Operation>(ops: &[O]) -> crate::OpShape {
-    let mut shape = crate::OpShape::Insert;
-    for op in ops {
-        shape = match (shape, op.shape()) {
-            (_, crate::OpShape::Foreign) | (crate::OpShape::Foreign, _) => {
-                return crate::OpShape::Foreign
-            }
-            (crate::OpShape::SpanEdit, _) | (_, crate::OpShape::SpanEdit) => {
-                crate::OpShape::SpanEdit
-            }
-            (crate::OpShape::Insert, crate::OpShape::Insert) => crate::OpShape::Insert,
-        };
-    }
-    shape
-}
-
 /// List-log compaction. Historically this added the insert/delete
 /// cancellation pass on top of [`compact`]; cancellation now lives in the
 /// algebra ([`Operation::annihilates`]), so this is plain [`compact`] —

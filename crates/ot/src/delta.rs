@@ -12,9 +12,9 @@
 //! merge-style sweep, O(m+n) in the number of spans regardless of scatter.
 //! This is the changeset/delta treatment used by collaborative editors
 //! (cf. the TP1 batch-transform formulation), specialized to the
-//! Spawn & Merge rebase: the committed side always has [`Side::Left`]
-//! insert-tie priority, reproducing the pairwise transform's deterministic
-//! bias.
+//! Spawn & Merge rebase: the committed side always has
+//! [`Side::Left`](crate::Side::Left) insert-tie priority, reproducing the
+//! pairwise transform's deterministic bias.
 //!
 //! # Normal form
 //!
@@ -396,12 +396,12 @@ impl<P: DeltaPayload> Delta<P> {
     /// Compose one position-addressed edit (in this delta's *output*
     /// coordinates) into `self`, in place. Semantically identical to
     /// `self.compose_biased(&Delta::from_op_span(op), bias)` but moves
-    /// the existing spans instead of re-cloning them level by level —
-    /// insert payloads are only cloned at genuine split points. This is
-    /// the fold step of [`from_ops_biased`]; a full log folds in
-    /// O(k · s) span *moves* (k ops, s spans) with no payload churn,
-    /// which in practice beats the O(k log k) balanced compose tree that
-    /// re-allocates every payload at every level.
+    /// the spans behind the edit instead of re-cloning all of them level
+    /// by level — insert payloads are only cloned at genuine split
+    /// points. This is the fold step of [`from_ops_biased`]; a full log
+    /// folds in at most O(k · s) span *moves* (k ops, s spans) with no
+    /// payload churn, which in practice beats the O(k log k) balanced
+    /// compose tree that re-allocates every payload at every level.
     fn compose_op(&mut self, op: OpSpan<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
         let (mut skip, edit) = match op {
             OpSpan::Insert { pos, payload } => (pos, Ok(payload)),
@@ -426,17 +426,14 @@ impl<P: DeltaPayload> Delta<P> {
                 break;
             }
         }
-        // Ping-pong with the caller's scratch buffer instead of
-        // allocating: the old spans drain out of `scratch`, the new ones
-        // build in `self.spans`, and both capacities persist across the
-        // whole fold.
-        std::mem::swap(&mut self.spans, scratch);
-        self.spans.clear();
-        self.spans.reserve(scratch.len() + 2);
+        // The untouched prefix `[0, cut)` stays where it is: only the
+        // suffix moves, out into the caller's scratch buffer (whose
+        // capacity persists across the whole fold) and back in behind
+        // the edit. An op that lands at the end of the delta — a log in
+        // ascending position order — moves nothing.
+        scratch.clear();
+        scratch.extend(self.spans.drain(cut..));
         let mut it = scratch.drain(..);
-        // Bulk-move the untouched prefix (already normalized, nothing to
-        // coalesce against an empty vec).
-        self.spans.extend(it.by_ref().take(cut));
         // Remainder of a span split by the edit position, to be consumed
         // before the iterator resumes.
         let mut pending: Option<Span<P>> = None;
@@ -804,7 +801,7 @@ impl<'a, P: DeltaPayload> Cursor<'a, P> {
 
 /// Fold a sequentially-applied operation log into one base-coordinate
 /// delta, splicing each op into the accumulator in place
-/// ([`Delta::compose_op`]) — O(k · s) span moves for k operations and s
+/// (`Delta::compose_op`) — O(k · s) span moves for k operations and s
 /// resulting spans, with insert payloads cloned only at split points.
 /// Ambiguous gap inserts anchor with the committed-side
 /// [`GapBias::Start`]; use [`from_ops_biased`] to fold an incoming-side
@@ -832,11 +829,10 @@ pub fn from_ops_biased<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::
 /// fold each segment independently with [`from_ops_biased`], and fuse the
 /// segment composites left-to-right with [`Delta::compose_biased`] under
 /// the same bias. Because composition under a fixed bias is associative,
-/// the result equals the straight [`from_ops_biased`] fold — but the
-/// per-segment folds are independent, so a caller with idle workers can
-/// run them concurrently and fuse in order (the staged merge engine's
-/// huge-child lane does exactly that; this sequential form is its
-/// oracle in differential tests).
+/// the result equals the straight [`from_ops_biased`] fold — but a fold
+/// costs O(k · s) in ops × resulting spans, so short segments fused in
+/// order are cheaper than one straight pass over a huge log (the staged
+/// merge engine folds its huge logs this way).
 ///
 /// Returns `None` when any operation is not span-expressible.
 pub fn from_ops_chunked<O: DeltaOp>(

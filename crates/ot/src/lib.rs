@@ -159,28 +159,6 @@ impl fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-/// Coarse classification of a single operation for merge-lane routing.
-///
-/// The staged `merge_all` engine picks a fold lane per batch: logs made
-/// entirely of inserts can skip the order-sensitivity screen, logs of
-/// span-expressible edits (inserts, deletes, sets) ride the delta lane
-/// behind the screen, and anything a sorted span-set cannot express
-/// falls back to serial replay. [`Operation::shape`] lets the log cache
-/// that classification incrementally on push instead of rescanning
-/// every child log on every `merge_all` (see `sm_mergeable::LogShape`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpShape {
-    /// A pure insertion — expressible as a span and never able to fire
-    /// the delete-gap order-sensitivity screen on its own.
-    Insert,
-    /// A span-expressible edit that is not a pure insertion (delete,
-    /// overwrite): delta-foldable, but pairs containing it must pass
-    /// the order-sensitivity screen.
-    SpanEdit,
-    /// Not expressible as a span; a log holding one is never staged.
-    Foreign,
-}
-
 /// An operation in an OT algebra: applicable to a state, transformable
 /// against a concurrent operation of the same algebra.
 pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
@@ -239,16 +217,6 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     ) -> Option<(Vec<Self>, delta::DeltaStats)> {
         let _ = (incoming, committed);
         None
-    }
-
-    /// Classify this operation for merge-lane routing (see [`OpShape`]).
-    ///
-    /// The default, [`OpShape::Foreign`], is always safe: it only costs
-    /// the fast lane, never correctness. Sequence algebras override it
-    /// with a cheap discriminant match — the classification runs on the
-    /// record-time push path, so it must not clone payloads.
-    fn shape(&self) -> OpShape {
-        OpShape::Foreign
     }
 }
 

@@ -378,7 +378,7 @@ impl FreeSlots {
 /// or above some window start `s`; the prefix `[0, s)` is untouched, so
 /// the final content is a deterministic interleaving of the base window
 /// with the inserted values. Each inserted element's *final* slot is
-/// computed by processing ops in reverse against a [`FreeSlots`] index
+/// computed by processing ops in reverse against a `FreeSlots` index
 /// (the op applied last sees no later inserts, so its position indexes
 /// the free slots directly; marking its slots taken re-creates the doc
 /// the previous op saw — and a run's trailing units occupy the free slots
@@ -465,7 +465,7 @@ pub fn apply_batch<T: Element>(ops: &[ListOp<T>], state: &mut ChunkTree<T>) -> b
 /// bounds-validated (see [`apply_batch`] steps 1–2).
 ///
 /// Each inserted unit's final slot is computed by processing ops in
-/// reverse against a [`FreeSlots`] index: the op applied last sees no
+/// reverse against a `FreeSlots` index: the op applied last sees no
 /// later inserts, so its position indexes the free slots directly, and
 /// marking its slots taken re-creates the document the previous op saw.
 /// Taking a slot shifts a run's remaining units down one rank each, so
@@ -815,15 +815,6 @@ impl<T: Element> Operation for ListOp<T> {
         committed: &[Self],
     ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
         crate::delta::rebase_delta(incoming, committed)
-    }
-
-    fn shape(&self) -> crate::OpShape {
-        match self {
-            ListOp::Insert(..) | ListOp::InsertRun(..) => crate::OpShape::Insert,
-            ListOp::Delete(..) | ListOp::DeleteRange(..) => crate::OpShape::SpanEdit,
-            // `Set` is span-inexpressible (see `to_span`): grid only.
-            ListOp::Set(..) => crate::OpShape::Foreign,
-        }
     }
 }
 

@@ -326,13 +326,6 @@ impl Operation for TextOp {
     ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
         crate::delta::rebase_delta(incoming, committed)
     }
-
-    fn shape(&self) -> crate::OpShape {
-        match self {
-            TextOp::Insert { .. } => crate::OpShape::Insert,
-            TextOp::Delete { .. } => crate::OpShape::SpanEdit,
-        }
-    }
 }
 
 impl DeltaOp for TextOp {

@@ -43,7 +43,7 @@
 //!
 //! **Back-pressure.** All server→client traffic goes through a bounded
 //! per-connection outbound queue with an ack window
-//! ([`ClientMsg::Ack`](sm_codec::session::ClientMsg::Ack)); a consumer
+//! ([`ClientMsg::Ack`]); a consumer
 //! that stops acking first queues, then — past the cap — is disconnected
 //! (`SlowConsumerDropped`), never blocking a shard.
 //!

@@ -348,7 +348,7 @@ impl Strategy for &str {
 pub mod collection {
     use super::*;
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: Range<usize>,

@@ -16,7 +16,7 @@
 //! produced at the commit point, so recovery replays them through the
 //! ordinary [`Persist::apply_log`](sm_mergeable::Persist::apply_log) OT
 //! path. The `chain` field is the per-child-path FNV-1a hash chain after
-//! folding in this record (see [`chain_update`]); a snapshot carries the
+//! folding in this record (see `chain_update`); a snapshot carries the
 //! whole chain map so the verification survives log truncation.
 
 use bytes::{Buf, BufMut};

@@ -1,8 +1,9 @@
-//! The merge-staging engine's contract: pre-rebasing sibling logs on the
-//! pool must be **observably indistinguishable** from the sequential
-//! creation-order fold — bit-identical final state and bit-identical
-//! `DeterminismAuditor` digest chains, with the full telemetry plane
-//! installed, regardless of lane count or pool warmth.
+//! The merge-staging engine's contract: rebasing a batch of siblings
+//! against an incrementally grown composite must be **observably
+//! indistinguishable** from the sequential creation-order fold —
+//! bit-identical final state and bit-identical `DeterminismAuditor`
+//! digest chains, with the full telemetry plane installed, whatever the
+//! batch holds (poisoning ops, dismissed children, huge logs).
 //!
 //! The sequential oracle is [`Seq`]: the same data behind a newtype that
 //! keeps the trait-default `stage_merge_all` (`None`), so the same
@@ -20,7 +21,6 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use spawn_merge::codec::DecodeError;
-use spawn_merge::mergeable::parallel::{Job, StageCtx};
 use spawn_merge::mergeable_struct;
 use spawn_merge::obs::{
     self, DeterminismAuditor, EventKind, FlightRecorder, Metrics, MetricsSnapshot, MultiRecorder,
@@ -143,8 +143,8 @@ impl<D: Mergeable> Host<D> for Seq<D> {
     }
 }
 
-/// One `MergeStaged` event: (lane tag, delta leaves, inline fields).
-type Staged = (&'static str, usize, usize);
+/// One `MergeStaged` event: (delta leaves, inline fields).
+type Staged = (usize, usize);
 
 /// What the telemetry plane saw of one run.
 struct Seen {
@@ -169,11 +169,10 @@ fn with_plane<T>(f: impl FnOnce() -> T) -> (T, Seen) {
         .into_iter()
         .filter_map(|e| match e.event.kind {
             EventKind::MergeStaged {
-                lane,
                 delta_lanes,
                 serial_lanes,
                 ..
-            } => Some((lane, delta_lanes, serial_lanes)),
+            } => Some((delta_lanes, serial_lanes)),
             _ => None,
         });
     let seen = Seen {
@@ -217,9 +216,9 @@ fn settle() {
     std::thread::sleep(Duration::from_millis(120));
 }
 
-/// One scripted child mutation. A `Set` is span-inexpressible: one in
-/// any child's log makes the whole batch decline, so scripts sweep the
-/// qualification gate as well as the staged plan.
+/// One scripted child mutation. A `Set` is span-inexpressible: the
+/// first child carrying one poisons the staged batch from there on, so
+/// scripts sweep the poison path as well as the staged plan.
 #[derive(Debug, Clone)]
 enum Cmd {
     Push(u8),
@@ -323,7 +322,7 @@ fn large_fanout_stages_and_matches_sequential_digest() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
-    assert_staged(&seen, ("insert-only", 1, 0));
+    assert_staged(&seen, (1, 0));
     assert!(
         seen.snap.merge_staged_children >= 8,
         "the staged batch must cover at least the threshold"
@@ -344,52 +343,56 @@ fn forked(parent: &mut MList<u32>, n: u32, edit: impl Fn(u32, &mut MList<u32>)) 
     kids
 }
 
-/// Fold `kids` into copies of `parent` by plain `merge` and through
-/// `stage_merge_all` under `ctx`: state, log and per-child stats must
-/// be equal.
-fn assert_stage_matches_merge(parent: &MList<u32>, kids: &[MList<u32>], ctx: &StageCtx) {
+/// Fold `kids` — all but those at the `skip` indices — into copies of
+/// `parent` by plain `merge` and through one `stage_merge_all` of the
+/// whole batch: state, log and per-child stats must be equal, with
+/// exactly the children from `poisoned_from` on counted as fallbacks.
+fn assert_stage_matches_merge(
+    parent: &MList<u32>,
+    kids: &[MList<u32>],
+    skip: &[usize],
+    poisoned_from: Option<usize>,
+) {
+    // No recorder installed: stats then carry no wall-clock nanos.
+    let _guard = serial();
+    let fed = || kids.iter().enumerate().filter(|(i, _)| !skip.contains(i));
     let mut want = parent.clone();
-    let want_stats: Vec<MergeStats> = kids.iter().map(|k| want.merge(k).unwrap()).collect();
+    let want_stats: Vec<MergeStats> = fed().map(|(_, k)| want.merge(k).unwrap()).collect();
 
     let mut got = parent.clone();
     let refs: Vec<&MList<u32>> = kids.iter().collect();
     let mut stage = got
-        .stage_merge_all(&refs, ctx)
+        .stage_merge_all(&refs)
         .expect("the batch qualifies for staging");
-    let stats: Vec<MergeStats> = (0..kids.len())
-        .map(|i| stage.commit(&mut got, &kids[i], i).unwrap())
+    let stats: Vec<MergeStats> = fed()
+        .map(|(i, k)| {
+            let mut stats = stage.commit(&mut got, k).unwrap();
+            let fell_back = poisoned_from.is_some_and(|p| i >= p);
+            assert_eq!(stats.screen_rejects, usize::from(fell_back), "child {i}");
+            stats.screen_rejects = 0;
+            stats
+        })
         .collect();
 
-    let what = format!("lanes={} split_min_ops={}", ctx.lanes, ctx.split_min_ops);
+    let what = format!("skip={skip:?} poisoned_from={poisoned_from:?}");
     assert_eq!(got.to_vec(), want.to_vec(), "{what}: state");
     assert_eq!(got.log(), want.log(), "{what}: runs");
     assert_eq!(stats, want_stats, "{what}: stats");
 }
 
-/// A staging context whose jobs really run concurrently.
-fn threaded(lanes: usize, split_min_ops: usize) -> StageCtx {
-    StageCtx {
-        exec: Arc::new(|job: Job| drop(std::thread::spawn(job))),
-        lanes,
-        split_min_ops,
-        ..StageCtx::inline()
-    }
-}
-
-/// Merge determinism under worker-count variation: the same program on
-/// pools of different warmth must produce the oracle's digest chain, and
-/// the same batch staged with 1, 2, 3 and 8 lanes must produce the
-/// `merge` fold's state, log and stats.
+/// Merge determinism under pool warmth: the same program on pools of
+/// different warmth must produce the oracle's digest chain — and staging
+/// itself submits no pool job, so the pool runs exactly the child tasks.
 #[test]
-fn digest_is_identical_across_lanes_and_pool_warmth() {
+fn digest_is_identical_across_pool_warmth() {
     type Data = (MList<u8>, MCounter);
-    fn program<W: Host<Data>>(warm: usize) -> (Vec<u8>, i64) {
+    fn program<W: Host<Data>>(warm: usize) -> (Vec<u8>, i64, u64) {
         let pool = Pool::new();
         for _ in 0..warm {
             pool.execute(|| {});
         }
         let init = W::host((MList::new(), MCounter::new(0)));
-        let (data, ()) = run_with_pool(init, pool, |ctx| {
+        let (data, ()) = run_with_pool(init, pool.clone(), |ctx| {
             for i in 0..12u8 {
                 ctx.spawn(move |c| {
                     c.data_mut().d_mut().0.push(i);
@@ -401,23 +404,45 @@ fn digest_is_identical_across_lanes_and_pool_warmth() {
             ctx.data_mut().d_mut().0.push(u8::MAX);
             ctx.merge_all();
         });
-        (data.d().0.to_vec(), data.d().1.get())
+        let child_jobs = pool.stats().jobs_executed - warm as u64;
+        (data.d().0.to_vec(), data.d().1.get(), child_jobs)
     }
     let _guard = serial();
     for warm in [0, 16] {
-        let (_, seen) = assert_matches_seq(|| program::<Seq<Data>>(0), || program::<Data>(warm));
-        assert_staged(&seen, ("insert-only", 1, 1));
+        let ((_, _, child_jobs), seen) =
+            assert_matches_seq(|| program::<Seq<Data>>(0), || program::<Data>(warm));
+        assert_staged(&seen, (1, 1));
+        assert_eq!(child_jobs, 12, "staging submits no pool job");
     }
+}
 
-    let mut parent = MList::from_iter(0..16u32);
-    let kids = forked(&mut parent, 12, |i, kid| {
-        kid.insert(i as usize, 100 + i);
-        if i % 3 == 0 {
-            kid.remove(i as usize + 2);
-        }
-    });
-    for lanes in [1, 2, 3, 8] {
-        assert_stage_matches_merge(&parent, &kids, &threaded(lanes, usize::MAX));
+/// Seam level, twelve children against the `merge` fold of the same
+/// children: the whole mixed batch; child `k` carrying a
+/// span-inexpressible `Set` at the first, a middle and the last position
+/// (the prefix commits through the composite, `k` and the suffix through
+/// plain `merge`); and children 3 and 7 never fed — what a merge
+/// condition's dismissal amounts to, and the composite must stay exact.
+#[test]
+fn stage_commits_match_the_merge_fold_at_the_seam() {
+    let cases: [(Option<u32>, &[usize]); 5] = [
+        (None, &[]),
+        (Some(0), &[]),
+        (Some(5), &[]),
+        (Some(11), &[]),
+        (None, &[3, 7]),
+    ];
+    for (set_at, skip) in cases {
+        let mut parent = MList::from_iter(0..16u32);
+        let kids = forked(&mut parent, 12, |i, kid| {
+            kid.insert(i as usize, 100 + i);
+            if i % 3 == 0 {
+                kid.remove(i as usize + 2);
+            }
+            if set_at == Some(i) {
+                kid.set(0, 7777);
+            }
+        });
+        assert_stage_matches_merge(&parent, &kids, skip, set_at.map(|k| k as usize));
     }
 }
 
@@ -472,8 +497,7 @@ fn mixed_delete_fanout_stages_and_matches_sequential_digest() {
                         let at = ((i * 7 + j * 13) as usize) % (list.len() + 1);
                         list.insert(at, i * 100 + j);
                     }
-                    // Every third child also deletes, making its log
-                    // shape Mixed rather than InsertOnly.
+                    // Every third child also deletes.
                     if i % 3 == 0 {
                         list.remove((i as usize * 5) % list.len());
                     }
@@ -488,7 +512,7 @@ fn mixed_delete_fanout_stages_and_matches_sequential_digest() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
-    assert_staged(&seen, ("mixed", 1, 0));
+    assert_staged(&seen, (1, 0));
 }
 
 /// The runtime mirror of the order-sensitivity fixture in `sm_ot::delta`
@@ -538,19 +562,18 @@ fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MText>>, program::<MText>);
-    assert_staged(&seen, ("mixed", 1, 0));
+    assert_staged(&seen, (1, 0));
     assert_eq!(
         seen.snap.rebase_screen_rejects_total, 7,
-        "the order-sensitive child and the suffix behind it fall back through the poison protocol"
+        "the order-sensitive child and the suffix behind it fall back to plain merge"
     );
 }
 
-/// Conditional `merge_all_with` batches stage speculatively; dismissed
-/// children roll the speculation back (drop the stage, re-stage the
-/// remainder) and the committed outcome — state, rejected set, and
-/// digest chain — is exactly the sequential one.
+/// A conditional `merge_all_with` batch stages once: dismissed children
+/// are simply not fed to the stage, and the committed outcome — state,
+/// rejected set, and digest chain — is exactly the sequential one.
 #[test]
-fn conditional_merge_all_stages_speculatively_and_matches_sequential() {
+fn conditional_merge_all_stages_once_and_matches_sequential() {
     fn program<W: Host<MList<u32>>>() -> (Vec<u32>, usize) {
         let (list, report) = run(W::host(MList::from_iter([1u32, 2, 3])), |ctx| {
             for i in 0..24u32 {
@@ -564,8 +587,7 @@ fn conditional_merge_all_stages_speculatively_and_matches_sequential() {
             settle();
             ctx.data_mut().d_mut().push(500);
             // Deterministic on the child's own data: rejects roughly a
-            // third of the children, scattered through the batch, so
-            // staging must survive several rollback/re-stage rounds.
+            // third of the children, scattered through the batch.
             ctx.merge_all_with(&|d: &W| d.d().to_vec().iter().sum::<u32>() % 3 != 0)
         });
         (list.d().to_vec(), report.merged_count())
@@ -576,10 +598,10 @@ fn conditional_merge_all_stages_speculatively_and_matches_sequential() {
         merged < 24,
         "the condition must actually reject some children for this test to bite"
     );
-    assert!(
-        seen.staged.len() >= 2 && seen.staged.iter().all(|s| s.0 == "conditional"),
-        "a conditional merge_all must stage speculatively and re-stage after a rejection: {:?}",
-        seen.staged
+    assert_eq!(
+        seen.staged,
+        vec![(1, 0)],
+        "dismissals must not re-stage the batch"
     );
 }
 
@@ -647,7 +669,7 @@ fn staged_merge_coexists_with_store_sink_and_recovers() {
         || program::<Seq<MList<u32>>>("seq"),
         || program::<MList<u32>>("par"),
     );
-    assert_staged(&seen, ("mixed", 1, 0));
+    assert_staged(&seen, (1, 0));
 }
 
 mergeable_struct! {
@@ -753,7 +775,7 @@ fn composite_stages_the_list_and_commits_other_fields_inline_under_a_sink() {
     );
     assert_eq!(
         seen.staged,
-        vec![("insert-only", 1, 2)],
+        vec![(1, 2)],
         "one delta leaf, two inline fields"
     );
 }
@@ -785,14 +807,12 @@ fn all_declining_composite_emits_no_merge_staged() {
     assert_eq!(seen.staged, vec![], "nothing to stage");
 }
 
-/// One huge child log split across segment workers and fused in order
-/// must be indistinguishable from both the unsplit staged run and the
-/// sequential fold: through the runtime at its own threshold (state and
-/// digest against the oracle), and through the seam with a small
-/// `split_min_ops` (state, log and stats against the `merge` fold).
+/// One huge child log, folded in segments fused in order, must be
+/// indistinguishable from the sequential fold: state and digest against
+/// the oracle, through the runtime at the engine's own threshold.
 #[test]
-fn huge_child_split_fuse_matches_unsplit_and_sequential_digests() {
-    /// Past the runtime's 65 536-op split threshold.
+fn huge_child_segmented_fold_matches_sequential_digest() {
+    /// Past the engine's 65 536-op segmenting threshold.
     const HUGE: u32 = 70_000;
     fn program<W: Host<MList<u32>>>() -> Vec<u32> {
         let (list, ()) = run(W::host(MList::from_iter(0..8u32)), |ctx| {
@@ -831,19 +851,5 @@ fn huge_child_split_fuse_matches_unsplit_and_sequential_digests() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
-    assert_staged(&seen, ("mixed", 1, 0));
-
-    let mut parent = MList::from_iter(0..8u32);
-    let kids = forked(&mut parent, 4, |i, kid| {
-        for j in 0..1500u32 {
-            let at = ((i * 7 + j * 13) as usize) % (kid.len() + 1);
-            kid.insert(at, i * 10_000 + j);
-        }
-        if i % 2 == 0 {
-            kid.remove((i as usize * 11) % kid.len());
-        }
-    });
-    for split_min_ops in [usize::MAX, 256] {
-        assert_stage_matches_merge(&parent, &kids, &threaded(4, split_min_ops));
-    }
+    assert_staged(&seen, (1, 0));
 }
