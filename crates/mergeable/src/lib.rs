@@ -236,16 +236,24 @@ impl<M: Mergeable> Mergeable for Vec<M> {
         if children.iter().any(|c| c.len() != self.len()) {
             return None;
         }
-        let mut fields = stage::FieldStage::default();
+        // One projection buffer for every element, and no stage slot
+        // until an element stages: a batch no element stages costs
+        // nothing per element.
+        let mut kids: Vec<&M> = Vec::with_capacity(children.len());
+        let mut stages = Vec::new();
         for (idx, elem) in self.iter().enumerate() {
-            let kids: Vec<&M> = children.iter().map(|c| &c[idx]).collect();
-            fields.field(
-                move |d: &Self| &d[idx],
-                move |d: &mut Self| &mut d[idx],
-                elem.stage_merge_all(&kids),
-            );
+            kids.clear();
+            kids.extend(children.iter().map(|c| &c[idx]));
+            if let Some(stage) = elem.stage_merge_all(&kids) {
+                stages.resize_with(idx, || None);
+                stages.push(Some(stage));
+            }
         }
-        fields.finish()
+        if stages.is_empty() {
+            return None;
+        }
+        stages.resize_with(self.len(), || None);
+        Some(Box::new(stage::VecStage::new(stages)))
     }
 }
 
@@ -286,19 +294,22 @@ macro_rules! impl_mergeable_tuple {
                 &self,
                 children: &[&Self],
             ) -> Option<Box<dyn stage::StagedCommit<Self>>> {
-                let mut fields = stage::FieldStage::default();
+                // Ask every field first: a batch no field stages builds
+                // no commit closures.
                 $(
-                    {
+                    #[allow(non_snake_case)]
+                    let $name = {
                         let kids: Vec<&$name> =
                             children.iter().map(|c| &c.$idx).collect();
-                        fields.field(
-                            |d: &Self| &d.$idx,
-                            |d: &mut Self| &mut d.$idx,
-                            self.$idx.stage_merge_all(&kids),
-                        );
-                    }
+                        self.$idx.stage_merge_all(&kids)
+                    };
                 )+
-                fields.finish()
+                if true $( && $name.is_none() )+ {
+                    return None;
+                }
+                let mut fields = stage::FieldStage::default();
+                $( fields.field(|d: &Self| &d.$idx, |d: &mut Self| &mut d.$idx, $name); )+
+                Some(Box::new(fields))
             }
         }
     };
@@ -390,19 +401,27 @@ macro_rules! mergeable_struct {
             ) -> ::std::option::Option<
                 ::std::boxed::Box<dyn $crate::stage::StagedCommit<Self>>,
             > {
-                let mut fields = $crate::stage::FieldStage::default();
+                // Ask every field first: a batch no field stages builds
+                // no commit closures.
                 $(
-                    {
+                    let $field = {
                         let kids: ::std::vec::Vec<&$fty> =
                             children.iter().map(|c| &c.$field).collect();
-                        fields.field(
-                            |d: &Self| &d.$field,
-                            |d: &mut Self| &mut d.$field,
-                            $crate::Mergeable::stage_merge_all(&self.$field, &kids),
-                        );
-                    }
+                        $crate::Mergeable::stage_merge_all(&self.$field, &kids)
+                    };
                 )+
-                fields.finish()
+                if true $( && $field.is_none() )+ {
+                    return ::std::option::Option::None;
+                }
+                let mut fields = $crate::stage::FieldStage::default();
+                $(
+                    fields.field(
+                        |d: &Self| &d.$field,
+                        |d: &mut Self| &mut d.$field,
+                        $field,
+                    );
+                )+
+                ::std::option::Option::Some(::std::boxed::Box::new(fields))
             }
         }
     };

@@ -13,28 +13,42 @@
 //! # Stage, commit, poison, dismissal
 //!
 //! **Stage** (`stage_versioned_delta`): a sequence log stages when every
-//! child of the batch has a non-empty log, all share one fork base inside
-//! the parent's retained history, and the parent committed something
-//! since that fork. The committed slice folds **once** into a normalized
-//! span-set delta over the fork-base coordinates — the *composite*.
-//! Everything else — other algebras, a span-inexpressible committed
-//! slice, mixed fork bases, an idle parent — has no stage (`None`): the
-//! caller folds it with plain [`Mergeable::merge`], and a composite whose
-//! every field declines has no stage either.
+//! child of the batch shares one fork base inside the parent's retained
+//! history (its end included: an idle parent, the paper's *spawn, let the
+//! children work, `MergeAll`*). What the parent committed since that fork
+//! — possibly nothing — folds **once** into a normalized span-set delta
+//! over the fork-base coordinates: the *composite*. Everything else —
+//! other algebras, a span-inexpressible committed slice, mixed fork bases
+//! — has no stage (`None`): the caller folds it with plain
+//! [`Mergeable::merge`], and a composite none of whose fields stage has
+//! no stage either.
 //!
 //! **Commit** performs the delta steps of the sequential kernel
 //! ([`sm_ot::delta::rebase_delta`]) against the composite instead of a
 //! refold of the whole committed log: fold the child's log, screen with
-//! [`Delta::rebase_is_order_sensitive`], transform, commit the rebased
-//! run (`Versioned::commit_staged`), compose it into the composite. That
-//! one substitution is what collapses the sequential fold's O(n³) total
-//! work at high fan-out. The commit re-derives every field the
-//! determinism auditor hashes (`child_ops`, `applied_ops`,
+//! [`Delta::rebase_is_order_sensitive`], transform the incoming side only
+//! ([`Delta::transform_incoming`], a sweep that ends with the child's
+//! delta and allocates nothing for the committed side), commit the
+//! rebased run (`Versioned::commit_staged`), and compose it into the
+//! composite in place ([`Delta::compose_in_place`]: the composite before
+//! the run's first edit is scanned, not rebuilt). A commit costs what the
+//! child holds plus one scan, and that is what collapses the sequential
+//! fold's O(n³) total work at high fan-out. The commit re-derives every
+//! field the determinism auditor hashes (`child_ops`, `applied_ops`,
 //! `committed_ops`, the post-fusion `oplog_len`) from the live parent
 //! log, so the observable event stream cannot diverge from the sequential
 //! schedule by construction — and debug builds recompute the sequential
 //! rebase at every commit and assert the staged run matches operation for
 //! operation.
+//!
+//! An **identity member** — a child with an empty log, or any child while
+//! the committed slice is still empty — is the kernel's O(1) trivial
+//! merge and goes through plain `merge`, un-poisoned, so its stats are the
+//! sequential ones by construction. When the slice *was* empty, the
+//! composite is then folded from what that merge appended to the parent's
+//! log — the compacted, fused run the next sequential rebase would fold,
+//! not the child's raw log — and a span-inexpressible op in it poisons
+//! the rest of the batch.
 //!
 //! **Poison** is a local flag. A child whose fold meets a
 //! span-inexpressible op, or whose delta fires the order-sensitivity
@@ -51,11 +65,13 @@
 //!
 //! # Huge logs
 //!
-//! A log of `SEGMENT_MIN_OPS` (65 536) ops or more folds in segments of
+//! A log of `SEGMENT_MIN_OPS` (4 096) ops or more folds in segments of
 //! the square root of that ([`from_ops_chunked`]): a fold is O(k · s) in
 //! ops × resulting spans, so short segment folds fused in order cost a
-//! fraction of one straight fold, and the result is equal because
-//! composition under a fixed [`GapBias`] is associative.
+//! fraction of one straight fold — measured, from 4 096 ops up segmenting
+//! never loses, and on tail-scattered logs it wins an order of magnitude
+//! — and the result is equal because composition under a fixed
+//! [`GapBias`] is associative.
 
 use std::time::Instant;
 
@@ -67,7 +83,7 @@ use crate::{MergeError, MergeStats, Mergeable, Versioned};
 /// Op count from which one log folds in segments. A segment is the
 /// square root of this long: folding k ops in segments of c costs about
 /// k·c in the folds plus (k/c)·s in fusing s spans, least at c = √s ≤ √k.
-const SEGMENT_MIN_OPS: usize = 65_536;
+const SEGMENT_MIN_OPS: usize = 4_096;
 
 /// Fold one log into a base-coordinate delta; `None` when an op is not
 /// span-expressible.
@@ -122,6 +138,57 @@ struct StagedLeaf<O: DeltaOp, G, H> {
     poisoned: bool,
 }
 
+impl<O: DeltaOp, G, H> StagedLeaf<O, G, H> {
+    /// Commit `child` against the composite; `None` when the child must
+    /// go to the plain kernel and take the rest of the batch with it.
+    fn commit_on_composite(
+        &mut self,
+        parent: &mut Versioned<O>,
+        child: &Versioned<O>,
+    ) -> Option<Result<MergeStats, MergeError>> {
+        // An identity member is the kernel's O(1) trivial merge. The test
+        // is on the live slice, not on the composite: an insert-then-
+        // delete slice composes to the identity and the kernel still
+        // rebases over it on the delta path.
+        let fork_base = child.fork_base();
+        let slice_was_empty = parent.history_len() == fork_base;
+        if slice_was_empty || child.log().is_empty() {
+            let stats = parent.merge(child);
+            if slice_was_empty && stats.is_ok() {
+                // What that merge appended — the compacted, fused log the
+                // next sequential rebase would fold, not the child's raw
+                // log — is the whole committed slice now.
+                let slice = &parent.log()[fork_base - parent.log_start()..];
+                match fold(slice, GapBias::Start) {
+                    Some(composite) => self.composite = composite,
+                    None => self.poisoned = true,
+                }
+            }
+            return Some(stats);
+        }
+        // Clocks are read only while a recorder is installed, like the
+        // sequential path.
+        let timing = sm_obs::is_enabled();
+        let t0 = timing.then(Instant::now);
+        // The exact committed-vs-incoming screen the sequential kernel
+        // would run for this child.
+        let incoming = fold(child.log(), GapBias::End)
+            .filter(|d| !self.composite.rebase_is_order_sensitive(d))?;
+        let rebased = self.composite.transform_incoming(&incoming);
+        let pre = MergeStats {
+            delta_rebases: 1,
+            delta_spans: self.composite.span_count() + incoming.span_count(),
+            delta_nanos: t0.map_or(0, elapsed_nanos),
+            ..MergeStats::default()
+        };
+        self.composite.compose_in_place(&rebased, GapBias::Start);
+        let stats = parent.commit_staged(child, rebased.into_ops(), pre, timing);
+        // A run that failed to commit is in the composite all the same.
+        self.poisoned = stats.is_err();
+        Some(stats)
+    }
+}
+
 impl<D, O, G, H> StagedCommit<D> for StagedLeaf<O, G, H>
 where
     O: DeltaOp,
@@ -131,26 +198,8 @@ where
     fn commit(&mut self, parent: &mut D, child: &D) -> Result<MergeStats, MergeError> {
         let (parent, child) = ((self.get_mut)(parent), (self.get)(child));
         if !self.poisoned {
-            // Clocks are read only while a recorder is installed, like
-            // the sequential path.
-            let timing = sm_obs::is_enabled();
-            let t0 = timing.then(Instant::now);
-            // The exact committed-vs-incoming screen the sequential
-            // kernel would run for this child.
-            let incoming = fold(child.log(), GapBias::End)
-                .filter(|d| !self.composite.rebase_is_order_sensitive(d));
-            if let Some(incoming) = incoming {
-                let (_, rebased) = self.composite.transform(&incoming);
-                let pre = MergeStats {
-                    delta_rebases: 1,
-                    delta_spans: self.composite.span_count() + incoming.span_count(),
-                    delta_nanos: t0.map_or(0, elapsed_nanos),
-                    ..MergeStats::default()
-                };
-                let composite = self.composite.compose(&rebased);
-                let stats = parent.commit_staged(child, rebased.into_ops(), pre, timing)?;
-                self.composite = composite;
-                return Ok(stats);
+            if let Some(stats) = self.commit_on_composite(parent, child) {
+                return stats;
             }
             self.poisoned = true;
         }
@@ -188,14 +237,8 @@ where
     let parent = get(parent);
     let fork_base = get(children.first()?).fork_base();
     let lo = parent.log_start();
-    // A non-empty committed slice: the fork base lies strictly inside
-    // the parent's retained log.
-    let qualified = fork_base >= lo
-        && fork_base - lo < parent.log().len()
-        && children.iter().all(|c| {
-            let c = get(c);
-            c.fork_base() == fork_base && !c.log().is_empty()
-        });
+    let qualified = (lo..=parent.history_len()).contains(&fork_base)
+        && children.iter().all(|c| get(c).fork_base() == fork_base);
     if !qualified {
         return None;
     }
@@ -208,13 +251,53 @@ where
     }))
 }
 
+/// Element-wise composite over a `Vec<M>`: commits every element of one
+/// child, in order, through the element's own stage or — where it has
+/// none — by plain sequential `merge` inside the batch walk.
+pub(crate) struct VecStage<M> {
+    stages: Vec<Option<Box<dyn StagedCommit<M>>>>,
+    profile: StageProfile,
+}
+
+impl<M> VecStage<M> {
+    /// One entry per element: what its `stage_merge_all` returned for the
+    /// projected batch.
+    pub(crate) fn new(stages: Vec<Option<Box<dyn StagedCommit<M>>>>) -> Self {
+        let mut profile = StageProfile::default();
+        for stage in &stages {
+            match stage {
+                Some(stage) => profile += stage.profile(),
+                None => profile.inline_leaves += 1,
+            }
+        }
+        VecStage { stages, profile }
+    }
+}
+
+impl<M: Mergeable> StagedCommit<Vec<M>> for VecStage<M> {
+    fn commit(&mut self, parent: &mut Vec<M>, child: &Vec<M>) -> Result<MergeStats, MergeError> {
+        let mut stats = MergeStats::default();
+        for ((stage, p), c) in self.stages.iter_mut().zip(parent).zip(child) {
+            stats += match stage {
+                Some(stage) => stage.commit(p, c)?,
+                None => p.merge(c)?,
+            };
+        }
+        Ok(stats)
+    }
+
+    fn profile(&self) -> StageProfile {
+        self.profile
+    }
+}
+
 /// Commits one field of one child of the batch.
 type FieldCommit<D> = Box<dyn FnMut(&mut D, &D) -> Result<MergeStats, MergeError>>;
 
 /// Field-wise composite of per-field stages: commits every field of one
 /// child (in declaration order, summing stats) before moving on, exactly
-/// like the sequential field-wise merge. Built by the tuple, `Vec<M>`
-/// and [`mergeable_struct!`](crate::mergeable_struct) derives.
+/// like the sequential field-wise merge. Built by the tuple and
+/// [`mergeable_struct!`](crate::mergeable_struct) derives.
 pub struct FieldStage<D> {
     fields: Vec<FieldCommit<D>>,
     profile: StageProfile,
@@ -250,12 +333,6 @@ impl<D: 'static> FieldStage<D> {
                 Box::new(move |p: &mut D, c: &D| get_mut(p).merge(get(c)))
             }
         });
-    }
-
-    /// The composite stage — `None` when every field declined, so the
-    /// caller folds the batch sequentially with no staging overhead.
-    pub fn finish(self) -> Option<Box<dyn StagedCommit<D>>> {
-        (self.profile.delta_leaves > 0).then(|| Box::new(self) as Box<dyn StagedCommit<D>>)
     }
 }
 

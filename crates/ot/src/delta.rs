@@ -44,7 +44,7 @@
 //! [`from_ops`] composes a log of *sequentially applied* operations (each
 //! addressed against the document produced by its predecessors) into one
 //! delta addressed entirely against the **base** (fork-time) document.
-//! [`Delta::transform`] requires both deltas to share that base.
+//! [`Delta::transform_incoming`] requires both deltas to share that base.
 //! [`Delta::into_ops`] re-materializes sequential-application operations,
 //! one span op per run.
 //!
@@ -310,23 +310,134 @@ impl<P: DeltaPayload> Delta<P> {
         }
     }
 
-    /// Compose `self` (base → A) with `other` (A → B) into one delta
-    /// (base → B), resolving ambiguous gap inserts with the committed-side
-    /// [`GapBias::Start`]. Single linear sweep, O(m+n) spans.
-    pub fn compose(&self, other: &Delta<P>) -> Delta<P> {
-        self.compose_biased(other, GapBias::Start)
+    /// Index-scan to output position `pos` without moving anything:
+    /// returns `(cut, rest)` where spans `[0, cut)` end at or before the
+    /// position and `rest` output units of `spans[cut]` (or of the
+    /// implicit trailing retain) still lie before it. Deletes occupy no
+    /// output positions and pass through; when the position is reached at
+    /// a span boundary the scan stops *before* whatever span is adjacent
+    /// there, so the caller's sweep decides insert/delete adjacency.
+    fn scan_to(&self, pos: usize) -> (usize, usize) {
+        let (mut cut, mut rest) = (0, pos);
+        while cut < self.spans.len() && rest > 0 {
+            let out_len = match &self.spans[cut] {
+                Span::Delete(_) => 0,
+                span => span.len(),
+            };
+            if out_len > rest {
+                break;
+            }
+            rest -= out_len;
+            cut += 1;
+        }
+        (cut, rest)
     }
 
-    /// [`compose`](Self::compose) with an explicit [`GapBias`]: when a
-    /// `b`-insert coincides with an `a`-delete (the "delete, then insert
-    /// at the gap" factoring), `Start` emits the insert before the deleted
-    /// run and `End` after it. Extensionally equal; the adjacency order
-    /// they encode transforms differently (see the module docs).
+    /// Compose `self` (base → A) with `run` (A → B) into `self` (base →
+    /// B), in place. When a `run`-insert coincides with a `self`-delete
+    /// (the "delete, then insert at the gap" factoring), [`GapBias::Start`]
+    /// emits the insert before the deleted run and [`GapBias::End`] after
+    /// it: extensionally equal, but the adjacency order they encode
+    /// transforms differently (see the module docs).
+    ///
+    /// Everything `self` holds before `run`'s leading retain stays where
+    /// it is — an allocation-free index scan — and the sweep ends with
+    /// `run`: whatever of `self` lies behind the run's last edit moves
+    /// back unread. So the cost is the spans the run actually overlaps,
+    /// not the size of `self`, and a run past the end of `self` (a fold
+    /// in ascending position order) appends.
     ///
     /// Under a fixed bias composition is associative, which is what lets
     /// [`from_ops_chunked`] fold disjoint log segments independently and
     /// fuse the segment composites in order.
-    pub fn compose_biased(&self, other: &Delta<P>, bias: GapBias) -> Delta<P> {
+    pub fn compose_in_place(&mut self, run: &Delta<P>, bias: GapBias) {
+        let lead = match run.spans.first() {
+            Some(Span::Retain(n)) => *n,
+            _ => 0,
+        };
+        let (cut, rest) = self.scan_to(lead);
+        let suffix = self.spans.split_off(cut);
+        let mut a = Cursor::new(&suffix);
+        let mut b = Cursor::new(&run.spans);
+        // The part of the leading retain the untouched prefix covers.
+        if lead > rest {
+            b.take(lead - rest);
+        }
+        while let Some(sb) = b.peek() {
+            // Base units deleted by `a` were never seen by `b`; content
+            // inserted by `b` exists regardless of `a`. When both are
+            // current the bias picks which drains first.
+            let b_inserts = matches!(sb, Span::Insert { .. });
+            match a.peek() {
+                Some(Span::Delete(_)) if bias == GapBias::End || !b_inserts => {
+                    self.push(Span::Delete(a.take_all()));
+                }
+                _ if b_inserts => {
+                    let n = b.remaining();
+                    let (payload, len) = b.take_insert(n);
+                    self.push(Span::Insert { payload, len });
+                }
+                // `a` exhausted: implicit retain under the rest of `b`.
+                None => {
+                    let n = b.take_all();
+                    self.push(match sb {
+                        Span::Retain(_) => Span::Retain(n),
+                        _ => Span::Delete(n),
+                    });
+                }
+                Some(sa) => {
+                    let n = a.remaining().min(b.remaining());
+                    let deletes = matches!(sb, Span::Delete(_));
+                    b.take(n);
+                    match sa {
+                        Span::Retain(_) if deletes => {
+                            a.take(n);
+                            self.push(Span::Delete(n));
+                        }
+                        Span::Retain(_) => {
+                            a.take(n);
+                            self.push(Span::Retain(n));
+                        }
+                        // Inserted by `a`, deleted by `b`: annihilates.
+                        Span::Insert { .. } if deletes => a.take(n),
+                        Span::Insert { .. } => {
+                            let (payload, len) = a.take_insert(n);
+                            self.push(Span::Insert { payload, len });
+                        }
+                        Span::Delete(_) => unreachable!("a-deletes drained above"),
+                    }
+                }
+            }
+        }
+        // `run` is exhausted: the rest of `a` is unchanged. Finish the
+        // span the sweep stopped inside, let the next one coalesce with
+        // what was pushed last, and bulk-move what follows (already
+        // pairwise normalized).
+        let (idx, off) = (a.idx, a.off);
+        if off > 0 {
+            let n = a.remaining();
+            match &suffix[idx] {
+                Span::Retain(_) => self.push(Span::Retain(n)),
+                Span::Delete(_) => self.push(Span::Delete(n)),
+                Span::Insert { .. } => {
+                    let (payload, len) = a.take_insert(n);
+                    self.push(Span::Insert { payload, len });
+                }
+            }
+        }
+        let mut tail = suffix.into_iter().skip(idx + usize::from(off > 0));
+        if let Some(span) = tail.next() {
+            self.push(span);
+        }
+        self.spans.extend(tail);
+        self.trim();
+    }
+
+    /// By-value composition `self` (base → A) ∘ `other` (A → B): the
+    /// one-sweep definition [`Delta::compose_in_place`] and
+    /// [`Delta::compose_op`] are pinned against.
+    #[cfg(test)]
+    fn compose_biased(&self, other: &Delta<P>, bias: GapBias) -> Delta<P> {
         let mut a = Cursor::new(&self.spans);
         let mut b = Cursor::new(&other.spans);
         let mut out = Delta::identity();
@@ -395,7 +506,7 @@ impl<P: DeltaPayload> Delta<P> {
 
     /// Compose one position-addressed edit (in this delta's *output*
     /// coordinates) into `self`, in place. Semantically identical to
-    /// `self.compose_biased(&Delta::from_op_span(op), bias)` but moves
+    /// composing with the singleton delta of `op` under `bias`, but moves
     /// the spans behind the edit instead of re-cloning all of them level
     /// by level — insert payloads are only cloned at genuine split
     /// points. This is the fold step of [`from_ops_biased`]; a full log
@@ -403,29 +514,14 @@ impl<P: DeltaPayload> Delta<P> {
     /// payload churn, which in practice beats the O(k log k) balanced
     /// compose tree that re-allocates every payload at every level.
     fn compose_op(&mut self, op: OpSpan<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
-        let (mut skip, edit) = match op {
+        let (pos, edit) = match op {
             OpSpan::Insert { pos, payload } => (pos, Ok(payload)),
             OpSpan::Delete { pos, len } => (pos, Err(len)),
         };
-        // Index-scan to output position `pos` without moving anything:
-        // spans `[0, cut)` are untouched prefix. Deletes occupy no output
-        // positions and pass through; when the position is reached at a
-        // span boundary the scan stops *before* any adjacent delete, so
-        // the edit phases below see it.
-        let mut cut = 0;
-        while cut < self.spans.len() && skip > 0 {
-            let out_len = match &self.spans[cut] {
-                Span::Retain(n) => *n,
-                Span::Insert { len, .. } => *len,
-                Span::Delete(_) => 0,
-            };
-            if out_len <= skip {
-                skip -= out_len;
-                cut += 1;
-            } else {
-                break;
-            }
-        }
+        // Spans `[0, cut)` are untouched prefix; at a span boundary the
+        // scan stops before any adjacent delete, so the edit phases below
+        // see it.
+        let (cut, skip) = self.scan_to(pos);
         // The untouched prefix `[0, cut)` stays where it is: only the
         // suffix moves, out into the caller's scratch buffer (whose
         // capacity persists across the whole fold) and back in behind
@@ -524,15 +620,65 @@ impl<P: DeltaPayload> Delta<P> {
         self.trim();
     }
 
-    /// Transform two concurrent deltas sharing a base: returns
-    /// `(left', right')` with `base ∘ right ∘ left' == base ∘ left ∘ right'`.
+    /// Transform `incoming` over `self` (committed), two concurrent deltas
+    /// sharing a base: returns `incoming'` with
+    /// `base ∘ self ∘ incoming' == base ∘ incoming ∘ self'`.
     ///
-    /// One merge-style sweep over both sorted span-sets, O(m+n). Tie rules
-    /// reproduce the pairwise grid bit for bit: at equal base positions the
-    /// **left** (committed) insert lands first; overlapping deletes vanish
-    /// from both sides; an insert interior to the other side's delete
-    /// splits that delete and survives at the deletion point.
-    pub fn transform(&self, other: &Delta<P>) -> (Delta<P>, Delta<P>) {
+    /// One merge-style sweep over both sorted span-sets that ends with
+    /// `incoming` — everything behind its last edit is implicitly
+    /// retained — and allocates nothing for the committed side. Tie rules
+    /// reproduce the pairwise grid bit for bit: at equal base positions
+    /// the committed insert lands first; base units both sides delete are
+    /// deleted once; an insert interior to the committed side's delete
+    /// survives at the deletion point.
+    pub fn transform_incoming(&self, incoming: &Delta<P>) -> Delta<P> {
+        let mut l = Cursor::new(&self.spans);
+        let mut r = Cursor::new(&incoming.spans);
+        let mut out = Delta::identity();
+        while let Some(sr) = r.peek() {
+            // Inserts are processed before deletes/retains at the same
+            // base position, committed before incoming — the insert-tie
+            // bias. Anchoring does the rest: a gap insert stored before
+            // its side's delete is swept here at the gap-start position,
+            // one stored after it only once the delete is consumed, so
+            // the per-side [`GapBias`] folding makes this position-ordered
+            // sweep reproduce the grid's collapsed-gap ordering. (Pairs
+            // where position order cannot decide — an insert separated
+            // from a *later* committed insert only by deleted units —
+            // never reach this sweep: [`rebase_delta`] screens them out
+            // via [`Delta::rebase_is_order_sensitive`].)
+            match (l.peek(), sr) {
+                (Some(Span::Insert { .. }), _) => out.push(Span::Retain(l.take_all())),
+                (_, Span::Insert { .. }) => {
+                    let n = r.remaining();
+                    let (payload, len) = r.take_insert(n);
+                    out.push(Span::Insert { payload, len });
+                }
+                (None, Span::Retain(_)) => out.push(Span::Retain(r.take_all())),
+                (None, Span::Delete(_)) => out.push(Span::Delete(r.take_all())),
+                (Some(sl), _) => {
+                    let n = l.remaining().min(r.remaining());
+                    l.take(n);
+                    r.take(n);
+                    match (sl, sr) {
+                        (Span::Retain(_), Span::Retain(_)) => out.push(Span::Retain(n)),
+                        (Span::Retain(_), _) => out.push(Span::Delete(n)),
+                        // Deleted by the committed side: `incoming'`
+                        // never mentions the unit, whatever it did to it.
+                        _ => {}
+                    }
+                }
+            }
+        }
+        out.trim();
+        out
+    }
+
+    /// The two-sided transform `(left', right')` with
+    /// `base ∘ right ∘ left' == base ∘ left ∘ right'`: the definition
+    /// [`Delta::transform_incoming`] (its `right'`) is pinned against.
+    #[cfg(test)]
+    fn transform(&self, other: &Delta<P>) -> (Delta<P>, Delta<P>) {
         let mut l = Cursor::new(&self.spans);
         let mut r = Cursor::new(&other.spans);
         let mut left_out = Delta::identity();
@@ -827,7 +973,7 @@ pub fn from_ops_biased<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::
 
 /// Split/fuse fold: segment `ops` into runs of at most `chunk` operations,
 /// fold each segment independently with [`from_ops_biased`], and fuse the
-/// segment composites left-to-right with [`Delta::compose_biased`] under
+/// segment composites left-to-right with [`Delta::compose_in_place`] under
 /// the same bias. Because composition under a fixed bias is associative,
 /// the result equals the straight [`from_ops_biased`] fold — but a fold
 /// costs O(k · s) in ops × resulting spans, so short segments fused in
@@ -842,7 +988,7 @@ pub fn from_ops_chunked<O: DeltaOp>(
 ) -> Option<Delta<O::Payload>> {
     let mut acc = Delta::identity();
     for seg in ops.chunks(chunk.max(1)) {
-        acc = acc.compose_biased(&from_ops_biased(seg, bias)?, bias);
+        acc.compose_in_place(&from_ops_biased(seg, bias)?, bias);
     }
     Some(acc)
 }
@@ -866,8 +1012,7 @@ pub fn rebase_delta<O: DeltaOp>(incoming: &[O], committed: &[O]) -> Option<(Vec<
         incoming_spans: inc.span_count(),
         committed_spans: com.span_count(),
     };
-    let (_, inc_t) = com.transform(&inc);
-    Some((inc_t.into_ops(), stats))
+    Some((com.transform_incoming(&inc).into_ops(), stats))
 }
 
 #[cfg(test)]
@@ -876,6 +1021,7 @@ mod tests {
     use crate::list::ListOp;
     use crate::text::TextOp;
     use crate::{apply_all, seq};
+    use proptest::prelude::*;
 
     fn text_delta(ops: &[TextOp]) -> Delta<String> {
         from_ops(ops).expect("text ops are always expressible")
@@ -1038,6 +1184,93 @@ mod tests {
         }
     }
 
+    /// One raw span: kind (retain / delete / insert), length, first value.
+    type RawSpan = (u8, usize, u8);
+
+    fn raw_spans(max: usize) -> impl Strategy<Value = Vec<RawSpan>> {
+        prop::collection::vec((0..3u8, 1..4usize, any::<u8>()), 0..max)
+    }
+
+    /// Normalize raw spans into a delta; insert payloads count up from the
+    /// drawn value, so a mis-sliced run shows.
+    fn delta_of(raw: &[RawSpan]) -> Delta<Vec<u8>> {
+        let mut d = Delta::identity();
+        for &(kind, len, v) in raw {
+            d.push(match kind {
+                0 => Span::Retain(len),
+                1 => Span::Delete(len),
+                _ => Span::Insert {
+                    payload: (0..len).map(|i| v.wrapping_add(i as u8)).collect(),
+                    len,
+                },
+            });
+        }
+        d.trim();
+        d
+    }
+
+    fn bias_of(end: bool) -> GapBias {
+        if end {
+            GapBias::End
+        } else {
+            GapBias::Start
+        }
+    }
+
+    proptest! {
+        /// The shipped incoming-only sweep is the `right'` of the
+        /// two-sided definition, screened pair or not.
+        #[test]
+        fn incoming_only_sweep_matches_the_two_sided_transform(
+            com in raw_spans(14),
+            inc in raw_spans(14),
+        ) {
+            let (com, inc) = (delta_of(&com), delta_of(&inc));
+            prop_assert_eq!(com.transform_incoming(&inc), com.transform(&inc).1);
+        }
+
+        /// In-place composition is the by-value definition, both biases.
+        #[test]
+        fn in_place_compose_matches_by_value_compose(
+            acc in raw_spans(14),
+            run in raw_spans(10),
+            end in any::<bool>(),
+        ) {
+            let (acc, run, bias) = (delta_of(&acc), delta_of(&run), bias_of(end));
+            let mut in_place = acc.clone();
+            in_place.compose_in_place(&run, bias);
+            prop_assert_eq!(in_place, acc.compose_biased(&run, bias));
+        }
+
+        /// The same with the run's first edit landing exactly on a span
+        /// boundary of the accumulator — next to its deletes and inserts,
+        /// where cutting the untouched prefix one span too late would
+        /// decide the adjacency order without the sweep.
+        #[test]
+        fn in_place_compose_matches_by_value_compose_at_span_boundaries(
+            acc in raw_spans(14),
+            boundary in any::<usize>(),
+            run in raw_spans(10),
+            end in any::<bool>(),
+        ) {
+            let (acc, bias) = (delta_of(&acc), bias_of(end));
+            let boundary = boundary % (acc.span_count() + 1);
+            let lead: usize = acc.spans()[..boundary]
+                .iter()
+                .map(|s| if matches!(s, Span::Delete(_)) { 0 } else { s.len() })
+                .sum();
+            // A leading retain up to the boundary, then an edit: `run`
+            // with any retain of its own in front dropped.
+            let edits = run.iter().skip_while(|(kind, ..)| *kind == 0);
+            let at_boundary: Vec<RawSpan> =
+                (lead > 0).then_some((0, lead, 0)).into_iter().chain(edits.copied()).collect();
+            let run = delta_of(&at_boundary);
+            let mut in_place = acc.clone();
+            in_place.compose_in_place(&run, bias);
+            prop_assert_eq!(in_place, acc.compose_biased(&run, bias));
+        }
+    }
+
     #[test]
     fn order_sensitive_collisions_are_screened_to_the_grid() {
         // Committed: delete b and c, insert "XY" where c was (gap end).
@@ -1084,8 +1317,7 @@ mod tests {
         // left lands first, right is displaced after it.
         let com = text_delta(&[TextOp::insert(3, "LL")]);
         let inc = text_delta(&[TextOp::insert(3, "R")]);
-        let (_, inc_t) = com.transform(&inc);
-        let ops: Vec<TextOp> = inc_t.into_ops();
+        let ops: Vec<TextOp> = com.transform_incoming(&inc).into_ops();
         assert_eq!(ops, vec![TextOp::insert(5, "R")]);
     }
 
@@ -1093,8 +1325,7 @@ mod tests {
     fn transform_splits_delete_around_concurrent_insert() {
         let com = text_delta(&[TextOp::insert(5, "XY")]);
         let inc = text_delta(&[TextOp::delete(3, 5)]);
-        let (_, inc_t) = com.transform(&inc);
-        let ops: Vec<TextOp> = inc_t.into_ops();
+        let ops: Vec<TextOp> = com.transform_incoming(&inc).into_ops();
         assert_eq!(ops, vec![TextOp::delete(3, 2), TextOp::delete(5, 3)]);
     }
 

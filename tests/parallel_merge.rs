@@ -3,7 +3,8 @@
 //! indistinguishable** from the sequential creation-order fold —
 //! bit-identical final state and bit-identical `DeterminismAuditor`
 //! digest chains, with the full telemetry plane installed, whatever the
-//! batch holds (poisoning ops, dismissed children, huge logs).
+//! batch holds (an idle or a busy parent, children that made no edit,
+//! poisoning ops, dismissed children, huge logs).
 //!
 //! The sequential oracle is [`Seq`]: the same data behind a newtype that
 //! keeps the trait-default `stage_merge_all` (`None`), so the same
@@ -15,6 +16,9 @@
 //! The recorder slot is process-global, so every test serializes on one
 //! mutex and uninstalls on exit.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -27,11 +31,46 @@ use spawn_merge::obs::{
     Recorder,
 };
 use spawn_merge::{
-    run, run_with_pool, run_with_store, MCounter, MList, MMap, MText, MergeError, MergeStats,
-    Mergeable, Persist, Pool, ReplayError, Store, StoreOptions,
+    run, run_with_pool, run_with_store, Disposition, MCounter, MList, MMap, MText, MergeError,
+    MergeStats, Mergeable, Persist, Pool, ReplayError, Store, StoreOptions,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The system allocator, counting each thread's allocations.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: both methods forward to `System` with the caller's arguments
+// unchanged and return its result unchanged (`alloc_zeroed` and `realloc`
+// keep their defaults, which go through `alloc`); the counter is a
+// const-initialized thread-local `Cell` with no destructor, so touching
+// it never allocates and never observes a torn-down slot.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: same contract as our caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as our caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// Serialize on the recorder slot and uninstall any recorder when the
 /// test ends — even on panic, so one failure cannot cascade.
@@ -255,15 +294,16 @@ fn scripts() -> impl Strategy<Value = Vec<Vec<Cmd>>> {
                 any::<usize>().prop_map(Cmd::Remove),
                 (any::<usize>(), any::<u8>()).prop_map(|(i, v)| Cmd::Set(i, v)),
             ],
-            1..8,
+            0..8,
         ),
-        8..20,
+        2..20,
     )
 }
 
-/// One fan-out program: each script drives one child, the parent edits
-/// too (a non-empty committed slice), then merges all.
-fn run_fanout<W: Host<MList<u8>>>(scripts: &[Vec<Cmd>], sets: bool) -> Vec<u8> {
+/// One fan-out program: each script drives one child (an empty script is
+/// a child that makes no edit), the parent edits too unless `idle`, then
+/// merges all.
+fn run_fanout<W: Host<MList<u8>>>(scripts: &[Vec<Cmd>], sets: bool, idle: bool) -> Vec<u8> {
     let scripts = scripts.to_vec();
     let (list, ()) = run(W::host(MList::from_iter([1u8, 2, 3])), move |ctx| {
         for s in scripts {
@@ -273,7 +313,9 @@ fn run_fanout<W: Host<MList<u8>>>(scripts: &[Vec<Cmd>], sets: bool) -> Vec<u8> {
             });
         }
         std::thread::sleep(Duration::from_millis(30));
-        ctx.data_mut().d_mut().push(99);
+        if !idle {
+            ctx.data_mut().d_mut().push(99);
+        }
         ctx.merge_all();
     });
     list.d().to_vec()
@@ -282,17 +324,19 @@ fn run_fanout<W: Host<MList<u8>>>(scripts: &[Vec<Cmd>], sets: bool) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The differential sweep: arbitrary op mixes and fan-outs past the
-    /// staging threshold, oracle vs plain, telemetry plane installed —
-    /// final state and digest chains must be bit-identical.
+    /// The differential sweep: arbitrary op mixes and fan-outs from two
+    /// children up, idle and busy parents, oracle vs plain, telemetry
+    /// plane installed — final state and digest chains must be
+    /// bit-identical.
     #[test]
     fn staged_merge_all_is_digest_identical_to_sequential(
         fan in scripts(),
         sets in any::<bool>(),
+        idle in any::<bool>(),
     ) {
         let guard = serial();
-        let (seq_state, seq) = with_plane(|| run_fanout::<Seq<MList<u8>>>(&fan, sets));
-        let (state, seen) = with_plane(|| run_fanout::<MList<u8>>(&fan, sets));
+        let (seq_state, seq) = with_plane(|| run_fanout::<Seq<MList<u8>>>(&fan, sets, idle));
+        let (state, seen) = with_plane(|| run_fanout::<MList<u8>>(&fan, sets, idle));
         drop(guard);
         prop_assert_eq!(seq_state, state);
         prop_assert_eq!(seq.digest, seen.digest);
@@ -325,13 +369,194 @@ fn large_fanout_stages_and_matches_sequential_digest() {
     assert_staged(&seen, (1, 0));
     assert!(
         seen.snap.merge_staged_children >= 8,
-        "the staged batch must cover at least the threshold"
+        "the staged batch must cover a real share of the fan-out"
     );
 }
 
-/// Fork `n` children off `parent`, edit each, then commit one parent op
-/// — the batch shape that qualifies for staging.
-fn forked(parent: &mut MList<u32>, n: u32, edit: impl Fn(u32, &mut MList<u32>)) -> Vec<MList<u32>> {
+/// What the parent does between the spawns and the `merge_all`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ParentWork {
+    /// Nothing — the paper's *spawn, let the children work, `MergeAll`*:
+    /// the committed slice is empty when the batch stages.
+    Idle,
+    /// One committed op.
+    Push,
+    /// Insert an element, fork (the fuse barrier keeps the two ops
+    /// apart), delete it again: a non-empty slice that composes to the
+    /// identity.
+    InsertThenDelete,
+}
+
+impl ParentWork {
+    fn run(self, list: &mut MList<u32>) {
+        match self {
+            ParentWork::Idle => {}
+            ParentWork::Push => list.push(u32::MAX),
+            ParentWork::InsertThenDelete => {
+                list.insert(0, 4242);
+                let _barrier = list.fork();
+                list.remove(0);
+                assert_eq!(list.pending_ops(), 2, "the barrier kept both ops");
+            }
+        }
+    }
+}
+
+/// A child's rebase counts, as its `MergeStats` report them.
+type Rebases = (usize, usize);
+
+/// One all-ready fan-out through the runtime: child `i` of `n` runs
+/// `edit`, the parent does `work`, then merges under `cond`. Returns the
+/// merged list and every merged child's (delta, grid) rebase counts.
+fn run_batch<W: Host<MList<u32>>>(
+    n: u32,
+    edit: fn(u32, &mut MList<u32>),
+    work: ParentWork,
+    cond: fn(&MList<u32>) -> bool,
+) -> (Vec<u32>, Vec<Rebases>) {
+    let (list, report) = run(W::host(MList::from_iter(0..16u32)), move |ctx| {
+        for i in 0..n {
+            ctx.spawn(move |c| {
+                edit(i, c.data_mut().d_mut());
+                Ok(())
+            });
+        }
+        settle();
+        work.run(ctx.data_mut().d_mut());
+        ctx.merge_all_with(&|d: &W| cond(d.d()))
+    });
+    let rebases = report.children.iter().filter_map(|c| match &c.disposition {
+        Disposition::Merged(stats) => Some((stats.delta_rebases, stats.grid_rebases)),
+        _ => None,
+    });
+    (list.d().to_vec(), rebases.collect())
+}
+
+/// Run [`run_batch`] on the oracle and on the plain list: state, rebase
+/// counts and digest must agree, and the plain run must have staged its
+/// one batch exactly once.
+fn assert_batch_stages_once(
+    n: u32,
+    edit: fn(u32, &mut MList<u32>),
+    work: ParentWork,
+    cond: fn(&MList<u32>) -> bool,
+) -> (Vec<Rebases>, Seen) {
+    let _guard = serial();
+    let ((_, rebases), seen) = assert_matches_seq(
+        || run_batch::<Seq<MList<u32>>>(n, edit, work, cond),
+        || run_batch::<MList<u32>>(n, edit, work, cond),
+    );
+    assert_eq!(seen.staged, vec![(1, 0)], "{n} children, parent {work:?}");
+    (rebases, seen)
+}
+
+/// A child edit that lands in the child's own corner of the list.
+fn scattered_edit(i: u32, list: &mut MList<u32>) {
+    list.insert(i as usize % 16, 100 + i);
+    list.push(200 + i);
+    if i.is_multiple_of(3) {
+        list.remove(i as usize % 8);
+    }
+}
+
+/// The paper's shape — no parent op between the spawns and `merge_all` —
+/// stages, exactly once: the first child is the kernel's trivial merge
+/// (counted as a grid rebase, like the kernel counts it) and the rest
+/// rebase against the composite grown from it.
+#[test]
+fn idle_parent_batch_stages_exactly_once() {
+    let (rebases, _) = assert_batch_stages_once(12, scattered_edit, ParentWork::Idle, |_| true);
+    let mut want = vec![(1, 0); 12];
+    want[0] = (0, 1);
+    assert_eq!(rebases, want);
+}
+
+/// Children that made no edit are identity members wherever they sit in
+/// the batch — first (the slice stays empty behind it), in the middle, or
+/// behind a grown composite — under an idle and under a busy parent.
+#[test]
+fn children_without_edits_are_identity_members() {
+    fn edit(i: u32, list: &mut MList<u32>) {
+        if ![0, 3, 7].contains(&i) {
+            scattered_edit(i, list);
+        }
+    }
+    for work in [ParentWork::Idle, ParentWork::Push] {
+        let (rebases, _) = assert_batch_stages_once(12, edit, work, |_| true);
+        let trivial = |i: usize| [0, 3, 7].contains(&i) || (work == ParentWork::Idle && i == 1);
+        let want: Vec<Rebases> = (0..12)
+            .map(|i| if trivial(i) { (0, 1) } else { (1, 0) })
+            .collect();
+        assert_eq!(rebases, want, "parent {work:?}");
+    }
+}
+
+/// A pair and a triple of siblings are below the runtime's batch floor:
+/// they fold plainly — same state, same digest, no `MergeStaged` — and
+/// stage only at the seam (`stage_commits_match_the_merge_fold_at_the_seam`).
+#[test]
+fn two_and_three_child_fan_outs_fold_plainly_through_the_runtime() {
+    let _guard = serial();
+    for n in [2, 3] {
+        for work in [ParentWork::Idle, ParentWork::Push] {
+            let (_, seen) = assert_matches_seq(
+                || run_batch::<Seq<MList<u32>>>(n, scattered_edit, work, |_| true),
+                || run_batch::<MList<u32>>(n, scattered_edit, work, |_| true),
+            );
+            assert_eq!(seen.staged, vec![], "{n} children, parent {work:?}");
+        }
+    }
+}
+
+/// A committed slice that inserts an element and deletes it again folds
+/// to the identity composite, but the slice is not empty: the kernel
+/// rebases every child over it on the delta path, and so must the stage —
+/// the identity-member test is on the live slice, not on the composite.
+#[test]
+fn identity_composite_over_a_non_empty_slice_rebases_on_the_delta_path() {
+    let work = ParentWork::InsertThenDelete;
+    let (rebases, _) = assert_batch_stages_once(10, scattered_edit, work, |_| true);
+    assert_eq!(rebases, vec![(1, 0); 10]);
+}
+
+/// Under an idle parent the first child is an identity member whatever
+/// its log holds; a span-inexpressible `Set` in it shows only when the
+/// composite is folded from what that merge appended, and poisons from
+/// there: the first child is no fallback, every later one is.
+#[test]
+fn set_in_the_first_child_of_an_idle_parent_poisons_behind_it() {
+    fn edit(i: u32, list: &mut MList<u32>) {
+        scattered_edit(i, list);
+        if i == 0 {
+            list.set(2, 7777);
+        }
+    }
+    let (_, seen) = assert_batch_stages_once(9, edit, ParentWork::Idle, |_| true);
+    assert_eq!(
+        seen.snap.rebase_screen_rejects_total, 8,
+        "every child behind the first falls back to plain merge"
+    );
+}
+
+/// A condition that dismisses the first child of an idle-parent batch
+/// leaves the slice empty: the second child is the identity member.
+#[test]
+fn dismissed_first_child_of_an_idle_parent_hands_identity_on() {
+    let cond = |d: &MList<u32>| !d.to_vec().contains(&200);
+    let (rebases, _) = assert_batch_stages_once(8, scattered_edit, ParentWork::Idle, cond);
+    let mut want = vec![(1, 0); 7];
+    want[0] = (0, 1);
+    assert_eq!(rebases, want, "child 0 dismissed, child 1 trivial");
+}
+
+/// Fork `n` children off `parent`, edit each, then let the parent do
+/// `work`.
+fn forked(
+    parent: &mut MList<u32>,
+    n: u32,
+    work: ParentWork,
+    edit: impl Fn(u32, &mut MList<u32>),
+) -> Vec<MList<u32>> {
     let kids = (0..n)
         .map(|i| {
             let mut kid = parent.fork();
@@ -339,7 +564,7 @@ fn forked(parent: &mut MList<u32>, n: u32, edit: impl Fn(u32, &mut MList<u32>)) 
             kid
         })
         .collect();
-    parent.push(u32::MAX);
+    work.run(parent);
     kids
 }
 
@@ -416,33 +641,147 @@ fn digest_is_identical_across_pool_warmth() {
     }
 }
 
-/// Seam level, twelve children against the `merge` fold of the same
-/// children: the whole mixed batch; child `k` carrying a
-/// span-inexpressible `Set` at the first, a middle and the last position
-/// (the prefix commits through the composite, `k` and the suffix through
-/// plain `merge`); and children 3 and 7 never fed — what a merge
-/// condition's dismissal amounts to, and the composite must stay exact.
+/// Seam level, a batch against the `merge` fold of the same children —
+/// state, log and per-child `MergeStats`: the whole mixed batch of
+/// twelve; child `k` carrying a span-inexpressible `Set` at the first, a
+/// middle and the last position (the prefix commits through the
+/// composite, `k` and the suffix through plain `merge`); children 3 and 7
+/// never fed — what a merge condition's dismissal amounts to, and the
+/// composite must stay exact; the shapes with identity members: an idle
+/// parent (where a `Set` in child 0 poisons only *behind* it), children
+/// 0, 3 and 7 without an edit, and an insert-then-delete slice; and the
+/// smallest batches there are, a pair and a triple.
 #[test]
 fn stage_commits_match_the_merge_fold_at_the_seam() {
-    let cases: [(Option<u32>, &[usize]); 5] = [
-        (None, &[]),
-        (Some(0), &[]),
-        (Some(5), &[]),
-        (Some(11), &[]),
-        (None, &[3, 7]),
+    use ParentWork::{Idle, InsertThenDelete, Push};
+    struct Case {
+        children: u32,
+        work: ParentWork,
+        /// The child carrying a `Set`.
+        set_at: Option<u32>,
+        /// Children never fed to the stage.
+        skip: &'static [usize],
+        /// The first child that falls back to plain `merge`.
+        poisoned_from: Option<usize>,
+        /// Children 0, 3 and 7 make no edit.
+        idlers: bool,
+    }
+    let case = |work, set_at, skip, poisoned_from| Case {
+        children: 12,
+        work,
+        set_at,
+        skip,
+        poisoned_from,
+        idlers: false,
+    };
+    let cases = [
+        case(Push, None, &[], None),
+        case(Push, Some(0), &[], Some(0)),
+        case(Push, Some(5), &[], Some(5)),
+        case(Push, Some(11), &[], Some(11)),
+        case(Push, None, &[3, 7], None),
+        case(Idle, None, &[], None),
+        case(Idle, Some(0), &[], Some(1)),
+        case(Idle, None, &[0, 3], None),
+        case(InsertThenDelete, None, &[], None),
+        Case {
+            idlers: true,
+            ..case(Idle, None, &[], None)
+        },
+        Case {
+            idlers: true,
+            ..case(Push, None, &[], None)
+        },
+        Case {
+            children: 2,
+            ..case(Idle, None, &[], None)
+        },
+        Case {
+            children: 2,
+            ..case(Push, None, &[], None)
+        },
+        Case {
+            children: 3,
+            ..case(Idle, None, &[], None)
+        },
+        Case {
+            children: 3,
+            ..case(Push, None, &[], None)
+        },
     ];
-    for (set_at, skip) in cases {
+    for c in cases {
         let mut parent = MList::from_iter(0..16u32);
-        let kids = forked(&mut parent, 12, |i, kid| {
+        let kids = forked(&mut parent, c.children, c.work, |i, kid| {
+            if c.idlers && [0, 3, 7].contains(&i) {
+                return;
+            }
             kid.insert(i as usize, 100 + i);
             if i % 3 == 0 {
                 kid.remove(i as usize + 2);
             }
-            if set_at == Some(i) {
+            if c.set_at == Some(i) {
                 kid.set(0, 7777);
             }
         });
-        assert_stage_matches_merge(&parent, &kids, skip, set_at.map(|k| k as usize));
+        assert_stage_matches_merge(&parent, &kids, c.skip, c.poisoned_from);
+    }
+}
+
+/// An element whose clones are counted.
+#[derive(Debug, PartialEq)]
+struct Counted(u32);
+
+static ELEMENT_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        ELEMENT_CLONES.fetch_add(1, Ordering::Relaxed);
+        Counted(self.0)
+    }
+}
+
+/// A staged commit costs what its child holds, not what the composite
+/// has grown to: `n` children in ascending blocks, `k` scattered inserts
+/// each, clone at most `c·n·k` elements for one `c` at both widths. A
+/// commit that walked the composite and cloned its insert payloads — once
+/// into a transform output nobody reads, once into a rebuilt composite —
+/// cloned about `n²·k`.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the debug oracle refolds the whole committed slice at every staged commit"
+)]
+fn staged_commits_clone_elements_linearly_in_the_batch() {
+    const K: usize = 8;
+    const BLOCK: usize = 2 * K;
+    const C: usize = 12;
+    let _guard = serial();
+    for n in [32, 128] {
+        let mut parent = MList::from_iter((0..n * BLOCK).map(|v| Counted(v as u32)));
+        let kids: Vec<MList<Counted>> = (0..n)
+            .map(|i| {
+                let mut kid = parent.fork();
+                for j in 0..K {
+                    // Strided slots of the child's own block, never its
+                    // first element: nothing fuses at record time.
+                    kid.insert(i * BLOCK + 1 + (j * 3) % K, Counted((i * K + j) as u32));
+                }
+                kid
+            })
+            .collect();
+        let refs: Vec<&MList<Counted>> = kids.iter().collect();
+        ELEMENT_CLONES.store(0, Ordering::Relaxed);
+        let mut stage = parent.stage_merge_all(&refs).expect("the batch stages");
+        for kid in &kids {
+            let stats = stage.commit(&mut parent, kid).unwrap();
+            assert_eq!(stats.screen_rejects, 0, "no child falls back");
+        }
+        let clones = ELEMENT_CLONES.load(Ordering::Relaxed);
+        assert_eq!(parent.len(), n * (BLOCK + K));
+        assert!(
+            clones <= C * n * K,
+            "{n} children x {K} inserts cloned {clones} elements, more than {C} per insert"
+        );
     }
 }
 
@@ -781,7 +1120,8 @@ fn composite_stages_the_list_and_commits_other_fields_inline_under_a_sink() {
 }
 
 /// A composite whose every field declines has no stage at all: no
-/// `MergeStaged` event and not one pool job beyond the children.
+/// `MergeStaged` event, not one pool job beyond the children, and no
+/// allocation per declining field.
 #[test]
 fn all_declining_composite_emits_no_merge_staged() {
     fn program<W: Host<Vec<MCounter>>>() -> (Vec<i64>, u64) {
@@ -805,6 +1145,18 @@ fn all_declining_composite_emits_no_merge_staged() {
     // Equal outputs include equal job counts.
     let (_, seen) = assert_matches_seq(program::<Seq<Vec<MCounter>>>, program::<Vec<MCounter>>);
     assert_eq!(seen.staged, vec![], "nothing to stage");
+
+    // And asking costs nothing per field: a declining batch a thousand
+    // counters wide allocates exactly what one four wide does.
+    let asking = |width: i64| {
+        let parent: Vec<MCounter> = (0..width).map(MCounter::new).collect();
+        let kids: Vec<Vec<MCounter>> = (0..3).map(|_| parent.fork()).collect();
+        let refs: Vec<&Vec<MCounter>> = kids.iter().collect();
+        let (stage, allocations) = allocations_in(|| parent.stage_merge_all(&refs));
+        assert!(stage.is_none(), "counters never stage");
+        allocations
+    };
+    assert_eq!(asking(4), asking(1000));
 }
 
 /// One huge child log, folded in segments fused in order, must be
@@ -812,8 +1164,8 @@ fn all_declining_composite_emits_no_merge_staged() {
 /// the oracle, through the runtime at the engine's own threshold.
 #[test]
 fn huge_child_segmented_fold_matches_sequential_digest() {
-    /// Past the engine's 65 536-op segmenting threshold.
-    const HUGE: u32 = 70_000;
+    /// Past the engine's 4 096-op segmenting threshold.
+    const HUGE: u32 = 5_000;
     fn program<W: Host<MList<u32>>>() -> Vec<u32> {
         let (list, ()) = run(W::host(MList::from_iter(0..8u32)), |ctx| {
             let (done_tx, done_rx) = std::sync::mpsc::channel();
