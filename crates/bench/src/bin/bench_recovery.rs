@@ -11,10 +11,12 @@
 //!   snapshot's on-disk footprint.
 //! * `recovery` — end-to-end crash recovery (snapshot load + WAL replay
 //!   through the OT apply path + digest-chain verification) for journals
-//!   of 10^4, 10^5 and 10^6 scattered list operations, measured on both
-//!   the segment-parallel default path and the `recover_serial` escape
-//!   hatch (best of two runs each), reported as total wall time,
-//!   replayed ops/second, and the parallel-over-serial speedup.
+//!   of 10^4, 10^5 and 10^6 scattered list operations, through
+//!   `Store::recover` (the prepared replay lane) and through the
+//!   `recover_serial` reference (one `apply_log` per commit) — the same
+//!   scan, both on the calling thread, best of two runs each — reported
+//!   as total wall time, replayed ops/second, and the
+//!   prepared-over-per-commit speedup.
 //! * `delta` — delta-snapshot footprint: a ~1%-mutated chunk-backed
 //!   state's `snap-delta` bytes against a full snapshot of the same
 //!   state, as written by the store itself.
@@ -28,10 +30,12 @@
 //!
 //! `--quick` reduces repetitions and skips the 10^6 journal for CI smoke
 //! runs; `--out` overrides the default output path `BENCH_recovery.json`;
-//! `--assert-floors` exits non-zero unless the parallel replay speedup
+//! `--assert-floors` exits non-zero unless the prepared replay speedup
 //! and the delta-footprint ratio clear their regression floors (>= 4x
 //! and <= 10% full mode, halved to >= 2x and <= 20% under `--quick`,
-//! where the journals are smaller and fixed costs weigh more).
+//! where the journals are smaller and fixed costs weigh more). The
+//! `env` block records where the numbers were taken: cores, `git
+//! describe --always --dirty`, `rustc --version`, `--quick`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -50,8 +54,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Journal `total_ops` scattered inserts in commits of `ops_per_commit`.
-/// Segments roll at 1 MiB so the large journals span enough of them to
-/// exercise the segment-parallel scan.
+/// Segments roll at 1 MiB so the large journals span several.
 fn build_journal(dir: &Path, total_ops: usize, ops_per_commit: usize, fsync: FsyncPolicy) -> Store {
     let store = Store::open(
         dir.to_path_buf(),
@@ -80,6 +83,19 @@ fn build_journal(dir: &Path, total_ops: usize, ops_per_commit: usize, fsync: Fsy
     store
 }
 
+/// First line of a command's output, or `"unknown"` where the tool or
+/// the checkout is missing.
+fn first_line(program: &str, args: &[&str]) -> String {
+    match std::process::Command::new(program).args(args).output() {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .next()
+            .unwrap_or("unknown")
+            .to_string(),
+        _ => "unknown".to_string(),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -92,7 +108,13 @@ fn main() {
         .unwrap_or_else(|| "BENCH_recovery.json".to_string());
 
     let mut json = String::from("{\n  \"bench\": \"recovery\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let rev = first_line("git", &["describe", "--always", "--dirty"]);
+    let rustc = first_line("rustc", &["--version"]);
+    let _ = writeln!(
+        json,
+        "  \"env\": {{\"cores\": {cores}, \"rev\": \"{rev}\", \"rustc\": \"{rustc}\", \"quick\": {quick}}},"
+    );
 
     // ------------------------------------------------------------------
     // Append throughput per fsync policy.
@@ -199,8 +221,8 @@ fn main() {
         let commits = store.last_seq();
         drop(store);
 
-        // Best of two runs per path, serial/parallel interleaved so page
-        // cache and allocator warmth favour neither side.
+        // Best of two runs per replay, interleaved so page cache and
+        // allocator warmth favour neither side.
         let mut serial_ns = u64::MAX;
         let mut recover_ns = u64::MAX;
         let mut replayed = 0u64;
@@ -230,8 +252,8 @@ fn main() {
         largest_speedup = speedup;
         eprintln!(
             "recovery @ {total_ops} ops ({commits} commits, {replayed} replayed): \
-             journal {build_ns} ns, parallel {recover_ns} ns ({ops_per_sec:.0} ops/s), \
-             serial {serial_ns} ns, speedup {speedup:.2}x"
+             journal {build_ns} ns, prepared {recover_ns} ns ({ops_per_sec:.0} ops/s), \
+             per-commit apply_log {serial_ns} ns, speedup {speedup:.2}x"
         );
         if ji > 0 {
             json.push_str(",\n");
@@ -335,8 +357,8 @@ fn main() {
         let mut failed = false;
         if !speedup_ok {
             eprintln!(
-                "bench_recovery: FLOOR VIOLATION: parallel replay speedup \
-                 {largest_speedup:.2}x < {speedup_floor}x"
+                "bench_recovery: FLOOR VIOLATION: prepared replay speedup over \
+                 per-commit apply_log {largest_speedup:.2}x < {speedup_floor}x"
             );
             failed = true;
         }

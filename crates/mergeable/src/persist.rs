@@ -99,18 +99,16 @@ pub struct PreparedReplayError {
     pub error: ReplayError,
 }
 
-/// A committed log slice pre-decoded off the hot path, ready to replay
-/// onto `D`.
+/// A committed log slice decoded ahead of replay, ready to apply to `D`.
 ///
-/// Parallel recovery (sm-store) decodes and verifies journal segments on
-/// worker threads, producing one `PreparedLog` per commit; a single
-/// coordinator then replays them strictly in sequence order via
-/// [`Persist::replay_prepared`]. The default pipeline wraps the raw
-/// bytes ([`RawPreparedLog`]) and defers to [`Persist::apply_log`], so
+/// Recovery (sm-store) decodes one `PreparedLog` per journal commit as
+/// it verifies the journal, then replays them all in sequence order via
+/// [`Persist::replay_prepared`]. The default wraps the raw bytes
+/// ([`RawPreparedLog`]) and defers to [`Persist::apply_log`], so
 /// prepared replay is effect-identical to sequential replay; structures
 /// may override [`Persist::decode_log_prepared`] with a representation
 /// that replays faster (e.g. list insert batches).
-pub trait PreparedLog<D>: Send {
+pub trait PreparedLog<D> {
     /// Apply this prepared slice to `data` with the effect of
     /// [`Persist::apply_log`] followed by [`Persist::seal_history`].
     /// Returns the number of operations applied.
@@ -123,7 +121,7 @@ pub trait PreparedLog<D>: Send {
     /// Consume into `Any` once [`PreparedLog::as_any`] confirmed the
     /// concrete type (a failed consuming downcast cannot restore the
     /// trait object).
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 /// The default [`PreparedLog`]: undecoded log bytes plus the journal
@@ -156,7 +154,7 @@ impl<D: Persist + 'static> PreparedLog<D> for RawPreparedLog {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send> {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -202,11 +200,11 @@ pub trait Persist: Mergeable {
     ) -> usize;
 
     /// Decode one committed log slice into a [`PreparedLog`] without
-    /// touching any state, so decode work can run off the replay thread
-    /// (parallel recovery workers). `expected_ops` is the operation
-    /// count the journal frame declared; implementations that cannot
-    /// confirm it defer the check to replay. The default keeps the raw
-    /// bytes and replays through [`Persist::apply_log`].
+    /// touching any state, so a journal can be decoded in full before
+    /// any of it is applied. `expected_ops` is the operation count the
+    /// journal frame declared; implementations that cannot confirm it
+    /// defer the check to replay. The default keeps the raw bytes and
+    /// replays through [`Persist::apply_log`].
     fn decode_log_prepared(buf: Bytes, expected_ops: u64) -> Box<dyn PreparedLog<Self>>
     where
         Self: Sized + 'static,
@@ -594,7 +592,7 @@ macro_rules! impl_list_prepared_log {
                 self
             }
 
-            fn into_any(self: Box<Self>) -> Box<dyn Any + Send> {
+            fn into_any(self: Box<Self>) -> Box<dyn Any> {
                 self
             }
         }
@@ -604,7 +602,7 @@ impl_list_prepared_log!(MList);
 impl_list_prepared_log!(MQueue);
 
 /// Prepared-replay overrides for the list-shaped structures: decode
-/// fans insert-only slices into [`ListPreparedLog`]s, and batched replay
+/// turns insert-only slices into [`ListPreparedLog`]s, and batched replay
 /// threads one [`ListReplaySession`] through consecutive slices.
 /// `$elem` is the impl's element type parameter (passed in explicitly:
 /// macro bodies cannot name the caller's generics hygienically).

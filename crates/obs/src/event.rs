@@ -250,10 +250,10 @@ pub enum EventKind {
         /// Superseded snapshot files (full or delta) deleted.
         snapshots: usize,
     },
-    /// Parallel crash recovery fanned segment scanning out: this many
-    /// WAL segments were decoded and pre-verified on worker threads.
+    /// Crash recovery scanned the journal: this many WAL segments were
+    /// decoded and chain-verified.
     RecoverySegmentsScanned {
-        /// Segments scanned in parallel.
+        /// Segments scanned.
         segments: usize,
     },
     /// The durable store finished crash recovery: snapshot load plus

@@ -323,7 +323,8 @@ pub struct MetricsSnapshot {
     pub wal_segments_pruned: u64,
     /// Crash recoveries performed.
     pub recoveries: u64,
-    /// WAL segments scanned on worker threads by parallel recovery.
+    /// WAL segments scanned by crash recovery (the name dates from when
+    /// the scan was threaded; it is part of the exported metric names).
     pub recovery_segments_parallel: u64,
     /// Total operations replayed from journal suffixes during recovery.
     pub recovery_replayed_ops: u64,

@@ -43,11 +43,11 @@ pub enum Phase {
     SnapshotWrite,
     /// Crash recovery: snapshot load plus journal-suffix replay.
     RecoveryReplay,
-    /// Parallel recovery, fan-out half: segment read, frame CRC, record
-    /// decode, and chain pre-verification across worker threads.
+    /// Recovery's scan: segment read, frame CRC, record decode, chain
+    /// verification and prepared-log decode.
     RecoveryDecode,
-    /// Parallel recovery, coordinator half: in-order chain linking plus
-    /// the prepared-log replay onto the recovered state.
+    /// Recovery's replay of the verified prepared logs onto the
+    /// recovered state.
     RecoveryApply,
     /// Serializing and durably persisting a delta snapshot.
     SnapshotDelta,

@@ -31,9 +31,10 @@
 //! garbage-collect the covered segments.
 //!
 //! **Recovery** ([`Store::recover`]) loads the newest decodable snapshot,
-//! repairs a torn tail frame in the final segment, replays the commit
-//! suffix through the ordinary OT apply path, and re-verifies every
-//! digest chain link — refusing to start on any mismatch. Determinism
+//! then reads the journal once, on the calling thread: it re-verifies
+//! every digest chain link — refusing to start on any mismatch — repairs
+//! a torn tail frame in the final segment, and replays the verified
+//! commit suffix through the ordinary OT apply path. Determinism
 //! closes the loop: replaying the same commit slices over the same base
 //! state reproduces the original state bit for bit.
 //!

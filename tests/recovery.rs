@@ -19,8 +19,8 @@ use spawn_merge::netsim::workload::Lcg;
 use spawn_merge::obs::TaskPath;
 use spawn_merge::store::wal::Record;
 use spawn_merge::{
-    run, run_with_store, FsyncPolicy, MCounter, MList, MText, Pool, RetentionPolicy, Store,
-    StoreError, StoreOptions, TaskAbort,
+    run, run_with_store, FsyncPolicy, MCounter, MList, MText, Mergeable, Pool, RetentionPolicy,
+    Store, StoreError, StoreOptions, TaskAbort,
 };
 
 /// A fresh, empty scratch directory unique to this process and `tag`.
@@ -44,9 +44,8 @@ fn copy_dir(src: &Path, tag: &str) -> PathBuf {
     dst
 }
 
-/// The single WAL segment of a store directory (panics if there is not
-/// exactly one — callers arrange options so rotation never triggers).
-fn single_wal(dir: &Path) -> PathBuf {
+/// Every WAL segment of a store directory, oldest first.
+fn wal_segments(dir: &Path) -> Vec<PathBuf> {
     let mut wals: Vec<PathBuf> = fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -56,6 +55,14 @@ fn single_wal(dir: &Path) -> PathBuf {
                 .is_some_and(|n| n.starts_with("wal-"))
         })
         .collect();
+    wals.sort();
+    wals
+}
+
+/// The single WAL segment of a store directory (panics if there is not
+/// exactly one — callers arrange options so rotation never triggers).
+fn single_wal(dir: &Path) -> PathBuf {
+    let mut wals = wal_segments(dir);
     assert_eq!(wals.len(), 1, "expected a single WAL segment in {dir:?}");
     wals.pop().unwrap()
 }
@@ -381,6 +388,189 @@ fn tampered_ops_with_a_valid_crc_trip_the_digest_chain() {
     }
 }
 
+/// Flip one bit in the middle of commit `seq`'s ops, leave its journaled
+/// chain value alone, and re-frame it with a valid CRC; every other frame
+/// of `segment` keeps its bytes.
+fn flip_op_bit_reframed(segment: &Path, seq: u64) {
+    let bytes = fs::read(segment).unwrap();
+    let mut out = Vec::new();
+    let mut found = false;
+    let mut frames = Frames::new(&bytes);
+    while let Some((at, payload)) = frames.next() {
+        let Record::Commit(mut commit) = Record::from_bytes(payload).unwrap() else {
+            panic!("WAL must hold commit records");
+        };
+        if commit.seq == seq {
+            found = true;
+            let mut ops = commit.ops.to_vec();
+            let mid = ops.len() / 2;
+            ops[mid] ^= 0x20;
+            commit.ops = spawn_merge::store::wal::Bytes::copy_from_slice(&ops);
+            encode_frame(Record::Commit(commit).to_bytes().as_slice(), &mut out);
+        } else {
+            out.extend_from_slice(&bytes[at..frames.offset()]);
+        }
+    }
+    assert!(found, "commit {seq} not in {segment:?}");
+    fs::write(segment, out).unwrap();
+}
+
+/// The corruption matrix across segment boundaries: with the journal
+/// spread over several segments and two child paths interleaved in each,
+/// every defect is reported at the commit that carries it, whichever
+/// side of a segment boundary that commit sits on.
+#[test]
+fn tamper_and_corruption_matrix_across_segment_boundaries() {
+    let dir = scratch_dir("boundary-base");
+    let options = StoreOptions {
+        segment_bytes: 160, // a few commits per segment
+        ..StoreOptions::default()
+    };
+    let store = Store::open(&dir, options.clone()).unwrap();
+    let mut data = MList::<u64>::new();
+    store.begin(&data).unwrap();
+    let mut prefix_states = vec![data.to_vec()]; // index = seq
+    for i in 1..=16u64 {
+        data.push(i);
+        data.push(i * 100);
+        store
+            .commit_now(&data, &TaskPath::root().child(1 + i % 2))
+            .unwrap();
+        prefix_states.push(data.to_vec());
+    }
+    let bounds = store.frame_bounds();
+    drop(store);
+    let segments = wal_segments(&dir);
+    assert!(segments.len() >= 3, "tiny segments must have rotated");
+    let in_second: Vec<u64> = bounds
+        .iter()
+        .filter(|b| b.segment == segments[1])
+        .map(|b| b.seq)
+        .collect();
+    assert!(in_second.len() >= 3, "both paths recur inside a segment");
+
+    let image_of = |tag: &str, segment: &Path| {
+        let image = copy_dir(&dir, tag);
+        let target = image.join(segment.file_name().unwrap());
+        (image, target)
+    };
+    let recover = |image: &Path| Store::open(image, options.clone())?.recover::<MList<u64>>();
+
+    // A re-framed bit flip in the first commit of a non-first segment,
+    // then in a later commit of the same segment.
+    for (case, &seq) in [in_second[0], in_second[2]].iter().enumerate() {
+        let (image, target) = image_of(&format!("boundary-flip-{case}"), &segments[1]);
+        flip_op_bit_reframed(&target, seq);
+        match recover(&image) {
+            Err(StoreError::DigestMismatch { seq: at, .. }) if at == seq => {}
+            other => panic!("expected DigestMismatch at seq {seq}, got {other:?}"),
+        }
+    }
+
+    // A deleted middle segment is a sequence gap, not a shorter journal.
+    let (image, target) = image_of("boundary-gap", &segments[1]);
+    fs::remove_file(target).unwrap();
+    match recover(&image) {
+        Err(StoreError::Corrupt(msg)) if msg.contains("commit sequence gap") => {}
+        other => panic!("expected a sequence-gap Corrupt, got {other:?}"),
+    }
+
+    // A torn tail in the final segment: truncated, the prefix wins.
+    let last = bounds.last().unwrap();
+    assert_ne!(last.segment, segments[0]);
+    let (image, target) = image_of("boundary-torn", &last.segment);
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&target)
+        .unwrap()
+        .set_len(last.end - 5)
+        .unwrap();
+    let before = bounds[bounds.len() - 2].clone();
+    let clean_len = if before.segment == last.segment {
+        before.end
+    } else {
+        0
+    };
+    let rec = recover(&image).unwrap().expect("journal exists");
+    assert_eq!(rec.last_seq, 15, "the final record was torn");
+    assert_eq!(rec.torn_bytes, last.end - 5 - clean_len);
+    assert_eq!(rec.data.to_vec(), prefix_states[15]);
+    assert_eq!(fs::metadata(&target).unwrap().len(), clean_len);
+}
+
+/// What a failed recovery reported: the error's variant and the commit
+/// it names.
+fn refusal<D: std::fmt::Debug>(
+    result: Result<Option<spawn_merge::store::Recovered<D>>, StoreError>,
+) -> (&'static str, Option<u64>) {
+    match result {
+        Err(StoreError::Io(_)) => ("Io", None),
+        Err(StoreError::Corrupt(_)) => ("Corrupt", None),
+        Err(StoreError::DigestMismatch { seq, .. }) => ("DigestMismatch", Some(seq)),
+        Err(StoreError::Replay { seq, .. }) => ("Replay", Some(seq)),
+        Ok(rec) => panic!("recovery must refuse this journal, got {rec:?}"),
+    }
+}
+
+/// Two independent defects in one journal — an early commit whose chain
+/// link verifies but whose ops cannot replay, and a later digest
+/// mismatch — are reported the same way by `recover` and by the
+/// `recover_serial` reference: the whole journal is verified before any
+/// operation is applied.
+#[test]
+fn recover_and_reference_select_the_same_error() {
+    let dir = scratch_dir("error-selection");
+    let store = Store::open(&dir, StoreOptions::default()).unwrap();
+    let mut data = MList::<u64>::from_iter(0..10);
+    store.begin(&data).unwrap();
+    for i in 0..4u64 {
+        data.insert(8, i); // honest — on a ten-element base
+        store.commit_now(&data, &TaskPath::root()).unwrap();
+    }
+    drop(store);
+
+    // The genesis snapshot of an *empty* list, from a second store: no
+    // chain covers the snapshot's state, so every link still verifies,
+    // but commit 1's insert now lands out of bounds.
+    let donor = scratch_dir("error-selection-donor");
+    Store::open(&donor, StoreOptions::default())
+        .unwrap()
+        .begin(&MList::<u64>::new())
+        .unwrap();
+    let genesis = "snap-00000000000000000000";
+    fs::copy(donor.join(genesis), dir.join(genesis)).unwrap();
+    // And a digest mismatch two commits later.
+    flip_op_bit_reframed(&single_wal(&dir), 3);
+
+    let reference = refusal(
+        Store::open(&dir, StoreOptions::default())
+            .unwrap()
+            .recover_serial::<MList<u64>>(),
+    );
+    let shipped = refusal(
+        Store::open(&dir, StoreOptions::default())
+            .unwrap()
+            .recover::<MList<u64>>(),
+    );
+    assert_eq!(shipped, reference);
+    assert_eq!(shipped, ("DigestMismatch", Some(3)));
+
+    // With the chain intact the unreplayable commit is what is left.
+    let dir2 = copy_dir(&dir, "error-selection-replay");
+    // (Undo the flip: the same bit, the same frame.)
+    flip_op_bit_reframed(&single_wal(&dir2), 3);
+    for result in [
+        Store::open(&dir2, StoreOptions::default())
+            .unwrap()
+            .recover_serial::<MList<u64>>(),
+        Store::open(&dir2, StoreOptions::default())
+            .unwrap()
+            .recover::<MList<u64>>(),
+    ] {
+        assert_eq!(refusal(result), ("Replay", Some(1)));
+    }
+}
+
 /// The acceptance run: a 120-round collaborative-editing program, killed
 /// mid-stream at a round boundary, must converge to the uninterrupted
 /// run's exact final state after recovery + resumption — and the store
@@ -464,10 +654,13 @@ fn mid_stream_crash_recovery_converges_with_uninterrupted_run() {
     );
 }
 
-/// Parallel recovery (`recover`) and the single-threaded reference
-/// (`recover_serial`) must be observationally identical: same state, same
-/// per-child digest chains, same bookkeeping — on both the mixed-op
-/// journal (raw fallback lane) and an insert-only journal (batch lane).
+/// `recover` (one scan, then the prepared replay lane) and the
+/// `recover_serial` reference (the same scan, then per-commit
+/// `apply_log`) must be observationally identical: same state, same
+/// per-child digest chains, same bookkeeping, same primed store — on a
+/// mixed-op journal (raw fallback lane), an insert-only journal (batch
+/// lane) and a journal with a stale pre-snapshot segment. (The name
+/// predates the removal of the threaded scan.)
 #[test]
 fn parallel_and_serial_recovery_agree_on_state_and_chains() {
     // Mixed multi-structure workload: three children per round plus
@@ -538,6 +731,76 @@ fn parallel_and_serial_recovery_agree_on_state_and_chains() {
     assert_eq!(parallel.data.to_vec(), data.to_vec());
     assert_eq!(serial.chains, parallel.chains);
     assert_eq!(serial.replayed_ops, parallel.replayed_ops);
+
+    // A snapshot that left its covered segments behind (KeepAll is the
+    // crash between snapshot and prune): both recoveries skip the stale
+    // commits, and both prime the store alike — the next commit journals
+    // the same slice on the same chain and advances the history marks by
+    // the same amount. (The marks themselves are each recovery's own
+    // numbering: the prepared lane installs replayed state without
+    // re-recording the history the journal already holds.)
+    let dir = scratch_dir("differential-stale");
+    let options = StoreOptions {
+        segment_bytes: 1024,
+        snapshot_every_ops: 60,
+        retention: RetentionPolicy::KeepAll,
+        ..StoreOptions::default()
+    };
+    let store = Store::open(&dir, options.clone()).unwrap();
+    let mut data = MList::<u64>::new();
+    store.begin(&data).unwrap();
+    for round in 0..15u64 {
+        for _ in 0..10 {
+            let at = (rng.next() as usize) % (data.len() + 1);
+            data.insert(at, rng.next());
+        }
+        store
+            .commit(&data, &TaskPath::root().child(round % 2))
+            .unwrap();
+    }
+    store.sync().unwrap();
+    drop(store);
+    let stale_segment = wal_segments(&dir).remove(0);
+    assert!(stale_segment.ends_with("wal-00000000000000000001"));
+
+    let continued = |image: &Path, serial: bool| {
+        let store = Store::open(image, options.clone()).unwrap();
+        let rec = if serial {
+            store.recover_serial::<MList<u64>>()
+        } else {
+            store.recover::<MList<u64>>()
+        }
+        .unwrap()
+        .expect("journal exists");
+        assert!(rec.snapshot_seq > 0, "replay starts past the stale segment");
+        assert_eq!(rec.data.to_vec(), data.to_vec());
+        let mut marks = Vec::new();
+        rec.data.history_marks(&mut marks);
+        let mut next = rec.data;
+        next.insert(3, 0xC0);
+        next.push(0xC1);
+        store.commit_now(&next, &TaskPath::root().child(1)).unwrap();
+        let appended = fs::read(wal_segments(image).pop().unwrap()).unwrap();
+        let (_, payload) = Frames::new(&appended).next().expect("one new commit");
+        let Record::Commit(next) = Record::from_bytes(payload).unwrap() else {
+            panic!("WAL must hold commit records");
+        };
+        let advance: Vec<usize> = next.marks.iter().zip(&marks).map(|(a, b)| a - b).collect();
+        (
+            (rec.snapshot_seq, rec.last_seq, rec.replayed_ops, rec.chains),
+            (
+                next.seq,
+                next.child,
+                next.ops_count,
+                next.ops.to_vec(),
+                next.chain,
+            ),
+            advance,
+        )
+    };
+    let serial = continued(&copy_dir(&dir, "differential-stale-serial"), true);
+    let parallel = continued(&copy_dir(&dir, "differential-stale-shipped"), false);
+    assert_eq!(serial, parallel);
 }
 
 /// Delta snapshots shorten recovery replay (the newest delta upgrades
