@@ -83,19 +83,6 @@ fn build_journal(dir: &Path, total_ops: usize, ops_per_commit: usize, fsync: Fsy
     store
 }
 
-/// First line of a command's output, or `"unknown"` where the tool or
-/// the checkout is missing.
-fn first_line(program: &str, args: &[&str]) -> String {
-    match std::process::Command::new(program).args(args).output() {
-        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .next()
-            .unwrap_or("unknown")
-            .to_string(),
-        _ => "unknown".to_string(),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -108,13 +95,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_recovery.json".to_string());
 
     let mut json = String::from("{\n  \"bench\": \"recovery\",\n");
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let rev = first_line("git", &["describe", "--always", "--dirty"]);
-    let rustc = first_line("rustc", &["--version"]);
-    let _ = writeln!(
-        json,
-        "  \"env\": {{\"cores\": {cores}, \"rev\": \"{rev}\", \"rustc\": \"{rustc}\", \"quick\": {quick}}},"
-    );
+    json.push_str(&sm_bench::env_json_line(quick));
 
     // ------------------------------------------------------------------
     // Append throughput per fsync policy.

@@ -20,6 +20,8 @@
 //!
 //! `--quick` reduces repetitions and skips the 10^6 size for CI smoke
 //! runs; `--out` overrides the default output path `BENCH_state.json`.
+//! The `env` block records where the numbers were taken
+//! (`sm_bench::env_json_line`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -89,7 +91,7 @@ fn main() {
     const OPS: usize = 1_000;
 
     let mut json = String::from("{\n  \"bench\": \"state\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
+    json.push_str(&sm_bench::env_json_line(quick));
     json.push_str("  \"text_apply\": [\n");
 
     for (si, &size) in sizes.iter().enumerate() {

@@ -15,6 +15,31 @@ use std::time::Duration;
 use sm_netsim::{run_setup, Setup, SimConfig};
 use sm_obs::Metrics;
 
+/// First line of a command's output, or `"unknown"` where the tool or
+/// the checkout is missing.
+fn first_line(program: &str, args: &[&str]) -> String {
+    match std::process::Command::new(program).args(args).output() {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .next()
+            .unwrap_or("unknown")
+            .to_string(),
+        _ => "unknown".to_string(),
+    }
+}
+
+/// The `"env": {…},` line of a `BENCH_*.json`: where its numbers were
+/// taken — cores, `git describe --always --dirty`, `rustc --version`,
+/// `--quick`.
+pub fn env_json_line(quick: bool) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let rev = first_line("git", &["describe", "--always", "--dirty"]);
+    let rustc = first_line("rustc", &["--version"]);
+    format!(
+        "  \"env\": {{\"cores\": {cores}, \"rev\": \"{rev}\", \"rustc\": \"{rustc}\", \"quick\": {quick}}},\n"
+    )
+}
+
 /// Install an `sm_obs` metrics aggregator for the duration of a bench
 /// binary run. Every runtime event from this point on (task spawns,
 /// merges with their OT stats, pool churn) is aggregated into the

@@ -439,6 +439,188 @@ mod tests {
         assert_eq!(rec.finished_with, Some(3));
     }
 
+    /// A mergeable that counts its `clone()`s (forks are not clones).
+    struct CloneProbe {
+        clones: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        value: MCounter,
+    }
+
+    impl Clone for CloneProbe {
+        fn clone(&self) -> Self {
+            self.clones
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            CloneProbe {
+                clones: self.clones.clone(),
+                value: self.value.clone(),
+            }
+        }
+    }
+
+    impl mergeable::Mergeable for CloneProbe {
+        fn fork(&self) -> Self {
+            CloneProbe {
+                clones: self.clones.clone(),
+                value: self.value.fork(),
+            }
+        }
+        fn merge(&mut self, child: &Self) -> Result<mergeable::MergeStats, mergeable::MergeError> {
+            self.value.merge(&child.value)
+        }
+        fn pending_ops(&self) -> usize {
+            self.value.pending_ops()
+        }
+        fn rollback_to(&mut self, fork: &Self) {
+            self.value.rollback_to(&fork.value);
+        }
+    }
+
+    #[test]
+    fn root_task_keeps_no_pristine_copy() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let probe = CloneProbe {
+            clones: clones.clone(),
+            value: MCounter::new(0),
+        };
+        let (data, ()) = run(probe, |ctx| {
+            ctx.data_mut().value.inc();
+            assert_eq!(clones.load(SeqCst), 0, "the root cannot Clone: no copy");
+            ctx.spawn(|c| {
+                c.data_mut().value.inc();
+                Ok(())
+            });
+            ctx.merge_all();
+        });
+        assert_eq!(data.value.get(), 2);
+        // Only the child keeps the copy a `clone_task` sibling would start from.
+        assert_eq!(clones.load(SeqCst), 1);
+    }
+
+    /// Run `program` on its own thread; fail instead of hanging the suite.
+    fn within_10s<T: Send + 'static>(program: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(program()));
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the program deadlocked (or panicked)")
+    }
+
+    #[test]
+    fn merge_all_replies_before_it_waits_for_a_later_child() {
+        // Child 2 can only reach its `sync` after child 1 has *resumed*
+        // from its own: a `merge_all` that held child 1's reply until the
+        // end of the walk would wait for child 2 forever.
+        let counter = within_10s(|| {
+            let (resumed_tx, resumed_rx) = std::sync::mpsc::sync_channel::<()>(0);
+            let (counter, ()) = run(MCounter::new(0), |ctx| {
+                ctx.spawn(move |c| {
+                    c.data_mut().add(1);
+                    c.sync()?;
+                    resumed_tx.send(()).expect("child 2 is waiting");
+                    Ok(())
+                });
+                ctx.spawn(move |c| {
+                    resumed_rx.recv().expect("child 1 resumes");
+                    c.data_mut().add(10);
+                    c.sync()?;
+                    assert_eq!(c.data().get(), 11, "fresh fork after both syncs");
+                    Ok(())
+                });
+                let report = ctx.merge_all();
+                assert!(report.all_merged());
+                assert_eq!(report.completed_count(), 0, "both children synced");
+                assert!(ctx.merge_all().all_merged(), "both completions are clean");
+            });
+            counter.get()
+        });
+        assert_eq!(counter, 11);
+    }
+
+    #[test]
+    fn single_merges_reply_before_they_return() {
+        // After `merge_any` / `merge_any_from_set` / `merge_one` merged a
+        // `Sync`, the child resumes although the parent makes no further
+        // runtime call: it only waits on a channel of the test's.
+        type MergeOne = fn(&mut TaskCtx<MCounter>, &TaskHandle) -> Option<MergedChild>;
+        let merges: [MergeOne; 3] = [
+            |ctx, _| ctx.merge_any(),
+            |ctx, h| ctx.merge_any_from_set(&[h]),
+            |ctx, h| ctx.merge_one(h.id()),
+        ];
+        for merge in merges {
+            within_10s(move || {
+                let (resumed_tx, resumed_rx) = std::sync::mpsc::channel();
+                run(MCounter::new(0), |ctx| {
+                    let child = ctx.spawn(move |c| {
+                        c.data_mut().inc();
+                        let synced = c.sync();
+                        resumed_tx.send(synced).expect("the root is waiting");
+                        Ok(())
+                    });
+                    let merged = merge(ctx, &child).expect("one live child");
+                    assert!(!merged.completed && merged.disposition.is_merged());
+                    let synced = resumed_rx
+                        .recv_timeout(std::time::Duration::from_secs(5))
+                        .expect("the reply left with the merge call");
+                    assert_eq!(synced, Ok(()));
+                });
+            });
+        }
+    }
+
+    #[test]
+    fn a_sync_the_parent_drops_unanswered_fails_and_the_next_one_works() {
+        // The reply channel outlives one `sync`, but its only sender
+        // travels with the request: a parent that loses the request (here
+        // to a panicking condition) disconnects it, the child reads
+        // `ParentGone` instead of waiting forever, and its next `sync`
+        // starts a fresh channel — answered by the aborting parent's drain.
+        let report = within_10s(|| {
+            let (_, report) = run(MCounter::new(0), |ctx| {
+                ctx.spawn(|parent| {
+                    parent.spawn(|c| {
+                        assert_eq!(c.sync(), Err(SyncError::ParentGone));
+                        assert_eq!(c.sync(), Err(SyncError::Aborted));
+                        Ok(())
+                    });
+                    parent.merge_all_with(&|_| panic!("condition panicked"));
+                    Ok(())
+                });
+                ctx.merge_all()
+            });
+            report
+        });
+        assert!(matches!(
+            &report.children[0].disposition,
+            Disposition::AbortedByChild(AbortReason::Panic(msg)) if msg.contains("condition panicked")
+        ));
+    }
+
+    #[test]
+    fn deferred_verdicts_reach_the_right_children() {
+        let (counter, ()) = run(MCounter::new(0), |ctx| {
+            ctx.spawn(|c| {
+                c.data_mut().add(1000);
+                assert_eq!(c.sync(), Err(SyncError::MergeRejected));
+                assert_eq!(c.data().get(), 1000, "rejected: the original data back");
+                c.data_mut().add(-1000);
+                Ok(())
+            });
+            ctx.spawn(|c| {
+                c.data_mut().add(5);
+                assert_eq!(c.sync(), Ok(()));
+                assert_eq!(c.data().get(), 5, "accepted: a fresh fork of the parent");
+                Ok(())
+            });
+            let report = ctx.merge_all_with(&|d: &MCounter| d.get() < 100);
+            assert_eq!(report.children[0].disposition, Disposition::Rejected);
+            assert!(report.children[1].disposition.is_merged());
+            // Both completions merge: a child that saw the wrong verdict
+            // panicked in its assert and would be `AbortedByChild` here.
+            assert!(ctx.merge_all().all_merged());
+        });
+        assert_eq!(counter.get(), 5);
+    }
+
     #[test]
     fn pool_reuse_across_runs() {
         let pool = Pool::new();

@@ -19,7 +19,11 @@
 //! the merge on a fresh fork) or a **completion** (the child retires).
 //! `merge_all` processes exactly one event per live child per call — which
 //! is what makes a `for { MergeAll() }` loop over syncing children proceed
-//! in deterministic rounds (the simulation pattern of listing 4).
+//! in deterministic rounds (the simulation pattern of listing 4). The
+//! syncing children of one call get their verdicts (and fresh forks, taken
+//! right after each one's own merge) together, after the last merge of the
+//! walk — or as soon as the walk has to block for a later child's event,
+//! which may depend on an earlier child having resumed.
 //!
 //! # Staging
 //!
@@ -48,7 +52,7 @@ use sm_mergeable::{MergeStats, Mergeable};
 use sm_obs::{emit, EventKind, MergeOpStats, Phase};
 
 use crate::error::AbortReason;
-use crate::task::{Event, EventBody, SyncReply, TaskCtx, TaskHandle, TaskId};
+use crate::task::{Event, EventBody, SyncReply, SyncReturn, TaskCtx, TaskHandle, TaskId};
 
 /// Fewest simultaneously-ready children that make a batch. Staging pays
 /// from the third child that edited one log; below this many children a
@@ -212,6 +216,7 @@ impl<D: Mergeable> TaskCtx<D> {
             let ev = self.next_event_for(*id);
             report.children.push(self.handle_event(ev, cond, None));
         }
+        self.flush_replies();
         self.gc_history();
         report
     }
@@ -326,6 +331,7 @@ impl<D: Mergeable> TaskCtx<D> {
             if let Some(pos) = self.pending.iter().position(|e| targets.contains(&e.child)) {
                 let ev = self.pending.remove(pos).expect("position is valid");
                 let merged = self.handle_event(ev, cond, None);
+                self.flush_replies();
                 self.gc_history();
                 return Some(merged);
             }
@@ -335,6 +341,7 @@ impl<D: Mergeable> TaskCtx<D> {
                 .expect("event channel cannot disconnect while the context holds its family");
             if targets.contains(&ev.child) {
                 let merged = self.handle_event(ev, cond, None);
+                self.flush_replies();
                 self.gc_history();
                 return Some(merged);
             }
@@ -354,6 +361,7 @@ impl<D: Mergeable> TaskCtx<D> {
         }
         let ev = self.next_event_for(id);
         let merged = self.handle_event(ev, &|_| true, None);
+        self.flush_replies();
         self.gc_history();
         Some(merged)
     }
@@ -387,16 +395,20 @@ impl<D: Mergeable> TaskCtx<D> {
     }
 
     /// Block until the next event *from child `id`*, buffering events from
-    /// other children in arrival order.
+    /// other children in arrival order. Parked verdicts leave before the
+    /// wait: `id` may only be able to reach its next event after a sibling
+    /// merged earlier in this call has resumed (§IV-A's semaphore).
     fn next_event_for(&mut self, id: TaskId) -> Event<D> {
         if let Some(pos) = self.pending.iter().position(|e| e.child == id) {
             return self.pending.remove(pos).expect("position is valid");
         }
         loop {
-            let ev = self
-                .events_rx
-                .recv()
-                .expect("event channel cannot disconnect while the context holds its family");
+            let ev = self.events_rx.try_recv().unwrap_or_else(|_| {
+                self.flush_replies();
+                self.events_rx
+                    .recv()
+                    .expect("event channel cannot disconnect while the context holds its family")
+            });
             if ev.child == id {
                 return ev;
             }
@@ -404,8 +416,23 @@ impl<D: Mergeable> TaskCtx<D> {
         }
     }
 
-    /// Merge (or reject) one child event. `staged` is the stage of the
-    /// batch this child belongs to; the sequential path passes `None`.
+    /// Send the verdicts [`handle_event`](Self::handle_event) parked. A
+    /// `merge_all` answers its `Sync`s after the last merge of the walk —
+    /// woken early, the children would pre-empt the merging thread on a
+    /// busy box — but never later than its next blocking wait;
+    /// `merge_any*` and `merge_one` answer at once.
+    fn flush_replies(&mut self) {
+        for (reply, verdict) in self.replies.drain(..) {
+            // The sender returns to the child inside its own message (see
+            // `SyncReturn`); the clone only lives for the send.
+            let tx = reply.clone();
+            let _ = tx.send(SyncReturn { verdict, reply });
+        }
+    }
+
+    /// Merge (or reject) one child event; a `Sync`'s verdict is parked in
+    /// `self.replies` for the caller to flush. `staged` is the stage of
+    /// the batch this child belongs to; the sequential path passes `None`.
     fn handle_event(
         &mut self,
         ev: Event<D>,
@@ -420,7 +447,7 @@ impl<D: Mergeable> TaskCtx<D> {
         let externally_aborted = self.children[pos]
             .abort
             .load(std::sync::atomic::Ordering::SeqCst);
-        let child_path = self.path.child(ev.child);
+        let child = ev.child;
 
         match ev.body {
             EventBody::Done { data, outcome } => {
@@ -431,8 +458,7 @@ impl<D: Mergeable> TaskCtx<D> {
                             Disposition::AbortedExternally
                         } else if let Some(child_data) = data {
                             if cond(&child_data) {
-                                let stats =
-                                    self.merge_child(&child_data, &child_path, false, staged);
+                                let stats = self.merge_child(&child_data, child, false, staged);
                                 Disposition::Merged(stats)
                             } else {
                                 Disposition::Rejected
@@ -448,55 +474,49 @@ impl<D: Mergeable> TaskCtx<D> {
                     }
                 };
                 if !disposition.is_merged() {
-                    emit(&self.path, || EventKind::MergeRejected {
-                        child: child_path,
-                    });
+                    self.emit_rejected(child);
                 }
                 MergedChild {
-                    task: ev.child,
+                    task: child,
                     completed: true,
                     disposition,
                 }
             }
             EventBody::Sync { data, reply } => {
-                if externally_aborted {
-                    let _ = reply.send(SyncReply::Rejected(data));
-                    emit(&self.path, || EventKind::MergeRejected {
-                        child: child_path,
-                    });
-                    return MergedChild {
-                        task: ev.child,
-                        completed: false,
-                        disposition: Disposition::AbortedExternally,
-                    };
-                }
-                if cond(&data) {
-                    let stats = self.merge_child(&data, &child_path, true, None);
+                let (verdict, disposition) = if externally_aborted {
+                    (SyncReply::Rejected(data), Disposition::AbortedExternally)
+                } else if cond(&data) {
+                    let stats = self.merge_child(&data, child, true, None);
                     let fresh = self.data().fork();
                     // The child continues from this fresh fork: its old
                     // fork bases no longer pin the history.
                     let marks = &mut self.children[pos].fork_marks;
                     marks.clear();
                     fresh.fork_marks(marks);
-                    let _ = reply.send(SyncReply::Accepted(fresh));
-                    MergedChild {
-                        task: ev.child,
-                        completed: false,
-                        disposition: Disposition::Merged(stats),
-                    }
+                    (SyncReply::Accepted(fresh), Disposition::Merged(stats))
                 } else {
-                    let _ = reply.send(SyncReply::Rejected(data));
-                    emit(&self.path, || EventKind::MergeRejected {
-                        child: child_path,
-                    });
-                    MergedChild {
-                        task: ev.child,
-                        completed: false,
-                        disposition: Disposition::Rejected,
-                    }
+                    (SyncReply::Rejected(data), Disposition::Rejected)
+                };
+                self.replies.push((reply, verdict));
+                if !disposition.is_merged() {
+                    self.emit_rejected(child);
+                }
+                MergedChild {
+                    task: child,
+                    completed: false,
+                    disposition,
                 }
             }
         }
+    }
+
+    /// The `MergeRejected` event for a child whose changes were dismissed.
+    /// Child paths are built inside the emit closures: an unrecorded run
+    /// allocates none.
+    fn emit_rejected(&self, child: TaskId) {
+        emit(&self.path, || EventKind::MergeRejected {
+            child: self.path.child(child),
+        });
     }
 
     /// Fork-watermark history GC (root task only).
@@ -572,12 +592,12 @@ impl<D: Mergeable> TaskCtx<D> {
     fn merge_child(
         &mut self,
         child_data: &D,
-        child_path: &sm_obs::TaskPath,
+        child: TaskId,
         child_continues: bool,
         staged: Option<&mut (dyn StagedCommit<D> + 'static)>,
     ) -> MergeStats {
         emit(&self.path, || EventKind::MergeStarted {
-            child: child_path.clone(),
+            child: self.path.child(child),
         });
         let merge_t0 = sm_obs::is_enabled().then(Instant::now);
         let stats = match staged {
@@ -589,7 +609,7 @@ impl<D: Mergeable> TaskCtx<D> {
             let merge_nanos = t0.elapsed().as_nanos() as u64;
             let oplog_len = self.data().pending_ops();
             emit(&self.path, || EventKind::MergeFinished {
-                child: child_path.clone(),
+                child: self.path.child(child),
                 child_continues,
                 ops: MergeOpStats {
                     child_ops: stats.child_ops,
@@ -618,7 +638,7 @@ impl<D: Mergeable> TaskCtx<D> {
         // task's committed log and no GC has run yet this round, so a
         // durability sink sees every committed operation exactly once.
         if let Some(mut sink) = self.sink.take() {
-            sink.committed(self.data(), child_path, child_continues);
+            sink.committed(self.data(), &self.path.child(child), child_continues);
             self.sink = Some(sink);
         }
         stats

@@ -161,7 +161,7 @@ where
         // Process L: releases first, then FIFO grants.
         let (granted, waiting) = process_semaphore_list(ctx.data_mut(), &mut grants);
         for id in granted {
-            ctx.mark(format!("semaphore grant -> task {id}"));
+            ctx.mark(|| format!("semaphore grant -> task {id}"));
             if live.contains(&id) {
                 in_s.insert(id);
             }

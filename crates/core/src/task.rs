@@ -41,8 +41,9 @@ pub(crate) enum EventBody<D> {
     Sync {
         /// The child's data (with its recorded operations).
         data: D,
-        /// Where the parent's verdict goes.
-        reply: Sender<SyncReply<D>>,
+        /// Where the parent's verdict goes: the only sender of the child's
+        /// reply channel, so a request dropped unanswered disconnects it.
+        reply: ReplySender<D>,
     },
     /// The child finished.
     Done {
@@ -65,6 +66,17 @@ pub(crate) enum SyncReply<D> {
     /// Merge rejected (condition failed or externally aborted); the
     /// child's data is returned untouched.
     Rejected(D),
+}
+
+/// The sending half of a child's `Sync` reply channel.
+pub(crate) type ReplySender<D> = Sender<SyncReturn<D>>;
+
+/// A verdict on its way back to the child. The sender it was sent through
+/// rides along, so a child reuses one reply channel for all its `Sync`s
+/// while the request in the parent's hands still holds the only sender.
+pub(crate) struct SyncReturn<D> {
+    pub verdict: SyncReply<D>,
+    pub reply: ReplySender<D>,
 }
 
 /// State shared between a parent task and all of its children.
@@ -151,13 +163,20 @@ pub struct TaskCtx<D: Mergeable> {
     pub(crate) data: Option<D>,
     /// A pristine fork of the data as received at spawn / last sync; this
     /// is what `Clone`d siblings start from ("it inherits the same initial
-    /// value of data from its sibling", §II-E).
-    pub(crate) pristine: D,
+    /// value of data from its sibling", §II-E). `None` for the root task,
+    /// which cannot `Clone`: a copy there would only pin every initial
+    /// state and turn the root's first write to each field into a
+    /// copy-on-write copy.
+    pub(crate) pristine: Option<D>,
     pub(crate) id: TaskId,
     /// Globally unique, deterministic identity for observability.
     pub(crate) path: TaskPath,
     /// Link to the parent's family; `None` for the root task.
     pub(crate) parent: Option<Arc<Family<D>>>,
+    /// This task's `Sync` reply channel, made at the first `sync` and
+    /// reused by every later one; `None` while a request holds the sender
+    /// (and for good if the parent dropped one unanswered).
+    reply: Option<(ReplySender<D>, Receiver<SyncReturn<D>>)>,
     pub(crate) abort_flag: Arc<AtomicBool>,
     /// This task's own family (shared with its children).
     pub(crate) family: Arc<Family<D>>,
@@ -167,6 +186,9 @@ pub struct TaskCtx<D: Mergeable> {
     /// Events received while waiting for a specific child, in arrival
     /// order.
     pub(crate) pending: VecDeque<Event<D>>,
+    /// Verdicts of the `Sync`s a merge call has handled and not yet
+    /// answered (see `flush_replies` in `merge.rs`).
+    pub(crate) replies: Vec<(ReplySender<D>, SyncReply<D>)>,
     /// Durability observer of this task's merge commits (root task only;
     /// installed by [`crate::run_with_sink`]).
     pub(crate) sink: Option<Box<dyn crate::CommitSink<D>>>,
@@ -181,7 +203,7 @@ impl<D: Mergeable> TaskCtx<D> {
         pool: Pool,
     ) -> Self {
         let (events_tx, events_rx) = unbounded();
-        let pristine = data.clone();
+        let pristine = parent.is_some().then(|| data.clone());
         let path = match &parent {
             Some(family) => family.path.child(id),
             None => TaskPath::root(),
@@ -192,6 +214,7 @@ impl<D: Mergeable> TaskCtx<D> {
             id,
             path: path.clone(),
             parent,
+            reply: None,
             abort_flag,
             family: Arc::new(Family {
                 path,
@@ -203,6 +226,7 @@ impl<D: Mergeable> TaskCtx<D> {
             events_rx,
             children: Vec::new(),
             pending: VecDeque::new(),
+            replies: Vec::new(),
             sink: None,
         }
     }
@@ -224,13 +248,13 @@ impl<D: Mergeable> TaskCtx<D> {
         &self.path
     }
 
-    /// Emit a freeform [`sm_obs`] mark annotation attributed to this task
-    /// (a no-op unless a recorder is installed).
-    pub fn mark(&self, label: impl Into<String>) {
-        if sm_obs::is_enabled() {
-            let label = label.into();
-            emit(&self.path, || EventKind::Mark { label });
-        }
+    /// Emit a freeform [`sm_obs`] mark annotation attributed to this task.
+    /// `label` only runs while a recorder is installed, so an unrecorded
+    /// run never builds the string.
+    pub fn mark<S: Into<String>>(&self, label: impl FnOnce() -> S) {
+        emit(&self.path, || EventKind::Mark {
+            label: label().into(),
+        });
     }
 
     /// Read access to the task's data copy.
@@ -327,7 +351,10 @@ impl<D: Mergeable> TaskCtx<D> {
         let parent = self.parent.as_ref().ok_or(SyncError::RootTask)?;
         let spawn_t0 = sm_obs::is_enabled().then(Instant::now);
         let id = parent.next_id.fetch_add(1, Ordering::Relaxed);
-        let data = self.pristine.clone();
+        let data = self
+            .pristine
+            .clone()
+            .expect("every task with a parent keeps its pristine copy");
         // The sibling starts from this task's pristine copy, which carries
         // the fork bases of the original fork from the parent.
         let mut fork_marks = Vec::new();
@@ -370,7 +397,7 @@ impl<D: Mergeable> TaskCtx<D> {
         if self.live_children() > 0 {
             return Err(SyncError::HasLiveChildren);
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = self.reply.take().unwrap_or_else(|| bounded(1));
         let data = self.data.take().expect("task data unavailable");
         emit(&self.path, || EventKind::SyncBlocked);
         let blocked_t0 = Instant::now();
@@ -388,15 +415,19 @@ impl<D: Mergeable> TaskCtx<D> {
             self.emit_sync_resumed(blocked_t0, false);
             return Err(SyncError::ParentGone);
         }
-        let reply = reply_rx.recv();
-        self.emit_sync_resumed(blocked_t0, matches!(reply, Ok(SyncReply::Accepted(_))));
-        match reply {
-            Ok(SyncReply::Accepted(fresh)) => {
-                self.pristine = fresh.clone();
+        // An error here is the parent dropping the request unanswered.
+        let verdict = reply_rx.recv().ok().map(|back| {
+            self.reply = Some((back.reply, reply_rx));
+            back.verdict
+        });
+        self.emit_sync_resumed(blocked_t0, matches!(verdict, Some(SyncReply::Accepted(_))));
+        match verdict {
+            Some(SyncReply::Accepted(fresh)) => {
+                self.pristine = Some(fresh.clone());
                 self.data = Some(fresh);
                 Ok(())
             }
-            Ok(SyncReply::Rejected(original)) => {
+            Some(SyncReply::Rejected(original)) => {
                 self.data = Some(original);
                 if self.is_aborted() {
                     Err(SyncError::Aborted)
@@ -404,7 +435,7 @@ impl<D: Mergeable> TaskCtx<D> {
                     Err(SyncError::MergeRejected)
                 }
             }
-            Err(_) => Err(SyncError::ParentGone),
+            None => Err(SyncError::ParentGone),
         }
     }
 

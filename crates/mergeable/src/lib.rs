@@ -509,6 +509,45 @@ mod tests {
     }
 
     #[test]
+    fn untouched_merge_leaves_every_leaf_sharing_its_state() {
+        // The runtime hands each syncing child a fork and merges it back;
+        // a leaf the child never wrote must come out of that still sharing
+        // its state with the fork (no copy-on-write copy for no write).
+        macro_rules! check {
+            ($leaf:expr) => {{
+                let mut parent = $leaf;
+                let child = parent.fork();
+                parent.merge(&child).unwrap();
+                assert!(parent.versioned().state_is_shared());
+                assert!(child.versioned().state_is_shared());
+            }};
+        }
+        check!(MList::from_iter([1u32, 2]));
+        check!(MText::from("text"));
+        check!(MQueue::from_vec(vec![1u32, 2]));
+        check!(MMap::from_entries([(1u32, 2u32)]));
+        check!(MSet::from_items([1u32]));
+        check!(MCounter::new(3));
+        check!(MCounterMap::from_entries([(1u32, 2)]));
+        check!(MRegister::new(4u32));
+        check!(MTree::new(5u32));
+
+        // Field-wise through a composite, around one edited field.
+        let mut data = (
+            vec![MQueue::from_vec(vec![1u32]), MQueue::new()],
+            vec![MCounter::new(0), MCounter::new(0)],
+            MRegister::new(false),
+        );
+        let mut child = data.fork();
+        child.1[0].inc();
+        data.merge(&child).unwrap();
+        assert!(data.0.iter().all(|q| q.versioned().state_is_shared()));
+        assert!(!data.1[0].versioned().state_is_shared());
+        assert!(data.1[1].versioned().state_is_shared());
+        assert!(data.2.versioned().state_is_shared());
+    }
+
+    #[test]
     fn nested_composites_merge() {
         mergeable_struct! {
             #[derive(Debug, Clone)]

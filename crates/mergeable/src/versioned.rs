@@ -18,7 +18,11 @@
 //! forks in O(1) and pays one deep copy lazily at the first post-fork write
 //! on either side ([`Arc::make_mut`]). [`CopyMode::Deep`] forces the eager
 //! copy the paper's unoptimized prototype performed — kept for the ablation
-//! benchmarks.
+//! benchmarks. Only a write pays: a merge that applies nothing (a child
+//! that recorded nothing, or a run the transform emptied) leaves the state
+//! shared, and forking a log nobody edited since its last fork is one
+//! `Arc` bump — so a `Sync` over a wide composite costs what the child
+//! touched, not what the composite holds.
 //!
 //! # Log compaction and truncation
 //!
@@ -386,11 +390,16 @@ impl<O: Operation> Versioned<O> {
     ///
     /// Forking also raises the fuse barrier: operations recorded here after
     /// the fork will not fuse across this fork point, so the child can
-    /// always be rebased against an exact suffix of the history.
+    /// always be rebased against an exact suffix of the history. The
+    /// barrier only ever rises between `&mut` calls, so when it is already
+    /// here (every fork after the first of an unedited log) the fork
+    /// writes nothing shared: one load and the `Arc` bump.
     #[must_use]
     pub fn fork(&self) -> Self {
         let here = self.history_len();
-        self.fuse_barrier.fetch_max(here, Ordering::Relaxed);
+        if self.fuse_barrier.load(Ordering::Relaxed) < here {
+            self.fuse_barrier.fetch_max(here, Ordering::Relaxed);
+        }
         Versioned {
             state: self.share_state(),
             log: Vec::new(),
@@ -430,14 +439,28 @@ impl<O: Operation> Versioned<O> {
     /// compacted first (read-only; borrowed unchanged when already compact)
     /// and rebased over the pairwise transformation grid; compaction rules
     /// are rebase-preserving, so the result is unchanged while the grid
-    /// shrinks multiplicatively. Trivial merges (either log empty) count as
-    /// grid rebases in [`MergeStats`] — the grid path's empty-side fast
-    /// paths make them O(1) anyway.
+    /// shrinks multiplicatively.
+    ///
+    /// A child that recorded nothing owes the parent nothing: its merge
+    /// validates the fork point and returns — O(1), no rebase, no scan of
+    /// the committed slice, no allocation, and the state stays shared with
+    /// every fork that shares it. It still counts as one grid rebase in
+    /// [`MergeStats`] (as does a merge over an idle parent), with
+    /// `committed_ops` read off the history length.
     ///
     /// Merging never aborts on conflicting operations — that is the OT
     /// guarantee; the error cases are structural misuse only.
     pub fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
         self.check_fork_point(child)?;
+        if child.log.is_empty() {
+            let committed_ops = self.history_len() - child.fork_base;
+            return Ok(MergeStats {
+                committed_ops,
+                committed_ops_compacted: committed_ops,
+                grid_rebases: 1,
+                ..MergeStats::default()
+            });
+        }
         // Phase timing is live-telemetry only: clocks are read solely
         // while an sm_obs recorder is installed, so the uninstalled
         // merge path pays one relaxed load and no syscalls.
@@ -445,13 +468,25 @@ impl<O: Operation> Versioned<O> {
         let committed_raw = &self.log[child.fork_base - self.log_start..];
         let (rebased, mut stats) = rebase_over(&child.log, committed_raw, timing);
         let apply_t0 = timing.then(std::time::Instant::now);
-        let state = Arc::make_mut(&mut self.state);
-        for op in &rebased {
-            op.apply(state)?;
-        }
+        self.apply_run(&rebased)?;
         stats.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
         self.extend_ops(rebased);
         Ok(stats)
+    }
+
+    /// Apply a rebased run to the state. A run the transform emptied
+    /// (every operation a duplicate of a committed one) must not reach
+    /// [`Arc::make_mut`]: that would deep-copy a state the forks share
+    /// for no edit at all.
+    fn apply_run(&mut self, run: &[O]) -> Result<(), ApplyError> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let state = Arc::make_mut(&mut self.state);
+        for op in run {
+            op.apply(state)?;
+        }
+        Ok(())
     }
 
     /// Commit a pre-rebased run produced by the staging engine
@@ -493,10 +528,7 @@ impl<O: Operation> Versioned<O> {
         stats.child_ops_compacted = stats.child_ops;
         stats.committed_ops_compacted = stats.committed_ops;
         let apply_t0 = timing.then(std::time::Instant::now);
-        let state = Arc::make_mut(&mut self.state);
-        for op in &run {
-            op.apply(state)?;
-        }
+        self.apply_run(&run)?;
         stats.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
         self.extend_ops(run);
         Ok(stats)
@@ -982,6 +1014,43 @@ mod tests {
             stats.applied_ops, 0,
             "duplicate delete collapses to nothing"
         );
+    }
+
+    #[test]
+    fn untouched_merge_shares_the_state_and_leaves_the_history_alone() {
+        let mut parent = V::new(ct(vec![1, 2, 3]));
+        let child = parent.fork();
+        parent.record(ListOp::Set(0, 9)).unwrap();
+        parent.record(ListOp::Delete(2)).unwrap();
+        let younger = parent.fork(); // shares the edited state
+        let stats = parent.merge(&child).unwrap();
+        assert_eq!(
+            stats,
+            MergeStats {
+                committed_ops: 2,
+                committed_ops_compacted: 2,
+                grid_rebases: 1,
+                ..MergeStats::default()
+            }
+        );
+        assert!(parent.state_is_shared() && younger.state_is_shared());
+        assert_eq!((parent.pending_ops(), parent.history_len()), (2, 2));
+    }
+
+    #[test]
+    fn a_run_the_transform_emptied_shares_the_state_too() {
+        // The child's only operation duplicates a committed delete: the
+        // rebased run is empty, so there is no edit to unshare the state for.
+        let mut parent = V::new(ct(vec![1, 2, 3]));
+        let mut child = parent.fork();
+        child.record(ListOp::Delete(0)).unwrap();
+        parent.record(ListOp::Delete(0)).unwrap();
+        let younger = parent.fork();
+        let stats = parent.merge(&child).unwrap();
+        assert_eq!((stats.child_ops, stats.applied_ops), (1, 0));
+        assert!(parent.state_is_shared() && younger.state_is_shared());
+        assert_eq!((parent.pending_ops(), parent.history_len()), (1, 1));
+        assert_eq!(parent.state(), &vec![2, 3]);
     }
 
     #[test]

@@ -1,0 +1,186 @@
+//! A child that edited nothing owes the parent nothing: merging an
+//! untouched fork allocates nothing and returns stats that are arithmetic
+//! on the history length. Every leaf and a composite shaped like the
+//! network simulation's state (three `Vec`s of leaves and a flag), over an
+//! idle parent and over a parent that committed three operations since
+//! the fork. That the state also stays *shared* is checked next to
+//! `Versioned` (`versioned.rs`, `lib.rs`), where `state_is_shared` is
+//! visible; here, an unsharing `Arc::make_mut` shows as an allocation.
+//!
+//! Run it in release too (CI does): debug builds double staged commits
+//! with the sequential oracle and allocate differently.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sm_mergeable::{
+    mergeable_struct, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText, MTree,
+    MergeStats, Mergeable,
+};
+use sm_ot::tree::Node;
+
+/// The system allocator, counting each thread's allocations.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: both methods forward to `System` with the caller's arguments
+// unchanged and return its result unchanged (`alloc_zeroed` and `realloc`
+// keep their defaults, which go through `alloc`); the counter is a
+// const-initialized thread-local `Cell` with no destructor, so touching
+// it never allocates and never observes a torn-down slot.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: same contract as our caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as our caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// What a trivial merge reported at the parent commit of this change, per
+/// log: nothing from the child, one grid rebase, and the parent's
+/// operations since the fork (`committed_ops_compacted` now reads the raw
+/// length, as the delta path's always has; none of these edits compacts).
+fn trivial(logs: usize, committed_ops: usize) -> MergeStats {
+    MergeStats {
+        committed_ops,
+        committed_ops_compacted: committed_ops,
+        grid_rebases: logs,
+        ..MergeStats::default()
+    }
+}
+
+/// Merge an untouched fork into an idle parent, then into a parent that
+/// has recorded `edit` (`committed_ops` operations) since the fork and
+/// shares its state with a younger fork.
+fn check<M: Mergeable>(
+    name: &str,
+    mut parent: M,
+    logs: usize,
+    committed_ops: usize,
+    edit: fn(&mut M),
+) {
+    let child = parent.fork();
+    let (stats, allocations) = allocations_in(|| parent.merge(&child).unwrap());
+    assert_eq!(allocations, 0, "{name}: idle parent");
+    assert_eq!(stats, trivial(logs, 0), "{name}: idle parent");
+
+    let child = parent.fork();
+    edit(&mut parent);
+    let _younger = parent.fork();
+    let (stats, allocations) = allocations_in(|| parent.merge(&child).unwrap());
+    assert_eq!(allocations, 0, "{name}: busy parent");
+    assert_eq!(stats, trivial(logs, committed_ops), "{name}: busy parent");
+    assert_eq!(child.pending_ops(), 0);
+}
+
+#[test]
+fn every_leaf_merges_an_untouched_fork_for_free() {
+    check("MList", MList::from_vec(vec![1u32, 2, 3, 4]), 1, 3, |l| {
+        l.set(0, 9);
+        l.insert(2, 8);
+        l.remove(3);
+    });
+    check("MText", MText::from("hello world"), 1, 3, |t| {
+        t.insert_str(0, "a");
+        t.insert_str(6, "b");
+        t.insert_str(3, "c");
+    });
+    check("MQueue", MQueue::from_vec(vec![1u32, 2, 3]), 1, 3, |q| {
+        q.pop_front();
+        q.push_back(4);
+        q.pop_front();
+    });
+    check(
+        "MMap",
+        MMap::from_entries([(1u32, 1u32), (2, 2)]),
+        1,
+        3,
+        |m| {
+            m.insert(3, 3);
+            m.remove(&1);
+            m.insert(4, 4);
+        },
+    );
+    check("MSet", MSet::from_items([1u32, 2]), 1, 3, |s| {
+        s.insert(3);
+        s.remove(&1);
+        s.insert(4);
+    });
+    // Counter adds fuse in the log: three `inc`s are one committed op.
+    check("MCounter", MCounter::new(0), 1, 1, |c| {
+        c.inc();
+        c.inc();
+        c.inc();
+    });
+    check(
+        "MCounterMap",
+        MCounterMap::from_entries([(1u32, 1)]),
+        1,
+        3,
+        |m| {
+            m.inc(1);
+            m.inc(2);
+            m.inc(3);
+        },
+    );
+    // So do register writes: the last one wins inside the log already.
+    check("MRegister", MRegister::new(0u32), 1, 1, |r| {
+        r.set(1);
+        r.set(2);
+        r.set(3);
+    });
+    check("MTree", MTree::new(0u32), 1, 3, |t| {
+        t.push_child(&[], Node::leaf(1));
+        t.push_child(&[], Node::leaf(2));
+        t.set_value(vec![0], 7);
+    });
+}
+
+mergeable_struct! {
+    /// The shape of `sm_netsim`'s `SimData`.
+    #[derive(Debug, Clone)]
+    struct SimShaped {
+        queues: Vec<MQueue<u64>>,
+        processed: Vec<MCounter>,
+        digests: Vec<MRegister<[u8; 20]>>,
+        done: MRegister<bool>,
+    }
+}
+
+#[test]
+fn a_wide_composite_merges_an_untouched_fork_for_free() {
+    const HOSTS: usize = 20;
+    let data = SimShaped {
+        queues: (0..HOSTS as u64)
+            .map(|h| MQueue::from_vec(vec![h, h + 1]))
+            .collect(),
+        processed: (0..HOSTS).map(|_| MCounter::new(0)).collect(),
+        digests: (0..HOSTS).map(|_| MRegister::new([0; 20])).collect(),
+        done: MRegister::new(false),
+    };
+    // One host's hop, as the simulation makes it: pop, count, digest, push.
+    check("SimShaped", data, 3 * HOSTS + 1, 4, |d| {
+        d.queues[3].pop_front();
+        d.processed[3].inc();
+        d.digests[3].set([7; 20]);
+        d.queues[11].push_back(99);
+    });
+}

@@ -111,7 +111,7 @@ pub fn run_spawn_merge_with_pool(cfg: &SimConfig, pool: Pool) -> SimResult {
         loop {
             ctx.merge_all();
             rounds += 1;
-            ctx.mark(format!("netsim round {rounds}"));
+            ctx.mark(|| format!("netsim round {rounds}"));
             if ctx.live_children() == 0 {
                 break;
             }
