@@ -16,8 +16,11 @@
 //! insert-only `merge_all` through the full runtime against the plain
 //! `merge` fold of the same children (the sequential creation-order
 //! fold); the same fan-out with deletes mixed in and under a merge
-//! condition (dismissed children are not fed to the stage); and, at the
-//! seam, four children whose logs are long enough to fold in segments.
+//! condition (dismissed children are not fed to the stage); a scaling
+//! row — the partitioned (mixed) fan-out at 250 to 2 000 children, staged
+//! nanoseconds per child, which a `merge_all` linear in its children
+//! keeps flat; and, at the seam, four children whose logs are long enough
+//! to fold in segments.
 //!
 //! Usage:
 //!
@@ -28,8 +31,11 @@
 //! `--quick` reduces repetitions for CI smoke runs; `--out` overrides the
 //! default output path `BENCH_merge.json`; `--assert-floors` exits
 //! non-zero if any scenario's speedup falls below its recorded floor
-//! (halved under `--quick` for timing noise), so CI catches a change
-//! that silently pessimizes a fast path.
+//! (halved under `--quick` for timing noise) or the scaling row's
+//! per-child cost at 2 000 children exceeds [`SCALING_CEILING`] times
+//! that at 250 (doubled under `--quick`), so CI catches a change that
+//! silently pessimizes a fast path or brings a per-child walk of the
+//! whole batch back.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,6 +65,14 @@ const FLOORS: &[(&str, f64)] = &[
     ("conditional_merge_all_1000", 1.5),
     ("huge_child_split_fuse", 1.2),
 ];
+
+/// Children per row of the partitioned scaling table.
+const SCALING_CHILDREN: [usize; 4] = [250, 500, 1000, 2000];
+
+/// Most the staged cost per child may grow from the first scaling row to
+/// the last. A commit that walked the composite from its start read 3x
+/// and more here (16 spans per child already merged, three sweeps).
+const SCALING_CEILING: f64 = 1.5;
 
 /// Best-of-`iters` wall time of `f`, in nanoseconds.
 fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> u64 {
@@ -357,12 +371,8 @@ fn main() {
     let iters = if quick { 3 } else { 25 };
     let mut speedups: Vec<(String, f64)> = Vec::new();
 
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut json = String::from("{\n  \"bench\": \"merge\",\n");
-    let _ = writeln!(
-        json,
-        "  \"env\": {{\"cores\": {cores}, \"quick\": {quick}}},"
-    );
+    json.push_str(&sm_bench::env_json_line(quick));
     json.push_str("  \"rebase_scenarios\": [\n");
 
     for (si, sc) in scenarios().iter().enumerate() {
@@ -562,6 +572,41 @@ fn main() {
         speedups.push((name.to_string(), speedup));
     }
 
+    // Scaling: the partitioned fan-out — every child edits its own
+    // segment, in creation order — at four widths through the runtime.
+    // Linear in the children means a flat cost per child. Best of a few
+    // rounds over all four widths, so that a slow spell of the box (the
+    // single-shot rows above read two speeds) falls on every width alike.
+    let mut scaling = SCALING_CHILDREN.map(|n| (n, u64::MAX));
+    for _ in 0..if quick { 3 } else { 9 } {
+        for (n, best) in &mut scaling {
+            *best = (*best).min(fanout_merge_all(*n, 8, FanoutMode::Mixed).0);
+        }
+    }
+    let per_child = |&(n, ns): &(usize, u64)| ns as f64 / n as f64;
+    let growth = per_child(&scaling[3]) / per_child(&scaling[0]).max(1.0);
+    let rows: Vec<String> = scaling
+        .iter()
+        .map(|row| {
+            let (n, ns) = *row;
+            eprintln!(
+                "partitioned_fanout_scaling: {n} children x 8 ops staged {ns} ns, {:.0} ns per child",
+                per_child(row)
+            );
+            format!(
+                "{{\"children\": {n}, \"staged_ns\": {ns}, \"ns_per_child\": {:.0}}}",
+                per_child(row)
+            )
+        })
+        .collect();
+    let _ = writeln!(
+        json,
+        "  \"partitioned_fanout_scaling\": {{\"name\": \"partitioned_fanout_scaling\", \
+         \"ops_per_child\": 8, \"rows\": [{}], \"per_child_growth\": {growth:.2}, \
+         \"ceiling\": {SCALING_CEILING}}},",
+        rows.join(", ")
+    );
+
     // Huge logs: four children far past the engine's segmenting
     // threshold, staged (each log folds in segments fused in order)
     // against the plain `merge` fold (one straight fold per log).
@@ -616,6 +661,20 @@ fn main() {
             } else {
                 eprintln!("floor check ok: {name} at {got:.2}x (floor {bar:.2}x)");
             }
+        }
+        let ceiling = SCALING_CEILING / relax;
+        if growth > ceiling {
+            eprintln!(
+                "floor check FAILED: partitioned_fanout_scaling grows {growth:.2}x per child \
+                 from {} to {} children, ceiling {ceiling:.2}x",
+                SCALING_CHILDREN[0], SCALING_CHILDREN[3]
+            );
+            failed = true;
+        } else {
+            eprintln!(
+                "floor check ok: partitioned_fanout_scaling grows {growth:.2}x per child \
+                 (ceiling {ceiling:.2}x)"
+            );
         }
         if failed {
             std::process::exit(1);

@@ -596,6 +596,45 @@ mod tests {
     }
 
     #[test]
+    fn a_condition_that_panics_inside_a_ready_batch_leaves_nothing_to_wait_for() {
+        // A batch of ready completions is taken out of the event queue
+        // whole. It is retired from the child list whole too, before the
+        // walk: the drain of a parent whose condition panics half-way
+        // must not wait for a child whose only event went with the batch.
+        let report = within_10s(|| {
+            let (_, report) = run(MCounter::new(0), |ctx| {
+                ctx.spawn(|parent| {
+                    let (done_tx, done_rx) = std::sync::mpsc::channel();
+                    for i in 0..12 {
+                        let done_tx = done_tx.clone();
+                        parent.spawn(move |c| {
+                            c.data_mut().add(i);
+                            done_tx.send(()).expect("the parent is waiting");
+                            Ok(())
+                        });
+                    }
+                    for _ in 0..12 {
+                        done_rx.recv().expect("every child reports");
+                    }
+                    // The completion events follow the reports.
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    parent.merge_all_with(&|d: &MCounter| {
+                        assert!(d.get() != 5, "condition panicked");
+                        true
+                    });
+                    Ok(())
+                });
+                ctx.merge_all()
+            });
+            report
+        });
+        assert!(matches!(
+            &report.children[0].disposition,
+            Disposition::AbortedByChild(AbortReason::Panic(msg)) if msg.contains("condition panicked")
+        ));
+    }
+
+    #[test]
     fn deferred_verdicts_reach_the_right_children() {
         let (counter, ()) = run(MCounter::new(0), |ctx| {
             ctx.spawn(|c| {

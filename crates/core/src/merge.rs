@@ -45,6 +45,7 @@
 //! equality (see `Versioned::commit_staged`).
 
 use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use sm_mergeable::stage::StagedCommit;
@@ -52,7 +53,9 @@ use sm_mergeable::{MergeStats, Mergeable};
 use sm_obs::{emit, EventKind, MergeOpStats, Phase};
 
 use crate::error::AbortReason;
-use crate::task::{Event, EventBody, SyncReply, SyncReturn, TaskCtx, TaskHandle, TaskId};
+use crate::task::{
+    Event, EventBody, SyncReply, SyncReturn, TaskCtx, TaskHandle, TaskId, TaskOutcome,
+};
 
 /// Fewest simultaneously-ready children that make a batch. Staging pays
 /// from the third child that edited one log; below this many children a
@@ -214,7 +217,7 @@ impl<D: Mergeable> TaskCtx<D> {
         let consumed = self.merge_all_staged(&ids, cond, &mut report);
         for id in &ids[consumed..] {
             let ev = self.next_event_for(*id);
-            report.children.push(self.handle_event(ev, cond, None));
+            report.children.push(self.handle_event(ev, cond));
         }
         self.flush_replies();
         self.gc_history();
@@ -249,15 +252,13 @@ impl<D: Mergeable> TaskCtx<D> {
                 break;
             };
             let aborted = self
-                .children
-                .iter()
-                .find(|c| c.id == *id)
-                .is_none_or(|c| c.abort.load(std::sync::atomic::Ordering::SeqCst));
+                .child_index(*id)
+                .is_none_or(|at| self.children[at].abort.load(Ordering::SeqCst));
             let clean = matches!(
                 &self.pending[pos].body,
                 EventBody::Done {
                     data: Some(_),
-                    outcome: crate::task::TaskOutcome::Completed,
+                    outcome: TaskOutcome::Completed,
                 }
             );
             if aborted || !clean {
@@ -295,14 +296,38 @@ impl<D: Mergeable> TaskCtx<D> {
                 serial_lanes: profile.inline_leaves,
             });
         }
+        // The batch retires in one pass over the child list (both in id
+        // order) instead of one shifting `remove` per child — and before
+        // the walk, so a condition that unwinds out of it leaves no child
+        // listed whose only event is already consumed.
+        let mut gone: Vec<TaskId> = batch.iter().map(|ev| ev.child).collect();
+        gone.sort_unstable();
+        let mut gone = gone.iter().peekable();
+        // Only the abort flags are still needed; the fork marks go now.
+        let retired: Vec<_> = self
+            .children
+            .extract_if(.., |c| gone.next_if_eq(&&c.id).is_some())
+            .map(|c| (c.id, c.abort))
+            .collect();
         // One walk: conditions only inspect the child's own completion
         // data, so they are evaluated here exactly as the sequential fold
         // would, and a dismissed child (condition, or an abort flag that
         // raced in) is never fed to the stage.
         for ev in batch {
-            report
-                .children
-                .push(self.handle_event(ev, cond, stage.as_deref_mut()));
+            let at = retired
+                .binary_search_by_key(&ev.child, |(id, _)| *id)
+                .expect("event from unknown child");
+            let EventBody::Done { data, outcome } = ev.body else {
+                unreachable!("batch holds only completions");
+            };
+            report.children.push(self.handle_done(
+                ev.child,
+                retired[at].1.load(Ordering::SeqCst),
+                data,
+                outcome,
+                cond,
+                stage.as_deref_mut(),
+            ));
         }
         if let Some(span) = span.filter(|_| stage.is_some()) {
             span.finish(&self.path);
@@ -330,7 +355,7 @@ impl<D: Mergeable> TaskCtx<D> {
             }
             if let Some(pos) = self.pending.iter().position(|e| targets.contains(&e.child)) {
                 let ev = self.pending.remove(pos).expect("position is valid");
-                let merged = self.handle_event(ev, cond, None);
+                let merged = self.handle_event(ev, cond);
                 self.flush_replies();
                 self.gc_history();
                 return Some(merged);
@@ -340,7 +365,7 @@ impl<D: Mergeable> TaskCtx<D> {
                 .recv()
                 .expect("event channel cannot disconnect while the context holds its family");
             if targets.contains(&ev.child) {
-                let merged = self.handle_event(ev, cond, None);
+                let merged = self.handle_event(ev, cond);
                 self.flush_replies();
                 self.gc_history();
                 return Some(merged);
@@ -360,7 +385,7 @@ impl<D: Mergeable> TaskCtx<D> {
             return None;
         }
         let ev = self.next_event_for(id);
-        let merged = self.handle_event(ev, &|_| true, None);
+        let merged = self.handle_event(ev, &|_| true);
         self.flush_replies();
         self.gc_history();
         Some(merged)
@@ -388,7 +413,7 @@ impl<D: Mergeable> TaskCtx<D> {
                 return;
             }
             for c in &self.children {
-                c.abort.store(true, std::sync::atomic::Ordering::SeqCst);
+                c.abort.store(true, Ordering::SeqCst);
             }
             self.merge_all();
         }
@@ -430,57 +455,25 @@ impl<D: Mergeable> TaskCtx<D> {
         }
     }
 
+    /// Where `id` sits in the child list, which is kept in id order.
+    fn child_index(&self, id: TaskId) -> Option<usize> {
+        self.children.binary_search_by_key(&id, |c| c.id).ok()
+    }
+
     /// Merge (or reject) one child event; a `Sync`'s verdict is parked in
-    /// `self.replies` for the caller to flush. `staged` is the stage of
-    /// the batch this child belongs to; the sequential path passes `None`.
-    fn handle_event(
-        &mut self,
-        ev: Event<D>,
-        cond: Condition<'_, D>,
-        staged: Option<&mut (dyn StagedCommit<D> + 'static)>,
-    ) -> MergedChild {
+    /// `self.replies` for the caller to flush. The sequential path: a
+    /// staged batch walks [`handle_done`](Self::handle_done) itself.
+    fn handle_event(&mut self, ev: Event<D>, cond: Condition<'_, D>) -> MergedChild {
         let pos = self
-            .children
-            .iter()
-            .position(|c| c.id == ev.child)
+            .child_index(ev.child)
             .expect("event from unknown child");
-        let externally_aborted = self.children[pos]
-            .abort
-            .load(std::sync::atomic::Ordering::SeqCst);
+        let externally_aborted = self.children[pos].abort.load(Ordering::SeqCst);
         let child = ev.child;
 
         match ev.body {
             EventBody::Done { data, outcome } => {
                 self.children.remove(pos);
-                let disposition = match outcome {
-                    crate::task::TaskOutcome::Completed => {
-                        if externally_aborted {
-                            Disposition::AbortedExternally
-                        } else if let Some(child_data) = data {
-                            if cond(&child_data) {
-                                let stats = self.merge_child(&child_data, child, false, staged);
-                                Disposition::Merged(stats)
-                            } else {
-                                Disposition::Rejected
-                            }
-                        } else {
-                            Disposition::AbortedByChild(AbortReason::Error(
-                                "task completed without data".into(),
-                            ))
-                        }
-                    }
-                    crate::task::TaskOutcome::Aborted(reason) => {
-                        Disposition::AbortedByChild(reason)
-                    }
-                };
-                if !disposition.is_merged() {
-                    self.emit_rejected(child);
-                }
-                MergedChild {
-                    task: child,
-                    completed: true,
-                    disposition,
-                }
+                self.handle_done(child, externally_aborted, data, outcome, cond, None)
             }
             EventBody::Sync { data, reply } => {
                 let (verdict, disposition) = if externally_aborted {
@@ -507,6 +500,47 @@ impl<D: Mergeable> TaskCtx<D> {
                     disposition,
                 }
             }
+        }
+    }
+
+    /// Merge (or reject) the completion of `child`, which the caller
+    /// retires from the child list. `staged` is the stage of the batch
+    /// this child belongs to; the sequential path passes `None`.
+    fn handle_done(
+        &mut self,
+        child: TaskId,
+        externally_aborted: bool,
+        data: Option<D>,
+        outcome: TaskOutcome,
+        cond: Condition<'_, D>,
+        staged: Option<&mut (dyn StagedCommit<D> + 'static)>,
+    ) -> MergedChild {
+        let disposition = match outcome {
+            TaskOutcome::Completed => {
+                if externally_aborted {
+                    Disposition::AbortedExternally
+                } else if let Some(child_data) = data {
+                    if cond(&child_data) {
+                        let stats = self.merge_child(&child_data, child, false, staged);
+                        Disposition::Merged(stats)
+                    } else {
+                        Disposition::Rejected
+                    }
+                } else {
+                    Disposition::AbortedByChild(AbortReason::Error(
+                        "task completed without data".into(),
+                    ))
+                }
+            }
+            TaskOutcome::Aborted(reason) => Disposition::AbortedByChild(reason),
+        };
+        if !disposition.is_merged() {
+            self.emit_rejected(child);
+        }
+        MergedChild {
+            task: child,
+            completed: true,
+            disposition,
         }
     }
 

@@ -25,15 +25,20 @@
 //!
 //! **Commit** performs the delta steps of the sequential kernel
 //! ([`sm_ot::delta::rebase_delta`]) against the composite instead of a
-//! refold of the whole committed log: fold the child's log, screen with
-//! [`Delta::rebase_is_order_sensitive`], transform the incoming side only
-//! ([`Delta::transform_incoming`], a sweep that ends with the child's
-//! delta and allocates nothing for the committed side), commit the
-//! rebased run (`Versioned::commit_staged`), and compose it into the
-//! composite in place ([`Delta::compose_in_place`]: the composite before
-//! the run's first edit is scanned, not rebuilt). A commit costs what the
-//! child holds plus one scan, and that is what collapses the sequential
-//! fold's O(n³) total work at high fan-out. The commit re-derives every
+//! refold of the whole committed log: fold the child's log, then
+//! [`Composite::absorb`] it — the kernel's screen
+//! ([`Delta::rebase_is_order_sensitive`]), its incoming-only transform
+//! ([`Delta::transform_incoming`]) and the in-place compose of the
+//! rebased run into the composite ([`Delta::compose_in_place`]), all
+//! three started at the composite's *finger*, a remembered span boundary
+//! before which the child's delta only retains — and commit the rebased
+//! run (`Versioned::commit_staged`). A commit costs what the child holds
+//! plus the composite spans at and behind its first edit: a batch whose
+//! children edit ascending positions in creation order — the paper's
+//! data-parallel fan-out — is linear in its edits, no other order costs
+//! more than sweeps from the composite's start did, and either way the
+//! sequential fold's O(n³) total work at high fan-out is gone. The
+//! commit re-derives every
 //! field the determinism auditor hashes (`child_ops`, `applied_ops`,
 //! `committed_ops`, the post-fusion `oplog_len`) from the live parent
 //! log, so the observable event stream cannot diverge from the sequential
@@ -75,7 +80,7 @@
 
 use std::time::Instant;
 
-use sm_ot::delta::{from_ops_biased, from_ops_chunked, Delta, DeltaOp, GapBias};
+use sm_ot::delta::{from_ops_biased, from_ops_chunked, Composite, Delta, DeltaOp, GapBias};
 
 use crate::versioned::elapsed_nanos;
 use crate::{MergeError, MergeStats, Mergeable, Versioned};
@@ -134,7 +139,7 @@ struct StagedLeaf<O: DeltaOp, G, H> {
     get_mut: H,
     /// Everything committed since the batch's fork base, as one delta
     /// over the fork-base coordinates.
-    composite: Delta<O::Payload>,
+    composite: Composite<O::Payload>,
     poisoned: bool,
 }
 
@@ -160,7 +165,7 @@ impl<O: DeltaOp, G, H> StagedLeaf<O, G, H> {
                 // log — is the whole committed slice now.
                 let slice = &parent.log()[fork_base - parent.log_start()..];
                 match fold(slice, GapBias::Start) {
-                    Some(composite) => self.composite = composite,
+                    Some(folded) => self.composite = Composite::new(folded),
                     None => self.poisoned = true,
                 }
             }
@@ -170,18 +175,19 @@ impl<O: DeltaOp, G, H> StagedLeaf<O, G, H> {
         // sequential path.
         let timing = sm_obs::is_enabled();
         let t0 = timing.then(Instant::now);
-        // The exact committed-vs-incoming screen the sequential kernel
-        // would run for this child.
-        let incoming = fold(child.log(), GapBias::End)
-            .filter(|d| !self.composite.rebase_is_order_sensitive(d))?;
-        let rebased = self.composite.transform_incoming(&incoming);
+        let incoming = fold(child.log(), GapBias::End)?;
+        // Both span counts as the sequential kernel reports them: the
+        // composite's before this child's run goes in.
+        let delta_spans = self.composite.span_count() + incoming.span_count();
+        // The exact committed-vs-incoming screen and transform the
+        // sequential kernel would run for this child.
+        let rebased = self.composite.absorb(&incoming)?;
         let pre = MergeStats {
             delta_rebases: 1,
-            delta_spans: self.composite.span_count() + incoming.span_count(),
+            delta_spans,
             delta_nanos: t0.map_or(0, elapsed_nanos),
             ..MergeStats::default()
         };
-        self.composite.compose_in_place(&rebased, GapBias::Start);
         let stats = parent.commit_staged(child, rebased.into_ops(), pre, timing);
         // A run that failed to commit is in the composite all the same.
         self.poisoned = stats.is_err();
@@ -242,7 +248,7 @@ where
     if !qualified {
         return None;
     }
-    let composite = fold(&parent.log()[fork_base - lo..], GapBias::Start)?;
+    let composite = Composite::new(fold(&parent.log()[fork_base - lo..], GapBias::Start)?);
     Some(Box::new(StagedLeaf {
         get,
         get_mut,

@@ -66,6 +66,15 @@
 //! it. [`Delta::rebase_is_order_sensitive`] screens such pairs out with
 //! one extra O(m+n) sweep and [`rebase_delta`] returns `None`; the merge
 //! then runs on the grid, which resolves the race from the concrete logs.
+//!
+//! # Batches
+//!
+//! A batch of siblings rebases against one committed delta that grows by
+//! each rebased run. [`Composite`] is that delta with a remembered
+//! position: the screen, the transform and the compose of one member
+//! start where the member's first edit is, not at span zero, so a batch
+//! in ascending position order costs its edits rather than edits ×
+//! committed spans.
 
 use std::fmt;
 
@@ -142,6 +151,23 @@ impl<P> Span<P> {
     /// True for zero-length spans (normalized away).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Base units the span consumes (inserts consume none).
+    fn base_len(&self) -> usize {
+        match self {
+            Span::Retain(n) | Span::Delete(n) => *n,
+            Span::Insert { .. } => 0,
+        }
+    }
+
+    /// Output units the span produces (deletes produce none).
+    fn out_len(&self) -> usize {
+        match self {
+            Span::Retain(n) => *n,
+            Span::Insert { len, .. } => *len,
+            Span::Delete(_) => 0,
+        }
     }
 }
 
@@ -224,6 +250,17 @@ pub struct Delta<P> {
     spans: Vec<Span<P>>,
 }
 
+/// A position at a span boundary of a [`Delta`]: spans `[0, idx)` consume
+/// `base` base units and produce `out` output units. The three sweeps
+/// start from one; the zero finger is the start of the delta. See
+/// [`Composite`] for the one that moves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Finger {
+    idx: usize,
+    base: usize,
+    out: usize,
+}
+
 impl<P: DeltaPayload> Delta<P> {
     /// The identity delta (retain everything).
     pub fn identity() -> Self {
@@ -243,6 +280,15 @@ impl<P: DeltaPayload> Delta<P> {
     /// The normalized spans, in base order.
     pub fn spans(&self) -> &[Span<P>] {
         &self.spans
+    }
+
+    /// Length of the leading retain: the base (and output) position of
+    /// the first edit.
+    fn lead(&self) -> usize {
+        match self.spans.first() {
+            Some(Span::Retain(n)) => *n,
+            _ => 0,
+        }
     }
 
     /// A delta of one edit addressed against its own document. The slow
@@ -310,20 +356,18 @@ impl<P: DeltaPayload> Delta<P> {
         }
     }
 
-    /// Index-scan to output position `pos` without moving anything:
-    /// returns `(cut, rest)` where spans `[0, cut)` end at or before the
-    /// position and `rest` output units of `spans[cut]` (or of the
-    /// implicit trailing retain) still lie before it. Deletes occupy no
-    /// output positions and pass through; when the position is reached at
-    /// a span boundary the scan stops *before* whatever span is adjacent
-    /// there, so the caller's sweep decides insert/delete adjacency.
-    fn scan_to(&self, pos: usize) -> (usize, usize) {
-        let (mut cut, mut rest) = (0, pos);
+    /// Index-scan from `from` to output position `pos` (at or past the
+    /// finger's) without moving anything: returns `(cut, rest)` where
+    /// spans `[0, cut)` end at or before the position and `rest` output
+    /// units of `spans[cut]` (or of the implicit trailing retain) still
+    /// lie before it. Deletes occupy no output positions and pass
+    /// through; when the position is reached at a span boundary the scan
+    /// stops *before* whatever span is adjacent there, so the caller's
+    /// sweep decides insert/delete adjacency.
+    fn scan_from(&self, from: Finger, pos: usize) -> (usize, usize) {
+        let (mut cut, mut rest) = (from.idx, pos - from.out);
         while cut < self.spans.len() && rest > 0 {
-            let out_len = match &self.spans[cut] {
-                Span::Delete(_) => 0,
-                span => span.len(),
-            };
+            let out_len = self.spans[cut].out_len();
             if out_len > rest {
                 break;
             }
@@ -351,11 +395,21 @@ impl<P: DeltaPayload> Delta<P> {
     /// [`from_ops_chunked`] fold disjoint log segments independently and
     /// fuse the segment composites in order.
     pub fn compose_in_place(&mut self, run: &Delta<P>, bias: GapBias) {
-        let lead = match run.spans.first() {
-            Some(Span::Retain(n)) => *n,
-            _ => 0,
-        };
-        let (cut, rest) = self.scan_to(lead);
+        self.compose_from(Finger::default(), run, bias);
+    }
+
+    /// [`Delta::compose_in_place`] with the index scan started at `from`,
+    /// a finger whose output position lies at or before `run`'s leading
+    /// retain: the spans before it are not even read. Nothing before
+    /// `spans[cut - 1]` changes — that one span may grow, when what the
+    /// sweep pushes first coalesces into it.
+    fn compose_from(&mut self, from: Finger, run: &Delta<P>, bias: GapBias) {
+        // An identity run has no leading retain to be at or past `from`.
+        if run.is_identity() {
+            return;
+        }
+        let lead = run.lead();
+        let (cut, rest) = self.scan_from(from, lead);
         let suffix = self.spans.split_off(cut);
         let mut a = Cursor::new(&suffix);
         let mut b = Cursor::new(&run.spans);
@@ -521,7 +575,7 @@ impl<P: DeltaPayload> Delta<P> {
         // Spans `[0, cut)` are untouched prefix; at a span boundary the
         // scan stops before any adjacent delete, so the edit phases below
         // see it.
-        let (cut, skip) = self.scan_to(pos);
+        let (cut, skip) = self.scan_from(Finger::default(), pos);
         // The untouched prefix `[0, cut)` stays where it is: only the
         // suffix moves, out into the caller's scratch buffer (whose
         // capacity persists across the whole fold) and back in behind
@@ -632,9 +686,18 @@ impl<P: DeltaPayload> Delta<P> {
     /// deleted once; an insert interior to the committed side's delete
     /// survives at the deletion point.
     pub fn transform_incoming(&self, incoming: &Delta<P>) -> Delta<P> {
-        let mut l = Cursor::new(&self.spans);
-        let mut r = Cursor::new(&incoming.spans);
+        self.transform_from(Finger::default(), incoming)
+    }
+
+    /// [`Delta::transform_incoming`] started at `from`, a finger whose
+    /// base position lies inside `incoming`'s leading retain: under a
+    /// retain every committed span before the finger transforms to a
+    /// retain of what it outputs, so the skipped prefix is one
+    /// `Retain(from.out)`.
+    fn transform_from(&self, from: Finger, incoming: &Delta<P>) -> Delta<P> {
+        let (mut l, mut r) = self.cursors_from(from, incoming);
         let mut out = Delta::identity();
+        out.push(Span::Retain(from.out));
         while let Some(sr) = r.peek() {
             // Inserts are processed before deletes/retains at the same
             // base position, committed before incoming — the insert-tie
@@ -787,8 +850,15 @@ impl<P: DeltaPayload> Delta<P> {
     /// in position and wins ties — as is any pair whose inserts are
     /// separated by a base unit *both* sides keep.
     pub fn rebase_is_order_sensitive(&self, other: &Delta<P>) -> bool {
-        let mut l = Cursor::new(&self.spans);
-        let mut r = Cursor::new(&other.spans);
+        self.screen_from(Finger::default(), other)
+    }
+
+    /// [`Delta::rebase_is_order_sensitive`] started at `from`, a finger
+    /// whose base position lies inside `other`'s leading retain: no
+    /// incoming insert is live before it, so the skipped prefix cannot
+    /// fire the screen and leaves its one bit of state as it starts.
+    fn screen_from(&self, from: Finger, other: &Delta<P>) -> bool {
+        let (mut l, mut r) = self.cursors_from(from, other);
         // An incoming insert with no surviving base unit seen since it
         // ("live") can still tie with the next committed insert.
         let mut r_insert_live = false;
@@ -843,6 +913,28 @@ impl<P: DeltaPayload> Delta<P> {
         }
     }
 
+    /// The committed (`self`) and incoming cursors of a sweep that starts
+    /// at `from`: the committed one on `spans[from.idx]`, the incoming one
+    /// `from.base` units into its leading retain.
+    fn cursors_from<'a>(
+        &'a self,
+        from: Finger,
+        incoming: &'a Delta<P>,
+    ) -> (Cursor<'a, P>, Cursor<'a, P>) {
+        debug_assert!(from == Finger::default() || from.base < incoming.lead());
+        let l = Cursor {
+            spans: &self.spans,
+            idx: from.idx,
+            off: 0,
+        };
+        let r = Cursor {
+            spans: &incoming.spans,
+            idx: 0,
+            off: from.base,
+        };
+        (l, r)
+    }
+
     /// Re-materialize sequential-application operations, one per span run,
     /// in left-to-right order.
     pub fn into_ops<O>(self) -> Vec<O>
@@ -881,6 +973,92 @@ impl<P: DeltaPayload> Delta<P> {
             }
         }
         ops
+    }
+}
+
+/// A committed composite that absorbs a batch of concurrent deltas one at
+/// a time — the staged merge's *everything committed since the fork
+/// base* — and remembers where the last one began.
+///
+/// [`Composite::absorb`] is [`rebase_delta`]'s screen → transform step
+/// plus the [`Delta::compose_in_place`] that keeps the composite current,
+/// with all three sweeps started at a **finger** instead of at span zero:
+/// a span boundary every span before which ends strictly before the
+/// incoming delta's first edit. Before the finger the incoming delta only
+/// retains, so the screen cannot fire there, the transform is one
+/// `Retain` of what the skipped spans output, and the compose leaves them
+/// where they are. An absorb therefore costs the incoming delta plus the
+/// composite spans at and behind its first edit, and a batch in ascending
+/// position order — the paper's data-parallel fan-out — costs its edits,
+/// not edits × composite.
+///
+/// The finger rests **one span behind** what it could skip: the compose
+/// coalesces the first span it pushes into the last span before its cut,
+/// and a finger that had counted that span would go stale. Every
+/// insert/delete adjacency at the first edit stays with the sweeps.
+#[derive(Debug)]
+pub struct Composite<P> {
+    delta: Delta<P>,
+    /// Nothing before it has changed since it was measured. Either zero,
+    /// or `delta.spans[finger.idx]` ended strictly before the leading
+    /// retain of the last delta absorbed.
+    finger: Finger,
+}
+
+impl<P: DeltaPayload> Composite<P> {
+    /// Start from `delta`, everything committed so far.
+    pub fn new(delta: Delta<P>) -> Self {
+        Composite {
+            delta,
+            finger: Finger::default(),
+        }
+    }
+
+    /// Spans in the composite (the `committed_spans` of a rebase
+    /// against it).
+    pub fn span_count(&self) -> usize {
+        self.delta.span_count()
+    }
+
+    /// Rebase `incoming` — concurrent with the composite, over the same
+    /// base — and take the rebased delta in: what
+    /// [`Delta::transform_incoming`] returns, after which the composite
+    /// is its [`Delta::compose_in_place`] with that. `None`, and nothing
+    /// changes, when [`Delta::rebase_is_order_sensitive`] screens the
+    /// pair out.
+    pub fn absorb(&mut self, incoming: &Delta<P>) -> Option<Delta<P>> {
+        self.seek(incoming.lead());
+        if self.delta.screen_from(self.finger, incoming) {
+            return None;
+        }
+        let rebased = self.delta.transform_from(self.finger, incoming);
+        // The resting span ends strictly before `incoming`'s first edit,
+        // so it ends before `rebased`'s too and the cut falls behind it:
+        // the spans the finger has counted do not change.
+        self.delta
+            .compose_from(self.finger, &rebased, GapBias::Start);
+        Some(rebased)
+    }
+
+    /// Move the finger for a delta whose leading retain is `lead` base
+    /// units: back while the span it rests on reaches `lead`, then
+    /// forward while the span *after* that one ends strictly before it.
+    fn seek(&mut self, lead: usize) {
+        let spans = &self.delta.spans;
+        let f = &mut self.finger;
+        while f.idx > 0 && f.base + spans[f.idx].base_len() >= lead {
+            f.idx -= 1;
+            f.base -= spans[f.idx].base_len();
+            f.out -= spans[f.idx].out_len();
+        }
+        while let [here, next, ..] = &spans[f.idx..] {
+            if f.base + here.base_len() + next.base_len() >= lead {
+                break;
+            }
+            f.idx += 1;
+            f.base += here.base_len();
+            f.out += here.out_len();
+        }
     }
 }
 
@@ -1269,6 +1447,191 @@ mod tests {
             in_place.compose_in_place(&run, bias);
             prop_assert_eq!(in_place, acc.compose_biased(&run, bias));
         }
+    }
+
+    /// Where `idx` lies in `delta`, measured from zero.
+    fn finger_at(delta: &Delta<Vec<u8>>, idx: usize) -> Finger {
+        let before = &delta.spans()[..idx];
+        Finger {
+            idx,
+            base: before.iter().map(Span::base_len).sum(),
+            out: before.iter().map(Span::out_len).sum(),
+        }
+    }
+
+    /// Every finger a sweep against a delta whose first edit is at `lead`
+    /// may start from: the start of `com`, and each boundary whose span
+    /// ends strictly before `lead`. A superset of what
+    /// [`Composite::seek`] settles on (it also waits for the *next* span
+    /// to end there), so the sweeps are held to more than it asks.
+    fn fingers(com: &Delta<Vec<u8>>, lead: usize) -> Vec<Finger> {
+        let mut all = vec![Finger::default()];
+        for idx in 1..com.span_count() {
+            let f = finger_at(com, idx);
+            if f.base + com.spans()[idx].base_len() >= lead {
+                break;
+            }
+            all.push(f);
+        }
+        all
+    }
+
+    /// For `com` (committed) against `inc` (incoming): started at every
+    /// finger, the screen, the transform and the compose (both biases)
+    /// are their from-zero forms, which are the two-sided `transform` and
+    /// the by-value `compose_biased`; `seek` is a function of the lead
+    /// alone, however the finger got where it was; and an `absorb` is
+    /// those three with a finger that still measures true afterwards.
+    fn assert_every_finger_agrees(com: &Delta<Vec<u8>>, inc: &Delta<Vec<u8>>) {
+        let what = || format!("com {com:?} inc {inc:?}");
+        let sensitive = com.rebase_is_order_sensitive(inc);
+        let rebased = com.transform_incoming(inc);
+        assert_eq!(rebased, com.transform(inc).1, "{}", what());
+        let composed = [GapBias::Start, GapBias::End].map(|bias| {
+            let mut in_place = com.clone();
+            in_place.compose_in_place(&rebased, bias);
+            assert_eq!(in_place, com.compose_biased(&rebased, bias), "{}", what());
+            (bias, in_place)
+        });
+        for f in fingers(com, inc.lead()) {
+            assert_eq!(com.screen_from(f, inc), sensitive, "{f:?} {}", what());
+            assert_eq!(com.transform_from(f, inc), rebased, "{f:?} {}", what());
+            for (bias, want) in &composed {
+                let mut seeked = com.clone();
+                seeked.compose_from(f, &rebased, *bias);
+                assert_eq!(&seeked, want, "{f:?} {bias:?} {}", what());
+            }
+        }
+
+        // One composite walked up to the lead and back down lands where a
+        // fresh one does, on a finger valid for that lead.
+        let mut walked = Composite::new(com.clone());
+        for lead in (0..=inc.lead()).chain((0..inc.lead()).rev()) {
+            let mut fresh = Composite::new(com.clone());
+            fresh.seek(lead);
+            walked.seek(lead);
+            assert_eq!(walked.finger, fresh.finger, "lead {lead} {}", what());
+            assert!(
+                fingers(com, lead).contains(&fresh.finger),
+                "lead {lead} {}",
+                what()
+            );
+        }
+
+        // Absorb with the finger left far behind the lead: it retreats.
+        let mut composite = Composite::new(com.clone());
+        composite.seek(usize::MAX);
+        let got = composite.absorb(inc);
+        let want = if sensitive { com } else { &composed[0].1 };
+        assert_eq!(got, (!sensitive).then_some(rebased), "{}", what());
+        assert_eq!(&composite.delta, want, "{}", what());
+        let f = composite.finger;
+        assert_eq!(f, finger_at(&composite.delta, f.idx), "{}", what());
+    }
+
+    /// A delta with `lead` base units retained before `edits`.
+    fn delta_behind(lead: usize, edits: &[RawSpan]) -> Delta<Vec<u8>> {
+        let spans: Vec<RawSpan> = std::iter::once((0, lead, 0))
+            .chain(edits.iter().copied())
+            .collect();
+        delta_of(&spans)
+    }
+
+    proptest! {
+        /// Random normalized pairs, the incoming side's first edit
+        /// anywhere from the front of the committed delta to past its
+        /// end: every finger agrees with the from-zero sweeps and the
+        /// oracles.
+        #[test]
+        fn seeked_sweeps_match_the_from_zero_sweeps_and_the_oracles(
+            com in raw_spans(14),
+            lead in 0..44usize,
+            inc in raw_spans(8),
+        ) {
+            assert_every_finger_agrees(&delta_of(&com), &delta_behind(lead, &inc));
+        }
+
+        /// A batch absorbed through one [`Composite`] — leads in any
+        /// order, so the finger advances, rests and retreats, and runs
+        /// coalesce into the span it rests on — is the from-zero kernel
+        /// applied delta by delta, screened members dropped, and the
+        /// finger measures true after every one.
+        #[test]
+        fn a_composite_absorbs_a_batch_like_the_from_zero_kernel(
+            com in raw_spans(8),
+            batch in prop::collection::vec((0..40usize, raw_spans(5)), 1..10),
+        ) {
+            let mut want = delta_of(&com);
+            let mut composite = Composite::new(want.clone());
+            for (lead, edits) in &batch {
+                let inc = delta_behind(*lead, edits);
+                let rebased = (!want.rebase_is_order_sensitive(&inc))
+                    .then(|| want.transform_incoming(&inc));
+                if let Some(rebased) = &rebased {
+                    want = want.compose_biased(rebased, GapBias::Start);
+                }
+                prop_assert_eq!(composite.absorb(&inc), rebased);
+                prop_assert_eq!(&composite.delta, &want);
+                let f = composite.finger;
+                prop_assert_eq!(f, finger_at(&composite.delta, f.idx));
+            }
+        }
+    }
+
+    /// Every log of at most `max_ops` single-element inserts and deletes
+    /// over a `base_len`-element document; inserted values count up from
+    /// `tag`.
+    fn every_log(base_len: usize, max_ops: usize, tag: u8) -> Vec<Vec<ListOp<u8>>> {
+        let mut all = vec![(Vec::new(), base_len)];
+        let mut from = 0;
+        for _ in 0..max_ops {
+            let until = all.len();
+            for i in from..until {
+                let (log, len) = all[i].clone();
+                let extended = |op| log.iter().cloned().chain([op]).collect::<Vec<_>>();
+                for pos in 0..=len {
+                    let op = ListOp::Insert(pos, tag + log.len() as u8);
+                    all.push((extended(op), len + 1));
+                }
+                for pos in 0..len {
+                    all.push((extended(ListOp::Delete(pos)), len - 1));
+                }
+            }
+            from = until;
+        }
+        all.into_iter().map(|(log, _)| log).collect()
+    }
+
+    /// Small scope, exhaustively (the first slice of ROADMAP item 4):
+    /// every pair of logs of at most three ops over a four-element base,
+    /// each folded with its side's bias, from every finger.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "a million log pairs: seconds in release, minutes with debug assertions"
+    )]
+    fn every_small_log_pair_agrees_from_every_finger() {
+        let fold = |tag, bias| -> Vec<Delta<Vec<u8>>> {
+            every_log(4, 3, tag)
+                .iter()
+                .map(|log| from_ops_biased(log, bias).expect("inserts and deletes are spans"))
+                .collect()
+        };
+        let committed = fold(10, GapBias::Start);
+        let incoming = fold(20, GapBias::End);
+        assert_eq!(
+            committed.len(),
+            1 + 9 + 83 + 819,
+            "the scope is what it says"
+        );
+        let mut seeked = 0usize;
+        for com in &committed {
+            for inc in &incoming {
+                seeked += fingers(com, inc.lead()).len() - 1;
+                assert_every_finger_agrees(com, inc);
+            }
+        }
+        assert!(seeked > 0, "no pair in scope ever left the zero finger");
     }
 
     #[test]

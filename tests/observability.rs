@@ -375,10 +375,11 @@ fn store_events_reach_metrics_and_chrome_but_not_the_auditor() {
     );
 }
 
-/// The durability pipeline added for segment-parallel recovery — delta
-/// snapshots, segment retention, and the parallel segment scan — reports
-/// through [`Metrics`]: dedicated counters, byte totals, and phase
-/// timers, all scrapeable from the Prometheus exposition.
+/// The durability pipeline — delta snapshots, segment retention, and
+/// recovery's one scan over the WAL segments (its counter keeps the
+/// exported name `sm_recovery_segments_parallel_total`) — reports through
+/// [`Metrics`]: dedicated counters, byte totals, and phase timers, all
+/// scrapeable from the Prometheus exposition.
 #[test]
 fn durability_pipeline_counters_and_phase_timers_reach_metrics() {
     let _guard = serial();

@@ -727,6 +727,221 @@ fn stage_commits_match_the_merge_fold_at_the_seam() {
     }
 }
 
+/// Regression for the composite's finger (`sm_ot::delta::Composite`): a
+/// staged commit starts its sweeps at a remembered span boundary, and the
+/// compose coalesces the first span a run pushes into the last span
+/// *before* its cut. Child 1's insert ends in a span of its own, right in
+/// front of the delete child 0 left; child 2's insert lands at that
+/// delete too and coalesces into child 1's span. A finger that had
+/// counted that span as skipped is one output unit short from then on:
+/// child 3 came out as `[Insert(4, 103), Delete(6)]` against the
+/// sequential `[Insert(5, 103), Delete(7)]`. The finger rests one span
+/// behind what it skips.
+#[test]
+fn a_run_coalescing_into_the_span_before_its_cut_keeps_the_finger_exact() {
+    for work in [ParentWork::Idle, ParentWork::Push] {
+        let mut parent = MList::from_iter(0..16u32);
+        let kids = forked(&mut parent, 4, work, |i, kid| {
+            kid.insert(i as usize, 100 + i);
+            if i % 3 == 0 {
+                kid.remove(i as usize + 2);
+            }
+        });
+        assert_stage_matches_merge(&parent, &kids, &[], None);
+    }
+}
+
+/// One child edit of a lead-order batch, at an absolute position.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    Insert(usize, u32),
+    Remove(usize),
+    Set(usize, u32),
+}
+
+fn play(list: &mut MList<u32>, script: &[Edit]) {
+    for edit in script {
+        match *edit {
+            Edit::Insert(at, v) => list.insert(at, v),
+            Edit::Remove(at) => {
+                list.remove(at);
+            }
+            Edit::Set(at, v) => list.set(at, v),
+        }
+    }
+}
+
+/// What a lead-order batch holds besides its twelve editing children.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Extra {
+    Nothing,
+    /// Children 0, 3 and 7 make no edit: identity members.
+    Idlers,
+    /// Child 5 is dismissed — by the merge condition through the runtime,
+    /// never fed at the seam.
+    Dismissed,
+    /// Child 6 carries a span-inexpressible `Set`: poison from there.
+    Set,
+    /// Child 4 commits the committed half of the order-sensitivity
+    /// fixture in `sm_ot::delta`, child 8 brings the incoming half to the
+    /// same block: the screen fires at child 8, poison from there.
+    ScreenFire,
+}
+
+impl Extra {
+    /// The first child that falls back to plain `merge`.
+    fn poisoned_from(self) -> Option<usize> {
+        match self {
+            Extra::Set => Some(6),
+            Extra::ScreenFire => Some(8),
+            _ => None,
+        }
+    }
+}
+
+/// The scripts of a twelve-child batch over a 64-element list, child `i`
+/// making its first edit at `leads[i]`: two inserts, and — when the
+/// blocks are `apart` — a delete in every third child. Each block leaves
+/// its first two elements alone, so blocks that are apart stay apart.
+fn lead_scripts(leads: &[usize; 12], apart: bool, extra: Extra) -> Vec<Vec<Edit>> {
+    use Edit::{Insert, Remove, Set};
+    (0..12)
+        .map(|i| {
+            let (p, v) = (leads[i], 100 + i as u32);
+            match extra {
+                Extra::Idlers if [0, 3, 7].contains(&i) => vec![],
+                Extra::ScreenFire if i == 4 => vec![Remove(p + 1), Insert(p + 2, v), Remove(p + 1)],
+                Extra::ScreenFire if i == 8 => {
+                    let p = leads[4];
+                    vec![Remove(p + 2), Insert(p + 1, v)]
+                }
+                _ => {
+                    let mut script = vec![Insert(p, v), Insert(p + 2, 100 + v)];
+                    if apart && i % 3 == 0 {
+                        script.push(Remove(p + 1));
+                    }
+                    if extra == Extra::Set && i == 6 {
+                        script.push(Set(p, 7777));
+                    }
+                    script
+                }
+            }
+        })
+        .collect()
+}
+
+/// A child's `MergeStats` with what differs by design between a staged
+/// and a plain merge — wall clock, and the fallback count — blanked.
+fn comparable(stats: &MergeStats) -> MergeStats {
+    MergeStats {
+        screen_rejects: 0,
+        delta_nanos: 0,
+        compact_nanos: 0,
+        grid_nanos: 0,
+        apply_nanos: 0,
+        ..*stats
+    }
+}
+
+/// One scripted all-ready fan-out through the runtime under a busy
+/// parent; the child that inserted `dismiss` is dismissed by the merge
+/// condition. Returns the merged list and every child's comparable
+/// stats (`None` for a dismissed child).
+fn run_scripts<W: Host<MList<u32>>>(
+    scripts: &[Vec<Edit>],
+    dismiss: Option<u32>,
+) -> (Vec<u32>, Vec<Option<MergeStats>>) {
+    let scripts = scripts.to_vec();
+    let (list, report) = run(W::host(MList::from_iter(0..64u32)), move |ctx| {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let n = scripts.len();
+        for script in scripts {
+            let done_tx = done_tx.clone();
+            ctx.spawn(move |c| {
+                play(c.data_mut().d_mut(), &script);
+                let _ = done_tx.send(());
+                Ok(())
+            });
+        }
+        for _ in 0..n {
+            done_rx.recv().unwrap();
+        }
+        // The completion events follow the reports.
+        std::thread::sleep(Duration::from_millis(40));
+        ParentWork::Push.run(ctx.data_mut().d_mut());
+        ctx.merge_all_with(&|d: &W| dismiss.is_none_or(|v| !d.d().to_vec().contains(&v)))
+    });
+    let stats = report.children.iter().map(|c| match &c.disposition {
+        Disposition::Merged(stats) => Some(comparable(stats)),
+        _ => None,
+    });
+    (list.d().to_vec(), stats.collect())
+}
+
+/// The finger of the staged composite moves with the children's first
+/// edits, so the order those come in is an input of its own: ascending
+/// (it only advances), descending (it retreats every time), shuffled,
+/// and every child at one position (it never leaves the front, and every
+/// run ties with the ones before it) — each with identity members, a
+/// dismissed child, a `Set` and a screen fire in mid-batch. At the seam
+/// the batch equals the plain `merge` fold in state, log and per-child
+/// `MergeStats`, under an idle and a busy parent; through the runtime it
+/// equals the `Seq` oracle in state, per-child stats and auditor digest.
+#[test]
+fn lead_orders_ascending_descending_shuffled_and_repeated_match_sequential() {
+    let block = |slot: usize| 2 + 5 * slot;
+    let orders: [(&str, [usize; 12], bool); 4] = [
+        ("ascending", std::array::from_fn(block), true),
+        ("descending", std::array::from_fn(|i| block(11 - i)), true),
+        (
+            "shuffled",
+            [7, 2, 11, 0, 5, 9, 3, 10, 1, 8, 4, 6].map(block),
+            true,
+        ),
+        ("repeated", [block(4); 12], false),
+    ];
+    let extras = [
+        Extra::Nothing,
+        Extra::Idlers,
+        Extra::Dismissed,
+        Extra::Set,
+        Extra::ScreenFire,
+    ];
+    for (name, leads, apart) in &orders {
+        for extra in extras {
+            // Two halves of the fixture in one place need the rest of
+            // the batch somewhere else.
+            if extra == Extra::ScreenFire && !apart {
+                continue;
+            }
+            let scripts = lead_scripts(leads, *apart, extra);
+            let skip: &[usize] = if extra == Extra::Dismissed { &[5] } else { &[] };
+            for work in [ParentWork::Idle, ParentWork::Push] {
+                let mut parent = MList::from_iter(0..64u32);
+                let kids = forked(&mut parent, 12, work, |i, kid| {
+                    play(kid, &scripts[i as usize])
+                });
+                assert_stage_matches_merge(&parent, &kids, skip, extra.poisoned_from());
+            }
+
+            let _guard = serial();
+            let dismiss = (extra == Extra::Dismissed).then_some(105);
+            let ((_, stats), seen) = assert_matches_seq(
+                || run_scripts::<Seq<MList<u32>>>(&scripts, dismiss),
+                || run_scripts::<MList<u32>>(&scripts, dismiss),
+            );
+            assert_eq!(seen.staged, vec![(1, 0)], "{name} {extra:?}");
+            let merged = stats.iter().flatten().count();
+            assert_eq!(merged, 12 - skip.len(), "{name} {extra:?}");
+            let fell_back = extra.poisoned_from().map_or(0, |from| 12 - from);
+            assert_eq!(
+                seen.snap.rebase_screen_rejects_total, fell_back as u64,
+                "{name} {extra:?}"
+            );
+        }
+    }
+}
+
 /// An element whose clones are counted.
 #[derive(Debug, PartialEq)]
 struct Counted(u32);
