@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 
 use sm_ot::cmap::{CounterMapOp, Key};
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable key → counter map with deterministic (ordered) iteration.
 /// Keys with value 0 are canonically absent.
@@ -81,23 +81,6 @@ impl<K: Key> MCounterMap<K> {
     pub fn total(&self) -> i64 {
         self.inner.state().values().sum()
     }
-
-    /// The recorded local operations (diagnostics / replication layers).
-    pub fn log(&self) -> &[CounterMapOp<K>] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<CounterMapOp<K>> {
-        &self.inner
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: CounterMapOp<K>) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
 }
 
 impl<K: Key> Default for MCounterMap<K> {
@@ -112,43 +95,26 @@ impl<K: Key> PartialEq for MCounterMap<K> {
     }
 }
 
-impl<K: Key> Mergeable for MCounterMap<K> {
-    fn fork(&self) -> Self {
-        MCounterMap {
-            inner: self.inner.fork(),
-        }
+impl<K: Key> Leaf for MCounterMap<K> {
+    type Op = CounterMapOp<K>;
+
+    fn versioned(&self) -> &Versioned<CounterMapOp<K>> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<CounterMapOp<K>> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
-    }
-
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn wrap(inner: Versioned<CounterMapOp<K>>) -> Self {
+        MCounterMap { inner }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     #[test]
     fn basics() {

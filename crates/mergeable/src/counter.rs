@@ -4,8 +4,8 @@
 
 use sm_ot::counter::CounterOp;
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable `i64` counter.
 #[derive(Debug, Clone)]
@@ -47,23 +47,6 @@ impl MCounter {
     pub fn dec(&mut self) {
         self.add(-1);
     }
-
-    /// The recorded local operations (diagnostics / replication layers).
-    pub fn log(&self) -> &[CounterOp] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<CounterOp> {
-        &self.inner
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: CounterOp) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
 }
 
 impl Default for MCounter {
@@ -78,43 +61,26 @@ impl PartialEq for MCounter {
     }
 }
 
-impl Mergeable for MCounter {
-    fn fork(&self) -> Self {
-        MCounter {
-            inner: self.inner.fork(),
-        }
+impl Leaf for MCounter {
+    type Op = CounterOp;
+
+    fn versioned(&self) -> &Versioned<CounterOp> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<CounterOp> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
-    }
-
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn wrap(inner: Versioned<CounterOp>) -> Self {
+        MCounter { inner }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     #[test]
     fn basics() {

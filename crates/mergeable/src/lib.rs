@@ -17,10 +17,11 @@
 //! | [`MRegister`] | overwrite | last-merged-wins |
 //! | [`MTree`] | ordered-tree insert/delete/set | sibling shifting; deleted subtrees absorb ops |
 //!
-//! The *interface* is the [`Mergeable`] trait. Every structure implements
-//! it; composite program states are built with [`mergeable_struct!`], with
-//! tuples, or with `Vec<M>` — all of which fork and merge field-wise /
-//! element-wise.
+//! What the runtime sees is the [`Mergeable`] trait. Every structure
+//! implements it; composite program states are built with
+//! [`mergeable_struct!`], with tuples, or with `Vec<M>` — all of which fork
+//! and merge field-wise / element-wise. The *interface* for a new
+//! structure is [`Leaf`] (below).
 //!
 //! # Fork/merge contract
 //!
@@ -43,26 +44,72 @@
 //! list.merge(&child).unwrap();
 //! assert_eq!(list.to_vec(), vec![1, 2, 3, 4, 5]);
 //! ```
+//!
+//! # Implementing a new structure
+//!
+//! A structure is an OT algebra ([`sm_ot::Operation`]: how an operation
+//! applies and how two concurrent ones transform) behind a [`Versioned`]
+//! log of it. The whole obligation is [`Leaf`] — say where that log is —
+//! and the structure is [`Mergeable`]: it forks, merges, rolls back, has
+//! its history collected, and composes into tuples, `Vec`s and
+//! [`mergeable_struct!`] like the bundled nine, which get the trait the
+//! same way.
+//!
+//! ```
+//! use sm_mergeable::{Leaf, Mergeable, Versioned};
+//! use sm_ot::counter::CounterOp;
+//!
+//! /// A vote tally: additions commute, so no vote is ever lost.
+//! #[derive(Clone)]
+//! struct Tally(Versioned<CounterOp>);
+//!
+//! impl Tally {
+//!     fn count(&mut self, n: i64) {
+//!         self.0.record_validated(CounterOp::add(n));
+//!     }
+//! }
+//!
+//! impl Leaf for Tally {
+//!     type Op = CounterOp;
+//!
+//!     fn versioned(&self) -> &Versioned<CounterOp> {
+//!         &self.0
+//!     }
+//!
+//!     fn versioned_mut(&mut self) -> &mut Versioned<CounterOp> {
+//!         &mut self.0
+//!     }
+//!
+//!     fn wrap(inner: Versioned<CounterOp>) -> Self {
+//!         Tally(inner)
+//!     }
+//! }
+//!
+//! let mut votes = (Tally(Versioned::new(0)), vec![Tally(Versioned::new(10))]);
+//! let mut child = votes.fork();
+//! child.0.count(2);
+//! child.1[0].count(-1);
+//! votes.0.count(5);
+//! votes.merge(&child).unwrap();
+//! assert_eq!(*votes.0 .0.state(), 7);
+//! assert_eq!(*votes.1[0].0.state(), 9);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Implements [`Mergeable::stage_merge_all`] for a façade wrapping a
-/// single `inner: Versioned<_>` sequence log: the batch stages on that
-/// log (`stage::stage_versioned_delta`).
-macro_rules! stage_versioned_inner {
-    () => {
-        fn stage_merge_all(
-            &self,
-            children: &[&Self],
-        ) -> Option<Box<dyn crate::stage::StagedCommit<Self>>> {
-            crate::stage::stage_versioned_delta(
-                self,
-                children,
-                |m: &Self| &m.inner,
-                |m: &mut Self| &mut m.inner,
-            )
-        }
+/// Invoke `$impl_tuple!(A: 0, …)` once per supported tuple arity: the one
+/// list behind the tuples' `Mergeable` and `Persist` impls.
+macro_rules! for_each_tuple_arity {
+    ($impl_tuple:ident) => {
+        $impl_tuple!(A: 0);
+        $impl_tuple!(A: 0, B: 1);
+        $impl_tuple!(A: 0, B: 1, C: 2);
+        $impl_tuple!(A: 0, B: 1, C: 2, D: 3);
+        $impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
+        $impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
+        $impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
+        $impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
     };
 }
 
@@ -93,8 +140,10 @@ pub use versioned::{CopyMode, MergeError, MergeStats, Versioned};
 
 /// A data structure that can be forked for a child task and merged back.
 ///
-/// This is the paper's "interface to implement new mergeable data
-/// structures". Implementations must uphold:
+/// This is what the runtime asks of a program state. A new structure
+/// gets it by implementing [`Leaf`] — the paper's "interface to implement
+/// new mergeable data structures" — and composites get it field-wise.
+/// Implementations must uphold:
 ///
 /// 1. **Isolation** — after `fork`, mutations on either copy are invisible
 ///    to the other until a merge.
@@ -154,8 +203,8 @@ pub trait Mergeable: Clone + Send + 'static {
     /// to calling [`Mergeable::merge`] on the same children in order, or
     /// `None` when the structure has no staging seam or the batch does
     /// not qualify — the caller then merges sequentially. The default is
-    /// `None`; the bundled sequence structures and the composite derives
-    /// override it.
+    /// `None`; the bundled sequence structures (through [`Leaf::stage`])
+    /// and the composite derives override it.
     fn stage_merge_all(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
         let _ = children;
         None
@@ -257,6 +306,84 @@ impl<M: Mergeable> Mergeable for Vec<M> {
     }
 }
 
+/// How a structure's one [`Versioned`] log is reached: the whole
+/// obligation of a new mergeable structure (crate docs, *Implementing a
+/// new structure*). Every `Leaf` is [`Mergeable`] through one blanket
+/// impl: fork, merge, history GC, rollback and batch staging are written
+/// once, over the log.
+pub trait Leaf: Clone + Send + 'static {
+    /// The OT algebra the structure records its mutations in.
+    type Op: sm_ot::Operation;
+
+    /// The structure's log.
+    fn versioned(&self) -> &Versioned<Self::Op>;
+
+    /// The structure's log, for recording.
+    fn versioned_mut(&mut self) -> &mut Versioned<Self::Op>;
+
+    /// The structure around an existing log: a fork is
+    /// `wrap(self.versioned().fork())`, which shares the parent's state
+    /// and never clones its log.
+    fn wrap(inner: Versioned<Self::Op>) -> Self;
+
+    /// [`Mergeable::stage_merge_all`] for this structure. The default
+    /// has no stage — the batch folds by plain `merge`, which is always
+    /// correct; the bundled sequence structures stage on their log (see
+    /// [`stage`]).
+    fn stage(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
+        let _ = children;
+        None
+    }
+
+    /// The recorded local operations (diagnostics, tests, replication
+    /// layers).
+    fn log(&self) -> &[Self::Op] {
+        self.versioned().log()
+    }
+
+    /// Apply and record an operation produced elsewhere (replication /
+    /// distributed runtimes).
+    fn apply_op(&mut self, op: Self::Op) -> Result<(), sm_ot::ApplyError> {
+        self.versioned_mut().record(op)
+    }
+}
+
+impl<L: Leaf> Mergeable for L {
+    fn fork(&self) -> Self {
+        L::wrap(self.versioned().fork())
+    }
+
+    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
+        self.versioned_mut().merge(child.versioned())
+    }
+
+    fn pending_ops(&self) -> usize {
+        self.versioned().pending_ops()
+    }
+
+    fn history_marks(&self, out: &mut Vec<usize>) {
+        out.push(self.versioned().history_len());
+    }
+
+    fn fork_marks(&self, out: &mut Vec<usize>) {
+        out.push(self.versioned().fork_base());
+    }
+
+    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
+        let w = watermark.get(*cursor).copied().unwrap_or(0);
+        *cursor += 1;
+        self.versioned_mut().truncate_prefix(w)
+    }
+
+    fn rollback_to(&mut self, fork: &Self) {
+        self.versioned_mut().rollback_to(fork.versioned());
+    }
+
+    fn stage_merge_all(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
+        self.stage(children)
+    }
+}
+
 macro_rules! impl_mergeable_tuple {
     ( $( $name:ident : $idx:tt ),+ ) => {
         impl<$( $name: Mergeable ),+> Mergeable for ( $( $name, )+ ) {
@@ -264,65 +391,10 @@ macro_rules! impl_mergeable_tuple {
                 ( $( self.$idx.fork(), )+ )
             }
 
-            fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-                let mut stats = MergeStats::default();
-                $( stats += self.$idx.merge(&child.$idx)?; )+
-                Ok(stats)
-            }
-
-            fn pending_ops(&self) -> usize {
-                0 $( + self.$idx.pending_ops() )+
-            }
-
-            fn history_marks(&self, out: &mut Vec<usize>) {
-                $( self.$idx.history_marks(out); )+
-            }
-
-            fn fork_marks(&self, out: &mut Vec<usize>) {
-                $( self.$idx.fork_marks(out); )+
-            }
-
-            fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-                0 $( + self.$idx.truncate_history(watermark, cursor) )+
-            }
-
-            fn rollback_to(&mut self, fork: &Self) {
-                $( self.$idx.rollback_to(&fork.$idx); )+
-            }
-
-            fn stage_merge_all(
-                &self,
-                children: &[&Self],
-            ) -> Option<Box<dyn stage::StagedCommit<Self>>> {
-                // Ask every field first: a batch no field stages builds
-                // no commit closures.
-                $(
-                    #[allow(non_snake_case)]
-                    let $name = {
-                        let kids: Vec<&$name> =
-                            children.iter().map(|c| &c.$idx).collect();
-                        self.$idx.stage_merge_all(&kids)
-                    };
-                )+
-                if true $( && $name.is_none() )+ {
-                    return None;
-                }
-                let mut fields = stage::FieldStage::default();
-                $( fields.field(|d: &Self| &d.$idx, |d: &mut Self| &mut d.$idx, $name); )+
-                Some(Box::new(fields))
-            }
+            mergeable_struct!(@fieldwise $( $idx: $name as $name ),+);
         }
     };
 }
-
-impl_mergeable_tuple!(A: 0);
-impl_mergeable_tuple!(A: 0, B: 1);
-impl_mergeable_tuple!(A: 0, B: 1, C: 2);
-impl_mergeable_tuple!(A: 0, B: 1, C: 2, D: 3);
-impl_mergeable_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
-impl_mergeable_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-impl_mergeable_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
-impl_mergeable_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
 
 /// Define a named composite of mergeable fields and derive [`Mergeable`]
 /// for it (field-wise fork and merge).
@@ -365,67 +437,64 @@ macro_rules! mergeable_struct {
                 Self { $( $field: $crate::Mergeable::fork(&self.$field), )+ }
             }
 
-            fn merge(&mut self, child: &Self) -> Result<$crate::MergeStats, $crate::MergeError> {
-                let mut stats = $crate::MergeStats::default();
-                $( stats += $crate::Mergeable::merge(&mut self.$field, &child.$field)?; )+
-                Ok(stats)
-            }
+            $crate::mergeable_struct!(@fieldwise $( $field: $fty as $field ),+);
+        }
+    };
+    // Every `Mergeable` method but `fork` (whose constructor is the
+    // caller's), field by field: `$f` reaches a field of type `$fty`
+    // (a name, or a tuple index) and `$stage` names the local holding
+    // that field's stage. The tuple impls expand this rule too.
+    (@fieldwise $( $f:tt : $fty:ty as $stage:ident ),+) => {
+        fn merge(&mut self, child: &Self) -> Result<$crate::MergeStats, $crate::MergeError> {
+            let mut stats = $crate::MergeStats::default();
+            $( stats += $crate::Mergeable::merge(&mut self.$f, &child.$f)?; )+
+            Ok(stats)
+        }
 
-            fn pending_ops(&self) -> usize {
-                0 $( + $crate::Mergeable::pending_ops(&self.$field) )+
-            }
+        fn pending_ops(&self) -> usize {
+            0 $( + $crate::Mergeable::pending_ops(&self.$f) )+
+        }
 
-            fn history_marks(&self, out: &mut ::std::vec::Vec<usize>) {
-                $( $crate::Mergeable::history_marks(&self.$field, out); )+
-            }
+        fn history_marks(&self, out: &mut ::std::vec::Vec<usize>) {
+            $( $crate::Mergeable::history_marks(&self.$f, out); )+
+        }
 
-            fn fork_marks(&self, out: &mut ::std::vec::Vec<usize>) {
-                $( $crate::Mergeable::fork_marks(&self.$field, out); )+
-            }
+        fn fork_marks(&self, out: &mut ::std::vec::Vec<usize>) {
+            $( $crate::Mergeable::fork_marks(&self.$f, out); )+
+        }
 
-            fn truncate_history(
-                &mut self,
-                watermark: &[usize],
-                cursor: &mut usize,
-            ) -> usize {
-                0 $( + $crate::Mergeable::truncate_history(&mut self.$field, watermark, cursor) )+
-            }
+        fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
+            0 $( + $crate::Mergeable::truncate_history(&mut self.$f, watermark, cursor) )+
+        }
 
-            fn rollback_to(&mut self, fork: &Self) {
-                $( $crate::Mergeable::rollback_to(&mut self.$field, &fork.$field); )+
-            }
+        fn rollback_to(&mut self, fork: &Self) {
+            $( $crate::Mergeable::rollback_to(&mut self.$f, &fork.$f); )+
+        }
 
-            fn stage_merge_all(
-                &self,
-                children: &[&Self],
-            ) -> ::std::option::Option<
-                ::std::boxed::Box<dyn $crate::stage::StagedCommit<Self>>,
-            > {
-                // Ask every field first: a batch no field stages builds
-                // no commit closures.
-                $(
-                    let $field = {
-                        let kids: ::std::vec::Vec<&$fty> =
-                            children.iter().map(|c| &c.$field).collect();
-                        $crate::Mergeable::stage_merge_all(&self.$field, &kids)
-                    };
-                )+
-                if true $( && $field.is_none() )+ {
-                    return ::std::option::Option::None;
-                }
-                let mut fields = $crate::stage::FieldStage::default();
-                $(
-                    fields.field(
-                        |d: &Self| &d.$field,
-                        |d: &mut Self| &mut d.$field,
-                        $field,
-                    );
-                )+
-                ::std::option::Option::Some(::std::boxed::Box::new(fields))
+        fn stage_merge_all(
+            &self,
+            children: &[&Self],
+        ) -> ::std::option::Option<::std::boxed::Box<dyn $crate::stage::StagedCommit<Self>>> {
+            // Ask every field first: a batch no field stages builds
+            // no commit closures.
+            $(
+                #[allow(non_snake_case)]
+                let $stage = {
+                    let kids: ::std::vec::Vec<&$fty> = children.iter().map(|c| &c.$f).collect();
+                    $crate::Mergeable::stage_merge_all(&self.$f, &kids)
+                };
+            )+
+            if true $( && $stage.is_none() )+ {
+                return ::std::option::Option::None;
             }
+            let mut fields = $crate::stage::FieldStage::default();
+            $( fields.field(|d: &Self| &d.$f, |d: &mut Self| &mut d.$f, $stage); )+
+            ::std::option::Option::Some(::std::boxed::Box::new(fields))
         }
     };
 }
+
+for_each_tuple_arity!(impl_mergeable_tuple);
 
 #[cfg(test)]
 mod tests {
@@ -506,45 +575,6 @@ mod tests {
         assert_eq!(data.count.get(), 11);
         assert_eq!(stats.child_ops, 3);
         assert!(data.pending_ops() >= 2);
-    }
-
-    #[test]
-    fn untouched_merge_leaves_every_leaf_sharing_its_state() {
-        // The runtime hands each syncing child a fork and merges it back;
-        // a leaf the child never wrote must come out of that still sharing
-        // its state with the fork (no copy-on-write copy for no write).
-        macro_rules! check {
-            ($leaf:expr) => {{
-                let mut parent = $leaf;
-                let child = parent.fork();
-                parent.merge(&child).unwrap();
-                assert!(parent.versioned().state_is_shared());
-                assert!(child.versioned().state_is_shared());
-            }};
-        }
-        check!(MList::from_iter([1u32, 2]));
-        check!(MText::from("text"));
-        check!(MQueue::from_vec(vec![1u32, 2]));
-        check!(MMap::from_entries([(1u32, 2u32)]));
-        check!(MSet::from_items([1u32]));
-        check!(MCounter::new(3));
-        check!(MCounterMap::from_entries([(1u32, 2)]));
-        check!(MRegister::new(4u32));
-        check!(MTree::new(5u32));
-
-        // Field-wise through a composite, around one edited field.
-        let mut data = (
-            vec![MQueue::from_vec(vec![1u32]), MQueue::new()],
-            vec![MCounter::new(0), MCounter::new(0)],
-            MRegister::new(false),
-        );
-        let mut child = data.fork();
-        child.1[0].inc();
-        data.merge(&child).unwrap();
-        assert!(data.0.iter().all(|q| q.versioned().state_is_shared()));
-        assert!(!data.1[0].versioned().state_is_shared());
-        assert!(data.1[1].versioned().state_is_shared());
-        assert!(data.2.versioned().state_is_shared());
     }
 
     #[test]

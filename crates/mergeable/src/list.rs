@@ -4,8 +4,9 @@
 use sm_ot::list::{Element, ListOp};
 use sm_ot::state::ChunkTree;
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::stage::{stage_versioned_delta, StagedCommit};
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable list of `T`.
 ///
@@ -127,35 +128,6 @@ impl<T: Element> MList<T> {
         self.inner.record_validated(ListOp::Set(index, value));
     }
 
-    /// The recorded local operations (diagnostics / tests).
-    pub fn log(&self) -> &[ListOp<T>] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<ListOp<T>> {
-        &self.inner
-    }
-
-    pub(crate) fn versioned_mut(&mut self) -> &mut Versioned<ListOp<T>> {
-        &mut self.inner
-    }
-
-    // Base-state constructor from an already-built chunk tree (delta
-    // snapshot decode in `crate::persist` — shares the base's chunks).
-    pub(crate) fn from_chunk_tree(tree: ChunkTree<T>) -> Self {
-        MList {
-            inner: Versioned::new(tree),
-        }
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: ListOp<T>) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
-
     /// Whether the backing storage is currently shared with a fork.
     pub fn storage_is_shared(&self) -> bool {
         self.inner.state_is_shared()
@@ -180,45 +152,30 @@ impl<T: Element> PartialEq for MList<T> {
     }
 }
 
-impl<T: Element> Mergeable for MList<T> {
-    stage_versioned_inner!();
+impl<T: Element> Leaf for MList<T> {
+    type Op = ListOp<T>;
 
-    fn fork(&self) -> Self {
-        MList {
-            inner: self.inner.fork(),
-        }
+    fn versioned(&self) -> &Versioned<ListOp<T>> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<ListOp<T>> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
+    fn wrap(inner: Versioned<ListOp<T>>) -> Self {
+        MList { inner }
     }
 
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn stage(&self, children: &[&Self]) -> Option<Box<dyn StagedCommit<Self>>> {
+        stage_versioned_delta(self, children)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     #[test]
     fn basic_accessors() {

@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 
 use sm_ot::map::{Key, MapOp, Value};
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable ordered map.
 ///
@@ -85,23 +85,6 @@ impl<K: Key, V: Value> MMap<K, V> {
     pub fn keys(&self) -> std::collections::btree_map::Keys<'_, K, V> {
         self.inner.state().keys()
     }
-
-    /// The recorded local operations (diagnostics / tests).
-    pub fn log(&self) -> &[MapOp<K, V>] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<MapOp<K, V>> {
-        &self.inner
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: MapOp<K, V>) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
 }
 
 impl<K: Key, V: Value> Default for MMap<K, V> {
@@ -122,43 +105,26 @@ impl<K: Key, V: Value> PartialEq for MMap<K, V> {
     }
 }
 
-impl<K: Key, V: Value> Mergeable for MMap<K, V> {
-    fn fork(&self) -> Self {
-        MMap {
-            inner: self.inner.fork(),
-        }
+impl<K: Key, V: Value> Leaf for MMap<K, V> {
+    type Op = MapOp<K, V>;
+
+    fn versioned(&self) -> &Versioned<MapOp<K, V>> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<MapOp<K, V>> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
-    }
-
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn wrap(inner: Versioned<MapOp<K, V>>) -> Self {
+        MMap { inner }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     #[test]
     fn basics() {

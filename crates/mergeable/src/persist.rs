@@ -32,7 +32,8 @@ use sm_ot::tree::Node;
 use sm_ot::Operation;
 
 use crate::{
-    MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText, MTree, Mergeable, Versioned,
+    Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText, MTree, Mergeable,
+    Versioned,
 };
 
 use std::any::Any;
@@ -354,14 +355,15 @@ where
     ops.len()
 }
 
+/// The log half of [`Persist`] for a [`Leaf`].
 macro_rules! persist_log_methods {
-    ($op_ty:ty) => {
+    () => {
         fn encode_log(&self, buf: &mut BytesMut) {
             encode_compact_log(self.log(), buf);
         }
 
         fn apply_log(&mut self, buf: &mut Bytes) -> Result<usize, ReplayError> {
-            let ops: Vec<$op_ty> = Vec::decode(buf)?;
+            let ops: Vec<<Self as Leaf>::Op> = Vec::decode(buf)?;
             let n = ops.len();
             for op in ops {
                 self.apply_op(op)
@@ -574,32 +576,27 @@ impl<T: Element> ListReplaySession<T> {
     }
 }
 
-macro_rules! impl_list_prepared_log {
-    ($target:ident) => {
-        impl<T> PreparedLog<$target<T>> for ListPreparedLog<T>
-        where
-            T: Element + Encode + Decode,
-        {
-            fn replay(self: Box<Self>, data: &mut $target<T>) -> Result<usize, ReplayError> {
-                let mut session = ListReplaySession::new(data.chunk_tree().clone());
-                let n = session.apply(*self)?;
-                data.versioned_mut().set_state(session.into_tree());
-                data.seal_history();
-                Ok(n)
-            }
+impl<T, L> PreparedLog<L> for ListPreparedLog<T>
+where
+    T: Element,
+    L: Leaf<Op = ListOp<T>> + Persist,
+{
+    fn replay(self: Box<Self>, data: &mut L) -> Result<usize, ReplayError> {
+        let mut session = ListReplaySession::new(data.versioned().state().clone());
+        let n = session.apply(*self)?;
+        data.versioned_mut().set_state(session.into_tree());
+        data.seal_history();
+        Ok(n)
+    }
 
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
 
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
-        }
-    };
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
 }
-impl_list_prepared_log!(MList);
-impl_list_prepared_log!(MQueue);
 
 /// Prepared-replay overrides for the list-shaped structures: decode
 /// turns insert-only slices into [`ListPreparedLog`]s, and batched replay
@@ -619,7 +616,7 @@ macro_rules! persist_list_prepared_methods {
             &mut self,
             items: Vec<Box<dyn PreparedLog<Self>>>,
         ) -> Result<usize, PreparedReplayError> {
-            let mut session = ListReplaySession::new(self.chunk_tree().clone());
+            let mut session = ListReplaySession::new(self.versioned().state().clone());
             let mut total = 0;
             for (index, item) in items.into_iter().enumerate() {
                 if item.as_any().is::<ListPreparedLog<$elem>>() {
@@ -638,7 +635,7 @@ macro_rules! persist_list_prepared_methods {
                     total += item
                         .replay(self)
                         .map_err(|error| PreparedReplayError { index, error })?;
-                    session = ListReplaySession::new(self.chunk_tree().clone());
+                    session = ListReplaySession::new(self.versioned().state().clone());
                 }
             }
             self.versioned_mut().set_state(session.into_tree());
@@ -653,7 +650,8 @@ macro_rules! persist_chunk_delta_methods {
     () => {
         fn encode_state_delta(&self, base: &Self, buf: &mut BytesMut) {
             buf.put_u8(DELTA_TAG_CHUNKS);
-            encode_delta_parts(&self.chunk_tree().delta_parts(base.chunk_tree()), buf);
+            let (tree, base) = (self.versioned().state(), base.versioned().state());
+            encode_delta_parts(&tree.delta_parts(base), buf);
         }
 
         fn decode_state_delta(base: &Self, buf: &mut Bytes) -> Result<Self, DecodeError> {
@@ -661,9 +659,9 @@ macro_rules! persist_chunk_delta_methods {
                 DELTA_TAG_FULL => Self::decode_state(buf),
                 DELTA_TAG_CHUNKS => {
                     let parts = decode_delta_parts(buf)?;
-                    let tree = ChunkTree::apply_delta(base.chunk_tree(), parts)
+                    let tree = ChunkTree::apply_delta(base.versioned().state(), parts)
                         .ok_or(DecodeError::BadLength(u64::MAX))?;
-                    Ok(Self::from_chunk_tree(tree))
+                    Ok(Self::wrap(Versioned::new(tree)))
                 }
                 t => Err(DecodeError::BadTag(t)),
             }
@@ -683,7 +681,7 @@ where
         Ok(MList::from_vec(Vec::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::list::ListOp<T>);
+    persist_log_methods!();
     persist_list_prepared_methods!(T);
     persist_chunk_delta_methods!();
 }
@@ -700,7 +698,7 @@ where
         Ok(MQueue::from_vec(Vec::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::list::ListOp<T>);
+    persist_log_methods!();
     persist_list_prepared_methods!(T);
     persist_chunk_delta_methods!();
 }
@@ -726,13 +724,13 @@ impl Persist for MText {
                 let parts = decode_delta_parts::<String>(buf)?;
                 let rope = Rope::apply_delta(base.rope(), parts)
                     .ok_or(DecodeError::BadLength(u64::MAX))?;
-                Ok(MText::from_rope(rope))
+                Ok(MText::wrap(Versioned::new(rope)))
             }
             t => Err(DecodeError::BadTag(t)),
         }
     }
 
-    persist_log_methods!(sm_ot::text::TextOp);
+    persist_log_methods!();
 }
 
 impl<K, V> Persist for MMap<K, V>
@@ -749,7 +747,7 @@ where
         Ok(MMap::from_entries(Vec::<(K, V)>::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::map::MapOp<K, V>);
+    persist_log_methods!();
 }
 
 impl<T> Persist for MSet<T>
@@ -765,7 +763,7 @@ where
         Ok(MSet::from_items(Vec::<T>::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::set::SetOp<T>);
+    persist_log_methods!();
 }
 
 impl Persist for MCounter {
@@ -777,7 +775,7 @@ impl Persist for MCounter {
         Ok(MCounter::new(i64::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::counter::CounterOp);
+    persist_log_methods!();
 }
 
 impl<T> Persist for MRegister<T>
@@ -792,7 +790,7 @@ where
         Ok(MRegister::new(T::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::register::RegisterOp<T>);
+    persist_log_methods!();
 }
 
 impl<K> Persist for MCounterMap<K>
@@ -808,7 +806,7 @@ where
         Ok(MCounterMap::from_entries(Vec::<(K, i64)>::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::cmap::CounterMapOp<K>);
+    persist_log_methods!();
 }
 
 impl<V> Persist for MTree<V>
@@ -823,7 +821,7 @@ where
         Ok(MTree::from_root(Node::decode(buf)?))
     }
 
-    persist_log_methods!(sm_ot::tree::TreeOp<V>);
+    persist_log_methods!();
 }
 
 impl<M: Persist> Persist for Vec<M> {
@@ -836,7 +834,8 @@ impl<M: Persist> Persist for Vec<M> {
 
     fn decode_state(buf: &mut Bytes) -> Result<Self, DecodeError> {
         let len = sm_codec::get_varint(buf)?;
-        if len > 1_000_000 {
+        // Every element encodes to at least one byte.
+        if len > buf.remaining() as u64 {
             return Err(DecodeError::BadLength(len));
         }
         let mut v = Vec::with_capacity(len as usize);
@@ -973,10 +972,7 @@ macro_rules! impl_persist_tuple {
         }
     };
 }
-impl_persist_tuple!(A: 0);
-impl_persist_tuple!(A: 0, B: 1);
-impl_persist_tuple!(A: 0, B: 1, C: 2);
-impl_persist_tuple!(A: 0, B: 1, C: 2, D: 3);
+for_each_tuple_arity!(impl_persist_tuple);
 
 #[cfg(test)]
 mod tests {
@@ -1100,6 +1096,88 @@ mod tests {
             wrong_shape.apply_log(&mut buf.freeze()),
             Err(ReplayError::Shape(_))
         ));
+    }
+
+    #[test]
+    fn vec_state_length_prefix_is_bounded_by_the_bytes_behind_it() {
+        // 1 000 000 as a varint and nothing behind it: refused before any
+        // element is reserved, not after a million of them were.
+        let mut hostile = Bytes::copy_from_slice(&[0xC0, 0x84, 0x3D]);
+        assert_eq!(
+            Vec::<MCounter>::decode_state(&mut hostile).unwrap_err(),
+            DecodeError::BadLength(1_000_000)
+        );
+        roundtrip_state(&Vec::<MCounter>::new());
+    }
+
+    /// Journal a commit of `data` (every field edited by `edit`) and ship
+    /// its state as a delta against the pre-commit base: both must land
+    /// on a replica of the base as `data` itself.
+    fn journal_and_delta_roundtrip<W>(mut data: W, logs: usize, edit: impl Fn(&mut W))
+    where
+        W: Persist + PartialEq + std::fmt::Debug,
+    {
+        let base = data.clone();
+        data.seal_history();
+        let mut marks = Vec::new();
+        data.history_marks(&mut marks);
+        assert_eq!(marks.len(), logs);
+
+        edit(&mut data);
+        data.seal_history();
+        let (mut slice, mut cursor) = (BytesMut::new(), 0);
+        let n = data.encode_committed_since(&marks, &mut cursor, &mut slice);
+        assert_eq!((n, cursor), (logs, logs), "one op and one mark per field");
+        let mut replica = base.clone();
+        let mut slice = slice.freeze();
+        assert_eq!(replica.apply_log(&mut slice), Ok(n));
+        assert!(slice.is_empty());
+        assert_eq!(replica, data);
+
+        let mut delta = BytesMut::new();
+        data.encode_state_delta(&base, &mut delta);
+        let mut delta = delta.freeze();
+        assert_eq!(W::decode_state_delta(&base, &mut delta).unwrap(), data);
+        assert!(delta.is_empty());
+    }
+
+    #[test]
+    fn five_and_eight_tuples_journal_and_ship_like_smaller_ones() {
+        let c = || MCounter::new(0);
+        journal_and_delta_roundtrip(
+            (c(), MText::from("a"), c(), MList::from_iter([1u32]), c()),
+            5,
+            |d| {
+                d.0.add(1);
+                d.1.push_str("b");
+                d.2.add(3);
+                d.3.push(2);
+                d.4.add(5);
+            },
+        );
+        journal_and_delta_roundtrip(
+            (
+                c(),
+                c(),
+                c(),
+                c(),
+                c(),
+                c(),
+                MText::new(),
+                MRegister::new(0u8),
+            ),
+            8,
+            |d| {
+                for (i, counter) in [&mut d.0, &mut d.1, &mut d.2, &mut d.3, &mut d.4, &mut d.5]
+                    .into_iter()
+                    .enumerate()
+                {
+                    counter.add(i as i64 + 1);
+                }
+                d.6.push_str("seventh");
+                d.7.set(8);
+            },
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use sm_ot::register::{RegisterOp, Value};
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable register holding one `T`.
 #[derive(Debug, Clone)]
@@ -39,23 +39,6 @@ impl<T: Value> MRegister<T> {
     pub fn set(&mut self, value: T) {
         self.inner.record_validated(RegisterOp::set(value));
     }
-
-    /// The recorded local operations (diagnostics / replication layers).
-    pub fn log(&self) -> &[RegisterOp<T>] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<RegisterOp<T>> {
-        &self.inner
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: RegisterOp<T>) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
 }
 
 impl<T: Value + Default> Default for MRegister<T> {
@@ -70,43 +53,26 @@ impl<T: Value> PartialEq for MRegister<T> {
     }
 }
 
-impl<T: Value> Mergeable for MRegister<T> {
-    fn fork(&self) -> Self {
-        MRegister {
-            inner: self.inner.fork(),
-        }
+impl<T: Value> Leaf for MRegister<T> {
+    type Op = RegisterOp<T>;
+
+    fn versioned(&self) -> &Versioned<RegisterOp<T>> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<RegisterOp<T>> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
-    }
-
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn wrap(inner: Versioned<RegisterOp<T>>) -> Self {
+        MRegister { inner }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     #[test]
     fn basics() {

@@ -5,8 +5,8 @@ use std::collections::BTreeSet;
 
 use sm_ot::set::{Element, SetOp};
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable ordered set.
 #[derive(Debug, Clone)]
@@ -75,23 +75,6 @@ impl<T: Element> MSet<T> {
     pub fn iter(&self) -> std::collections::btree_set::Iter<'_, T> {
         self.inner.state().iter()
     }
-
-    /// The recorded local operations (diagnostics / tests).
-    pub fn log(&self) -> &[SetOp<T>] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<SetOp<T>> {
-        &self.inner
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: SetOp<T>) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
 }
 
 impl<T: Element> Default for MSet<T> {
@@ -112,43 +95,26 @@ impl<T: Element> PartialEq for MSet<T> {
     }
 }
 
-impl<T: Element> Mergeable for MSet<T> {
-    fn fork(&self) -> Self {
-        MSet {
-            inner: self.inner.fork(),
-        }
+impl<T: Element> Leaf for MSet<T> {
+    type Op = SetOp<T>;
+
+    fn versioned(&self) -> &Versioned<SetOp<T>> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<SetOp<T>> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
-    }
-
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn wrap(inner: Versioned<SetOp<T>>) -> Self {
+        MSet { inner }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     #[test]
     fn basics() {

@@ -83,7 +83,7 @@ use std::time::Instant;
 use sm_ot::delta::{from_ops_biased, from_ops_chunked, Composite, Delta, DeltaOp, GapBias};
 
 use crate::versioned::elapsed_nanos;
-use crate::{MergeError, MergeStats, Mergeable, Versioned};
+use crate::{Leaf, MergeError, MergeStats, Mergeable, Versioned};
 
 /// Op count from which one log folds in segments. A segment is the
 /// square root of this long: folding k ops in segments of c costs about
@@ -132,18 +132,16 @@ pub trait StagedCommit<D> {
     fn profile(&self) -> StageProfile;
 }
 
-/// The leaf [`StagedCommit`] over the single [`Versioned`] log that
-/// `get` / `get_mut` project out of a façade `D` (see the module docs).
-struct StagedLeaf<O: DeltaOp, G, H> {
-    get: G,
-    get_mut: H,
+/// The leaf [`StagedCommit`]: one batch over the [`Versioned`] log of a
+/// sequence [`Leaf`] (see the module docs).
+struct StagedLeaf<O: DeltaOp> {
     /// Everything committed since the batch's fork base, as one delta
     /// over the fork-base coordinates.
     composite: Composite<O::Payload>,
     poisoned: bool,
 }
 
-impl<O: DeltaOp, G, H> StagedLeaf<O, G, H> {
+impl<O: DeltaOp> StagedLeaf<O> {
     /// Commit `child` against the composite; `None` when the child must
     /// go to the plain kernel and take the rest of the batch with it.
     fn commit_on_composite(
@@ -195,14 +193,12 @@ impl<O: DeltaOp, G, H> StagedLeaf<O, G, H> {
     }
 }
 
-impl<D, O, G, H> StagedCommit<D> for StagedLeaf<O, G, H>
+impl<L: Leaf> StagedCommit<L> for StagedLeaf<L::Op>
 where
-    O: DeltaOp,
-    G: for<'a> Fn(&'a D) -> &'a Versioned<O>,
-    H: for<'a> Fn(&'a mut D) -> &'a mut Versioned<O>,
+    L::Op: DeltaOp,
 {
-    fn commit(&mut self, parent: &mut D, child: &D) -> Result<MergeStats, MergeError> {
-        let (parent, child) = ((self.get_mut)(parent), (self.get)(child));
+    fn commit(&mut self, parent: &mut L, child: &L) -> Result<MergeStats, MergeError> {
+        let (parent, child) = (parent.versioned_mut(), child.versioned());
         if !self.poisoned {
             if let Some(stats) = self.commit_on_composite(parent, child) {
                 return stats;
@@ -225,33 +221,28 @@ where
     }
 }
 
-/// Stage a batch of sibling sequence logs — each the [`Versioned`] log
-/// `get` / `get_mut` project out of its façade — or `None` when the batch
-/// does not qualify (module docs) and the caller folds it sequentially.
-pub(crate) fn stage_versioned_delta<D, O, G, H>(
-    parent: &D,
-    children: &[&D],
-    get: G,
-    get_mut: H,
-) -> Option<Box<dyn StagedCommit<D>>>
+/// Stage a batch of sibling sequence leaves on their [`Versioned`] logs,
+/// or `None` when the batch does not qualify (module docs) and the caller
+/// folds it sequentially.
+pub(crate) fn stage_versioned_delta<L: Leaf>(
+    parent: &L,
+    children: &[&L],
+) -> Option<Box<dyn StagedCommit<L>>>
 where
-    D: 'static,
-    O: DeltaOp,
-    G: for<'a> Fn(&'a D) -> &'a Versioned<O> + 'static,
-    H: for<'a> Fn(&'a mut D) -> &'a mut Versioned<O> + 'static,
+    L::Op: DeltaOp,
 {
-    let parent = get(parent);
-    let fork_base = get(children.first()?).fork_base();
+    let parent = parent.versioned();
+    let fork_base = children.first()?.versioned().fork_base();
     let lo = parent.log_start();
     let qualified = (lo..=parent.history_len()).contains(&fork_base)
-        && children.iter().all(|c| get(c).fork_base() == fork_base);
+        && children
+            .iter()
+            .all(|c| c.versioned().fork_base() == fork_base);
     if !qualified {
         return None;
     }
     let composite = Composite::new(fold(&parent.log()[fork_base - lo..], GapBias::Start)?);
     Some(Box::new(StagedLeaf {
-        get,
-        get_mut,
         composite,
         poisoned: false,
     }))
@@ -353,5 +344,112 @@ impl<D> StagedCommit<D> for FieldStage<D> {
 
     fn profile(&self) -> StageProfile {
         self.profile
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sm_ot::tree::Node;
+
+    use super::*;
+    use crate::{
+        mergeable_struct, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText, MTree,
+    };
+
+    mergeable_struct! {
+        #[derive(Clone)]
+        struct EveryLeaf {
+            list: MList<u32>,
+            text: MText,
+            queue: MQueue<u32>,
+            map: MMap<u32, u32>,
+            set: MSet<u32>,
+            counter: MCounter,
+            cmap: MCounterMap<u32>,
+            register: MRegister<u32>,
+            tree: MTree<u32>,
+        }
+    }
+
+    /// One edit per field.
+    fn edit(d: &mut EveryLeaf, n: u32) {
+        d.list.push(n);
+        d.text.push_str(n.to_string());
+        d.queue.push_back(n);
+        d.map.insert(n, n);
+        d.set.insert(n);
+        d.counter.add(n.into());
+        d.cmap.add(n, 1);
+        d.register.set(n);
+        d.tree.push_child(&[], Node::leaf(n));
+    }
+
+    #[test]
+    fn the_three_sequence_leaves_stage_and_the_other_six_do_not() {
+        // Three siblings of a parent that has since committed an edit of
+        // its own: the batch qualifies wherever there is a stage.
+        let mut parent = EveryLeaf {
+            list: MList::from_iter([0]),
+            text: MText::from("0"),
+            queue: MQueue::from_vec(vec![0]),
+            map: MMap::new(),
+            set: MSet::new(),
+            counter: MCounter::new(0),
+            cmap: MCounterMap::new(),
+            register: MRegister::new(0),
+            tree: MTree::new(0),
+        };
+        let children: Vec<EveryLeaf> = (1..=3)
+            .map(|n| {
+                let mut child = parent.fork();
+                edit(&mut child, n);
+                child
+            })
+            .collect();
+        edit(&mut parent, 9);
+        macro_rules! staged {
+            ($field:ident) => {{
+                let kids: Vec<_> = children.iter().map(|c| &c.$field).collect();
+                parent.$field.stage_merge_all(&kids).map(|s| s.profile())
+            }};
+        }
+        let delta_leaf = Some(StageProfile {
+            delta_leaves: 1,
+            inline_leaves: 0,
+        });
+        assert_eq!(staged!(list), delta_leaf);
+        assert_eq!(staged!(text), delta_leaf);
+        assert_eq!(staged!(queue), delta_leaf);
+        assert_eq!(staged!(map), None);
+        assert_eq!(staged!(set), None);
+        assert_eq!(staged!(counter), None);
+        assert_eq!(staged!(cmap), None);
+        assert_eq!(staged!(register), None);
+        assert_eq!(staged!(tree), None);
+
+        let kids: Vec<_> = children.iter().collect();
+        let mut stage = parent.stage_merge_all(&kids).expect("three fields stage");
+        assert_eq!(
+            stage.profile(),
+            StageProfile {
+                delta_leaves: 3,
+                inline_leaves: 6,
+            }
+        );
+
+        // And the plan commits what the plain fold does.
+        let (mut staged, mut folded) = (parent.clone(), parent);
+        for child in &children {
+            assert_eq!(
+                stage.commit(&mut staged, child).unwrap(),
+                folded.merge(child).unwrap()
+            );
+        }
+        assert_eq!(staged.list, folded.list);
+        assert_eq!(staged.text, folded.text);
+        assert_eq!(staged.queue, folded.queue);
+        assert_eq!(staged.counter.get(), 9 + 1 + 2 + 3);
+        assert_eq!(staged.map, folded.map);
+        assert_eq!(staged.tree, folded.tree);
     }
 }

@@ -6,8 +6,9 @@
 use sm_ot::state::{Chunks, Rope};
 use sm_ot::text::TextOp;
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::stage::{stage_versioned_delta, StagedCommit};
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable text document. Positions are **character** positions.
 #[derive(Debug, Clone)]
@@ -86,31 +87,6 @@ impl MText {
         );
         self.inner.record_validated(TextOp::delete(pos, len));
     }
-
-    /// The recorded local operations (diagnostics / tests).
-    pub fn log(&self) -> &[TextOp] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<TextOp> {
-        &self.inner
-    }
-
-    // Base-state constructor from an already-built rope (delta snapshot
-    // decode in `crate::persist` — shares the base's chunks).
-    pub(crate) fn from_rope(rope: Rope) -> Self {
-        MText {
-            inner: Versioned::new(rope),
-        }
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: TextOp) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
 }
 
 impl Default for MText {
@@ -159,45 +135,30 @@ impl PartialEq<&str> for MText {
     }
 }
 
-impl Mergeable for MText {
-    stage_versioned_inner!();
+impl Leaf for MText {
+    type Op = TextOp;
 
-    fn fork(&self) -> Self {
-        MText {
-            inner: self.inner.fork(),
-        }
+    fn versioned(&self) -> &Versioned<TextOp> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<TextOp> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
+    fn wrap(inner: Versioned<TextOp>) -> Self {
+        MText { inner }
     }
 
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn stage(&self, children: &[&Self]) -> Option<Box<dyn StagedCommit<Self>>> {
+        stage_versioned_delta(self, children)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     #[test]
     fn editing_basics() {

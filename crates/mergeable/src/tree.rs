@@ -3,8 +3,8 @@
 
 use sm_ot::tree::{Node, Path, TreeOp, Value};
 
-use crate::versioned::{CopyMode, MergeError, MergeStats, Versioned};
-use crate::Mergeable;
+use crate::versioned::{CopyMode, Versioned};
+use crate::Leaf;
 
 /// A mergeable rooted ordered tree of `V` values.
 ///
@@ -97,23 +97,6 @@ impl<V: Value> MTree<V> {
         self.inner
             .record_validated(TreeOp::SetValue { path, value });
     }
-
-    /// The recorded local operations (diagnostics / tests).
-    pub fn log(&self) -> &[TreeOp<V>] {
-        self.inner.log()
-    }
-
-    // Engine-room view of the log bookkeeping for the in-crate
-    // persistence layer (`crate::persist`).
-    pub(crate) fn versioned(&self) -> &Versioned<TreeOp<V>> {
-        &self.inner
-    }
-
-    /// Apply and record an operation produced elsewhere (replication /
-    /// distributed runtimes).
-    pub fn apply_op(&mut self, op: TreeOp<V>) -> Result<(), sm_ot::ApplyError> {
-        self.inner.record(op)
-    }
 }
 
 impl<V: Value> PartialEq for MTree<V> {
@@ -122,43 +105,26 @@ impl<V: Value> PartialEq for MTree<V> {
     }
 }
 
-impl<V: Value> Mergeable for MTree<V> {
-    fn fork(&self) -> Self {
-        MTree {
-            inner: self.inner.fork(),
-        }
+impl<V: Value> Leaf for MTree<V> {
+    type Op = TreeOp<V>;
+
+    fn versioned(&self) -> &Versioned<TreeOp<V>> {
+        &self.inner
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.inner.merge(&child.inner)
+    fn versioned_mut(&mut self) -> &mut Versioned<TreeOp<V>> {
+        &mut self.inner
     }
 
-    fn pending_ops(&self) -> usize {
-        self.inner.pending_ops()
-    }
-
-    fn history_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.history_len());
-    }
-
-    fn fork_marks(&self, out: &mut Vec<usize>) {
-        out.push(self.inner.fork_base());
-    }
-
-    fn truncate_history(&mut self, watermark: &[usize], cursor: &mut usize) -> usize {
-        let w = watermark.get(*cursor).copied().unwrap_or(0);
-        *cursor += 1;
-        self.inner.truncate_prefix(w)
-    }
-
-    fn rollback_to(&mut self, fork: &Self) {
-        self.inner.rollback_to(&fork.inner);
+    fn wrap(inner: Versioned<TreeOp<V>>) -> Self {
+        MTree { inner }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mergeable;
 
     fn sample() -> MTree<&'static str> {
         let mut t = MTree::new("root");

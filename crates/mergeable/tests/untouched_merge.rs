@@ -3,9 +3,9 @@
 //! on the history length. Every leaf and a composite shaped like the
 //! network simulation's state (three `Vec`s of leaves and a flag), over an
 //! idle parent and over a parent that committed three operations since
-//! the fork. That the state also stays *shared* is checked next to
-//! `Versioned` (`versioned.rs`, `lib.rs`), where `state_is_shared` is
-//! visible; here, an unsharing `Arc::make_mut` shows as an allocation.
+//! the fork. That the state also stays *shared* is checked through
+//! `Leaf::versioned()` (`versioned.rs`, `tests/leaf_interface.rs`); here,
+//! an unsharing `Arc::make_mut` shows as an allocation.
 //!
 //! Run it in release too (CI does): debug builds double staged commits
 //! with the sequential oracle and allocate differently.

@@ -27,8 +27,9 @@
 //! * [`ot`] — the operational transformation engine (operation algebras,
 //!   transformation functions, the rebase control algorithm).
 //! * [`mergeable`] — the mergeable data structure library (`MList`,
-//!   `MText`, `MQueue`, `MMap`, `MSet`, `MCounter`, `MRegister`, `MTree`)
-//!   and the [`Mergeable`] interface for custom structures.
+//!   `MText`, `MQueue`, `MMap`, `MSet`, `MCounter`, `MCounterMap`,
+//!   `MRegister`, `MTree`), the [`Mergeable`] interface, and [`Leaf`]:
+//!   all a custom structure implements to get it.
 //! * [`core`] — the task runtime: `spawn`, the `merge_*` family, `sync`,
 //!   `clone_task`, aborts, merge conditions, the semaphore emulation.
 //! * [`net`] — an in-memory socket substrate for the server example.
@@ -71,7 +72,7 @@ pub use sm_core::{
     MergeReport, MergedChild, Pool, SyncError, TaskAbort, TaskCtx, TaskHandle, TaskId, TaskResult,
 };
 pub use sm_mergeable::{
-    mergeable_struct, CopyMode, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText,
-    MTree, MergeError, MergeStats, Mergeable, Persist, ReplayError,
+    mergeable_struct, CopyMode, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet,
+    MText, MTree, MergeError, MergeStats, Mergeable, Persist, ReplayError,
 };
 pub use sm_store::{run_with_store, FsyncPolicy, RetentionPolicy, Store, StoreError, StoreOptions};

@@ -31,8 +31,8 @@ use spawn_merge::obs::{
     Recorder,
 };
 use spawn_merge::{
-    run, run_with_pool, run_with_store, Disposition, MCounter, MList, MMap, MText, MergeError,
-    MergeStats, Mergeable, Persist, Pool, ReplayError, Store, StoreOptions,
+    run, run_with_pool, run_with_store, Disposition, Leaf, MCounter, MList, MMap, MText,
+    MergeError, MergeStats, Mergeable, Persist, Pool, ReplayError, Store, StoreOptions,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());

@@ -20,7 +20,7 @@ use spawn_merge::ot::state::{ChunkTree, Rope};
 use spawn_merge::ot::text::TextOp;
 use spawn_merge::ot::tree::{Node, TreeOp};
 use spawn_merge::ot::{apply_all, Operation};
-use spawn_merge::{run, MList};
+use spawn_merge::{run, Leaf, MList};
 
 /// The core equivalence: merging `incoming` over `committed` from `base`
 /// gives the same state whether or not both logs are compacted first.

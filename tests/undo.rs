@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use spawn_merge::ot::apply_all;
 use spawn_merge::ot::invert::inverse_sequence;
 use spawn_merge::ot::state::{ChunkTree, Rope};
-use spawn_merge::{MList, MText, Mergeable};
+use spawn_merge::{Leaf, MList, MText, Mergeable};
 
 #[test]
 fn list_session_can_be_undone_from_its_log() {
