@@ -98,18 +98,7 @@ fn instrumented_merge(parent: &MList<u64>, child: &MList<u64>, path: &TaskPath) 
         emit(path, || EventKind::MergeFinished {
             child: path.clone(),
             child_continues: false,
-            ops: MergeOpStats {
-                child_ops: stats.child_ops,
-                applied_ops: stats.applied_ops,
-                committed_ops: stats.committed_ops,
-                child_ops_compacted: stats.child_ops_compacted,
-                committed_ops_compacted: stats.committed_ops_compacted,
-                grid_cells: stats.grid_cells,
-                delta_rebases: stats.delta_rebases,
-                grid_rebases: stats.grid_rebases,
-                delta_spans: stats.delta_spans,
-                screen_rejects: stats.screen_rejects,
-            },
+            ops: MergeOpStats::from(&stats),
             merge_nanos,
             oplog_len: stats.applied_ops,
         });

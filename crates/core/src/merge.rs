@@ -645,18 +645,7 @@ impl<D: Mergeable> TaskCtx<D> {
             emit(&self.path, || EventKind::MergeFinished {
                 child: self.path.child(child),
                 child_continues,
-                ops: MergeOpStats {
-                    child_ops: stats.child_ops,
-                    applied_ops: stats.applied_ops,
-                    committed_ops: stats.committed_ops,
-                    child_ops_compacted: stats.child_ops_compacted,
-                    committed_ops_compacted: stats.committed_ops_compacted,
-                    grid_cells: stats.grid_cells,
-                    delta_rebases: stats.delta_rebases,
-                    grid_rebases: stats.grid_rebases,
-                    delta_spans: stats.delta_spans,
-                    screen_rejects: stats.screen_rejects,
-                },
+                ops: MergeOpStats::from(&stats),
                 oplog_len,
                 merge_nanos,
             });

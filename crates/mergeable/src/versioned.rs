@@ -139,6 +139,25 @@ impl std::ops::AddAssign for MergeStats {
     }
 }
 
+/// The counts a `MergeFinished` event carries; the phase nanos surface
+/// as their own `PhaseTimed` events instead.
+impl From<&MergeStats> for sm_obs::MergeOpStats {
+    fn from(s: &MergeStats) -> Self {
+        sm_obs::MergeOpStats {
+            child_ops: s.child_ops,
+            applied_ops: s.applied_ops,
+            committed_ops: s.committed_ops,
+            child_ops_compacted: s.child_ops_compacted,
+            committed_ops_compacted: s.committed_ops_compacted,
+            grid_cells: s.grid_cells,
+            delta_rebases: s.delta_rebases,
+            grid_rebases: s.grid_rebases,
+            delta_spans: s.delta_spans,
+            screen_rejects: s.screen_rejects,
+        }
+    }
+}
+
 /// Error merging a child structure back into its parent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {

@@ -16,11 +16,16 @@
 //! order. So the auditor keeps one FNV-1a hash chain per emitting
 //! [`TaskPath`] (delivery per task is in program order because each
 //! task runs on one thread at a time) and combines the finished chains
-//! order-insensitively, by folding them in sorted path order. Wall-clock
-//! fields, pool-worker churn, and wire events are excluded: they vary
-//! run to run without affecting merged results.
+//! order-insensitively, by folding them in sorted path order.
+//!
+//! What each event contributes is declared once, in the event table of
+//! [`crate::event`]: whether the event is hashed at all (pool churn,
+//! wire, store and session-lifecycle events are not — they vary run to
+//! run without affecting merged results), and which of its fields are
+//! wall-clock and so skipped. Each field type's encoding is its
+//! `Field` impl, next to the table.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::sync::PoisonError;
 
@@ -37,7 +42,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv_step(FNV_OFFSET, bytes)
 }
 
-fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -45,11 +50,11 @@ fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-fn fnv_u64(h: u64, v: u64) -> u64 {
+pub(crate) fn fnv_u64(h: u64, v: u64) -> u64 {
     fnv_step(h, &v.to_le_bytes())
 }
 
-fn fnv_path(mut h: u64, path: &TaskPath) -> u64 {
+pub(crate) fn fnv_path(mut h: u64, path: &TaskPath) -> u64 {
     h = fnv_u64(h, path.ids().len() as u64);
     for id in path.ids() {
         h = fnv_u64(h, *id);
@@ -104,121 +109,44 @@ impl DeterminismAuditor {
             .clone()
     }
 
-    /// Diff two replicas' chain heads: the sorted list of task paths
-    /// whose chains disagree (present on one side only, or present on
-    /// both with different heads). Empty means the replicas are
-    /// digest-identical.
-    pub fn diff_heads(a: &BTreeMap<TaskPath, u64>, b: &BTreeMap<TaskPath, u64>) -> Vec<TaskPath> {
-        let mut out = Vec::new();
-        for (path, head) in a {
-            if b.get(path) != Some(head) {
-                out.push(path.clone());
-            }
-        }
-        for path in b.keys() {
-            if !a.contains_key(path) {
-                out.push(path.clone());
-            }
-        }
-        out.sort();
-        out
+    /// Diff two replicas' chain heads: the sorted list of keys (task
+    /// paths, or their `/health` renderings) whose chains disagree —
+    /// present on one side only, or present on both with different
+    /// heads. Empty means the replicas are digest-identical.
+    pub fn diff_heads<K: Ord + Clone, V: PartialEq>(
+        a: &BTreeMap<K, V>,
+        b: &BTreeMap<K, V>,
+    ) -> Vec<K> {
+        let differing: BTreeSet<&K> = a
+            .keys()
+            .chain(b.keys())
+            .filter(|k| a.get(*k) != b.get(*k))
+            .collect();
+        differing.into_iter().cloned().collect()
     }
 }
 
-/// The deterministic projection of one event: a tag plus the fields that
-/// must match across runs. `None` for excluded events.
-fn projection(event: &ObsEvent) -> Option<u64> {
-    let mut h = FNV_OFFSET;
-    h = fnv_step(h, event.kind.name().as_bytes());
-    match &event.kind {
-        // spawn_nanos is wall-clock: hash only the fact and the identity.
-        EventKind::TaskSpawned { .. } => {}
-        EventKind::TaskCompleted => {}
-        EventKind::TaskAborted { cause } => {
-            h = fnv_u64(h, *cause as u64);
-        }
-        EventKind::MergeStarted { child } | EventKind::MergeRejected { child } => {
-            h = fnv_path(h, child);
-        }
-        EventKind::MergeFinished {
-            child,
-            child_continues,
-            ops,
-            oplog_len,
-            ..
-        } => {
-            h = fnv_path(h, child);
-            h = fnv_u64(h, u64::from(*child_continues));
-            h = fnv_u64(h, ops.child_ops as u64);
-            h = fnv_u64(h, ops.applied_ops as u64);
-            h = fnv_u64(h, ops.committed_ops as u64);
-            h = fnv_u64(h, *oplog_len as u64);
-        }
-        EventKind::SyncBlocked => {}
-        EventKind::SyncResumed { accepted, .. } => {
-            h = fnv_u64(h, u64::from(*accepted));
-        }
-        EventKind::CloneCreated { clone } => {
-            h = fnv_path(h, clone);
-        }
-        EventKind::Mark { label } => {
-            h = fnv_step(h, label.as_bytes());
-        }
-        // A session commit's broadcast bytes are the convergence
-        // contract: the server and every subscriber that applied the
-        // broadcast emit this same event at the session's path, so their
-        // chains agree iff the replicated streams were identical.
-        EventKind::SessionCommitted {
-            session,
-            seq,
-            ops,
-            digest,
-        } => {
-            h = fnv_u64(h, *session);
-            h = fnv_u64(h, *seq);
-            h = fnv_u64(h, *ops as u64);
-            h = fnv_u64(h, *digest);
-        }
-        // Pool churn, wire traffic, history GC, and durable-store I/O vary
-        // run to run (keep-alive timing, socket batching, when children
-        // happen to be live, fsync policy) without affecting merged
-        // results: excluded. Store exclusion also guarantees that running
-        // the *same* program with and without a store yields the same
-        // digest — the property crash recovery verifies against.
-        // MergeStaged is likewise excluded: staging is a scheduling
-        // detail whose committed outcome is bit-identical to the
-        // sequential fold, and whether a batch stages depends on event
-        // arrival timing.
-        EventKind::WorkerStarted { .. }
-        | EventKind::MergeStaged { .. }
-        | EventKind::WorkerRetired { .. }
-        | EventKind::WireSent { .. }
-        | EventKind::WireReceived { .. }
-        | EventKind::LogTruncated { .. }
-        | EventKind::WalAppended { .. }
-        | EventKind::SnapshotTaken { .. }
-        | EventKind::SnapshotDeltaTaken { .. }
-        | EventKind::WalSegmentsPruned { .. }
-        | EventKind::RecoverySegmentsScanned { .. }
-        | EventKind::RecoveryReplayed { .. }
-        | EventKind::RecoveryFailed { .. }
-        | EventKind::PhaseTimed { .. } => return None,
-        // Session lifecycle (open/attach/evict/rehydrate, slow-consumer
-        // drops) is driven by connection timing and idle scanning:
-        // excluded, like the store events above. Only SessionCommitted
-        // (the replicated content) participates in the digest.
-        EventKind::SessionOpened { .. }
-        | EventKind::SessionAttached { .. }
-        | EventKind::SessionEvicted { .. }
-        | EventKind::SessionRehydrated { .. }
-        | EventKind::SlowConsumerDropped { .. } => return None,
+/// The deterministic projection of one event: its name plus every
+/// field that is not wall-clock, as the event table declares them.
+/// `None` for events the table excludes.
+fn projection(kind: &EventKind) -> Option<u64> {
+    if !kind.audited() {
+        return None;
     }
+    let mut h = fnv_step(FNV_OFFSET, kind.name().as_bytes());
+    kind.walk(|_, value, clock| {
+        if !clock {
+            h = value.fnv(h);
+        }
+    });
     Some(h)
 }
 
 impl Recorder for DeterminismAuditor {
     fn record(&self, event: &ObsEvent) {
-        let Some(p) = projection(event) else { return };
+        let Some(p) = projection(&event.kind) else {
+            return;
+        };
         let mut chains = self.chains.lock().unwrap_or_else(PoisonError::into_inner);
         let chain = chains.entry(event.task.clone()).or_insert(FNV_OFFSET);
         *chain = fnv_u64(*chain, p);

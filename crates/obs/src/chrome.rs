@@ -9,7 +9,11 @@
 //! - task lifetimes, merges, and sync blocks are `"X"` complete spans;
 //! - marks, wire messages, and WAL appends are `"i"` instant events;
 //! - `pid` partitions the view: 1 = task tree, 2 = pool, 3 = wire,
-//!   4 = durable store (snapshot / recovery spans).
+//!   4 = durable store (snapshot / recovery spans), 5 = session server.
+//!
+//! Tracks and args come from the event table's field walk (every
+//! [`TaskPath`] field names a track; merge args are fields of the
+//! event); this module only decides lane, label, and span or instant.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
@@ -81,17 +85,11 @@ impl ChromeTracer {
         let mut tids: BTreeMap<TaskPath, u64> = BTreeMap::new();
         for ev in &events {
             tids.entry(ev.task.clone()).or_default();
-            match &ev.kind {
-                EventKind::MergeStarted { child }
-                | EventKind::MergeFinished { child, .. }
-                | EventKind::MergeRejected { child } => {
-                    tids.entry(child.clone()).or_default();
+            ev.kind.walk(|_, value, _| {
+                if let Some(path) = value.path() {
+                    tids.entry(path.clone()).or_default();
                 }
-                EventKind::CloneCreated { clone } => {
-                    tids.entry(clone.clone()).or_default();
-                }
-                _ => {}
-            }
+            });
         }
         for (i, tid) in tids.values_mut().enumerate() {
             *tid = i as u64 + 1;
@@ -164,17 +162,18 @@ impl ChromeTracer {
                     } else {
                         "grid"
                     };
-                    span.set(
-                        "args",
-                        Json::obj([
-                            ("child_ops", Json::from(ops.child_ops)),
-                            ("applied_ops", Json::from(ops.applied_ops)),
-                            ("committed_ops", Json::from(ops.committed_ops)),
-                            ("rebase_path", Json::Str(path.to_string())),
-                            ("delta_spans", Json::from(ops.delta_spans)),
-                            ("grid_cells", Json::from(ops.grid_cells)),
-                        ]),
+                    let mut args = pick(
+                        &ev.kind,
+                        &[
+                            "child_ops",
+                            "applied_ops",
+                            "committed_ops",
+                            "delta_spans",
+                            "grid_cells",
+                        ],
                     );
+                    args.set("rebase_path", Json::str(path));
+                    span.set("args", args);
                     out.push(span);
                 }
                 EventKind::MergeRejected { child } => {
@@ -185,21 +184,13 @@ impl ChromeTracer {
                         ts,
                     ));
                 }
-                EventKind::MergeStaged {
-                    children,
-                    delta_lanes,
-                    serial_lanes,
-                } => {
-                    let mut ev = instant(PID_TASKS, tid, &format!("merge staged ×{children}"), ts);
-                    ev.set(
-                        "args",
-                        Json::obj([
-                            ("children", Json::from(*children)),
-                            ("delta_lanes", Json::from(*delta_lanes)),
-                            ("serial_lanes", Json::from(*serial_lanes)),
-                        ]),
-                    );
-                    out.push(ev);
+                EventKind::MergeStaged { children, .. } => {
+                    let mut staged =
+                        instant(PID_TASKS, tid, &format!("merge staged ×{children}"), ts);
+                    if let Some(args) = ev.kind.detail() {
+                        staged.set("args", args);
+                    }
+                    out.push(staged);
                 }
                 EventKind::SyncResumed {
                     blocked_nanos,
@@ -315,7 +306,7 @@ impl ChromeTracer {
                     out.push(instant(
                         PID_STORE,
                         1,
-                        &format!("recovery scanned {segments} segments in parallel"),
+                        &format!("recovery scanned {segments} segments"),
                         ts,
                     ));
                 }
@@ -428,6 +419,16 @@ impl Recorder for ChromeTracer {
             .unwrap_or_else(PoisonError::into_inner)
             .push(event.clone());
     }
+}
+
+/// The named fields of `kind`'s [detail](EventKind::detail), in the
+/// order given.
+fn pick(kind: &EventKind, keys: &[&'static str]) -> Json {
+    let detail = kind.detail().unwrap_or(Json::Null);
+    Json::obj(
+        keys.iter()
+            .filter_map(|key| Some((*key, detail.get(key)?.clone()))),
+    )
 }
 
 fn base_event(phase: &str, pid: u64, tid: u64, name: &str, ts: f64) -> Json {

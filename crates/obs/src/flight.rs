@@ -19,9 +19,12 @@
 //! - **dump-on-anomaly** — configure a directory with
 //!   [`with_anomaly_dir`](FlightRecorder::with_anomaly_dir) and the
 //!   recorder writes `flight-anomaly-NNNN.json` the moment an anomalous
-//!   event flows past ([`EventKind::is_anomaly`]: merge rejection, task
-//!   abort, failed-closed recovery) — the post-mortem that is already on
-//!   disk when you go looking.
+//!   event flows past ([`EventKind::is_anomaly`](crate::EventKind::is_anomaly):
+//!   merge rejection, task abort, failed-closed recovery) — the
+//!   post-mortem that is already on disk when you go looking.
+//!
+//! Each entry's `detail` is every field of its event, as the event table
+//! in [`crate::event`] declares them.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -30,7 +33,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::event::{EventKind, ObsEvent};
+use crate::event::ObsEvent;
 use crate::json::Json;
 use crate::recorder::Recorder;
 
@@ -120,9 +123,10 @@ impl FlightRecorder {
     }
 
     /// Enable dump-on-anomaly: when an anomalous event is recorded
-    /// ([`EventKind::is_anomaly`]), the full ring contents are written to
-    /// `dir/flight-anomaly-NNNN.json` (the directory is created on first
-    /// dump; at most 16 dumps per recorder instance).
+    /// ([`EventKind::is_anomaly`](crate::EventKind::is_anomaly)), the
+    /// full ring contents are written to `dir/flight-anomaly-NNNN.json`
+    /// (the directory is created on first dump; at most 16 dumps per
+    /// recorder instance).
     pub fn with_anomaly_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.anomaly_dir = Some(dir.into());
         self
@@ -195,7 +199,7 @@ impl FlightRecorder {
             ("task", Json::Str(entry.event.task.to_string())),
             ("kind", Json::str(entry.event.kind.name())),
         ]);
-        if let Some(detail) = event_detail(&entry.event.kind) {
+        if let Some(detail) = entry.event.kind.detail() {
             obj.set("detail", detail);
         }
         obj
@@ -216,132 +220,6 @@ impl FlightRecorder {
         std::fs::write(&path, self.dump_string()).ok()?;
         Some(path)
     }
-}
-
-/// Kind-specific payload fields worth keeping in a flight dump (small,
-/// quantitative, post-mortem-relevant).
-fn event_detail(kind: &EventKind) -> Option<Json> {
-    Some(match kind {
-        EventKind::TaskSpawned { spawn_nanos } => {
-            Json::obj([("spawn_nanos", Json::from(*spawn_nanos))])
-        }
-        EventKind::TaskAborted { cause } => Json::obj([("cause", Json::str(format!("{cause:?}")))]),
-        EventKind::MergeStarted { child } | EventKind::MergeRejected { child } => {
-            Json::obj([("child", Json::Str(child.to_string()))])
-        }
-        EventKind::MergeFinished {
-            child,
-            ops,
-            oplog_len,
-            merge_nanos,
-            ..
-        } => Json::obj([
-            ("child", Json::Str(child.to_string())),
-            ("child_ops", Json::from(ops.child_ops)),
-            ("applied_ops", Json::from(ops.applied_ops)),
-            ("committed_ops", Json::from(ops.committed_ops)),
-            ("oplog_len", Json::from(*oplog_len)),
-            ("merge_nanos", Json::from(*merge_nanos)),
-        ]),
-        EventKind::MergeStaged {
-            children,
-            delta_lanes,
-            serial_lanes,
-        } => Json::obj([
-            ("children", Json::from(*children)),
-            ("delta_lanes", Json::from(*delta_lanes)),
-            ("serial_lanes", Json::from(*serial_lanes)),
-        ]),
-        EventKind::SyncResumed {
-            blocked_nanos,
-            accepted,
-        } => Json::obj([
-            ("blocked_nanos", Json::from(*blocked_nanos)),
-            ("accepted", Json::Bool(*accepted)),
-        ]),
-        EventKind::CloneCreated { clone } => Json::obj([("clone", Json::Str(clone.to_string()))]),
-        EventKind::WireSent { node, bytes } | EventKind::WireReceived { node, bytes } => {
-            Json::obj([("node", Json::from(*node)), ("bytes", Json::from(*bytes))])
-        }
-        EventKind::LogTruncated { dropped } => Json::obj([("dropped", Json::from(*dropped))]),
-        EventKind::WalAppended { bytes, fsynced, .. } => Json::obj([
-            ("bytes", Json::from(*bytes)),
-            ("fsynced", Json::Bool(*fsynced)),
-        ]),
-        EventKind::SnapshotTaken { bytes, .. } => Json::obj([("bytes", Json::from(*bytes))]),
-        EventKind::SnapshotDeltaTaken {
-            bytes, base_seq, ..
-        } => Json::obj([
-            ("bytes", Json::from(*bytes)),
-            ("base_seq", Json::from(*base_seq)),
-        ]),
-        EventKind::WalSegmentsPruned {
-            segments,
-            snapshots,
-        } => Json::obj([
-            ("segments", Json::from(*segments)),
-            ("snapshots", Json::from(*snapshots)),
-        ]),
-        EventKind::RecoverySegmentsScanned { segments } => {
-            Json::obj([("segments", Json::from(*segments))])
-        }
-        EventKind::RecoveryReplayed {
-            replayed_ops,
-            torn_bytes,
-            ..
-        } => Json::obj([
-            ("replayed_ops", Json::from(*replayed_ops)),
-            ("torn_bytes", Json::from(*torn_bytes)),
-        ]),
-        EventKind::RecoveryFailed { reason } => Json::obj([("reason", Json::str(reason))]),
-        EventKind::PhaseTimed { phase, nanos } => Json::obj([
-            ("phase", Json::str(phase.name())),
-            ("nanos", Json::from(*nanos)),
-        ]),
-        EventKind::Mark { label } => Json::obj([("label", Json::str(label))]),
-        EventKind::SessionOpened { session, shard } => Json::obj([
-            ("session", Json::from(*session)),
-            ("shard", Json::from(*shard)),
-        ]),
-        EventKind::SessionAttached {
-            session,
-            shard,
-            subscribers,
-        } => Json::obj([
-            ("session", Json::from(*session)),
-            ("shard", Json::from(*shard)),
-            ("subscribers", Json::from(*subscribers)),
-        ]),
-        EventKind::SessionEvicted { session, shard } => Json::obj([
-            ("session", Json::from(*session)),
-            ("shard", Json::from(*shard)),
-        ]),
-        EventKind::SessionRehydrated {
-            session,
-            shard,
-            replayed_ops,
-        } => Json::obj([
-            ("session", Json::from(*session)),
-            ("shard", Json::from(*shard)),
-            ("replayed_ops", Json::from(*replayed_ops)),
-        ]),
-        EventKind::SessionCommitted {
-            session,
-            seq,
-            ops,
-            digest,
-        } => Json::obj([
-            ("session", Json::from(*session)),
-            ("seq", Json::from(*seq)),
-            ("ops", Json::from(*ops)),
-            ("digest", Json::Str(format!("{digest:016x}"))),
-        ]),
-        EventKind::SlowConsumerDropped { queued } => Json::obj([("queued", Json::from(*queued))]),
-        EventKind::TaskCompleted
-        | EventKind::SyncBlocked
-        | EventKind::WorkerStarted { .. }
-        | EventKind::WorkerRetired { .. } => return None,
-    })
 }
 
 impl Recorder for FlightRecorder {
@@ -380,7 +258,7 @@ impl Recorder for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TaskPath;
+    use crate::event::{EventKind, TaskPath};
 
     fn ev(kind: EventKind) -> ObsEvent {
         ObsEvent {

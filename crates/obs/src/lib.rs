@@ -24,6 +24,15 @@
 //!   projection of the stream — identical across runs of a
 //!   `merge_all`-only program, sensitive to merge order and op counts.
 //!
+//! The event schema is written once. The table in [`event`] declares
+//! each [`EventKind`] variant's fields, name, audit class and anomaly
+//! flag; the auditor's projection, the flight detail and the trace's
+//! tracks and merge args all read its one field walk. The counter list
+//! in [`metrics`] gives each counter's snapshot field, JSON path and
+//! Prometheus name on one line, and [`Phase`] comes from one list in
+//! [`timer`]. [`Metrics`]' event-to-counter mapping and the Chrome
+//! labels are the only hand-written per-event code.
+//!
 //! Several consumers compose via [`MultiRecorder`], and [`serve`] turns
 //! any of them into a live scrape endpoint (`/metrics`, `/flight`,
 //! `/health`) over the `sm-net` loopback network. The determinism

@@ -249,123 +249,167 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
     Ok(out)
 }
 
-/// The aggregated state. Plain data: cheap to clone out as a snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    // -- task lifecycle ------------------------------------------------
-    pub tasks_spawned: u64,
-    pub tasks_completed: u64,
-    pub tasks_aborted: u64,
-    pub clones_created: u64,
-    // -- merges --------------------------------------------------------
-    pub merges_started: u64,
-    pub merges_finished: u64,
-    pub merges_rejected: u64,
-    /// Staged merge batches.
-    pub merges_staged: u64,
-    /// Children covered by staged batches.
-    pub merge_staged_children: u64,
-    /// Sum of child ops brought to all merges.
-    pub ops_child_total: u64,
-    /// Sum of ops actually applied after transformation.
-    pub ops_applied_total: u64,
-    /// Sum of child ops after pre-rebase compaction.
-    pub ops_child_compacted_total: u64,
-    /// Sum of committed ops the merges transformed against (raw).
-    pub ops_committed_total: u64,
-    /// Sum of committed ops after pre-rebase compaction.
-    pub ops_committed_compacted_total: u64,
-    /// Sum of transformation-grid cells actually paid.
-    pub grid_cells_total: u64,
-    /// Per-field rebases that took the O(m+n) delta (span-set) path.
-    pub rebases_delta_total: u64,
-    /// Per-field rebases that used the pairwise transformation grid.
-    pub rebases_grid_total: u64,
-    /// Sum of normalized spans swept by delta-path rebases.
-    pub delta_spans_total: u64,
-    /// Staged-lane commits that fell back to the plain sequential kernel
-    /// (order-sensitivity screen fire or batch-suffix poison).
-    pub rebase_screen_rejects_total: u64,
-    // -- history GC ----------------------------------------------------
-    /// Fork-watermark GC runs that dropped at least one operation.
-    pub log_truncations: u64,
-    /// Total committed-log operations dropped by the GC.
-    pub log_truncated_ops: u64,
-    // -- syncs ---------------------------------------------------------
-    pub syncs: u64,
-    pub syncs_rejected: u64,
-    // -- pool ----------------------------------------------------------
-    pub workers_started: u64,
-    pub workers_retired: u64,
-    pub workers_live: u64,
-    pub workers_peak: u64,
-    // -- wire ----------------------------------------------------------
-    pub wire_sent_msgs: u64,
-    pub wire_sent_bytes: u64,
-    pub wire_recv_msgs: u64,
-    pub wire_recv_bytes: u64,
-    // -- durable store -------------------------------------------------
-    /// Commit records appended to the write-ahead log.
-    pub wal_appends: u64,
-    /// Total framed bytes appended to the WAL.
-    pub wal_bytes: u64,
-    /// WAL appends that were followed by an fsync.
-    pub wal_fsyncs: u64,
-    /// Full-state snapshots persisted.
-    pub snapshots: u64,
-    /// Total serialized snapshot bytes.
-    pub snapshot_bytes: u64,
-    /// Delta snapshots persisted.
-    pub snapshot_deltas: u64,
-    /// Total serialized delta-snapshot bytes.
-    pub snapshot_delta_bytes: u64,
-    /// WAL segments deleted by the retention policy.
-    pub wal_segments_pruned: u64,
-    /// Crash recoveries performed.
-    pub recoveries: u64,
-    /// WAL segments scanned by crash recovery (the name dates from when
-    /// the scan was threaded; it is part of the exported metric names).
-    pub recovery_segments_parallel: u64,
-    /// Total operations replayed from journal suffixes during recovery.
-    pub recovery_replayed_ops: u64,
-    /// Crash recoveries that failed closed (corruption, digest
-    /// mismatch) — an anomaly counter a production alert should watch.
-    pub recovery_failures: u64,
-    // -- session server ------------------------------------------------
-    /// Sessions created (first attach opened them).
-    pub sessions_opened: u64,
-    /// Client attaches (subscriptions), including re-attaches.
-    pub sessions_attached: u64,
-    /// Idle sessions evicted to store snapshots.
-    pub sessions_evicted: u64,
-    /// Evicted sessions rehydrated from their store on re-attach.
-    pub sessions_rehydrated: u64,
-    /// Journal-suffix operations replayed by rehydrations.
-    pub session_rehydrate_replayed_ops: u64,
-    /// Session commits accepted and broadcast.
-    pub session_commits: u64,
-    /// Operations applied by accepted session commits.
-    pub session_commit_ops: u64,
-    /// Subscribers disconnected for falling behind their outbound queue.
-    pub slow_consumers_dropped: u64,
-    /// Live (in-memory) sessions per shard — the per-shard
-    /// `sm_sessions_active` gauge family.
-    pub sessions_active_by_shard: BTreeMap<u64, u64>,
-    /// Evictions per shard — the per-shard `sm_sessions_evicted_total`
-    /// counter family.
-    pub sessions_evicted_by_shard: BTreeMap<u64, u64>,
-    // -- marks ---------------------------------------------------------
-    pub marks: u64,
-    // -- histograms ----------------------------------------------------
-    pub spawn_cost_nanos: Histogram,
-    pub merge_latency_nanos: Histogram,
-    pub merge_child_ops: Histogram,
-    pub oplog_len: Histogram,
-    pub sync_blocked_nanos: Histogram,
-    pub fsync_nanos: Histogram,
-    pub snapshot_nanos: Histogram,
-    /// Per-phase hot-path latency histograms (see [`Phase`]).
-    pub phase_nanos: PhaseHistograms,
+/// Declares [`MetricsSnapshot`] from one list: each `u64` counter with
+/// its JSON path (`group.key`, or a top-level `key`) and its Prometheus
+/// series (a name, optionally with one label; a name not ending in
+/// `_total` is a gauge), then the snapshot's other fields.
+macro_rules! snapshot {
+    (
+        $(#[$meta:meta])*
+        pub struct MetricsSnapshot {
+            $( $(#[$cmeta:meta])* $counter:ident: $json:literal $(=> $series:literal)?, )*
+            ;
+            $( $(#[$fmeta:meta])* pub $field:ident: $T:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default)]
+        pub struct MetricsSnapshot {
+            $( $(#[$cmeta])* pub $counter: u64, )*
+            $( $(#[$fmeta])* pub $field: $T, )*
+        }
+
+        impl MetricsSnapshot {
+            /// Every counter as `(JSON path, Prometheus series, value)`,
+            /// in list order.
+            fn counters(
+                &self,
+            ) -> impl Iterator<Item = (&'static str, Option<&'static str>, u64)> + '_ {
+                [$( ($json, None $(.or(Some($series)))?, self.$counter), )*].into_iter()
+            }
+        }
+    };
+}
+
+snapshot! {
+    /// The aggregated state. Plain data: cheap to clone out as a snapshot.
+    pub struct MetricsSnapshot {
+        // -- task lifecycle --------------------------------------------
+        tasks_spawned: "tasks.spawned" => "sm_tasks_spawned_total",
+        tasks_completed: "tasks.completed" => "sm_tasks_completed_total",
+        tasks_aborted: "tasks.aborted" => "sm_tasks_aborted_total",
+        clones_created: "tasks.clones_created" => "sm_clones_created_total",
+        // -- merges ----------------------------------------------------
+        merges_started: "merges.started" => "sm_merges_started_total",
+        merges_finished: "merges.finished" => "sm_merges_finished_total",
+        merges_rejected: "merges.rejected" => "sm_merges_rejected_total",
+        /// Staged merge batches.
+        merges_staged: "merges.staged" => "sm_merges_staged_total",
+        /// Children covered by staged batches.
+        merge_staged_children: "merges.staged_children" => "sm_merge_staged_children_total",
+        /// Sum of child ops brought to all merges.
+        ops_child_total: "merges.ops_child_total" => "sm_merge_ops_child_total",
+        /// Sum of ops actually applied after transformation.
+        ops_applied_total: "merges.ops_applied_total" => "sm_merge_ops_applied_total",
+        /// Sum of child ops after pre-rebase compaction.
+        ops_child_compacted_total:
+            "merges.ops_child_compacted_total" => "sm_merge_ops_child_compacted_total",
+        /// Sum of committed ops the merges transformed against (raw).
+        ops_committed_total: "merges.ops_committed_total" => "sm_merge_ops_committed_total",
+        /// Sum of committed ops after pre-rebase compaction.
+        ops_committed_compacted_total:
+            "merges.ops_committed_compacted_total" => "sm_merge_ops_committed_compacted_total",
+        /// Sum of transformation-grid cells actually paid.
+        grid_cells_total: "merges.grid_cells_total" => "sm_merge_grid_cells_total",
+        /// Per-field rebases that took the O(m+n) delta (span-set) path.
+        /// It and the next counter are one labelled family, so dashboards
+        /// plot the delta-path hit rate directly.
+        rebases_delta_total:
+            "merges.rebases_delta_total" => "sm_merge_rebases_total{path=\"delta\"}",
+        /// Per-field rebases that used the pairwise transformation grid.
+        rebases_grid_total: "merges.rebases_grid_total" => "sm_merge_rebases_total{path=\"grid\"}",
+        /// Sum of normalized spans swept by delta-path rebases.
+        delta_spans_total: "merges.delta_spans_total" => "sm_merge_delta_spans_total",
+        /// Staged-lane commits that fell back to the plain sequential kernel
+        /// (order-sensitivity screen fire or batch-suffix poison).
+        rebase_screen_rejects_total:
+            "merges.rebase_screen_rejects_total" => "sm_rebase_screen_rejects_total",
+        // -- history GC ------------------------------------------------
+        /// Fork-watermark GC runs that dropped at least one operation.
+        log_truncations: "gc.log_truncations" => "sm_log_truncations_total",
+        /// Total committed-log operations dropped by the GC.
+        log_truncated_ops: "gc.log_truncated_ops" => "sm_log_truncated_ops_total",
+        // -- syncs -----------------------------------------------------
+        syncs: "syncs.total" => "sm_syncs_total",
+        syncs_rejected: "syncs.rejected" => "sm_syncs_rejected_total",
+        // -- pool ------------------------------------------------------
+        workers_started: "pool.workers_started" => "sm_pool_workers_started_total",
+        workers_retired: "pool.workers_retired" => "sm_pool_workers_retired_total",
+        workers_live: "pool.workers_live" => "sm_pool_workers_live",
+        workers_peak: "pool.workers_peak" => "sm_pool_workers_peak",
+        // -- wire ------------------------------------------------------
+        wire_sent_msgs: "wire.sent_msgs" => "sm_wire_sent_msgs_total",
+        wire_sent_bytes: "wire.sent_bytes" => "sm_wire_sent_bytes_total",
+        wire_recv_msgs: "wire.recv_msgs" => "sm_wire_recv_msgs_total",
+        wire_recv_bytes: "wire.recv_bytes" => "sm_wire_recv_bytes_total",
+        // -- durable store ---------------------------------------------
+        /// Commit records appended to the write-ahead log.
+        wal_appends: "store.wal_appends" => "sm_wal_appends_total",
+        /// Total framed bytes appended to the WAL.
+        wal_bytes: "store.wal_bytes" => "sm_wal_bytes_total",
+        /// WAL appends that were followed by an fsync.
+        wal_fsyncs: "store.wal_fsyncs" => "sm_wal_fsyncs_total",
+        /// Full-state snapshots persisted.
+        snapshots: "store.snapshots" => "sm_snapshots_total",
+        /// Total serialized snapshot bytes.
+        snapshot_bytes: "store.snapshot_bytes" => "sm_snapshot_bytes_total",
+        /// Delta snapshots persisted.
+        snapshot_deltas: "store.snapshot_deltas" => "sm_snapshot_deltas_total",
+        /// Total serialized delta-snapshot bytes.
+        snapshot_delta_bytes: "store.snapshot_delta_bytes" => "sm_snapshot_delta_bytes_total",
+        /// WAL segments deleted by the retention policy.
+        wal_segments_pruned: "store.wal_segments_pruned" => "sm_wal_segments_pruned_total",
+        /// Crash recoveries performed.
+        recoveries: "store.recoveries" => "sm_recoveries_total",
+        /// WAL segments scanned by crash recovery (the name dates from when
+        /// the scan was threaded; it is part of the exported metric names).
+        recovery_segments_parallel:
+            "store.recovery_segments_parallel" => "sm_recovery_segments_parallel_total",
+        /// Total operations replayed from journal suffixes during recovery.
+        recovery_replayed_ops: "store.recovery_replayed_ops" => "sm_recovery_replayed_ops_total",
+        /// Crash recoveries that failed closed (corruption, digest
+        /// mismatch) — an anomaly counter a production alert should watch.
+        recovery_failures: "store.recovery_failures" => "sm_recovery_failures_total",
+        // -- session server --------------------------------------------
+        /// Sessions created (first attach opened them).
+        sessions_opened: "sessions.opened" => "sm_sessions_opened_total",
+        /// Client attaches (subscriptions), including re-attaches.
+        sessions_attached: "sessions.attached" => "sm_sessions_attached_total",
+        /// Idle sessions evicted to store snapshots (exported with its
+        /// per-shard series, in `prometheus_text`).
+        sessions_evicted: "sessions.evicted",
+        /// Evicted sessions rehydrated from their store on re-attach.
+        sessions_rehydrated: "sessions.rehydrated" => "sm_sessions_rehydrated_total",
+        /// Journal-suffix operations replayed by rehydrations.
+        session_rehydrate_replayed_ops:
+            "sessions.rehydrate_replayed_ops" => "sm_session_rehydrate_replayed_ops_total",
+        /// Session commits accepted and broadcast.
+        session_commits: "sessions.commits" => "sm_session_commits_total",
+        /// Operations applied by accepted session commits.
+        session_commit_ops: "sessions.commit_ops" => "sm_session_commit_ops_total",
+        /// Subscribers disconnected for falling behind their outbound queue.
+        slow_consumers_dropped:
+            "sessions.slow_consumers_dropped" => "sm_slow_consumers_dropped_total",
+        // -- marks -----------------------------------------------------
+        marks: "marks" => "sm_marks_total",
+        ;
+        /// Live (in-memory) sessions per shard — the per-shard
+        /// `sm_sessions_active` gauge family.
+        pub sessions_active_by_shard: BTreeMap<u64, u64>,
+        /// Evictions per shard — the per-shard `sm_sessions_evicted_total`
+        /// counter family.
+        pub sessions_evicted_by_shard: BTreeMap<u64, u64>,
+        // -- histograms ------------------------------------------------
+        pub spawn_cost_nanos: Histogram,
+        pub merge_latency_nanos: Histogram,
+        pub merge_child_ops: Histogram,
+        pub oplog_len: Histogram,
+        pub sync_blocked_nanos: Histogram,
+        pub fsync_nanos: Histogram,
+        pub snapshot_nanos: Histogram,
+        /// Per-phase hot-path latency histograms (see [`Phase`]).
+        pub phase_nanos: PhaseHistograms,
+    }
 }
 
 impl MetricsSnapshot {
@@ -513,280 +557,100 @@ impl MetricsSnapshot {
         self.sessions_active_by_shard.values().sum()
     }
 
+    /// The histograms, by JSON key; each exports to Prometheus as
+    /// `sm_<key>`.
+    fn histograms(&self) -> [(&'static str, &Histogram); 7] {
+        [
+            ("spawn_cost_nanos", &self.spawn_cost_nanos),
+            ("merge_latency_nanos", &self.merge_latency_nanos),
+            ("merge_child_ops", &self.merge_child_ops),
+            ("oplog_len", &self.oplog_len),
+            ("sync_blocked_nanos", &self.sync_blocked_nanos),
+            ("fsync_nanos", &self.fsync_nanos),
+            ("snapshot_nanos", &self.snapshot_nanos),
+        ]
+    }
+
     /// Render as a JSON document.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "tasks",
-                Json::obj([
-                    ("spawned", Json::from(self.tasks_spawned)),
-                    ("completed", Json::from(self.tasks_completed)),
-                    ("aborted", Json::from(self.tasks_aborted)),
-                    ("clones_created", Json::from(self.clones_created)),
-                ]),
+        let mut doc = Vec::new();
+        for (path, _, value) in self.counters() {
+            insert_path(&mut doc, path, Json::from(value));
+        }
+        insert_path(
+            &mut doc,
+            "sessions.active",
+            Json::from(self.sessions_active()),
+        );
+        insert_path(
+            &mut doc,
+            "sessions.active_by_shard",
+            Json::Obj(
+                self.sessions_active_by_shard
+                    .iter()
+                    .map(|(shard, n)| (shard.to_string(), Json::from(*n)))
+                    .collect(),
             ),
-            (
-                "merges",
-                Json::obj([
-                    ("started", Json::from(self.merges_started)),
-                    ("finished", Json::from(self.merges_finished)),
-                    ("rejected", Json::from(self.merges_rejected)),
-                    ("staged", Json::from(self.merges_staged)),
-                    ("staged_children", Json::from(self.merge_staged_children)),
-                    ("ops_child_total", Json::from(self.ops_child_total)),
-                    ("ops_applied_total", Json::from(self.ops_applied_total)),
-                    (
-                        "ops_child_compacted_total",
-                        Json::from(self.ops_child_compacted_total),
-                    ),
-                    ("ops_committed_total", Json::from(self.ops_committed_total)),
-                    (
-                        "ops_committed_compacted_total",
-                        Json::from(self.ops_committed_compacted_total),
-                    ),
-                    ("grid_cells_total", Json::from(self.grid_cells_total)),
-                    ("rebases_delta_total", Json::from(self.rebases_delta_total)),
-                    ("rebases_grid_total", Json::from(self.rebases_grid_total)),
-                    ("delta_spans_total", Json::from(self.delta_spans_total)),
-                    (
-                        "rebase_screen_rejects_total",
-                        Json::from(self.rebase_screen_rejects_total),
-                    ),
-                ]),
+        );
+        doc.push((
+            "phases".to_string(),
+            Json::Obj(
+                Phase::ALL
+                    .iter()
+                    .map(|p| (p.name().to_string(), self.phase_nanos.get(*p).to_json()))
+                    .collect(),
             ),
-            (
-                "gc",
-                Json::obj([
-                    ("log_truncations", Json::from(self.log_truncations)),
-                    ("log_truncated_ops", Json::from(self.log_truncated_ops)),
-                ]),
+        ));
+        doc.push((
+            "histograms".to_string(),
+            Json::Obj(
+                self.histograms()
+                    .iter()
+                    .map(|(key, h)| (key.to_string(), h.to_json()))
+                    .collect(),
             ),
-            (
-                "syncs",
-                Json::obj([
-                    ("total", Json::from(self.syncs)),
-                    ("rejected", Json::from(self.syncs_rejected)),
-                ]),
-            ),
-            (
-                "pool",
-                Json::obj([
-                    ("workers_started", Json::from(self.workers_started)),
-                    ("workers_retired", Json::from(self.workers_retired)),
-                    ("workers_live", Json::from(self.workers_live)),
-                    ("workers_peak", Json::from(self.workers_peak)),
-                ]),
-            ),
-            (
-                "wire",
-                Json::obj([
-                    ("sent_msgs", Json::from(self.wire_sent_msgs)),
-                    ("sent_bytes", Json::from(self.wire_sent_bytes)),
-                    ("recv_msgs", Json::from(self.wire_recv_msgs)),
-                    ("recv_bytes", Json::from(self.wire_recv_bytes)),
-                ]),
-            ),
-            (
-                "store",
-                Json::obj([
-                    ("wal_appends", Json::from(self.wal_appends)),
-                    ("wal_bytes", Json::from(self.wal_bytes)),
-                    ("wal_fsyncs", Json::from(self.wal_fsyncs)),
-                    ("snapshots", Json::from(self.snapshots)),
-                    ("snapshot_bytes", Json::from(self.snapshot_bytes)),
-                    ("snapshot_deltas", Json::from(self.snapshot_deltas)),
-                    (
-                        "snapshot_delta_bytes",
-                        Json::from(self.snapshot_delta_bytes),
-                    ),
-                    ("wal_segments_pruned", Json::from(self.wal_segments_pruned)),
-                    ("recoveries", Json::from(self.recoveries)),
-                    (
-                        "recovery_segments_parallel",
-                        Json::from(self.recovery_segments_parallel),
-                    ),
-                    (
-                        "recovery_replayed_ops",
-                        Json::from(self.recovery_replayed_ops),
-                    ),
-                    ("recovery_failures", Json::from(self.recovery_failures)),
-                ]),
-            ),
-            (
-                "phases",
-                Json::Obj(
-                    Phase::ALL
-                        .iter()
-                        .map(|p| (p.name().to_string(), self.phase_nanos.get(*p).to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "sessions",
-                Json::obj([
-                    ("opened", Json::from(self.sessions_opened)),
-                    ("attached", Json::from(self.sessions_attached)),
-                    ("evicted", Json::from(self.sessions_evicted)),
-                    ("rehydrated", Json::from(self.sessions_rehydrated)),
-                    (
-                        "rehydrate_replayed_ops",
-                        Json::from(self.session_rehydrate_replayed_ops),
-                    ),
-                    ("commits", Json::from(self.session_commits)),
-                    ("commit_ops", Json::from(self.session_commit_ops)),
-                    (
-                        "slow_consumers_dropped",
-                        Json::from(self.slow_consumers_dropped),
-                    ),
-                    ("active", Json::from(self.sessions_active())),
-                    (
-                        "active_by_shard",
-                        Json::Obj(
-                            self.sessions_active_by_shard
-                                .iter()
-                                .map(|(shard, n)| (shard.to_string(), Json::from(*n)))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("marks", Json::from(self.marks)),
-            (
-                "histograms",
-                Json::obj([
-                    ("spawn_cost_nanos", self.spawn_cost_nanos.to_json()),
-                    ("merge_latency_nanos", self.merge_latency_nanos.to_json()),
-                    ("merge_child_ops", self.merge_child_ops.to_json()),
-                    ("oplog_len", self.oplog_len.to_json()),
-                    ("sync_blocked_nanos", self.sync_blocked_nanos.to_json()),
-                    ("fsync_nanos", self.fsync_nanos.to_json()),
-                    ("snapshot_nanos", self.snapshot_nanos.to_json()),
-                ]),
-            ),
-        ])
+        ));
+        Json::Obj(doc)
     }
 
     /// Render in the Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, u64); 48] = [
-            ("sm_tasks_spawned_total", self.tasks_spawned),
-            ("sm_tasks_completed_total", self.tasks_completed),
-            ("sm_tasks_aborted_total", self.tasks_aborted),
-            ("sm_clones_created_total", self.clones_created),
-            ("sm_merges_started_total", self.merges_started),
-            ("sm_merges_finished_total", self.merges_finished),
-            ("sm_merges_rejected_total", self.merges_rejected),
-            ("sm_merges_staged_total", self.merges_staged),
-            ("sm_merge_staged_children_total", self.merge_staged_children),
-            ("sm_merge_ops_child_total", self.ops_child_total),
-            ("sm_merge_ops_applied_total", self.ops_applied_total),
-            (
-                "sm_merge_ops_child_compacted_total",
-                self.ops_child_compacted_total,
-            ),
-            ("sm_merge_ops_committed_total", self.ops_committed_total),
-            (
-                "sm_merge_ops_committed_compacted_total",
-                self.ops_committed_compacted_total,
-            ),
-            ("sm_merge_grid_cells_total", self.grid_cells_total),
-            ("sm_merge_delta_spans_total", self.delta_spans_total),
-            (
-                "sm_rebase_screen_rejects_total",
-                self.rebase_screen_rejects_total,
-            ),
-            ("sm_log_truncations_total", self.log_truncations),
-            ("sm_log_truncated_ops_total", self.log_truncated_ops),
-            ("sm_syncs_total", self.syncs),
-            ("sm_syncs_rejected_total", self.syncs_rejected),
-            ("sm_pool_workers_started_total", self.workers_started),
-            ("sm_pool_workers_retired_total", self.workers_retired),
-            ("sm_wire_sent_msgs_total", self.wire_sent_msgs),
-            ("sm_wire_sent_bytes_total", self.wire_sent_bytes),
-            ("sm_wire_recv_msgs_total", self.wire_recv_msgs),
-            ("sm_wire_recv_bytes_total", self.wire_recv_bytes),
-            ("sm_wal_appends_total", self.wal_appends),
-            ("sm_wal_bytes_total", self.wal_bytes),
-            ("sm_wal_fsyncs_total", self.wal_fsyncs),
-            ("sm_snapshots_total", self.snapshots),
-            ("sm_snapshot_bytes_total", self.snapshot_bytes),
-            ("sm_snapshot_deltas_total", self.snapshot_deltas),
-            ("sm_snapshot_delta_bytes_total", self.snapshot_delta_bytes),
-            ("sm_wal_segments_pruned_total", self.wal_segments_pruned),
-            ("sm_recoveries_total", self.recoveries),
-            (
-                "sm_recovery_segments_parallel_total",
-                self.recovery_segments_parallel,
-            ),
-            ("sm_recovery_replayed_ops_total", self.recovery_replayed_ops),
-            ("sm_recovery_failures_total", self.recovery_failures),
-            ("sm_sessions_opened_total", self.sessions_opened),
-            ("sm_sessions_attached_total", self.sessions_attached),
-            ("sm_sessions_rehydrated_total", self.sessions_rehydrated),
-            (
-                "sm_session_rehydrate_replayed_ops_total",
-                self.session_rehydrate_replayed_ops,
-            ),
-            ("sm_session_commits_total", self.session_commits),
-            ("sm_session_commit_ops_total", self.session_commit_ops),
-            (
-                "sm_slow_consumers_dropped_total",
-                self.slow_consumers_dropped,
-            ),
-            ("sm_marks_total", self.marks),
-            ("sm_pool_workers_peak", self.workers_peak),
-        ];
-        for (name, value) in counters {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
+        let mut family = "";
+        for (_, series, value) in self.counters() {
+            let Some(series) = series else { continue };
+            let name = series.split_once('{').map_or(series, |(name, _)| name);
+            if name != family {
+                family = name;
+                out.push_str(&format!("# TYPE {name} {}\n", metric_type(name)));
+            }
+            out.push_str(&format!("{series} {value}\n"));
         }
-        // Rebase-path discriminator: one counter family, labelled by which
-        // path the per-field rebases took, so dashboards can plot the
-        // delta-path hit rate directly.
-        out.push_str(&format!(
-            "# TYPE sm_merge_rebases_total counter\n\
-             sm_merge_rebases_total{{path=\"delta\"}} {}\n\
-             sm_merge_rebases_total{{path=\"grid\"}} {}\n",
-            self.rebases_delta_total, self.rebases_grid_total
-        ));
-        out.push_str(&format!(
-            "# TYPE sm_pool_workers_live gauge\nsm_pool_workers_live {}\n",
-            self.workers_live
-        ));
-        // Session-server shard families: live sessions and evictions per
-        // shard, so dashboards see routing balance directly. The
-        // unlabelled series is the all-shard total.
-        out.push_str(&format!(
-            "# TYPE sm_sessions_active gauge\nsm_sessions_active {}\n",
-            self.sessions_active()
-        ));
-        for (shard, n) in &self.sessions_active_by_shard {
-            out.push_str(&format!("sm_sessions_active{{shard=\"{shard}\"}} {n}\n"));
-        }
-        out.push_str(&format!(
-            "# TYPE sm_sessions_evicted_total counter\nsm_sessions_evicted_total {}\n",
-            self.sessions_evicted
-        ));
-        for (shard, n) in &self.sessions_evicted_by_shard {
+        // Session-server shard families: the unlabelled series is the
+        // all-shard total, then one series per shard, so dashboards see
+        // routing balance directly.
+        for (name, total, by_shard) in [
+            (
+                "sm_sessions_active",
+                self.sessions_active(),
+                &self.sessions_active_by_shard,
+            ),
+            (
+                "sm_sessions_evicted_total",
+                self.sessions_evicted,
+                &self.sessions_evicted_by_shard,
+            ),
+        ] {
             out.push_str(&format!(
-                "sm_sessions_evicted_total{{shard=\"{shard}\"}} {n}\n"
+                "# TYPE {name} {}\n{name} {total}\n",
+                metric_type(name)
             ));
+            for (shard, n) in by_shard {
+                out.push_str(&format!("{name}{{shard=\"{shard}\"}} {n}\n"));
+            }
         }
-        let histograms: [(&str, &Histogram); 7] = [
-            ("sm_spawn_cost_nanos", &self.spawn_cost_nanos),
-            ("sm_merge_latency_nanos", &self.merge_latency_nanos),
-            ("sm_merge_child_ops", &self.merge_child_ops),
-            ("sm_oplog_len", &self.oplog_len),
-            ("sm_sync_blocked_nanos", &self.sync_blocked_nanos),
-            ("sm_fsync_nanos", &self.fsync_nanos),
-            ("sm_snapshot_nanos", &self.snapshot_nanos),
-        ];
-        for (name, h) in histograms {
+        for (key, h) in self.histograms() {
+            let name = format!("sm_{key}");
             out.push_str(&format!("# TYPE {name} histogram\n"));
             for (le, cum) in h.cumulative_buckets() {
                 out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
@@ -822,6 +686,33 @@ impl MetricsSnapshot {
         }
         out
     }
+}
+
+/// A Prometheus family's type: counters end in `_total`, the rest are
+/// gauges.
+fn metric_type(name: &str) -> &'static str {
+    if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    }
+}
+
+/// Set `path` (`key`, or `group.key`) in the object fields `doc`,
+/// creating the group object on first use.
+fn insert_path(doc: &mut Vec<(String, Json)>, path: &str, value: Json) {
+    let Some((group, key)) = path.split_once('.') else {
+        doc.push((path.to_string(), value));
+        return;
+    };
+    let at = match doc.iter().position(|(k, _)| k == group) {
+        Some(at) => at,
+        None => {
+            doc.push((group.to_string(), Json::Obj(Vec::new())));
+            doc.len() - 1
+        }
+    };
+    doc[at].1.set(key, value);
 }
 
 /// A [`Recorder`] aggregating the event stream into [`MetricsSnapshot`].

@@ -24,6 +24,7 @@
 //! matching one-call scrape client used by tests, netsim and the CI
 //! smoke job.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -263,7 +264,7 @@ pub fn http_get(net: &Network, port: u16, path: &str) -> Result<(u16, String), N
 /// means the replicas are digest-identical right now; a non-empty list
 /// is a live desync, localized to the named tasks.
 pub fn health_divergence(a_body: &str, b_body: &str) -> Result<Vec<String>, String> {
-    let chains = |body: &str| -> Result<Vec<(String, String)>, String> {
+    let chains = |body: &str| -> Result<BTreeMap<String, String>, String> {
         let doc = crate::json::parse(body).map_err(|e| e.to_string())?;
         let chains = doc
             .get("chains")
@@ -276,22 +277,10 @@ pub fn health_divergence(a_body: &str, b_body: &str) -> Result<Vec<String>, Stri
             _ => Err("chains section is not an object".to_string()),
         }
     };
-    let a: std::collections::BTreeMap<String, String> = chains(a_body)?.into_iter().collect();
-    let b: std::collections::BTreeMap<String, String> = chains(b_body)?.into_iter().collect();
-    let mut out: Vec<String> = Vec::new();
-    for (path, head) in &a {
-        if b.get(path) != Some(head) {
-            out.push(path.clone());
-        }
-    }
-    for path in b.keys() {
-        if !a.contains_key(path) {
-            out.push(path.clone());
-        }
-    }
-    out.sort();
-    out.dedup();
-    Ok(out)
+    Ok(DeterminismAuditor::diff_heads(
+        &chains(a_body)?,
+        &chains(b_body)?,
+    ))
 }
 
 #[cfg(test)]

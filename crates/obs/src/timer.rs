@@ -21,97 +21,73 @@ use std::time::Instant;
 use crate::event::{EventKind, TaskPath};
 use crate::recorder::{emit, is_enabled};
 
-/// The phase-timer taxonomy: every instrumented hot path of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Phase {
+/// Declares [`Phase`] from one list of `Variant => "label"` entries:
+/// the enum, [`Phase::ALL`], [`Phase::COUNT`] and [`Phase::name`].
+macro_rules! phases {
+    ($( $(#[$meta:meta])* $Phase:ident => $name:literal, )*) => {
+        /// The phase-timer taxonomy: every instrumented hot path of the stack.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum Phase {$( $(#[$meta])* $Phase, )*}
+
+        impl Phase {
+            /// Every phase, in declaration order (histogram slot order).
+            pub const ALL: [Phase; [$($name),*].len()] = [$(Phase::$Phase),*];
+
+            /// Number of phases (histogram array size).
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// Stable machine-readable name (the `phase` metric label).
+            pub fn name(self) -> &'static str {
+                match self {$( Phase::$Phase => $name, )*}
+            }
+        }
+    };
+}
+
+phases! {
     /// Pre-rebase span compaction of the committed/incoming logs
     /// (grid-path merges only; the delta path subsumes it).
-    RebaseCompact,
+    RebaseCompact => "rebase_compact",
     /// The O(m+n) sorted span-set transform (`sm_ot::delta`).
-    RebaseDelta,
+    RebaseDelta => "rebase_delta",
     /// The pairwise transformation grid (`sm_ot::seq::rebase`),
     /// including the declined delta-path attempt that preceded it.
-    RebaseGrid,
+    RebaseGrid => "rebase_grid",
     /// Applying rebased operations to the parent state during a merge.
-    StateApply,
+    StateApply => "state_apply",
     /// Framing and writing one commit record to the write-ahead log.
-    WalAppend,
+    WalAppend => "wal_append",
     /// The fsync following a WAL append (per policy).
-    WalFsync,
+    WalFsync => "wal_fsync",
     /// Serializing and durably persisting a full-state snapshot.
-    SnapshotWrite,
+    SnapshotWrite => "snapshot_write",
     /// Crash recovery: snapshot load plus journal-suffix replay.
-    RecoveryReplay,
+    RecoveryReplay => "recovery_replay",
     /// Recovery's scan: segment read, frame CRC, record decode, chain
     /// verification and prepared-log decode.
-    RecoveryDecode,
+    RecoveryDecode => "recovery_decode",
     /// Recovery's replay of the verified prepared logs onto the
     /// recovered state.
-    RecoveryApply,
+    RecoveryApply => "recovery_apply",
     /// Serializing and durably persisting a delta snapshot.
-    SnapshotDelta,
+    SnapshotDelta => "snapshot_delta",
     /// Encoding a distributed wire message for transmission.
-    WireEncode,
+    WireEncode => "wire_encode",
     /// Decoding a distributed wire message on arrival.
-    WireDecode,
+    WireDecode => "wire_decode",
     /// Full distributed round-trip: spawn shipped to a node until its
     /// Done merged back on the coordinator.
-    WireRoundtrip,
+    WireRoundtrip => "wire_roundtrip",
     /// One staged `merge_all` batch: staging it and folding its children
     /// in creation order against the incrementally grown composite.
-    MergeParallel,
+    MergeParallel => "merge_parallel",
     /// Session-server shard dispatch: decoding a client command, the
     /// commit rebase, and the broadcast fan-out for one message.
-    ServerDispatch,
+    ServerDispatch => "server_dispatch",
 }
 
 impl Phase {
-    /// Every phase, in declaration order (histogram slot order).
-    pub const ALL: [Phase; 16] = [
-        Phase::RebaseCompact,
-        Phase::RebaseDelta,
-        Phase::RebaseGrid,
-        Phase::StateApply,
-        Phase::WalAppend,
-        Phase::WalFsync,
-        Phase::SnapshotWrite,
-        Phase::RecoveryReplay,
-        Phase::RecoveryDecode,
-        Phase::RecoveryApply,
-        Phase::SnapshotDelta,
-        Phase::WireEncode,
-        Phase::WireDecode,
-        Phase::WireRoundtrip,
-        Phase::MergeParallel,
-        Phase::ServerDispatch,
-    ];
-
-    /// Number of phases (histogram array size).
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Stable machine-readable name (the `phase` metric label).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::RebaseCompact => "rebase_compact",
-            Phase::RebaseDelta => "rebase_delta",
-            Phase::RebaseGrid => "rebase_grid",
-            Phase::StateApply => "state_apply",
-            Phase::WalAppend => "wal_append",
-            Phase::WalFsync => "wal_fsync",
-            Phase::SnapshotWrite => "snapshot_write",
-            Phase::RecoveryReplay => "recovery_replay",
-            Phase::RecoveryDecode => "recovery_decode",
-            Phase::RecoveryApply => "recovery_apply",
-            Phase::SnapshotDelta => "snapshot_delta",
-            Phase::WireEncode => "wire_encode",
-            Phase::WireDecode => "wire_decode",
-            Phase::WireRoundtrip => "wire_roundtrip",
-            Phase::MergeParallel => "merge_parallel",
-            Phase::ServerDispatch => "server_dispatch",
-        }
-    }
-
     /// The phase's histogram slot (its index in [`Phase::ALL`]).
     pub fn index(self) -> usize {
         self as usize
