@@ -17,9 +17,6 @@
 //!   scan, both on the calling thread, best of two runs each — reported
 //!   as total wall time, replayed ops/second, and the
 //!   prepared-over-per-commit speedup.
-//! * `delta` — delta-snapshot footprint: a ~1%-mutated chunk-backed
-//!   state's `snap-delta` bytes against a full snapshot of the same
-//!   state, as written by the store itself.
 //!
 //! Usage:
 //!
@@ -31,8 +28,7 @@
 //! `--quick` reduces repetitions and skips the 10^6 journal for CI smoke
 //! runs; `--out` overrides the default output path `BENCH_recovery.json`;
 //! `--assert-floors` exits non-zero unless the prepared replay speedup
-//! and the delta-footprint ratio clear their regression floors (>= 4x
-//! and <= 10% full mode, halved to >= 2x and <= 20% under `--quick`,
+//! clears its regression floor (>= 4x, halved to >= 2x under `--quick`,
 //! where the journals are smaller and fixed costs weigh more). The
 //! `env` block records where the numbers were taken: cores, `git
 //! describe --always --dirty`, `rustc --version`, `--quick`.
@@ -44,7 +40,7 @@ use std::time::{Duration, Instant};
 use sm_mergeable::MList;
 use sm_netsim::workload::Lcg;
 use sm_obs::TaskPath;
-use sm_store::{FsyncPolicy, RetentionPolicy, Store, StoreOptions};
+use sm_store::{FsyncPolicy, Store, StoreOptions};
 
 /// Scratch directory under the OS temp root, wiped on entry.
 fn scratch(tag: &str) -> PathBuf {
@@ -250,80 +246,15 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Delta-snapshot footprint: ~1% tail-clustered mutation of a
-    // chunk-backed state, measured from the files the store writes.
-    // ------------------------------------------------------------------
-    json.push_str("\n  ],\n  \"delta\": ");
-    let size: usize = if quick { 100_000 } else { 1_000_000 };
-    let muts = size / 100;
-    let dir = scratch("delta");
-    let store = Store::open(
-        dir.clone(),
-        StoreOptions {
-            fsync: FsyncPolicy::EveryN(256),
-            snapshot_every_ops: muts as u64 / 2,
-            delta_snapshots: true,
-            full_snapshot_every: u32::MAX,
-            retention: RetentionPolicy::KeepAll,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
-    let mut rng = Lcg::new(0xDE17A);
-    let mut data = MList::<u64>::from_iter(0..size as u64);
-    store.begin(&data).unwrap();
-    for _ in 0..muts {
-        let window = (data.len() + 1).min(4096);
-        let at = data.len() + 1 - window + (rng.next() as usize) % window;
-        data.insert(at, rng.next());
-    }
-    let t = Instant::now();
-    store.commit(&data, &TaskPath::root()).unwrap(); // triggers the delta
-    let delta_commit_ns = t.elapsed().as_nanos() as u64;
-    store.snapshot(&data).unwrap(); // explicit snapshots are always full
-    store.sync().unwrap();
-    let file_size = |prefix: &str| -> u64 {
-        std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| {
-                let e = e.unwrap();
-                let name = e.file_name();
-                let name = name.to_str()?;
-                (name.starts_with(prefix) && (prefix != "snap-" || !name.starts_with("snap-delta")))
-                    .then(|| e.metadata().unwrap().len())
-            })
-            .max()
-            .unwrap_or(0)
-    };
-    let delta_bytes = file_size("snap-delta-");
-    let full_bytes = file_size("snap-");
-    assert!(delta_bytes > 0, "the mutation commit must write a delta");
-    let ratio = delta_bytes as f64 / full_bytes as f64;
-    eprintln!(
-        "delta @ {size} elems, {muts} tail mutations: delta {delta_bytes} bytes vs \
-         full {full_bytes} bytes ({:.1}% of full), commit+delta {delta_commit_ns} ns",
-        ratio * 100.0
-    );
-    let _ = writeln!(
-        json,
-        "{{\"elems\": {size}, \"mutations\": {muts}, \"delta_bytes\": {delta_bytes}, \
-         \"full_bytes\": {full_bytes}, \"ratio\": {ratio:.4}, \
-         \"delta_commit_ns\": {delta_commit_ns}}},"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // ------------------------------------------------------------------
-    // Regression floors (halved under --quick: smaller journals, larger
+    // Regression floor (halved under --quick: smaller journals, larger
     // share of fixed costs).
     // ------------------------------------------------------------------
-    let (speedup_floor, ratio_ceiling) = if quick { (2.0, 0.20) } else { (4.0, 0.10) };
+    let speedup_floor = if quick { 2.0 } else { 4.0 };
     let speedup_ok = largest_speedup >= speedup_floor;
-    let ratio_ok = ratio <= ratio_ceiling;
     let _ = write!(
         json,
-        "  \"floors\": {{\"speedup_floor\": {speedup_floor}, \"speedup\": {largest_speedup:.2}, \
-         \"speedup_ok\": {speedup_ok}, \"delta_ratio_ceiling\": {ratio_ceiling}, \
-         \"delta_ratio\": {ratio:.4}, \"delta_ratio_ok\": {ratio_ok}}}\n}}\n"
+        "\n  ],\n  \"floors\": {{\"speedup_floor\": {speedup_floor}, \
+         \"speedup\": {largest_speedup:.2}, \"speedup_ok\": {speedup_ok}}}\n}}\n"
     );
 
     match std::fs::write(&out_path, &json) {
@@ -335,27 +266,15 @@ fn main() {
     }
 
     if assert_floors {
-        let mut failed = false;
         if !speedup_ok {
             eprintln!(
                 "bench_recovery: FLOOR VIOLATION: prepared replay speedup over \
                  per-commit apply_log {largest_speedup:.2}x < {speedup_floor}x"
             );
-            failed = true;
-        }
-        if !ratio_ok {
-            eprintln!(
-                "bench_recovery: FLOOR VIOLATION: delta snapshot ratio \
-                 {ratio:.4} > {ratio_ceiling}"
-            );
-            failed = true;
-        }
-        if failed {
             std::process::exit(1);
         }
         eprintln!(
-            "bench_recovery: floors hold (speedup {largest_speedup:.2}x >= {speedup_floor}x, \
-             delta ratio {ratio:.4} <= {ratio_ceiling})"
+            "bench_recovery: floor holds (speedup {largest_speedup:.2}x >= {speedup_floor}x)"
         );
     }
 }

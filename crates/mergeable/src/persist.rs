@@ -24,10 +24,10 @@
 //! which the current history prefix can never be rewritten. A journal
 //! seals before it reads.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use sm_codec::{Decode, DecodeError, Encode};
 use sm_ot::list::{Element, ListOp};
-use sm_ot::state::{ChunkTree, DeltaPart, Rope};
+use sm_ot::state::ChunkTree;
 use sm_ot::tree::Node;
 use sm_ot::Operation;
 
@@ -233,88 +233,6 @@ pub trait Persist: Mergeable {
         }
         Ok(total)
     }
-
-    /// Encode the difference between the current state and `base` (an
-    /// earlier snapshot of the same structure lineage), decodable by
-    /// [`Persist::decode_state_delta`] against the same base. The
-    /// default carries a full snapshot — always correct; chunk-backed
-    /// structures override with a shared-run encoding whose size tracks
-    /// the diverged content instead of the whole state.
-    fn encode_state_delta(&self, base: &Self, buf: &mut BytesMut) {
-        let _ = base;
-        buf.put_u8(DELTA_TAG_FULL);
-        self.encode_state(buf);
-    }
-
-    /// Decode [`Persist::encode_state_delta`] output against `base`.
-    fn decode_state_delta(base: &Self, buf: &mut Bytes) -> Result<Self, DecodeError>
-    where
-        Self: Sized,
-    {
-        let _ = base;
-        match read_u8(buf)? {
-            DELTA_TAG_FULL => Self::decode_state(buf),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
-/// [`Persist::encode_state_delta`] leading tag: a full state snapshot
-/// follows (the always-correct fallback).
-const DELTA_TAG_FULL: u8 = 0;
-/// A chunk shared-run delta follows ([`encode_delta_parts`]).
-const DELTA_TAG_CHUNKS: u8 = 1;
-/// A composite: one tagged delta per component follows.
-const DELTA_TAG_COMPOSITE: u8 = 2;
-
-/// [`DeltaPart`] run kinds on the wire.
-const DELTA_PART_SHARED: u8 = 0;
-const DELTA_PART_LITERAL: u8 = 1;
-
-fn read_u8(buf: &mut Bytes) -> Result<u8, DecodeError> {
-    if !buf.has_remaining() {
-        return Err(DecodeError::UnexpectedEnd);
-    }
-    Ok(buf.get_u8())
-}
-
-/// Wire form of a chunk shared-run delta: varint part count, then per
-/// part either `SHARED` + varint base start + varint run length, or
-/// `LITERAL` + the encoded chunk content.
-fn encode_delta_parts<C: Encode>(parts: &[DeltaPart<C>], buf: &mut BytesMut) {
-    sm_codec::put_varint(buf, parts.len() as u64);
-    for part in parts {
-        match part {
-            DeltaPart::Shared { start, count } => {
-                buf.put_u8(DELTA_PART_SHARED);
-                sm_codec::put_varint(buf, *start as u64);
-                sm_codec::put_varint(buf, *count as u64);
-            }
-            DeltaPart::Literal(c) => {
-                buf.put_u8(DELTA_PART_LITERAL);
-                c.encode(buf);
-            }
-        }
-    }
-}
-
-fn decode_delta_parts<C: Decode>(buf: &mut Bytes) -> Result<Vec<DeltaPart<C>>, DecodeError> {
-    let n = sm_codec::get_varint(buf)?;
-    if n > buf.remaining() as u64 {
-        return Err(DecodeError::BadLength(n));
-    }
-    let mut parts = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        match read_u8(buf)? {
-            DELTA_PART_SHARED => parts.push(DeltaPart::Shared {
-                start: usize::decode(buf)?,
-                count: usize::decode(buf)?,
-            }),
-            DELTA_PART_LITERAL => parts.push(DeltaPart::Literal(C::decode(buf)?)),
-            t => return Err(DecodeError::BadTag(t)),
-        }
-    }
-    Ok(parts)
 }
 
 /// Encode a log with span compaction applied first: runs of fusible
@@ -645,30 +563,6 @@ macro_rules! persist_list_prepared_methods {
     };
 }
 
-/// Chunk shared-run delta overrides for list-shaped structures.
-macro_rules! persist_chunk_delta_methods {
-    () => {
-        fn encode_state_delta(&self, base: &Self, buf: &mut BytesMut) {
-            buf.put_u8(DELTA_TAG_CHUNKS);
-            let (tree, base) = (self.versioned().state(), base.versioned().state());
-            encode_delta_parts(&tree.delta_parts(base), buf);
-        }
-
-        fn decode_state_delta(base: &Self, buf: &mut Bytes) -> Result<Self, DecodeError> {
-            match read_u8(buf)? {
-                DELTA_TAG_FULL => Self::decode_state(buf),
-                DELTA_TAG_CHUNKS => {
-                    let parts = decode_delta_parts(buf)?;
-                    let tree = ChunkTree::apply_delta(base.versioned().state(), parts)
-                        .ok_or(DecodeError::BadLength(u64::MAX))?;
-                    Ok(Self::wrap(Versioned::new(tree)))
-                }
-                t => Err(DecodeError::BadTag(t)),
-            }
-        }
-    };
-}
-
 impl<T> Persist for MList<T>
 where
     T: sm_ot::list::Element + Encode + Decode,
@@ -683,7 +577,6 @@ where
 
     persist_log_methods!();
     persist_list_prepared_methods!(T);
-    persist_chunk_delta_methods!();
 }
 
 impl<T> Persist for MQueue<T>
@@ -700,7 +593,6 @@ where
 
     persist_log_methods!();
     persist_list_prepared_methods!(T);
-    persist_chunk_delta_methods!();
 }
 
 impl Persist for MText {
@@ -710,24 +602,6 @@ impl Persist for MText {
 
     fn decode_state(buf: &mut Bytes) -> Result<Self, DecodeError> {
         Ok(MText::from(String::decode(buf)?))
-    }
-
-    fn encode_state_delta(&self, base: &Self, buf: &mut BytesMut) {
-        buf.put_u8(DELTA_TAG_CHUNKS);
-        encode_delta_parts(&self.rope().delta_parts(base.rope()), buf);
-    }
-
-    fn decode_state_delta(base: &Self, buf: &mut Bytes) -> Result<Self, DecodeError> {
-        match read_u8(buf)? {
-            DELTA_TAG_FULL => Self::decode_state(buf),
-            DELTA_TAG_CHUNKS => {
-                let parts = decode_delta_parts::<String>(buf)?;
-                let rope = Rope::apply_delta(base.rope(), parts)
-                    .ok_or(DecodeError::BadLength(u64::MAX))?;
-                Ok(MText::wrap(Versioned::new(rope)))
-            }
-            t => Err(DecodeError::BadTag(t)),
-        }
     }
 
     persist_log_methods!();
@@ -886,37 +760,6 @@ impl<M: Persist> Persist for Vec<M> {
         }
         total
     }
-
-    fn encode_state_delta(&self, base: &Self, buf: &mut BytesMut) {
-        if self.len() != base.len() {
-            buf.put_u8(DELTA_TAG_FULL);
-            self.encode_state(buf);
-            return;
-        }
-        buf.put_u8(DELTA_TAG_COMPOSITE);
-        sm_codec::put_varint(buf, self.len() as u64);
-        for (m, b) in self.iter().zip(base) {
-            m.encode_state_delta(b, buf);
-        }
-    }
-
-    fn decode_state_delta(base: &Self, buf: &mut Bytes) -> Result<Self, DecodeError> {
-        match read_u8(buf)? {
-            DELTA_TAG_FULL => Self::decode_state(buf),
-            DELTA_TAG_COMPOSITE => {
-                let len = sm_codec::get_varint(buf)?;
-                if len as usize != base.len() {
-                    return Err(DecodeError::BadLength(len));
-                }
-                let mut v = Vec::with_capacity(base.len());
-                for b in base {
-                    v.push(M::decode_state_delta(b, buf)?);
-                }
-                Ok(v)
-            }
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
 }
 
 macro_rules! impl_persist_tuple {
@@ -953,21 +796,6 @@ macro_rules! impl_persist_tuple {
                 let mut total = 0;
                 $( total += self.$idx.encode_committed_since(marks, cursor, buf); )+
                 total
-            }
-
-            fn encode_state_delta(&self, base: &Self, buf: &mut BytesMut) {
-                buf.put_u8(DELTA_TAG_COMPOSITE);
-                $( self.$idx.encode_state_delta(&base.$idx, buf); )+
-            }
-
-            fn decode_state_delta(base: &Self, buf: &mut Bytes) -> Result<Self, DecodeError> {
-                match read_u8(buf)? {
-                    DELTA_TAG_FULL => Self::decode_state(buf),
-                    DELTA_TAG_COMPOSITE => {
-                        Ok(( $( $name::decode_state_delta(&base.$idx, buf)?, )+ ))
-                    }
-                    t => Err(DecodeError::BadTag(t)),
-                }
             }
         }
     };
@@ -1111,9 +939,8 @@ mod tests {
     }
 
     /// Journal a commit of `data` (every field edited by `edit`) and ship
-    /// its state as a delta against the pre-commit base: both must land
-    /// on a replica of the base as `data` itself.
-    fn journal_and_delta_roundtrip<W>(mut data: W, logs: usize, edit: impl Fn(&mut W))
+    /// its state: both must land on `data` itself.
+    fn journal_and_state_roundtrip<W>(mut data: W, logs: usize, edit: impl Fn(&mut W))
     where
         W: Persist + PartialEq + std::fmt::Debug,
     {
@@ -1133,18 +960,13 @@ mod tests {
         assert_eq!(replica.apply_log(&mut slice), Ok(n));
         assert!(slice.is_empty());
         assert_eq!(replica, data);
-
-        let mut delta = BytesMut::new();
-        data.encode_state_delta(&base, &mut delta);
-        let mut delta = delta.freeze();
-        assert_eq!(W::decode_state_delta(&base, &mut delta).unwrap(), data);
-        assert!(delta.is_empty());
+        roundtrip_state(&data);
     }
 
     #[test]
     fn five_and_eight_tuples_journal_and_ship_like_smaller_ones() {
         let c = || MCounter::new(0);
-        journal_and_delta_roundtrip(
+        journal_and_state_roundtrip(
             (c(), MText::from("a"), c(), MList::from_iter([1u32]), c()),
             5,
             |d| {
@@ -1155,7 +977,7 @@ mod tests {
                 d.4.add(5);
             },
         );
-        journal_and_delta_roundtrip(
+        journal_and_state_roundtrip(
             (
                 c(),
                 c(),

@@ -277,20 +277,6 @@ impl ChromeTracer {
                         dur,
                     ));
                 }
-                EventKind::SnapshotDeltaTaken {
-                    bytes,
-                    base_seq,
-                    snapshot_nanos,
-                } => {
-                    let dur = *snapshot_nanos as f64 / 1000.0;
-                    out.push(span(
-                        PID_STORE,
-                        1,
-                        &format!("delta snapshot {bytes}B (base {base_seq})"),
-                        (ts - dur).max(0.0),
-                        dur,
-                    ));
-                }
                 EventKind::WalSegmentsPruned {
                     segments,
                     snapshots,

@@ -446,23 +446,12 @@ event_table! {
             /// Wall time spent serializing and persisting the snapshot.
             snapshot_nanos: u64 [clock],
         } => "snapshot_taken", excluded;
-        /// The durable store wrote a delta snapshot (unshared chunks against
-        /// the last full snapshot). I/O-timing dependent like the other
-        /// store events: excluded from the determinism digest.
-        SnapshotDeltaTaken {
-            /// Serialized delta size in bytes.
-            bytes: usize,
-            /// Sequence of the full snapshot the delta is expressed against.
-            base_seq: u64,
-            /// Wall time spent serializing and persisting the delta.
-            snapshot_nanos: u64 [clock],
-        } => "snapshot_delta_taken", excluded;
         /// The durable store's retention policy pruned journal files wholly
         /// covered by a durable full snapshot.
         WalSegmentsPruned {
             /// WAL segments deleted.
             segments: usize,
-            /// Superseded snapshot files (full or delta) deleted.
+            /// Superseded snapshot files deleted.
             snapshots: usize,
         } => "wal_segments_pruned", excluded;
         /// Crash recovery scanned the journal: this many WAL segments were

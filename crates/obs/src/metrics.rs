@@ -353,10 +353,6 @@ snapshot! {
         snapshots: "store.snapshots" => "sm_snapshots_total",
         /// Total serialized snapshot bytes.
         snapshot_bytes: "store.snapshot_bytes" => "sm_snapshot_bytes_total",
-        /// Delta snapshots persisted.
-        snapshot_deltas: "store.snapshot_deltas" => "sm_snapshot_deltas_total",
-        /// Total serialized delta-snapshot bytes.
-        snapshot_delta_bytes: "store.snapshot_delta_bytes" => "sm_snapshot_delta_bytes_total",
         /// WAL segments deleted by the retention policy.
         wal_segments_pruned: "store.wal_segments_pruned" => "sm_wal_segments_pruned_total",
         /// Crash recoveries performed.
@@ -498,15 +494,6 @@ impl MetricsSnapshot {
             } => {
                 self.snapshots += 1;
                 self.snapshot_bytes += *bytes as u64;
-                self.snapshot_nanos.observe(*snapshot_nanos);
-            }
-            EventKind::SnapshotDeltaTaken {
-                bytes,
-                snapshot_nanos,
-                ..
-            } => {
-                self.snapshot_deltas += 1;
-                self.snapshot_delta_bytes += *bytes as u64;
                 self.snapshot_nanos.observe(*snapshot_nanos);
             }
             EventKind::WalSegmentsPruned { segments, .. } => {

@@ -70,8 +70,6 @@ phases! {
     /// Recovery's replay of the verified prepared logs onto the
     /// recovered state.
     RecoveryApply => "recovery_apply",
-    /// Serializing and durably persisting a delta snapshot.
-    SnapshotDelta => "snapshot_delta",
     /// Encoding a distributed wire message for transmission.
     WireEncode => "wire_encode",
     /// Decoding a distributed wire message on arrival.

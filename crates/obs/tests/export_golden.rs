@@ -34,7 +34,6 @@ const ADDED_FLIGHT_KEYS: &[(&str, &str)] = &[
     ("merge_finished", "screen_rejects"),
     ("wal_appended", "fsync_nanos"),
     ("snapshot_taken", "snapshot_nanos"),
-    ("snapshot_delta_taken", "snapshot_nanos"),
     ("recovery_replayed", "replay_nanos"),
 ];
 
@@ -169,14 +168,6 @@ fn stream() -> Vec<ObsEvent> {
             EventKind::SnapshotTaken {
                 bytes: 4096,
                 snapshot_nanos: 9000,
-            },
-        ),
-        (
-            &root,
-            EventKind::SnapshotDeltaTaken {
-                bytes: 512,
-                base_seq: 3,
-                snapshot_nanos: 7000,
             },
         ),
         (
@@ -350,7 +341,7 @@ fn export() -> Exports {
 #[test]
 fn the_stream_holds_every_variant() {
     let names: BTreeSet<&str> = stream().iter().map(|e| e.kind.name()).collect();
-    assert_eq!(names.len(), 30, "{names:?}");
+    assert_eq!(names.len(), 29, "{names:?}");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! [`ChunkTree`]: chunked element sequence with O(1) length and
 //! O(log n) point edits.
 
-use super::tree::{Chunk, DeltaPart, Leaves, Tree};
+use super::tree::{Chunk, Leaves, Tree};
 use std::fmt;
 
 /// Element bound for [`ChunkTree`] storage: what the balanced tree needs
@@ -239,26 +239,6 @@ impl<T: Item> ChunkTree<T> {
         ChunkTree {
             tree: Tree::from_chunks(parts),
         }
-    }
-
-    /// Chunk-level structural delta against `base`: maximal runs of
-    /// chunks whose allocations are shared with `base` become base chunk
-    /// index ranges; diverged chunks are carried literally. With
-    /// copy-on-write heritage the result is proportional to the edited
-    /// region, not the sequence — the shape delta snapshots persist.
-    /// Rebuild with [`ChunkTree::apply_delta`].
-    #[must_use]
-    pub fn delta_parts(&self, base: &ChunkTree<T>) -> Vec<DeltaPart<Vec<T>>> {
-        self.tree.delta_parts(&base.tree)
-    }
-
-    /// Rebuild a sequence from a [`ChunkTree::delta_parts`] run over the
-    /// same `base`; shared runs reuse the base's chunk allocations.
-    /// `None` when a shared range falls outside the base (corrupt or
-    /// mismatched delta input).
-    #[must_use]
-    pub fn apply_delta(base: &ChunkTree<T>, parts: Vec<DeltaPart<Vec<T>>>) -> Option<ChunkTree<T>> {
-        Tree::apply_delta(&base.tree, parts).map(|tree| ChunkTree { tree })
     }
 
     /// Validate structural invariants (balance, cached counts, chunk

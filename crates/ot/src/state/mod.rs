@@ -41,7 +41,6 @@ mod tree;
 
 pub use chunk_tree::{ChunkIter, ChunkTree, Item, Iter};
 pub use rope::{Chunks, Rope};
-pub use tree::DeltaPart;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! [`Rope`]: chunked UTF-8 text with O(1) char length and O(log n) edits.
 
-use super::tree::{Chunk, DeltaPart, Leaves, Tree};
+use super::tree::{Chunk, Leaves, Tree};
 
 /// One contiguous run of text plus its cached char count, so the tree
 /// can seek by character position without scanning bytes.
@@ -220,37 +220,6 @@ impl Rope {
         Rope {
             tree: Tree::from_chunks(parts.iter().map(|p| TextChunk::from_str(p))),
         }
-    }
-
-    /// Chunk-level structural delta against `base`: maximal runs of
-    /// chunks shared with `base` become base chunk index ranges;
-    /// diverged chunks are carried as literal text. Rebuild with
-    /// [`Rope::apply_delta`]. Delta-snapshot support.
-    #[must_use]
-    pub fn delta_parts(&self, base: &Rope) -> Vec<DeltaPart<String>> {
-        self.tree
-            .delta_parts(&base.tree)
-            .into_iter()
-            .map(|p| match p {
-                DeltaPart::Shared { start, count } => DeltaPart::Shared { start, count },
-                DeltaPart::Literal(c) => DeltaPart::Literal(c.text),
-            })
-            .collect()
-    }
-
-    /// Rebuild a rope from a [`Rope::delta_parts`] run over the same
-    /// `base`; shared runs reuse the base's chunk allocations. `None`
-    /// when a shared range falls outside the base.
-    #[must_use]
-    pub fn apply_delta(base: &Rope, parts: Vec<DeltaPart<String>>) -> Option<Rope> {
-        let parts = parts
-            .into_iter()
-            .map(|p| match p {
-                DeltaPart::Shared { start, count } => DeltaPart::Shared { start, count },
-                DeltaPart::Literal(s) => DeltaPart::Literal(TextChunk::from_str(&s)),
-            })
-            .collect();
-        Tree::apply_delta(&base.tree, parts).map(|tree| Rope { tree })
     }
 
     /// Validate structural invariants (balance, cached counts, chunk

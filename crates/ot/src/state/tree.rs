@@ -22,25 +22,6 @@
 
 use std::sync::Arc;
 
-/// One run of a chunk-level structural delta between two trees with
-/// copy-on-write heritage (see [`super::ChunkTree::delta_parts`]).
-/// Shared runs reference the base by chunk index, so a delta's size is
-/// proportional to the *diverged* content plus one small record per
-/// shared run — the serialization shape delta snapshots persist.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaPart<C> {
-    /// `count` consecutive chunks shared with the base, starting at base
-    /// chunk index `start`.
-    Shared {
-        /// Index of the first shared chunk in the base's chunk order.
-        start: usize,
-        /// Number of consecutive shared chunks.
-        count: usize,
-    },
-    /// A chunk not shared with the base, carried by content.
-    Literal(C),
-}
-
 /// A leaf payload: a bounded contiguous run of measured content.
 pub(crate) trait Chunk: Clone + Send + Sync + std::fmt::Debug + 'static {
     /// Upper bound on a chunk's weight; edits that would overflow it split
@@ -443,113 +424,6 @@ impl<C: Chunk> Tree<C> {
             }
         }
         sum
-    }
-
-    /// Visit every leaf in order as `(allocation identity, content)` —
-    /// the same notion of sharing [`Tree::fold_unshared`] counts.
-    /// Delta-snapshot support.
-    pub(crate) fn for_each_leaf(&self, mut f: impl FnMut(*const Node<C>, &C)) {
-        let mut stack: Vec<&Node<C>> = Vec::new();
-        if let Some(r) = &self.root {
-            stack.push(r);
-        }
-        while let Some(n) = stack.pop() {
-            match n {
-                Node::Leaf(c) => f(std::ptr::from_ref(n), c),
-                Node::Inner { left, right, .. } => {
-                    stack.push(right);
-                    stack.push(left);
-                }
-            }
-        }
-    }
-
-    /// The leaf allocations in order, as cheap `Arc` clones.
-    pub(crate) fn leaf_arcs(&self) -> Vec<Arc<Node<C>>> {
-        let mut out = Vec::new();
-        let mut stack: Vec<&Arc<Node<C>>> = Vec::new();
-        if let Some(r) = &self.root {
-            stack.push(r);
-        }
-        while let Some(n) = stack.pop() {
-            match n.as_ref() {
-                Node::Leaf(_) => out.push(Arc::clone(n)),
-                Node::Inner { left, right, .. } => {
-                    stack.push(right);
-                    stack.push(left);
-                }
-            }
-        }
-        out
-    }
-
-    /// Build from pre-assembled leaves: shared `Arc`s from
-    /// [`Tree::leaf_arcs`] and/or fresh content via
-    /// [`Tree::content_to_leaves`].
-    pub(crate) fn from_leaves(leaves: Vec<Arc<Node<C>>>) -> Self {
-        Tree {
-            root: build_balanced(&leaves),
-        }
-    }
-
-    /// Append `content` to `leaves` as well-formed leaf nodes (empty
-    /// content dropped, oversized content sliced).
-    pub(crate) fn content_to_leaves(content: C, leaves: &mut Vec<Arc<Node<C>>>) {
-        for piece in slice_to_pieces(content) {
-            leaves.push(leaf(piece));
-        }
-    }
-
-    /// Chunk-level structural delta against `base`: maximal runs of
-    /// leaves shared with `base` become base-index ranges, everything
-    /// else is carried literally. Rebuild with [`Tree::apply_delta`].
-    pub(crate) fn delta_parts(&self, base: &Self) -> Vec<DeltaPart<C>> {
-        let mut index: std::collections::HashMap<*const Node<C>, usize> =
-            std::collections::HashMap::new();
-        let mut i = 0usize;
-        base.for_each_leaf(|ptr, _| {
-            index.insert(ptr, i);
-            i += 1;
-        });
-        let mut parts: Vec<DeltaPart<C>> = Vec::new();
-        self.for_each_leaf(|ptr, c| match index.get(&ptr) {
-            Some(&at) => {
-                if let Some(DeltaPart::Shared { start, count }) = parts.last_mut() {
-                    if *start + *count == at {
-                        *count += 1;
-                        return;
-                    }
-                }
-                parts.push(DeltaPart::Shared {
-                    start: at,
-                    count: 1,
-                });
-            }
-            None => parts.push(DeltaPart::Literal(c.clone())),
-        });
-        parts
-    }
-
-    /// Rebuild content from a [`Tree::delta_parts`] run against `base`.
-    /// Shared runs reuse the base's leaf allocations (no content copy).
-    /// `None` when a shared range falls outside the base — corrupt or
-    /// mismatched delta input.
-    pub(crate) fn apply_delta(base: &Self, parts: Vec<DeltaPart<C>>) -> Option<Self> {
-        let base_leaves = base.leaf_arcs();
-        let mut leaves = Vec::new();
-        for part in parts {
-            match part {
-                DeltaPart::Shared { start, count } => {
-                    let end = start.checked_add(count)?;
-                    if end > base_leaves.len() {
-                        return None;
-                    }
-                    leaves.extend_from_slice(&base_leaves[start..end]);
-                }
-                DeltaPart::Literal(c) => Self::content_to_leaves(c, &mut leaves),
-            }
-        }
-        Some(Self::from_leaves(leaves))
     }
 
     /// Validate the structural invariants (balance, cached counts, chunk

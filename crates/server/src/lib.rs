@@ -22,8 +22,8 @@
 //!
 //! **Sharding.** Sessions are hash-routed (`fnv1a(session id) % shards`)
 //! to one of N shard threads; a shard owns its sessions exclusively, so
-//! session state needs no locking, and each shard attaches its own
-//! worker-pool slice for background snapshot work.
+//! session state needs no locking. Each session's journal writes on its
+//! shard's thread, snapshots included.
 //!
 //! **Commit protocol (ring of fork bases).** Each session keeps the
 //! authoritative state plus a bounded ring of `fork()` bases, one per
@@ -78,7 +78,6 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use sm_codec::session::ClientMsg;
 use sm_codec::Decode;
-use sm_core::Pool;
 use sm_net::frame::FrameError;
 use sm_net::{NetError, Network};
 use sm_obs::fnv1a;
@@ -220,11 +219,10 @@ impl SessionServer {
             shard_txs.push(tx);
             let cfg = Arc::clone(&cfg);
             let factory = Arc::clone(&factory);
-            let pool = Pool::new();
             shard_joins.push(
                 std::thread::Builder::new()
                     .name(format!("sm-shard-{shard_id}"))
-                    .spawn(move || shard::shard_loop(shard_id as u64, rx, cfg, factory, pool))
+                    .spawn(move || shard::shard_loop(shard_id as u64, rx, cfg, factory))
                     .expect("spawn shard thread"),
             );
         }

@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use sm_codec::session::{ClientMsg, RejectReason, ServerMsg};
-use sm_core::Pool;
 use sm_obs::{emit, fnv1a, start, EventKind, Phase, TaskPath};
 use sm_store::{Persist, Store, StoreError};
 
@@ -106,13 +105,12 @@ pub(crate) fn shard_loop<D: Persist + 'static>(
     rx: Receiver<ShardCmd>,
     cfg: Arc<ServerConfig>,
     factory: Arc<dyn Fn() -> D + Send + Sync>,
-    pool: Pool,
 ) {
     let mut sessions: HashMap<u64, Session<D>> = HashMap::new();
     loop {
         match rx.recv_timeout(SHARD_TICK) {
             Ok(ShardCmd::Client { conn, msg }) => {
-                dispatch(shard, &mut sessions, &cfg, &factory, &pool, conn, msg)
+                dispatch(shard, &mut sessions, &cfg, &factory, conn, msg)
             }
             Ok(ShardCmd::Disconnect { conn_id }) => {
                 for sess in sessions.values_mut() {
@@ -139,7 +137,6 @@ fn dispatch<D: Persist + 'static>(
     sessions: &mut HashMap<u64, Session<D>>,
     cfg: &ServerConfig,
     factory: &Arc<dyn Fn() -> D + Send + Sync>,
-    pool: &Pool,
     conn: Arc<ConnShared>,
     msg: ClientMsg,
 ) {
@@ -155,7 +152,7 @@ fn dispatch<D: Persist + 'static>(
 
     match msg {
         ClientMsg::Attach { session } => {
-            handle_attach(shard, sessions, cfg, factory, pool, conn, session)
+            handle_attach(shard, sessions, cfg, factory, conn, session)
         }
         ClientMsg::Commit {
             session,
@@ -182,13 +179,12 @@ fn handle_attach<D: Persist + 'static>(
     sessions: &mut HashMap<u64, Session<D>>,
     cfg: &ServerConfig,
     factory: &Arc<dyn Fn() -> D + Send + Sync>,
-    pool: &Pool,
     conn: Arc<ConnShared>,
     session: u64,
 ) {
     let sess = match sessions.entry(session) {
         Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(slot) => match open_session(shard, cfg, factory, pool, session) {
+        Entry::Vacant(slot) => match open_session(shard, cfg, factory, session) {
             Ok(sess) => slot.insert(sess),
             Err(e) => {
                 conn.send_msg(&ServerMsg::Rejected {
@@ -223,12 +219,10 @@ fn open_session<D: Persist + 'static>(
     shard: u64,
     cfg: &ServerConfig,
     factory: &Arc<dyn Fn() -> D + Send + Sync>,
-    pool: &Pool,
     session: u64,
 ) -> Result<Session<D>, StoreError> {
     let dir = cfg.dir.join(format!("session-{session:016x}"));
     let store = Store::open(dir, cfg.store.clone())?;
-    store.attach_pool(pool);
     let path = TaskPath::root().child(session);
     let data = match store.recover::<D>()? {
         Some(recovered) => {

@@ -25,10 +25,12 @@
 //! journaled bytes in place), exports the committed slice since its last
 //! marks, extends a per-child FNV-1a digest chain over `(seq, ops bytes)`,
 //! and frames the record into the current segment, fsyncing per
-//! [`FsyncPolicy`]. Snapshots (explicit or every `snapshot_every_ops`)
-//! serialize the full state — cheap for the Rope/ChunkTree backends,
-//! whose `Arc`-shared leaves make cloning for serialization CoW — and
-//! garbage-collect the covered segments.
+//! [`FsyncPolicy`]. There is one snapshot kind: explicit or every
+//! `snapshot_every_ops`, it serializes the full state on the committing
+//! thread, under the store lock, rotates the WAL and garbage-collects the
+//! covered segments. Because `merge_all` fixes the commit order, genesis
+//! plus the WAL already determine the state: a snapshot only bounds how
+//! much of the WAL recovery must replay.
 //!
 //! **Recovery** ([`Store::recover`]) loads the newest decodable snapshot,
 //! then reads the journal once, on the calling thread: it re-verifies

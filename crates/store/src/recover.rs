@@ -3,10 +3,7 @@
 //!
 //! The invariant recovery enforces is *verified prefix or nothing*:
 //!
-//! 1. The highest decodable snapshot is the base state. When a newer
-//!    delta snapshot pairs with it (decodes cleanly against it), the
-//!    delta shortens the replay; a delta that fails *any* check is
-//!    silently skipped — deltas accelerate recovery, they never gate it.
+//! 1. The highest decodable snapshot is the base state.
 //! 2. The WAL suffix (commits with `seq` above the base) replays in
 //!    strict sequence order through the ordinary OT apply path
 //!    ([`Persist::apply_log`] or its prepared equivalent) — the same
@@ -54,8 +51,7 @@ use crate::StoreError;
 pub struct Recovered<D> {
     /// The reconstructed state: snapshot plus replayed journal suffix.
     pub data: D,
-    /// Sequence of the snapshot (or delta snapshot) recovery started
-    /// from (0 = genesis).
+    /// Sequence of the snapshot recovery started from (0 = genesis).
     pub snapshot_seq: u64,
     /// Sequence of the last replayed commit (equals `snapshot_seq` when
     /// the journal suffix was empty).
@@ -70,9 +66,8 @@ pub struct Recovered<D> {
     pub chains: BTreeMap<Vec<u64>, u64>,
 }
 
-/// The replay starting point: decoded base state, its digest chains,
-/// and the sequence it covers. Either the newest full snapshot or a
-/// delta snapshot reconstructed against it.
+/// The replay starting point: the newest snapshot's decoded state, its
+/// digest chains, and the sequence it covers.
 struct ReplayBase<D> {
     data: D,
     chains: BTreeMap<Vec<u64>, u64>,
@@ -80,12 +75,6 @@ struct ReplayBase<D> {
 }
 
 /// Locate and decode the replay base, or `None` for a fresh store.
-///
-/// The highest decodable full snapshot wins; a newer delta snapshot
-/// upgrades it when — and only when — the delta names that snapshot as
-/// its base and decodes cleanly against it. Any delta defect (torn
-/// file, wrong base, decode failure) silently falls back to the full
-/// snapshot plus a longer replay.
 fn load_base<D: Persist>(dir: &Path) -> Result<Option<ReplayBase<D>>, StoreError> {
     let snaps = list_files(dir, "snap-")?;
     let wals = list_files(dir, "wal-")?;
@@ -121,47 +110,12 @@ fn load_base<D: Persist>(dir: &Path) -> Result<Option<ReplayBase<D>>, StoreError
         ));
     };
 
-    let mut state = snap.state.clone();
-    let full = D::decode_state(&mut state)
+    let mut state = snap.state;
+    let data = D::decode_state(&mut state)
         .map_err(|e| StoreError::Corrupt(format!("snapshot state: {e}")))?;
-
-    // Delta upgrade: newest delta that names this snapshot as its base
-    // and decodes cleanly. Failures skip silently — the full snapshot
-    // below is always sufficient.
-    for (seq, path) in list_files(dir, "snap-delta-")?.iter().rev() {
-        if *seq <= snap.seq {
-            continue;
-        }
-        let Ok(bytes) = fs::read(path) else {
-            continue;
-        };
-        let mut frames = Frames::new(&bytes);
-        let Some((_, payload)) = frames.next() else {
-            continue;
-        };
-        let Ok(Record::SnapshotDelta(delta)) = Record::from_bytes(payload) else {
-            continue;
-        };
-        if delta.seq != *seq || delta.base_seq != snap.seq {
-            continue;
-        }
-        let mut delta_bytes = delta.delta.clone();
-        let Ok(data) = D::decode_state_delta(&full, &mut delta_bytes) else {
-            continue;
-        };
-        if delta_bytes.has_remaining() {
-            continue;
-        }
-        return Ok(Some(ReplayBase {
-            data,
-            chains: delta.chains.iter().cloned().collect(),
-            seq: delta.seq,
-        }));
-    }
-
     Ok(Some(ReplayBase {
-        data: full,
-        chains: snap.chains.iter().cloned().collect(),
+        data,
+        chains: snap.chains.into_iter().collect(),
         seq: snap.seq,
     }))
 }
@@ -264,8 +218,6 @@ impl Inner {
         self.started = true;
         self.bounds.clear();
         self.ops_since_snapshot = 0;
-        self.delta_base = None;
-        self.snapshots_since_full = 0;
         self.open_segment(last_seq + 1)
     }
 }

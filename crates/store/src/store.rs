@@ -1,25 +1,23 @@
 //! The [`Store`]: segmented WAL writer, snapshot trigger, and the
 //! [`CommitSink`] bridge that journals a running program.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use sm_core::{run_with_sink, CommitSink, Pool, TaskCtx};
 use sm_mergeable::Persist;
 use sm_net::frame::encode_frame;
 use sm_obs::{emit, EventKind, TaskPath};
 
 use crate::wal::{
-    chain_update, segment_name, snapshot_delta_name, snapshot_name, CommitRecord, Record,
-    SnapshotDeltaRecord, SnapshotRecord, FNV_OFFSET,
+    chain_update, segment_name, snapshot_name, CommitRecord, Record, SnapshotRecord, FNV_OFFSET,
 };
 use crate::StoreError;
 
@@ -43,10 +41,10 @@ pub enum FsyncPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetentionPolicy {
     /// Log-structured retention: once a full snapshot at `S` is durable,
-    /// delete older snapshots, delta snapshots at or below `S`, and
-    /// every *closed* WAL segment whose commits are all ≤ `S`. Recovery
-    /// work stays proportional to the data written since the last
-    /// snapshot, not to the journal's lifetime.
+    /// delete older snapshots and every *closed* WAL segment whose
+    /// commits are all ≤ `S`. Recovery work stays proportional to the
+    /// data written since the last snapshot, not to the journal's
+    /// lifetime.
     #[default]
     PruneCovered,
     /// Never delete journal files; every snapshot and WAL segment since
@@ -62,29 +60,10 @@ pub struct StoreOptions {
     /// Rotate to a new WAL segment once the current one exceeds this
     /// many bytes.
     pub segment_bytes: u64,
-    /// Take an automatic snapshot (and GC covered segments) after this
-    /// many journaled operations; `0` disables automatic snapshots.
+    /// Take an automatic full snapshot (and GC covered segments) after
+    /// this many journaled operations, on the committing thread; `0`
+    /// disables automatic snapshots.
     pub snapshot_every_ops: u64,
-    /// Run automatic snapshots on an attached worker pool instead of
-    /// the commit path: the trigger captures a CoW fork of the data
-    /// under the store lock and returns; serialization, fsync, and
-    /// rename happen off-lock. Needs [`Store::attach_pool`] (done
-    /// automatically by [`run_with_store`]); without a pool the
-    /// snapshot falls back to running inline.
-    pub snapshot_in_background: bool,
-    /// Write automatic snapshots as deltas against the last full
-    /// snapshot ([`Persist::encode_state_delta`]): only chunks not
-    /// shared with the base are persisted. Every
-    /// [`full_snapshot_every`](StoreOptions::full_snapshot_every)-th
-    /// automatic snapshot (and every explicit [`Store::snapshot`]) is
-    /// still full. Deltas never authorize WAL pruning — a torn delta
-    /// degrades recovery to the full base plus a longer replay, never
-    /// to failure.
-    pub delta_snapshots: bool,
-    /// In delta mode, one automatic snapshot out of this many is a full
-    /// snapshot (the fresh delta base and pruning point). Values ≤ 1
-    /// make every snapshot full.
-    pub full_snapshot_every: u32,
     /// What happens to covered journal files after a full snapshot.
     pub retention: RetentionPolicy,
 }
@@ -95,9 +74,6 @@ impl Default for StoreOptions {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             snapshot_every_ops: 0,
-            snapshot_in_background: false,
-            delta_snapshots: false,
-            full_snapshot_every: 8,
             retention: RetentionPolicy::PruneCovered,
         }
     }
@@ -140,21 +116,6 @@ pub(crate) struct Inner {
     pub bounds: Vec<FrameBound>,
     /// First failure observed by the infallible sink callbacks.
     pub error: Option<StoreError>,
-    /// Worker pool for background snapshots ([`Store::attach_pool`]).
-    pub pool: Option<Pool>,
-    /// Back-reference for background workers to re-lock the store.
-    pub handle: Weak<Mutex<Inner>>,
-    /// Signaled whenever a background snapshot completes.
-    pub snap_cv: Arc<Condvar>,
-    /// A background snapshot job is queued or running.
-    pub snapshot_in_flight: bool,
-    /// CoW fork of the data at the last durable full snapshot, plus the
-    /// sequence it covers: the base the next delta snapshot is encoded
-    /// against. `None` (e.g. right after recovery) forces the next
-    /// automatic snapshot to be full.
-    pub delta_base: Option<(u64, Box<dyn Any + Send>)>,
-    /// Automatic snapshots taken since the last full one.
-    pub snapshots_since_full: u32,
 }
 
 /// A durable journal of one program's root-task commits.
@@ -186,33 +147,8 @@ impl Store {
             last_fsync: Instant::now(),
             bounds: Vec::new(),
             error: None,
-            pool: None,
-            handle: Weak::new(),
-            snap_cv: Arc::new(Condvar::new()),
-            snapshot_in_flight: false,
-            delta_base: None,
-            snapshots_since_full: 0,
         }));
-        inner.lock().handle = Arc::downgrade(&inner);
         Ok(Store { inner })
-    }
-
-    /// Attach a worker pool for
-    /// [background snapshots](StoreOptions::snapshot_in_background).
-    /// [`run_with_store`] calls this with the program's pool; embedders
-    /// with their own commit loop call it directly.
-    pub fn attach_pool(&self, pool: &Pool) {
-        self.inner.lock().pool = Some(pool.clone());
-    }
-
-    /// Block until no background snapshot is queued or running. Any
-    /// failure the worker parked is left for [`Store::take_error`].
-    pub fn wait_snapshots(&self) {
-        let mut inner = self.inner.lock();
-        let cv = inner.snap_cv.clone();
-        while inner.snapshot_in_flight {
-            cv.wait(&mut inner);
-        }
     }
 
     /// The store's directory.
@@ -244,9 +180,6 @@ impl Store {
         let mut marks = Vec::new();
         data.history_marks(&mut marks);
         inner.write_snapshot(data, 0, &marks)?;
-        if inner.options.delta_snapshots {
-            inner.delta_base = Some((0, Box::new(data.fork())));
-        }
         inner.last_marks = marks;
         inner.open_segment(1)?;
         inner.started = true;
@@ -258,8 +191,7 @@ impl Store {
     ///
     /// `Err` means the record was not appended. A failure of the automatic
     /// snapshot a commit may trigger afterwards is parked for
-    /// [`take_error`](Store::take_error) instead, like a background
-    /// snapshot's.
+    /// [`take_error`](Store::take_error) instead.
     pub fn commit<D: Persist>(&self, data: &D, child: &TaskPath) -> Result<(), StoreError> {
         self.inner.lock().commit(data, child)
     }
@@ -275,16 +207,9 @@ impl Store {
 
     /// Persist a full-state snapshot of `data`, rotate the WAL, and —
     /// under [`RetentionPolicy::PruneCovered`] — delete the segments and
-    /// older snapshots the new snapshot covers. Always full, even in
-    /// delta mode; waits out any background snapshot first so on-disk
-    /// ordering matches trigger ordering.
+    /// older snapshots the new snapshot covers.
     pub fn snapshot<D: Persist>(&self, data: &D) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        let cv = inner.snap_cv.clone();
-        while inner.snapshot_in_flight {
-            cv.wait(&mut inner);
-        }
-        inner.snapshot_full(data)
+        self.inner.lock().snapshot(data)
     }
 
     /// Flush the current segment to stable storage.
@@ -303,12 +228,7 @@ impl Store {
         child: &TaskPath,
     ) -> Result<bool, StoreError> {
         let mut inner = self.inner.lock();
-        let mut marks = Vec::new();
-        data.history_marks(&mut marks);
-        let appended = marks != inner.last_marks;
-        if appended {
-            inner.commit(data, child)?;
-        }
+        let appended = inner.commit_outstanding(data, child)?;
         inner.fsync_segment()?;
         Ok(appended)
     }
@@ -372,16 +292,27 @@ impl Inner {
         {
             // The record is in the journal: a snapshot failure from here
             // on must not read as "commit not appended".
-            let snapshot = if self.options.snapshot_in_background {
-                self.snapshot_background(data)
-            } else {
-                self.snapshot_auto(data)
-            };
-            if let Err(e) = snapshot {
+            if let Err(e) = self.snapshot(data) {
                 self.park_error(e);
             }
         }
         Ok(())
+    }
+
+    /// Journal the operations recorded since the last commit, if any,
+    /// attributed to `child`. Returns whether a record was appended.
+    fn commit_outstanding<D: Persist>(
+        &mut self,
+        data: &D,
+        child: &TaskPath,
+    ) -> Result<bool, StoreError> {
+        let mut marks = Vec::new();
+        data.history_marks(&mut marks);
+        let appended = marks != self.last_marks;
+        if appended {
+            self.commit(data, child)?;
+        }
+        Ok(appended)
     }
 
     /// Keep `e` for [`Store::take_error`] unless an earlier failure is
@@ -396,10 +327,7 @@ impl Inner {
     /// first when the segment is full, fsyncing per policy.
     fn append(&mut self, record: &Record, seq: u64) -> Result<(), StoreError> {
         let append_t0 = sm_obs::is_enabled().then(Instant::now);
-        let payload = record.to_bytes();
-        let mut framed = Vec::with_capacity(payload.len() + sm_net::frame::HEADER_LEN);
-        encode_frame(payload.as_slice(), &mut framed);
-
+        let framed = frame(record);
         if self.segment.as_ref().is_some_and(|s| {
             s.bytes > 0 && s.bytes + framed.len() as u64 > self.options.segment_bytes
         }) {
@@ -469,42 +397,9 @@ impl Inner {
         Ok(())
     }
 
-    /// Whether the next automatic snapshot may be a delta, and against
-    /// which base. `None` means full (delta mode off, no usable base,
-    /// or the full-snapshot interval is due).
-    fn delta_base_for<D: Persist>(&self) -> Option<(u64, &D)> {
-        if !self.options.delta_snapshots
-            || self.snapshots_since_full + 1 >= self.options.full_snapshot_every.max(1)
-        {
-            return None;
-        }
-        let (base_seq, base) = self.delta_base.as_ref()?;
-        Some((*base_seq, base.downcast_ref::<D>()?))
-    }
-
-    /// Automatic snapshot on the commit path: a delta when a base is
-    /// available and the full interval is not due, a full snapshot
-    /// otherwise.
-    fn snapshot_auto<D: Persist>(&mut self, data: &D) -> Result<(), StoreError> {
-        let Some((base_seq, base)) = self.delta_base_for::<D>() else {
-            return self.snapshot_full(data);
-        };
-        data.seal_history();
-        let mut marks = Vec::new();
-        data.history_marks(&mut marks);
-        let covered = self.next_seq - 1;
-        let chains = self.chains_vec();
-        persist_snapshot_delta(&self.dir, data, base, base_seq, covered, &marks, &chains)?;
-        // No rotation, no pruning: recovery must still be able to fall
-        // back to the full base plus the covered WAL.
-        self.snapshots_since_full += 1;
-        self.ops_since_snapshot = 0;
-        Ok(())
-    }
-
     /// Full snapshot: write `snap-<covered>`, rotate the WAL, apply
-    /// retention, and refresh the delta base.
-    fn snapshot_full<D: Persist>(&mut self, data: &D) -> Result<(), StoreError> {
+    /// retention.
+    fn snapshot<D: Persist>(&mut self, data: &D) -> Result<(), StoreError> {
         data.seal_history();
         let mut marks = Vec::new();
         data.history_marks(&mut marks);
@@ -516,94 +411,21 @@ impl Inner {
         self.fsync_segment()?;
         self.open_segment(self.next_seq)?;
         self.prune_covered(covered)?;
-        if self.options.delta_snapshots {
-            self.delta_base = Some((covered, Box::new(data.fork())));
-        }
-        self.snapshots_since_full = 0;
         self.ops_since_snapshot = 0;
-        Ok(())
-    }
-
-    /// Queue the automatic snapshot on the attached pool: capture a CoW
-    /// fork, marks, and chains under the lock (held by the caller),
-    /// then serialize and fsync off-lock. Falls back to an inline
-    /// snapshot when no pool is attached; skips when one is already in
-    /// flight (`ops_since_snapshot` keeps accumulating, so the next
-    /// commit after completion re-triggers).
-    fn snapshot_background<D: Persist>(&mut self, data: &D) -> Result<(), StoreError> {
-        if self.snapshot_in_flight {
-            return Ok(());
-        }
-        let (Some(pool), Some(store)) = (self.pool.clone(), self.handle.upgrade()) else {
-            return self.snapshot_auto(data);
-        };
-        data.seal_history();
-        let mut marks = Vec::new();
-        data.history_marks(&mut marks);
-        let covered = self.next_seq - 1;
-        let chains = self.chains_vec();
-        let base: Option<(u64, D)> = self
-            .delta_base_for::<D>()
-            .map(|(seq, base)| (seq, base.fork()));
-        let fork = data.fork();
-        if base.is_none() {
-            // Rotate now, under the lock: the snapshot covers exactly
-            // the commits ≤ `covered`, and commits racing the worker
-            // land in the fresh segment that survives pruning.
-            self.fsync_segment()?;
-            self.open_segment(self.next_seq)?;
-            self.snapshots_since_full = 0;
-        } else {
-            self.snapshots_since_full += 1;
-        }
-        self.snapshot_in_flight = true;
-        self.ops_since_snapshot = 0;
-        let cv = self.snap_cv.clone();
-        let dir = self.dir.clone();
-        pool.execute(move || {
-            let full = base.is_none();
-            let result = match &base {
-                Some((base_seq, base)) => {
-                    persist_snapshot_delta(&dir, &fork, base, *base_seq, covered, &marks, &chains)
-                }
-                None => persist_snapshot(&dir, &fork, covered, &marks, &chains),
-            };
-            let mut inner = store.lock();
-            match result {
-                Ok(()) if full => {
-                    if let Err(e) = inner.prune_covered(covered) {
-                        inner.park_error(e);
-                    }
-                    if inner.options.delta_snapshots {
-                        inner.delta_base = Some((covered, Box::new(fork)));
-                    }
-                }
-                Ok(()) => {}
-                Err(e) => inner.park_error(e),
-            }
-            inner.snapshot_in_flight = false;
-            cv.notify_all();
-        });
         Ok(())
     }
 
     /// Apply [`RetentionPolicy`] after a durable full snapshot at
-    /// `covered`: remove older full snapshots, deltas at or below
-    /// `covered`, and closed WAL segments whose commits are all ≤
-    /// `covered` (a segment is fully covered when its successor starts
-    /// at or below `covered + 1`; the open segment never qualifies).
+    /// `covered`: remove older snapshots and closed WAL segments whose
+    /// commits are all ≤ `covered` (a segment is fully covered when its
+    /// successor starts at or below `covered + 1`; the open segment never
+    /// qualifies).
     fn prune_covered(&mut self, covered: u64) -> Result<(), StoreError> {
         if self.options.retention == RetentionPolicy::KeepAll {
             return Ok(());
         }
         let current = self.segment.as_ref().map(|s| s.path.clone());
         let mut snapshots = 0usize;
-        for (seq, path) in list_files(&self.dir, "snap-delta-")? {
-            if seq <= covered {
-                fs::remove_file(path)?;
-                snapshots += 1;
-            }
-        }
         for (seq, path) in list_files(&self.dir, "snap-")? {
             if seq < covered {
                 fs::remove_file(path)?;
@@ -629,113 +451,53 @@ impl Inner {
         Ok(())
     }
 
-    fn chains_vec(&self) -> Vec<(Vec<u64>, u64)> {
-        self.chains
-            .iter()
-            .map(|(path, chain)| (path.clone(), *chain))
-            .collect()
-    }
-
-    /// Durably write `snap-<seq>`: temp file, fsync, atomic rename,
-    /// directory fsync.
+    /// Durably write the full snapshot `snap-<seq>`: encode, frame, temp
+    /// file, fsync, atomic rename, directory fsync.
     fn write_snapshot<D: Persist>(
-        &mut self,
+        &self,
         data: &D,
         seq: u64,
         marks: &[usize],
     ) -> Result<(), StoreError> {
-        persist_snapshot(&self.dir, data, seq, marks, &self.chains_vec())
+        let t0 = sm_obs::is_enabled().then(Instant::now);
+        let mut state = BytesMut::new();
+        data.encode_state(&mut state);
+        let framed = frame(&Record::Snapshot(SnapshotRecord {
+            seq,
+            marks: marks.to_vec(),
+            chains: self.chains.iter().map(|(p, c)| (p.clone(), *c)).collect(),
+            state: state.freeze(),
+        }));
+        let name = snapshot_name(seq);
+        let tmp_path = self.dir.join(format!("{name}.tmp"));
+        let mut file = File::create(&tmp_path)?;
+        file.write_all(&framed)?;
+        file.sync_data()?;
+        drop(file);
+        fs::rename(&tmp_path, self.dir.join(name))?;
+        File::open(&self.dir)?.sync_all()?;
+        if let Some(t0) = t0 {
+            let snapshot_nanos = t0.elapsed().as_nanos() as u64;
+            emit(&TaskPath::root(), || EventKind::SnapshotTaken {
+                bytes: framed.len(),
+                snapshot_nanos,
+            });
+            sm_obs::timer::observe(
+                &TaskPath::root(),
+                sm_obs::Phase::SnapshotWrite,
+                snapshot_nanos,
+            );
+        }
+        Ok(())
     }
 }
 
-/// Durably write a full snapshot `snap-<seq>`: encode, frame, temp
-/// file, fsync, atomic rename, directory fsync. Free function so
-/// background workers can run it without the store lock.
-fn persist_snapshot<D: Persist>(
-    dir: &Path,
-    data: &D,
-    seq: u64,
-    marks: &[usize],
-    chains: &[(Vec<u64>, u64)],
-) -> Result<(), StoreError> {
-    let t0 = sm_obs::is_enabled().then(Instant::now);
-    let mut state = BytesMut::new();
-    data.encode_state(&mut state);
-    let record = Record::Snapshot(SnapshotRecord {
-        seq,
-        marks: marks.to_vec(),
-        chains: chains.to_vec(),
-        state: state.freeze(),
-    });
-    let bytes = write_record_file(dir, &snapshot_name(seq), &record)?;
-    if let Some(t0) = t0 {
-        let snapshot_nanos = t0.elapsed().as_nanos() as u64;
-        emit(&TaskPath::root(), || EventKind::SnapshotTaken {
-            bytes,
-            snapshot_nanos,
-        });
-        sm_obs::timer::observe(
-            &TaskPath::root(),
-            sm_obs::Phase::SnapshotWrite,
-            snapshot_nanos,
-        );
-    }
-    Ok(())
-}
-
-/// Durably write `snap-delta-<seq>` against the full snapshot at
-/// `base_seq`, with the same temp-file discipline as a full snapshot.
-fn persist_snapshot_delta<D: Persist>(
-    dir: &Path,
-    data: &D,
-    base: &D,
-    base_seq: u64,
-    seq: u64,
-    marks: &[usize],
-    chains: &[(Vec<u64>, u64)],
-) -> Result<(), StoreError> {
-    let t0 = sm_obs::is_enabled().then(Instant::now);
-    let mut delta = BytesMut::new();
-    data.encode_state_delta(base, &mut delta);
-    let record = Record::SnapshotDelta(SnapshotDeltaRecord {
-        seq,
-        base_seq,
-        marks: marks.to_vec(),
-        chains: chains.to_vec(),
-        delta: delta.freeze(),
-    });
-    let bytes = write_record_file(dir, &snapshot_delta_name(seq), &record)?;
-    if let Some(t0) = t0 {
-        let snapshot_nanos = t0.elapsed().as_nanos() as u64;
-        emit(&TaskPath::root(), || EventKind::SnapshotDeltaTaken {
-            bytes,
-            base_seq,
-            snapshot_nanos,
-        });
-        sm_obs::timer::observe(
-            &TaskPath::root(),
-            sm_obs::Phase::SnapshotDelta,
-            snapshot_nanos,
-        );
-    }
-    Ok(())
-}
-
-/// Frame `record` and write it durably to `dir/name`: temp file, fsync,
-/// atomic rename, directory fsync. Returns the framed byte count.
-fn write_record_file(dir: &Path, name: &str, record: &Record) -> Result<usize, StoreError> {
+/// `record` in one CRC32 frame, as segments and snapshot files hold it.
+fn frame(record: &Record) -> Vec<u8> {
     let payload = record.to_bytes();
     let mut framed = Vec::with_capacity(payload.len() + sm_net::frame::HEADER_LEN);
     encode_frame(payload.as_slice(), &mut framed);
-    let final_path = dir.join(name);
-    let tmp_path = dir.join(format!("{name}.tmp"));
-    let mut file = File::create(&tmp_path)?;
-    file.write_all(&framed)?;
-    file.sync_data()?;
-    drop(file);
-    fs::rename(&tmp_path, &final_path)?;
-    File::open(dir)?.sync_all()?;
-    Ok(framed.len())
+    framed
 }
 
 /// List `<prefix><seq>` files in `dir` as `(seq, path)`, ascending by
@@ -773,69 +535,38 @@ impl<D> StoreSink<D> {
             _marker: PhantomData,
         }
     }
+
+    /// Run one journaling `step` unless an earlier failure stopped
+    /// journaling; park the step's own failure.
+    fn journal(&self, step: impl FnOnce(&mut Inner) -> Result<(), StoreError>) {
+        let mut inner = self.store.inner.lock();
+        if inner.error.is_none() {
+            if let Err(e) = step(&mut inner) {
+                inner.park_error(e);
+            }
+        }
+    }
 }
 
 impl<D: Persist> CommitSink<D> for StoreSink<D> {
     fn committed(&mut self, data: &D, child: &TaskPath, _child_continues: bool) {
-        let mut inner = self.store.inner.lock();
-        if inner.error.is_some() {
-            return;
-        }
-        if let Err(e) = inner.commit(data, child) {
-            inner.error = Some(e);
-        }
+        self.journal(|inner| inner.commit(data, child));
     }
 
     fn truncating(&mut self, data: &D, _watermark: &[usize]) {
-        let mut inner = self.store.inner.lock();
-        if inner.error.is_some() {
-            return;
-        }
         // GC may drop root-local operations recorded after the last merge
         // commit (when every live fork is younger than them). Journal the
         // outstanding slice first so replay never misses them.
-        let result = (|| {
-            let mut marks = Vec::new();
-            data.history_marks(&mut marks);
-            if marks != inner.last_marks {
-                inner.commit(data, &TaskPath::root())?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            inner.error = Some(e);
-        }
+        self.journal(|inner| inner.commit_outstanding(data, &TaskPath::root()).map(drop));
     }
 
     fn finished(&mut self, data: &D) {
-        let mut inner = self.store.inner.lock();
-        // Wait out any background snapshot so its outcome (including a
-        // parked error) is visible before the program's result is
-        // returned.
-        let cv = inner.snap_cv.clone();
-        while inner.snapshot_in_flight {
-            cv.wait(&mut inner);
-        }
-        if inner.error.is_some() {
-            return;
-        }
         // Journal any trailing root-local operations recorded after the
         // last merge commit, then make everything durable.
-        let result = (|| {
-            let mut marks = Vec::new();
-            data.history_marks(&mut marks);
-            if marks != inner.last_marks {
-                inner.commit(data, &TaskPath::root())?;
-            }
+        self.journal(|inner| {
+            inner.commit_outstanding(data, &TaskPath::root())?;
             inner.fsync_segment()
-        })();
-        if let Err(e) = result {
-            inner.error = Some(e);
-        }
-        // The final commit may itself have queued a snapshot.
-        while inner.snapshot_in_flight {
-            cv.wait(&mut inner);
-        }
+        });
     }
 }
 
@@ -857,7 +588,6 @@ pub fn run_with_store<D, R>(
 where
     D: Persist,
 {
-    store.attach_pool(&pool);
     store.begin(&data)?;
     let (data, result) = run_with_sink(data, pool, Box::new(StoreSink::new(store.clone())), root);
     match store.take_error() {

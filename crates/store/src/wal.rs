@@ -11,6 +11,11 @@
 //! tag 2  Snapshot  seq · marks · per-path chains · state bytes
 //! ```
 //!
+//! Tag 3 was a delta snapshot, written to `snap-delta-<seq>` files by
+//! older stores. It decodes as [`DecodeError::BadTag`], and recovery
+//! never lists those files: a delta never authorized pruning, so the
+//! full snapshot plus the WAL it left behind always cover it.
+//!
 //! The `ops bytes` of a commit are exactly what
 //! [`Persist::encode_committed_since`](sm_mergeable::Persist::encode_committed_since)
 //! produced at the commit point, so recovery replays them through the
@@ -78,27 +83,6 @@ pub struct SnapshotRecord {
     pub state: Bytes,
 }
 
-/// A delta snapshot: the state at `seq` expressed against the full
-/// snapshot at `base_seq` via
-/// [`Persist::encode_state_delta`](sm_mergeable::Persist::encode_state_delta).
-/// Purely an acceleration record — recovery that cannot pair it with its
-/// base (or cannot decode it) falls back to the full snapshot plus a
-/// longer replay, never to failure. Deltas therefore never authorize WAL
-/// pruning.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotDeltaRecord {
-    /// Last covered commit sequence.
-    pub seq: u64,
-    /// Sequence of the full snapshot the delta is expressed against.
-    pub base_seq: u64,
-    /// The root data's absolute history marks at the snapshot point.
-    pub marks: Vec<usize>,
-    /// Digest chain per child path, as of `seq`.
-    pub chains: Vec<(Vec<u64>, u64)>,
-    /// `Persist::encode_state_delta` of the root data against the base.
-    pub delta: Bytes,
-}
-
 /// A decoded WAL payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
@@ -106,13 +90,10 @@ pub enum Record {
     Commit(CommitRecord),
     /// Tag 2.
     Snapshot(SnapshotRecord),
-    /// Tag 3.
-    SnapshotDelta(SnapshotDeltaRecord),
 }
 
 const TAG_COMMIT: u8 = 1;
 const TAG_SNAPSHOT: u8 = 2;
-const TAG_SNAPSHOT_DELTA: u8 = 3;
 
 fn put_u64_list(buf: &mut BytesMut, vs: &[u64]) {
     put_varint(buf, vs.len() as u64);
@@ -193,15 +174,6 @@ impl Record {
                 put_chains(buf, &s.chains);
                 put_bytes(buf, s.state.as_slice());
             }
-            Record::SnapshotDelta(s) => {
-                buf.put_u8(TAG_SNAPSHOT_DELTA);
-                put_varint(buf, s.seq);
-                put_varint(buf, s.base_seq);
-                let marks: Vec<u64> = s.marks.iter().map(|m| *m as u64).collect();
-                put_u64_list(buf, &marks);
-                put_chains(buf, &s.chains);
-                put_bytes(buf, s.delta.as_slice());
-            }
         }
     }
 
@@ -246,20 +218,6 @@ impl Record {
                     state,
                 }))
             }
-            TAG_SNAPSHOT_DELTA => {
-                let seq = get_varint(buf)?;
-                let base_seq = get_varint(buf)?;
-                let marks = get_u64_list(buf)?.into_iter().map(|m| m as usize).collect();
-                let chains = get_chains(buf)?;
-                let delta = get_bytes(buf)?;
-                Ok(Record::SnapshotDelta(SnapshotDeltaRecord {
-                    seq,
-                    base_seq,
-                    marks,
-                    chains,
-                    delta,
-                }))
-            }
             tag => Err(DecodeError::BadTag(tag)),
         }
     }
@@ -283,14 +241,6 @@ pub(crate) fn segment_name(first_seq: u64) -> String {
 /// File name of the snapshot covering commits `..= seq`.
 pub(crate) fn snapshot_name(seq: u64) -> String {
     format!("snap-{seq:020}")
-}
-
-/// File name of the delta snapshot covering commits `..= seq`. The
-/// `snap-delta-` prefix does not collide with `snap-` listings: the
-/// residue after stripping `snap-` is not numeric, so
-/// [`parse_seq`]-based listings skip it.
-pub(crate) fn snapshot_delta_name(seq: u64) -> String {
-    format!("snap-delta-{seq:020}")
 }
 
 /// Parse a `wal-…` / `snap-…` file name back into its sequence number.

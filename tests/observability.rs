@@ -375,7 +375,7 @@ fn store_events_reach_metrics_and_chrome_but_not_the_auditor() {
     );
 }
 
-/// The durability pipeline — delta snapshots, segment retention, and
+/// The durability pipeline — automatic snapshots, segment retention, and
 /// recovery's one scan over the WAL segments (its counter keeps the
 /// exported name `sm_recovery_segments_parallel_total`) — reports through
 /// [`Metrics`]: dedicated counters, byte totals, and phase timers, all
@@ -393,8 +393,6 @@ fn durability_pipeline_counters_and_phase_timers_reach_metrics() {
         fsync: FsyncPolicy::EveryN(4),
         segment_bytes: 512,
         snapshot_every_ops: 25,
-        delta_snapshots: true,
-        full_snapshot_every: 1000,
         ..StoreOptions::default()
     };
     let store = Store::open(&dir, options.clone()).unwrap();
@@ -406,8 +404,8 @@ fn durability_pipeline_counters_and_phase_timers_reach_metrics() {
             store.commit(&data, &TaskPath::root()).unwrap();
         }
     }
-    // An explicit snapshot is always full; under PruneCovered it retires
-    // the covered segments and the now-superseded deltas.
+    // Under PruneCovered every snapshot, automatic or explicit, retires
+    // the segments it covers.
     store.snapshot(&data).unwrap();
     store.sync().unwrap();
 
@@ -418,26 +416,26 @@ fn durability_pipeline_counters_and_phase_timers_reach_metrics() {
 
     let snap = metrics.snapshot();
     assert!(
-        snap.snapshot_deltas >= 1,
-        "automatic deltas must have fired"
+        snap.snapshots >= 2,
+        "automatic snapshots must have fired before the explicit one"
     );
-    assert!(snap.snapshot_delta_bytes > 0);
+    assert!(snap.snapshot_bytes > 0);
     assert!(
         snap.wal_segments_pruned >= 1,
-        "the explicit full snapshot must have pruned covered segments"
+        "snapshots must have pruned covered segments"
     );
     assert!(
         snap.recovery_segments_parallel >= 1,
         "recovery must report the segments it scanned"
     );
-    assert!(snap.phase_nanos.get(Phase::SnapshotDelta).count() >= 1);
+    assert!(snap.phase_nanos.get(Phase::SnapshotWrite).count() >= 2);
     assert!(snap.phase_nanos.get(Phase::RecoveryDecode).count() >= 1);
     assert!(snap.phase_nanos.get(Phase::RecoveryApply).count() >= 1);
 
     let prom = metrics.prometheus_text();
     for name in [
-        "sm_snapshot_deltas_total",
-        "sm_snapshot_delta_bytes_total",
+        "sm_snapshots_total",
+        "sm_snapshot_bytes_total",
         "sm_wal_segments_pruned_total",
         "sm_recovery_segments_parallel_total",
     ] {
@@ -455,8 +453,7 @@ fn audit_digest_ignores_durability_configuration() {
     let digest_of = |tag: &str, options: StoreOptions| {
         let auditor = Arc::new(DeterminismAuditor::new());
         obs::install(auditor.clone());
-        let (store, list) = store_run(tag, options);
-        store.wait_snapshots();
+        let (_store, list) = store_run(tag, options);
         obs::uninstall();
         (auditor.digest(), list.to_vec())
     };
@@ -480,9 +477,6 @@ fn audit_digest_ignores_durability_configuration() {
         StoreOptions {
             fsync: FsyncPolicy::EveryN(3),
             snapshot_every_ops: 4,
-            snapshot_in_background: true,
-            delta_snapshots: true,
-            full_snapshot_every: 2,
             ..StoreOptions::default()
         },
     );
@@ -494,6 +488,6 @@ fn audit_digest_ignores_durability_configuration() {
     );
     assert_eq!(
         digest_always, digest_durable,
-        "background and delta snapshots must be invisible to the auditor"
+        "automatic snapshots must be invisible to the auditor"
     );
 }

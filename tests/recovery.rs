@@ -14,13 +14,15 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use bytes::{BufMut, BytesMut};
+use spawn_merge::codec::put_varint;
 use spawn_merge::net::frame::{encode_frame, Frames};
 use spawn_merge::netsim::workload::Lcg;
 use spawn_merge::obs::TaskPath;
 use spawn_merge::store::wal::Record;
 use spawn_merge::{
-    run, run_with_store, FsyncPolicy, MCounter, MList, MText, Mergeable, Pool, RetentionPolicy,
-    Store, StoreError, StoreOptions, TaskAbort,
+    run, run_with_store, FsyncPolicy, MCounter, MList, MText, Mergeable, Persist, Pool,
+    RetentionPolicy, Store, StoreError, StoreOptions, TaskAbort,
 };
 
 /// A fresh, empty scratch directory unique to this process and `tag`.
@@ -803,24 +805,25 @@ fn parallel_and_serial_recovery_agree_on_state_and_chains() {
     assert_eq!(serial, parallel);
 }
 
-/// Delta snapshots shorten recovery replay (the newest delta upgrades
-/// the full base), and a torn or corrupt delta silently degrades to the
-/// full snapshot plus a longer replay — never to a recovery failure.
+/// Stores used to write delta snapshots too: `snap-delta-<seq>` files
+/// holding one framed tag-3 record (seq, base seq, marks, chains, then
+/// the state as chunk runs against the full snapshot at the base seq). A
+/// delta never authorized pruning, so the full snapshot and the WAL it
+/// left behind always cover one: recovery ignores the file, and both
+/// recoveries return exactly what they return without it.
 #[test]
-fn delta_snapshots_upgrade_recovery_and_survive_torn_deltas() {
-    let dir = scratch_dir("delta-snapshots");
+fn a_leftover_delta_snapshot_file_is_inert() {
+    let dir = scratch_dir("leftover-delta");
     let options = StoreOptions {
         fsync: FsyncPolicy::EveryN(8),
-        snapshot_every_ops: 40,
-        delta_snapshots: true,
-        full_snapshot_every: 1000, // deltas only after the genesis full
+        snapshot_every_ops: 100,
         ..StoreOptions::default()
     };
     let store = Store::open(&dir, options.clone()).unwrap();
     let mut data = MList::<u64>::new();
     store.begin(&data).unwrap();
     let mut rng = Lcg::new(0xDE17A);
-    for _ in 0..12 {
+    for _ in 0..11 {
         for _ in 0..20 {
             let at = (rng.next() as usize) % (data.len() + 1);
             data.insert(at, rng.next());
@@ -828,73 +831,71 @@ fn delta_snapshots_upgrade_recovery_and_survive_torn_deltas() {
         store.commit(&data, &TaskPath::root()).unwrap();
     }
     store.sync().unwrap();
+    let last_seq = store.last_seq();
+    drop(store);
 
-    let deltas: Vec<PathBuf> = {
-        let mut v: Vec<PathBuf> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("snap-delta-"))
-            })
-            .collect();
-        v.sort();
-        v
+    // `(recover, recover_serial)`, each on its own copy of `dir`.
+    let recover_both = |tag: &str| {
+        let recovered = |serial: bool| {
+            let copy = copy_dir(&dir, &format!("leftover-delta-{tag}-{serial}"));
+            let store = Store::open(copy, options.clone()).unwrap();
+            let rec = if serial {
+                store.recover_serial::<MList<u64>>()
+            } else {
+                store.recover::<MList<u64>>()
+            };
+            let rec = rec.unwrap().expect("journal exists");
+            (
+                rec.data.to_vec(),
+                rec.chains,
+                rec.snapshot_seq,
+                rec.replayed_ops,
+            )
+        };
+        (recovered(false), recovered(true))
     };
+    let without = recover_both("without");
+    assert_eq!(without.0, without.1);
+    assert_eq!(without.0 .0, data.to_vec());
     assert!(
-        deltas.len() >= 2,
-        "automatic snapshots must have written deltas, found {deltas:?}"
+        without.0 .2 > 0 && without.0 .3 > 0,
+        "a full snapshot fired and commits after it replay"
     );
 
-    let rec = Store::open(&dir, options.clone())
-        .unwrap()
-        .recover::<MList<u64>>()
-        .unwrap()
-        .expect("journal exists");
-    assert_eq!(rec.data.to_vec(), data.to_vec());
-    assert!(
-        rec.snapshot_seq > 0,
-        "recovery must start from a delta upgrade, not the genesis full"
-    );
-    let replay_from_delta = rec.replayed_ops;
-
-    // Tear the newest delta mid-file: recovery falls back to an older
-    // delta (or the full) and replays more — same state, no error.
-    let newest = deltas.last().unwrap();
-    let len = fs::metadata(newest).unwrap().len();
-    fs::OpenOptions::new()
-        .write(true)
-        .open(newest)
-        .unwrap()
-        .set_len(len / 2)
-        .unwrap();
-    let rec = Store::open(&dir, options.clone())
-        .unwrap()
-        .recover::<MList<u64>>()
-        .unwrap()
-        .expect("journal exists");
-    assert_eq!(rec.data.to_vec(), data.to_vec());
-    assert!(rec.replayed_ops >= replay_from_delta);
-
-    // Corrupt every delta: recovery degrades all the way to the genesis
-    // full snapshot and replays the whole journal — still never an error.
-    for delta in &deltas {
-        let mut bytes = fs::read(delta).unwrap();
-        if bytes.is_empty() {
-            continue;
-        }
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(delta, bytes).unwrap();
+    // The delta as those stores wrote it: newer than the full snapshot,
+    // naming it as its base, covering every commit, the state carried as
+    // one literal chunk. Honoured, it would replay nothing.
+    let (_, chains, base_seq, _) = &without.0;
+    data.seal_history();
+    let mut marks = Vec::new();
+    data.history_marks(&mut marks);
+    let mut state = BytesMut::new();
+    data.encode_state(&mut state);
+    let mut record = BytesMut::new();
+    record.put_u8(3);
+    put_varint(&mut record, last_seq);
+    put_varint(&mut record, *base_seq);
+    put_varint(&mut record, marks.len() as u64);
+    for mark in &marks {
+        put_varint(&mut record, *mark as u64);
     }
-    let rec = Store::open(&dir, options)
-        .unwrap()
-        .recover::<MList<u64>>()
-        .unwrap()
-        .expect("journal exists");
-    assert_eq!(rec.data.to_vec(), data.to_vec());
-    assert_eq!(rec.snapshot_seq, 0, "all deltas rejected, full base wins");
+    put_varint(&mut record, chains.len() as u64);
+    for (path, chain) in chains {
+        put_varint(&mut record, path.len() as u64);
+        for id in path {
+            put_varint(&mut record, *id);
+        }
+        put_varint(&mut record, *chain);
+    }
+    // Chunk runs (1), one run, a literal chunk (1), its elements.
+    put_varint(&mut record, 3 + state.len() as u64);
+    record.put_slice(&[1, 1, 1]);
+    record.put_slice(&state);
+    let mut framed = Vec::new();
+    encode_frame(&record, &mut framed);
+    fs::write(dir.join(format!("snap-delta-{last_seq:020}")), framed).unwrap();
+
+    assert_eq!(recover_both("with"), without);
 }
 
 /// Retention crash-consistency: a crash after the full snapshot but
@@ -910,7 +911,6 @@ fn crash_between_snapshot_and_prune_leaves_recovery_sound() {
         segment_bytes: 2048,
         snapshot_every_ops: 30,
         retention: RetentionPolicy::KeepAll,
-        ..StoreOptions::default()
     };
     let store = Store::open(&dir, options.clone()).unwrap();
     let mut data = MList::<u64>::new();
@@ -1024,80 +1024,4 @@ fn snapshot_failure_after_append_is_parked_not_returned() {
         .expect("journal exists");
     assert_eq!(rec.replayed_ops, 1, "no snapshot covers the commit");
     assert_eq!(rec.data.to_vec(), vec![7]);
-}
-
-/// Background snapshots take serialization and fsync off the commit
-/// path: with the same workload and snapshot cadence, the summed
-/// commit-path latency with background snapshots stays below the inline
-/// configuration's, while recovery still sees every snapshot.
-#[test]
-fn background_snapshots_move_write_cost_off_the_commit_path() {
-    fn run_commits(dir: &Path, background: bool) -> (std::time::Duration, Vec<u64>) {
-        let options = StoreOptions {
-            fsync: FsyncPolicy::EveryN(4),
-            snapshot_every_ops: 600,
-            snapshot_in_background: background,
-            ..StoreOptions::default()
-        };
-        let store = Store::open(dir, options).unwrap();
-        let pool = Pool::new();
-        store.attach_pool(&pool);
-        // A large baseline makes each snapshot's serialization cost
-        // visible next to the per-commit work.
-        let mut data = MList::<u64>::new();
-        let mut rng = Lcg::new(0xBACC);
-        for _ in 0..200_000 {
-            data.push(rng.next());
-        }
-        store.begin(&data).unwrap();
-        let mut in_commit = std::time::Duration::ZERO;
-        for _ in 0..24 {
-            for _ in 0..200 {
-                let at = data.len() - (rng.next() as usize) % 512;
-                data.insert(at, rng.next());
-            }
-            let t = std::time::Instant::now();
-            store.commit(&data, &TaskPath::root()).unwrap();
-            in_commit += t.elapsed();
-            // The gap models application work between commits — the
-            // window a background worker actually runs in.
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        store.sync().unwrap();
-        store.wait_snapshots();
-        assert!(store.take_error().is_none(), "worker parked no error");
-        (in_commit, data.to_vec())
-    }
-
-    let inline_dir = scratch_dir("bg-snap-inline");
-    let bg_dir = scratch_dir("bg-snap-worker");
-    let (inline_cost, inline_state) = run_commits(&inline_dir, false);
-    let (bg_cost, bg_state) = run_commits(&bg_dir, true);
-    assert_eq!(inline_state, bg_state, "identical deterministic workload");
-
-    for dir in [&inline_dir, &bg_dir] {
-        let names: Vec<String> = fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            names
-                .iter()
-                .any(|n| n.starts_with("snap-") && !n.ends_with("00000000000000000000")),
-            "snapshots must have fired in {dir:?}, found {names:?}"
-        );
-        let rec = Store::open(dir, StoreOptions::default())
-            .unwrap()
-            .recover::<MList<u64>>()
-            .unwrap()
-            .expect("journal exists");
-        assert_eq!(rec.data.to_vec(), inline_state);
-        assert!(rec.snapshot_seq > 0, "recovery starts from a real snapshot");
-    }
-
-    assert!(
-        bg_cost < inline_cost,
-        "commit-path time with background snapshots ({bg_cost:?}) must undercut \
-         inline snapshots ({inline_cost:?})"
-    );
 }
