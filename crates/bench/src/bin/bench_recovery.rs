@@ -12,7 +12,7 @@
 //! * `recovery` — end-to-end crash recovery (snapshot load + WAL replay
 //!   through the OT apply path + digest-chain verification) for journals
 //!   of 10^4, 10^5 and 10^6 scattered list operations, through
-//!   `Store::recover` (the prepared replay lane) and through the
+//!   `Store::recover` (the list lane's batch replay) and through the
 //!   `recover_serial` reference (one `apply_log` per commit) — the same
 //!   scan, both on the calling thread, best of two runs each — reported
 //!   as total wall time, replayed ops/second, and the

@@ -13,9 +13,9 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sm_codec::{Decode, DecodeError, Encode};
+use sm_mergeable::Persist;
 use sm_net::{NetError, Network, RecvHalf, SendHalf};
 
-use crate::wire::Wire;
 use crate::DistError;
 
 /// Identifies a worker node (1-based; 0 is the coordinator).
@@ -67,13 +67,6 @@ impl<D> JobRegistry<D> {
     /// Look up a job.
     pub fn get(&self, name: &str) -> Option<&JobFn<D>> {
         self.jobs.get(name)
-    }
-
-    /// Registered job names (sorted, for diagnostics).
-    pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.jobs.keys().map(String::as_str).collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -158,7 +151,7 @@ impl Cluster {
     /// connect the coordinator to all of them. Returns the cluster (send
     /// side) plus the receive halves of every node link, which the
     /// runtime's forwarder threads take ownership of.
-    pub fn launch<D: Wire>(
+    pub fn launch<D: Persist>(
         workers: usize,
         registry: &JobRegistry<D>,
     ) -> Result<(Self, Vec<RecvHalf>), DistError> {
@@ -239,7 +232,7 @@ impl Cluster {
 
 /// The worker node main loop: one connection from the coordinator, then
 /// sequential task execution until shutdown.
-fn worker_main<D: Wire>(listener: sm_net::Listener, registry: JobRegistry<D>) {
+fn worker_main<D: Persist>(listener: sm_net::Listener, registry: JobRegistry<D>) {
     let Ok(link) = listener.accept() else { return };
     loop {
         let raw = match link.recv() {
@@ -290,7 +283,7 @@ fn worker_main<D: Wire>(listener: sm_net::Listener, registry: JobRegistry<D>) {
     }
 }
 
-fn execute_task<D: Wire>(
+fn execute_task<D: Persist>(
     registry: &JobRegistry<D>,
     job: &str,
     state: &[u8],
@@ -340,7 +333,6 @@ mod tests {
             Ok(())
         });
         assert!(r.get("inc").is_some());
-        assert_eq!(r.names(), vec!["add", "inc"]);
         let r2 = r.clone();
         assert!(r2.get("add").is_some());
     }

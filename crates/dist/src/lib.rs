@@ -7,7 +7,8 @@
 //! MPI ranks — the substitution is documented in `DESIGN.md`):
 //!
 //! * **Spawn** serializes a state snapshot of the coordinator's mergeable
-//!   data ([`Wire::encode_state`], via the `sm-codec` binary format) and
+//!   data ([`Persist::encode_state`](sm_mergeable::Persist::encode_state),
+//!   via the `sm-codec` binary format) and
 //!   ships it to a worker node together with a registered job name.
 //! * The node executes the job against its private copy, recording
 //!   operations exactly as a local task would.
@@ -16,6 +17,10 @@
 //!   ordinary OT rebase. `merge_all` merges in **spawn order** —
 //!   deterministic results no matter which node finishes first;
 //!   `merge_any` opts into completion order.
+//!
+//! The codec is [`sm_mergeable::persist`]'s, because the durable store
+//! journals exactly the same wire shapes (a node's store snapshot *is* an
+//! `encode_state`, a journaled commit replays through `apply_log`).
 //!
 //! ```
 //! use sm_dist::{DistRuntime, JobRegistry};
@@ -44,13 +49,13 @@
 
 mod cluster;
 mod runtime;
-mod wire;
 
 pub use cluster::{Cluster, JobFn, JobRegistry, NodeId};
 pub use runtime::{DistOutcome, DistRuntime, DistTaskId, TelemetryConfig};
-pub use wire::Wire;
 
 use std::fmt;
+
+use sm_mergeable::ReplayError;
 
 /// Errors of the distributed runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,10 +103,51 @@ impl From<sm_codec::DecodeError> for DistError {
     }
 }
 
+impl From<ReplayError> for DistError {
+    fn from(e: ReplayError) -> Self {
+        match e {
+            ReplayError::Decode(d) => DistError::Decode(d),
+            ReplayError::Apply(a) => DistError::Apply(a),
+            ReplayError::Shape(s) => DistError::Protocol(s),
+            ReplayError::Count { .. } => DistError::Protocol(e.to_string()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_mergeable::{MCounter, MCounterMap, MList, MText};
+    use bytes::BytesMut;
+    use sm_codec::DecodeError;
+    use sm_mergeable::{MCounter, MCounterMap, MList, MText, Persist};
+
+    #[test]
+    fn replay_errors_map_onto_dist_errors() {
+        assert_eq!(
+            DistError::from(ReplayError::Decode(DecodeError::UnexpectedEnd)),
+            DistError::Decode(DecodeError::UnexpectedEnd)
+        );
+        assert_eq!(
+            DistError::from(ReplayError::Apply("boom".into())),
+            DistError::Apply("boom".into())
+        );
+        assert_eq!(
+            DistError::from(ReplayError::Shape("len".into())),
+            DistError::Protocol("len".into())
+        );
+    }
+
+    #[test]
+    fn vec_shape_mismatch_surfaces_as_protocol_violation() {
+        // The coordinator treats a shape drift on the wire as a protocol
+        // violation by the peer.
+        let remote = vec![MCounter::new(0), MCounter::new(0)];
+        let mut buf = BytesMut::new();
+        remote.encode_log(&mut buf);
+        let mut wrong_shape = vec![MCounter::new(0)];
+        let err: DistError = wrong_shape.apply_log(&mut buf.freeze()).unwrap_err().into();
+        assert!(matches!(err, DistError::Protocol(_)));
+    }
 
     fn counting_jobs() -> JobRegistry<MCounterMap<String>> {
         let mut jobs = JobRegistry::new();

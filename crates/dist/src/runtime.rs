@@ -17,6 +17,7 @@ use std::time::Instant;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver};
 use sm_codec::Decode;
+use sm_mergeable::Persist;
 use sm_net::Network;
 use sm_obs::{
     DeterminismAuditor, FlightRecorder, Metrics, MultiRecorder, ObsServer, Phase, Recorder,
@@ -24,7 +25,6 @@ use sm_obs::{
 };
 
 use crate::cluster::{Cluster, JobRegistry, NodeId, WireMsg};
-use crate::wire::Wire;
 use crate::DistError;
 
 /// Identifier of a distributed task, unique per runtime, in spawn order.
@@ -64,15 +64,12 @@ struct Outstanding<D> {
 /// The endpoint serves `/metrics`, `/flight` and `/health` over `network`
 /// — an in-memory [`sm_net::Network`]: hold a clone and scrape it with
 /// [`sm_obs::http_get`]. [`TelemetryConfig::full`] builds the standard
-/// wiring (metrics + flight recorder + determinism auditor, installed as
-/// the process-wide recorder for the runtime's lifetime); pass hand-built
-/// [`TelemetrySources`] via [`TelemetryConfig::with_sources`] when the
-/// recorders are managed elsewhere.
+/// wiring: metrics + flight recorder + determinism auditor, installed as
+/// the process-wide recorder for the runtime's lifetime.
 pub struct TelemetryConfig {
     network: Network,
     port: u16,
     sources: TelemetrySources,
-    install: bool,
 }
 
 impl TelemetryConfig {
@@ -89,37 +86,12 @@ impl TelemetryConfig {
             network,
             port,
             sources,
-            install: true,
         }
     }
-
-    /// Serve caller-managed `sources` on `port` of `network` without
-    /// touching the global recorder slot (the caller installs whatever
-    /// recorder feeds those sources).
-    pub fn with_sources(network: Network, port: u16, sources: TelemetrySources) -> Self {
-        TelemetryConfig {
-            network,
-            port,
-            sources,
-            install: false,
-        }
-    }
-
-    /// The sources the endpoint will serve (useful to keep handles on
-    /// the metrics/flight/auditor built by [`TelemetryConfig::full`]).
-    pub fn sources(&self) -> &TelemetrySources {
-        &self.sources
-    }
-}
-
-/// A live endpoint attached to a running [`DistRuntime`].
-struct Telemetry {
-    server: ObsServer,
-    installed: bool,
 }
 
 /// The coordinator of a distributed Spawn & Merge program.
-pub struct DistRuntime<D: Wire> {
+pub struct DistRuntime<D: Persist> {
     data: D,
     cluster: Cluster,
     inbox: Receiver<WireMsg>,
@@ -128,10 +100,12 @@ pub struct DistRuntime<D: Wire> {
     buffered: VecDeque<WireMsg>,
     next_task: u64,
     journal: Option<sm_store::Store>,
-    telemetry: Option<Telemetry>,
+    /// The live endpoint, whose recorders are installed process-wide
+    /// until [`shutdown`](DistRuntime::shutdown).
+    telemetry: Option<ObsServer>,
 }
 
-impl<D: Wire> DistRuntime<D> {
+impl<D: Persist> DistRuntime<D> {
     /// Launch `workers` nodes (each with `registry`) and wrap `data` as the
     /// coordinator state.
     pub fn launch(workers: usize, data: D, registry: &JobRegistry<D>) -> Result<Self, DistError> {
@@ -179,9 +153,8 @@ impl<D: Wire> DistRuntime<D> {
 
     /// [`launch`](DistRuntime::launch), with a live telemetry endpoint
     /// serving `/metrics`, `/flight` and `/health` for the lifetime of
-    /// the runtime. When `telemetry` was built by
-    /// [`TelemetryConfig::full`], its recorders are installed process-
-    /// wide here and uninstalled at [`shutdown`](DistRuntime::shutdown).
+    /// the runtime. Its recorders are installed process-wide here and
+    /// uninstalled at [`shutdown`](DistRuntime::shutdown).
     pub fn launch_with(
         workers: usize,
         data: D,
@@ -193,47 +166,28 @@ impl<D: Wire> DistRuntime<D> {
         Ok(rt)
     }
 
-    /// [`launch_durable`](DistRuntime::launch_durable) plus the live
-    /// telemetry endpoint of [`launch_with`](DistRuntime::launch_with).
-    pub fn launch_durable_with(
-        workers: usize,
-        data: D,
-        registry: &JobRegistry<D>,
-        store: &sm_store::Store,
-        telemetry: TelemetryConfig,
-    ) -> Result<Self, DistError> {
-        let mut rt = Self::launch_durable(workers, data, registry, store)?;
-        rt.attach_telemetry(telemetry)?;
-        Ok(rt)
-    }
-
     fn attach_telemetry(&mut self, config: TelemetryConfig) -> Result<(), DistError> {
-        if config.install {
-            let sources = &config.sources;
-            let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
-            if let Some(m) = &sources.metrics {
-                sinks.push(m.clone());
-            }
-            if let Some(f) = &sources.flight {
-                sinks.push(f.clone());
-            }
-            if let Some(a) = &sources.auditor {
-                sinks.push(a.clone());
-            }
-            sm_obs::install(Arc::new(MultiRecorder::new(sinks)));
+        let sources = &config.sources;
+        let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
+        if let Some(m) = &sources.metrics {
+            sinks.push(m.clone());
         }
+        if let Some(f) = &sources.flight {
+            sinks.push(f.clone());
+        }
+        if let Some(a) = &sources.auditor {
+            sinks.push(a.clone());
+        }
+        sm_obs::install(Arc::new(MultiRecorder::new(sinks)));
         let server = ObsServer::start(&config.network, config.port, config.sources)
             .map_err(|e| DistError::Link(format!("telemetry endpoint: {e}")))?;
-        self.telemetry = Some(Telemetry {
-            server,
-            installed: config.install,
-        });
+        self.telemetry = Some(server);
         Ok(())
     }
 
     /// The port of the attached telemetry endpoint, if one is serving.
     pub fn telemetry_port(&self) -> Option<u16> {
-        self.telemetry.as_ref().map(|t| t.server.port())
+        self.telemetry.as_ref().map(ObsServer::port)
     }
 
     /// [`launch`](DistRuntime::launch), with every coordinator merge
@@ -267,11 +221,6 @@ impl<D: Wire> DistRuntime<D> {
     /// rebase exactly like a parent task's edits do.
     pub fn data_mut(&mut self) -> &mut D {
         &mut self.data
-    }
-
-    /// Number of spawned-but-unmerged tasks.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
     }
 
     /// Distributed **Spawn**: run `job` (with `arg`) on `node` over a copy
@@ -418,11 +367,9 @@ impl<D: Wire> DistRuntime<D> {
         for f in self.forwarders {
             let _ = f.join();
         }
-        if let Some(telemetry) = self.telemetry.take() {
-            telemetry.server.stop();
-            if telemetry.installed {
-                sm_obs::uninstall();
-            }
+        if let Some(server) = self.telemetry.take() {
+            server.stop();
+            sm_obs::uninstall();
         }
         Ok(self.data)
     }

@@ -130,7 +130,7 @@ pub use cmap::MCounterMap;
 pub use counter::MCounter;
 pub use list::MList;
 pub use map::MMap;
-pub use persist::{Persist, PreparedLog, PreparedReplayError, RawPreparedLog, ReplayError};
+pub use persist::{Persist, PreparedReplayError, ReplayError};
 pub use queue::MQueue;
 pub use register::MRegister;
 pub use set::MSet;

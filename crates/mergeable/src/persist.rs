@@ -36,7 +36,6 @@ use crate::{
     Versioned,
 };
 
-use std::any::Any;
 use std::fmt;
 
 /// Error replaying a serialized operation log onto a structure.
@@ -67,8 +66,7 @@ impl fmt::Display for ReplayError {
             ReplayError::Decode(e) => write!(f, "log decode failed: {e}"),
             ReplayError::Apply(e) => write!(f, "replayed operation failed to apply: {e}"),
             ReplayError::Shape(e) => write!(f, "shape mismatch: {e}"),
-            // Phrased so a journal prefixing "commit {seq} " reproduces
-            // its sequential corruption report verbatim.
+            // Phrased to read after a journal's "commit {seq} " prefix.
             ReplayError::Count {
                 applied,
                 expected,
@@ -89,75 +87,53 @@ impl From<DecodeError> for ReplayError {
     }
 }
 
-/// Error from [`Persist::replay_prepared`]: which slice of the submitted
+/// Error from [`Persist::replay_commits`]: which commit of the submitted
 /// batch failed and why, so callers can map the index back to a journal
 /// sequence number.
 #[derive(Debug)]
 pub struct PreparedReplayError {
-    /// Position of the failing slice in the submitted batch.
+    /// Position of the failing commit in the submitted batch.
     pub index: usize,
     /// The underlying replay failure.
     pub error: ReplayError,
 }
 
-/// A committed log slice decoded ahead of replay, ready to apply to `D`.
-///
-/// Recovery (sm-store) decodes one `PreparedLog` per journal commit as
-/// it verifies the journal, then replays them all in sequence order via
-/// [`Persist::replay_prepared`]. The default wraps the raw bytes
-/// ([`RawPreparedLog`]) and defers to [`Persist::apply_log`], so
-/// prepared replay is effect-identical to sequential replay; structures
-/// may override [`Persist::decode_log_prepared`] with a representation
-/// that replays faster (e.g. list insert batches).
-pub trait PreparedLog<D> {
-    /// Apply this prepared slice to `data` with the effect of
-    /// [`Persist::apply_log`] followed by [`Persist::seal_history`].
-    /// Returns the number of operations applied.
-    fn replay(self: Box<Self>, data: &mut D) -> Result<usize, ReplayError>;
-
-    /// Non-consuming downcast probe: batched replay paths peek at the
-    /// concrete type before deciding how to consume the item.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Consume into `Any` once [`PreparedLog::as_any`] confirmed the
-    /// concrete type (a failed consuming downcast cannot restore the
-    /// trait object).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+/// One commit of [`replay_each`].
+fn replay_commit<D: Persist>(
+    data: &mut D,
+    mut buf: Bytes,
+    expected: u64,
+) -> Result<usize, ReplayError> {
+    let applied = data.apply_log(&mut buf)?;
+    if applied as u64 != expected || buf.has_remaining() {
+        return Err(ReplayError::Count {
+            applied,
+            expected,
+            trailing: buf.remaining(),
+        });
+    }
+    // The original run sealed its history at every commit; the replayed
+    // structure carries the same fuse barriers. They also keep replay
+    // linear: without them tail fusion rebuilds one ever-growing span op
+    // on every operation.
+    data.seal_history();
+    Ok(applied)
 }
 
-/// The default [`PreparedLog`]: undecoded log bytes plus the journal
-/// frame's declared operation count, replayed through
-/// [`Persist::apply_log`].
-pub struct RawPreparedLog {
-    /// The encoded log slice (wire-compatible with [`Persist::apply_log`]).
-    pub buf: Bytes,
-    /// Operation count the journal frame declared for this slice.
-    pub expected_ops: u64,
-}
-
-impl<D: Persist + 'static> PreparedLog<D> for RawPreparedLog {
-    fn replay(self: Box<Self>, data: &mut D) -> Result<usize, ReplayError> {
-        let expected = self.expected_ops;
-        let mut buf = self.buf;
-        let applied = data.apply_log(&mut buf)?;
-        if applied as u64 != expected || buf.has_remaining() {
-            return Err(ReplayError::Count {
-                applied,
-                expected,
-                trailing: buf.remaining(),
-            });
-        }
-        data.seal_history();
-        Ok(applied)
+/// [`Persist::replay_commits`]'s default and the reference every
+/// override must match in state and error: per commit in turn,
+/// [`Persist::apply_log`], the check that it applied the declared number
+/// of operations and consumed every byte, then [`Persist::seal_history`].
+pub fn replay_each<D: Persist>(
+    data: &mut D,
+    commits: Vec<(Bytes, u64)>,
+) -> Result<usize, PreparedReplayError> {
+    let mut total = 0;
+    for (index, (buf, expected)) in commits.into_iter().enumerate() {
+        total += replay_commit(data, buf, expected)
+            .map_err(|error| PreparedReplayError { index, error })?;
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+    Ok(total)
 }
 
 /// A mergeable structure whose state and operation log can be serialized.
@@ -200,38 +176,15 @@ pub trait Persist: Mergeable {
         buf: &mut BytesMut,
     ) -> usize;
 
-    /// Decode one committed log slice into a [`PreparedLog`] without
-    /// touching any state, so a journal can be decoded in full before
-    /// any of it is applied. `expected_ops` is the operation count the
-    /// journal frame declared; implementations that cannot confirm it
-    /// defer the check to replay. The default keeps the raw bytes and
-    /// replays through [`Persist::apply_log`].
-    fn decode_log_prepared(buf: Bytes, expected_ops: u64) -> Box<dyn PreparedLog<Self>>
-    where
-        Self: Sized + 'static,
-    {
-        Box::new(RawPreparedLog { buf, expected_ops })
-    }
-
-    /// Replay a batch of prepared slices in order — equivalent to
-    /// replaying each via [`PreparedLog::replay`]. Structures override
-    /// this to amortize work across consecutive slices (e.g. the list
-    /// replay session). On failure reports the batch index of the
-    /// failing slice so callers can attribute it to a journal sequence.
-    fn replay_prepared(
-        &mut self,
-        items: Vec<Box<dyn PreparedLog<Self>>>,
-    ) -> Result<usize, PreparedReplayError>
-    where
-        Self: Sized,
-    {
-        let mut total = 0;
-        for (index, item) in items.into_iter().enumerate() {
-            total += item
-                .replay(self)
-                .map_err(|error| PreparedReplayError { index, error })?;
-        }
-        Ok(total)
+    /// Replay journaled commits in order. Each is a committed slice
+    /// (wire-compatible with [`Persist::apply_log`]) with the operation
+    /// count its journal frame declared; each is applied, checked against
+    /// that count and sealed ([`replay_each`]). Structures override this
+    /// to amortize work across consecutive commits (the list replay
+    /// session) with the same result and the same errors. On failure
+    /// reports the index of the failing commit.
+    fn replay_commits(&mut self, commits: Vec<(Bytes, u64)>) -> Result<usize, PreparedReplayError> {
+        replay_each(self, commits)
     }
 }
 
@@ -305,10 +258,9 @@ macro_rules! persist_log_methods {
     };
 }
 
-/// Pre-decoded insert-only list commit: `(position, value start, run
-/// length)` spans in op order over a flat value buffer — the input shape
-/// of [`sm_ot::list::plan_insert_batch`], consumed by
-/// `ListReplaySession`.
+/// Decoded insert-only list commit: `(position, value start, run length)`
+/// spans in op order over a flat value buffer — the input shape of
+/// [`sm_ot::list::plan_insert_batch`], consumed by `ListReplaySession`.
 pub struct ListPreparedLog<T: Element> {
     spans: Vec<(usize, usize, usize)>,
     /// Per-span: encoded as `InsertRun` (true) or `Insert` (false), so
@@ -319,61 +271,59 @@ pub struct ListPreparedLog<T: Element> {
     min_pos: usize,
 }
 
-/// Fused single-pass decoder for the list fast lane: accepts a committed
-/// slice made solely of `Insert`/`InsertRun` ops. Returns `None` — raw
-/// fallback, preserving sequential error semantics byte-for-byte — on a
-/// declared-count mismatch, non-insert tags, empty runs (which the
-/// sequential path bounds-checks before discovering they are no-ops),
-/// trailing bytes, or any decode failure.
-fn decode_insert_only<T>(buf: &Bytes, expected_ops: u64) -> Option<ListPreparedLog<T>>
-where
-    T: Element + Decode,
-{
-    let mut buf = buf.clone();
-    let count = sm_codec::get_varint(&mut buf).ok()?;
-    if count != expected_ops || count > buf.remaining() as u64 {
-        return None;
-    }
-    let mut spans = Vec::with_capacity(count as usize);
-    let mut runs = Vec::with_capacity(count as usize);
-    let mut values: Vec<T> = Vec::with_capacity(count as usize);
-    let mut min_pos = usize::MAX;
-    for _ in 0..count {
-        if !buf.has_remaining() {
+impl<T: Element + Decode> MList<T> {
+    /// Fused single-pass decoder for the list replay's batch lane: accepts
+    /// a committed slice made solely of `Insert`/`InsertRun` ops. Returns
+    /// `None` — plain [`Persist::apply_log`] replay, preserving its error
+    /// semantics byte-for-byte — on a declared-count mismatch, non-insert
+    /// tags, empty runs (which the plain path bounds-checks before
+    /// discovering they are no-ops), trailing bytes, or any decode failure.
+    pub fn decode_log_prepared(mut buf: Bytes, expected_ops: u64) -> Option<ListPreparedLog<T>> {
+        let count = sm_codec::get_varint(&mut buf).ok()?;
+        if count != expected_ops || count > buf.remaining() as u64 {
             return None;
         }
-        match buf.get_u8() {
-            // Tags from the `ListOp` wire format (sm-codec).
-            0 => {
-                let at = usize::decode(&mut buf).ok()?;
-                spans.push((at, values.len(), 1));
-                runs.push(false);
-                values.push(T::decode(&mut buf).ok()?);
-                min_pos = min_pos.min(at);
+        let mut spans = Vec::with_capacity(count as usize);
+        let mut runs = Vec::with_capacity(count as usize);
+        let mut values: Vec<T> = Vec::with_capacity(count as usize);
+        let mut min_pos = usize::MAX;
+        for _ in 0..count {
+            if !buf.has_remaining() {
+                return None;
             }
-            3 => {
-                let at = usize::decode(&mut buf).ok()?;
-                let vs: Vec<T> = Vec::decode(&mut buf).ok()?;
-                if vs.is_empty() {
-                    return None;
+            match buf.get_u8() {
+                // Tags from the `ListOp` wire format (sm-codec).
+                0 => {
+                    let at = usize::decode(&mut buf).ok()?;
+                    spans.push((at, values.len(), 1));
+                    runs.push(false);
+                    values.push(T::decode(&mut buf).ok()?);
+                    min_pos = min_pos.min(at);
                 }
-                spans.push((at, values.len(), vs.len()));
-                runs.push(true);
-                values.extend(vs);
-                min_pos = min_pos.min(at);
+                3 => {
+                    let at = usize::decode(&mut buf).ok()?;
+                    let vs: Vec<T> = Vec::decode(&mut buf).ok()?;
+                    if vs.is_empty() {
+                        return None;
+                    }
+                    spans.push((at, values.len(), vs.len()));
+                    runs.push(true);
+                    values.extend(vs);
+                    min_pos = min_pos.min(at);
+                }
+                _ => return None,
             }
-            _ => return None,
         }
+        if buf.has_remaining() {
+            return None;
+        }
+        Some(ListPreparedLog {
+            spans,
+            runs,
+            values,
+            min_pos,
+        })
     }
-    if buf.has_remaining() {
-        return None;
-    }
-    Some(ListPreparedLog {
-        spans,
-        runs,
-        values,
-        min_pos,
-    })
 }
 
 /// Replays consecutive [`ListPreparedLog`] commits over a split
@@ -494,73 +444,35 @@ impl<T: Element> ListReplaySession<T> {
     }
 }
 
-impl<T, L> PreparedLog<L> for ListPreparedLog<T>
+/// [`Persist::replay_commits`] for the list-shaped leaves: insert-only
+/// commits go through one [`ListReplaySession`]; any other commit installs
+/// the session's state, replays plainly ([`replay_commit`]), and batching
+/// resumes from the result.
+fn replay_list_commits<T, L>(
+    data: &mut L,
+    commits: Vec<(Bytes, u64)>,
+) -> Result<usize, PreparedReplayError>
 where
-    T: Element,
+    T: Element + Decode,
     L: Leaf<Op = ListOp<T>> + Persist,
 {
-    fn replay(self: Box<Self>, data: &mut L) -> Result<usize, ReplayError> {
-        let mut session = ListReplaySession::new(data.versioned().state().clone());
-        let n = session.apply(*self)?;
-        data.versioned_mut().set_state(session.into_tree());
-        data.seal_history();
-        Ok(n)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// Prepared-replay overrides for the list-shaped structures: decode
-/// turns insert-only slices into [`ListPreparedLog`]s, and batched replay
-/// threads one [`ListReplaySession`] through consecutive slices.
-/// `$elem` is the impl's element type parameter (passed in explicitly:
-/// macro bodies cannot name the caller's generics hygienically).
-macro_rules! persist_list_prepared_methods {
-    ($elem:ident) => {
-        fn decode_log_prepared(buf: Bytes, expected_ops: u64) -> Box<dyn PreparedLog<Self>> {
-            match decode_insert_only::<$elem>(&buf, expected_ops) {
-                Some(prepared) => Box::new(prepared),
-                None => Box::new(RawPreparedLog { buf, expected_ops }),
+    let mut session = ListReplaySession::new(data.versioned().state().clone());
+    let mut total = 0;
+    for (index, (buf, expected)) in commits.into_iter().enumerate() {
+        let applied = match MList::<T>::decode_log_prepared(buf.clone(), expected) {
+            Some(prepared) => session.apply(prepared),
+            None => {
+                data.versioned_mut().set_state(session.into_tree());
+                let applied = replay_commit(data, buf, expected);
+                session = ListReplaySession::new(data.versioned().state().clone());
+                applied
             }
-        }
-
-        fn replay_prepared(
-            &mut self,
-            items: Vec<Box<dyn PreparedLog<Self>>>,
-        ) -> Result<usize, PreparedReplayError> {
-            let mut session = ListReplaySession::new(self.versioned().state().clone());
-            let mut total = 0;
-            for (index, item) in items.into_iter().enumerate() {
-                if item.as_any().is::<ListPreparedLog<$elem>>() {
-                    let prepared = item
-                        .into_any()
-                        .downcast::<ListPreparedLog<$elem>>()
-                        .expect("probed via as_any");
-                    total += session
-                        .apply(*prepared)
-                        .map_err(|error| PreparedReplayError { index, error })?;
-                } else {
-                    // Foreign slice (deletes/sets decode to raw bytes):
-                    // install the session state, replay through the
-                    // generic path, resume batching from the result.
-                    self.versioned_mut().set_state(session.into_tree());
-                    total += item
-                        .replay(self)
-                        .map_err(|error| PreparedReplayError { index, error })?;
-                    session = ListReplaySession::new(self.versioned().state().clone());
-                }
-            }
-            self.versioned_mut().set_state(session.into_tree());
-            self.seal_history();
-            Ok(total)
-        }
-    };
+        };
+        total += applied.map_err(|error| PreparedReplayError { index, error })?;
+    }
+    data.versioned_mut().set_state(session.into_tree());
+    data.seal_history();
+    Ok(total)
 }
 
 impl<T> Persist for MList<T>
@@ -576,7 +488,10 @@ where
     }
 
     persist_log_methods!();
-    persist_list_prepared_methods!(T);
+
+    fn replay_commits(&mut self, commits: Vec<(Bytes, u64)>) -> Result<usize, PreparedReplayError> {
+        replay_list_commits(self, commits)
+    }
 }
 
 impl<T> Persist for MQueue<T>
@@ -592,7 +507,10 @@ where
     }
 
     persist_log_methods!();
-    persist_list_prepared_methods!(T);
+
+    fn replay_commits(&mut self, commits: Vec<(Bytes, u64)>) -> Result<usize, PreparedReplayError> {
+        replay_list_commits(self, commits)
+    }
 }
 
 impl Persist for MText {

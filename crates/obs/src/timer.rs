@@ -64,11 +64,11 @@ phases! {
     SnapshotWrite => "snapshot_write",
     /// Crash recovery: snapshot load plus journal-suffix replay.
     RecoveryReplay => "recovery_replay",
-    /// Recovery's scan: segment read, frame CRC, record decode, chain
-    /// verification and prepared-log decode.
+    /// Recovery's scan: segment read, frame CRC, record decode and chain
+    /// verification. The commits' operations stay undecoded.
     RecoveryDecode => "recovery_decode",
-    /// Recovery's replay of the verified prepared logs onto the
-    /// recovered state.
+    /// Recovery's replay: decoding each verified commit's operations and
+    /// applying them to the recovered state.
     RecoveryApply => "recovery_apply",
     /// Encoding a distributed wire message for transmission.
     WireEncode => "wire_encode",

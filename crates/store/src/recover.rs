@@ -6,9 +6,9 @@
 //! 1. The highest decodable snapshot is the base state.
 //! 2. The WAL suffix (commits with `seq` above the base) replays in
 //!    strict sequence order through the ordinary OT apply path
-//!    ([`Persist::apply_log`] or its prepared equivalent) — the same
-//!    code path a live merge uses, which is why the reconstructed state
-//!    is bit-identical to the original run's.
+//!    ([`Persist::apply_log`], or a batched equivalent with the same
+//!    result) — the same code path a live merge uses, which is why the
+//!    reconstructed state is bit-identical to the original run's.
 //! 3. Every replayed record's FNV digest chain is recomputed and checked
 //!    against the journaled value; any mismatch refuses recovery
 //!    ([`StoreError::DigestMismatch`]) rather than starting from silently
@@ -23,21 +23,23 @@
 //! [`Store::recover`] reads the journal once, on the calling thread, in
 //! `seq` order: one loop over the WAL frames (`scan`) checks every CRC,
 //! sequence number and chain link against one chain map, truncates a
-//! torn tail and pre-decodes each verified commit
-//! ([`Persist::decode_log_prepared`]); [`Persist::replay_prepared`] then
-//! applies the lot, amortizing work across consecutive commits (e.g. the
-//! list replay session). [`Store::recover_serial`] is the reference the
-//! differential tests compare it with: the same loop, then one plain
+//! torn tail and keeps each verified commit's op bytes undecoded;
+//! [`Persist::replay_commits`] then decodes and applies each commit in
+//! turn, amortizing work across consecutive commits (e.g. the list replay
+//! session). [`Store::recover_serial`] is the reference the differential
+//! tests compare it with: the same scan, then [`replay_each`]'s plain
 //! [`Persist::apply_log`] per commit. Both verify the whole journal
-//! before applying any operation, so they accept the same prefix and
-//! refuse a damaged journal with the same error.
+//! before applying any operation and word a replay failure alike, so
+//! they accept the same prefix and refuse a damaged journal with the
+//! same error.
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
+use sm_mergeable::persist::{replay_each, PreparedReplayError};
 use sm_mergeable::{Persist, ReplayError};
 use sm_net::frame::Frames;
 use sm_obs::{emit, EventKind, TaskPath};
@@ -121,9 +123,10 @@ fn load_base<D: Persist>(dir: &Path) -> Result<Option<ReplayBase<D>>, StoreError
 }
 
 /// The verified journal suffix, as [`scan`] leaves it.
-struct Journal<T> {
-    /// One entry per commit, contiguous in `seq` from the base's + 1.
-    commits: Vec<T>,
+struct Journal {
+    /// One `(ops, ops_count)` per commit, contiguous in `seq` from the
+    /// base's + 1.
+    commits: Vec<(Bytes, u64)>,
     /// Digest chain per child path, as of the last commit.
     chains: BTreeMap<Vec<u64>, u64>,
     torn_bytes: u64,
@@ -133,14 +136,13 @@ struct Journal<T> {
 /// `chains`): frame CRC, record decode, sequence continuity, and each
 /// commit's chain link against its child path's running chain. A frame
 /// error ends the final segment as a torn tail (truncated here) and
-/// fails closed anywhere else. A verified commit's `(ops, ops_count)`
-/// goes through `prepare`; nothing is applied.
-fn scan<T>(
+/// fails closed anywhere else. Nothing is decoded past the record or
+/// applied.
+fn scan(
     wals: &[(u64, PathBuf)],
     base_seq: u64,
     mut chains: BTreeMap<Vec<u64>, u64>,
-    prepare: impl Fn(Bytes, u64) -> T,
-) -> Result<Journal<T>, StoreError> {
+) -> Result<Journal, StoreError> {
     let mut commits = Vec::new();
     let mut torn_bytes = 0;
     for (i, (_, path)) in wals.iter().enumerate() {
@@ -176,7 +178,7 @@ fn scan<T>(
                 });
             }
             chains.insert(commit.child, computed);
-            commits.push(prepare(commit.ops, commit.ops_count));
+            commits.push((commit.ops, commit.ops_count));
         }
         if let Some(trailer) = frames.trailer() {
             if i + 1 != wals.len() {
@@ -231,60 +233,23 @@ impl Store {
     /// [`run_with_store`](crate::run_with_store)). Fails closed on
     /// interior corruption or digest mismatch; see the module docs for
     /// the exact rules.
-    pub fn recover<D: Persist + 'static>(&self) -> Result<Option<Recovered<D>>, StoreError> {
-        self.recover_with(D::decode_log_prepared, |data: &mut D, first_seq, items| {
-            let replayed = data.replay_prepared(items).map(|n| n as u64);
-            replayed.map_err(|e| {
-                let seq = first_seq + e.index as u64;
-                match e.error {
-                    // A count that disagrees with the frame is journal
-                    // corruption, worded as the reference words it.
-                    err @ ReplayError::Count { .. } => {
-                        StoreError::Corrupt(format!("commit {seq} {err}"))
-                    }
-                    error => StoreError::Replay { seq, error },
-                }
-            })
-        })
+    pub fn recover<D: Persist>(&self) -> Result<Option<Recovered<D>>, StoreError> {
+        self.recover_with(D::replay_commits)
     }
 
     /// [`Store::recover`] with the plain replay: the reference —
     /// differential tests recover the same journal both ways and compare
     /// states, digest chains and refusals.
     pub fn recover_serial<D: Persist>(&self) -> Result<Option<Recovered<D>>, StoreError> {
-        self.recover_with(
-            |ops, ops_count| (ops, ops_count),
-            |data: &mut D, first_seq, commits| {
-                let mut replayed = 0;
-                for (seq, (mut ops, ops_count)) in (first_seq..).zip(commits) {
-                    let applied = data
-                        .apply_log(&mut ops)
-                        .map_err(|error| StoreError::Replay { seq, error })?;
-                    if applied as u64 != ops_count || ops.has_remaining() {
-                        return Err(StoreError::Corrupt(format!(
-                            "commit {seq} replayed {applied} of {ops_count} ops with {} trailing bytes",
-                            ops.remaining()
-                        )));
-                    }
-                    replayed += applied as u64;
-                    // The original run sealed its history at every commit;
-                    // the replayed structure carries the same fuse barriers.
-                    // They also keep replay linear: without them tail fusion
-                    // rebuilds one ever-growing span op on every operation.
-                    data.seal_history();
-                }
-                Ok(replayed)
-            },
-        )
+        self.recover_with(replay_each::<D>)
     }
 
-    /// Both recoveries: load the base, [`scan`] the journal through
-    /// `prepare`, let `apply` replay the verified commits (given the
-    /// first one's `seq`; returns the operation count), prime the store.
-    fn recover_with<D: Persist, T>(
+    /// Both recoveries: load the base, [`scan`] the journal, let `replay`
+    /// apply the verified commits (returns the operation count), prime
+    /// the store.
+    fn recover_with<D: Persist>(
         &self,
-        prepare: impl Fn(Bytes, u64) -> T,
-        apply: impl FnOnce(&mut D, u64, Vec<T>) -> Result<u64, StoreError>,
+        replay: impl FnOnce(&mut D, Vec<(Bytes, u64)>) -> Result<usize, PreparedReplayError>,
     ) -> Result<Option<Recovered<D>>, StoreError> {
         recover_telemetry(|| {
             let mut inner = self.inner.lock();
@@ -294,7 +259,7 @@ impl Store {
             let wals = list_files(&inner.dir, "wal-")?;
 
             let decode_span = sm_obs::timer::start(sm_obs::Phase::RecoveryDecode);
-            let journal = scan(&wals, base.seq, base.chains, prepare);
+            let journal = scan(&wals, base.seq, base.chains);
             if let Some(span) = decode_span {
                 span.finish_root();
             }
@@ -308,7 +273,17 @@ impl Store {
             let apply_span = sm_obs::timer::start(sm_obs::Phase::RecoveryApply);
             let mut data = base.data;
             let last_seq = base.seq + journal.commits.len() as u64;
-            let replayed_ops = apply(&mut data, base.seq + 1, journal.commits)?;
+            let replayed_ops = replay(&mut data, journal.commits).map_err(|e| {
+                let seq = base.seq + 1 + e.index as u64;
+                match e.error {
+                    // A count that disagrees with the frame is journal
+                    // corruption, not a failed operation.
+                    err @ ReplayError::Count { .. } => {
+                        StoreError::Corrupt(format!("commit {seq} {err}"))
+                    }
+                    error => StoreError::Replay { seq, error },
+                }
+            })? as u64;
             if let Some(span) = apply_span {
                 span.finish_root();
             }

@@ -1,7 +1,9 @@
 //! Tamper cases that need the crate-private chain function: a forger who
 //! recomputes the tampered commit's own chain value makes *that* link
 //! verify, so the chain must catch the forgery at the child's next
-//! commit — inside the same segment and across a segment boundary.
+//! commit — inside the same segment and across a segment boundary. A
+//! rewritten `ops_count`, which the chain does not cover, must be refused
+//! by both recoveries in the same words.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,6 +13,7 @@ use sm_mergeable::MList;
 use sm_net::frame::{encode_frame, Frames};
 use sm_obs::TaskPath;
 
+use super::Recovered;
 use crate::wal::{chain_update, CommitRecord, Record, FNV_OFFSET};
 use crate::{Store, StoreError, StoreOptions};
 
@@ -69,28 +72,92 @@ fn interleaved_journal(tag: &str) -> (PathBuf, StoreOptions, Vec<(usize, CommitR
     (dir, options, journal)
 }
 
+/// Re-frame every segment of `dir`, passing commit `seq` through `edit`.
+fn rewrite_commit(dir: &Path, seq: u64, mut edit: impl FnMut(&mut CommitRecord)) {
+    for segment in segments(dir) {
+        let mut out = Vec::new();
+        for mut commit in commits(&segment) {
+            if commit.seq == seq {
+                edit(&mut commit);
+            }
+            encode_frame(Record::Commit(commit).to_bytes().as_slice(), &mut out);
+        }
+        fs::write(&segment, out).unwrap();
+    }
+}
+
 /// Rewrite commit `seq` with its last op byte changed (a pushed value's
 /// low bit, so the ops still decode and apply) and its chain value
 /// recomputed over the tampered bytes, as a forger with the format in
 /// hand would.
 fn forge_commit(dir: &Path, journal: &[(usize, CommitRecord)], seq: u64) {
-    let (segment_index, target) = &journal[seq as usize - 1];
+    let (_, target) = &journal[seq as usize - 1];
     let prev_chain = journal[..seq as usize - 1]
         .iter()
         .rev()
         .find(|(_, c)| c.child == target.child)
         .map_or(FNV_OFFSET, |(_, c)| c.chain);
-    let mut out = Vec::new();
-    for mut commit in commits(&segments(dir)[*segment_index]) {
-        if commit.seq == seq {
-            let mut ops = commit.ops.to_vec();
-            *ops.last_mut().unwrap() ^= 0x01;
-            commit.chain = chain_update(prev_chain, seq, &ops);
-            commit.ops = Bytes::copy_from_slice(&ops);
-        }
-        encode_frame(Record::Commit(commit).to_bytes().as_slice(), &mut out);
+    rewrite_commit(dir, seq, |commit| {
+        let mut ops = commit.ops.to_vec();
+        *ops.last_mut().unwrap() ^= 0x01;
+        commit.chain = chain_update(prev_chain, seq, &ops);
+        commit.ops = Bytes::copy_from_slice(&ops);
+    });
+}
+
+/// One recovery of `dir` on a fresh store: the reference or the real one.
+fn recover_list(dir: &Path, options: &StoreOptions, serial: bool) -> RecoverResult {
+    let store = Store::open(dir, options.clone()).unwrap();
+    if serial {
+        store.recover_serial()
+    } else {
+        store.recover()
     }
-    fs::write(&segments(dir)[*segment_index], out).unwrap();
+}
+
+type RecoverResult = Result<Option<Recovered<MList<u64>>>, StoreError>;
+
+#[test]
+fn a_miscounted_commit_is_refused_alike_by_both_recoveries() {
+    // Commit 2 only inserts (the list replay's batch lane); commit 3
+    // deletes (plain `apply_log`). The chain does not cover `ops_count`.
+    let edits: [fn(&mut MList<u64>); 3] = [
+        |d| d.push(3),
+        |d| {
+            d.insert(0, 4);
+            d.push(5);
+        },
+        |d| {
+            d.remove(1);
+            d.push(6);
+        },
+    ];
+    for seq in [2u64, 3] {
+        let dir = scratch_dir(&format!("miscount-{seq}"));
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let mut data = MList::from_vec(vec![1u64, 2]);
+        store.begin(&data).unwrap();
+        for edit in edits {
+            edit(&mut data);
+            store.commit_now(&data, &TaskPath::root().child(1)).unwrap();
+        }
+        drop(store);
+        let mut held = 0;
+        rewrite_commit(&dir, seq, |commit| {
+            held = commit.ops_count;
+            commit.ops_count += 1;
+        });
+        let expected = format!(
+            "commit {seq} replayed {held} of {} ops with 0 trailing bytes",
+            held + 1
+        );
+        for serial in [true, false] {
+            match recover_list(&dir, &StoreOptions::default(), serial) {
+                Err(StoreError::Corrupt(msg)) if msg == expected => {}
+                other => panic!("commit {seq} (serial={serial}): want {expected:?}, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -121,13 +188,7 @@ fn forged_chain_link_is_caught_at_the_childs_next_commit() {
         forge_commit(&dir, &journal, seq);
         let caught_at = next_of(seq).1.seq;
         for serial in [true, false] {
-            let store = Store::open(&dir, options.clone()).unwrap();
-            let result = if serial {
-                store.recover_serial::<MList<u64>>()
-            } else {
-                store.recover::<MList<u64>>()
-            };
-            match result {
+            match recover_list(&dir, &options, serial) {
                 Err(StoreError::DigestMismatch { seq: at, .. }) if at == caught_at => {}
                 other => panic!(
                     "{case} (serial={serial}): forged commit {seq} must trip the chain \

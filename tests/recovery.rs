@@ -656,15 +656,14 @@ fn mid_stream_crash_recovery_converges_with_uninterrupted_run() {
     );
 }
 
-/// `recover` (one scan, then the prepared replay lane) and the
-/// `recover_serial` reference (the same scan, then per-commit
-/// `apply_log`) must be observationally identical: same state, same
-/// per-child digest chains, same bookkeeping, same primed store — on a
-/// mixed-op journal (raw fallback lane), an insert-only journal (batch
-/// lane) and a journal with a stale pre-snapshot segment. (The name
-/// predates the removal of the threaded scan.)
+/// `recover` (one scan, then `replay_commits`, which the list types
+/// batch) and the `recover_serial` reference (the same scan, then
+/// per-commit `apply_log`) must be observationally identical: same state,
+/// same per-child digest chains, same bookkeeping, same primed store — on
+/// a mixed-op journal (plain lane), an insert-only journal (batch lane)
+/// and a journal with a stale pre-snapshot segment.
 #[test]
-fn parallel_and_serial_recovery_agree_on_state_and_chains() {
+fn recover_and_serial_recovery_agree_on_state_and_chains() {
     // Mixed multi-structure workload: three children per round plus
     // root-local counter edits, so several digest chains interleave.
     let dir = scratch_dir("differential-mixed");
@@ -683,20 +682,20 @@ fn parallel_and_serial_recovery_agree_on_state_and_chains() {
         .recover_serial::<Doc>()
         .unwrap()
         .expect("journal exists");
-    let parallel = Store::open(&dir, StoreOptions::default())
+    let recovered = Store::open(&dir, StoreOptions::default())
         .unwrap()
         .recover::<Doc>()
         .unwrap()
         .expect("journal exists");
     assert_eq!(doc_digest(&serial.data), doc_digest(&live));
-    assert_eq!(doc_digest(&parallel.data), doc_digest(&live));
+    assert_eq!(doc_digest(&recovered.data), doc_digest(&live));
     assert_eq!(
-        serial.chains, parallel.chains,
+        serial.chains, recovered.chains,
         "digest chains must match op-for-op"
     );
-    assert_eq!(serial.last_seq, parallel.last_seq);
-    assert_eq!(serial.replayed_ops, parallel.replayed_ops);
-    assert_eq!(serial.snapshot_seq, parallel.snapshot_seq);
+    assert_eq!(serial.last_seq, recovered.last_seq);
+    assert_eq!(serial.replayed_ops, recovered.replayed_ops);
+    assert_eq!(serial.snapshot_seq, recovered.snapshot_seq);
 
     // Insert-only journal across several segments: the shape the batch
     // replay lane accelerates.
@@ -724,22 +723,22 @@ fn parallel_and_serial_recovery_agree_on_state_and_chains() {
         .recover_serial::<MList<u64>>()
         .unwrap()
         .expect("journal exists");
-    let parallel = Store::open(&dir, options)
+    let recovered = Store::open(&dir, options)
         .unwrap()
         .recover::<MList<u64>>()
         .unwrap()
         .expect("journal exists");
     assert_eq!(serial.data.to_vec(), data.to_vec());
-    assert_eq!(parallel.data.to_vec(), data.to_vec());
-    assert_eq!(serial.chains, parallel.chains);
-    assert_eq!(serial.replayed_ops, parallel.replayed_ops);
+    assert_eq!(recovered.data.to_vec(), data.to_vec());
+    assert_eq!(serial.chains, recovered.chains);
+    assert_eq!(serial.replayed_ops, recovered.replayed_ops);
 
     // A snapshot that left its covered segments behind (KeepAll is the
     // crash between snapshot and prune): both recoveries skip the stale
     // commits, and both prime the store alike — the next commit journals
     // the same slice on the same chain and advances the history marks by
     // the same amount. (The marks themselves are each recovery's own
-    // numbering: the prepared lane installs replayed state without
+    // numbering: the list batch lane installs replayed state without
     // re-recording the history the journal already holds.)
     let dir = scratch_dir("differential-stale");
     let options = StoreOptions {
@@ -801,8 +800,8 @@ fn parallel_and_serial_recovery_agree_on_state_and_chains() {
         )
     };
     let serial = continued(&copy_dir(&dir, "differential-stale-serial"), true);
-    let parallel = continued(&copy_dir(&dir, "differential-stale-shipped"), false);
-    assert_eq!(serial, parallel);
+    let recovered = continued(&copy_dir(&dir, "differential-stale-shipped"), false);
+    assert_eq!(serial, recovered);
 }
 
 /// Stores used to write delta snapshots too: `snap-delta-<seq>` files
