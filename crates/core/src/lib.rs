@@ -81,7 +81,7 @@ pub use sm_mergeable as mergeable;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_mergeable::{MCounter, MList, MRegister};
+    use sm_mergeable::{MCounter, MList, MQueue, MRegister, Mergeable};
 
     #[test]
     fn listing1_spawn_and_merge() {
@@ -463,6 +463,12 @@ mod tests {
                 value: self.value.fork(),
             }
         }
+        fn pristine(&self) -> Self {
+            CloneProbe {
+                clones: self.clones.clone(),
+                value: self.value.pristine(),
+            }
+        }
         fn merge(&mut self, child: &Self) -> Result<mergeable::MergeStats, mergeable::MergeError> {
             self.value.merge(&child.value)
         }
@@ -475,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn root_task_keeps_no_pristine_copy() {
+    fn no_task_clones_its_data() {
         use std::sync::atomic::Ordering::SeqCst;
         let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let probe = CloneProbe {
@@ -484,16 +490,120 @@ mod tests {
         };
         let (data, ()) = run(probe, |ctx| {
             ctx.data_mut().value.inc();
-            assert_eq!(clones.load(SeqCst), 0, "the root cannot Clone: no copy");
             ctx.spawn(|c| {
+                c.data_mut().value.inc();
+                c.sync()?;
                 c.data_mut().value.inc();
                 Ok(())
             });
-            ctx.merge_all();
+            ctx.merge_all(); // the sync
+            ctx.merge_all(); // the completion
         });
-        assert_eq!(data.value.get(), 2);
-        // Only the child keeps the copy a `clone_task` sibling would start from.
-        assert_eq!(clones.load(SeqCst), 1);
+        assert_eq!(data.value.get(), 3);
+        assert_eq!(clones.load(SeqCst), 0, "spawn, Sync and merge copy nothing");
+    }
+
+    sm_mergeable::mergeable_struct! {
+        #[derive(Debug, Clone)]
+        struct Shared {
+            list: MList<u32>,
+            queue: MQueue<u32>,
+            count: MCounter,
+            flag: MRegister<bool>,
+        }
+    }
+
+    /// What a sibling inherits: the values, the fork marks and no local
+    /// operations.
+    type Start = ((Vec<u32>, Vec<u32>, i64, bool), Vec<usize>, usize);
+
+    fn start_of(d: &Shared) -> Start {
+        let mut marks = Vec::new();
+        d.fork_marks(&mut marks);
+        let values = (
+            d.list.to_vec(),
+            d.queue.to_vec(),
+            d.count.get(),
+            *d.flag.get(),
+        );
+        (values, marks, d.pending_ops())
+    }
+
+    /// `Clone` a sibling and report what it started from.
+    fn sibling_start(ctx: &mut TaskCtx<Shared>) -> Start {
+        let (tx, rx) = std::sync::mpsc::channel();
+        ctx.clone_task(move |sib| {
+            tx.send(start_of(sib.data()))
+                .expect("the cloner is waiting");
+            Ok(())
+        })
+        .expect("a child can Clone");
+        rx.recv().expect("the sibling reports")
+    }
+
+    /// A `Clone`d sibling starts from what a `clone()` of the cloner's data
+    /// held right after its fork (or its last accepted `Sync`), whatever
+    /// wrote the data since: field writes, a `pop_front`, a rejected
+    /// `Sync`, merges of the cloner's own children.
+    fn siblings_start_from_the_copy_the_cloner_was_handed(mode: sm_mergeable::CopyMode) {
+        let seen = within_10s(move || {
+            let data = Shared {
+                list: MList::from_vec_with_mode(vec![1, 2], mode),
+                queue: MQueue::from_vec_with_mode(vec![10, 20, 30], mode),
+                count: MCounter::with_mode(0, mode),
+                flag: MRegister::with_mode(false, mode),
+            };
+            let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+            run(data, |ctx| {
+                ctx.data_mut().list.push(3);
+                ctx.spawn(move |c| {
+                    let mut seen = Vec::new();
+                    // What a `clone()` of the data taken now would hold.
+                    let handed = start_of(c.data());
+                    c.data_mut().list.push(4);
+                    c.data_mut().count.add(2);
+                    seen.push(("field writes", handed.clone(), sibling_start(c)));
+                    assert_eq!(c.data_mut().queue.pop_front(), Some(10));
+                    seen.push(("pop_front", handed.clone(), sibling_start(c)));
+                    c.data_mut().count.add(1000);
+                    assert_eq!(c.sync(), Err(SyncError::MergeRejected));
+                    seen.push(("rejected sync", handed, sibling_start(c)));
+                    c.data_mut().count.add(-1000);
+                    c.sync()?;
+                    let handed = start_of(c.data());
+                    c.data_mut().flag.set(true);
+                    for i in 0..2 {
+                        c.spawn(move |g| {
+                            g.data_mut().list.insert(0, 100 + i);
+                            g.data_mut().queue.push_back(i);
+                            Ok(())
+                        });
+                    }
+                    assert!(c.merge_all().all_merged());
+                    seen.push(("merged children", handed, sibling_start(c)));
+                    seen_tx.send(seen).expect("the test is waiting");
+                    Ok(())
+                });
+                ctx.merge_all_with(&|d: &Shared| d.count.get() < 100);
+                ctx.data_mut().queue.push_back(40);
+                ctx.merge_all();
+            });
+            seen_rx.recv().expect("the child reports")
+        });
+        assert_eq!(seen.len(), 4);
+        for (case, handed, sibling) in seen {
+            assert_eq!(sibling, handed, "{case} ({mode:?})");
+        }
+    }
+
+    #[test]
+    fn a_clone_starts_from_the_copy_the_cloner_was_handed() {
+        siblings_start_from_the_copy_the_cloner_was_handed(sm_mergeable::CopyMode::CopyOnWrite);
+    }
+
+    #[test]
+    fn a_clone_starts_from_the_copy_the_cloner_was_handed_under_deep_copies() {
+        siblings_start_from_the_copy_the_cloner_was_handed(sm_mergeable::CopyMode::Deep);
     }
 
     /// Run `program` on its own thread; fail instead of hanging the suite.
@@ -568,31 +678,49 @@ mod tests {
     }
 
     #[test]
-    fn a_sync_the_parent_drops_unanswered_fails_and_the_next_one_works() {
-        // The reply channel outlives one `sync`, but its only sender
-        // travels with the request: a parent that loses the request (here
-        // to a panicking condition) disconnects it, the child reads
-        // `ParentGone` instead of waiting forever, and its next `sync`
-        // starts a fresh channel — answered by the aborting parent's drain.
-        let report = within_10s(|| {
-            let (_, report) = run(MCounter::new(0), |ctx| {
-                ctx.spawn(|parent| {
-                    parent.spawn(|c| {
-                        assert_eq!(c.sync(), Err(SyncError::ParentGone));
-                        assert_eq!(c.sync(), Err(SyncError::Aborted));
+    fn a_sync_the_parent_drops_unanswered_loses_the_data_for_good() {
+        // The reply channel's only sender travels with the request: a
+        // parent that loses the request (here to a panicking condition,
+        // caught) disconnects it, and the child reads `ParentGone` instead
+        // of waiting forever. The data went with the request, so the next
+        // `sync` and a `Clone` say the same, and a child that carries on
+        // and returns `Ok` is reported aborted instead of taking the
+        // parent's drain down with it.
+        let (synced, report) = within_10s(|| {
+            let (synced_tx, synced_rx) = std::sync::mpsc::channel();
+            let (report_tx, report_rx) = std::sync::mpsc::channel();
+            run(MCounter::new(0), |ctx| {
+                ctx.spawn(move |parent| {
+                    parent.spawn(move |c| {
+                        for _ in 0..2 {
+                            synced_tx.send(c.sync()).expect("the test is waiting");
+                        }
+                        let cloned = c.clone_task(|_| Ok(())).map(|_| ());
+                        synced_tx.send(cloned).expect("the test is waiting");
                         Ok(())
                     });
-                    parent.merge_all_with(&|_| panic!("condition panicked"));
+                    let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        parent.merge_all_with(&|_| panic!("condition panicked"))
+                    }));
+                    assert!(merged.is_err(), "the condition panicked");
+                    report_tx
+                        .send(parent.merge_all())
+                        .expect("the test is waiting");
                     Ok(())
                 });
-                ctx.merge_all()
             });
-            report
+            let report = report_rx.recv().expect("the parent reports");
+            (synced_rx.try_iter().collect::<Vec<_>>(), report)
         });
-        assert!(matches!(
-            &report.children[0].disposition,
-            Disposition::AbortedByChild(AbortReason::Panic(msg)) if msg.contains("condition panicked")
-        ));
+        assert_eq!(synced, vec![Err(SyncError::ParentGone); 3]);
+        assert_eq!(report.children.len(), 1);
+        assert!(report.children[0].completed);
+        assert_eq!(
+            report.children[0].disposition,
+            Disposition::AbortedByChild(AbortReason::Error(
+                "sync failed: the parent task is gone".into()
+            ))
+        );
     }
 
     #[test]

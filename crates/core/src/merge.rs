@@ -20,10 +20,11 @@
 //! `merge_all` processes exactly one event per live child per call — which
 //! is what makes a `for { MergeAll() }` loop over syncing children proceed
 //! in deterministic rounds (the simulation pattern of listing 4). The
-//! syncing children of one call get their verdicts (and fresh forks, taken
-//! right after each one's own merge) together, after the last merge of the
-//! walk — or as soon as the walk has to block for a later child's event,
-//! which may depend on an earlier child having resumed.
+//! syncing children of one call get their verdicts (and their own data
+//! back, re-forked right after each one's own merge) together, after the
+//! last merge of the walk — or as soon as the walk has to block for a
+//! later child's event, which may depend on an earlier child having
+//! resumed.
 //!
 //! # Staging
 //!
@@ -475,18 +476,19 @@ impl<D: Mergeable> TaskCtx<D> {
                 self.children.remove(pos);
                 self.handle_done(child, externally_aborted, data, outcome, cond, None)
             }
-            EventBody::Sync { data, reply } => {
+            EventBody::Sync { mut data, reply } => {
                 let (verdict, disposition) = if externally_aborted {
                     (SyncReply::Rejected(data), Disposition::AbortedExternally)
                 } else if cond(&data) {
                     let stats = self.merge_child(&data, child, true, None);
-                    let fresh = self.data().fork();
-                    // The child continues from this fresh fork: its old
-                    // fork bases no longer pin the history.
+                    // The child continues on its own data, re-forked from
+                    // ours: a field nobody wrote keeps what it shares with
+                    // us. Its old fork bases no longer pin the history.
+                    data.refork(self.data());
                     let marks = &mut self.children[pos].fork_marks;
                     marks.clear();
-                    fresh.fork_marks(marks);
-                    (SyncReply::Accepted(fresh), Disposition::Merged(stats))
+                    data.fork_marks(marks);
+                    (SyncReply::Accepted(data), Disposition::Merged(stats))
                 } else {
                     (SyncReply::Rejected(data), Disposition::Rejected)
                 };

@@ -6,6 +6,11 @@
 //! [`TaskCtx`] (the handle a task function receives), [`spawn`]
 //! ([`TaskCtx::spawn`]), [`TaskCtx::sync`], [`TaskCtx::clone_task`] and
 //! external aborts; the `Merge*` family lives in [`crate::merge`].
+//!
+//! A task holds one copy of its data and no other. An accepted `Sync`
+//! hands the child its own data back, re-forked in place by the parent
+//! ([`Mergeable::refork`]), and a `Clone` builds its sibling's starting
+//! copy only when it is called ([`Mergeable::pristine`]).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +66,8 @@ pub(crate) struct Event<D> {
 
 /// Parent's verdict on a sync request.
 pub(crate) enum SyncReply<D> {
-    /// Changes merged; here is a fresh fork of the parent's data.
+    /// Changes merged; here is the child's data, re-forked from the
+    /// parent's in place.
     Accepted(D),
     /// Merge rejected (condition failed or externally aborted); the
     /// child's data is returned untouched.
@@ -159,15 +165,10 @@ impl std::fmt::Debug for TaskHandle {
 /// * [`is_aborted`](TaskCtx::is_aborted) — poll the external abort flag.
 pub struct TaskCtx<D: Mergeable> {
     /// The task's data; `None` transiently during `sync` and permanently
-    /// if the parent vanished mid-sync.
+    /// if the parent vanished mid-sync. A `Clone`d sibling starts from
+    /// its [`Mergeable::pristine`] copy ("it inherits the same initial
+    /// value of data from its sibling", §II-E).
     pub(crate) data: Option<D>,
-    /// A pristine fork of the data as received at spawn / last sync; this
-    /// is what `Clone`d siblings start from ("it inherits the same initial
-    /// value of data from its sibling", §II-E). `None` for the root task,
-    /// which cannot `Clone`: a copy there would only pin every initial
-    /// state and turn the root's first write to each field into a
-    /// copy-on-write copy.
-    pub(crate) pristine: Option<D>,
     pub(crate) id: TaskId,
     /// Globally unique, deterministic identity for observability.
     pub(crate) path: TaskPath,
@@ -203,14 +204,12 @@ impl<D: Mergeable> TaskCtx<D> {
         pool: Pool,
     ) -> Self {
         let (events_tx, events_rx) = unbounded();
-        let pristine = parent.is_some().then(|| data.clone());
         let path = match &parent {
             Some(family) => family.path.child(id),
             None => TaskPath::root(),
         };
         TaskCtx {
             data: Some(data),
-            pristine,
             id,
             path: path.clone(),
             parent,
@@ -342,21 +341,19 @@ impl<D: Mergeable> TaskCtx<D> {
     /// sibling at its next merge call and merges with it like any other
     /// child.
     ///
-    /// Returns an error on the root task (it has no parent to adopt the
-    /// sibling).
+    /// Returns [`SyncError::RootTask`] on the root task (it has no parent
+    /// to adopt the sibling), and [`SyncError::ParentGone`] once a failed
+    /// `sync` has lost the data.
     pub fn clone_task<F>(&mut self, f: F) -> Result<TaskHandle, SyncError>
     where
         F: FnOnce(&mut TaskCtx<D>) -> TaskResult + Send + 'static,
     {
         let parent = self.parent.as_ref().ok_or(SyncError::RootTask)?;
         let spawn_t0 = sm_obs::is_enabled().then(Instant::now);
+        // The sibling starts from the copy this task was handed, which
+        // carries the fork bases of that fork from the parent.
+        let data = self.data.as_ref().ok_or(SyncError::ParentGone)?.pristine();
         let id = parent.next_id.fetch_add(1, Ordering::Relaxed);
-        let data = self
-            .pristine
-            .clone()
-            .expect("every task with a parent keeps its pristine copy");
-        // The sibling starts from this task's pristine copy, which carries
-        // the fork bases of the original fork from the parent.
         let mut fork_marks = Vec::new();
         data.fork_marks(&mut fork_marks);
         // Register the sibling BEFORE it can run: the parent must be able
@@ -386,10 +383,12 @@ impl<D: Mergeable> TaskCtx<D> {
     /// completing the task and spawning a new one right after the merge —
     /// but readable.
     ///
-    /// On success the local data is replaced by the fresh fork. On
+    /// On success the local data is the fresh fork: the parent re-forks
+    /// the data it merged in place and hands it back. On
     /// [`SyncError::MergeRejected`] / [`SyncError::Aborted`] the local data
     /// is kept untouched (rollback semantics): the task may retry later,
-    /// continue, or abort.
+    /// continue, or abort. [`SyncError::ParentGone`] loses the data for
+    /// good, and every later `sync` reports it again.
     pub fn sync(&mut self) -> Result<(), SyncError> {
         let Some(parent) = self.parent.as_ref() else {
             return Err(SyncError::RootTask);
@@ -397,8 +396,10 @@ impl<D: Mergeable> TaskCtx<D> {
         if self.live_children() > 0 {
             return Err(SyncError::HasLiveChildren);
         }
+        let Some(data) = self.data.take() else {
+            return Err(SyncError::ParentGone);
+        };
         let (reply_tx, reply_rx) = self.reply.take().unwrap_or_else(|| bounded(1));
-        let data = self.data.take().expect("task data unavailable");
         emit(&self.path, || EventKind::SyncBlocked);
         let blocked_t0 = Instant::now();
         if parent
@@ -423,7 +424,6 @@ impl<D: Mergeable> TaskCtx<D> {
         self.emit_sync_resumed(blocked_t0, matches!(verdict, Some(SyncReply::Accepted(_))));
         match verdict {
             Some(SyncReply::Accepted(fresh)) => {
-                self.pristine = Some(fresh.clone());
                 self.data = Some(fresh);
                 Ok(())
             }
@@ -446,9 +446,10 @@ impl<D: Mergeable> TaskCtx<D> {
         });
     }
 
-    /// Consume the context, yielding the final data (root task teardown).
+    /// Consume the context, yielding the final data (root task teardown:
+    /// the root cannot `sync`, so its data is never lost).
     pub(crate) fn into_data(self) -> D {
-        self.data.expect("task data unavailable")
+        self.data.expect("the root task's data is never lost")
     }
 
     /// Move adopted (cloned) children into the ordered children list.
@@ -514,7 +515,15 @@ where
                 // merged (§II): implicit MergeAll until the tree below us is
                 // drained.
                 ctx.drain_children();
-                (Some(ctx.into_data()), TaskOutcome::Completed)
+                match ctx.data.take() {
+                    Some(data) => (Some(data), TaskOutcome::Completed),
+                    // A `sync` the parent dropped lost the data, and the
+                    // function carried on regardless.
+                    None => {
+                        let lost = TaskAbort::from(SyncError::ParentGone);
+                        (None, TaskOutcome::Aborted(AbortReason::Error(lost.reason)))
+                    }
+                }
             }
             Ok(Err(abort_err)) => {
                 ctx.abort_children_and_drain();

@@ -157,6 +157,21 @@ pub trait Mergeable: Clone + Send + 'static {
     #[must_use]
     fn fork(&self) -> Self;
 
+    /// Turn `self` into `parent.fork()` in place: what a child continues
+    /// on after `parent` merged it (`Sync`). The default builds the fork
+    /// and is always correct; the bundled structures keep whatever `self`
+    /// already shares with `parent`, so a field nobody wrote costs nothing.
+    fn refork(&mut self, parent: &Self) {
+        *self = parent.fork();
+    }
+
+    /// The copy a fork handed `self`: its value as of the fork (or the
+    /// last [`Mergeable::refork`]), before any local change, with the same
+    /// fork point — what a `Clone`d sibling starts from (§II-E). Built on
+    /// demand; nothing is copied until it is asked for.
+    #[must_use]
+    fn pristine(&self) -> Self;
+
     /// Merge a forked child's changes back into `self` via operational
     /// transformation.
     fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError>;
@@ -215,6 +230,8 @@ pub trait Mergeable: Clone + Send + 'static {
 impl Mergeable for () {
     fn fork(&self) -> Self {}
 
+    fn pristine(&self) -> Self {}
+
     fn merge(&mut self, _child: &Self) -> Result<MergeStats, MergeError> {
         Ok(MergeStats::default())
     }
@@ -234,6 +251,21 @@ impl Mergeable for () {
 impl<M: Mergeable> Mergeable for Vec<M> {
     fn fork(&self) -> Self {
         self.iter().map(Mergeable::fork).collect()
+    }
+
+    fn refork(&mut self, parent: &Self) {
+        // A drifted shape has no element-wise counterpart: fork whole.
+        if self.len() != parent.len() {
+            *self = parent.fork();
+            return;
+        }
+        for (m, p) in self.iter_mut().zip(parent) {
+            m.refork(p);
+        }
+    }
+
+    fn pristine(&self) -> Self {
+        self.iter().map(Mergeable::pristine).collect()
     }
 
     fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
@@ -309,8 +341,8 @@ impl<M: Mergeable> Mergeable for Vec<M> {
 /// How a structure's one [`Versioned`] log is reached: the whole
 /// obligation of a new mergeable structure (crate docs, *Implementing a
 /// new structure*). Every `Leaf` is [`Mergeable`] through one blanket
-/// impl: fork, merge, history GC, rollback and batch staging are written
-/// once, over the log.
+/// impl: fork, refork, pristine, merge, history GC, rollback and batch
+/// staging are written once, over the log.
 pub trait Leaf: Clone + Send + 'static {
     /// The OT algebra the structure records its mutations in.
     type Op: sm_ot::Operation;
@@ -353,6 +385,14 @@ impl<L: Leaf> Mergeable for L {
         L::wrap(self.versioned().fork())
     }
 
+    fn refork(&mut self, parent: &Self) {
+        self.versioned_mut().refork(parent.versioned());
+    }
+
+    fn pristine(&self) -> Self {
+        L::wrap(self.versioned().pristine())
+    }
+
     fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
         self.versioned_mut().merge(child.versioned())
     }
@@ -389,6 +429,10 @@ macro_rules! impl_mergeable_tuple {
         impl<$( $name: Mergeable ),+> Mergeable for ( $( $name, )+ ) {
             fn fork(&self) -> Self {
                 ( $( self.$idx.fork(), )+ )
+            }
+
+            fn pristine(&self) -> Self {
+                ( $( self.$idx.pristine(), )+ )
             }
 
             mergeable_struct!(@fieldwise $( $idx: $name as $name ),+);
@@ -437,14 +481,23 @@ macro_rules! mergeable_struct {
                 Self { $( $field: $crate::Mergeable::fork(&self.$field), )+ }
             }
 
+            fn pristine(&self) -> Self {
+                Self { $( $field: $crate::Mergeable::pristine(&self.$field), )+ }
+            }
+
             $crate::mergeable_struct!(@fieldwise $( $field: $fty as $field ),+);
         }
     };
-    // Every `Mergeable` method but `fork` (whose constructor is the
-    // caller's), field by field: `$f` reaches a field of type `$fty`
-    // (a name, or a tuple index) and `$stage` names the local holding
-    // that field's stage. The tuple impls expand this rule too.
+    // Every `Mergeable` method but `fork` and `pristine` (whose
+    // constructors are the caller's), field by field: `$f` reaches a
+    // field of type `$fty` (a name, or a tuple index) and `$stage` names
+    // the local holding that field's stage. The tuple impls expand this
+    // rule too.
     (@fieldwise $( $f:tt : $fty:ty as $stage:ident ),+) => {
+        fn refork(&mut self, parent: &Self) {
+            $( $crate::Mergeable::refork(&mut self.$f, &parent.$f); )+
+        }
+
         fn merge(&mut self, child: &Self) -> Result<$crate::MergeStats, $crate::MergeError> {
             let mut stats = $crate::MergeStats::default();
             $( stats += $crate::Mergeable::merge(&mut self.$f, &child.$f)?; )+

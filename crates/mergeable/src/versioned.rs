@@ -20,9 +20,16 @@
 //! copy the paper's unoptimized prototype performed — kept for the ablation
 //! benchmarks. Only a write pays: a merge that applies nothing (a child
 //! that recorded nothing, or a run the transform emptied) leaves the state
-//! shared, and forking a log nobody edited since its last fork is one
-//! `Arc` bump — so a `Sync` over a wide composite costs what the child
-//! touched, not what the composite holds.
+//! shared, forking a log nobody edited since its last fork is one `Arc`
+//! bump, and [`Versioned::refork`] turns a merged child back into a fork
+//! in place, keeping a state it already shares with the parent and its
+//! log's allocation — so a `Sync` over a wide composite costs what the
+//! child touched, not what the composite holds.
+//!
+//! A fork keeps the state it was handed from its first write on (one more
+//! `Arc` handle, taken where every state write goes through), so
+//! [`Versioned::pristine`] rebuilds that copy only when asked — a `Clone`d
+//! sibling's starting point. A root never keeps one.
 //!
 //! # Log compaction and truncation
 //!
@@ -244,6 +251,22 @@ pub struct Versioned<O: Operation> {
     /// would end up *between* two fused operations.
     fuse_barrier: AtomicUsize,
     mode: CopyMode,
+    /// The state this instance was handed at its fork, for
+    /// [`Versioned::pristine`].
+    origin: Origin<O::State>,
+}
+
+/// What a [`Versioned`] remembers of the state its fork handed it.
+#[derive(Debug, Clone)]
+enum Origin<S> {
+    /// Built by `new` / `with_mode`: a root was handed no copy.
+    Root,
+    /// A fork that has not written its state yet: the current state is
+    /// the one it was handed.
+    Forked,
+    /// A fork that has written: the state it was handed, kept at the
+    /// first write.
+    Kept(Arc<S>),
 }
 
 impl<O: Operation> Clone for Versioned<O> {
@@ -255,6 +278,7 @@ impl<O: Operation> Clone for Versioned<O> {
             fork_base: self.fork_base,
             fuse_barrier: AtomicUsize::new(self.fuse_barrier.load(Ordering::Relaxed)),
             mode: self.mode,
+            origin: self.origin.clone(),
         }
     }
 }
@@ -275,6 +299,7 @@ impl<O: Operation> Versioned<O> {
             fork_base: 0,
             fuse_barrier: AtomicUsize::new(0),
             mode,
+            origin: Origin::Root,
         }
     }
 
@@ -358,9 +383,19 @@ impl<O: Operation> Versioned<O> {
     /// Fails if the operation does not apply to the current state; the
     /// state is left unchanged and nothing is recorded.
     pub fn record(&mut self, op: O) -> Result<(), ApplyError> {
-        op.apply(Arc::make_mut(&mut self.state))?;
+        op.apply(Arc::make_mut(self.state_slot()))?;
         self.push_op(op);
         Ok(())
+    }
+
+    /// The state handle, for a write. Every state write goes through
+    /// here: a fork's first write keeps the state it was handed, which
+    /// [`Versioned::pristine`] returns.
+    fn state_slot(&mut self) -> &mut Arc<O::State> {
+        if let Origin::Forked = self.origin {
+            self.origin = Origin::Kept(Arc::clone(&self.state));
+        }
+        &mut self.state
     }
 
     /// Apply and record an operation that the caller has already validated.
@@ -381,7 +416,7 @@ impl<O: Operation> Versioned<O> {
     /// a fully GC'd history — both export future committed slices
     /// relative to marks captured after the install.
     pub(crate) fn set_state(&mut self, state: O::State) {
-        self.state = Arc::new(state);
+        *self.state_slot() = Arc::new(state);
     }
 
     /// Record `op` while performing the state mutation through `mutate`,
@@ -390,7 +425,7 @@ impl<O: Operation> Versioned<O> {
     /// need to *read* the state (e.g. remove-and-return), instead of one
     /// access to read and a second inside `record`.
     pub fn record_with<R>(&mut self, op: O, mutate: impl FnOnce(&mut O::State) -> R) -> R {
-        let result = mutate(Arc::make_mut(&mut self.state));
+        let result = mutate(Arc::make_mut(self.state_slot()));
         self.push_op(op);
         result
     }
@@ -415,17 +450,68 @@ impl<O: Operation> Versioned<O> {
     /// writes nothing shared: one load and the `Arc` bump.
     #[must_use]
     pub fn fork(&self) -> Self {
-        let here = self.history_len();
-        if self.fuse_barrier.load(Ordering::Relaxed) < here {
-            self.fuse_barrier.fetch_max(here, Ordering::Relaxed);
-        }
         Versioned {
             state: self.share_state(),
             log: Vec::new(),
             log_start: 0,
-            fork_base: here,
+            fork_base: self.fork_point(),
             fuse_barrier: AtomicUsize::new(0),
             mode: self.mode,
+            origin: Origin::Forked,
+        }
+    }
+
+    /// The fork point a fork taken now gets: the present history length,
+    /// with the fuse barrier raised to it (see [`Versioned::fork`]).
+    fn fork_point(&self) -> usize {
+        let here = self.history_len();
+        if self.fuse_barrier.load(Ordering::Relaxed) < here {
+            self.fuse_barrier.fetch_max(here, Ordering::Relaxed);
+        }
+        here
+    }
+
+    /// Turn `self` into `parent.fork()` in place — what a child that
+    /// `parent` has just merged continues on. The state is kept when it
+    /// already is the parent's under copy-on-write (nobody wrote it since
+    /// the last fork or refork), so an untouched log costs no allocation:
+    /// the log keeps its buffer, and the kept origin is dropped.
+    pub fn refork(&mut self, parent: &Self) {
+        let shared =
+            parent.mode == CopyMode::CopyOnWrite && Arc::ptr_eq(&self.state, &parent.state);
+        if !shared {
+            self.state = parent.share_state();
+        }
+        self.log.clear();
+        self.log_start = 0;
+        self.fork_base = parent.fork_point();
+        *self.fuse_barrier.get_mut() = 0;
+        self.mode = parent.mode;
+        self.origin = Origin::Forked;
+    }
+
+    /// The copy this instance's fork handed it: the state as of the fork
+    /// (or the last [`Versioned::refork`]), an empty log, the same fork
+    /// point — field for field what a `clone()` taken right after the fork
+    /// would hold. O(1): the state is shared. A root, which was handed
+    /// nothing, returns its current state.
+    #[must_use]
+    pub fn pristine(&self) -> Self {
+        let state = match &self.origin {
+            Origin::Kept(state) => Arc::clone(state),
+            Origin::Root | Origin::Forked => Arc::clone(&self.state),
+        };
+        Versioned {
+            state,
+            log: Vec::new(),
+            log_start: 0,
+            fork_base: self.fork_base,
+            fuse_barrier: AtomicUsize::new(0),
+            mode: self.mode,
+            origin: match self.origin {
+                Origin::Root => Origin::Root,
+                _ => Origin::Forked,
+            },
         }
     }
 
@@ -501,7 +587,7 @@ impl<O: Operation> Versioned<O> {
         if run.is_empty() {
             return Ok(());
         }
-        let state = Arc::make_mut(&mut self.state);
+        let state = Arc::make_mut(self.state_slot());
         for op in run {
             op.apply(state)?;
         }
@@ -606,7 +692,7 @@ impl<O: Operation> Versioned<O> {
             self.history_len()
         );
         assert!(fork.log.is_empty(), "rollback target was modified");
-        self.state = fork.share_state();
+        *self.state_slot() = fork.share_state();
         self.log.truncate(fork.fork_base - self.log_start);
         // `fork()` left the barrier exactly here (barrier ≤ history length
         // always); seals and later forks since then are being undone.
@@ -616,7 +702,14 @@ impl<O: Operation> Versioned<O> {
     /// Whether the state allocation is currently shared with a fork
     /// (diagnostic; used by the copy-on-write tests and benches).
     pub fn state_is_shared(&self) -> bool {
-        Arc::strong_count(&self.state) > 1
+        self.state_handles() > 1
+    }
+
+    /// How many handles hold the state allocation: this instance, the
+    /// forks sharing it, and the forks that keep it as the state they
+    /// were handed (diagnostic, like [`Versioned::state_is_shared`]).
+    pub fn state_handles(&self) -> usize {
+        Arc::strong_count(&self.state)
     }
 }
 
@@ -1070,6 +1163,75 @@ mod tests {
         assert!(parent.state_is_shared() && younger.state_is_shared());
         assert_eq!((parent.pending_ops(), parent.history_len()), (1, 1));
         assert_eq!(parent.state(), &vec![2, 3]);
+    }
+
+    /// `child`'s pristine copy: what a `clone()` of the fork held.
+    fn assert_pristine(child: &V, handed: &V, path: &str) {
+        let pristine = child.pristine();
+        assert_eq!(pristine.state(), handed.state(), "{path}: state");
+        assert_eq!(
+            (
+                pristine.pending_ops(),
+                pristine.log_start(),
+                pristine.fork_base()
+            ),
+            (0, 0, handed.fork_base()),
+            "{path}: log and fork point"
+        );
+        assert_eq!(pristine.fuse_barrier.load(Ordering::Relaxed), 0, "{path}");
+    }
+
+    #[test]
+    fn a_fork_keeps_what_it_was_handed_through_every_write_path() {
+        let mut parent = V::new(ct(vec![1, 2, 3]));
+        parent.record(ListOp::Insert(3, 4)).unwrap();
+
+        let mut child = parent.fork();
+        let handed = child.clone();
+        assert_pristine(&child, &handed, "untouched");
+        child.record(ListOp::Insert(0, 9)).unwrap();
+        child.record(ListOp::Delete(2)).unwrap();
+        assert_pristine(&child, &handed, "record");
+
+        let mut child = parent.fork();
+        let handed = child.clone();
+        child.record_with(ListOp::Delete(0), |s| s.remove(0));
+        assert_pristine(&child, &handed, "record_with");
+
+        let mut child = parent.fork();
+        let handed = child.clone();
+        let mut grandchild = child.fork();
+        grandchild.record(ListOp::Insert(0, 7)).unwrap();
+        child.merge(&grandchild).unwrap();
+        assert_eq!(child.state(), &vec![7, 1, 2, 3, 4]);
+        assert_pristine(&child, &handed, "merge");
+
+        let mut child = parent.fork();
+        let handed = child.clone();
+        child.set_state(ct(vec![5]));
+        assert_pristine(&child, &handed, "set_state");
+
+        let mut child = parent.fork();
+        let handed = child.clone();
+        let base = child.fork();
+        child.rollback_to(&base);
+        assert_pristine(&child, &handed, "rollback_to");
+    }
+
+    #[test]
+    fn a_root_keeps_no_state_and_a_refork_forgets_the_kept_one() {
+        let mut root = V::new(ct(vec![1]));
+        root.record(ListOp::Insert(1, 2)).unwrap();
+        assert_eq!(root.pristine().state(), &vec![1, 2], "a root keeps nothing");
+
+        let mut child = root.fork();
+        child.record(ListOp::Insert(0, 0)).unwrap();
+        assert!(root.state_is_shared(), "the fork kept what it was handed");
+        root.merge(&child).unwrap();
+        child.refork(&root);
+        assert_eq!(child.state(), &vec![0, 1, 2]);
+        child.record(ListOp::Delete(0)).unwrap();
+        assert_pristine(&child, &root.fork(), "after a refork");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! on the history length. Every leaf and a composite shaped like the
 //! network simulation's state (three `Vec`s of leaves and a flag), over an
 //! idle parent and over a parent that committed three operations since
-//! the fork. That the state also stays *shared* is checked through
+//! the fork; re-forking the merged composite in place, as a `Sync` does,
+//! allocates nothing either and moves no state handle. That the state
+//! also stays *shared* is checked through
 //! `Leaf::versioned()` (`versioned.rs`, `tests/leaf_interface.rs`); here,
 //! an unsharing `Arc::make_mut` shows as an allocation.
 //!
@@ -14,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sm_mergeable::{
-    mergeable_struct, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText, MTree,
-    MergeStats, Mergeable,
+    mergeable_struct, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText,
+    MTree, MergeStats, Mergeable,
 };
 use sm_ot::tree::Node;
 
@@ -165,22 +167,61 @@ mergeable_struct! {
     }
 }
 
-#[test]
-fn a_wide_composite_merges_an_untouched_fork_for_free() {
-    const HOSTS: usize = 20;
-    let data = SimShaped {
+const HOSTS: usize = 20;
+
+fn sim_shaped() -> SimShaped {
+    SimShaped {
         queues: (0..HOSTS as u64)
             .map(|h| MQueue::from_vec(vec![h, h + 1]))
             .collect(),
         processed: (0..HOSTS).map(|_| MCounter::new(0)).collect(),
         digests: (0..HOSTS).map(|_| MRegister::new([0; 20])).collect(),
         done: MRegister::new(false),
-    };
+    }
+}
+
+#[test]
+fn a_wide_composite_merges_an_untouched_fork_for_free() {
     // One host's hop, as the simulation makes it: pop, count, digest, push.
-    check("SimShaped", data, 3 * HOSTS + 1, 4, |d| {
+    check("SimShaped", sim_shaped(), 3 * HOSTS + 1, 4, |d| {
         d.queues[3].pop_front();
         d.processed[3].inc();
         d.digests[3].set([7; 20]);
         d.queues[11].push_back(99);
     });
+}
+
+/// How many handles hold each leaf's state.
+fn state_handles(d: &SimShaped) -> Vec<usize> {
+    let mut out: Vec<usize> = d
+        .queues
+        .iter()
+        .map(|q| q.versioned().state_handles())
+        .collect();
+    out.extend(d.processed.iter().map(|c| c.versioned().state_handles()));
+    out.extend(d.digests.iter().map(|r| r.versioned().state_handles()));
+    out.push(d.done.versioned().state_handles());
+    out
+}
+
+#[test]
+fn a_sync_over_an_untouched_wide_composite_is_free() {
+    // The parent's side of a `Sync` from a child that edited nothing:
+    // merge it, then re-fork its data in place for it to continue on.
+    let mut parent = sim_shaped();
+    let mut child = parent.fork();
+    let before = state_handles(&parent);
+    let (stats, allocations) = allocations_in(|| {
+        let stats = parent.merge(&child).unwrap();
+        child.refork(&parent);
+        stats
+    });
+    assert_eq!(allocations, 0);
+    assert_eq!(stats, trivial(3 * HOSTS + 1, 0));
+    assert_eq!(
+        state_handles(&parent),
+        before,
+        "no state gained or lost a handle"
+    );
+    assert_eq!(child.pending_ops(), 0);
 }

@@ -99,7 +99,14 @@ impl<T: Item> ChunkTree<T> {
         if values.is_empty() {
             return;
         }
-        self.tree.insert(index, values.to_vec());
+        // A leaf with room takes the values straight from the slice; only
+        // the split path needs them as a chunk of their own.
+        let spliced = self.tree.insert_in_leaf(index, values.len(), |c, at| {
+            c.splice(at..at, values.iter().cloned());
+        });
+        if !spliced {
+            self.tree.insert(index, values.to_vec());
+        }
     }
 
     /// Append `value`.

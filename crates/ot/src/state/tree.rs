@@ -274,24 +274,39 @@ impl<C: Chunk> Tree<C> {
     /// chunks.
     pub(crate) fn insert(&mut self, pos: usize, content: C) {
         debug_assert!(pos <= self.weight());
-        if content.weight() == 0 {
+        let weight = content.weight();
+        if weight == 0 || self.insert_in_leaf(pos, weight, |c, at| Chunk::splice(c, at, &content)) {
             return;
         }
-        match &mut self.root {
-            None => {
-                let leaves: Vec<_> = slice_to_pieces(content).into_iter().map(leaf).collect();
-                self.root = build_balanced(&leaves);
-            }
+        let leaves: Vec<_> = slice_to_pieces(content).into_iter().map(leaf).collect();
+        let mid = build_balanced(&leaves);
+        self.root = match self.root.take() {
+            None => mid,
             Some(r) => {
-                if can_absorb(r, pos, content.weight()) {
-                    insert_in_place(r, pos, &content);
-                } else {
-                    let (l, rr) = split(r, pos);
-                    let leaves: Vec<_> = slice_to_pieces(content).into_iter().map(leaf).collect();
-                    let mid = build_balanced(&leaves);
-                    self.root = join_opt(join_opt(l, mid), rr);
-                }
+                let (l, rr) = split(&r, pos);
+                join_opt(join_opt(l, mid), rr)
             }
+        };
+    }
+
+    /// [`Tree::insert`]'s fast path on its own: when the leaf owning `pos`
+    /// can absorb `weight` more units, path-copy down to it and let
+    /// `splice` put them in at the in-leaf offset, so content the caller
+    /// only borrows is copied once, straight into the leaf. Returns
+    /// `false`, touching nothing, when there is no such leaf.
+    pub(crate) fn insert_in_leaf(
+        &mut self,
+        pos: usize,
+        weight: usize,
+        splice: impl FnOnce(&mut C, usize),
+    ) -> bool {
+        debug_assert!(pos <= self.weight());
+        match &mut self.root {
+            Some(r) if can_absorb(r, pos, weight) => {
+                insert_in_place(r, pos, weight, splice);
+                true
+            }
+            _ => false,
         }
     }
 
@@ -505,23 +520,29 @@ fn can_absorb<C: Chunk>(n: &Node<C>, pos: usize, extra: usize) -> bool {
     }
 }
 
-/// Path-copying in-place insert; caller has verified absorption via
-/// [`can_absorb`] with the same boundary rule.
-fn insert_in_place<C: Chunk>(n: &mut Arc<Node<C>>, pos: usize, content: &C) {
+/// Path-copying in-place insert of `extra` units, which `splice` puts into
+/// the leaf; caller has verified absorption via [`can_absorb`] with the
+/// same boundary rule.
+fn insert_in_place<C: Chunk>(
+    n: &mut Arc<Node<C>>,
+    pos: usize,
+    extra: usize,
+    splice: impl FnOnce(&mut C, usize),
+) {
     match Arc::make_mut(n) {
-        Node::Leaf(c) => Chunk::splice(c, pos, content),
+        Node::Leaf(c) => splice(c, pos),
         Node::Inner {
             left,
             right,
             weight,
             ..
         } => {
-            *weight += content.weight();
+            *weight += extra;
             let lw = left.weight();
             if pos <= lw {
-                insert_in_place(left, pos, content);
+                insert_in_place(left, pos, extra, splice);
             } else {
-                insert_in_place(right, pos - lw, content);
+                insert_in_place(right, pos - lw, extra, splice);
             }
         }
     }

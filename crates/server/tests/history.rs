@@ -42,6 +42,10 @@ impl Mergeable for Poisonable {
         Poisonable(self.0.fork())
     }
 
+    fn pristine(&self) -> Self {
+        Poisonable(self.0.pristine())
+    }
+
     fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
         let stats = self.0.merge(&child.0)?;
         if self.0.to_string().contains(POISON) {

@@ -95,6 +95,10 @@ impl<D: Mergeable> Mergeable for Seq<D> {
         Seq(self.0.fork())
     }
 
+    fn pristine(&self) -> Self {
+        Seq(self.0.pristine())
+    }
+
     fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
         self.0.merge(&child.0)
     }
