@@ -331,7 +331,10 @@ impl<T: Element + Decode> MList<T> {
 /// tail covering everything the batches touch. Trailing-window
 /// workloads (appends, queue churn) then amortize — each commit is one
 /// slot plan + window rewrite on the tail, with no tree rebuild until
-/// [`ListReplaySession::into_tree`].
+/// [`ListReplaySession::take_tree`]. Commits scattered wider than the
+/// planner's window apply op by op to the tree, which the session owns
+/// outright (moved out of the structure's `Versioned`, not shared with
+/// it), so no edit path-copies a node.
 struct ListReplaySession<T: Element> {
     /// Untouched prefix; the document is `tree ++ tail`.
     tree: ChunkTree<T>,
@@ -438,16 +441,48 @@ impl<T: Element> ListReplaySession<T> {
         }
     }
 
-    fn into_tree(mut self) -> ChunkTree<T> {
+    /// The whole document, with the tail folded back in; the session is
+    /// left empty.
+    fn take_tree(&mut self) -> ChunkTree<T> {
         self.flush();
-        self.tree
+        std::mem::take(&mut self.tree)
+    }
+
+    /// Replay `commits` in order on the session's tree. A commit the
+    /// prepared decoder refuses hands the tree back to `data`, replays
+    /// plainly there ([`replay_commit`]), and the session takes the result
+    /// over again.
+    fn replay_all<L>(
+        &mut self,
+        data: &mut L,
+        commits: Vec<(Bytes, u64)>,
+    ) -> Result<usize, PreparedReplayError>
+    where
+        T: Decode,
+        L: Leaf<Op = ListOp<T>> + Persist,
+    {
+        let mut total = 0;
+        for (index, (buf, expected)) in commits.into_iter().enumerate() {
+            let applied = match MList::<T>::decode_log_prepared(buf.clone(), expected) {
+                Some(prepared) => self.apply(prepared),
+                None => {
+                    data.versioned_mut().set_state(self.take_tree());
+                    let applied = replay_commit(data, buf, expected);
+                    self.tree = data.versioned_mut().take_state();
+                    applied
+                }
+            };
+            total += applied.map_err(|error| PreparedReplayError { index, error })?;
+        }
+        Ok(total)
     }
 }
 
-/// [`Persist::replay_commits`] for the list-shaped leaves: insert-only
-/// commits go through one [`ListReplaySession`]; any other commit installs
-/// the session's state, replays plainly ([`replay_commit`]), and batching
-/// resumes from the result.
+/// [`Persist::replay_commits`] for the list-shaped leaves: one
+/// [`ListReplaySession`] takes `data`'s state over and replays every
+/// commit. The state goes back to `data` on failure too, so a failed
+/// batch leaves what [`replay_each`] leaves: the applied prefix plus the
+/// failing commit's applied operations.
 fn replay_list_commits<T, L>(
     data: &mut L,
     commits: Vec<(Bytes, u64)>,
@@ -456,23 +491,13 @@ where
     T: Element + Decode,
     L: Leaf<Op = ListOp<T>> + Persist,
 {
-    let mut session = ListReplaySession::new(data.versioned().state().clone());
-    let mut total = 0;
-    for (index, (buf, expected)) in commits.into_iter().enumerate() {
-        let applied = match MList::<T>::decode_log_prepared(buf.clone(), expected) {
-            Some(prepared) => session.apply(prepared),
-            None => {
-                data.versioned_mut().set_state(session.into_tree());
-                let applied = replay_commit(data, buf, expected);
-                session = ListReplaySession::new(data.versioned().state().clone());
-                applied
-            }
-        };
-        total += applied.map_err(|error| PreparedReplayError { index, error })?;
+    let mut session = ListReplaySession::new(data.versioned_mut().take_state());
+    let replayed = session.replay_all(data, commits);
+    data.versioned_mut().set_state(session.take_tree());
+    if replayed.is_ok() {
+        data.seal_history();
     }
-    data.versioned_mut().set_state(session.into_tree());
-    data.seal_history();
-    Ok(total)
+    replayed
 }
 
 impl<T> Persist for MList<T>
@@ -918,6 +943,45 @@ mod tests {
                 d.7.set(8);
             },
         );
+    }
+
+    /// `ops` as one journaled commit: the committed-slice wire shape and
+    /// the op count its frame declares.
+    fn commit(ops: &[ListOp<u32>]) -> (Bytes, u64) {
+        let mut buf = BytesMut::new();
+        ops.to_vec().encode(&mut buf);
+        (buf.freeze(), ops.len() as u64)
+    }
+
+    #[test]
+    fn a_failed_list_replay_leaves_what_the_plain_replay_leaves() {
+        use ListOp::{Delete, Insert};
+        // Insert-only, so the replay session batches it.
+        let batched = commit(&[Insert(3, 100), Insert(7, 101)]);
+        // Insert-only too; its second op is out of bounds after its first
+        // one applied.
+        let failing = commit(&[Insert(0, 200), Insert(999, 201)]);
+        // Deletes send a commit through the plain per-commit replay.
+        let mixed = commit(&[Insert(5, 300), Delete(0)]);
+        let failing_mixed = commit(&[Delete(1), Delete(999)]);
+        let cases = [
+            vec![batched.clone(), failing.clone()],
+            vec![batched.clone(), mixed.clone(), batched.clone(), failing],
+            vec![batched, mixed, failing_mixed],
+        ];
+        let base = || MList::from_iter(0u32..10);
+        for (case, commits) in cases.into_iter().enumerate() {
+            let mut plain = base();
+            let want = replay_each(&mut plain, commits.clone()).unwrap_err();
+            let mut batch = base();
+            let got = batch.replay_commits(commits).unwrap_err();
+            assert_eq!(
+                (got.index, &got.error),
+                (want.index, &want.error),
+                "case {case}"
+            );
+            assert_eq!(batch.to_vec(), plain.to_vec(), "case {case}");
+        }
     }
 
     #[test]

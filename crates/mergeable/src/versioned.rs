@@ -419,6 +419,18 @@ impl<O: Operation> Versioned<O> {
         *self.state_slot() = Arc::new(state);
     }
 
+    /// Move the state out, leaving an empty one behind, without recording
+    /// an operation: recovery's list replay session owns what it replays
+    /// into and hands it back through [`Versioned::set_state`]. A state
+    /// nobody shares moves without a copy, so every later write to it is
+    /// copy-free too.
+    pub(crate) fn take_state(&mut self) -> O::State
+    where
+        O::State: Default,
+    {
+        std::mem::take(Arc::make_mut(self.state_slot()))
+    }
+
     /// Record `op` while performing the state mutation through `mutate`,
     /// which must have exactly the effect `op.apply` would have. This gives
     /// façades a single copy-on-write state access for operations that also

@@ -16,8 +16,12 @@ impl<T: Item> Chunk for Vec<T> {
         self.len()
     }
 
-    fn split_at(&self, at: usize) -> (Self, Self) {
-        (self[..at].to_vec(), self[at..].to_vec())
+    fn split_off(&mut self, at: usize) -> Self {
+        // Room for the tail to grow back to the bound without reallocating:
+        // an in-place leaf split splices into whichever half it lands in.
+        let mut tail = Vec::with_capacity(Self::MAX_WEIGHT);
+        tail.extend(self.drain(at..));
+        tail
     }
 
     fn splice(&mut self, at: usize, other: &Self) {
@@ -99,8 +103,9 @@ impl<T: Item> ChunkTree<T> {
         if values.is_empty() {
             return;
         }
-        // A leaf with room takes the values straight from the slice; only
-        // the split path needs them as a chunk of their own.
+        // Up to one chunk's worth goes straight from the slice into the
+        // leaf (or the halves of the leaf it splits); only an empty tree or
+        // a longer slice needs the values as a chunk of their own.
         let spliced = self.tree.insert_in_leaf(index, values.len(), |c, at| {
             c.splice(at..at, values.iter().cloned());
         });

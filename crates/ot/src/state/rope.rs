@@ -50,18 +50,11 @@ impl Chunk for TextChunk {
         self.chars
     }
 
-    fn split_at(&self, at: usize) -> (Self, Self) {
-        let b = self.byte_of(at);
-        (
-            TextChunk {
-                text: self.text[..b].to_string(),
-                chars: at,
-            },
-            TextChunk {
-                text: self.text[b..].to_string(),
-                chars: self.chars - at,
-            },
-        )
+    fn split_off(&mut self, at: usize) -> Self {
+        let text = self.text.split_off(self.byte_of(at));
+        let chars = self.chars - at;
+        self.chars = at;
+        TextChunk { text, chars }
     }
 
     fn splice(&mut self, at: usize, other: &Self) {

@@ -14,11 +14,16 @@
 //! granular*: a child editing one chunk of a megabyte document deep-copies
 //! roughly one chunk.
 //!
-//! Structural edits that cannot stay inside one leaf use `split`/`join`.
-//! `join` is the keyless analogue of the AVL join algorithm (Blelloch,
-//! Ferizovic, Sun — "Just Join for Parallel Ordered Sets"): it descends
-//! the taller tree's spine and repairs imbalance with single/double
-//! rotations, preserving the in-order chunk sequence.
+//! An insert of at most one chunk's worth stays on that path even when its
+//! leaf is full: the leaf splits in place into an inner node over two
+//! halves, and the way back up fixes cached heights with at most one AVL
+//! rotation — the textbook AVL insert, with a chunk standing in for a key.
+//!
+//! Other structural edits use `split`/`join`. `join` is the keyless
+//! analogue of the AVL join algorithm (Blelloch, Ferizovic, Sun — "Just
+//! Join for Parallel Ordered Sets"): it descends the taller tree's spine
+//! and repairs imbalance with single/double rotations, preserving the
+//! in-order chunk sequence.
 
 use std::sync::Arc;
 
@@ -31,8 +36,8 @@ pub(crate) trait Chunk: Clone + Send + Sync + std::fmt::Debug + 'static {
     /// Number of measured units (chars / elements) in the chunk.
     fn weight(&self) -> usize;
 
-    /// Split into `[0, at)` and `[at, weight)`; `0 < at < weight`.
-    fn split_at(&self, at: usize) -> (Self, Self);
+    /// Keep `[0, at)` here and return `[at, weight)`; `at ≤ weight`.
+    fn split_off(&mut self, at: usize) -> Self;
 
     /// Insert the whole content of `other` at weight-offset `at`
     /// (`0 ≤ at ≤ weight`).
@@ -41,24 +46,10 @@ pub(crate) trait Chunk: Clone + Send + Sync + std::fmt::Debug + 'static {
     /// Remove the `len` units starting at weight-offset `at`.
     fn remove_range(&mut self, at: usize, len: usize);
 
-    /// Slice into pieces of at most `target` weight, preserving order.
-    ///
-    /// The default peels `target`-sized heads off via [`Chunk::split_at`],
-    /// which re-copies the remaining tail every round — O(n²/target) for a
-    /// chunk of weight n. Implementations with sliceable storage should
-    /// override this with a single O(n) pass; bulk inserts (and the batch
-    /// replay lane) feed whole windows through here.
-    fn into_pieces(self, target: usize) -> Vec<Self> {
-        let mut pieces = Vec::with_capacity(self.weight() / target + 1);
-        let mut rest = self;
-        while rest.weight() > target {
-            let (head, tail) = self::Chunk::split_at(&rest, target);
-            pieces.push(head);
-            rest = tail;
-        }
-        pieces.push(rest);
-        pieces
-    }
+    /// Slice into pieces of at most `target` weight, preserving order, in
+    /// one O(n) pass; bulk inserts (and the batch replay lane) feed whole
+    /// windows through here.
+    fn into_pieces(self, target: usize) -> Vec<Self>;
 }
 
 /// Target size for chunks produced when slicing oversized content: half
@@ -199,7 +190,7 @@ fn join_opt<C: Chunk>(l: Option<Arc<Node<C>>>, r: Option<Arc<Node<C>>>) -> Optio
 }
 
 /// Split at weight-position `pos` into `[0, pos)` and `[pos, weight)`.
-/// A leaf straddling the cut is split via [`Chunk::split_at`].
+/// A leaf straddling the cut is copied and split via [`Chunk::split_off`].
 #[allow(clippy::type_complexity)]
 fn split<C: Chunk>(n: &Arc<Node<C>>, pos: usize) -> (Option<Arc<Node<C>>>, Option<Arc<Node<C>>>) {
     if pos == 0 {
@@ -210,9 +201,10 @@ fn split<C: Chunk>(n: &Arc<Node<C>>, pos: usize) -> (Option<Arc<Node<C>>>, Optio
     }
     match &**n {
         Node::Leaf(c) => {
-            // Fully qualified: `Vec<T>` has inherent `split_at`/`splice`
+            // Fully qualified: `Vec<T>` has inherent `split_off`/`splice`
             // that would otherwise shadow the `Chunk` methods.
-            let (a, b) = Chunk::split_at(c, pos);
+            let mut a = c.clone();
+            let b = Chunk::split_off(&mut a, pos);
             (Some(leaf(a)), Some(leaf(b)))
         }
         Node::Inner { left, right, .. } => {
@@ -268,10 +260,10 @@ impl<C: Chunk> Tree<C> {
 
     /// Insert `content` at weight-position `pos` (`pos ≤ weight`).
     ///
-    /// Fast path: when the leaf owning `pos` can absorb the content within
-    /// [`Chunk::MAX_WEIGHT`], the edit is an in-place path-copy. Otherwise
-    /// the tree is split at `pos` and the content joined in as fresh
-    /// chunks.
+    /// Content of at most one chunk goes into the leaf owning `pos` on one
+    /// path-copying descent ([`Tree::insert_in_leaf`]). Only an empty tree
+    /// or larger content takes the split at `pos` and joins the content in
+    /// as fresh chunks.
     pub(crate) fn insert(&mut self, pos: usize, content: C) {
         debug_assert!(pos <= self.weight());
         let weight = content.weight();
@@ -289,11 +281,14 @@ impl<C: Chunk> Tree<C> {
         };
     }
 
-    /// [`Tree::insert`]'s fast path on its own: when the leaf owning `pos`
-    /// can absorb `weight` more units, path-copy down to it and let
-    /// `splice` put them in at the in-leaf offset, so content the caller
-    /// only borrows is copied once, straight into the leaf. Returns
-    /// `false`, touching nothing, when there is no such leaf.
+    /// [`Tree::insert`]'s one-descent path on its own: path-copy down to
+    /// the leaf owning `pos` and let `splice` put `weight` units in at the
+    /// in-leaf offset, so content the caller only borrows is copied once,
+    /// straight into a leaf. A leaf that cannot absorb them splits in
+    /// place into two halves (the leaf keeps its allocation for the first
+    /// one), and the way back up rebalances with at most one rotation.
+    /// Returns `false`, touching nothing, for an empty tree or more than
+    /// [`Chunk::MAX_WEIGHT`] units.
     pub(crate) fn insert_in_leaf(
         &mut self,
         pos: usize,
@@ -302,7 +297,7 @@ impl<C: Chunk> Tree<C> {
     ) -> bool {
         debug_assert!(pos <= self.weight());
         match &mut self.root {
-            Some(r) if can_absorb(r, pos, weight) => {
+            Some(r) if weight <= C::MAX_WEIGHT => {
                 insert_in_place(r, pos, weight, splice);
                 true
             }
@@ -503,26 +498,12 @@ fn build_balanced<C: Chunk>(leaves: &[Arc<Node<C>>]) -> Option<Arc<Node<C>>> {
     }
 }
 
-/// Whether the leaf that owns insert position `pos` can absorb `extra`
-/// more units without overflowing. Boundary positions resolve to the left
-/// neighbour (same rule as [`insert_in_place`]).
-fn can_absorb<C: Chunk>(n: &Node<C>, pos: usize, extra: usize) -> bool {
-    match n {
-        Node::Leaf(c) => c.weight() + extra <= C::MAX_WEIGHT,
-        Node::Inner { left, right, .. } => {
-            let lw = left.weight();
-            if pos <= lw {
-                can_absorb(left, pos, extra)
-            } else {
-                can_absorb(right, pos - lw, extra)
-            }
-        }
-    }
-}
-
-/// Path-copying in-place insert of `extra` units, which `splice` puts into
-/// the leaf; caller has verified absorption via [`can_absorb`] with the
-/// same boundary rule.
+/// Path-copying insert of `extra ≤ MAX_WEIGHT` units, which `splice` puts
+/// into the leaf owning `pos` (a boundary position resolves to the left
+/// neighbour). A leaf that would overflow becomes an inner node over its
+/// two halves; each inner node on the way back up recomputes its height
+/// and, if the grown side is now two taller, rotates. The first rotation
+/// restores the subtree's pre-insert height, so there is at most one.
 fn insert_in_place<C: Chunk>(
     n: &mut Arc<Node<C>>,
     pos: usize,
@@ -530,12 +511,21 @@ fn insert_in_place<C: Chunk>(
     splice: impl FnOnce(&mut C, usize),
 ) {
     match Arc::make_mut(n) {
-        Node::Leaf(c) => splice(c, pos),
+        Node::Leaf(c) => {
+            if c.weight() + extra <= C::MAX_WEIGHT {
+                splice(c, pos);
+                return;
+            }
+            let second = leaf(splice_and_split(c, pos, extra, splice));
+            // `n` keeps the leaf (and its chunk's allocation) as the
+            // first half under a fresh inner node.
+            *n = node(n.clone(), second);
+        }
         Node::Inner {
             left,
             right,
             weight,
-            ..
+            height,
         } => {
             *weight += extra;
             let lw = left.weight();
@@ -544,7 +534,43 @@ fn insert_in_place<C: Chunk>(
             } else {
                 insert_in_place(right, pos - lw, extra, splice);
             }
+            let (lh, rh) = (left.height(), right.height());
+            if lh.abs_diff(rh) <= 1 {
+                *height = lh.max(rh) + 1;
+                return;
+            }
+            let (l, r) = (left.clone(), right.clone());
+            *n = if lh > rh {
+                balance_left_heavy(l, r)
+            } else {
+                balance_right_heavy(l, r)
+            };
         }
+    }
+}
+
+/// Put `extra` units into the full chunk `c` at `at` through `splice` and
+/// split the result into two halves: `c` keeps the first and its
+/// allocation, the second is returned. Whichever half the units land in
+/// wholly is split off first, so neither half outgrows its buffer.
+fn splice_and_split<C: Chunk>(
+    c: &mut C,
+    at: usize,
+    extra: usize,
+    splice: impl FnOnce(&mut C, usize),
+) -> C {
+    let mid = (c.weight() + extra) / 2;
+    if at >= mid {
+        let mut second = Chunk::split_off(c, mid);
+        splice(&mut second, at - mid);
+        second
+    } else if at + extra <= mid {
+        let second = Chunk::split_off(c, mid - extra);
+        splice(c, at);
+        second
+    } else {
+        splice(c, at);
+        Chunk::split_off(c, mid)
     }
 }
 

@@ -1,7 +1,7 @@
 //! A point insert into a `ChunkTree` leaf that has room splices the value
 //! straight into that leaf: no allocation, the way `Vec::insert` into
-//! spare capacity makes none. Only an insert that splits a leaf builds
-//! new chunks.
+//! spare capacity makes none. An insert into a full leaf splits that leaf
+//! where it stands: a constant few allocations, whatever the tree's size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,13 +73,73 @@ fn a_point_insert_into_a_leaf_with_room_allocates_nothing() {
     tree.check_invariants();
 }
 
-#[test]
-fn an_insert_into_a_full_leaf_splits_it() {
-    let mut tree = roomy(64);
-    let ((), allocations) = allocations_in(|| tree.insert(32, 99));
-    assert!(allocations > 0, "a split builds new chunks");
-    assert_eq!(tree.len(), 65);
-    assert_eq!(tree.get(32), Some(&99));
-    assert_eq!(tree.chunk_count(), 3);
+/// A `len`-element tree (chunks of 32, as `from_vec` cuts them) whose leaf
+/// under position `at` has been filled to the chunk bound by inserts at
+/// `at`, which must lie strictly inside that leaf.
+fn full_leaf_at(len: u32, at: usize) -> (ChunkTree<u32>, Vec<u32>) {
+    let mut model: Vec<u32> = (0..len).collect();
+    let mut tree = ChunkTree::from_vec(model.clone());
+    let fill: Vec<u32> = (0..32).map(|i| 1_000_000 + i).collect();
+    tree.insert_slice(at, &fill);
+    model.splice(at..at, fill);
+    (tree, model)
+}
+
+/// What a point insert at `at` into the full leaf there allocates.
+fn full_leaf_insert_allocations(len: u32, at: usize) -> usize {
+    let (mut tree, mut model) = full_leaf_at(len, at);
+    let ((), allocations) = allocations_in(|| tree.insert(at, 99));
+    model.insert(at, 99);
+    assert_eq!(tree, model, "len {len}, at {at}");
     tree.check_invariants();
+    allocations
+}
+
+#[test]
+fn an_insert_into_a_full_leaf_splits_it_in_place() {
+    // The leaf splits where it is: the second half's buffer, its leaf
+    // node and the inner node over both halves — the same three into a
+    // thousand elements as into a hundred thousand. A split + join of the
+    // whole tree would rebuild the spine: more nodes the taller the tree.
+    for len in [1_000, 100_000] {
+        for at in [16, len as usize / 2 + 16, len as usize - 24] {
+            let allocations = full_leaf_insert_allocations(len, at);
+            assert_eq!(allocations, 3, "len {len}, at {at}");
+        }
+    }
+}
+
+#[test]
+fn a_full_leaf_split_that_unbalances_the_root_rotates_once() {
+    // Three leaves balance as [A, [B, C]]: splitting B or C leaves the
+    // right subtree two taller than A. Splitting B needs a double
+    // rotation (three fresh inner nodes), splitting C a single one (two).
+    for (full, at, expected) in [(1, 40, 6), (2, 80, 5)] {
+        let mut chunks = vec![vec![0u32; 32], vec![1; 32], vec![2; 32]];
+        chunks[full] = vec![3; 64];
+        let mut model = chunks.concat();
+        let mut tree = ChunkTree::from_chunk_vecs(chunks);
+        let ((), allocations) = allocations_in(|| tree.insert(at, 9));
+        model.insert(at, 9);
+        assert_eq!(tree, model, "leaf {full}");
+        tree.check_invariants();
+        assert_eq!(allocations, expected, "leaf {full}");
+    }
+}
+
+#[test]
+fn a_full_leaf_split_on_a_clone_leaves_the_original_alone() {
+    let (original, model) = full_leaf_at(100_000, 50_016);
+    let mut clone = original.clone();
+    for i in 0..40 {
+        clone.insert(50_016 + i, 7);
+    }
+    assert_eq!(original, model);
+    original.check_invariants();
+    assert_eq!(clone.len(), model.len() + 40);
+    clone.check_invariants();
+    assert!(
+        clone.unshared_elems(&original) < 256,
+        "the splits copied only the path they touched"
+    );
 }

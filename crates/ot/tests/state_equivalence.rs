@@ -52,8 +52,74 @@ fn list_op(kind: u8, pos: usize, val: u8, len: usize) -> Option<ListOp<u8>> {
     }
 }
 
+/// A position near one of three hot spots (a quarter, half and three
+/// quarters into a document of length `len`), so inserts pile into a few
+/// leaves and keep splitting them.
+fn hot(spot: u8, jitter: u8, len: usize) -> usize {
+    (len * (1 + spot as usize % 3) / 4 + jitter as usize % 8).min(len)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Inserts piled into a few leaves split them in place: after every
+    /// op the tree keeps its invariants and equals the `Vec` model, and a
+    /// clone taken first never changes. Runs reach past one chunk (64) to
+    /// cover the split + join path too.
+    #[test]
+    fn chunk_tree_leaves_split_in_place_under_piled_inserts(
+        base_len in 0u16..300,
+        script in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..96),
+    ) {
+        let base: Vec<u16> = (0..base_len).collect();
+        let mut tree = ChunkTree::from_vec(base.clone());
+        let shared = tree.clone();
+        let mut reference = base.clone();
+        for (i, (spot, jitter, kind)) in script.iter().enumerate() {
+            let len = reference.len();
+            let at = hot(*spot, *jitter, len);
+            let value = 1000 + i as u16;
+            let op = match kind % 8 {
+                0..=4 => ListOp::Insert(at, value),
+                5 | 6 => ListOp::InsertRun(at, vec![value; 1 + (*kind as usize / 8) % 72]),
+                _ if len > 0 => ListOp::Delete(at.min(len - 1)),
+                _ => continue,
+            };
+            op.apply(&mut tree).unwrap();
+            op.apply_vec(&mut reference).unwrap();
+            tree.check_invariants();
+            prop_assert_eq!(&tree, &reference);
+        }
+        shared.check_invariants();
+        prop_assert_eq!(&shared, &base);
+    }
+
+    /// The same for a `Rope`, whose leaves hold up to 1024 chars.
+    #[test]
+    fn rope_leaves_split_in_place_under_piled_inserts(
+        base_len in 0usize..1600,
+        script in prop::collection::vec((any::<u8>(), any::<u8>(), "[a-zé✨]{1,60}"), 0..64),
+    ) {
+        let base: String = "abcdé✨".chars().cycle().take(base_len).collect();
+        let mut rope = Rope::from(base.as_str());
+        let shared = rope.clone();
+        let mut reference = base.clone();
+        for (spot, jitter, payload) in &script {
+            let len = rope.char_len();
+            let at = hot(*spot, *jitter, len);
+            let op = if jitter % 8 == 7 && at < len {
+                TextOp::delete(at, 1)
+            } else {
+                TextOp::insert(at, payload)
+            };
+            op.apply(&mut rope).unwrap();
+            op.apply_str(&mut reference).unwrap();
+            rope.check_invariants();
+            prop_assert_eq!(&rope, &reference);
+        }
+        shared.check_invariants();
+        prop_assert_eq!(&shared, &base);
+    }
 
     /// Rope and String observe every op sequence identically.
     #[test]

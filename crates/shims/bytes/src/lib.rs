@@ -97,6 +97,27 @@ impl Bytes {
         head
     }
 
+    /// The buffer `subset` covers, sharing this buffer's storage: `subset`
+    /// must be borrowed from the unread region (as a parser over
+    /// `as_slice()` hands slices out), else this panics. An empty `subset`
+    /// gives an empty buffer.
+    pub fn slice_ref(&self, subset: &[u8]) -> Bytes {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let base = self.as_slice().as_ptr() as usize;
+        let at = (subset.as_ptr() as usize).wrapping_sub(base);
+        assert!(
+            at <= self.len() && subset.len() <= self.len() - at,
+            "slice_ref: the subset is not inside this buffer"
+        );
+        Bytes {
+            data: self.data.clone(),
+            start: self.start + at,
+            end: self.start + at + subset.len(),
+        }
+    }
+
     /// Copy the unread region into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
@@ -279,6 +300,25 @@ mod tests {
         assert_eq!(head.to_vec(), vec![1, 2]);
         assert_eq!(b.to_vec(), vec![3, 4, 5]);
         assert_eq!(b.get_u8(), 3);
+    }
+
+    #[test]
+    fn slice_ref_shares_the_storage_it_was_cut_from() {
+        let mut b = Bytes::copy_from_slice(&[9, 1, 2, 3, 4, 5]);
+        b.advance(1);
+        let inner = b.slice_ref(&b.as_slice()[1..4]);
+        assert_eq!(inner.to_vec(), vec![2, 3, 4]);
+        assert!(std::ptr::eq(inner.as_slice(), &b.as_slice()[1..4]));
+        assert!(b.slice_ref(&[]).is_empty());
+        assert_eq!(b.slice_ref(b.as_slice()), b);
+    }
+
+    #[test]
+    #[should_panic(expected = "not inside this buffer")]
+    fn slice_ref_of_a_foreign_slice_panics() {
+        let b = Bytes::copy_from_slice(&[1, 2, 3]);
+        let other = [1u8, 2];
+        b.slice_ref(&other);
     }
 
     #[test]

@@ -94,12 +94,12 @@ fn load_base<D: Persist>(dir: &Path) -> Result<Option<ReplayBase<D>>, StoreError
     // is not, an older one may still give a usable (if longer) replay.
     let mut base = None;
     for (seq, path) in snaps.iter().rev() {
-        let bytes = fs::read(path)?;
+        let bytes = Bytes::from(fs::read(path)?);
         let mut frames = Frames::new(&bytes);
         let Some((_, payload)) = frames.next() else {
             continue;
         };
-        if let Ok(Record::Snapshot(snap)) = Record::from_bytes(payload) {
+        if let Ok(Record::Snapshot(snap)) = Record::from_shared(bytes.slice_ref(payload)) {
             if snap.seq == *seq {
                 base = Some(snap);
                 break;
@@ -146,10 +146,11 @@ fn scan(
     let mut commits = Vec::new();
     let mut torn_bytes = 0;
     for (i, (_, path)) in wals.iter().enumerate() {
-        let bytes = fs::read(path)?;
+        // One buffer per segment: every commit's op bytes are a slice of it.
+        let bytes = Bytes::from(fs::read(path)?);
         let mut frames = Frames::new(&bytes);
         for (_, payload) in frames.by_ref() {
-            let record = Record::from_bytes(payload)
+            let record = Record::from_shared(bytes.slice_ref(payload))
                 .map_err(|e| StoreError::Corrupt(format!("WAL record: {e}")))?;
             let Record::Commit(commit) = record else {
                 return Err(StoreError::Corrupt(

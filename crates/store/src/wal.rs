@@ -224,7 +224,14 @@ impl Record {
 
     /// Decode a record that must occupy `bytes` exactly.
     pub fn from_bytes(bytes: &[u8]) -> Result<Record, DecodeError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        Record::from_shared(Bytes::copy_from_slice(bytes))
+    }
+
+    /// [`Record::from_bytes`] without the copy: a commit's op bytes and a
+    /// snapshot's state bytes are slices of `buf`'s storage. Recovery
+    /// reads a segment into one buffer and decodes each frame's payload
+    /// from a [`Bytes::slice_ref`] of it.
+    pub(crate) fn from_shared(mut buf: Bytes) -> Result<Record, DecodeError> {
         let record = Record::decode(&mut buf)?;
         if buf.has_remaining() {
             return Err(DecodeError::BadLength(buf.remaining() as u64));
