@@ -8,7 +8,7 @@
 //! - **flight** — the full always-on plane: metrics **plus** the
 //!   [`FlightRecorder`] ring buffers **plus** the
 //!   [`DeterminismAuditor`] digest chains, composed by `MultiRecorder`
-//!   (what `TelemetryConfig::full` installs).
+//!   (what `SM_TELEMETRY=1 cargo run --example server` serves).
 //!
 //! The workload runs the same end-to-end `MList::merge` hot loops as
 //! `bench_merge` (a contiguous append merge and a scattered insert

@@ -1,8 +1,9 @@
 //! Binary wire codec for Spawn & Merge data.
 //!
-//! The distributed runtime (`sm-dist`, the paper's "apply the concept of
-//! Spawn and Merge to distributed computing by using MPI" future work)
-//! needs to ship **states** and **operation logs** between nodes as bytes.
+//! Distributed Spawn & Merge (`spawn_merge::dist`, the paper's "apply the
+//! concept of Spawn and Merge to distributed computing by using MPI"
+//! future work) ships **states** and **operation logs** between nodes as
+//! bytes, and the store and session server journal and send the same.
 //! The approved offline dependency set contains `serde` but *no byte
 //! format* (no bincode/serde_json), so this crate implements a compact
 //! self-describing-enough binary format from scratch:

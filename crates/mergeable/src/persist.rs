@@ -1,7 +1,8 @@
 //! [`Persist`]: mergeable structures whose state and operation logs can
-//! be serialized — the codec layer shared by the distributed runtime
-//! (sm-dist ships states out and logs back) and the durable store
-//! (sm-store journals committed logs and snapshots states).
+//! be serialized — the codec layer shared by distributed children
+//! (`spawn_merge::dist` ships a child's state to a node and the node's
+//! log back) and the durable store (sm-store journals committed logs and
+//! snapshots states).
 //!
 //! Three views of the same structure cross the serialization boundary:
 //!

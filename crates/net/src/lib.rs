@@ -14,8 +14,8 @@
 //! exactly.
 //!
 //! Beyond the loopback substrate, the [`frame`] module provides the
-//! CRC32-checked framing that sm-store's write-ahead log and the
-//! distributed wire layer share: length-prefixed, checksummed records
+//! CRC32-checked framing that sm-store's write-ahead log and the session
+//! server's wire protocol share: length-prefixed, checksummed records
 //! whose decoder distinguishes torn writes from corruption.
 //!
 //! # Example

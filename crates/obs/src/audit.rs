@@ -20,7 +20,7 @@
 //!
 //! What each event contributes is declared once, in the event table of
 //! [`crate::event`]: whether the event is hashed at all (pool churn,
-//! wire, store and session-lifecycle events are not — they vary run to
+//! store and session-lifecycle events are not — they vary run to
 //! run without affecting merged results), and which of its fields are
 //! wall-clock and so skipped. Each field type's encoding is its
 //! `Field` impl, next to the table.
@@ -196,7 +196,7 @@ mod tests {
         a.record(&ev(root.clone(), merge_finished(c2.clone(), 5)));
 
         // Same logical run: different spawn costs, c2's events delivered
-        // before c1's, wire/pool noise sprinkled in.
+        // before c1's, store/pool noise sprinkled in.
         let b = DeterminismAuditor::new();
         b.record(&ev(root.clone(), EventKind::WorkerStarted { worker: 7 }));
         b.record(&ev(c2.clone(), EventKind::TaskSpawned { spawn_nanos: 9 }));
@@ -205,7 +205,11 @@ mod tests {
         b.record(&ev(c1.clone(), EventKind::TaskCompleted));
         b.record(&ev(
             root.clone(),
-            EventKind::WireSent { node: 0, bytes: 64 },
+            EventKind::WalAppended {
+                bytes: 64,
+                fsynced: false,
+                fsync_nanos: 0,
+            },
         ));
         b.record(&ev(root.clone(), merge_finished(c1.clone(), 3)));
         b.record(&ev(root.clone(), merge_finished(c2.clone(), 5)));

@@ -7,9 +7,9 @@
 //! - every task gets its own track (`tid` = task path), named via `"M"`
 //!   thread-name metadata, so the task tree reads as a timeline;
 //! - task lifetimes, merges, and sync blocks are `"X"` complete spans;
-//! - marks, wire messages, and WAL appends are `"i"` instant events;
-//! - `pid` partitions the view: 1 = task tree, 2 = pool, 3 = wire,
-//!   4 = durable store (snapshot / recovery spans), 5 = session server.
+//! - marks and WAL appends are `"i"` instant events;
+//! - `pid` partitions the view: 1 = task tree, 2 = pool, 4 = durable
+//!   store (snapshot / recovery spans), 5 = session server.
 //!
 //! Tracks and args come from the event table's field walk (every
 //! [`TaskPath`] field names a track; merge args are fields of the
@@ -29,7 +29,6 @@ use crate::recorder::Recorder;
 
 const PID_TASKS: u64 = 1;
 const PID_POOL: u64 = 2;
-const PID_WIRE: u64 = 3;
 const PID_STORE: u64 = 4;
 const PID_SERVER: u64 = 5;
 
@@ -94,12 +93,11 @@ impl ChromeTracer {
         for (i, tid) in tids.values_mut().enumerate() {
             *tid = i as u64 + 1;
         }
-        // Name the four process lanes so Perfetto renders labeled
-        // groups instead of bare pids 1–4.
+        // Name the process lanes so Perfetto renders labeled groups
+        // instead of bare pids.
         for (pid, name) in [
             (PID_TASKS, "runtime"),
             (PID_POOL, "pool"),
-            (PID_WIRE, "wire"),
             (PID_STORE, "store"),
             (PID_SERVER, "server"),
         ] {
@@ -208,22 +206,6 @@ impl ChromeTracer {
                 }
                 EventKind::WorkerRetired { worker } => {
                     out.push(instant(PID_POOL, *worker + 1, "worker retired", ts));
-                }
-                EventKind::WireSent { node, bytes } => {
-                    out.push(instant(
-                        PID_WIRE,
-                        *node as u64 + 1,
-                        &format!("send {bytes}B -> node {node}"),
-                        ts,
-                    ));
-                }
-                EventKind::WireReceived { node, bytes } => {
-                    out.push(instant(
-                        PID_WIRE,
-                        *node as u64 + 1,
-                        &format!("recv {bytes}B <- node {node}"),
-                        ts,
-                    ));
                 }
                 EventKind::Mark { label } => {
                     out.push(instant(PID_TASKS, tid, label, ts));
@@ -502,9 +484,9 @@ mod tests {
         let text = tracer.json_string();
         let doc = crate::json::parse(&text).expect("trace must be valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        // 5 process_name + 2 thread_name metadata + 2 run spans + 1
+        // 4 process_name + 2 thread_name metadata + 2 run spans + 1
         // merge span.
-        assert_eq!(events.len(), 10);
+        assert_eq!(events.len(), 9);
         for e in events {
             let ph = e.get("ph").unwrap().as_str().unwrap();
             assert!(matches!(ph, "X" | "i" | "M"), "unexpected phase {ph}");
@@ -621,7 +603,6 @@ mod tests {
             [
                 (1.0, "runtime"),
                 (2.0, "pool"),
-                (3.0, "wire"),
                 (4.0, "store"),
                 (5.0, "server")
             ]

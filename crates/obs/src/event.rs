@@ -1,8 +1,8 @@
 //! The typed lifecycle event model.
 //!
 //! Every significant runtime transition — task spawn/completion, merges
-//! with their OT statistics, sync blocking, pool worker churn, wire
-//! traffic — is described by one [`ObsEvent`]. Events are values: the
+//! with their OT statistics, sync blocking, pool worker churn, store
+//! I/O — is described by one [`ObsEvent`]. Events are values: the
 //! runtime constructs them (lazily, only when a recorder is installed)
 //! and hands them to whatever [`Recorder`](crate::Recorder) is active.
 //!
@@ -350,8 +350,8 @@ macro_rules! event_table {
 event_table! {
     /// The transition taxonomy.
     ///
-    /// Excluded from the digest: pool churn, wire traffic, history GC,
-    /// durable-store I/O and session lifecycle vary run to run
+    /// Excluded from the digest: pool churn, history GC, durable-store
+    /// I/O and session lifecycle vary run to run
     /// (keep-alive timing, socket batching, when children happen to be
     /// live, fsync policy, connection timing) without affecting merged
     /// results. Excluding the store also makes a program's digest the
@@ -424,10 +424,6 @@ event_table! {
         /// Timing-dependent (children finish at different moments across
         /// runs), so the determinism auditor ignores it.
         LogTruncated { dropped: usize } => "log_truncated", excluded;
-        /// A distributed-runtime wire message was sent to `node`.
-        WireSent { node: usize, bytes: usize } => "wire_sent", excluded;
-        /// A distributed-runtime wire message arrived from `node`.
-        WireReceived { node: usize, bytes: usize } => "wire_received", excluded;
         /// The durable store appended a commit record to its write-ahead log.
         /// Store activity is I/O-timing dependent and must not perturb the
         /// program digest, so the determinism auditor ignores it.

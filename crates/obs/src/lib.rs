@@ -1,9 +1,9 @@
 //! `sm-obs` — runtime-wide observability for the Spawn&Merge stack.
 //!
-//! The runtime crates (`sm-core`, `sm-dist`, `sm-netsim`) emit typed
+//! The runtime crates (`sm-core`, `sm-store`, `sm-server`) emit typed
 //! lifecycle events — task spawns and completions, merges with their
 //! operation-transformation statistics, sync blocking, pool worker
-//! churn, wire traffic — through one process-wide, *pluggable*
+//! churn, store I/O — through one process-wide, *pluggable*
 //! [`Recorder`] slot. With no recorder installed, every emission site
 //! costs one relaxed atomic load and the event is never even
 //! constructed; [`install`] a recorder and the full stream flows to it.

@@ -337,11 +337,6 @@ snapshot! {
         workers_retired: "pool.workers_retired" => "sm_pool_workers_retired_total",
         workers_live: "pool.workers_live" => "sm_pool_workers_live",
         workers_peak: "pool.workers_peak" => "sm_pool_workers_peak",
-        // -- wire ------------------------------------------------------
-        wire_sent_msgs: "wire.sent_msgs" => "sm_wire_sent_msgs_total",
-        wire_sent_bytes: "wire.sent_bytes" => "sm_wire_sent_bytes_total",
-        wire_recv_msgs: "wire.recv_msgs" => "sm_wire_recv_msgs_total",
-        wire_recv_bytes: "wire.recv_bytes" => "sm_wire_recv_bytes_total",
         // -- durable store ---------------------------------------------
         /// Commit records appended to the write-ahead log.
         wal_appends: "store.wal_appends" => "sm_wal_appends_total",
@@ -463,14 +458,6 @@ impl MetricsSnapshot {
             EventKind::WorkerRetired { .. } => {
                 self.workers_retired += 1;
                 self.workers_live = self.workers_live.saturating_sub(1);
-            }
-            EventKind::WireSent { bytes, .. } => {
-                self.wire_sent_msgs += 1;
-                self.wire_sent_bytes += *bytes as u64;
-            }
-            EventKind::WireReceived { bytes, .. } => {
-                self.wire_recv_msgs += 1;
-                self.wire_recv_bytes += *bytes as u64;
             }
             EventKind::LogTruncated { dropped } => {
                 self.log_truncations += 1;
@@ -833,14 +820,11 @@ mod tests {
     fn prometheus_text_is_well_formed() {
         let m = Metrics::new();
         m.record(&ev(EventKind::TaskSpawned { spawn_nanos: 64 }));
-        m.record(&ev(EventKind::WireSent {
-            node: 1,
-            bytes: 256,
-        }));
+        m.record(&ev(EventKind::LogTruncated { dropped: 256 }));
         let text = m.prometheus_text();
         assert!(text.contains("# TYPE sm_tasks_spawned_total counter"));
         assert!(text.contains("sm_tasks_spawned_total 1"));
-        assert!(text.contains("sm_wire_sent_bytes_total 256"));
+        assert!(text.contains("sm_log_truncated_ops_total 256"));
         assert!(text.contains("sm_spawn_cost_nanos_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("sm_spawn_cost_nanos_count 1"));
         assert!(text.contains("# TYPE sm_merge_rebases_total counter"));
@@ -974,7 +958,7 @@ mod tests {
         assert!(text.contains("sm_phase_nanos_count{phase=\"rebase_delta\"} 2"));
         assert!(text.contains("sm_phase_nanos_sum{phase=\"wal_fsync\"} 50000"));
         // The whole taxonomy is visible even where unpopulated.
-        assert!(text.contains("sm_phase_nanos_count{phase=\"wire_roundtrip\"} 0"));
+        assert!(text.contains("sm_phase_nanos_count{phase=\"server_dispatch\"} 0"));
         assert!(text.contains("sm_recovery_failures_total 1"));
         let doc = crate::json::parse(&m.json_string()).unwrap();
         assert_eq!(
@@ -1036,9 +1020,9 @@ mod tests {
     fn exposition_roundtrips_through_parser() {
         let m = Metrics::new();
         m.record(&ev(EventKind::TaskSpawned { spawn_nanos: 128 }));
-        m.record(&ev(EventKind::WireSent { node: 2, bytes: 99 }));
+        m.record(&ev(EventKind::LogTruncated { dropped: 99 }));
         m.record(&ev(EventKind::PhaseTimed {
-            phase: Phase::WireEncode,
+            phase: Phase::WalAppend,
             nanos: 333,
         }));
         let text = m.prometheus_text();

@@ -3,8 +3,8 @@
 //!
 //! Every performance-critical path of the stack — rebasing (compaction,
 //! the linear delta sweep, the pairwise grid), state application, WAL
-//! append and fsync, snapshot writes, recovery replay, and the
-//! distributed wire codec — is bracketed by a [`Phase`] timer. A span is
+//! append and fsync, snapshot writes, recovery replay, and the session
+//! server's dispatch — is bracketed by a [`Phase`] timer. A span is
 //! only ever *constructed* while a recorder is installed
 //! ([`start`] returns `None` otherwise), so the uninstalled cost of an
 //! instrumentation site is one relaxed atomic load, exactly like every
@@ -70,13 +70,6 @@ phases! {
     /// Recovery's replay: decoding each verified commit's operations and
     /// applying them to the recovered state.
     RecoveryApply => "recovery_apply",
-    /// Encoding a distributed wire message for transmission.
-    WireEncode => "wire_encode",
-    /// Decoding a distributed wire message on arrival.
-    WireDecode => "wire_decode",
-    /// Full distributed round-trip: spawn shipped to a node until its
-    /// Done merged back on the coordinator.
-    WireRoundtrip => "wire_roundtrip",
     /// One staged `merge_all` batch: staging it and folding its children
     /// in creation order against the incrementally grown composite.
     MergeParallel => "merge_parallel",
@@ -137,7 +130,7 @@ impl PhaseSpan {
     }
 
     /// [`finish`](Self::finish) attributed to the root task — for layers
-    /// (store, wire) that do not track task identity.
+    /// (store, server) that do not track task identity.
     pub fn finish_root(self) {
         self.finish(&TaskPath::root());
     }

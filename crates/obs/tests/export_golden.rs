@@ -145,8 +145,6 @@ fn stream() -> Vec<ObsEvent> {
             },
         ),
         (&root, EventKind::LogTruncated { dropped: 7 }),
-        (&root, EventKind::WireSent { node: 1, bytes: 64 }),
-        (&root, EventKind::WireReceived { node: 2, bytes: 96 }),
         (
             &root,
             EventKind::WalAppended {
@@ -341,7 +339,7 @@ fn export() -> Exports {
 #[test]
 fn the_stream_holds_every_variant() {
     let names: BTreeSet<&str> = stream().iter().map(|e| e.kind.name()).collect();
-    assert_eq!(names.len(), 29, "{names:?}");
+    assert_eq!(names.len(), 27, "{names:?}");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! **sm-server** — a sharded, multi-tenant session server: one process
 //! hosting thousands of live, durable Spawn & Merge sessions.
 //!
-//! The distributed runtime (`sm-dist`) pairs one replica with one
-//! program. This crate turns the same building blocks into a *service*:
+//! A distributed program (`spawn_merge::dist`) runs some children's
+//! bodies on nodes. This crate turns the same building blocks into a
+//! *service*:
 //! a single [`SessionServer`] owns many independent sessions, each a
 //! durable [`Persist`] state journaled by its own `sm-store` directory,
 //! and serves them to remote clients over one `sm-net` listener.
@@ -256,7 +257,11 @@ impl SessionServer {
                                     .name(format!("sm-conn-{conn_id}"))
                                     .spawn(move || reader_loop(conn, shard_txs, stop))
                                     .expect("spawn reader thread");
-                                readers.lock().push(join);
+                                // A reader ends with its connection: keep
+                                // only the handles shutdown still joins.
+                                let mut readers = readers.lock();
+                                readers.retain(|j| !j.is_finished());
+                                readers.push(join);
                             }
                             Err(NetError::Timeout) => continue,
                             Err(_) => break,
@@ -367,7 +372,42 @@ fn decode_client_frame(raw: &[u8]) -> Result<ClientMsg, String> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
+    use sm_mergeable::MCounter;
+
     use super::*;
+
+    #[test]
+    fn finished_reader_handles_are_dropped_at_the_next_accept() {
+        let dir = std::env::temp_dir().join(format!("sm-server-readers-{}", std::process::id()));
+        let net = Network::new();
+        let server =
+            SessionServer::start(&net, 7, ServerConfig::new(dir.clone()), || MCounter::new(0))
+                .unwrap();
+        // A pong proves the connection's reader runs; dropping the client
+        // then ends it.
+        let connect_and_drop = || SessionClient::<MCounter>::connect(&net, 7)?.ping();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let wait_until = |done: &dyn Fn(&[JoinHandle<()>]) -> bool| {
+            while !done(&server.readers.lock()) {
+                assert!(
+                    Instant::now() < deadline,
+                    "{} handles",
+                    server.readers.lock().len()
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        for _ in 0..50 {
+            connect_and_drop().unwrap();
+        }
+        wait_until(&|readers| readers.iter().all(JoinHandle::is_finished));
+        connect_and_drop().unwrap();
+        wait_until(&|readers| readers.len() <= 3);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn shard_routing_is_stable_and_in_range() {

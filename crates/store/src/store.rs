@@ -217,22 +217,6 @@ impl Store {
         self.inner.lock().fsync_segment()
     }
 
-    /// Journal the operations recorded since the last commit, if any,
-    /// attributed to `child`, then fsync. Returns whether a record was
-    /// appended. This is the explicit form of what [`StoreSink`] does
-    /// when a program finishes — embedders with their own commit loop
-    /// (e.g. a distributed coordinator shutting down) call it directly.
-    pub fn commit_outstanding<D: Persist>(
-        &self,
-        data: &D,
-        child: &TaskPath,
-    ) -> Result<bool, StoreError> {
-        let mut inner = self.inner.lock();
-        let appended = inner.commit_outstanding(data, child)?;
-        inner.fsync_segment()?;
-        Ok(appended)
-    }
-
     /// The first error a sink callback or an automatic snapshot
     /// swallowed, if any. The sink interface is infallible and a commit
     /// whose record is appended reports `Ok`, so those failures stick
@@ -300,19 +284,18 @@ impl Inner {
     }
 
     /// Journal the operations recorded since the last commit, if any,
-    /// attributed to `child`. Returns whether a record was appended.
+    /// attributed to `child`.
     fn commit_outstanding<D: Persist>(
         &mut self,
         data: &D,
         child: &TaskPath,
-    ) -> Result<bool, StoreError> {
+    ) -> Result<(), StoreError> {
         let mut marks = Vec::new();
         data.history_marks(&mut marks);
-        let appended = marks != self.last_marks;
-        if appended {
+        if marks != self.last_marks {
             self.commit(data, child)?;
         }
-        Ok(appended)
+        Ok(())
     }
 
     /// Keep `e` for [`Store::take_error`] unless an earlier failure is
@@ -557,7 +540,7 @@ impl<D: Persist> CommitSink<D> for StoreSink<D> {
         // GC may drop root-local operations recorded after the last merge
         // commit (when every live fork is younger than them). Journal the
         // outstanding slice first so replay never misses them.
-        self.journal(|inner| inner.commit_outstanding(data, &TaskPath::root()).map(drop));
+        self.journal(|inner| inner.commit_outstanding(data, &TaskPath::root()));
     }
 
     fn finished(&mut self, data: &D) {

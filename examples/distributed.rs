@@ -1,15 +1,18 @@
 //! Distributed Spawn & Merge (the paper's MPI future-work direction):
-//! a word-count over a simulated cluster. State snapshots ship to worker
-//! nodes; operation logs ship back; the coordinator merges them in spawn
-//! order — so the distributed result is deterministic no matter which
-//! node finishes first.
+//! a word-count over a simulated cluster. Each chapter is a child whose
+//! body runs on a node: its fork ships there as a state snapshot, the
+//! node's operation log ships back, and the parent merges the children in
+//! creation order — so the result is deterministic no matter which node
+//! finishes first.
 //!
 //! ```text
 //! cargo run --example distributed
 //! ```
 
-use spawn_merge::dist::{DistRuntime, JobRegistry};
-use spawn_merge::{MCounterMap, MText};
+use std::sync::Arc;
+
+use spawn_merge::dist::{Cluster, JobRegistry};
+use spawn_merge::{run, Disposition, MCounterMap, MText};
 
 /// Shared data: per-word counters (commutative — increments never lost)
 /// plus a mergeable report document the jobs append to.
@@ -37,31 +40,31 @@ fn main() {
     });
 
     let nodes = 3;
-    let mut rt = DistRuntime::launch(nodes, (MCounterMap::new(), MText::new()), &jobs)
-        .expect("cluster launch");
-    println!("cluster up: {nodes} worker nodes");
+    let cluster = Arc::new(Cluster::launch(nodes, &jobs).expect("cluster launch"));
+    println!("cluster up: {nodes} nodes");
 
-    for (i, chapter) in CHAPTERS.iter().enumerate() {
-        let node = rt.node_for(i);
-        let task = rt
-            .spawn(node, "wordcount", chapter.as_bytes())
-            .expect("spawn");
-        println!("task {task} -> node {node}: {chapter:?}");
+    let ((counts, report), merged) = run((MCounterMap::new(), MText::new()), |ctx| {
+        for (i, chapter) in CHAPTERS.iter().enumerate() {
+            let node = cluster.node_for(i);
+            let cluster = Arc::clone(&cluster);
+            let task =
+                ctx.spawn(move |child| cluster.run(child, node, "wordcount", chapter.as_bytes()));
+            println!("task {} -> node {node}: {chapter:?}", task.id());
+        }
+        ctx.merge_all()
+    });
+    for child in &merged.children {
+        let Disposition::Merged(stats) = &child.disposition else {
+            panic!(
+                "task {} was not merged: {:?}",
+                child.task, child.disposition
+            );
+        };
+        println!("merged task {} ({} ops)", child.task, stats.child_ops);
     }
 
-    let outcomes = rt.merge_all().expect("merge");
-    for o in &outcomes {
-        println!(
-            "merged task {} from node {} ({} ops)",
-            o.task,
-            o.node,
-            o.result.as_ref().unwrap()
-        );
-    }
-
-    let (counts, report) = rt.shutdown().expect("shutdown");
     println!("\nreport: {report}");
-    println!("word counts (deterministic, spawn-order merge):");
+    println!("word counts (deterministic, creation-order merge):");
     for (word, n) in counts.iter() {
         println!("  {word:<8} {n}");
     }

@@ -38,8 +38,9 @@
 //!   simulator behind Figure 3.
 //! * [`codec`] — a from-scratch binary wire format for operations and
 //!   states (the offline dependency set has no serde byte format).
-//! * [`dist`] — distributed Spawn & Merge over a simulated cluster (the
-//!   paper's MPI future-work direction).
+//! * [`dist`] — distributed Spawn & Merge (the paper's MPI future-work
+//!   direction): a child whose body runs on a node of a simulated
+//!   cluster; every merge is [`core`]'s.
 //! * [`obs`] — runtime observability: pluggable event recorders, metrics
 //!   with Prometheus/JSON export, Chrome/Perfetto trace export, and the
 //!   determinism auditor.
@@ -54,9 +55,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dist;
+
 pub use sm_codec as codec;
 pub use sm_core as core;
-pub use sm_dist as dist;
 pub use sm_mergeable as mergeable;
 pub use sm_net as net;
 pub use sm_netsim as netsim;

@@ -9,23 +9,19 @@
 //! 3. **Flight recorder black box** — rings overwrite oldest-first and
 //!    an anomaly (merge rejection) triggers an automatic dump to disk
 //!    mid-run, without anyone calling dump().
-//! 4. **Distributed wiring** — `DistRuntime::launch_with` serves the
-//!    endpoint for the lifetime of the run and the wire phases
-//!    (encode/decode/round-trip) land in the histograms.
 //!
 //! The recorder slot is process-global, so every test here serializes on
 //! one mutex (same pattern as `tests/observability.rs`).
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use spawn_merge::dist::{DistRuntime, JobRegistry, TelemetryConfig};
 use spawn_merge::net::Network;
 use spawn_merge::netsim::{run_live, Routing, SimConfig};
 use spawn_merge::obs::{
     self, health_divergence, http_get, DeterminismAuditor, FlightRecorder, Metrics, MultiRecorder,
     ObsServer, Recorder, TelemetrySources,
 };
-use spawn_merge::{run, MCounter, MCounterMap, MList};
+use spawn_merge::{run, MCounter, MList};
 
 /// All tests share the process-wide recorder slot; run them one at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -216,42 +212,4 @@ fn flight_ring_keeps_only_the_most_recent_events() {
     // entries are the newest (their seq stamps sit at the top end).
     let max_seq = entries.iter().map(|e| e.seq).max().unwrap();
     assert_eq!(max_seq + 1, flight.recorded(), "newest event retained");
-}
-
-#[test]
-fn dist_runtime_serves_endpoint_and_times_the_wire() {
-    let _guard = serial();
-    let net = Network::new();
-    let mut jobs: JobRegistry<MCounterMap<String>> = JobRegistry::new();
-    jobs.register("count", |data, arg| {
-        for w in String::from_utf8_lossy(arg).split_whitespace() {
-            data.inc(w.to_string());
-        }
-        Ok(())
-    });
-
-    let config = TelemetryConfig::full(net.clone(), 9420, "dist-coordinator");
-    let mut rt = DistRuntime::launch_with(2, MCounterMap::new(), &jobs, config).unwrap();
-    assert_eq!(rt.telemetry_port(), Some(9420));
-    rt.spawn(1, "count", b"a b a").unwrap();
-    rt.spawn(2, "count", b"b c").unwrap();
-    rt.merge_all().unwrap();
-
-    // Scrape while the runtime (and its endpoint) are still up.
-    let (status, metrics) = http_get(&net, 9420, "/metrics").unwrap();
-    assert_eq!(status, 200);
-    for phase in ["wire_encode", "wire_decode", "wire_roundtrip"] {
-        let n = labelled_value(&metrics, "sm_phase_nanos_count", phase)
-            .unwrap_or_else(|| panic!("{phase} histogram missing"));
-        assert!(n > 0.0, "{phase} must be timed during a distributed run");
-    }
-    let (status, health) = http_get(&net, 9420, "/health").unwrap();
-    assert_eq!(status, 200);
-    assert!(health.contains("dist-coordinator"));
-
-    let counts = rt.shutdown().unwrap();
-    assert_eq!(counts.get(&"a".to_string()), 2);
-    // Shutdown stopped the endpoint and released the port.
-    assert!(net.listen(9420).is_ok());
-    assert!(!obs::is_enabled(), "shutdown uninstalls the full plane");
 }
