@@ -3,7 +3,9 @@
 use super::tree::{Chunk, Leaves, Tree};
 
 /// One contiguous run of text plus its cached char count, so the tree
-/// can seek by character position without scanning bytes.
+/// can seek by character position without scanning bytes. A chunk whose
+/// byte length equals its char count is ASCII, so a char offset in it
+/// *is* a byte offset; any other chunk scans its char boundaries.
 #[derive(Debug, Clone)]
 pub(crate) struct TextChunk {
     text: String,
@@ -18,28 +20,20 @@ impl TextChunk {
         }
     }
 
-    /// Byte offset of char-position `at` (`at ≤ chars`).
-    fn byte_of(&self, at: usize) -> usize {
-        if at == self.chars {
-            self.text.len()
-        } else {
-            self.text
-                .char_indices()
-                .nth(at)
-                .map(|(b, _)| b)
-                .expect("at < cached char count")
+    /// Byte offset `n` chars past byte offset `from` (a char boundary;
+    /// the chars must exist).
+    fn advance(&self, from: usize, n: usize) -> usize {
+        if self.text.len() == self.chars {
+            return from + n;
         }
+        let rest = &self.text[from..];
+        from + rest.char_indices().nth(n).map_or(rest.len(), |(b, _)| b)
     }
 
     /// The sub-slice covering char-positions `[start, end)`.
     fn slice_chars(&self, start: usize, end: usize) -> &str {
-        let b0 = self.byte_of(start);
-        let b1 = b0
-            + self.text[b0..]
-                .char_indices()
-                .nth(end - start)
-                .map_or(self.text.len() - b0, |(b, _)| b);
-        &self.text[b0..b1]
+        let b0 = self.advance(0, start);
+        &self.text[b0..self.advance(b0, end - start)]
     }
 }
 
@@ -51,25 +45,21 @@ impl Chunk for TextChunk {
     }
 
     fn split_off(&mut self, at: usize) -> Self {
-        let text = self.text.split_off(self.byte_of(at));
+        let text = self.text.split_off(self.advance(0, at));
         let chars = self.chars - at;
         self.chars = at;
         TextChunk { text, chars }
     }
 
     fn splice(&mut self, at: usize, other: &Self) {
-        let b = self.byte_of(at);
+        let b = self.advance(0, at);
         self.text.insert_str(b, &other.text);
         self.chars += other.chars;
     }
 
     fn remove_range(&mut self, at: usize, len: usize) {
-        let b0 = self.byte_of(at);
-        let b1 = b0
-            + self.text[b0..]
-                .char_indices()
-                .nth(len)
-                .map_or(self.text.len() - b0, |(b, _)| b);
+        let b0 = self.advance(0, at);
+        let b1 = self.advance(b0, len);
         self.text.replace_range(b0..b1, "");
         self.chars -= len;
     }
@@ -98,7 +88,9 @@ impl Chunk for TextChunk {
 /// A balanced tree of `Arc`-shared chunks (≤ 1024 chars each) with the
 /// char count cached at every node, so [`Rope::char_len`] is O(1) and
 /// [`Rope::insert`] / [`Rope::delete`] are O(log n) seek + O(chunk)
-/// splice instead of rescanning the whole string. Cloning is O(1) and
+/// splice instead of rescanning the whole string. Inside an ASCII chunk
+/// (byte length = char count) a char offset is a byte offset; only a
+/// chunk holding multi-byte chars scans to find one. Cloning is O(1) and
 /// shares every chunk; edits path-copy only the touched root-to-leaf
 /// spine, which keeps forked copies cheap under copy-on-write.
 ///

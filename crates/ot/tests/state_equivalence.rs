@@ -121,6 +121,54 @@ proptest! {
         prop_assert_eq!(&shared, &base);
     }
 
+    /// Leaves that flip between ASCII and not: an ASCII chunk (long enough
+    /// that piled inserts split full leaves) next to a mixed one, edited
+    /// mostly in ASCII, with a rare `é` / `✨` inserted and later deleted
+    /// by a range around it. A leaf thus takes the byte-offset shortcut,
+    /// then the char scan, then the shortcut again. After every op the
+    /// rope equals the `String` model, keeps its invariants, and slices
+    /// like it at a few char ranges.
+    #[test]
+    fn rope_chunks_flipping_between_ascii_and_not_track_string_reference(
+        base_len in 0usize..2500,
+        mixed_len in 1usize..40,
+        script in prop::collection::vec((any::<u8>(), any::<u8>(), "[a-z]{1,40}"), 0..64),
+    ) {
+        let ascii: String = "abcdefgh".chars().cycle().take(base_len).collect();
+        let mixed: String = "xyé✨".chars().cycle().take(mixed_len).collect();
+        let mut rope = Rope::from_chunk_strs(&[&ascii, &mixed]);
+        let mut reference = ascii + &mixed;
+        for (spot, jitter, payload) in &script {
+            let len = rope.char_len();
+            let at = hot(*spot, *jitter, len);
+            let op = match jitter % 16 {
+                0 => TextOp::insert(at, if spot % 2 == 0 { "é" } else { "✨" }),
+                // A range over the first multi-byte char from `at` on
+                // (wrapping round), so the leaf holding it can turn ASCII.
+                1 | 2 => {
+                    let chars: Vec<char> = reference.chars().collect();
+                    let Some(q) = (at..len).chain(0..at).find(|&i| !chars[i].is_ascii()) else {
+                        continue;
+                    };
+                    let p = q.saturating_sub(*spot as usize % 3);
+                    TextOp::delete(p, (q - p + 1 + payload.len() % 3).min(len - p))
+                }
+                3 if at < len => TextOp::delete(at, (payload.len() % 8).clamp(1, len - at)),
+                _ => TextOp::insert(at, payload),
+            };
+            op.apply(&mut rope).unwrap();
+            op.apply_str(&mut reference).unwrap();
+            rope.check_invariants();
+            prop_assert_eq!(&rope, &reference);
+            let len = rope.char_len();
+            for p in [at.min(len), len / 3, len.saturating_sub(*spot as usize)] {
+                let k = (payload.len() + *jitter as usize).min(len - p);
+                let want: String = reference.chars().skip(p).take(k).collect();
+                prop_assert_eq!(rope.substring(p, k), want);
+            }
+        }
+    }
+
     /// Rope and String observe every op sequence identically.
     #[test]
     fn rope_tracks_string_reference(

@@ -15,7 +15,7 @@ use sm_store::{Persist, Store, StoreError};
 use crate::conn::ConnShared;
 use crate::ServerConfig;
 
-/// How often an idle shard wakes to scan for evictable sessions.
+/// How often a shard scans for evictable sessions, busy or idle.
 pub const SHARD_TICK: Duration = Duration::from_millis(25);
 
 /// Commands a shard receives from reader threads and the server handle.
@@ -100,6 +100,8 @@ impl<D: Persist> Session<D> {
 }
 
 /// The shard thread body: drain commands, evict idle sessions on ticks.
+/// A tick is time since the last scan, not an empty queue: a busy shard
+/// still evicts, and does not walk every session per command.
 pub(crate) fn shard_loop<D: Persist + 'static>(
     shard: u64,
     rx: Receiver<ShardCmd>,
@@ -107,6 +109,7 @@ pub(crate) fn shard_loop<D: Persist + 'static>(
     factory: Arc<dyn Fn() -> D + Send + Sync>,
 ) {
     let mut sessions: HashMap<u64, Session<D>> = HashMap::new();
+    let mut last_scan = Instant::now();
     loop {
         match rx.recv_timeout(SHARD_TICK) {
             Ok(ShardCmd::Client { conn, msg }) => {
@@ -124,7 +127,10 @@ pub(crate) fn shard_loop<D: Persist + 'static>(
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        evict_idle(shard, &mut sessions, &cfg, false);
+        if last_scan.elapsed() >= SHARD_TICK {
+            evict_idle(shard, &mut sessions, &cfg, false);
+            last_scan = Instant::now();
+        }
     }
     // Orderly shutdown: evict everything still resident.
     evict_idle(shard, &mut sessions, &cfg, true);
