@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sm_mergeable::{MList, Mergeable};
-use sm_ot::compose::compact_list;
+use sm_ot::compose::compact;
 use sm_ot::list::ListOp;
 use sm_ot::seq::rebase;
 
@@ -68,8 +68,8 @@ fn bench_span_rebase(c: &mut Criterion) {
             &(&committed, &incoming),
             |b, (committed, incoming)| {
                 b.iter(|| {
-                    let i = compact_list(incoming);
-                    let c = compact_list(committed);
+                    let i = compact(incoming);
+                    let c = compact(committed);
                     rebase(&i, &c)
                 })
             },
@@ -90,7 +90,7 @@ fn bench_compaction_payoff(c: &mut Criterion) {
     });
     group.bench_function("rebase_compacted", |b| {
         b.iter(|| {
-            let compacted = compact_list(&child_log);
+            let compacted = compact(&child_log);
             rebase(&compacted, &committed)
         });
     });

@@ -12,15 +12,16 @@
 //! Final scenarios time the full `MList::merge` entry point end to end
 //! and report its delta/grid rebase split.
 //!
-//! End-of-file scenarios exercise the merge-staging engine: a 1000-child
-//! insert-only `merge_all` through the full runtime against the plain
-//! `merge` fold of the same children (the sequential creation-order
-//! fold); the same fan-out with deletes mixed in and under a merge
-//! condition (dismissed children are not fed to the stage); a scaling
-//! row — the partitioned (mixed) fan-out at 250 to 2 000 children, staged
-//! nanoseconds per child, which a `merge_all` linear in its children
-//! keeps flat; and, at the seam, four children whose logs are long enough
-//! to fold in segments.
+//! End-of-file scenarios exercise the merge memo: a 1000-child
+//! insert-only `merge_all` through the full runtime against the uncached
+//! creation-order refold of the same children (each child rebased by the
+//! reference kernel over the whole committed slice, [`refold_merge`]);
+//! the same fan-out with deletes mixed in and under a merge condition
+//! (dismissed children are never merged); a scaling row — the partitioned
+//! (mixed) fan-out at 250 to 2 000 children, `merge_all` nanoseconds per
+//! child, which a `merge_all` linear in its children keeps flat; and four
+//! children whose logs are long enough to fold in segments, merged by
+//! plain `merge` against the same refold.
 //!
 //! Usage:
 //!
@@ -43,7 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sm_core::{run_with_pool, Pool};
-use sm_mergeable::{MList, Mergeable};
+use sm_mergeable::{Leaf, MList, Mergeable};
 use sm_netsim::workload::lcg_positions;
 use sm_ot::compose::compact;
 use sm_ot::delta::rebase_delta;
@@ -69,7 +70,7 @@ const FLOORS: &[(&str, f64)] = &[
 /// Children per row of the partitioned scaling table.
 const SCALING_CHILDREN: [usize; 4] = [250, 500, 1000, 2000];
 
-/// Most the staged cost per child may grow from the first scaling row to
+/// Most the `merge_all` cost per child may grow from the first scaling row to
 /// the last. A commit that walked the composite from its start read 3x
 /// and more here (16 spans per child already merged, three sweeps).
 const SCALING_CEILING: f64 = 1.5;
@@ -216,11 +217,11 @@ enum FanoutMode {
     /// Every fourth op is a delete, each child confined to its own
     /// 8-element segment of the base. Disjoint segments keep the
     /// order-sensitivity screen quiet (no child insert can reach another
-    /// child's insert through deleted units), so the staged plan is
+    /// child's insert through deleted units), so the memo path is
     /// measured, not its poisoned fallback.
     Mixed,
     /// Insert-only children merged under [`condition`], which dismisses
-    /// a scatter of children out of the middle of the staged batch.
+    /// a scatter of children out of the middle of the batch.
     Conditional,
     /// Inserts strided over the last ~60 local positions — deep logs
     /// whose delta folds are span-scattered but whose state applies
@@ -322,14 +323,36 @@ fn fanout_merge_all(
     (merge_ns, list.to_vec(), stats_pool.stats().peak_workers)
 }
 
+/// Merge `kid` into `parent` the way `merge` did before it kept a memo:
+/// the reference delta kernel over the whole committed slice since the
+/// kid's fork, or the compacted grid where that declines, applied and
+/// appended op by op. The baseline the fan-out rows time against.
+fn refold_merge(parent: &mut MList<u64>, kid: &MList<u64>) {
+    let (p, k) = (parent.versioned(), kid.versioned());
+    if k.log().is_empty() {
+        return;
+    }
+    let committed = &p.log()[k.fork_base() - p.log_start()..];
+    let delta = (!committed.is_empty())
+        .then(|| rebase_delta(k.log(), committed))
+        .flatten();
+    let run = match delta {
+        Some((run, _)) => run,
+        None => rebase(&compact(k.log()), &compact(committed)),
+    };
+    for op in run {
+        parent.versioned_mut().record_validated(op);
+    }
+}
+
 /// The same fan-out outside the runtime, children folded in creation
-/// order: by plain `merge` — the sequential baseline — or `staged`
-/// through `stage_merge_all`. Returns (fold nanoseconds, state).
+/// order: by plain `merge` (`memo`) or by [`refold_merge`]. Returns (fold
+/// nanoseconds, state).
 fn fanout_fold(
     children: usize,
     ops_per_child: usize,
     mode: FanoutMode,
-    staged: bool,
+    memo: bool,
 ) -> (u64, Vec<u64>) {
     let mut parent = fanout_base(children, mode);
     let kids: Vec<MList<u64>> = (0..children as u64)
@@ -339,21 +362,16 @@ fn fanout_fold(
             kid
         })
         .collect();
-    let refs: Vec<&MList<u64>> = kids.iter().collect();
     let t = Instant::now();
-    let mut stage = staged.then(|| {
-        parent
-            .stage_merge_all(&refs)
-            .expect("the fan-out qualifies for staging")
-    });
     for kid in &kids {
         if mode == FanoutMode::Conditional && !condition(kid) {
             continue;
         }
-        match &mut stage {
-            Some(stage) => stage.commit(&mut parent, kid).unwrap(),
-            None => parent.merge(kid).unwrap(),
-        };
+        if memo {
+            parent.merge(kid).unwrap();
+        } else {
+            refold_merge(&mut parent, kid);
+        }
     }
     (t.elapsed().as_nanos() as u64, parent.to_vec())
 }
@@ -525,13 +543,13 @@ fn main() {
     );
     json.push_str(",\n");
 
-    // Staged merge_all: the same scattered fan-out folded by plain
-    // `merge` (the sequential creation-order fold) and merged through the
-    // runtime, which stages it. The sequential fold refolds the whole
-    // committed suffix per child; the staged walk grows the committed
-    // composite incrementally. The mixed fan-out adds a delete as every
-    // fourth child op; the conditional one rejects ~5% of children, which
-    // the walk simply does not feed to the stage.
+    // merge_all: the same scattered fan-out refolded per child (the
+    // uncached creation-order fold) and merged through the runtime, whose
+    // merges continue from the memo. The refold folds the whole committed
+    // suffix per child; the memo grows the committed composite
+    // incrementally. The mixed fan-out adds a delete as every fourth
+    // child op; the conditional one rejects ~5% of children, which are
+    // never merged.
     let children = if quick { 200 } else { 1000 };
     let ops_per_child = 4;
     for (key, name, mode) in [
@@ -551,22 +569,23 @@ fn main() {
             FanoutMode::Conditional,
         ),
     ] {
-        let (seq_ns, seq_state) = fanout_fold(children, ops_per_child, mode, false);
-        let (par_ns, par_state, peak_workers) = fanout_merge_all(children, ops_per_child, mode);
+        let (refold_ns, refold_state) = fanout_fold(children, ops_per_child, mode, false);
+        let (merge_ns, merged_state, peak_workers) =
+            fanout_merge_all(children, ops_per_child, mode);
         assert_eq!(
-            seq_state, par_state,
-            "{name}: staged merge_all diverged from the sequential fold"
+            refold_state, merged_state,
+            "{name}: merge_all diverged from the uncached refold"
         );
-        let speedup = seq_ns as f64 / par_ns.max(1) as f64;
+        let speedup = refold_ns as f64 / merge_ns.max(1) as f64;
         eprintln!(
             "{name} ({children} children x {ops_per_child} ops): \
-             sequential {seq_ns} ns -> staged {par_ns} ns ({speedup:.2}x, peak {peak_workers} workers)"
+             refold {refold_ns} ns -> merge_all {merge_ns} ns ({speedup:.2}x, peak {peak_workers} workers)"
         );
         let _ = writeln!(
             json,
             "  \"{key}\": {{\"name\": \"{name}\", \
              \"children\": {children}, \"ops_per_child\": {ops_per_child}, \
-             \"sequential_ns\": {seq_ns}, \"staged_ns\": {par_ns}, \"speedup\": {speedup:.2}, \
+             \"refold_ns\": {refold_ns}, \"merge_all_ns\": {merge_ns}, \"speedup\": {speedup:.2}, \
              \"peak_workers\": {peak_workers}, \"states_identical\": true}},"
         );
         speedups.push((name.to_string(), speedup));
@@ -590,11 +609,11 @@ fn main() {
         .map(|row| {
             let (n, ns) = *row;
             eprintln!(
-                "partitioned_fanout_scaling: {n} children x 8 ops staged {ns} ns, {:.0} ns per child",
+                "partitioned_fanout_scaling: {n} children x 8 ops merge_all {ns} ns, {:.0} ns per child",
                 per_child(row)
             );
             format!(
-                "{{\"children\": {n}, \"staged_ns\": {ns}, \"ns_per_child\": {:.0}}}",
+                "{{\"children\": {n}, \"merge_all_ns\": {ns}, \"ns_per_child\": {:.0}}}",
                 per_child(row)
             )
         })
@@ -607,28 +626,29 @@ fn main() {
         rows.join(", ")
     );
 
-    // Huge logs: four children far past the engine's segmenting
-    // threshold, staged (each log folds in segments fused in order)
-    // against the plain `merge` fold (one straight fold per log).
+    // Huge logs: four children far past the memo's segmenting
+    // threshold, merged by plain `merge` (each log folds in segments fused
+    // in order, and the later children continue from the memo) against
+    // the uncached refold (one straight fold per log and per slice).
     let split_children = 4;
     let split_ops = 70_000;
     let tails = FanoutMode::TailInserts;
-    let (seq_ns, seq_state) = fanout_fold(split_children, split_ops, tails, false);
-    let (staged_ns, staged_state) = fanout_fold(split_children, split_ops, tails, true);
+    let (refold_ns, refold_state) = fanout_fold(split_children, split_ops, tails, false);
+    let (merge_ns, merged_state) = fanout_fold(split_children, split_ops, tails, true);
     assert_eq!(
-        seq_state, staged_state,
-        "huge_child_split_fuse: staged fold diverged from the sequential fold"
+        refold_state, merged_state,
+        "huge_child_split_fuse: the merge diverged from the uncached refold"
     );
-    let split_speedup = seq_ns as f64 / staged_ns.max(1) as f64;
+    let split_speedup = refold_ns as f64 / merge_ns.max(1) as f64;
     eprintln!(
         "huge_child_split_fuse ({split_children} children x {split_ops} ops): \
-         sequential {seq_ns} ns -> staged {staged_ns} ns ({split_speedup:.2}x)"
+         refold {refold_ns} ns -> merge {merge_ns} ns ({split_speedup:.2}x)"
     );
     let _ = writeln!(
         json,
         "  \"huge_child_split_fuse\": {{\"name\": \"huge_child_split_fuse\", \
          \"children\": {split_children}, \"ops_per_child\": {split_ops}, \
-         \"sequential_ns\": {seq_ns}, \"staged_ns\": {staged_ns}, \"speedup\": {split_speedup:.2}, \
+         \"refold_ns\": {refold_ns}, \"merge_ns\": {merge_ns}, \"speedup\": {split_speedup:.2}, \
          \"states_identical\": true}}"
     );
     speedups.push(("huge_child_split_fuse".to_string(), split_speedup));

@@ -26,30 +26,17 @@
 //! later child's event, which may depend on an earlier child having
 //! resumed.
 //!
-//! # Staging
-//!
-//! When a `merge_all` finds a prefix of at least `STAGE_MIN_CHILDREN`
-//! children with clean completions already in hand — a batch — it asks
-//! the data for a stage (see [`sm_mergeable::stage`]): sequence logs whose
-//! children share one fork base fold what the parent committed since the
-//! fork once (nothing, for the paper's idle parent), and each child of the
-//! one creation-order walk then rebases against that incrementally grown
-//! composite instead of a refold of the whole committed log — the
-//! schedule of observable effects, the merged state, and the
-//! determinism-auditor digests are bit-identical to the sequential fold;
-//! only wall-clock changes. All of it runs on the merging thread. A child
-//! the merge condition dismisses is simply not fed to the stage, and a
-//! durability sink coexists with staging (runs are appended under the
-//! live fuse barrier at commit time). Everything else — syncs, small
-//! fan-outs, data with no stage — is the plain sequential fold, and debug
-//! builds re-derive every staged run sequentially at commit and assert
-//! equality (see `Versioned::commit_staged`).
+//! A `merge_all` is one creation-order walk, one child event at a time.
+//! Siblings forked at one point rebase over a committed slice that each
+//! merge only extends, so a sequence log keeps what its last merge folded
+//! (the merge memo, see `sm_mergeable::Versioned::merge`) and the next
+//! sibling continues from it instead of refolding the slice — for every
+//! kind of merge call, in whatever order the events arrive.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use sm_mergeable::stage::StagedCommit;
 use sm_mergeable::{MergeStats, Mergeable};
 use sm_obs::{emit, EventKind, MergeOpStats, Phase};
 
@@ -57,13 +44,6 @@ use crate::error::AbortReason;
 use crate::task::{
     Event, EventBody, SyncReply, SyncReturn, TaskCtx, TaskHandle, TaskId, TaskOutcome,
 };
-
-/// Fewest simultaneously-ready children that make a batch. Staging pays
-/// from the third child that edited one log; below this many children a
-/// wide composite whose logs each see one or two editors (the network
-/// simulation's state) measures a quarter to a third slower staged than
-/// folded plainly, with nothing to win back.
-const STAGE_MIN_CHILDREN: usize = 8;
 
 /// What happened to one child during a merge call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,127 +193,13 @@ impl<D: Mergeable> TaskCtx<D> {
                 .collect(),
         };
         let mut report = MergeReport::default();
-        // A ready prefix of the batch may stage; the committed schedule
-        // is the sequential one either way.
-        let consumed = self.merge_all_staged(&ids, cond, &mut report);
-        for id in &ids[consumed..] {
+        for id in &ids {
             let ev = self.next_event_for(*id);
             report.children.push(self.handle_event(ev, cond));
         }
         self.flush_replies();
         self.gc_history();
         report
-    }
-
-    /// Stage the eligible ready prefix of `ids` and fold it in creation
-    /// order against the stage. Returns how many leading ids were fully
-    /// processed (their reports are appended); the caller folds the rest
-    /// sequentially. Never blocks on an event: staging only covers
-    /// children whose completions have already arrived.
-    fn merge_all_staged(
-        &mut self,
-        ids: &[TaskId],
-        cond: Condition<'_, D>,
-        report: &mut MergeReport,
-    ) -> usize {
-        if ids.len() < STAGE_MIN_CHILDREN || self.data.is_none() {
-            return 0;
-        }
-        while let Ok(ev) = self.events_rx.try_recv() {
-            self.pending.push_back(ev);
-        }
-        // The stageable prefix: children (in merge order) whose event is
-        // a clean completion-with-data and whose abort flag is down. The
-        // first child missing either condition ends the prefix — its
-        // siblings-after must observe its (possibly rejected) merge
-        // through the sequential path.
-        let mut batch: Vec<Event<D>> = Vec::new();
-        for id in ids {
-            let Some(pos) = self.pending.iter().position(|e| e.child == *id) else {
-                break;
-            };
-            let aborted = self
-                .child_index(*id)
-                .is_none_or(|at| self.children[at].abort.load(Ordering::SeqCst));
-            let clean = matches!(
-                &self.pending[pos].body,
-                EventBody::Done {
-                    data: Some(_),
-                    outcome: TaskOutcome::Completed,
-                }
-            );
-            if aborted || !clean {
-                break;
-            }
-            batch.push(self.pending.remove(pos).expect("position is valid"));
-        }
-        if batch.len() < STAGE_MIN_CHILDREN {
-            // Too small to stage: hand the events back for the
-            // sequential walk (`next_event_for` checks `pending` first).
-            for ev in batch.into_iter().rev() {
-                self.pending.push_front(ev);
-            }
-            return 0;
-        }
-        let n = batch.len();
-        let span = sm_obs::timer::start(Phase::MergeParallel);
-        // `None`: no field of this data stages this batch, and the walk
-        // below is the ordinary sequential fold, events in hand.
-        let mut stage = {
-            let kids: Vec<&D> = batch
-                .iter()
-                .map(|ev| match &ev.body {
-                    EventBody::Done { data: Some(d), .. } => d,
-                    _ => unreachable!("batch holds only completions with data"),
-                })
-                .collect();
-            self.data().stage_merge_all(&kids)
-        };
-        if let Some(stage) = &stage {
-            let profile = stage.profile();
-            emit(&self.path, || EventKind::MergeStaged {
-                children: n,
-                delta_lanes: profile.delta_leaves,
-                serial_lanes: profile.inline_leaves,
-            });
-        }
-        // The batch retires in one pass over the child list (both in id
-        // order) instead of one shifting `remove` per child — and before
-        // the walk, so a condition that unwinds out of it leaves no child
-        // listed whose only event is already consumed.
-        let mut gone: Vec<TaskId> = batch.iter().map(|ev| ev.child).collect();
-        gone.sort_unstable();
-        let mut gone = gone.iter().peekable();
-        // Only the abort flags are still needed; the fork marks go now.
-        let retired: Vec<_> = self
-            .children
-            .extract_if(.., |c| gone.next_if_eq(&&c.id).is_some())
-            .map(|c| (c.id, c.abort))
-            .collect();
-        // One walk: conditions only inspect the child's own completion
-        // data, so they are evaluated here exactly as the sequential fold
-        // would, and a dismissed child (condition, or an abort flag that
-        // raced in) is never fed to the stage.
-        for ev in batch {
-            let at = retired
-                .binary_search_by_key(&ev.child, |(id, _)| *id)
-                .expect("event from unknown child");
-            let EventBody::Done { data, outcome } = ev.body else {
-                unreachable!("batch holds only completions");
-            };
-            report.children.push(self.handle_done(
-                ev.child,
-                retired[at].1.load(Ordering::SeqCst),
-                data,
-                outcome,
-                cond,
-                stage.as_deref_mut(),
-            ));
-        }
-        if let Some(span) = span.filter(|_| stage.is_some()) {
-            span.finish(&self.path);
-        }
-        n
     }
 
     fn merge_any_inner(
@@ -462,8 +328,7 @@ impl<D: Mergeable> TaskCtx<D> {
     }
 
     /// Merge (or reject) one child event; a `Sync`'s verdict is parked in
-    /// `self.replies` for the caller to flush. The sequential path: a
-    /// staged batch walks [`handle_done`](Self::handle_done) itself.
+    /// `self.replies` for the caller to flush.
     fn handle_event(&mut self, ev: Event<D>, cond: Condition<'_, D>) -> MergedChild {
         let pos = self
             .child_index(ev.child)
@@ -471,16 +336,29 @@ impl<D: Mergeable> TaskCtx<D> {
         let externally_aborted = self.children[pos].abort.load(Ordering::SeqCst);
         let child = ev.child;
 
-        match ev.body {
+        let (completed, disposition) = match ev.body {
             EventBody::Done { data, outcome } => {
+                // Retired before its condition runs: a condition that
+                // unwinds leaves no child listed whose event is gone.
                 self.children.remove(pos);
-                self.handle_done(child, externally_aborted, data, outcome, cond, None)
+                let disposition = match (outcome, data) {
+                    (TaskOutcome::Aborted(reason), _) => Disposition::AbortedByChild(reason),
+                    _ if externally_aborted => Disposition::AbortedExternally,
+                    (TaskOutcome::Completed, Some(data)) if cond(&data) => {
+                        Disposition::Merged(self.merge_child(&data, child, false))
+                    }
+                    (TaskOutcome::Completed, Some(_)) => Disposition::Rejected,
+                    (TaskOutcome::Completed, None) => Disposition::AbortedByChild(
+                        AbortReason::Error("task completed without data".into()),
+                    ),
+                };
+                (true, disposition)
             }
             EventBody::Sync { mut data, reply } => {
                 let (verdict, disposition) = if externally_aborted {
                     (SyncReply::Rejected(data), Disposition::AbortedExternally)
                 } else if cond(&data) {
-                    let stats = self.merge_child(&data, child, true, None);
+                    let stats = self.merge_child(&data, child, true);
                     // The child continues on its own data, re-forked from
                     // ours: a field nobody wrote keeps what it shares with
                     // us. Its old fork bases no longer pin the history.
@@ -493,55 +371,15 @@ impl<D: Mergeable> TaskCtx<D> {
                     (SyncReply::Rejected(data), Disposition::Rejected)
                 };
                 self.replies.push((reply, verdict));
-                if !disposition.is_merged() {
-                    self.emit_rejected(child);
-                }
-                MergedChild {
-                    task: child,
-                    completed: false,
-                    disposition,
-                }
+                (false, disposition)
             }
-        }
-    }
-
-    /// Merge (or reject) the completion of `child`, which the caller
-    /// retires from the child list. `staged` is the stage of the batch
-    /// this child belongs to; the sequential path passes `None`.
-    fn handle_done(
-        &mut self,
-        child: TaskId,
-        externally_aborted: bool,
-        data: Option<D>,
-        outcome: TaskOutcome,
-        cond: Condition<'_, D>,
-        staged: Option<&mut (dyn StagedCommit<D> + 'static)>,
-    ) -> MergedChild {
-        let disposition = match outcome {
-            TaskOutcome::Completed => {
-                if externally_aborted {
-                    Disposition::AbortedExternally
-                } else if let Some(child_data) = data {
-                    if cond(&child_data) {
-                        let stats = self.merge_child(&child_data, child, false, staged);
-                        Disposition::Merged(stats)
-                    } else {
-                        Disposition::Rejected
-                    }
-                } else {
-                    Disposition::AbortedByChild(AbortReason::Error(
-                        "task completed without data".into(),
-                    ))
-                }
-            }
-            TaskOutcome::Aborted(reason) => Disposition::AbortedByChild(reason),
         };
         if !disposition.is_merged() {
             self.emit_rejected(child);
         }
         MergedChild {
             task: child,
-            completed: true,
+            completed,
             disposition,
         }
     }
@@ -623,24 +461,15 @@ impl<D: Mergeable> TaskCtx<D> {
 
     /// Perform the actual OT merge of one child's data, emitting the
     /// `MergeStarted` / `MergeFinished` observability pair around it.
-    /// With `staged` the child commits through its batch's stage — same
-    /// result, same stats, same events as the plain merge.
-    fn merge_child(
-        &mut self,
-        child_data: &D,
-        child: TaskId,
-        child_continues: bool,
-        staged: Option<&mut (dyn StagedCommit<D> + 'static)>,
-    ) -> MergeStats {
+    fn merge_child(&mut self, child_data: &D, child: TaskId, child_continues: bool) -> MergeStats {
         emit(&self.path, || EventKind::MergeStarted {
             child: self.path.child(child),
         });
         let merge_t0 = sm_obs::is_enabled().then(Instant::now);
-        let stats = match staged {
-            Some(stage) => stage.commit(self.data_mut(), child_data),
-            None => self.data_mut().merge(child_data),
-        }
-        .expect("merging a forked child cannot fail");
+        let stats = self
+            .data_mut()
+            .merge(child_data)
+            .expect("merging a forked child cannot fail");
         if let Some(t0) = merge_t0 {
             let merge_nanos = t0.elapsed().as_nanos() as u64;
             let oplog_len = self.data().pending_ops();

@@ -121,7 +121,6 @@ pub mod persist;
 mod queue;
 mod register;
 mod set;
-pub mod stage;
 mod text;
 mod tree;
 mod versioned;
@@ -212,18 +211,6 @@ pub trait Mergeable: Clone + Send + 'static {
     /// after it are invalidated. This is what makes a failed in-place
     /// merge transactional without cloning `self` first.
     fn rollback_to(&mut self, fork: &Self);
-
-    /// Stage a whole batch of sibling merges (see [`stage`]): return a
-    /// [`stage::StagedCommit`] whose per-child commits are bit-identical
-    /// to calling [`Mergeable::merge`] on the same children in order, or
-    /// `None` when the structure has no staging seam or the batch does
-    /// not qualify — the caller then merges sequentially. The default is
-    /// `None`; the bundled sequence structures (through [`Leaf::stage`])
-    /// and the composite derives override it.
-    fn stage_merge_all(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
-        let _ = children;
-        None
-    }
 }
 
 /// Unit state: trivially mergeable (tasks that share no data).
@@ -310,39 +297,13 @@ impl<M: Mergeable> Mergeable for Vec<M> {
             m.rollback_to(f);
         }
     }
-
-    fn stage_merge_all(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
-        // The shape is fixed at fork time; a drifted child must take the
-        // sequential path so the mismatch surfaces as its usual error.
-        if children.iter().any(|c| c.len() != self.len()) {
-            return None;
-        }
-        // One projection buffer for every element, and no stage slot
-        // until an element stages: a batch no element stages costs
-        // nothing per element.
-        let mut kids: Vec<&M> = Vec::with_capacity(children.len());
-        let mut stages = Vec::new();
-        for (idx, elem) in self.iter().enumerate() {
-            kids.clear();
-            kids.extend(children.iter().map(|c| &c[idx]));
-            if let Some(stage) = elem.stage_merge_all(&kids) {
-                stages.resize_with(idx, || None);
-                stages.push(Some(stage));
-            }
-        }
-        if stages.is_empty() {
-            return None;
-        }
-        stages.resize_with(self.len(), || None);
-        Some(Box::new(stage::VecStage::new(stages)))
-    }
 }
 
 /// How a structure's one [`Versioned`] log is reached: the whole
 /// obligation of a new mergeable structure (crate docs, *Implementing a
 /// new structure*). Every `Leaf` is [`Mergeable`] through one blanket
-/// impl: fork, refork, pristine, merge, history GC, rollback and batch
-/// staging are written once, over the log.
+/// impl: fork, refork, pristine, merge, history GC and rollback are
+/// written once, over the log.
 pub trait Leaf: Clone + Send + 'static {
     /// The OT algebra the structure records its mutations in.
     type Op: sm_ot::Operation;
@@ -357,15 +318,6 @@ pub trait Leaf: Clone + Send + 'static {
     /// `wrap(self.versioned().fork())`, which shares the parent's state
     /// and never clones its log.
     fn wrap(inner: Versioned<Self::Op>) -> Self;
-
-    /// [`Mergeable::stage_merge_all`] for this structure. The default
-    /// has no stage — the batch folds by plain `merge`, which is always
-    /// correct; the bundled sequence structures stage on their log (see
-    /// [`stage`]).
-    fn stage(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
-        let _ = children;
-        None
-    }
 
     /// The recorded local operations (diagnostics, tests, replication
     /// layers).
@@ -418,10 +370,6 @@ impl<L: Leaf> Mergeable for L {
     fn rollback_to(&mut self, fork: &Self) {
         self.versioned_mut().rollback_to(fork.versioned());
     }
-
-    fn stage_merge_all(&self, children: &[&Self]) -> Option<Box<dyn stage::StagedCommit<Self>>> {
-        self.stage(children)
-    }
 }
 
 macro_rules! impl_mergeable_tuple {
@@ -435,7 +383,7 @@ macro_rules! impl_mergeable_tuple {
                 ( $( self.$idx.pristine(), )+ )
             }
 
-            mergeable_struct!(@fieldwise $( $idx: $name as $name ),+);
+            mergeable_struct!(@fieldwise $( $idx ),+);
         }
     };
 }
@@ -485,15 +433,14 @@ macro_rules! mergeable_struct {
                 Self { $( $field: $crate::Mergeable::pristine(&self.$field), )+ }
             }
 
-            $crate::mergeable_struct!(@fieldwise $( $field: $fty as $field ),+);
+            $crate::mergeable_struct!(@fieldwise $( $field ),+);
         }
     };
     // Every `Mergeable` method but `fork` and `pristine` (whose
     // constructors are the caller's), field by field: `$f` reaches a
-    // field of type `$fty` (a name, or a tuple index) and `$stage` names
-    // the local holding that field's stage. The tuple impls expand this
-    // rule too.
-    (@fieldwise $( $f:tt : $fty:ty as $stage:ident ),+) => {
+    // field (a name, or a tuple index). The tuple impls expand this rule
+    // too.
+    (@fieldwise $( $f:tt ),+) => {
         fn refork(&mut self, parent: &Self) {
             $( $crate::Mergeable::refork(&mut self.$f, &parent.$f); )+
         }
@@ -522,27 +469,6 @@ macro_rules! mergeable_struct {
 
         fn rollback_to(&mut self, fork: &Self) {
             $( $crate::Mergeable::rollback_to(&mut self.$f, &fork.$f); )+
-        }
-
-        fn stage_merge_all(
-            &self,
-            children: &[&Self],
-        ) -> ::std::option::Option<::std::boxed::Box<dyn $crate::stage::StagedCommit<Self>>> {
-            // Ask every field first: a batch no field stages builds
-            // no commit closures.
-            $(
-                #[allow(non_snake_case)]
-                let $stage = {
-                    let kids: ::std::vec::Vec<&$fty> = children.iter().map(|c| &c.$f).collect();
-                    $crate::Mergeable::stage_merge_all(&self.$f, &kids)
-                };
-            )+
-            if true $( && $stage.is_none() )+ {
-                return ::std::option::Option::None;
-            }
-            let mut fields = $crate::stage::FieldStage::default();
-            $( fields.field(|d: &Self| &d.$f, |d: &mut Self| &mut d.$f, $stage); )+
-            ::std::option::Option::Some(::std::boxed::Box::new(fields))
         }
     };
 }

@@ -4,7 +4,6 @@
 use sm_ot::list::{Element, ListOp};
 use sm_ot::state::ChunkTree;
 
-use crate::stage::{stage_versioned_delta, StagedCommit};
 use crate::versioned::{CopyMode, Versioned};
 use crate::Leaf;
 
@@ -165,10 +164,6 @@ impl<T: Element> Leaf for MList<T> {
 
     fn wrap(inner: Versioned<ListOp<T>>) -> Self {
         MList { inner }
-    }
-
-    fn stage(&self, children: &[&Self]) -> Option<Box<dyn StagedCommit<Self>>> {
-        stage_versioned_delta(self, children)
     }
 }
 

@@ -15,7 +15,6 @@
 use sm_ot::list::{Element, ListOp};
 use sm_ot::state::ChunkTree;
 
-use crate::stage::{stage_versioned_delta, StagedCommit};
 use crate::versioned::{CopyMode, Versioned};
 use crate::Leaf;
 
@@ -126,10 +125,6 @@ impl<T: Element> Leaf for MQueue<T> {
 
     fn wrap(inner: Versioned<ListOp<T>>) -> Self {
         MQueue { inner }
-    }
-
-    fn stage(&self, children: &[&Self]) -> Option<Box<dyn StagedCommit<Self>>> {
-        stage_versioned_delta(self, children)
     }
 }
 

@@ -6,7 +6,6 @@
 use sm_ot::state::{Chunks, Rope};
 use sm_ot::text::TextOp;
 
-use crate::stage::{stage_versioned_delta, StagedCommit};
 use crate::versioned::{CopyMode, Versioned};
 use crate::Leaf;
 
@@ -148,10 +147,6 @@ impl Leaf for MText {
 
     fn wrap(inner: Versioned<TextOp>) -> Self {
         MText { inner }
-    }
-
-    fn stage(&self, children: &[&Self]) -> Option<Box<dyn StagedCommit<Self>>> {
-        stage_versioned_delta(self, children)
     }
 }
 

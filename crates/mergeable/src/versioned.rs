@@ -50,6 +50,20 @@
 //!    position ≥ W, the prefix below W can never be rebased against again;
 //!    [`Versioned::truncate_prefix`] drops it and `log_start` keeps indices
 //!    absolute. The runtime drives this with a fork watermark (GC).
+//!
+//! # The merge memo
+//!
+//! Siblings merged one after another rebase over a committed slice that
+//! only grows: everything since their common fork base, the earlier
+//! siblings' runs included. So a sequence log keeps what its last
+//! delta-path merge folded ([`sm_ot::delta::Memo`]), keyed on that
+//! child's fork base and the history length the merge left. The next
+//! merge of a child with the same fork base, with nothing written in
+//! between, continues from it instead of refolding the slice; any other
+//! merge rebuilds it. A record that rewrites the log tail in place, a
+//! rollback and a refork drop it. The memo is not part of the value: a
+//! clone, a fork and a snapshot start without one, and debug builds check
+//! every rebase it serves against the uncached one.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -57,10 +71,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sm_ot::compose::compact_cow;
+use sm_ot::delta::Declined;
 use sm_ot::{seq, ApplyError, Operation};
 
 /// Saturating elapsed nanoseconds since `t0`.
-pub(crate) fn elapsed_nanos(t0: std::time::Instant) -> u64 {
+fn elapsed_nanos(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
@@ -107,12 +122,13 @@ pub struct MergeStats {
     /// Total normalized spans swept by delta-path rebases (incoming +
     /// committed sides): the m+n the linear transform actually paid.
     pub delta_spans: usize,
-    /// Staged commits that fell back to the sequential kernel
-    /// because the order-sensitivity screen (or a span-inexpressible
-    /// op discovered mid-fold) fired after staging had started. Counts
-    /// per fallen-back child; zero on the plain sequential path, whose
-    /// screen fires are already visible as `grid_rebases`.
+    /// Delta-path attempts the order-sensitivity screen
+    /// ([`sm_ot::delta::Delta::rebase_is_order_sensitive`]) sent to the
+    /// grid; each is also one of `grid_rebases`.
     pub screen_rejects: usize,
+    /// Delta-path rebases that continued from the merge memo (module
+    /// docs) instead of refolding the committed slice.
+    pub memo_hits: usize,
     /// Nanoseconds spent in successful delta-path rebases. Timing fields
     /// are only populated while an `sm_obs` recorder is installed (one
     /// relaxed load otherwise) and are wall-clock: excluded from every
@@ -139,6 +155,7 @@ impl std::ops::AddAssign for MergeStats {
         self.grid_rebases += rhs.grid_rebases;
         self.delta_spans += rhs.delta_spans;
         self.screen_rejects += rhs.screen_rejects;
+        self.memo_hits += rhs.memo_hits;
         self.delta_nanos += rhs.delta_nanos;
         self.compact_nanos += rhs.compact_nanos;
         self.grid_nanos += rhs.grid_nanos;
@@ -161,6 +178,7 @@ impl From<&MergeStats> for sm_obs::MergeOpStats {
             grid_rebases: s.grid_rebases,
             delta_spans: s.delta_spans,
             screen_rejects: s.screen_rejects,
+            memo_hits: s.memo_hits,
         }
     }
 }
@@ -254,6 +272,19 @@ pub struct Versioned<O: Operation> {
     /// The state this instance was handed at its fork, for
     /// [`Versioned::pristine`].
     origin: Origin<O::State>,
+    /// What the last delta-path merge folded (module docs, *The merge
+    /// memo*). Boxed, so a log that never builds one — every fork, and
+    /// every log of an algebra without a delta form — pays one pointer.
+    memo: Option<Box<MergeMemo<O>>>,
+}
+
+/// The merge memo of one log (module docs).
+#[derive(Debug)]
+struct MergeMemo<O: Operation> {
+    /// The `(fork base, history length)` `kept` is good for; `None` once
+    /// a write made it good for nothing.
+    key: Option<(usize, usize)>,
+    kept: O::Memo,
 }
 
 /// What a [`Versioned`] remembers of the state its fork handed it.
@@ -279,6 +310,7 @@ impl<O: Operation> Clone for Versioned<O> {
             fuse_barrier: AtomicUsize::new(self.fuse_barrier.load(Ordering::Relaxed)),
             mode: self.mode,
             origin: self.origin.clone(),
+            memo: None,
         }
     }
 }
@@ -300,6 +332,7 @@ impl<O: Operation> Versioned<O> {
             fuse_barrier: AtomicUsize::new(0),
             mode,
             origin: Origin::Root,
+            memo: None,
         }
     }
 
@@ -341,10 +374,25 @@ impl<O: Operation> Versioned<O> {
     }
 
     /// Append `op` to the log, fusing or cancelling against the tail when
-    /// the fork barrier allows it. Does not touch the state.
+    /// the fork barrier allows it. Does not touch the state. A push that
+    /// rewrites the tail in place drops the merge memo: the history
+    /// length alone no longer tells the log apart from the one the memo
+    /// folded.
     fn push_op(&mut self, op: O) {
         let barrier = self.fuse_barrier.load(Ordering::Relaxed);
+        let len = self.log.len();
         self.push_op_with_barrier(op, barrier);
+        if self.log.len() <= len {
+            self.forget_memo();
+        }
+    }
+
+    /// Make the merge memo good for nothing; its allocation stays for
+    /// the next build.
+    fn forget_memo(&mut self) {
+        if let Some(memo) = &mut self.memo {
+            memo.key = None;
+        }
     }
 
     /// [`Versioned::push_op`] with the fuse barrier pre-loaded, so batch
@@ -470,6 +518,7 @@ impl<O: Operation> Versioned<O> {
             fuse_barrier: AtomicUsize::new(0),
             mode: self.mode,
             origin: Origin::Forked,
+            memo: None,
         }
     }
 
@@ -500,6 +549,7 @@ impl<O: Operation> Versioned<O> {
         *self.fuse_barrier.get_mut() = 0;
         self.mode = parent.mode;
         self.origin = Origin::Forked;
+        self.memo = None;
     }
 
     /// The copy this instance's fork handed it: the state as of the fork
@@ -524,6 +574,7 @@ impl<O: Operation> Versioned<O> {
                 Origin::Root => Origin::Root,
                 _ => Origin::Forked,
             },
+            memo: None,
         }
     }
 
@@ -565,6 +616,11 @@ impl<O: Operation> Versioned<O> {
     /// [`MergeStats`] (as does a merge over an idle parent), with
     /// `committed_ops` read off the history length.
     ///
+    /// A delta-path merge leaves the merge memo (module docs) for the
+    /// next sibling: a child with the same fork base, merged with nothing
+    /// written here in between, rebases from it. The child that recorded
+    /// nothing returns before the memo is looked at.
+    ///
     /// Merging never aborts on conflicting operations — that is the OT
     /// guarantee; the error cases are structural misuse only.
     pub fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
@@ -582,12 +638,42 @@ impl<O: Operation> Versioned<O> {
         // while an sm_obs recorder is installed, so the uninstalled
         // merge path pays one relaxed load and no syscalls.
         let timing = sm_obs::is_enabled();
+        // Taken out for the merge: a failed apply leaves none behind.
+        let mut memo = self.memo.take();
+        let key = (child.fork_base, self.history_len());
+        let reuse = memo.as_mut().is_some_and(|m| m.key.take() == Some(key));
+        let mut fresh = O::Memo::default();
+        let kept = memo.as_mut().map_or(&mut fresh, |m| &mut m.kept);
         let committed_raw = &self.log[child.fork_base - self.log_start..];
-        let (rebased, mut stats) = rebase_over(&child.log, committed_raw, timing);
+        let (rebased, mut stats) = rebase_over(&child.log, committed_raw, kept, reuse, timing);
+        if cfg!(debug_assertions) && reuse {
+            let (expect, _) = rebase_over(
+                &child.log,
+                committed_raw,
+                &mut O::Memo::default(),
+                false,
+                false,
+            );
+            debug_assert_eq!(
+                format!("{rebased:?}"),
+                format!("{expect:?}"),
+                "a rebase from the merge memo diverged from the uncached one"
+            );
+        }
         let apply_t0 = timing.then(std::time::Instant::now);
         self.apply_run(&rebased)?;
         stats.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
         self.extend_ops(rebased);
+        if stats.delta_rebases == 1 {
+            let memo = memo.get_or_insert_with(|| {
+                Box::new(MergeMemo {
+                    key: None,
+                    kept: fresh,
+                })
+            });
+            memo.key = Some((child.fork_base, self.history_len()));
+        }
+        self.memo = memo;
         Ok(stats)
     }
 
@@ -604,51 +690,6 @@ impl<O: Operation> Versioned<O> {
             op.apply(state)?;
         }
         Ok(())
-    }
-
-    /// Commit a pre-rebased run produced by the staging engine
-    /// ([`crate::stage`]): validate the fork point exactly like
-    /// [`Versioned::merge`], apply the run, and append it to the history.
-    ///
-    /// `pre` carries the stats measured at staging time; the fields the
-    /// determinism auditor hashes (`child_ops`, `applied_ops`,
-    /// `committed_ops`) are re-derived here from the real parent log so
-    /// they are exact by construction, not by trust, and the compaction
-    /// counters are the raw lengths — every staged run is a delta run,
-    /// and that is what the sequential delta path reports.
-    ///
-    /// Debug builds additionally recompute the sequential rebase against
-    /// the live parent log and assert the staged run is bit-identical:
-    /// every test that drives a staged merge is a differential test.
-    pub(crate) fn commit_staged(
-        &mut self,
-        child: &Self,
-        run: Vec<O>,
-        pre: MergeStats,
-        timing: bool,
-    ) -> Result<MergeStats, MergeError> {
-        self.check_fork_point(child)?;
-        #[cfg(debug_assertions)]
-        {
-            let committed_raw = &self.log[child.fork_base - self.log_start..];
-            let (expect, _) = rebase_over(&child.log, committed_raw, false);
-            debug_assert_eq!(
-                format!("{run:?}"),
-                format!("{expect:?}"),
-                "staged run diverged from the sequential rebase"
-            );
-        }
-        let mut stats = pre;
-        stats.child_ops = child.log.len();
-        stats.committed_ops = self.history_len() - child.fork_base;
-        stats.applied_ops = run.len();
-        stats.child_ops_compacted = stats.child_ops;
-        stats.committed_ops_compacted = stats.committed_ops;
-        let apply_t0 = timing.then(std::time::Instant::now);
-        self.apply_run(&run)?;
-        stats.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
-        self.extend_ops(run);
-        Ok(stats)
     }
 
     /// Seal the current history: raise the fuse barrier to the present
@@ -678,6 +719,14 @@ impl<O: Operation> Versioned<O> {
         }
         self.log.drain(..keep_from);
         self.log_start += keep_from;
+        // What a memo no child forked inside the retained history can
+        // reuse holds is freed now, not at the next build.
+        if let Some(memo) = self.memo.as_deref_mut() {
+            if memo.key.is_none_or(|(base, _)| base < self.log_start) {
+                memo.key = None;
+                memo.kept = O::Memo::default();
+            }
+        }
         keep_from
     }
 
@@ -706,6 +755,8 @@ impl<O: Operation> Versioned<O> {
         assert!(fork.log.is_empty(), "rollback target was modified");
         *self.state_slot() = fork.share_state();
         self.log.truncate(fork.fork_base - self.log_start);
+        // The log may grow back to the memo's length with other ops.
+        self.forget_memo();
         // `fork()` left the barrier exactly here (barrier ≤ history length
         // always); seals and later forks since then are being undone.
         *self.fuse_barrier.get_mut() = fork.fork_base;
@@ -726,27 +777,30 @@ impl<O: Operation> Versioned<O> {
 }
 
 /// Rebase `child_log` over `committed_raw` (both rooted at the same fork
-/// base): the delta fast path when the algebra supports it, the compacted
-/// pairwise grid otherwise. This is the single rebase kernel:
-/// [`Versioned::merge`] runs it, and debug builds re-run it at every
-/// [`Versioned::commit_staged`] as the oracle for the staged run.
+/// base): the delta fast path when the algebra supports it — from `memo`
+/// when `reuse` says it covers `committed_raw` — the compacted pairwise
+/// grid otherwise. This is the single rebase kernel: [`Versioned::merge`]
+/// runs it, and debug builds re-run it uncached for every rebase the memo
+/// served.
 ///
 /// `timing` gates the wall-clock fields (live telemetry only; stats
 /// nanos stay zero otherwise and no clock is read).
-pub(crate) fn rebase_over<O: Operation>(
+fn rebase_over<O: Operation>(
     child_log: &[O],
     committed_raw: &[O],
+    memo: &mut O::Memo,
+    reuse: bool,
     timing: bool,
 ) -> (Vec<O>, MergeStats) {
     let attempt_t0 = timing.then(std::time::Instant::now);
     let delta = if !child_log.is_empty() && !committed_raw.is_empty() {
-        O::delta_rebase(child_log, committed_raw)
+        O::delta_rebase(child_log, committed_raw, memo, reuse)
     } else {
-        None
+        Err(Declined::Inexpressible)
     };
     let attempt_nanos = attempt_t0.map_or(0, elapsed_nanos);
     match delta {
-        Some((rebased, d)) => {
+        Ok((rebased, d)) => {
             let stats = MergeStats {
                 child_ops: child_log.len(),
                 applied_ops: rebased.len(),
@@ -759,12 +813,13 @@ pub(crate) fn rebase_over<O: Operation>(
                 delta_rebases: 1,
                 grid_rebases: 0,
                 delta_spans: d.incoming_spans + d.committed_spans,
+                memo_hits: usize::from(reuse),
                 delta_nanos: attempt_nanos,
                 ..MergeStats::default()
             };
             (rebased, stats)
         }
-        None => {
+        Err(declined) => {
             let compact_t0 = timing.then(std::time::Instant::now);
             let committed: Cow<'_, [O]> = compact_cow(committed_raw);
             let incoming: Cow<'_, [O]> = compact_cow(child_log);
@@ -781,6 +836,7 @@ pub(crate) fn rebase_over<O: Operation>(
                 delta_rebases: 0,
                 grid_rebases: 1,
                 delta_spans: 0,
+                screen_rejects: usize::from(declined == Declined::Screened),
                 compact_nanos,
                 // The declined delta attempt is part of what the
                 // grid path cost this merge.

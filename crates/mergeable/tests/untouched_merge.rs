@@ -9,8 +9,9 @@
 //! `Leaf::versioned()` (`versioned.rs`, `tests/leaf_interface.rs`); here,
 //! an unsharing `Arc::make_mut` shows as an allocation.
 //!
-//! Run it in release too (CI does): debug builds double staged commits
-//! with the sequential oracle and allocate differently.
+//! Run it in release too (CI does): debug builds double every rebase
+//! served by the merge memo with the uncached one and allocate
+//! differently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -182,14 +182,6 @@ impl ChromeTracer {
                         ts,
                     ));
                 }
-                EventKind::MergeStaged { children, .. } => {
-                    let mut staged =
-                        instant(PID_TASKS, tid, &format!("merge staged ×{children}"), ts);
-                    if let Some(args) = ev.kind.detail() {
-                        staged.set("args", args);
-                    }
-                    out.push(staged);
-                }
                 EventKind::SyncResumed {
                     blocked_nanos,
                     accepted,

@@ -138,10 +138,12 @@ pub struct MergeOpStats {
     /// Normalized spans swept by the delta-path rebases (incoming +
     /// committed): the linear work actually paid instead of `grid_cells`.
     pub delta_spans: usize,
-    /// Staged-lane commits that fell back to the plain sequential kernel
-    /// (order-sensitivity screen fire or batch-suffix poison); zero on
-    /// the plain path.
+    /// Delta-path attempts the order-sensitivity screen sent to the grid
+    /// (each also counts in `grid_rebases`).
     pub screen_rejects: usize,
+    /// Delta-path rebases that continued from the parent log's merge memo
+    /// instead of refolding the committed slice.
+    pub memo_hits: usize,
 }
 
 /// One runtime lifecycle transition.
@@ -239,7 +241,7 @@ impl Field for Phase {
 
 impl Field for MergeOpStats {
     /// Only the three op counts: the other fields describe how the merge
-    /// ran (compaction, rebase path, staging fallbacks), not what it
+    /// ran (compaction, rebase path, memo), not what it
     /// committed.
     fn fnv(&self, h: u64) -> u64 {
         let h = fnv_u64(h, self.child_ops as u64);
@@ -261,6 +263,7 @@ impl Field for MergeOpStats {
             ("grid_rebases", Json::from(self.grid_rebases)),
             ("delta_spans", Json::from(self.delta_spans)),
             ("screen_rejects", Json::from(self.screen_rejects)),
+            ("memo_hits", Json::from(self.memo_hits)),
         ])
     }
 }
@@ -388,20 +391,6 @@ event_table! {
         /// The merge of `child` was rejected or the child was aborted at the
         /// merge point; no operations were applied.
         MergeRejected { child: TaskPath } => "merge_rejected", audited, anomaly;
-        /// `task` staged a batch of ready children: its creation-order fold
-        /// rebases them against an incrementally grown composite of what it
-        /// committed since their fork. Purely observational: the committed
-        /// result is bit-identical to the sequential fold, and whether a
-        /// batch stages depends on event arrival timing, so this event is
-        /// excluded from determinism digests.
-        MergeStaged {
-            /// Children covered by this staged batch.
-            children: usize,
-            /// Leaves staged on the delta (span-set) plan.
-            delta_lanes: usize,
-            /// Composite fields with no stage, merged inline at commit.
-            serial_lanes: usize,
-        } => "merge_staged", excluded;
         /// `task` called sync and is now blocked waiting for its parent.
         SyncBlocked => "sync_blocked", audited;
         /// `task`'s sync was answered and it resumed.

@@ -293,10 +293,6 @@ snapshot! {
         merges_started: "merges.started" => "sm_merges_started_total",
         merges_finished: "merges.finished" => "sm_merges_finished_total",
         merges_rejected: "merges.rejected" => "sm_merges_rejected_total",
-        /// Staged merge batches.
-        merges_staged: "merges.staged" => "sm_merges_staged_total",
-        /// Children covered by staged batches.
-        merge_staged_children: "merges.staged_children" => "sm_merge_staged_children_total",
         /// Sum of child ops brought to all merges.
         ops_child_total: "merges.ops_child_total" => "sm_merge_ops_child_total",
         /// Sum of ops actually applied after transformation.
@@ -320,10 +316,13 @@ snapshot! {
         rebases_grid_total: "merges.rebases_grid_total" => "sm_merge_rebases_total{path=\"grid\"}",
         /// Sum of normalized spans swept by delta-path rebases.
         delta_spans_total: "merges.delta_spans_total" => "sm_merge_delta_spans_total",
-        /// Staged-lane commits that fell back to the plain sequential kernel
-        /// (order-sensitivity screen fire or batch-suffix poison).
+        /// Delta-path attempts the order-sensitivity screen sent to the
+        /// grid.
         rebase_screen_rejects_total:
             "merges.rebase_screen_rejects_total" => "sm_rebase_screen_rejects_total",
+        /// Delta-path rebases that continued from a merge memo instead of
+        /// refolding the committed slice.
+        merge_memo_hits: "merges.memo_hits" => "sm_merge_memo_hits_total",
         // -- history GC ------------------------------------------------
         /// Fork-watermark GC runs that dropped at least one operation.
         log_truncations: "gc.log_truncations" => "sm_log_truncations_total",
@@ -430,15 +429,12 @@ impl MetricsSnapshot {
                 self.rebases_grid_total += ops.grid_rebases as u64;
                 self.delta_spans_total += ops.delta_spans as u64;
                 self.rebase_screen_rejects_total += ops.screen_rejects as u64;
+                self.merge_memo_hits += ops.memo_hits as u64;
                 self.merge_latency_nanos.observe(*merge_nanos);
                 self.merge_child_ops.observe(ops.child_ops as u64);
                 self.oplog_len.observe(*oplog_len as u64);
             }
             EventKind::MergeRejected { .. } => self.merges_rejected += 1,
-            EventKind::MergeStaged { children, .. } => {
-                self.merges_staged += 1;
-                self.merge_staged_children += *children as u64;
-            }
             EventKind::SyncBlocked => self.syncs += 1,
             EventKind::SyncResumed {
                 blocked_nanos,
@@ -782,6 +778,7 @@ mod tests {
                 grid_rebases: 1,
                 delta_spans: 12,
                 screen_rejects: 1,
+                memo_hits: 2,
             },
             oplog_len: 18,
             merge_nanos: 1234,
@@ -798,6 +795,7 @@ mod tests {
         assert_eq!(s.rebases_grid_total, 1);
         assert_eq!(s.delta_spans_total, 12);
         assert_eq!(s.rebase_screen_rejects_total, 1);
+        assert_eq!(s.merge_memo_hits, 2);
         assert_eq!(s.merge_latency_nanos.count(), 1);
         assert_eq!(s.oplog_len.max(), 18);
         assert_eq!(s.spawn_cost_nanos.mean(), 600.0);

@@ -70,9 +70,6 @@ phases! {
     /// Recovery's replay: decoding each verified commit's operations and
     /// applying them to the recovered state.
     RecoveryApply => "recovery_apply",
-    /// One staged `merge_all` batch: staging it and folding its children
-    /// in creation order against the incrementally grown composite.
-    MergeParallel => "merge_parallel",
     /// Session-server shard dispatch: decoding a client command, the
     /// commit rebase, and the broadcast fan-out for one message.
     ServerDispatch => "server_dispatch",

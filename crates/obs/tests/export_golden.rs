@@ -32,6 +32,7 @@ const ADDED_FLIGHT_KEYS: &[(&str, &str)] = &[
     ("merge_finished", "grid_rebases"),
     ("merge_finished", "delta_spans"),
     ("merge_finished", "screen_rejects"),
+    ("merge_finished", "memo_hits"),
     ("wal_appended", "fsync_nanos"),
     ("snapshot_taken", "snapshot_nanos"),
     ("recovery_replayed", "replay_nanos"),
@@ -57,6 +58,7 @@ fn stream() -> Vec<ObsEvent> {
         grid_rebases: 18,
         delta_spans: 19,
         screen_rejects: 20,
+        memo_hits: 27,
     };
     let grid = MergeOpStats {
         child_ops: 21,
@@ -69,6 +71,7 @@ fn stream() -> Vec<ObsEvent> {
         grid_rebases: 3,
         delta_spans: 0,
         screen_rejects: 0,
+        memo_hits: 0,
     };
     let events: Vec<(&TaskPath, EventKind)> = vec![
         (&root, EventKind::TaskSpawned { spawn_nanos: 0 }),
@@ -122,14 +125,6 @@ fn stream() -> Vec<ObsEvent> {
             EventKind::SyncResumed {
                 blocked_nanos: 600,
                 accepted: false,
-            },
-        ),
-        (
-            &root,
-            EventKind::MergeStaged {
-                children: 8,
-                delta_lanes: 2,
-                serial_lanes: 1,
             },
         ),
         (&c1, EventKind::TaskCompleted),
@@ -339,7 +334,7 @@ fn export() -> Exports {
 #[test]
 fn the_stream_holds_every_variant() {
     let names: BTreeSet<&str> = stream().iter().map(|e| e.kind.name()).collect();
-    assert_eq!(names.len(), 27, "{names:?}");
+    assert_eq!(names.len(), 26, "{names:?}");
 }
 
 #[test]

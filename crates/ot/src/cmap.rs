@@ -34,6 +34,8 @@ impl<K: Key> CounterMapOp<K> {
 impl<K: Key> Operation for CounterMapOp<K> {
     type State = BTreeMap<K, i64>;
 
+    type Memo = ();
+
     const SCALAR: bool = true;
 
     fn apply(&self, state: &mut BTreeMap<K, i64>) -> Result<(), ApplyError> {

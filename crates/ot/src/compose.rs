@@ -24,56 +24,25 @@
 
 use std::borrow::Cow;
 
-use crate::list::{Element, ListOp};
 use crate::Operation;
-
-/// Algebras whose adjacent operations can sometimes be fused.
-///
-/// Blanket-implemented for every [`Operation`] by delegating to
-/// [`Operation::compose`] / [`Operation::annihilates`]; kept as a separate
-/// trait so compaction helpers can be written against the minimal surface.
-pub trait Compose: Sized {
-    /// Try to fuse `first; second` (applied in that order) into a single
-    /// equivalent operation. `None` means the pair must stay as-is.
-    /// Implementations must be *state-independent*: the fusion has to be
-    /// valid on every state both originals would apply to.
-    fn compose(first: &Self, second: &Self) -> Option<Self>;
-
-    /// True when `first; second` cancel out entirely and both can be
-    /// dropped from the log.
-    fn annihilates(first: &Self, second: &Self) -> bool {
-        let _ = (first, second);
-        false
-    }
-}
-
-impl<O: Operation> Compose for O {
-    fn compose(first: &Self, second: &Self) -> Option<Self> {
-        Operation::compose(first, second)
-    }
-
-    fn annihilates(first: &Self, second: &Self) -> bool {
-        Operation::annihilates(first, second)
-    }
-}
 
 /// Compact a log by repeatedly fusing (and cancelling) adjacent pairs.
 /// O(n) amortized per pass; runs passes until a fixpoint. The result
 /// applies to the same base state and produces the same final state as the
 /// input.
-pub fn compact<O: Compose + Clone>(ops: &[O]) -> Vec<O> {
+pub fn compact<O: Operation>(ops: &[O]) -> Vec<O> {
     let mut cur: Vec<O> = ops.to_vec();
     loop {
         let mut out: Vec<O> = Vec::with_capacity(cur.len());
         let mut fused = false;
         for op in cur.drain(..) {
             if let Some(last) = out.last() {
-                if Compose::annihilates(last, &op) {
+                if last.annihilates(&op) {
                     out.pop();
                     fused = true;
                     continue;
                 }
-                if let Some(f) = Compose::compose(last, &op) {
+                if let Some(f) = last.compose(&op) {
                     *out.last_mut().expect("non-empty") = f;
                     fused = true;
                     continue;
@@ -90,14 +59,14 @@ pub fn compact<O: Compose + Clone>(ops: &[O]) -> Vec<O> {
 
 /// True when [`compact`] would change `ops` — a single adjacent-pair scan,
 /// allocation-free.
-pub fn needs_compaction<O: Compose>(ops: &[O]) -> bool {
+pub fn needs_compaction<O: Operation>(ops: &[O]) -> bool {
     ops.windows(2)
-        .any(|w| Compose::annihilates(&w[0], &w[1]) || Compose::compose(&w[0], &w[1]).is_some())
+        .any(|w| w[0].annihilates(&w[1]) || w[0].compose(&w[1]).is_some())
 }
 
 /// Compact a log without copying when there is nothing to fuse — the common
 /// case for already-compacted logs in the merge hot path.
-pub fn compact_cow<O: Compose + Clone>(ops: &[O]) -> Cow<'_, [O]> {
+pub fn compact_cow<O: Operation>(ops: &[O]) -> Cow<'_, [O]> {
     if needs_compaction(ops) {
         Cow::Owned(compact(ops))
     } else {
@@ -105,19 +74,12 @@ pub fn compact_cow<O: Compose + Clone>(ops: &[O]) -> Cow<'_, [O]> {
     }
 }
 
-/// List-log compaction. Historically this added the insert/delete
-/// cancellation pass on top of [`compact`]; cancellation now lives in the
-/// algebra ([`Operation::annihilates`]), so this is plain [`compact`] —
-/// kept for callers that want the list-specific name.
-pub fn compact_list<T: Element>(ops: &[ListOp<T>]) -> Vec<ListOp<T>> {
-    compact(ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apply_all;
     use crate::counter::CounterOp;
+    use crate::list::ListOp;
     use crate::map::MapOp;
     use crate::register::RegisterOp;
     use crate::text::TextOp;
@@ -255,7 +217,7 @@ mod tests {
             ListOp::Delete(1),
             ListOp::Set(0, 'z'),
         ];
-        let c = compact_list(&ops);
+        let c = compact(&ops);
         assert_eq!(c, vec![ListOp::Set(0, 'z')]);
 
         let mut a = crate::state::ChunkTree::from_vec(vec!['p', 'q']);

@@ -24,6 +24,8 @@ impl CounterOp {
 impl Operation for CounterOp {
     type State = i64;
 
+    type Memo = ();
+
     const SCALAR: bool = true;
 
     fn apply(&self, state: &mut i64) -> Result<(), ApplyError> {

@@ -43,7 +43,6 @@ pub mod cmap;
 pub mod compose;
 pub mod counter;
 pub mod delta;
-pub mod invert;
 pub mod list;
 pub mod map;
 pub mod register;
@@ -165,6 +164,11 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     /// The state the operation acts on.
     type State: Clone + Send + fmt::Debug + 'static;
 
+    /// What [`Operation::delta_rebase`] keeps from one rebase for the
+    /// next over the same growing committed slice: a [`delta::Memo`] for
+    /// the sequence algebras, `()` for those with no delta form.
+    type Memo: Default + Send + Sync + fmt::Debug;
+
     /// True when `transform` never returns [`Transformed::Two`].
     ///
     /// Scalar algebras (list, map, set, counter, register) admit a faster
@@ -204,19 +208,30 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     /// span-set representation in [`delta`], O(m+n) in span count instead
     /// of the O(m·n) pairwise grid.
     ///
+    /// `memo` is what the previous call on it left: the committed side it
+    /// folded and the incoming side it rebased. `reuse` is the caller's
+    /// word that `committed` is exactly that call's committed slice
+    /// followed by the run it returned — a sibling of the last child
+    /// merged, with nothing written since — so the rebase continues from
+    /// the memo instead of refolding `committed`. Without `reuse` the
+    /// memo is rebuilt from `committed`. The result is the same either
+    /// way.
+    ///
     /// Sequence algebras ([`text::TextOp`], [`list::ListOp`]) override
-    /// this to delegate to [`delta::rebase_delta`]. The default — and the
-    /// required behavior whenever a log contains an operation a span-set
-    /// cannot express — is `None`, sending the caller to [`seq::rebase`].
-    /// An override must be *state-equivalent* to the grid: applying its
+    /// this with [`delta::rebase_delta`] over a [`delta::Memo`]. The default — and the required
+    /// behavior whenever a log contains an operation a span-set cannot
+    /// express — declines, sending the caller to [`seq::rebase`]. An
+    /// override must be *state-equivalent* to the grid: applying its
     /// result after `committed` reaches the same state as applying the
     /// grid's, and the two rebased logs normalize to the same delta.
     fn delta_rebase(
         incoming: &[Self],
         committed: &[Self],
-    ) -> Option<(Vec<Self>, delta::DeltaStats)> {
-        let _ = (incoming, committed);
-        None
+        memo: &mut Self::Memo,
+        reuse: bool,
+    ) -> Result<(Vec<Self>, delta::DeltaStats), delta::Declined> {
+        let _ = (incoming, committed, memo, reuse);
+        Err(delta::Declined::Inexpressible)
     }
 }
 

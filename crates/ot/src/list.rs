@@ -592,6 +592,8 @@ pub fn assemble_insert_batch<T: Element>(
 impl<T: Element> Operation for ListOp<T> {
     type State = ChunkTree<T>;
 
+    type Memo = crate::delta::Memo<Vec<T>>;
+
     // `DeleteRange` splits around a concurrent interleaving insert.
     const SCALAR: bool = false;
 
@@ -813,8 +815,10 @@ impl<T: Element> Operation for ListOp<T> {
     fn delta_rebase(
         incoming: &[Self],
         committed: &[Self],
-    ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
-        crate::delta::rebase_delta(incoming, committed)
+        memo: &mut Self::Memo,
+        reuse: bool,
+    ) -> Result<(Vec<Self>, crate::delta::DeltaStats), crate::delta::Declined> {
+        memo.rebase(incoming, committed, reuse)
     }
 }
 

@@ -42,6 +42,8 @@ impl<K: Key, V: Value> MapOp<K, V> {
 impl<K: Key, V: Value> Operation for MapOp<K, V> {
     type State = BTreeMap<K, V>;
 
+    type Memo = ();
+
     const SCALAR: bool = true;
 
     fn apply(&self, state: &mut BTreeMap<K, V>) -> Result<(), ApplyError> {

@@ -27,6 +27,8 @@ impl<T: Value> RegisterOp<T> {
 impl<T: Value> Operation for RegisterOp<T> {
     type State = T;
 
+    type Memo = ();
+
     const SCALAR: bool = true;
 
     fn apply(&self, state: &mut T) -> Result<(), ApplyError> {

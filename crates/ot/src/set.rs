@@ -34,6 +34,8 @@ impl<T: Element> SetOp<T> {
 impl<T: Element> Operation for SetOp<T> {
     type State = BTreeSet<T>;
 
+    type Memo = ();
+
     const SCALAR: bool = true;
 
     fn apply(&self, state: &mut BTreeSet<T>) -> Result<(), ApplyError> {

@@ -122,6 +122,8 @@ fn char_range_to_bytes(s: &str, pos: usize, len: usize) -> Result<(usize, usize)
 impl Operation for TextOp {
     type State = Rope;
 
+    type Memo = crate::delta::Memo<String>;
+
     const SCALAR: bool = false;
 
     fn apply(&self, state: &mut Rope) -> Result<(), ApplyError> {
@@ -323,8 +325,10 @@ impl Operation for TextOp {
     fn delta_rebase(
         incoming: &[Self],
         committed: &[Self],
-    ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
-        crate::delta::rebase_delta(incoming, committed)
+        memo: &mut Self::Memo,
+        reuse: bool,
+    ) -> Result<(Vec<Self>, crate::delta::DeltaStats), crate::delta::Declined> {
+        memo.rebase(incoming, committed, reuse)
     }
 }
 

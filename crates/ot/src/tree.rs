@@ -118,6 +118,8 @@ impl<V: Value> TreeOp<V> {
 impl<V: Value> Operation for TreeOp<V> {
     type State = Node<V>;
 
+    type Memo = ();
+
     const SCALAR: bool = true;
 
     fn apply(&self, state: &mut Node<V>) -> Result<(), ApplyError> {

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use sm_ot::cmap::CounterMapOp;
-use sm_ot::compose::{compact, compact_list};
+use sm_ot::compose::compact;
 use sm_ot::counter::CounterOp;
 use sm_ot::list::ListOp;
 use sm_ot::map::MapOp;
@@ -235,7 +235,7 @@ proptest! {
     #[test]
     fn compaction_preserves_list_semantics(ops in list_ops(5, 12)) {
         let base: ChunkTree<u8> = (0..5).collect();
-        let compacted = compact_list(&ops);
+        let compacted = compact(&ops);
         let mut s1 = base.clone();
         apply_all(&mut s1, &ops).unwrap();
         let mut s2 = base;

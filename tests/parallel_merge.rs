@@ -1,23 +1,23 @@
-//! The merge-staging engine's contract: rebasing a batch of siblings
-//! against an incrementally grown composite must be **observably
-//! indistinguishable** from the sequential creation-order fold —
-//! bit-identical final state and bit-identical `DeterminismAuditor`
-//! digest chains, with the full telemetry plane installed, whatever the
-//! batch holds (an idle or a busy parent, children that made no edit,
-//! poisoning ops, dismissed children, huge logs).
+//! The merge memo's contract: siblings that rebase from what the merge
+//! before them folded must be **observably indistinguishable** from the
+//! uncached creation-order fold — bit-identical final state and
+//! bit-identical `DeterminismAuditor` digest chains, with the full
+//! telemetry plane installed, whatever the batch holds (an idle or a busy
+//! parent, children that made no edit, span-inexpressible ops, screened
+//! pairs, dismissed children, huge logs).
 //!
-//! The sequential oracle is [`Seq`]: the same data behind a newtype that
-//! keeps the trait-default `stage_merge_all` (`None`), so the same
-//! program runs unstaged through the same runtime. Debug builds double
-//! every staged commit with the sequential rebase (see
-//! `Versioned::commit_staged`); release builds rely on the digest
-//! comparison here alone.
+//! The uncached oracle is [`Seq`]: the same data behind a newtype whose
+//! merges go into a fresh clone, which starts without a memo, so the same
+//! program runs through the same runtime with no memo hit. Debug builds
+//! also check every memo rebase against the uncached one (see
+//! `Versioned::merge`); release builds rely on the comparisons here.
+//!
+//! The test names are the ones the staging engine's suite had: each
+//! test still holds the case it was written for, now through the memo.
 //!
 //! The recorder slot is process-global, so every test serializes on one
 //! mutex and uninstalls on exit.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -27,8 +27,7 @@ use proptest::prelude::*;
 use spawn_merge::codec::DecodeError;
 use spawn_merge::mergeable_struct;
 use spawn_merge::obs::{
-    self, DeterminismAuditor, EventKind, FlightRecorder, Metrics, MetricsSnapshot, MultiRecorder,
-    Recorder,
+    self, DeterminismAuditor, FlightRecorder, Metrics, MetricsSnapshot, MultiRecorder, Recorder,
 };
 use spawn_merge::{
     run, run_with_pool, run_with_store, Disposition, Leaf, MCounter, MList, MMap, MText,
@@ -36,41 +35,6 @@ use spawn_merge::{
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
-
-/// The system allocator, counting each thread's allocations.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: both methods forward to `System` with the caller's arguments
-// unchanged and return its result unchanged (`alloc_zeroed` and `realloc`
-// keep their defaults, which go through `alloc`); the counter is a
-// const-initialized thread-local `Cell` with no destructor, so touching
-// it never allocates and never observes a torn-down slot.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: same contract as our caller's.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as our caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Allocations this thread makes while `f` runs.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 /// Serialize on the recorder slot and uninstall any recorder when the
 /// test ends — even on panic, so one failure cannot cascade.
@@ -86,7 +50,8 @@ impl Drop for PlaneGuard {
     }
 }
 
-/// The sequential oracle: `D`, minus its staging seam.
+/// The uncached oracle: `D`, merging into a fresh clone — which starts
+/// without a merge memo — every time.
 #[derive(Debug, Clone)]
 struct Seq<D>(D);
 
@@ -100,7 +65,10 @@ impl<D: Mergeable> Mergeable for Seq<D> {
     }
 
     fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.0.merge(&child.0)
+        let mut fresh = self.0.clone();
+        let stats = fresh.merge(&child.0)?;
+        self.0 = fresh;
+        Ok(stats)
     }
 
     fn pending_ops(&self) -> usize {
@@ -155,7 +123,7 @@ impl<D: Persist> Persist for Seq<D> {
     }
 }
 
-/// Lets one program body run on `D` (staged) and on `Seq<D>` (oracle).
+/// Lets one program body run on `D` and on `Seq<D>` (oracle).
 trait Host<D>: Mergeable {
     fn host(data: D) -> Self;
     fn d(&self) -> &D;
@@ -186,14 +154,17 @@ impl<D: Mergeable> Host<D> for Seq<D> {
     }
 }
 
-/// One `MergeStaged` event: (delta leaves, inline fields).
-type Staged = (usize, usize);
-
 /// What the telemetry plane saw of one run.
 struct Seen {
-    staged: Vec<Staged>,
     snap: MetricsSnapshot,
     digest: u64,
+}
+
+impl Seen {
+    /// Merges that continued from a memo.
+    fn hits(&self) -> u64 {
+        self.snap.merge_memo_hits
+    }
 }
 
 /// Install the full telemetry plane (metrics + flight recorder + a fresh
@@ -201,25 +172,12 @@ struct Seen {
 fn with_plane<T>(f: impl FnOnce() -> T) -> (T, Seen) {
     let metrics = Arc::new(Metrics::new());
     let auditor = Arc::new(DeterminismAuditor::new());
-    // Deep enough to still hold the root's `MergeStaged` events at exit.
     let flight = Arc::new(FlightRecorder::new(4096));
-    let sinks: Vec<Arc<dyn Recorder>> = vec![metrics.clone(), flight.clone(), auditor.clone()];
+    let sinks: Vec<Arc<dyn Recorder>> = vec![metrics.clone(), flight, auditor.clone()];
     obs::install(Arc::new(MultiRecorder::new(sinks)));
     let out = f();
     obs::uninstall();
-    let staged = flight
-        .dump()
-        .into_iter()
-        .filter_map(|e| match e.event.kind {
-            EventKind::MergeStaged {
-                delta_lanes,
-                serial_lanes,
-                ..
-            } => Some((delta_lanes, serial_lanes)),
-            _ => None,
-        });
     let seen = Seen {
-        staged: staged.collect(),
         snap: metrics.snapshot(),
         digest: auditor.digest(),
     };
@@ -227,41 +185,30 @@ fn with_plane<T>(f: impl FnOnce() -> T) -> (T, Seen) {
 }
 
 /// Run the oracle instantiation and the plain one under the plane and
-/// assert state and digest equality; returns the common output and what
-/// the plain run showed.
+/// assert state, digest and screen-reject equality; returns the common
+/// output and what the plain run showed.
 fn assert_matches_seq<T: PartialEq + std::fmt::Debug>(
     oracle: impl FnOnce() -> T,
     plain: impl FnOnce() -> T,
 ) -> (T, Seen) {
     let (seq_out, seq) = with_plane(oracle);
     let (out, seen) = with_plane(plain);
-    assert!(seq.staged.is_empty(), "the oracle must never stage");
-    assert_eq!(seq_out, out, "state diverged from the sequential fold");
+    assert_eq!(seq.hits(), 0, "the oracle must never reuse a memo");
+    assert_eq!(seq_out, out, "state diverged from the uncached fold");
     assert_eq!(
         seq.digest, seen.digest,
-        "digest diverged from the sequential fold"
+        "digest diverged from the uncached fold"
+    );
+    assert_eq!(
+        seq.snap.rebase_screen_rejects_total, seen.snap.rebase_screen_rejects_total,
+        "the screen decided differently from the memo"
     );
     (out, seen)
 }
 
-/// The run must have staged a batch of shape `want`.
-fn assert_staged(seen: &Seen, want: Staged) {
-    assert!(
-        seen.staged.contains(&want),
-        "expected a staged {want:?} batch among {:?}",
-        seen.staged
-    );
-}
-
-/// Long enough for every spawned child's completion to queue up, so
-/// `merge_all` has a ready batch to stage.
-fn settle() {
-    std::thread::sleep(Duration::from_millis(120));
-}
-
-/// One scripted child mutation. A `Set` is span-inexpressible: the
-/// first child carrying one poisons the staged batch from there on, so
-/// scripts sweep the poison path as well as the staged plan.
+/// One scripted child mutation. A `Set` is span-inexpressible: a child
+/// carrying one, and every sibling merged over its run, takes the grid,
+/// so scripts sweep the grid fallback as well as the memo.
 #[derive(Debug, Clone)]
 enum Cmd {
     Push(u8),
@@ -344,12 +291,16 @@ proptest! {
         drop(guard);
         prop_assert_eq!(seq_state, state);
         prop_assert_eq!(seq.digest, seen.digest);
+        prop_assert_eq!(
+            seq.snap.rebase_screen_rejects_total,
+            seen.snap.rebase_screen_rejects_total
+        );
     }
 }
 
-/// A large all-ready insert-only fan-out must actually take the staged
-/// path (the `MergeStaged` telemetry event proves it) and still produce
-/// the sequential digest.
+/// A large insert-only fan-out under a busy parent: the first child
+/// builds the memo, every later one continues from it (the memo-hit
+/// counter proves it), and the digest is the uncached one.
 #[test]
 fn large_fanout_stages_and_matches_sequential_digest() {
     fn program<W: Host<MList<u32>>>() -> Vec<u32> {
@@ -362,7 +313,6 @@ fn large_fanout_stages_and_matches_sequential_digest() {
                     Ok(())
                 });
             }
-            settle();
             ctx.data_mut().d_mut().push(u32::MAX);
             ctx.merge_all();
         });
@@ -370,18 +320,14 @@ fn large_fanout_stages_and_matches_sequential_digest() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
-    assert_staged(&seen, (1, 0));
-    assert!(
-        seen.snap.merge_staged_children >= 8,
-        "the staged batch must cover a real share of the fan-out"
-    );
+    assert_eq!(seen.hits(), 31, "every child after the first");
 }
 
 /// What the parent does between the spawns and the `merge_all`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ParentWork {
     /// Nothing — the paper's *spawn, let the children work, `MergeAll`*:
-    /// the committed slice is empty when the batch stages.
+    /// the committed slice is empty when the first child merges.
     Idle,
     /// One committed op.
     Push,
@@ -409,7 +355,7 @@ impl ParentWork {
 /// A child's rebase counts, as its `MergeStats` report them.
 type Rebases = (usize, usize);
 
-/// One all-ready fan-out through the runtime: child `i` of `n` runs
+/// One fan-out through the runtime: child `i` of `n` runs
 /// `edit`, the parent does `work`, then merges under `cond`. Returns the
 /// merged list and every merged child's (delta, grid) rebase counts.
 fn run_batch<W: Host<MList<u32>>>(
@@ -425,7 +371,6 @@ fn run_batch<W: Host<MList<u32>>>(
                 Ok(())
             });
         }
-        settle();
         work.run(ctx.data_mut().d_mut());
         ctx.merge_all_with(&|d: &W| cond(d.d()))
     });
@@ -437,21 +382,22 @@ fn run_batch<W: Host<MList<u32>>>(
 }
 
 /// Run [`run_batch`] on the oracle and on the plain list: state, rebase
-/// counts and digest must agree, and the plain run must have staged its
-/// one batch exactly once.
-fn assert_batch_stages_once(
+/// counts and digest must agree, and the plain run must have continued
+/// from the memo `hits` times.
+fn assert_batch_hits(
     n: u32,
     edit: fn(u32, &mut MList<u32>),
     work: ParentWork,
     cond: fn(&MList<u32>) -> bool,
-) -> (Vec<Rebases>, Seen) {
+    hits: u64,
+) -> Vec<Rebases> {
     let _guard = serial();
     let ((_, rebases), seen) = assert_matches_seq(
         || run_batch::<Seq<MList<u32>>>(n, edit, work, cond),
         || run_batch::<MList<u32>>(n, edit, work, cond),
     );
-    assert_eq!(seen.staged, vec![(1, 0)], "{n} children, parent {work:?}");
-    (rebases, seen)
+    assert_eq!(seen.hits(), hits, "{n} children, parent {work:?}");
+    rebases
 }
 
 /// A child edit that lands in the child's own corner of the list.
@@ -463,21 +409,22 @@ fn scattered_edit(i: u32, list: &mut MList<u32>) {
     }
 }
 
-/// The paper's shape — no parent op between the spawns and `merge_all` —
-/// stages, exactly once: the first child is the kernel's trivial merge
-/// (counted as a grid rebase, like the kernel counts it) and the rest
-/// rebase against the composite grown from it.
+/// The paper's shape — no parent op between the spawns and `merge_all`:
+/// the first child is the kernel's trivial merge (counted as a grid
+/// rebase), the second builds the memo from the first one's run, and
+/// from the third editor on every child continues from it.
 #[test]
 fn idle_parent_batch_stages_exactly_once() {
-    let (rebases, _) = assert_batch_stages_once(12, scattered_edit, ParentWork::Idle, |_| true);
+    let rebases = assert_batch_hits(12, scattered_edit, ParentWork::Idle, |_| true, 10);
     let mut want = vec![(1, 0); 12];
     want[0] = (0, 1);
     assert_eq!(rebases, want);
 }
 
-/// Children that made no edit are identity members wherever they sit in
-/// the batch — first (the slice stays empty behind it), in the middle, or
-/// behind a grown composite — under an idle and under a busy parent.
+/// Children that made no edit return before the memo is looked at,
+/// wherever they sit in the batch — first (the slice stays empty behind
+/// it), in the middle, or behind a grown memo — and leave it to the next
+/// sibling, under an idle and under a busy parent.
 #[test]
 fn children_without_edits_are_identity_members() {
     fn edit(i: u32, list: &mut MList<u32>) {
@@ -486,7 +433,10 @@ fn children_without_edits_are_identity_members() {
         }
     }
     for work in [ParentWork::Idle, ParentWork::Push] {
-        let (rebases, _) = assert_batch_stages_once(12, edit, work, |_| true);
+        // Nine editors: the first trivial under an idle parent, then one
+        // build, and the rest continue.
+        let hits = if work == ParentWork::Idle { 7 } else { 8 };
+        let rebases = assert_batch_hits(12, edit, work, |_| true, hits);
         let trivial = |i: usize| [0, 3, 7].contains(&i) || (work == ParentWork::Idle && i == 1);
         let want: Vec<Rebases> = (0..12)
             .map(|i| if trivial(i) { (0, 1) } else { (1, 0) })
@@ -495,38 +445,35 @@ fn children_without_edits_are_identity_members() {
     }
 }
 
-/// A pair and a triple of siblings are below the runtime's batch floor:
-/// they fold plainly — same state, same digest, no `MergeStaged` — and
-/// stage only at the seam (`stage_commits_match_the_merge_fold_at_the_seam`).
+/// A pair and a triple of siblings have no batch floor to clear: the
+/// memo serves their third editor, counting a busy parent's own edit.
 #[test]
 fn two_and_three_child_fan_outs_fold_plainly_through_the_runtime() {
-    let _guard = serial();
-    for n in [2, 3] {
-        for work in [ParentWork::Idle, ParentWork::Push] {
-            let (_, seen) = assert_matches_seq(
-                || run_batch::<Seq<MList<u32>>>(n, scattered_edit, work, |_| true),
-                || run_batch::<MList<u32>>(n, scattered_edit, work, |_| true),
-            );
-            assert_eq!(seen.staged, vec![], "{n} children, parent {work:?}");
-        }
+    for (n, work, hits) in [
+        (2, ParentWork::Idle, 0),
+        (2, ParentWork::Push, 1),
+        (3, ParentWork::Idle, 1),
+        (3, ParentWork::Push, 2),
+    ] {
+        assert_batch_hits(n, scattered_edit, work, |_| true, hits);
     }
 }
 
 /// A committed slice that inserts an element and deletes it again folds
-/// to the identity composite, but the slice is not empty: the kernel
-/// rebases every child over it on the delta path, and so must the stage —
-/// the identity-member test is on the live slice, not on the composite.
+/// to the identity, but the slice is not empty: the kernel rebases every
+/// child over it on the delta path, the first one included, and the rest
+/// continue from the memo.
 #[test]
 fn identity_composite_over_a_non_empty_slice_rebases_on_the_delta_path() {
     let work = ParentWork::InsertThenDelete;
-    let (rebases, _) = assert_batch_stages_once(10, scattered_edit, work, |_| true);
+    let rebases = assert_batch_hits(10, scattered_edit, work, |_| true, 9);
     assert_eq!(rebases, vec![(1, 0); 10]);
 }
 
-/// Under an idle parent the first child is an identity member whatever
-/// its log holds; a span-inexpressible `Set` in it shows only when the
-/// composite is folded from what that merge appended, and poisons from
-/// there: the first child is no fallback, every later one is.
+/// Under an idle parent the first child is the trivial merge whatever its
+/// log holds; a span-inexpressible `Set` in it lands in the slice every
+/// later sibling rebases over, so they all take the grid and no memo is
+/// ever built. No screen fired.
 #[test]
 fn set_in_the_first_child_of_an_idle_parent_poisons_behind_it() {
     fn edit(i: u32, list: &mut MList<u32>) {
@@ -535,19 +482,22 @@ fn set_in_the_first_child_of_an_idle_parent_poisons_behind_it() {
             list.set(2, 7777);
         }
     }
-    let (_, seen) = assert_batch_stages_once(9, edit, ParentWork::Idle, |_| true);
-    assert_eq!(
-        seen.snap.rebase_screen_rejects_total, 8,
-        "every child behind the first falls back to plain merge"
+    let _guard = serial();
+    let ((_, rebases), seen) = assert_matches_seq(
+        || run_batch::<Seq<MList<u32>>>(9, edit, ParentWork::Idle, |_| true),
+        || run_batch::<MList<u32>>(9, edit, ParentWork::Idle, |_| true),
     );
+    assert_eq!(rebases, vec![(0, 1); 9]);
+    assert_eq!(seen.hits(), 0);
+    assert_eq!(seen.snap.rebase_screen_rejects_total, 0);
 }
 
 /// A condition that dismisses the first child of an idle-parent batch
-/// leaves the slice empty: the second child is the identity member.
+/// leaves the slice empty: the second child is the trivial merge.
 #[test]
 fn dismissed_first_child_of_an_idle_parent_hands_identity_on() {
     let cond = |d: &MList<u32>| !d.to_vec().contains(&200);
-    let (rebases, _) = assert_batch_stages_once(8, scattered_edit, ParentWork::Idle, cond);
+    let rebases = assert_batch_hits(8, scattered_edit, ParentWork::Idle, cond, 5);
     let mut want = vec![(1, 0); 7];
     want[0] = (0, 1);
     assert_eq!(rebases, want, "child 0 dismissed, child 1 trivial");
@@ -572,46 +522,40 @@ fn forked(
     kids
 }
 
-/// Fold `kids` — all but those at the `skip` indices — into copies of
-/// `parent` by plain `merge` and through one `stage_merge_all` of the
-/// whole batch: state, log and per-child stats must be equal, with
-/// exactly the children from `poisoned_from` on counted as fallbacks.
-fn assert_stage_matches_merge(
-    parent: &MList<u32>,
-    kids: &[MList<u32>],
-    skip: &[usize],
-    poisoned_from: Option<usize>,
-) {
+/// Merge `kids` — all but those at the `skip` indices — into copies of
+/// `parent` one after another, by plain `merge` and by the uncached
+/// oracle: state, log and per-child stats must be equal (but for the memo
+/// hits the oracle never takes). Returns the memo hits of the plain fold.
+fn assert_memo_matches_uncached(parent: &MList<u32>, kids: &[MList<u32>], skip: &[usize]) -> usize {
     // No recorder installed: stats then carry no wall-clock nanos.
     let _guard = serial();
     let fed = || kids.iter().enumerate().filter(|(i, _)| !skip.contains(i));
-    let mut want = parent.clone();
-    let want_stats: Vec<MergeStats> = fed().map(|(_, k)| want.merge(k).unwrap()).collect();
+    let mut want = Seq(parent.clone());
+    let want_stats: Vec<MergeStats> = fed()
+        .map(|(_, k)| want.merge(&Seq(k.clone())).unwrap())
+        .collect();
 
     let mut got = parent.clone();
-    let refs: Vec<&MList<u32>> = kids.iter().collect();
-    let mut stage = got
-        .stage_merge_all(&refs)
-        .expect("the batch qualifies for staging");
+    let mut hits = 0;
     let stats: Vec<MergeStats> = fed()
-        .map(|(i, k)| {
-            let mut stats = stage.commit(&mut got, k).unwrap();
-            let fell_back = poisoned_from.is_some_and(|p| i >= p);
-            assert_eq!(stats.screen_rejects, usize::from(fell_back), "child {i}");
-            stats.screen_rejects = 0;
+        .map(|(_, k)| {
+            let mut stats = got.merge(k).unwrap();
+            hits += stats.memo_hits;
+            stats.memo_hits = 0;
             stats
         })
         .collect();
 
-    let what = format!("skip={skip:?} poisoned_from={poisoned_from:?}");
-    assert_eq!(got.to_vec(), want.to_vec(), "{what}: state");
-    assert_eq!(got.log(), want.log(), "{what}: runs");
+    let what = format!("skip={skip:?}");
+    assert_eq!(got.to_vec(), want.0.to_vec(), "{what}: state");
+    assert_eq!(got.log(), want.0.log(), "{what}: runs");
     assert_eq!(stats, want_stats, "{what}: stats");
+    hits
 }
 
 /// Merge determinism under pool warmth: the same program on pools of
-/// different warmth must produce the oracle's digest chain — and staging
-/// itself submits no pool job, so the pool runs exactly the child tasks.
+/// different warmth must produce the oracle's digest chain — and the memo
+/// submits no pool job, so the pool runs exactly the child tasks.
 #[test]
 fn digest_is_identical_across_pool_warmth() {
     type Data = (MList<u8>, MCounter);
@@ -629,7 +573,6 @@ fn digest_is_identical_across_pool_warmth() {
                     Ok(())
                 });
             }
-            settle();
             ctx.data_mut().d_mut().0.push(u8::MAX);
             ctx.merge_all();
         });
@@ -640,19 +583,19 @@ fn digest_is_identical_across_pool_warmth() {
     for warm in [0, 16] {
         let ((_, _, child_jobs), seen) =
             assert_matches_seq(|| program::<Seq<Data>>(0), || program::<Data>(warm));
-        assert_staged(&seen, (1, 1));
-        assert_eq!(child_jobs, 12, "staging submits no pool job");
+        assert_eq!(seen.hits(), 11, "the list, from the second child on");
+        assert_eq!(child_jobs, 12, "the memo submits no pool job");
     }
 }
 
-/// Seam level, a batch against the `merge` fold of the same children —
-/// state, log and per-child `MergeStats`: the whole mixed batch of
-/// twelve; child `k` carrying a span-inexpressible `Set` at the first, a
-/// middle and the last position (the prefix commits through the
-/// composite, `k` and the suffix through plain `merge`); children 3 and 7
-/// never fed — what a merge condition's dismissal amounts to, and the
-/// composite must stay exact; the shapes with identity members: an idle
-/// parent (where a `Set` in child 0 poisons only *behind* it), children
+/// Seam level, a batch merged child by child against the uncached fold of
+/// the same children — state, log and per-child `MergeStats`: the whole
+/// mixed batch of twelve; child `k` carrying a span-inexpressible `Set`
+/// at the first, a middle and the last position (the memo is dropped at
+/// `k`, and the children behind it rebase over a slice with a `Set` in
+/// it); children 3 and 7 never merged — what a merge condition's
+/// dismissal amounts to; the shapes around the trivial merge: an idle
+/// parent (where a `Set` in child 0 lands in every later slice), children
 /// 0, 3 and 7 without an edit, and an insert-then-delete slice; and the
 /// smallest batches there are, a pair and a triple.
 #[test]
@@ -663,54 +606,54 @@ fn stage_commits_match_the_merge_fold_at_the_seam() {
         work: ParentWork,
         /// The child carrying a `Set`.
         set_at: Option<u32>,
-        /// Children never fed to the stage.
+        /// Children never merged.
         skip: &'static [usize],
-        /// The first child that falls back to plain `merge`.
-        poisoned_from: Option<usize>,
         /// Children 0, 3 and 7 make no edit.
         idlers: bool,
+        /// Merges that continue from the memo.
+        hits: usize,
     }
-    let case = |work, set_at, skip, poisoned_from| Case {
+    let case = |work, set_at, skip, hits| Case {
         children: 12,
         work,
         set_at,
         skip,
-        poisoned_from,
         idlers: false,
+        hits,
     };
     let cases = [
-        case(Push, None, &[], None),
-        case(Push, Some(0), &[], Some(0)),
-        case(Push, Some(5), &[], Some(5)),
-        case(Push, Some(11), &[], Some(11)),
-        case(Push, None, &[3, 7], None),
-        case(Idle, None, &[], None),
-        case(Idle, Some(0), &[], Some(1)),
-        case(Idle, None, &[0, 3], None),
-        case(InsertThenDelete, None, &[], None),
+        case(Push, None, &[], 11),
+        case(Push, Some(0), &[], 0),
+        case(Push, Some(5), &[], 4),
+        case(Push, Some(11), &[], 10),
+        case(Push, None, &[3, 7], 9),
+        case(Idle, None, &[], 10),
+        case(Idle, Some(0), &[], 0),
+        case(Idle, None, &[0, 3], 8),
+        case(InsertThenDelete, None, &[], 11),
         Case {
             idlers: true,
-            ..case(Idle, None, &[], None)
+            ..case(Idle, None, &[], 7)
         },
         Case {
             idlers: true,
-            ..case(Push, None, &[], None)
+            ..case(Push, None, &[], 8)
         },
         Case {
             children: 2,
-            ..case(Idle, None, &[], None)
+            ..case(Idle, None, &[], 0)
         },
         Case {
             children: 2,
-            ..case(Push, None, &[], None)
+            ..case(Push, None, &[], 1)
         },
         Case {
             children: 3,
-            ..case(Idle, None, &[], None)
+            ..case(Idle, None, &[], 1)
         },
         Case {
             children: 3,
-            ..case(Push, None, &[], None)
+            ..case(Push, None, &[], 2)
         },
     ];
     for c in cases {
@@ -727,12 +670,13 @@ fn stage_commits_match_the_merge_fold_at_the_seam() {
                 kid.set(0, 7777);
             }
         });
-        assert_stage_matches_merge(&parent, &kids, c.skip, c.poisoned_from);
+        let hits = assert_memo_matches_uncached(&parent, &kids, c.skip);
+        assert_eq!(hits, c.hits, "{} children, {:?}", c.children, c.work);
     }
 }
 
 /// Regression for the composite's finger (`sm_ot::delta::Composite`): a
-/// staged commit starts its sweeps at a remembered span boundary, and the
+/// memo rebase starts its sweeps at a remembered span boundary, and the
 /// compose coalesces the first span a run pushes into the last span
 /// *before* its cut. Child 1's insert ends in a span of its own, right in
 /// front of the delete child 0 left; child 2's insert lands at that
@@ -751,7 +695,7 @@ fn a_run_coalescing_into_the_span_before_its_cut_keeps_the_finger_exact() {
                 kid.remove(i as usize + 2);
             }
         });
-        assert_stage_matches_merge(&parent, &kids, &[], None);
+        assert_memo_matches_uncached(&parent, &kids, &[]);
     }
 }
 
@@ -782,25 +726,15 @@ enum Extra {
     /// Children 0, 3 and 7 make no edit: identity members.
     Idlers,
     /// Child 5 is dismissed — by the merge condition through the runtime,
-    /// never fed at the seam.
+    /// never merged at the seam.
     Dismissed,
-    /// Child 6 carries a span-inexpressible `Set`: poison from there.
+    /// Child 6 carries a span-inexpressible `Set`: the grid from there.
     Set,
     /// Child 4 commits the committed half of the order-sensitivity
     /// fixture in `sm_ot::delta`, child 8 brings the incoming half to the
-    /// same block: the screen fires at child 8, poison from there.
+    /// same block: the screen fires at child 8, and child 9 rebuilds the
+    /// memo.
     ScreenFire,
-}
-
-impl Extra {
-    /// The first child that falls back to plain `merge`.
-    fn poisoned_from(self) -> Option<usize> {
-        match self {
-            Extra::Set => Some(6),
-            Extra::ScreenFire => Some(8),
-            _ => None,
-        }
-    }
 }
 
 /// The scripts of a twelve-child batch over a 64-element list, child `i`
@@ -834,11 +768,11 @@ fn lead_scripts(leads: &[usize; 12], apart: bool, extra: Extra) -> Vec<Vec<Edit>
         .collect()
 }
 
-/// A child's `MergeStats` with what differs by design between a staged
-/// and a plain merge — wall clock, and the fallback count — blanked.
+/// A child's `MergeStats` with what differs by design between a memo and
+/// an uncached merge — wall clock, and the memo hit — blanked.
 fn comparable(stats: &MergeStats) -> MergeStats {
     MergeStats {
-        screen_rejects: 0,
+        memo_hits: 0,
         delta_nanos: 0,
         compact_nanos: 0,
         grid_nanos: 0,
@@ -847,7 +781,7 @@ fn comparable(stats: &MergeStats) -> MergeStats {
     }
 }
 
-/// One scripted all-ready fan-out through the runtime under a busy
+/// One scripted fan-out through the runtime under a busy
 /// parent; the child that inserted `dismiss` is dismissed by the merge
 /// condition. Returns the merged list and every child's comparable
 /// stats (`None` for a dismissed child).
@@ -870,8 +804,6 @@ fn run_scripts<W: Host<MList<u32>>>(
         for _ in 0..n {
             done_rx.recv().unwrap();
         }
-        // The completion events follow the reports.
-        std::thread::sleep(Duration::from_millis(40));
         ParentWork::Push.run(ctx.data_mut().d_mut());
         ctx.merge_all_with(&|d: &W| dismiss.is_none_or(|v| !d.d().to_vec().contains(&v)))
     });
@@ -882,15 +814,16 @@ fn run_scripts<W: Host<MList<u32>>>(
     (list.d().to_vec(), stats.collect())
 }
 
-/// The finger of the staged composite moves with the children's first
+/// The finger of the memo's composite moves with the children's first
 /// edits, so the order those come in is an input of its own: ascending
 /// (it only advances), descending (it retreats every time), shuffled,
 /// and every child at one position (it never leaves the front, and every
 /// run ties with the ones before it) — each with identity members, a
 /// dismissed child, a `Set` and a screen fire in mid-batch. At the seam
-/// the batch equals the plain `merge` fold in state, log and per-child
+/// the batch equals the uncached fold in state, log and per-child
 /// `MergeStats`, under an idle and a busy parent; through the runtime it
-/// equals the `Seq` oracle in state, per-child stats and auditor digest.
+/// equals the `Seq` oracle in state, per-child stats, screen rejects and
+/// auditor digest.
 #[test]
 fn lead_orders_ascending_descending_shuffled_and_repeated_match_sequential() {
     let block = |slot: usize| 2 + 5 * slot;
@@ -925,7 +858,7 @@ fn lead_orders_ascending_descending_shuffled_and_repeated_match_sequential() {
                 let kids = forked(&mut parent, 12, work, |i, kid| {
                     play(kid, &scripts[i as usize])
                 });
-                assert_stage_matches_merge(&parent, &kids, skip, extra.poisoned_from());
+                assert_memo_matches_uncached(&parent, &kids, skip);
             }
 
             let _guard = serial();
@@ -934,12 +867,12 @@ fn lead_orders_ascending_descending_shuffled_and_repeated_match_sequential() {
                 || run_scripts::<Seq<MList<u32>>>(&scripts, dismiss),
                 || run_scripts::<MList<u32>>(&scripts, dismiss),
             );
-            assert_eq!(seen.staged, vec![(1, 0)], "{name} {extra:?}");
             let merged = stats.iter().flatten().count();
             assert_eq!(merged, 12 - skip.len(), "{name} {extra:?}");
-            let fell_back = extra.poisoned_from().map_or(0, |from| 12 - from);
+            assert!(seen.hits() > 0, "{name} {extra:?}");
+            let screened = u64::from(extra == Extra::ScreenFire);
             assert_eq!(
-                seen.snap.rebase_screen_rejects_total, fell_back as u64,
+                seen.snap.rebase_screen_rejects_total, screened,
                 "{name} {extra:?}"
             );
         }
@@ -959,18 +892,17 @@ impl Clone for Counted {
     }
 }
 
-/// A staged commit costs what its child holds, not what the composite
-/// has grown to: `n` children in ascending blocks, `k` scattered inserts
+/// A memo merge costs what its child holds, not what the composite has
+/// grown to: `n` children in ascending blocks, `k` scattered inserts
 /// each, clone at most `c·n·k` elements for one `c` at both widths. A
-/// commit that walked the composite and cloned its insert payloads — once
-/// into a transform output nobody reads, once into a rebuilt composite —
-/// cloned about `n²·k`.
+/// merge that refolded the committed slice, or walked the composite and
+/// cloned its insert payloads, cloned about `n²·k`.
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "the debug oracle refolds the whole committed slice at every staged commit"
+    ignore = "the debug oracle refolds the whole committed slice at every memo merge"
 )]
-fn staged_commits_clone_elements_linearly_in_the_batch() {
+fn memo_merges_clone_elements_linearly_in_the_batch() {
     const K: usize = 8;
     const BLOCK: usize = 2 * K;
     const C: usize = 12;
@@ -988,13 +920,12 @@ fn staged_commits_clone_elements_linearly_in_the_batch() {
                 kid
             })
             .collect();
-        let refs: Vec<&MList<Counted>> = kids.iter().collect();
         ELEMENT_CLONES.store(0, Ordering::Relaxed);
-        let mut stage = parent.stage_merge_all(&refs).expect("the batch stages");
+        let mut hits = 0;
         for kid in &kids {
-            let stats = stage.commit(&mut parent, kid).unwrap();
-            assert_eq!(stats.screen_rejects, 0, "no child falls back");
+            hits += parent.merge(kid).unwrap().memo_hits;
         }
+        assert_eq!(hits, n - 2, "from the third editor on");
         let clones = ELEMENT_CLONES.load(Ordering::Relaxed);
         assert_eq!(parent.len(), n * (BLOCK + K));
         assert!(
@@ -1042,8 +973,8 @@ fn merge_all_from_set_dedups_duplicate_handles() {
     );
 }
 
-/// A fan-out whose children mix inserts and deletes must take the staged
-/// path and stay digest-identical to the sequential fold.
+/// A fan-out whose children mix inserts and deletes reuses the memo and
+/// stays digest-identical to the uncached fold.
 #[test]
 fn mixed_delete_fanout_stages_and_matches_sequential_digest() {
     fn program<W: Host<MList<u32>>>() -> Vec<u32> {
@@ -1062,7 +993,6 @@ fn mixed_delete_fanout_stages_and_matches_sequential_digest() {
                     Ok(())
                 });
             }
-            settle();
             ctx.data_mut().d_mut().push(u32::MAX);
             ctx.merge_all();
         });
@@ -1070,15 +1000,14 @@ fn mixed_delete_fanout_stages_and_matches_sequential_digest() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
-    assert_staged(&seen, (1, 0));
+    assert!(seen.hits() > 0);
 }
 
 /// The runtime mirror of the order-sensitivity fixture in `sm_ot::delta`
 /// — a committed delete closes the gap between an incoming insert and a
-/// later committed insert, so the staged walk must poison that child
-/// (and the batch suffix) back to the plain sequential kernel, counted
-/// in `sm_rebase_screen_rejects_total`, with the digest chain still
-/// bit-identical.
+/// later committed insert, so the screen sends that child from the memo
+/// to the grid, counted in `sm_rebase_screen_rejects_total`; the next
+/// child rebuilds the memo, and the digest chain stays bit-identical.
 #[test]
 fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
     fn program<W: Host<MText>>() -> String {
@@ -1100,8 +1029,8 @@ fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
                 text.insert_str(1, "q");
                 Ok(())
             });
-            // Bystanders appending at the far end carry the batch past
-            // the staging threshold; they merge in the poisoned suffix.
+            // Bystanders appending at the far end: the first rebuilds
+            // the memo, the rest continue from it.
             for i in 0..6 {
                 ctx.spawn(move |c| {
                     let text = c.data_mut().d_mut();
@@ -1109,7 +1038,6 @@ fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
                     Ok(())
                 });
             }
-            settle();
             // Parent edit far to the right keeps the committed slice
             // non-empty without disturbing the low-position collision.
             let end = ctx.data().d().char_len();
@@ -1120,16 +1048,17 @@ fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MText>>, program::<MText>);
-    assert_staged(&seen, (1, 0));
     assert_eq!(
-        seen.snap.rebase_screen_rejects_total, 7,
-        "the order-sensitive child and the suffix behind it fall back to plain merge"
+        seen.snap.rebase_screen_rejects_total, 1,
+        "only the order-sensitive child goes to the grid"
     );
+    assert_eq!(seen.hits(), 5, "children 3 to 7");
 }
 
-/// A conditional `merge_all_with` batch stages once: dismissed children
-/// are simply not fed to the stage, and the committed outcome — state,
-/// rejected set, and digest chain — is exactly the sequential one.
+/// A conditional `merge_all_with` batch: dismissed children are never
+/// merged and leave the memo to the next sibling, and the committed
+/// outcome — state, rejected set, and digest chain — is exactly the
+/// uncached one.
 #[test]
 fn conditional_merge_all_stages_once_and_matches_sequential() {
     fn program<W: Host<MList<u32>>>() -> (Vec<u32>, usize) {
@@ -1142,7 +1071,6 @@ fn conditional_merge_all_stages_once_and_matches_sequential() {
                     Ok(())
                 });
             }
-            settle();
             ctx.data_mut().d_mut().push(500);
             // Deterministic on the child's own data: rejects roughly a
             // third of the children, scattered through the batch.
@@ -1157,9 +1085,9 @@ fn conditional_merge_all_stages_once_and_matches_sequential() {
         "the condition must actually reject some children for this test to bite"
     );
     assert_eq!(
-        seen.staged,
-        vec![(1, 0)],
-        "dismissals must not re-stage the batch"
+        seen.hits(),
+        merged as u64 - 1,
+        "every merged child after the first"
     );
 }
 
@@ -1191,11 +1119,11 @@ fn journaled<W: Persist, V: PartialEq + std::fmt::Debug>(
     view(&live)
 }
 
-/// A durable `CommitSink` does not force the sequential fold: staged
-/// batches run with the journal installed (it seals the history after
-/// every commit; staged runs append under the live barrier), the digest
-/// chain matches the sequential run, and recovery replays both journals
-/// to the same state.
+/// A durable `CommitSink` does not cost the memo: it seals the history
+/// after every commit, which moves the fuse barrier but not the log, so
+/// the siblings behind keep continuing from it; the digest chain matches
+/// the uncached run, and recovery replays both journals to the same
+/// state.
 #[test]
 fn staged_merge_coexists_with_store_sink_and_recovers() {
     fn program<W: Host<MList<u32>> + Persist>(tag: &str) -> Vec<u32> {
@@ -1215,7 +1143,6 @@ fn staged_merge_coexists_with_store_sink_and_recovers() {
                         Ok(())
                     });
                 }
-                settle();
                 ctx.data_mut().d_mut().push(9999);
                 ctx.merge_all();
             },
@@ -1225,13 +1152,13 @@ fn staged_merge_coexists_with_store_sink_and_recovers() {
     let _guard = serial();
     let (_, seen) = assert_matches_seq(
         || program::<Seq<MList<u32>>>("seq"),
-        || program::<MList<u32>>("par"),
+        || program::<MList<u32>>("memo"),
     );
-    assert_staged(&seen, (1, 0));
+    assert_eq!(seen.hits(), 15);
 }
 
 mergeable_struct! {
-    /// A sequence field beside two fields that never stage.
+    /// A sequence field beside two fields with no memo.
     #[derive(Debug, Clone)]
     struct Board {
         items: MList<u32>,
@@ -1283,10 +1210,9 @@ impl Persist for Board {
     }
 }
 
-/// A composite under a `Store` sink where only the list stages: the
-/// counter and the map commit inline inside the batch walk, between the
-/// sink's per-commit seals, and state, digest and journal all match the
-/// sequential run.
+/// A composite under a `Store` sink where only the list keeps a memo: the
+/// counter and the map merge beside it, between the sink's per-commit
+/// seals, and state, digest and journal all match the uncached run.
 #[test]
 fn composite_stages_the_list_and_commits_other_fields_inline_under_a_sink() {
     type View = (Vec<u32>, i64, Vec<(u8, u32)>);
@@ -1312,7 +1238,6 @@ fn composite_stages_the_list_and_commits_other_fields_inline_under_a_sink() {
                         Ok(())
                     });
                 }
-                settle();
                 let board = ctx.data_mut().d_mut();
                 board.items.push(u32::MAX);
                 board.hits.add(1000);
@@ -1329,18 +1254,13 @@ fn composite_stages_the_list_and_commits_other_fields_inline_under_a_sink() {
     let _guard = serial();
     let (_, seen) = assert_matches_seq(
         || program::<Seq<Board>>("board-seq"),
-        || program::<Board>("board-par"),
+        || program::<Board>("board-memo"),
     );
-    assert_eq!(
-        seen.staged,
-        vec![(1, 2)],
-        "one delta leaf, two inline fields"
-    );
+    assert_eq!(seen.hits(), 11, "the list, from the second child on");
 }
 
-/// A composite whose every field declines has no stage at all: no
-/// `MergeStaged` event, not one pool job beyond the children, and no
-/// allocation per declining field.
+/// A composite with no sequence field keeps no memo: no hit, and not one
+/// pool job beyond the children.
 #[test]
 fn all_declining_composite_emits_no_merge_staged() {
     fn program<W: Host<Vec<MCounter>>>() -> (Vec<i64>, u64) {
@@ -1353,7 +1273,6 @@ fn all_declining_composite_emits_no_merge_staged() {
                     Ok(())
                 });
             }
-            settle();
             ctx.data_mut().d_mut()[0].add(1000);
             ctx.merge_all();
         });
@@ -1363,27 +1282,15 @@ fn all_declining_composite_emits_no_merge_staged() {
     let _guard = serial();
     // Equal outputs include equal job counts.
     let (_, seen) = assert_matches_seq(program::<Seq<Vec<MCounter>>>, program::<Vec<MCounter>>);
-    assert_eq!(seen.staged, vec![], "nothing to stage");
-
-    // And asking costs nothing per field: a declining batch a thousand
-    // counters wide allocates exactly what one four wide does.
-    let asking = |width: i64| {
-        let parent: Vec<MCounter> = (0..width).map(MCounter::new).collect();
-        let kids: Vec<Vec<MCounter>> = (0..3).map(|_| parent.fork()).collect();
-        let refs: Vec<&Vec<MCounter>> = kids.iter().collect();
-        let (stage, allocations) = allocations_in(|| parent.stage_merge_all(&refs));
-        assert!(stage.is_none(), "counters never stage");
-        allocations
-    };
-    assert_eq!(asking(4), asking(1000));
+    assert_eq!(seen.hits(), 0);
 }
 
 /// One huge child log, folded in segments fused in order, must be
-/// indistinguishable from the sequential fold: state and digest against
-/// the oracle, through the runtime at the engine's own threshold.
+/// indistinguishable from the straight fold: state and digest against
+/// the oracle, through the runtime at the memo's own threshold.
 #[test]
 fn huge_child_segmented_fold_matches_sequential_digest() {
-    /// Past the engine's 4 096-op segmenting threshold.
+    /// Past the memo's 4 096-op segmenting threshold.
     const HUGE: u32 = 5_000;
     fn program<W: Host<MList<u32>>>() -> Vec<u32> {
         let (list, ()) = run(W::host(MList::from_iter(0..8u32)), |ctx| {
@@ -1414,7 +1321,6 @@ fn huge_child_segmented_fold_matches_sequential_digest() {
             for _ in 0..8 {
                 done_rx.recv().unwrap();
             }
-            settle();
             ctx.data_mut().d_mut().push(u32::MAX);
             ctx.merge_all();
         });
@@ -1422,5 +1328,5 @@ fn huge_child_segmented_fold_matches_sequential_digest() {
     }
     let _guard = serial();
     let (_, seen) = assert_matches_seq(program::<Seq<MList<u32>>>, program::<MList<u32>>);
-    assert_staged(&seen, (1, 0));
+    assert_eq!(seen.hits(), 7);
 }

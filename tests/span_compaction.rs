@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use proptest::prelude::*;
 use spawn_merge::ot::cmap::CounterMapOp;
-use spawn_merge::ot::compose::{compact, compact_list};
+use spawn_merge::ot::compose::compact;
 use spawn_merge::ot::counter::CounterOp;
 use spawn_merge::ot::list::ListOp;
 use spawn_merge::ot::map::MapOp;
@@ -54,7 +54,7 @@ fn list_adjacent_fuse_and_cancel() {
     let incoming: Vec<ListOp<u8>> = (0..5)
         .map(|i| ListOp::Insert(8 + i, 100 + i as u8))
         .collect();
-    assert_eq!(compact_list(&committed).len(), 1);
+    assert_eq!(compact(&committed).len(), 1);
     assert_compact_rebase_equiv(&base, &committed, &incoming);
 
     // Insert-then-delete cancellation inside the incoming log.
@@ -63,7 +63,7 @@ fn list_adjacent_fuse_and_cancel() {
         ListOp::Delete(2),
         ListOp::Insert(0, 7),
     ];
-    assert_eq!(compact_list(&incoming), vec![ListOp::Insert(0, 7)]);
+    assert_eq!(compact(&incoming), vec![ListOp::Insert(0, 7)]);
     assert_compact_rebase_equiv(&base, &committed, &incoming);
 }
 
@@ -264,8 +264,8 @@ fn contiguous_span_rebase_is_5x_faster() {
     let raw_ns = best(&mut || rebase(&incoming, &committed));
     // Compaction time counts against the fast path.
     let compacted_ns = best(&mut || {
-        let i = compact_list(&incoming);
-        let c = compact_list(&committed);
+        let i = compact(&incoming);
+        let c = compact(&committed);
         rebase(&i, &c)
     });
 
