@@ -2,9 +2,8 @@
 //! scattered logs — the workload span compaction cannot help with.
 //!
 //! `delta_rebase` covers the whole fast path as the merge runs it: fold
-//! both logs into sorted span-sets, screen for order-sensitive insert
-//! collisions, transform in one sweep, and re-materialize the incoming
-//! ops. `grid_rebase` is the same work on the O(m·n) grid. The `fold`
+//! both logs into sorted span-sets, transform in one sweep, and
+//! re-materialize the incoming ops. `grid_rebase` is the same work on the O(m·n) grid. The `fold`
 //! group isolates the per-op splice cost of `from_ops`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -7,8 +7,8 @@
 //! compaction time included), and through `sm_ot::delta::rebase_delta`
 //! (the O(m+n) sorted span-set path) — and records wall-clock
 //! nanoseconds, op counts, grid sizes, span counts, and which path the
-//! merge actually takes (`rebase_delta` declines span-inexpressible logs
-//! and order-sensitive insert collisions; those fall back to the grid).
+//! merge actually takes (`rebase_delta` declines span-inexpressible logs,
+//! which fall back to the grid).
 //! Final scenarios time the full `MList::merge` entry point end to end
 //! and report its delta/grid rebase split.
 //!
@@ -52,14 +52,13 @@ use sm_ot::list::ListOp;
 use sm_ot::seq::rebase;
 
 /// Speedup floors per scenario: a release run below its floor means a
-/// fast path regressed. `scattered_mixed_interleaved` has none: it is the
-/// honest grid fallback, both of whose sides time the same grid, so its
-/// ratio reads nothing but the machine's drift between the two timings.
+/// fast path regressed.
 const FLOORS: &[(&str, f64)] = &[
     ("contiguous_inserts_500x500", 100.0),
     ("set_churn_500_vs_inserts_200", 20.0),
     ("scattered_inserts_100x100", 5.0),
     ("scattered_inserts_500x500", 10.0),
+    ("scattered_mixed_interleaved", 10.0),
     ("scattered_mixed_disjoint_halves", 4.0),
     ("parallel_merge_all_1000", 4.0),
     ("mixed_delete_merge_all_1000", 3.0),
@@ -138,10 +137,9 @@ fn scenarios() -> Vec<Scenario> {
             .collect(),
     };
     // Scattered inserts and deletes fully interleaved over the same
-    // region: somewhere an incoming insert ends up separated from a
-    // later committed insert only by deleted units, so the
-    // order-sensitivity screen sends the pair to the grid. Kept as the
-    // honest fallback data point (`path = grid`, ~1x).
+    // region: incoming inserts end up separated from later committed
+    // inserts only by deleted units, the collapsed-gap pairs the grid
+    // orders by log sequencing. The delta path merges them by position.
     let positions = lcg_positions(500, 3000);
     let mixed = Scenario {
         name: "scattered_mixed_interleaved",
@@ -215,10 +213,8 @@ enum FanoutMode {
     /// Strided inserts only.
     InsertOnly,
     /// Every fourth op is a delete, each child confined to its own
-    /// 8-element segment of the base. Disjoint segments keep the
-    /// order-sensitivity screen quiet (no child insert can reach another
-    /// child's insert through deleted units), so the memo path is
-    /// measured, not its poisoned fallback.
+    /// 8-element segment of the base. Disjoint segments keep every
+    /// child's insert apart from the others' by a unit nobody deletes.
     Mixed,
     /// Insert-only children merged under [`condition`], which dismisses
     /// a scatter of children out of the middle of the batch.
@@ -402,7 +398,7 @@ fn main() {
         });
         let ic = compact(&sc.incoming);
         let cc = compact(&sc.committed);
-        // The delta path as the merge runs it: fold, screen, sweep.
+        // The delta path as the merge runs it: fold, then sweep.
         // `None` means this pair falls back to the grid at merge time.
         let delta_result = rebase_delta(&sc.incoming, &sc.committed);
         let (delta_ns, delta_spans, path) = match &delta_result {

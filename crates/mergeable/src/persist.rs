@@ -261,7 +261,8 @@ macro_rules! persist_log_methods {
 
 /// Decoded insert-only list commit: `(position, value start, run length)`
 /// spans in op order over a flat value buffer — the input shape of
-/// [`sm_ot::list::plan_insert_batch`], consumed by `ListReplaySession`.
+/// [`sm_ot::list::InsertPlanner::plan_assemble`], consumed by
+/// `ListReplaySession`.
 pub struct ListPreparedLog<T: Element> {
     spans: Vec<(usize, usize, usize)>,
     /// Per-span: encoded as `InsertRun` (true) or `Insert` (false), so
@@ -379,8 +380,8 @@ impl<T: Element> ListReplaySession<T> {
         if m >= u32::MAX as usize || window > 16 * k + 4096 {
             return self.apply_sequential(item).map(|()| ops);
         }
-        // Validate that every op lands in bounds at its time (mirrors
-        // `apply_batch` step 2); any failure is sequential's to report.
+        // Validate that every op lands in bounds at its time; any failure
+        // is sequential's to report.
         let mut cur = doc_len;
         for (pos, _, len) in &item.spans {
             if *pos > cur {

@@ -71,7 +71,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sm_ot::compose::compact_cow;
-use sm_ot::delta::Declined;
 use sm_ot::{seq, ApplyError, Operation};
 
 /// Saturating elapsed nanoseconds since `t0`.
@@ -122,10 +121,6 @@ pub struct MergeStats {
     /// Total normalized spans swept by delta-path rebases (incoming +
     /// committed sides): the m+n the linear transform actually paid.
     pub delta_spans: usize,
-    /// Delta-path attempts the order-sensitivity screen
-    /// ([`sm_ot::delta::Delta::rebase_is_order_sensitive`]) sent to the
-    /// grid; each is also one of `grid_rebases`.
-    pub screen_rejects: usize,
     /// Delta-path rebases that continued from the merge memo (module
     /// docs) instead of refolding the committed slice.
     pub memo_hits: usize,
@@ -154,7 +149,6 @@ impl std::ops::AddAssign for MergeStats {
         self.delta_rebases += rhs.delta_rebases;
         self.grid_rebases += rhs.grid_rebases;
         self.delta_spans += rhs.delta_spans;
-        self.screen_rejects += rhs.screen_rejects;
         self.memo_hits += rhs.memo_hits;
         self.delta_nanos += rhs.delta_nanos;
         self.compact_nanos += rhs.compact_nanos;
@@ -177,7 +171,6 @@ impl From<&MergeStats> for sm_obs::MergeOpStats {
             delta_rebases: s.delta_rebases,
             grid_rebases: s.grid_rebases,
             delta_spans: s.delta_spans,
-            screen_rejects: s.screen_rejects,
             memo_hits: s.memo_hits,
         }
     }
@@ -796,11 +789,11 @@ fn rebase_over<O: Operation>(
     let delta = if !child_log.is_empty() && !committed_raw.is_empty() {
         O::delta_rebase(child_log, committed_raw, memo, reuse)
     } else {
-        Err(Declined::Inexpressible)
+        None
     };
     let attempt_nanos = attempt_t0.map_or(0, elapsed_nanos);
     match delta {
-        Ok((rebased, d)) => {
+        Some((rebased, d)) => {
             let stats = MergeStats {
                 child_ops: child_log.len(),
                 applied_ops: rebased.len(),
@@ -819,7 +812,7 @@ fn rebase_over<O: Operation>(
             };
             (rebased, stats)
         }
-        Err(declined) => {
+        None => {
             let compact_t0 = timing.then(std::time::Instant::now);
             let committed: Cow<'_, [O]> = compact_cow(committed_raw);
             let incoming: Cow<'_, [O]> = compact_cow(child_log);
@@ -836,7 +829,6 @@ fn rebase_over<O: Operation>(
                 delta_rebases: 0,
                 grid_rebases: 1,
                 delta_spans: 0,
-                screen_rejects: usize::from(declined == Declined::Screened),
                 compact_nanos,
                 // The declined delta attempt is part of what the
                 // grid path cost this merge.

@@ -231,96 +231,6 @@ impl<'a> Iterator for Frames<'a> {
     }
 }
 
-/// Incremental frame accumulator for byte streams that arrive in
-/// arbitrary chunks (partial reads, coalesced writes, torn connections).
-///
-/// Feed whatever bytes the transport produced with [`push`](Self::push)
-/// and drain complete payloads with [`next_frame`](Self::next_frame);
-/// a frame split across any number of chunks is reassembled without
-/// blocking, and a mid-frame connection drop is reported as a clean
-/// [`FrameError::Truncated`] by [`finish`](Self::finish) rather than a
-/// hang or a panic. Corruption ([`BadCrc`](FrameError::BadCrc),
-/// [`TooLarge`](FrameError::TooLarge)) is detected as soon as the
-/// offending bytes are buffered and is sticky: the reader yields
-/// nothing further.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already consumed by yielded frames; compacted
-    /// lazily so steady-state streaming does not memmove per frame.
-    consumed: usize,
-    poisoned: Option<FrameError>,
-}
-
-impl FrameReader {
-    /// An empty reader.
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// Buffer another chunk of the stream (may be any size, including
-    /// empty or a single byte).
-    pub fn push(&mut self, chunk: &[u8]) {
-        if self.poisoned.is_some() {
-            return;
-        }
-        // Compact once the dead prefix dominates, amortizing the copy.
-        if self.consumed > 0 && self.consumed * 2 >= self.buf.len() {
-            self.buf.drain(..self.consumed);
-            self.consumed = 0;
-        }
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// The next complete payload, if one is fully buffered.
-    ///
-    /// `Ok(None)` means "need more bytes" — never an error, because a
-    /// partial frame is the normal mid-stream state. `Err` is a
-    /// permanent decode failure (corruption or an oversize length
-    /// prefix); once returned, the reader stays poisoned.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if let Some(e) = self.poisoned {
-            return Err(e);
-        }
-        match decode_frame(&self.buf[self.consumed..]) {
-            Ok((payload, total)) => {
-                let payload = payload.to_vec();
-                self.consumed += total;
-                Ok(Some(payload))
-            }
-            Err(FrameError::Truncated { .. }) => Ok(None),
-            Err(e) => {
-                self.poisoned = Some(e);
-                Err(e)
-            }
-        }
-    }
-
-    /// Bytes buffered but not yet yielded as a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.consumed
-    }
-
-    /// Close the stream: `Ok(())` if it ended exactly on a frame
-    /// boundary, the terminal error otherwise. A connection dropped
-    /// mid-frame surfaces here as [`FrameError::Truncated`] with exact
-    /// need/have accounting.
-    pub fn finish(&self) -> Result<(), FrameError> {
-        if let Some(e) = self.poisoned {
-            return Err(e);
-        }
-        if self.pending() == 0 {
-            return Ok(());
-        }
-        match decode_frame(&self.buf[self.consumed..]) {
-            // A complete frame is still buffered: the caller closed
-            // without draining, not a torn stream.
-            Ok(_) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,148 +289,6 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         assert_eq!(decode_frame(&buf), Err(FrameError::TooLarge(u32::MAX)));
-    }
-
-    #[test]
-    fn frame_reader_reassembles_byte_at_a_time() {
-        let mut stream = Vec::new();
-        encode_frame(b"alpha", &mut stream);
-        encode_frame(b"", &mut stream);
-        encode_frame(&[7u8; 300], &mut stream);
-
-        let mut reader = FrameReader::new();
-        let mut got: Vec<Vec<u8>> = Vec::new();
-        for &b in &stream {
-            reader.push(&[b]);
-            while let Some(p) = reader.next_frame().expect("no corruption") {
-                got.push(p);
-            }
-        }
-        assert_eq!(got, vec![b"alpha".to_vec(), Vec::new(), vec![7u8; 300]]);
-        assert_eq!(reader.pending(), 0);
-        assert!(reader.finish().is_ok());
-    }
-
-    #[test]
-    fn frame_reader_reassembles_arbitrary_chunkings() {
-        let mut stream = Vec::new();
-        for i in 0..20u8 {
-            encode_frame(&vec![i; i as usize * 7], &mut stream);
-        }
-        // Deterministic "random" chunk sizes covering 1..=23 bytes.
-        for salt in 0..5u64 {
-            let mut reader = FrameReader::new();
-            let mut got = 0usize;
-            let mut at = 0usize;
-            let mut r = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            while at < stream.len() {
-                r = r
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let n = (1 + (r >> 33) % 23) as usize;
-                let end = (at + n).min(stream.len());
-                reader.push(&stream[at..end]);
-                at = end;
-                while let Some(_p) = reader.next_frame().expect("clean stream") {
-                    got += 1;
-                }
-            }
-            assert_eq!(got, 20, "salt {salt}: all frames reassembled");
-            assert!(reader.finish().is_ok());
-        }
-    }
-
-    #[test]
-    fn frame_reader_reports_torn_stream_as_clean_truncation() {
-        let mut stream = Vec::new();
-        encode_frame(b"delivered", &mut stream);
-        encode_frame(b"torn-away", &mut stream);
-
-        // Drop the connection at every possible mid-frame point of the
-        // second frame: the first frame is still delivered and finish()
-        // reports Truncated with exact accounting — never a panic, never
-        // a misdecode.
-        let first_len = HEADER_LEN + 9;
-        for cut in first_len + 1..stream.len() - 1 {
-            let mut reader = FrameReader::new();
-            reader.push(&stream[..cut]);
-            assert_eq!(
-                reader.next_frame().unwrap(),
-                Some(b"delivered".to_vec()),
-                "cut at {cut}"
-            );
-            assert_eq!(reader.next_frame().unwrap(), None, "cut at {cut}");
-            match reader.finish() {
-                Err(FrameError::Truncated { need, have }) => {
-                    assert_eq!(have, cut - first_len);
-                    assert!(need > have);
-                }
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
-        }
-
-        // Dropped exactly on the boundary: a clean close.
-        let mut reader = FrameReader::new();
-        reader.push(&stream[..first_len]);
-        assert_eq!(reader.next_frame().unwrap(), Some(b"delivered".to_vec()));
-        assert!(reader.finish().is_ok());
-    }
-
-    #[test]
-    fn frame_reader_poisons_on_corruption() {
-        let mut stream = Vec::new();
-        encode_frame(b"good", &mut stream);
-        encode_frame(b"evil", &mut stream);
-        *stream.last_mut().unwrap() ^= 0xFF;
-        encode_frame(b"after", &mut stream);
-
-        let mut reader = FrameReader::new();
-        reader.push(&stream);
-        assert_eq!(reader.next_frame().unwrap(), Some(b"good".to_vec()));
-        assert!(matches!(
-            reader.next_frame(),
-            Err(FrameError::BadCrc { .. })
-        ));
-        // Sticky: later pushes and polls keep failing, nothing after the
-        // corruption is ever yielded.
-        reader.push(b"more bytes");
-        assert!(matches!(
-            reader.next_frame(),
-            Err(FrameError::BadCrc { .. })
-        ));
-        assert!(matches!(reader.finish(), Err(FrameError::BadCrc { .. })));
-
-        // An oversize length prefix poisons the same way.
-        let mut reader = FrameReader::new();
-        reader.push(&u32::MAX.to_le_bytes());
-        reader.push(&0u32.to_le_bytes());
-        assert_eq!(reader.next_frame(), Err(FrameError::TooLarge(u32::MAX)));
-    }
-
-    #[test]
-    fn frame_reader_compaction_keeps_streaming_cheap() {
-        // Push many frames through one reader; the lazy compaction must
-        // not lose or duplicate payloads across compaction points.
-        let mut reader = FrameReader::new();
-        let mut expect = Vec::new();
-        let mut got = Vec::new();
-        for i in 0..500u32 {
-            let payload = i.to_le_bytes();
-            expect.push(payload.to_vec());
-            let mut chunk = Vec::new();
-            encode_frame(&payload, &mut chunk);
-            reader.push(&chunk);
-            if i % 3 == 0 {
-                while let Some(p) = reader.next_frame().unwrap() {
-                    got.push(p);
-                }
-            }
-        }
-        while let Some(p) = reader.next_frame().unwrap() {
-            got.push(p);
-        }
-        assert_eq!(got, expect);
-        assert!(reader.finish().is_ok());
     }
 
     #[test]

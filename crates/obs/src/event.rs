@@ -138,9 +138,6 @@ pub struct MergeOpStats {
     /// Normalized spans swept by the delta-path rebases (incoming +
     /// committed): the linear work actually paid instead of `grid_cells`.
     pub delta_spans: usize,
-    /// Delta-path attempts the order-sensitivity screen sent to the grid
-    /// (each also counts in `grid_rebases`).
-    pub screen_rejects: usize,
     /// Delta-path rebases that continued from the parent log's merge memo
     /// instead of refolding the committed slice.
     pub memo_hits: usize,
@@ -262,7 +259,6 @@ impl Field for MergeOpStats {
             ("delta_rebases", Json::from(self.delta_rebases)),
             ("grid_rebases", Json::from(self.grid_rebases)),
             ("delta_spans", Json::from(self.delta_spans)),
-            ("screen_rejects", Json::from(self.screen_rejects)),
             ("memo_hits", Json::from(self.memo_hits)),
         ])
     }

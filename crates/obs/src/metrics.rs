@@ -316,10 +316,6 @@ snapshot! {
         rebases_grid_total: "merges.rebases_grid_total" => "sm_merge_rebases_total{path=\"grid\"}",
         /// Sum of normalized spans swept by delta-path rebases.
         delta_spans_total: "merges.delta_spans_total" => "sm_merge_delta_spans_total",
-        /// Delta-path attempts the order-sensitivity screen sent to the
-        /// grid.
-        rebase_screen_rejects_total:
-            "merges.rebase_screen_rejects_total" => "sm_rebase_screen_rejects_total",
         /// Delta-path rebases that continued from a merge memo instead of
         /// refolding the committed slice.
         merge_memo_hits: "merges.memo_hits" => "sm_merge_memo_hits_total",
@@ -428,7 +424,6 @@ impl MetricsSnapshot {
                 self.rebases_delta_total += ops.delta_rebases as u64;
                 self.rebases_grid_total += ops.grid_rebases as u64;
                 self.delta_spans_total += ops.delta_spans as u64;
-                self.rebase_screen_rejects_total += ops.screen_rejects as u64;
                 self.merge_memo_hits += ops.memo_hits as u64;
                 self.merge_latency_nanos.observe(*merge_nanos);
                 self.merge_child_ops.observe(ops.child_ops as u64);
@@ -777,7 +772,6 @@ mod tests {
                 delta_rebases: 3,
                 grid_rebases: 1,
                 delta_spans: 12,
-                screen_rejects: 1,
                 memo_hits: 2,
             },
             oplog_len: 18,
@@ -794,7 +788,6 @@ mod tests {
         assert_eq!(s.rebases_delta_total, 3);
         assert_eq!(s.rebases_grid_total, 1);
         assert_eq!(s.delta_spans_total, 12);
-        assert_eq!(s.rebase_screen_rejects_total, 1);
         assert_eq!(s.merge_memo_hits, 2);
         assert_eq!(s.merge_latency_nanos.count(), 1);
         assert_eq!(s.oplog_len.max(), 18);

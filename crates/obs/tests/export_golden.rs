@@ -31,7 +31,6 @@ const ADDED_FLIGHT_KEYS: &[(&str, &str)] = &[
     ("merge_finished", "delta_rebases"),
     ("merge_finished", "grid_rebases"),
     ("merge_finished", "delta_spans"),
-    ("merge_finished", "screen_rejects"),
     ("merge_finished", "memo_hits"),
     ("wal_appended", "fsync_nanos"),
     ("snapshot_taken", "snapshot_nanos"),
@@ -57,7 +56,6 @@ fn stream() -> Vec<ObsEvent> {
         delta_rebases: 17,
         grid_rebases: 18,
         delta_spans: 19,
-        screen_rejects: 20,
         memo_hits: 27,
     };
     let grid = MergeOpStats {
@@ -70,7 +68,6 @@ fn stream() -> Vec<ObsEvent> {
         delta_rebases: 0,
         grid_rebases: 3,
         delta_spans: 0,
-        screen_rejects: 0,
         memo_hits: 0,
     };
     let events: Vec<(&TaskPath, EventKind)> = vec![

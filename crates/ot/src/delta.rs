@@ -57,22 +57,21 @@
 //! back to the transformation grid. Non-sequence algebras never implement
 //! [`DeltaOp`] at all and take the grid unconditionally.
 //!
-//! One further class of log *pairs* is declined even though both sides are
-//! span-expressible: an incoming insert separated from a later committed
-//! insert only by deleted base units. There the grid's answer provably
-//! depends on intra-log sequencing (which side's deletes ran before which
-//! insert) that normalization erases — two logs with identical per-side
-//! effects can rebase differently — so no delta transform can reproduce
-//! it. [`Delta::rebase_is_order_sensitive`] screens such pairs out with
-//! one extra O(m+n) sweep and [`rebase_delta`] returns `None`; the merge
-//! then runs on the grid, which resolves the race from the concrete logs.
+//! Every other pair of sequence logs rebases here, including the one
+//! class where the pairwise grid's answer depends on the order of ops
+//! inside a log: an incoming insert and a later committed insert with
+//! every base unit between them deleted. The grid orders the two inserts
+//! by which deletes ran before which insert; the sweep orders them by base
+//! position, the incoming insert first. Position order, with the committed
+//! side winning exact ties, is the definition of list and text merge, so
+//! two log pairs with the same net edits always merge alike.
 //!
 //! # Batches
 //!
 //! Siblings merged one after another rebase against one committed delta
 //! that grows by each rebased run. [`Composite`] is that delta with a
-//! remembered position: the screen, the transform and the compose of one
-//! member start where the member's first edit is, not at span zero, so a
+//! remembered position: the transform and the compose of one member
+//! start where the member's first edit is, not at span zero, so a
 //! batch in ascending position order costs its edits rather than edits ×
 //! committed spans. [`Memo`] keeps it from one rebase to the next.
 
@@ -705,11 +704,9 @@ impl<P: DeltaPayload> Delta<P> {
             // its side's delete is swept here at the gap-start position,
             // one stored after it only once the delete is consumed, so
             // the per-side [`GapBias`] folding makes this position-ordered
-            // sweep reproduce the grid's collapsed-gap ordering. (Pairs
-            // where position order cannot decide — an insert separated
-            // from a *later* committed insert only by deleted units —
-            // never reach this sweep: [`rebase_delta`] screens them out
-            // via [`Delta::rebase_is_order_sensitive`].)
+            // sweep reproduce the grid's collapsed-gap ordering. An
+            // insert separated from a *later* committed insert only by
+            // deleted units lands first, by position (module docs).
             match (l.peek(), sr) {
                 (Some(Span::Insert { .. }), _) => out.push(Span::Retain(l.take_all())),
                 (_, Span::Insert { .. }) => {
@@ -753,11 +750,9 @@ impl<P: DeltaPayload> Delta<P> {
             // side's delete is swept here at the gap-start position, one
             // stored after it only once the delete is consumed, so the
             // per-side [`GapBias`] folding makes this position-ordered
-            // sweep reproduce the grid's collapsed-gap ordering. (Pairs
-            // where position order cannot decide — an insert separated
-            // from a *later* left insert only by deleted units — never
-            // reach this sweep: [`rebase_delta`] screens them out via
-            // [`Delta::rebase_is_order_sensitive`].)
+            // sweep reproduce the grid's collapsed-gap ordering. An
+            // insert separated from a *later* left insert only by deleted
+            // units lands first, by position (module docs).
             if let Some(Span::Insert { .. }) = l.peek() {
                 let n = l.remaining();
                 let (payload, len) = l.take_insert(n);
@@ -824,93 +819,6 @@ impl<P: DeltaPayload> Delta<P> {
         left_out.trim();
         right_out.trim();
         (left_out, right_out)
-    }
-
-    /// True when the pairwise grid's outcome for `self` (committed) vs
-    /// `other` (incoming) can depend on log sequencing that delta
-    /// normalization erases — the one class of log pairs the delta path
-    /// must hand back to the grid.
-    ///
-    /// The configuration: an incoming insert at base `x` and a committed
-    /// insert at base `y > x` with every base unit in `(x, y)` deleted by
-    /// one side or the other. Position order says the incoming insert
-    /// lands first; the collapsed-gap tie says the committed one does —
-    /// and which of the two the grid realizes depends on *intra-log*
-    /// sequencing on both sides: an incoming insert recorded before the
-    /// incoming deletes that close the gap never ties and stays first,
-    /// one recorded after them ties and is displaced, and symmetrically a
-    /// committed `insert-then-delete` (replace) log leaves the gap open
-    /// while the incoming insert walks past it, where a `delete-then-
-    /// insert` log has already collapsed it. Concrete logs folding to
-    /// these same two deltas can realize either outcome, so the delta
-    /// cannot decide and the pair goes to the grid.
-    ///
-    /// The reverse arrangement (committed insert at or before the
-    /// incoming one) is deterministic — the committed side both precedes
-    /// in position and wins ties — as is any pair whose inserts are
-    /// separated by a base unit *both* sides keep.
-    pub fn rebase_is_order_sensitive(&self, other: &Delta<P>) -> bool {
-        self.screen_from(Finger::default(), other)
-    }
-
-    /// [`Delta::rebase_is_order_sensitive`] started at `from`, a finger
-    /// whose base position lies inside `other`'s leading retain: no
-    /// incoming insert is live before it, so the skipped prefix cannot
-    /// fire the screen and leaves its one bit of state as it starts.
-    fn screen_from(&self, from: Finger, other: &Delta<P>) -> bool {
-        let (mut l, mut r) = self.cursors_from(from, other);
-        // An incoming insert with no surviving base unit seen since it
-        // ("live") can still tie with the next committed insert.
-        let mut r_insert_live = false;
-        loop {
-            if let Some(Span::Insert { .. }) = l.peek() {
-                if r_insert_live {
-                    return true;
-                }
-                let n = l.remaining();
-                l.take(n);
-                continue;
-            }
-            if let Some(Span::Insert { .. }) = r.peek() {
-                let n = r.remaining();
-                r.take(n);
-                r_insert_live = true;
-                continue;
-            }
-            match (l.peek(), r.peek()) {
-                // Left exhausted: no committed insert remains to collide
-                // with. Trailing right spans are emitted as-is.
-                (None, _) => return false,
-                // Right exhausted, unit surviving on both sides (the
-                // implicit right retain): the collapse chain is broken
-                // and the right side has no inserts left.
-                (Some(Span::Retain(_)), None) => return false,
-                // Right exhausted but left still deleting: the gap keeps
-                // collapsing toward any remaining left insert.
-                (Some(Span::Delete(_)), None) => {
-                    l.take_all();
-                }
-                (Some(Span::Retain(_)), Some(Span::Retain(_))) => {
-                    let n = l.remaining().min(r.remaining());
-                    l.take(n);
-                    r.take(n);
-                    // A base unit both sides keep breaks the chain.
-                    r_insert_live = false;
-                }
-                (Some(Span::Retain(_)), Some(Span::Delete(_)))
-                | (Some(Span::Delete(_)), Some(Span::Retain(_)))
-                | (Some(Span::Delete(_)), Some(Span::Delete(_))) => {
-                    // Deleted by either side: the gap between a live
-                    // incoming insert and a committed insert can close.
-                    let n = l.remaining().min(r.remaining());
-                    l.take(n);
-                    r.take(n);
-                }
-                (Some(Span::Insert { .. }), _) | (_, Some(Span::Insert { .. })) => {
-                    unreachable!("inserts drained above")
-                }
-            }
-        }
     }
 
     /// The committed (`self`) and incoming cursors of a sweep that starts
@@ -980,17 +888,16 @@ impl<P: DeltaPayload> Delta<P> {
 /// a time — a [`Memo`]'s *everything committed since the fork
 /// base* — and remembers where the last one began.
 ///
-/// [`Composite::absorb`] is [`rebase_delta`]'s screen → transform step
-/// plus the [`Delta::compose_in_place`] that keeps the composite current,
-/// with all three sweeps started at a **finger** instead of at span zero:
-/// a span boundary every span before which ends strictly before the
-/// incoming delta's first edit. Before the finger the incoming delta only
-/// retains, so the screen cannot fire there, the transform is one
-/// `Retain` of what the skipped spans output, and the compose leaves them
-/// where they are. An absorb therefore costs the incoming delta plus the
-/// composite spans at and behind its first edit, and a batch in ascending
-/// position order — the paper's data-parallel fan-out — costs its edits,
-/// not edits × composite.
+/// [`Composite::absorb`] is [`rebase_delta`]'s transform step plus the
+/// [`Delta::compose_in_place`] that keeps the composite current, with
+/// both sweeps started at a **finger** instead of at span zero: a span
+/// boundary every span before which ends strictly before the incoming
+/// delta's first edit. Before the finger the incoming delta only retains,
+/// so the transform is one `Retain` of what the skipped spans output, and
+/// the compose leaves them where they are. An absorb therefore costs the
+/// incoming delta plus the composite spans at and behind its first edit,
+/// and a batch in ascending position order — the paper's data-parallel
+/// fan-out — costs its edits, not edits × composite.
 ///
 /// The finger rests **one span behind** what it could skip: the compose
 /// coalesces the first span it pushes into the last span before its cut,
@@ -1023,21 +930,16 @@ impl<P: DeltaPayload> Composite<P> {
     /// Rebase `incoming` — concurrent with the composite, over the same
     /// base — and take the rebased delta in: what
     /// [`Delta::transform_incoming`] returns, after which the composite
-    /// is its [`Delta::compose_in_place`] with that. `None`, and nothing
-    /// changes, when [`Delta::rebase_is_order_sensitive`] screens the
-    /// pair out.
-    pub fn absorb(&mut self, incoming: &Delta<P>) -> Option<Delta<P>> {
+    /// is its [`Delta::compose_in_place`] with that.
+    pub fn absorb(&mut self, incoming: &Delta<P>) -> Delta<P> {
         self.seek(incoming.lead());
-        if self.delta.screen_from(self.finger, incoming) {
-            return None;
-        }
         let rebased = self.delta.transform_from(self.finger, incoming);
         // The resting span ends strictly before `incoming`'s first edit,
         // so it ends before `rebased`'s too and the cut falls behind it:
         // the spans the finger has counted do not change.
         self.delta
             .compose_from(self.finger, &rebased, GapBias::Start);
-        Some(rebased)
+        rebased
     }
 
     /// Move the finger for a delta whose leading retain is `lead` base
@@ -1176,16 +1078,10 @@ pub fn from_ops_chunked<O: DeltaOp>(
 /// side into a sorted span-set (with its side's [`GapBias`]), transform
 /// them in one linear sweep with committed-side insert-tie priority, and
 /// re-materialize the incoming side. Returns `None` (grid fallback) when
-/// either log contains an operation a span-set cannot express, or when
-/// the pair is in the one configuration whose grid outcome depends on
-/// log sequencing the normal form erases (see
-/// [`Delta::rebase_is_order_sensitive`]).
+/// either log contains an operation a span-set cannot express.
 pub fn rebase_delta<O: DeltaOp>(incoming: &[O], committed: &[O]) -> Option<(Vec<O>, DeltaStats)> {
     let inc = from_ops_biased(incoming, GapBias::End)?;
     let com = from_ops_biased(committed, GapBias::Start)?;
-    if com.rebase_is_order_sensitive(&inc) {
-        return None;
-    }
     let stats = DeltaStats {
         incoming_spans: inc.span_count(),
         committed_spans: com.span_count(),
@@ -1210,17 +1106,6 @@ fn fold<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::Payload>> {
     } else {
         from_ops_chunked(ops, SEGMENT_MIN_OPS.isqrt(), bias)
     }
-}
-
-/// Why a delta rebase declined: the caller rebases on the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Declined {
-    /// A log holds an operation a span-set cannot express (or the
-    /// algebra has no delta form at all).
-    Inexpressible,
-    /// Both logs fold, but the pair is order-sensitive
-    /// ([`Delta::rebase_is_order_sensitive`]).
-    Screened,
 }
 
 /// What one delta rebase leaves for the next over the same committed
@@ -1253,18 +1138,16 @@ impl<P: DeltaPayload> Memo<P> {
     /// committed side is the memo — see [`crate::Operation::delta_rebase`]
     /// for when the caller may say so — and `committed` is not read.
     /// Logs of 4 096 ops or more fold in segments ([`from_ops_chunked`]).
+    /// `None` when an op is not span-expressible.
     pub(crate) fn rebase<O: DeltaOp<Payload = P>>(
         &mut self,
         incoming: &[O],
         committed: &[O],
         reuse: bool,
-    ) -> Result<(Vec<O>, DeltaStats), Declined> {
-        let inc = fold(incoming, GapBias::End).ok_or(Declined::Inexpressible)?;
+    ) -> Option<(Vec<O>, DeltaStats)> {
+        let inc = fold(incoming, GapBias::End)?;
         if !reuse {
-            let com = fold(committed, GapBias::Start).ok_or(Declined::Inexpressible)?;
-            if com.rebase_is_order_sensitive(&inc) {
-                return Err(Declined::Screened);
-            }
+            let com = fold(committed, GapBias::Start)?;
             let stats = DeltaStats {
                 incoming_spans: inc.span_count(),
                 committed_spans: com.span_count(),
@@ -1274,20 +1157,16 @@ impl<P: DeltaPayload> Memo<P> {
                 composite: Composite::new(com),
                 pending: Some(inc),
             };
-            return Ok((ops, stats));
+            return Some((ops, stats));
         }
         if let Some(last) = self.pending.take() {
-            // It passed the screen against this very composite.
-            self.composite
-                .absorb(&last)
-                .expect("a rebased delta absorbs into the composite it was rebased over");
+            self.composite.absorb(&last);
         }
         let stats = DeltaStats {
             incoming_spans: inc.span_count(),
             committed_spans: self.composite.span_count(),
         };
-        let rebased = self.composite.absorb(&inc).ok_or(Declined::Screened)?;
-        Ok((rebased.into_ops(), stats))
+        Some((self.composite.absorb(&inc).into_ops(), stats))
     }
 }
 
@@ -1495,7 +1374,7 @@ mod tests {
 
     proptest! {
         /// The shipped incoming-only sweep is the `right'` of the
-        /// two-sided definition, screened pair or not.
+        /// two-sided definition.
         #[test]
         fn incoming_only_sweep_matches_the_two_sided_transform(
             com in raw_spans(14),
@@ -1575,14 +1454,13 @@ mod tests {
     }
 
     /// For `com` (committed) against `inc` (incoming): started at every
-    /// finger, the screen, the transform and the compose (both biases)
-    /// are their from-zero forms, which are the two-sided `transform` and
-    /// the by-value `compose_biased`; `seek` is a function of the lead
-    /// alone, however the finger got where it was; and an `absorb` is
-    /// those three with a finger that still measures true afterwards.
+    /// finger, the transform and the compose (both biases) are their
+    /// from-zero forms, which are the two-sided `transform` and the
+    /// by-value `compose_biased`; `seek` is a function of the lead alone,
+    /// however the finger got where it was; and an `absorb` is those two
+    /// with a finger that still measures true afterwards.
     fn assert_every_finger_agrees(com: &Delta<Vec<u8>>, inc: &Delta<Vec<u8>>) {
         let what = || format!("com {com:?} inc {inc:?}");
-        let sensitive = com.rebase_is_order_sensitive(inc);
         let rebased = com.transform_incoming(inc);
         assert_eq!(rebased, com.transform(inc).1, "{}", what());
         let composed = [GapBias::Start, GapBias::End].map(|bias| {
@@ -1592,7 +1470,6 @@ mod tests {
             (bias, in_place)
         });
         for f in fingers(com, inc.lead()) {
-            assert_eq!(com.screen_from(f, inc), sensitive, "{f:?} {}", what());
             assert_eq!(com.transform_from(f, inc), rebased, "{f:?} {}", what());
             for (bias, want) in &composed {
                 let mut seeked = com.clone();
@@ -1619,10 +1496,8 @@ mod tests {
         // Absorb with the finger left far behind the lead: it retreats.
         let mut composite = Composite::new(com.clone());
         composite.seek(usize::MAX);
-        let got = composite.absorb(inc);
-        let want = if sensitive { com } else { &composed[0].1 };
-        assert_eq!(got, (!sensitive).then_some(rebased), "{}", what());
-        assert_eq!(&composite.delta, want, "{}", what());
+        assert_eq!(composite.absorb(inc), rebased, "{}", what());
+        assert_eq!(composite.delta, composed[0].1, "{}", what());
         let f = composite.finger;
         assert_eq!(f, finger_at(&composite.delta, f.idx), "{}", what());
     }
@@ -1652,8 +1527,8 @@ mod tests {
         /// A batch absorbed through one [`Composite`] — leads in any
         /// order, so the finger advances, rests and retreats, and runs
         /// coalesce into the span it rests on — is the from-zero kernel
-        /// applied delta by delta, screened members dropped, and the
-        /// finger measures true after every one.
+        /// applied delta by delta, and the finger measures true after
+        /// every one.
         #[test]
         fn a_composite_absorbs_a_batch_like_the_from_zero_kernel(
             com in raw_spans(8),
@@ -1663,11 +1538,8 @@ mod tests {
             let mut composite = Composite::new(want.clone());
             for (lead, edits) in &batch {
                 let inc = delta_behind(*lead, edits);
-                let rebased = (!want.rebase_is_order_sensitive(&inc))
-                    .then(|| want.transform_incoming(&inc));
-                if let Some(rebased) = &rebased {
-                    want = want.compose_biased(rebased, GapBias::Start);
-                }
+                let rebased = want.transform_incoming(&inc);
+                want = want.compose_biased(&rebased, GapBias::Start);
                 prop_assert_eq!(composite.absorb(&inc), rebased);
                 prop_assert_eq!(&composite.delta, &want);
                 let f = composite.finger;
@@ -1733,15 +1605,15 @@ mod tests {
     }
 
     #[test]
-    fn order_sensitive_collisions_are_screened_to_the_grid() {
+    fn collapsed_gap_factorings_split_the_grid_but_merge_alike() {
         // Committed: delete b and c, insert "XY" where c was (gap end).
-        // Incoming: insert "q" where b was, and also delete c. Whether
-        // "q" lands before or after "XY" under the grid depends on the
-        // *incoming log's* internal order — `[del c, ins q]` ties with
-        // the committed insert (c already collapsed) and is displaced
-        // after it, while `[ins q, del c]` is walked with c still alive
-        // and stays before it. Same incoming delta either way, so the
-        // pair is undecidable from the deltas and must go to the grid.
+        // Incoming: insert "q" where b was, and also delete c. Under the
+        // grid, where "q" lands against "XY" depends on the *incoming
+        // log's* internal order: `[del c, ins q]` ties with the committed
+        // insert (c already collapsed) and is displaced after it, while
+        // `[ins q, del c]` is walked with c still alive and stays before
+        // it. Both fold to one delta, so the delta path merges them
+        // alike, by position: "q" first.
         let committed = vec![
             TextOp::delete(1, 1),
             TextOp::insert(2, "XY"),
@@ -1754,22 +1626,15 @@ mod tests {
             seq::rebase(&incoming, &committed),
             seq::rebase(&alternate, &committed)
         );
-        assert!(rebase_delta(&incoming, &committed).is_none());
-        let com = text_delta(&committed);
-        let inc = text_delta(&incoming);
-        assert!(com.rebase_is_order_sensitive(&inc));
-
-        // A base unit both sides keep between the two inserts breaks the
-        // collapse chain: deterministic, stays on the delta path.
-        let committed = vec![TextOp::insert(4, "XY"), TextOp::delete(6, 1)];
-        let incoming = vec![TextOp::insert(2, "q")];
-        assert!(rebase_delta(&incoming, &committed).is_some());
-
-        // Reverse arrangement — committed insert first in base order —
-        // is deterministic (position and tie bias agree): delta path.
-        let committed = vec![TextOp::insert(2, "XY")];
-        let incoming = vec![TextOp::delete(2, 2), TextOp::insert(2, "q")];
-        assert!(rebase_delta(&incoming, &committed).is_some());
+        let merged = |incoming: &[TextOp]| {
+            let mut doc = crate::state::Rope::from("abcd");
+            apply_all(&mut doc, &committed).unwrap();
+            let (rebased, _) = rebase_delta(incoming, &committed).unwrap();
+            apply_all(&mut doc, &rebased).unwrap();
+            doc.to_string()
+        };
+        assert_eq!(merged(&incoming), "aqXYd");
+        assert_eq!(merged(&alternate), "aqXYd");
     }
 
     #[test]

@@ -218,20 +218,26 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     /// way.
     ///
     /// Sequence algebras ([`text::TextOp`], [`list::ListOp`]) override
-    /// this with [`delta::rebase_delta`] over a [`delta::Memo`]. The default — and the required
-    /// behavior whenever a log contains an operation a span-set cannot
-    /// express — declines, sending the caller to [`seq::rebase`]. An
-    /// override must be *state-equivalent* to the grid: applying its
-    /// result after `committed` reaches the same state as applying the
-    /// grid's, and the two rebased logs normalize to the same delta.
+    /// this with [`delta::rebase_delta`] over a [`delta::Memo`]. `None` —
+    /// the default, and the required answer whenever a log holds an
+    /// operation a span-set cannot express (`ListOp::Set`) — sends the
+    /// caller to [`seq::rebase`].
+    ///
+    /// An override is *state-equivalent* to the grid outside one class of
+    /// pairs: applying its result after `committed` reaches the grid's
+    /// state. The class is an incoming insert and a later committed
+    /// insert with every base unit between them deleted by one side or
+    /// the other. There the grid's order depends on the order of ops
+    /// inside a log, and the override is the definition: the two inserts
+    /// land in base-position order, the incoming one first.
     fn delta_rebase(
         incoming: &[Self],
         committed: &[Self],
         memo: &mut Self::Memo,
         reuse: bool,
-    ) -> Result<(Vec<Self>, delta::DeltaStats), delta::Declined> {
+    ) -> Option<(Vec<Self>, delta::DeltaStats)> {
         let _ = (incoming, committed, memo, reuse);
-        Err(delta::Declined::Inexpressible)
+        None
     }
 }
 

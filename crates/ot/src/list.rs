@@ -370,118 +370,12 @@ impl FreeSlots {
     }
 }
 
-/// Apply a whole batch of sequential operations in one window rebuild
-/// instead of one O(log n) tree splice per op.
-///
-/// The fast lane handles **insert-only** batches (the journal replay
-/// shape: every commit is a run of recorded inserts). All inserts land at
-/// or above some window start `s`; the prefix `[0, s)` is untouched, so
-/// the final content is a deterministic interleaving of the base window
-/// with the inserted values. Each inserted element's *final* slot is
-/// computed by processing ops in reverse against a `FreeSlots` index
-/// (the op applied last sees no later inserts, so its position indexes
-/// the free slots directly; marking its slots taken re-creates the doc
-/// the previous op saw — and a run's trailing units occupy the free slots
-/// directly after its first). One `splice_vec` then rewrites the window —
-/// O(window + k·select) total, versus O(k (log n + chunk)) for k
-/// single-op applies.
-///
-/// Returns `false` — with `state` untouched — when the batch is not
-/// insert-only, any op is out of bounds (the caller's sequential path
-/// reports the error with per-op context), or the touched window is so
-/// much larger than the batch that per-op applies are cheaper. The lane
-/// is content-exact: the result equals applying `ops` in order.
-pub fn apply_batch<T: Element>(ops: &[ListOp<T>], state: &mut ChunkTree<T>) -> bool {
-    // 1. Scan: insert-only? Flatten payloads, record (pos, value-range).
-    let mut values: Vec<T> = Vec::with_capacity(ops.len());
-    let mut spans: Vec<(usize, usize, usize)> = Vec::with_capacity(ops.len());
-    let mut min_pos = usize::MAX;
-    for op in ops {
-        match op {
-            ListOp::Insert(index, value) => {
-                spans.push((*index, values.len(), 1));
-                values.push(value.clone());
-                min_pos = min_pos.min(*index);
-            }
-            ListOp::InsertRun(index, vs) => {
-                if vs.is_empty() {
-                    continue;
-                }
-                spans.push((*index, values.len(), vs.len()));
-                values.extend_from_slice(vs);
-                min_pos = min_pos.min(*index);
-            }
-            _ => return false,
-        }
-    }
-    if spans.is_empty() {
-        return true;
-    }
-    let k = values.len();
-    let base_len = state.len();
-    if min_pos > base_len {
-        // The earliest op is already out of bounds; let the sequential
-        // path produce the error.
-        return false;
-    }
-    // Inserted units only ever shift right (inserts at or after them),
-    // so every unit's final slot is ≥ its stated position ≥ `min_pos`,
-    // and base elements below `min_pos` never move: the prefix
-    // `[0, min_pos)` is untouched.
-    let s = min_pos;
-    let window = base_len - s;
-    let m = window + k;
-    // Scattered far beyond the batch: rewriting the window would dominate.
-    if m >= u32::MAX as usize || window > 16 * k + 4096 {
-        return false;
-    }
-    // 2. Validate every op lands in bounds at its time; on any failure the
-    // sequential path owns the (partial-apply + error) semantics.
-    let mut cur = base_len;
-    for (pos, _, len) in &spans {
-        if *pos > cur {
-            return false;
-        }
-        cur += len;
-    }
-
-    // 3. Assign slots and assemble the final window by copying runs,
-    // then splice it in whole.
-    for span in &mut spans {
-        span.0 -= s;
-    }
-    let mark = plan_insert_batch(window, &spans);
-    let base_window = state.range_to_vec(s, window);
-    let mut out: Vec<T> = Vec::with_capacity(m);
-    assemble_insert_batch(&mark, &base_window, &values, &mut out);
-    state.splice_vec(s, window, out);
-    true
-}
-
-/// Slot plan for an insert-only batch over a window of `window` base
-/// elements: `mark[slot]` = 1 + index into the flattened value buffer,
-/// 0 = a base-window slot. `spans` are `(window-relative position,
-/// value start, run length)` triples in op order, already
-/// bounds-validated (see [`apply_batch`] steps 1–2).
-///
-/// Each inserted unit's final slot is computed by processing ops in
-/// reverse against a `FreeSlots` index: the op applied last sees no
-/// later inserts, so its position indexes the free slots directly, and
-/// marking its slots taken re-creates the document the previous op saw.
-/// Taking a slot shifts a run's remaining units down one rank each, so
-/// a run's units occupy consecutive free slots.
-pub fn plan_insert_batch(window: usize, spans: &[(usize, usize, usize)]) -> Vec<u32> {
-    let mut planner = InsertPlanner::new();
-    planner.plan(window, spans);
-    std::mem::take(&mut planner.mark)
-}
-
-/// Reusable [`plan_insert_batch`] state: owns the free-slot index and
-/// mark buffer so repeated plans (journal replay threads one planner
-/// through every commit) skip the per-batch allocation churn.
+/// Applies an insert-only batch to a window in one pass instead of one
+/// tree splice per op. It owns the free-slot index, so repeated batches
+/// (journal replay threads one planner through every commit) skip the
+/// per-batch allocation churn.
 pub struct InsertPlanner {
     free: FreeSlots,
-    mark: Vec<u32>,
 }
 
 impl Default for InsertPlanner {
@@ -495,36 +389,22 @@ impl InsertPlanner {
     pub fn new() -> Self {
         InsertPlanner {
             free: FreeSlots::new(1),
-            mark: Vec::new(),
         }
     }
 
-    /// Compute the slot plan for one batch (see [`plan_insert_batch`])
-    /// and return it, valid until the next `plan` call.
-    pub fn plan(&mut self, window: usize, spans: &[(usize, usize, usize)]) -> &[u32] {
-        let k: usize = spans.iter().map(|(_, _, len)| len).sum();
-        let m = window + k;
-        self.free.reset(m);
-        self.mark.clear();
-        self.mark.resize(m, 0);
-        for (rel, val_start, len) in spans.iter().rev() {
-            let mut slot = self.free.take(*rel as u32 + 1);
-            self.mark[slot] = (*val_start + 1) as u32;
-            for j in 1..*len {
-                slot = self.free.take_next_after(slot);
-                self.mark[slot] = (*val_start + j + 1) as u32;
-            }
-        }
-        &self.mark
-    }
-
-    /// Fused plan + assemble: write the batch result straight into
-    /// `out` (length `base.len() + values.len()`, every slot is
-    /// overwritten). Values land on their final slots as they are
-    /// planned; the slots left free then take `base` in order — they
-    /// are exactly the set bits of the free index, so no mark buffer or
-    /// run-detection walk is needed. Equivalent to
-    /// [`plan_insert_batch`] + [`assemble_insert_batch`].
+    /// Write the result of an insert-only batch over the window `base`
+    /// straight into `out` (length `base.len() + values.len()`, every
+    /// slot is overwritten). `spans` are `(window-relative position,
+    /// value start, run length)` triples in op order, already
+    /// bounds-checked; `values` is their flattened payloads.
+    ///
+    /// Each inserted unit's final slot is found by walking the ops in
+    /// reverse against the free-slot index: the op applied last sees no
+    /// later inserts, so its position indexes the free slots directly,
+    /// and taking its slots re-creates the document the op before it
+    /// saw. A run's units take consecutive free slots. The slots left
+    /// free then take `base` in order: they are the set bits of the
+    /// index.
     pub fn plan_assemble<T: Clone>(
         &mut self,
         spans: &[(usize, usize, usize)],
@@ -554,38 +434,6 @@ impl InsertPlanner {
             }
         }
         debug_assert_eq!(bpos, base.len());
-    }
-}
-
-/// Materialize a window planned by [`plan_insert_batch`]: consecutive
-/// base slots (`mark == 0`) and consecutive value indices both extend
-/// as slice copies into `out`.
-pub fn assemble_insert_batch<T: Element>(
-    mark: &[u32],
-    base_window: &[T],
-    values: &[T],
-    out: &mut Vec<T>,
-) {
-    let m = mark.len();
-    let mut bpos = 0usize;
-    let mut i = 0usize;
-    while i < m {
-        let mk = mark[i];
-        let mut j = i + 1;
-        if mk == 0 {
-            while j < m && mark[j] == 0 {
-                j += 1;
-            }
-            out.extend_from_slice(&base_window[bpos..bpos + (j - i)]);
-            bpos += j - i;
-        } else {
-            while j < m && mark[j] == mk + (j - i) as u32 {
-                j += 1;
-            }
-            let st = mk as usize - 1;
-            out.extend_from_slice(&values[st..st + (j - i)]);
-        }
-        i = j;
     }
 }
 
@@ -817,7 +665,7 @@ impl<T: Element> Operation for ListOp<T> {
         committed: &[Self],
         memo: &mut Self::Memo,
         reuse: bool,
-    ) -> Result<(Vec<Self>, crate::delta::DeltaStats), crate::delta::Declined> {
+    ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
         memo.rebase(incoming, committed, reuse)
     }
 }

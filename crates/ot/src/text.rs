@@ -327,7 +327,7 @@ impl Operation for TextOp {
         committed: &[Self],
         memo: &mut Self::Memo,
         reuse: bool,
-    ) -> Result<(Vec<Self>, crate::delta::DeltaStats), crate::delta::Declined> {
+    ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
         memo.rebase(incoming, committed, reuse)
     }
 }

@@ -268,8 +268,11 @@ impl<D: Persist> SessionClient<D> {
         std::mem::take(&mut self.commit_events)
     }
 
-    /// Send a ping and block until the pong comes back (flushing any
-    /// broadcasts queued in between).
+    /// Send a ping and block until the pong comes back, applying the
+    /// broadcasts that arrive first. The connection's reader thread
+    /// answers the ping, so it orders only against messages already
+    /// queued on this connection, not against shard work: a broadcast the
+    /// shard has yet to send this client may arrive after the pong.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         self.send(&ClientMsg::Ping)?;
         loop {

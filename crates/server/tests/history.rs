@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use sm_codec::session::RejectReason;
@@ -27,6 +27,17 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sm-history-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Pump `client` until its mirror of `session` has applied commit
+/// `seq`. A ping is no barrier for that: the connection's reader thread
+/// answers it, while the shard sends each commit to the subscribers one
+/// after another, so a pong can overtake the last broadcast.
+fn pump_to<D: Persist>(client: &mut SessionClient<D>, session: u64, seq: u64) {
+    while client.seq(session) < Some(seq) {
+        let got = client.pump(Duration::from_secs(10)).unwrap();
+        assert!(got, "commit {seq} never reached the client");
+    }
 }
 
 const POISON: &str = "☠";
@@ -170,7 +181,7 @@ fn poisoned_scenario(tag: &str, port: u16, poison: bool) -> Outcome {
         );
         assert_eq!(a.seq(S), Some(2), "a rejected commit advances nothing");
     } else {
-        a.ping().unwrap();
+        pump_to(&mut a, S, 2);
     }
     assert_eq!(
         b.commit_with(S, |t| t.0.delete_range(0, 2)).unwrap(),
@@ -184,7 +195,7 @@ fn poisoned_scenario(tag: &str, port: u16, poison: bool) -> Outcome {
         .unwrap(),
         committed(4)
     );
-    b.ping().unwrap();
+    pump_to(&mut b, S, 4);
 
     let mut c: SessionClient<Poisonable> = SessionClient::connect(&net, port).unwrap();
     assert_eq!(c.attach(S).unwrap(), 4);
@@ -256,8 +267,7 @@ fn retained_history_is_bounded_by_the_ring_not_the_session_age() {
         assert_eq!(marks, [n], "history marks keep counting absolutely");
     }
     for c in &mut clients {
-        c.ping().unwrap();
-        assert_eq!(c.seq(S), Some(COMMITS as u64));
+        pump_to(c, S, COMMITS as u64);
         assert_eq!(c.mirror(S).unwrap().pending_ops(), 0);
     }
     assert_eq!(clients[0].state_digest(S), clients[1].state_digest(S));

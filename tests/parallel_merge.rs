@@ -3,8 +3,8 @@
 //! uncached creation-order fold — bit-identical final state and
 //! bit-identical `DeterminismAuditor` digest chains, with the full
 //! telemetry plane installed, whatever the batch holds (an idle or a busy
-//! parent, children that made no edit, span-inexpressible ops, screened
-//! pairs, dismissed children, huge logs).
+//! parent, children that made no edit, span-inexpressible ops,
+//! collapsed-gap pairs, dismissed children, huge logs).
 //!
 //! The uncached oracle is [`Seq`]: the same data behind a newtype whose
 //! merges go into a fresh clone, which starts without a memo, so the same
@@ -185,7 +185,7 @@ fn with_plane<T>(f: impl FnOnce() -> T) -> (T, Seen) {
 }
 
 /// Run the oracle instantiation and the plain one under the plane and
-/// assert state, digest and screen-reject equality; returns the common
+/// assert state, digest and grid-rebase equality; returns the common
 /// output and what the plain run showed.
 fn assert_matches_seq<T: PartialEq + std::fmt::Debug>(
     oracle: impl FnOnce() -> T,
@@ -200,8 +200,8 @@ fn assert_matches_seq<T: PartialEq + std::fmt::Debug>(
         "digest diverged from the uncached fold"
     );
     assert_eq!(
-        seq.snap.rebase_screen_rejects_total, seen.snap.rebase_screen_rejects_total,
-        "the screen decided differently from the memo"
+        seq.snap.rebases_grid_total, seen.snap.rebases_grid_total,
+        "the memo sent a different set of rebases to the grid"
     );
     (out, seen)
 }
@@ -291,10 +291,7 @@ proptest! {
         drop(guard);
         prop_assert_eq!(seq_state, state);
         prop_assert_eq!(seq.digest, seen.digest);
-        prop_assert_eq!(
-            seq.snap.rebase_screen_rejects_total,
-            seen.snap.rebase_screen_rejects_total
-        );
+        prop_assert_eq!(seq.snap.rebases_grid_total, seen.snap.rebases_grid_total);
     }
 }
 
@@ -473,7 +470,7 @@ fn identity_composite_over_a_non_empty_slice_rebases_on_the_delta_path() {
 /// Under an idle parent the first child is the trivial merge whatever its
 /// log holds; a span-inexpressible `Set` in it lands in the slice every
 /// later sibling rebases over, so they all take the grid and no memo is
-/// ever built. No screen fired.
+/// ever built.
 #[test]
 fn set_in_the_first_child_of_an_idle_parent_poisons_behind_it() {
     fn edit(i: u32, list: &mut MList<u32>) {
@@ -489,7 +486,6 @@ fn set_in_the_first_child_of_an_idle_parent_poisons_behind_it() {
     );
     assert_eq!(rebases, vec![(0, 1); 9]);
     assert_eq!(seen.hits(), 0);
-    assert_eq!(seen.snap.rebase_screen_rejects_total, 0);
 }
 
 /// A condition that dismisses the first child of an idle-parent batch
@@ -730,11 +726,11 @@ enum Extra {
     Dismissed,
     /// Child 6 carries a span-inexpressible `Set`: the grid from there.
     Set,
-    /// Child 4 commits the committed half of the order-sensitivity
-    /// fixture in `sm_ot::delta`, child 8 brings the incoming half to the
-    /// same block: the screen fires at child 8, and child 9 rebuilds the
-    /// memo.
-    ScreenFire,
+    /// Child 4 commits the committed half of the collapsed-gap fixture
+    /// in `sm_ot::delta`, child 8 brings the incoming half to the same
+    /// block: a pair the grid orders by log sequencing, which child 8
+    /// rebases on the memo like any other.
+    CollapsedGap,
 }
 
 /// The scripts of a twelve-child batch over a 64-element list, child `i`
@@ -748,8 +744,10 @@ fn lead_scripts(leads: &[usize; 12], apart: bool, extra: Extra) -> Vec<Vec<Edit>
             let (p, v) = (leads[i], 100 + i as u32);
             match extra {
                 Extra::Idlers if [0, 3, 7].contains(&i) => vec![],
-                Extra::ScreenFire if i == 4 => vec![Remove(p + 1), Insert(p + 2, v), Remove(p + 1)],
-                Extra::ScreenFire if i == 8 => {
+                Extra::CollapsedGap if i == 4 => {
+                    vec![Remove(p + 1), Insert(p + 2, v), Remove(p + 1)]
+                }
+                Extra::CollapsedGap if i == 8 => {
                     let p = leads[4];
                     vec![Remove(p + 2), Insert(p + 1, v)]
                 }
@@ -819,11 +817,11 @@ fn run_scripts<W: Host<MList<u32>>>(
 /// (it only advances), descending (it retreats every time), shuffled,
 /// and every child at one position (it never leaves the front, and every
 /// run ties with the ones before it) — each with identity members, a
-/// dismissed child, a `Set` and a screen fire in mid-batch. At the seam
-/// the batch equals the uncached fold in state, log and per-child
-/// `MergeStats`, under an idle and a busy parent; through the runtime it
-/// equals the `Seq` oracle in state, per-child stats, screen rejects and
-/// auditor digest.
+/// dismissed child, a `Set` and a collapsed-gap pair in mid-batch. At
+/// the seam the batch equals the uncached fold in state, log and
+/// per-child `MergeStats`, under an idle and a busy parent; through the
+/// runtime it equals the `Seq` oracle in state, per-child stats, grid
+/// rebases and auditor digest.
 #[test]
 fn lead_orders_ascending_descending_shuffled_and_repeated_match_sequential() {
     let block = |slot: usize| 2 + 5 * slot;
@@ -842,13 +840,13 @@ fn lead_orders_ascending_descending_shuffled_and_repeated_match_sequential() {
         Extra::Idlers,
         Extra::Dismissed,
         Extra::Set,
-        Extra::ScreenFire,
+        Extra::CollapsedGap,
     ];
     for (name, leads, apart) in &orders {
         for extra in extras {
             // Two halves of the fixture in one place need the rest of
             // the batch somewhere else.
-            if extra == Extra::ScreenFire && !apart {
+            if extra == Extra::CollapsedGap && !apart {
                 continue;
             }
             let scripts = lead_scripts(leads, *apart, extra);
@@ -870,11 +868,14 @@ fn lead_orders_ascending_descending_shuffled_and_repeated_match_sequential() {
             let merged = stats.iter().flatten().count();
             assert_eq!(merged, 12 - skip.len(), "{name} {extra:?}");
             assert!(seen.hits() > 0, "{name} {extra:?}");
-            let screened = u64::from(extra == Extra::ScreenFire);
-            assert_eq!(
-                seen.snap.rebase_screen_rejects_total, screened,
-                "{name} {extra:?}"
-            );
+            if extra == Extra::CollapsedGap {
+                let incoming_half = stats[8].expect("child 8 merges");
+                assert_eq!(
+                    (incoming_half.delta_rebases, incoming_half.grid_rebases),
+                    (1, 0),
+                    "{name}"
+                );
+            }
         }
     }
 }
@@ -1003,17 +1004,17 @@ fn mixed_delete_fanout_stages_and_matches_sequential_digest() {
     assert!(seen.hits() > 0);
 }
 
-/// The runtime mirror of the order-sensitivity fixture in `sm_ot::delta`
-/// — a committed delete closes the gap between an incoming insert and a
-/// later committed insert, so the screen sends that child from the memo
-/// to the grid, counted in `sm_rebase_screen_rejects_total`; the next
-/// child rebuilds the memo, and the digest chain stays bit-identical.
+/// The runtime mirror of the collapsed-gap fixture in `sm_ot::delta` —
+/// a committed delete closes the gap between an incoming insert and a
+/// later committed insert, the one pair the grid orders by log
+/// sequencing. That child rebases on the memo like its siblings, no
+/// rebase reaches the grid, and the digest chain stays bit-identical.
 #[test]
-fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
+fn collapsed_gap_mixed_batch_stays_on_the_memo_and_matches_sequential() {
     fn program<W: Host<MText>>() -> String {
         let (text, ()) = run(W::host(MText::from("abcd")), |ctx| {
             // Child 0 commits first: delete, insert "XY", delete — the
-            // committed side of the screened fixture.
+            // committed side of the collapsed-gap fixture.
             ctx.spawn(|c| {
                 let text = c.data_mut().d_mut();
                 text.delete_range(1, 1);
@@ -1021,16 +1022,16 @@ fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
                 text.delete_range(1, 1);
                 Ok(())
             });
-            // Child 1's delta (delete at 2, insert "q" at 1) is
-            // order-sensitive against child 0's committed composite.
+            // Child 1's delta (delete at 2, insert "q" at 1) meets child
+            // 0's insert across the gap both deleted.
             ctx.spawn(|c| {
                 let text = c.data_mut().d_mut();
                 text.delete_range(2, 1);
                 text.insert_str(1, "q");
                 Ok(())
             });
-            // Bystanders appending at the far end: the first rebuilds
-            // the memo, the rest continue from it.
+            // Bystanders appending at the far end continue from the
+            // memo too.
             for i in 0..6 {
                 ctx.spawn(move |c| {
                     let text = c.data_mut().d_mut();
@@ -1047,12 +1048,13 @@ fn screened_mixed_batch_falls_back_per_batch_and_matches_sequential() {
         text.d().to_string()
     }
     let _guard = serial();
-    let (_, seen) = assert_matches_seq(program::<Seq<MText>>, program::<MText>);
+    let (text, seen) = assert_matches_seq(program::<Seq<MText>>, program::<MText>);
+    assert!(text.starts_with("aqXYd"), "position order: {text}");
     assert_eq!(
-        seen.snap.rebase_screen_rejects_total, 1,
-        "only the order-sensitive child goes to the grid"
+        seen.snap.rebases_grid_total, 0,
+        "no rebase reaches the grid"
     );
-    assert_eq!(seen.hits(), 5, "children 3 to 7");
+    assert_eq!(seen.hits(), 7, "children 1 to 7");
 }
 
 /// A conditional `merge_all_with` batch: dismissed children are never
