@@ -12,6 +12,10 @@
 //! Final scenarios time the full `MList::merge` entry point end to end
 //! and report its delta/grid rebase split.
 //!
+//! First, the `delta_fold` rows time the merge memo's counted fold
+//! (`from_ops_counted`) against the straight fold (`from_ops_biased`) on
+//! both logs of a commit-shaped merge, at 32 to 2 048 edits per log.
+//!
 //! End-of-file scenarios exercise the merge memo: a 1000-child
 //! insert-only `merge_all` through the full runtime against the uncached
 //! creation-order refold of the same children (each child rebased by the
@@ -45,11 +49,12 @@ use std::time::Instant;
 
 use sm_core::{run_with_pool, Pool};
 use sm_mergeable::{Leaf, MList, Mergeable};
-use sm_netsim::workload::lcg_positions;
+use sm_netsim::workload::{lcg_positions, Lcg};
 use sm_ot::compose::compact;
-use sm_ot::delta::rebase_delta;
+use sm_ot::delta::{from_ops_biased, from_ops_counted, rebase_delta, GapBias};
 use sm_ot::list::ListOp;
 use sm_ot::seq::rebase;
+use sm_ot::text::TextOp;
 
 /// Speedup floors per scenario: a release run below its floor means a
 /// fast path regressed.
@@ -64,6 +69,17 @@ const FLOORS: &[(&str, f64)] = &[
     ("mixed_delete_merge_all_1000", 3.0),
     ("conditional_merge_all_1000", 1.5),
     ("huge_child_split_fuse", 1.2),
+    ("delta_fold_128", 1.3),
+    ("delta_fold_2048", 8.0),
+];
+
+/// Edits per log of the `delta_fold` rows, and the absolute target (ns)
+/// for folding both logs with the counted fold, where there is one.
+const FOLD_ROWS: [(usize, Option<u64>); 4] = [
+    (32, None),
+    (128, Some(60_000)),
+    (512, None),
+    (2_048, Some(2_000_000)),
 ];
 
 /// Children per row of the partitioned scaling table.
@@ -372,6 +388,30 @@ fn fanout_fold(
     (t.elapsed().as_nanos() as u64, parent.to_vec())
 }
 
+/// `k` text edits in a `commit_shared` commit's shape, drawn from `seed`:
+/// 1-3-char inserts and 1-2-char deletes, three to one, at positions
+/// below 4 032 of a 4 096-char base that they keep at least that long.
+fn commit_edits(k: usize, seed: u64) -> Vec<TextOp> {
+    let mut lcg = Lcg::new(seed);
+    let mut len = 4_096;
+    let mut edits = Vec::with_capacity(k);
+    for _ in 0..k {
+        let pos = lcg.next_below(4_032);
+        if lcg.next_below(4) == 0 {
+            let n = 1 + lcg.next_below(2);
+            len -= n;
+            edits.push(TextOp::delete(pos, n));
+        } else {
+            let n = 1 + lcg.next_below(3);
+            len += n;
+            let text = (0..n).map(|_| (b'a' + lcg.next_below(26) as u8) as char);
+            edits.push(TextOp::insert(pos, text.collect::<String>()));
+        }
+        assert!(len >= 4_032, "a delete past the end of the document");
+    }
+    edits
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -387,6 +427,50 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"merge\",\n");
     json.push_str(&sm_bench::env_json_line(quick));
+    // The fold of both logs of a commit-shaped merge (ROADMAP item 2's
+    // probe): the counted fold the memo runs against the straight fold
+    // `rebase_delta` runs, which scans from span zero per edit. Timed
+    // first, as a program that does only this would see it: after the
+    // fan-out rows below, both folds read up to twice as slow, which the
+    // speedup absorbs but the absolute targets do not.
+    let mut fold_rows = Vec::new();
+    for (k, target) in FOLD_ROWS {
+        let incoming = commit_edits(k, 0x5eed_0000 + k as u64);
+        let committed = commit_edits(k, 0x5eed_1000 + k as u64);
+        let fold_both = |fold: fn(&[TextOp], GapBias) -> _| {
+            let inc = fold(&incoming, GapBias::End);
+            let com = fold(&committed, GapBias::Start);
+            (inc, com)
+        };
+        assert!(
+            fold_both(from_ops_counted) == fold_both(from_ops_biased),
+            "delta_fold_{k}: the counted fold diverged from the straight fold"
+        );
+        // Best of as many reps as 2 048 edits' worth of folds, so the short
+        // rows time warm loops too.
+        let reps = iters * (2_048 / k);
+        let straight_ns = time_ns(reps, || fold_both(from_ops_biased));
+        let counted_ns = time_ns(reps, || fold_both(from_ops_counted));
+        let speedup = straight_ns as f64 / counted_ns.max(1) as f64;
+        let target = match target {
+            Some(t) => format!(
+                "target {t} ns {}",
+                if counted_ns <= t { "met" } else { "NOT met" }
+            ),
+            None => "no target".to_string(),
+        };
+        eprintln!(
+            "delta_fold_{k}: straight {straight_ns} ns -> counted {counted_ns} ns ({speedup:.2}x), \
+             {target}"
+        );
+        fold_rows.push(format!(
+            "{{\"name\": \"delta_fold_{k}\", \"edits_per_log\": {k}, \"straight_ns\": {straight_ns}, \
+             \"counted_ns\": {counted_ns}, \"speedup\": {speedup:.2}, \"target\": \"{target}\"}}"
+        ));
+        speedups.push((format!("delta_fold_{k}"), speedup));
+    }
+    let _ = writeln!(json, "  \"delta_fold\": [{}],", fold_rows.join(", "));
+
     json.push_str("  \"rebase_scenarios\": [\n");
 
     for (si, sc) in scenarios().iter().enumerate() {

@@ -48,6 +48,23 @@
 //! [`Delta::into_ops`] re-materializes sequential-application operations,
 //! one span op per run.
 //!
+//! # Folding
+//!
+//! A log folds one op at a time: `Delta::compose_op` splices the op into
+//! the accumulated delta where its position falls. [`from_ops_biased`]
+//! does that on one span vector, so each op scans from span zero to its
+//! edit and moves every span behind it, O(k·s) for k ops folding to s
+//! spans: 300–480 ns per op at 128 commit-shaped text edits, ascending
+//! logs included. It is the reference, and [`rebase_delta`] runs it.
+//! The merge memo folds with [`from_ops_counted`], which runs the same
+//! splice on a window of a counted two-level span list (`SpanList`):
+//! blocks of at most 62 spans, each with the output units it produces,
+//! and a finger on the block the last op touched. An op walks the block
+//! counts from the finger and splices one block, so a fold of k ops
+//! costs O(k·(s/B + B)) for blocks of about B spans. Logs of 4 096 ops or
+//! more still fold in segments ([`from_ops_chunked`]), because an edit
+//! inside a long inserted run copies the run whichever fold splices it.
+//!
 //! # Fallback rules
 //!
 //! Not every operation is a pure sequence edit — `ListOp::Set` overwrites
@@ -559,18 +576,29 @@ impl<P: DeltaPayload> Delta<P> {
 
     /// Compose one position-addressed edit (in this delta's *output*
     /// coordinates) into `self`, in place. Semantically identical to
-    /// composing with the singleton delta of `op` under `bias`, but moves
-    /// the spans behind the edit instead of re-cloning all of them level
-    /// by level — insert payloads are only cloned at genuine split
-    /// points. This is the fold step of [`from_ops_biased`]; a full log
-    /// folds in at most O(k · s) span *moves* (k ops, s spans) with no
-    /// payload churn, which in practice beats the O(k log k) balanced
-    /// compose tree that re-allocates every payload at every level.
+    /// composing with the singleton delta of `op` under `bias`; insert
+    /// payloads are only cloned at genuine split points. This is the fold
+    /// step of [`from_ops_biased`]: it scans from span zero to the edit
+    /// and moves every span behind it out and back, so a log of k ops
+    /// folding to s spans costs O(k · s) span reads and moves.
+    /// [`from_ops_counted`] runs the same splice on a window of a
+    /// [`SpanList`], a block or a few, instead of on the whole delta.
     fn compose_op(&mut self, op: OpSpan<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
-        let (pos, edit) = match op {
-            OpSpan::Insert { pos, payload } => (pos, Ok(payload)),
-            OpSpan::Delete { pos, len } => (pos, Err(len)),
-        };
+        let (pos, edit) = edit_of(op);
+        self.splice(pos, edit, bias, scratch);
+        self.trim();
+    }
+
+    /// [`Delta::compose_op`] without the final trim, on an edit split by
+    /// [`edit_of`]: a [`SpanList`] window that is not the last block keeps
+    /// its trailing retain.
+    fn splice(
+        &mut self,
+        pos: usize,
+        edit: Result<(P, usize), usize>,
+        bias: GapBias,
+        scratch: &mut Vec<Span<P>>,
+    ) {
         // Spans `[0, cut)` are untouched prefix; at a span boundary the
         // scan stops before any adjacent delete, so the edit phases below
         // see it.
@@ -610,7 +638,7 @@ impl<P: DeltaPayload> Delta<P> {
             }
         }
         match edit {
-            Ok(payload) => {
+            Ok((payload, len)) => {
                 // A gap-end insert anchors after an adjacent deleted run
                 // ([D, I]); gap-start before it ([I, D]). Normal form
                 // coalesces deletes, so "the run" is at most one span, and
@@ -622,7 +650,6 @@ impl<P: DeltaPayload> Delta<P> {
                         other => pending = other,
                     }
                 }
-                let len = payload.unit_len();
                 self.push(Span::Insert { payload, len });
             }
             Err(mut del) => {
@@ -670,7 +697,6 @@ impl<P: DeltaPayload> Delta<P> {
             self.push(s);
         }
         self.spans.extend(it);
-        self.trim();
     }
 
     /// Transform `incoming` over `self` (committed), two concurrent deltas
@@ -850,7 +876,8 @@ impl<P: DeltaPayload> Delta<P> {
         O: DeltaOp<Payload = P>,
     {
         let mut pos = 0usize;
-        let mut ops = Vec::new();
+        // At most one op per span.
+        let mut ops = Vec::with_capacity(self.spans.len());
         let mut it = self.spans.into_iter().peekable();
         while let Some(span) = it.next() {
             match span {
@@ -1027,9 +1054,8 @@ impl<'a, P: DeltaPayload> Cursor<'a, P> {
 
 /// Fold a sequentially-applied operation log into one base-coordinate
 /// delta, splicing each op into the accumulator in place
-/// (`Delta::compose_op`) — O(k · s) span moves for k operations and s
-/// resulting spans, with insert payloads cloned only at split points.
-/// Ambiguous gap inserts anchor with the committed-side
+/// (`Delta::compose_op`), with insert payloads cloned only at split
+/// points. Ambiguous gap inserts anchor with the committed-side
 /// [`GapBias::Start`]; use [`from_ops_biased`] to fold an incoming-side
 /// log.
 ///
@@ -1042,6 +1068,11 @@ pub fn from_ops<O: DeltaOp>(ops: &[O]) -> Option<Delta<O::Payload>> {
 /// [`from_ops`] with an explicit per-side [`GapBias`] for ambiguous gap
 /// inserts. [`rebase_delta`] folds the committed log with
 /// [`GapBias::Start`] and the incoming log with [`GapBias::End`].
+///
+/// The straight fold: every op scans the accumulator from span zero and
+/// moves every span behind its edit, O(k · s) for k ops folding to s
+/// spans. It is the reference [`from_ops_counted`] is tested against,
+/// and what [`rebase_delta`] runs.
 pub fn from_ops_biased<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::Payload>> {
     let mut acc = Delta::identity();
     let mut scratch = Vec::new();
@@ -1051,14 +1082,220 @@ pub fn from_ops_biased<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::
     Some(acc)
 }
 
+/// [`from_ops_biased`] over a counted two-level span list (`SpanList`):
+/// span for span the same delta, but an op costs a walk over the block
+/// counts from the block the last op touched plus one block's splice,
+/// instead of a scan from span zero and a move of every span behind the
+/// edit. Until the delta outgrows one block it runs the same splices on
+/// one vector, sized for the whole log up front, so a short log
+/// allocates no more than [`from_ops_biased`] does. The merge memo's
+/// fold.
+pub fn from_ops_counted<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::Payload>> {
+    counted_fold::<O, BLOCK_SPANS>(ops, bias)
+}
+
+/// Most spans one block of the counted fold holds after an edit. A splice
+/// grows a block by at most two spans before it is cut, so a block's
+/// vector never outgrows 64. Measured on `bench_merge`'s `delta_fold`
+/// rows (DESIGN §3.6).
+const BLOCK_SPANS: usize = 62;
+
+/// [`from_ops_counted`] with blocks of at most `MAX` spans.
+fn counted_fold<O: DeltaOp, const MAX: usize>(
+    ops: &[O],
+    bias: GapBias,
+) -> Option<Delta<O::Payload>> {
+    // An op adds two spans at most: the first block's vector holds the
+    // whole delta at the end.
+    let mut acc = Delta {
+        spans: Vec::with_capacity(2 * ops.len()),
+    };
+    let mut scratch = Vec::new();
+    let mut ops = ops.iter();
+    // Until the delta outgrows one block it is the straight fold.
+    while acc.spans.len() <= MAX {
+        let Some(op) = ops.next() else {
+            return Some(acc);
+        };
+        acc.compose_op(op.to_span()?, bias, &mut scratch);
+    }
+    let mut list = SpanList::<_, MAX>::new(acc, ops.len());
+    for op in ops {
+        list.compose_op(op.to_span()?, bias, &mut scratch);
+    }
+    Some(list.into_delta())
+}
+
+/// An op as [`Delta::splice`] takes it: the position, and either the
+/// inserted run with its unit length or the number of deleted units.
+fn edit_of<P: DeltaPayload>(op: OpSpan<P>) -> (usize, Result<(P, usize), usize>) {
+    match op {
+        OpSpan::Insert { pos, payload } => {
+            let len = payload.unit_len();
+            (pos, Ok((payload, len)))
+        }
+        OpSpan::Delete { pos, len } => (pos, Err(len)),
+    }
+}
+
+/// The counted fold's accumulator: a normalized delta cut into blocks of
+/// at most `MAX` spans, each with the output units it produces, and a
+/// finger on the block the last edit started in.
+///
+/// Concatenated, the blocks are the delta. Normal form holds across the
+/// seams, and only the last block drops its trailing retain. An edit at
+/// output position `pos` reaching to `reach` (`pos`, or `pos + len` for
+/// a delete) is spliced by [`Delta::splice`] into a **window**: the
+/// first block whose running output count reaches `pos`, extended by the
+/// blocks after it while its output ends at or before `reach`. So the
+/// window holds every span the straight fold's splice reads, and ends
+/// with output past `reach` unless it is the end of the list: what the
+/// splice pushes first and last cannot coalesce across a seam, and only
+/// a window at the end trims.
+struct SpanList<P, const MAX: usize> {
+    /// Never empty; only a sole block may hold no span.
+    blocks: Vec<Block<P>>,
+    /// The block the last edit started in, and the output units of the
+    /// blocks before it.
+    finger: (usize, usize),
+}
+
+/// One block of a [`SpanList`].
+struct Block<P> {
+    spans: Vec<Span<P>>,
+    /// Output units `spans` produce.
+    out: usize,
+}
+
+impl<P: DeltaPayload, const MAX: usize> SpanList<P, MAX> {
+    /// The list of `delta`, sized for `ops` more edits.
+    fn new(delta: Delta<P>, ops: usize) -> Self {
+        let out = delta.spans.iter().map(Span::out_len).sum();
+        // An edit adds two spans at most; blocks are cut at least half full.
+        let mut blocks = Vec::with_capacity((delta.spans.len() + 2 * ops) / MAX.div_ceil(2) + 1);
+        blocks.push(Block {
+            spans: Vec::new(),
+            out: 0,
+        });
+        let mut list = SpanList {
+            blocks,
+            finger: (0, 0),
+        };
+        list.put(0, delta.spans, out);
+        list
+    }
+
+    /// [`Delta::compose_op`] on the list: splice the edit into its window
+    /// and store the window back, cut into blocks. The window's output
+    /// count follows from the edit alone.
+    fn compose_op(&mut self, op: OpSpan<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
+        let (pos, edit) = edit_of(op);
+        let reach = match &edit {
+            Ok(_) => pos,
+            Err(len) => pos + len,
+        };
+        let (first, before) = self.seek(pos);
+        let mut last = first;
+        let mut out = self.blocks[first].out;
+        while before + out <= reach && last + 1 < self.blocks.len() {
+            last += 1;
+            out += self.blocks[last].out;
+        }
+        let at_end = last + 1 == self.blocks.len();
+        let mut window = Delta {
+            spans: std::mem::take(&mut self.blocks[first].spans),
+        };
+        for mut block in self.blocks.drain(first + 1..=last) {
+            window.spans.append(&mut block.spans);
+        }
+        // Past the window's output the splice reads the implicit
+        // trailing retain, which only the last window has.
+        let local = pos - before;
+        out = match &edit {
+            Ok((_, len)) => out.max(local) + len,
+            Err(len) => out.saturating_sub(*len).max(local),
+        };
+        window.splice(local, edit, bias, scratch);
+        if at_end {
+            if let Some(&Span::Retain(n)) = window.spans.last() {
+                window.spans.pop();
+                out -= n;
+            }
+        }
+        self.put(first, window.spans, out);
+        self.finger = match self.blocks.get(first) {
+            Some(_) => (first, before),
+            None => (first - 1, before - self.blocks[first - 1].out),
+        };
+    }
+
+    /// The first block whose running output count reaches `pos` (the
+    /// last block if none does) and the output of the blocks before it,
+    /// walked from the finger: an edit near the last one costs a step or
+    /// two.
+    fn seek(&self, pos: usize) -> (usize, usize) {
+        let (mut at, mut before) = self.finger;
+        while at > 0 && before >= pos {
+            at -= 1;
+            before -= self.blocks[at].out;
+        }
+        while at + 1 < self.blocks.len() && before + self.blocks[at].out < pos {
+            before += self.blocks[at].out;
+            at += 1;
+        }
+        (at, before)
+    }
+
+    /// Store `spans`, which produce `out` units, as block `at`: cut into
+    /// blocks when they exceed `MAX`, dropped when they are empty and not
+    /// the only block. Only the last block can empty: any other window
+    /// keeps output past the edit's reach.
+    fn put(&mut self, at: usize, mut spans: Vec<Span<P>>, mut out: usize) {
+        debug_assert_eq!(out, spans.iter().map(Span::out_len).sum::<usize>());
+        let last = at + 1 == self.blocks.len();
+        if spans.is_empty() && self.blocks.len() > 1 {
+            self.blocks.remove(at);
+            return;
+        }
+        // Blocks are cut even, except the last one, which is cut as full
+        // as it can be: a log in ascending position order appends to it.
+        let (len, pieces) = (spans.len(), spans.len().div_ceil(MAX));
+        let cut = |i: usize| if last { i * MAX } else { len * i / pieces };
+        for i in (1..pieces).rev() {
+            let mut piece = Vec::with_capacity(MAX + 2);
+            piece.extend(spans.drain(cut(i)..));
+            let piece_out = piece.iter().map(Span::out_len).sum();
+            out -= piece_out;
+            let block = Block {
+                spans: piece,
+                out: piece_out,
+            };
+            self.blocks.insert(at + 1, block);
+        }
+        self.blocks[at] = Block { spans, out };
+    }
+
+    /// The blocks concatenated, in the first block's vector.
+    fn into_delta(self) -> Delta<P> {
+        let len = self.blocks.iter().map(|b| b.spans.len()).sum::<usize>();
+        let mut blocks = self.blocks.into_iter();
+        let mut spans = blocks.next().map(|b| b.spans).unwrap_or_default();
+        spans.reserve(len - spans.len());
+        for mut block in blocks {
+            spans.append(&mut block.spans);
+        }
+        Delta { spans }
+    }
+}
+
 /// Split/fuse fold: segment `ops` into runs of at most `chunk` operations,
 /// fold each segment independently with [`from_ops_biased`], and fuse the
 /// segment composites left-to-right with [`Delta::compose_in_place`] under
 /// the same bias. Because composition under a fixed bias is associative,
-/// the result equals the straight [`from_ops_biased`] fold — but a fold
-/// costs O(k · s) in ops × resulting spans, so short segments fused in
-/// order are cheaper than one straight pass over a huge log (a [`Memo`]
-/// folds its huge logs this way).
+/// the result equals the straight [`from_ops_biased`] fold — but a
+/// segment's inserted runs stay short until the fuse, so a huge log that
+/// keeps editing inside one run copies it once per segment instead of
+/// once per edit (a [`Memo`] folds its huge logs this way).
 ///
 /// Returns `None` when any operation is not span-expressible.
 pub fn from_ops_chunked<O: DeltaOp>(
@@ -1090,19 +1327,22 @@ pub fn rebase_delta<O: DeltaOp>(incoming: &[O], committed: &[O]) -> Option<(Vec<
 }
 
 /// Op count from which a memo build folds one log in segments
-/// ([`from_ops_chunked`]). A segment is the square root of this long:
-/// folding k ops in segments of c costs about k·c in the folds plus
-/// (k/c)·s in fusing s spans, least at c = √s ≤ √k. Measured, from 4 096
-/// ops up segmenting never loses, and on tail-scattered logs it wins an
-/// order of magnitude; the result is the straight fold's, because
-/// composition under a fixed [`GapBias`] is associative.
+/// ([`from_ops_chunked`]). A segment is the square root of this long.
+/// The counted fold bounds the *spans* an edit reads and moves, not the
+/// payload it copies: an edit inside an inserted run slices that run,
+/// so a log that keeps editing one growing run (`bench_merge`'s
+/// `huge_child_split_fuse`: tail inserts, 70 000 per log) copies the run
+/// once per edit whatever the fold. Short segments keep each run short
+/// until the fuse; without them that row's merge read 3.1 s instead of
+/// ≈ 0.2 s. The result is the straight fold's, because composition
+/// under a fixed [`GapBias`] is associative.
 const SEGMENT_MIN_OPS: usize = 4_096;
 
 /// Fold one log into a base-coordinate delta, in segments when it is
 /// long; `None` when an op is not span-expressible.
 fn fold<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::Payload>> {
     if ops.len() < SEGMENT_MIN_OPS {
-        from_ops_biased(ops, bias)
+        from_ops_counted(ops, bias)
     } else {
         from_ops_chunked(ops, SEGMENT_MIN_OPS.isqrt(), bias)
     }
@@ -1137,8 +1377,9 @@ impl<P: DeltaPayload> Memo<P> {
     /// [`rebase_delta`], and keep what it folded. With `reuse` the
     /// committed side is the memo — see [`crate::Operation::delta_rebase`]
     /// for when the caller may say so — and `committed` is not read.
-    /// Logs of 4 096 ops or more fold in segments ([`from_ops_chunked`]).
-    /// `None` when an op is not span-expressible.
+    /// Logs fold by [`from_ops_counted`], those of 4 096 ops or more in
+    /// segments ([`from_ops_chunked`]). `None` when an op is not
+    /// span-expressible.
     pub(crate) fn rebase<O: DeltaOp<Payload = P>>(
         &mut self,
         incoming: &[O],
@@ -1602,6 +1843,175 @@ mod tests {
             }
         }
         assert!(seeked > 0, "no pair in scope ever left the zero finger");
+    }
+
+    /// `ops` folded on the list path alone, from an empty list of
+    /// `MAX`-span blocks, counting the seam cases met: `[delete over three
+    /// or more blocks, delete that annihilates a whole block, gap-end
+    /// insert at a block's last output position with a delete opening the
+    /// next block]`. After every op no block overflows, only a sole block
+    /// is empty, and the finger measures true.
+    fn list_fold_census<O: DeltaOp, const MAX: usize>(
+        ops: &[O],
+        bias: GapBias,
+        seen: &mut [usize; 3],
+    ) -> Delta<O::Payload> {
+        let mut list = SpanList::<_, MAX>::new(Delta::identity(), ops.len());
+        let mut scratch = Vec::new();
+        for op in ops {
+            let op = op.to_span().unwrap();
+            // Each block's output range, `[start, end)`.
+            let mut start = 0;
+            let ranges: Vec<(usize, usize)> = list
+                .blocks
+                .iter()
+                .map(|b| {
+                    start += b.out;
+                    (start - b.out, start)
+                })
+                .collect();
+            match &op {
+                OpSpan::Delete { pos, len } => {
+                    let reach = pos + len;
+                    let touched = ranges.iter().filter(|&&(a, b)| b > *pos && a < reach);
+                    seen[0] += usize::from(touched.count() >= 3);
+                    seen[1] += usize::from(list.blocks.iter().zip(&ranges).any(|(b, &(a, e))| {
+                        let inserts = b.spans.iter().all(|s| matches!(s, Span::Insert { .. }));
+                        inserts && a >= *pos && e <= reach && a < e
+                    }));
+                }
+                OpSpan::Insert { pos, .. } if bias == GapBias::End => {
+                    seen[2] +=
+                        usize::from(ranges.iter().zip(&list.blocks[1..]).any(|(r, next)| {
+                            r.1 == *pos && matches!(next.spans.first(), Some(Span::Delete(_)))
+                        }));
+                }
+                OpSpan::Insert { .. } => {}
+            }
+            list.compose_op(op, bias, &mut scratch);
+            let mut before = 0;
+            for (i, block) in list.blocks.iter().enumerate() {
+                assert!(block.spans.len() <= MAX, "block {i} overfull");
+                assert!(!block.spans.is_empty() || list.blocks.len() == 1);
+                if i == list.finger.0 {
+                    assert_eq!(list.finger.1, before, "the finger measures true");
+                }
+                before += block.out;
+            }
+        }
+        list.into_delta()
+    }
+
+    /// The counted fold at one- and two-span blocks, where almost every
+    /// edit crosses a seam, and at the shipped bound, and its list path
+    /// alone: each equals the straight fold span for span.
+    fn assert_counted_fold_is_straight<O: DeltaOp>(
+        ops: &[O],
+        bias: GapBias,
+        seen: &mut [usize; 3],
+    ) {
+        let straight = from_ops_biased(ops, bias).unwrap();
+        let folds = [
+            counted_fold::<O, 1>(ops, bias).unwrap(),
+            counted_fold::<O, 2>(ops, bias).unwrap(),
+            from_ops_counted(ops, bias).unwrap(),
+            list_fold_census::<O, 1>(ops, bias, seen),
+            list_fold_census::<O, 2>(ops, bias, seen),
+        ];
+        for (i, folded) in folds.iter().enumerate() {
+            assert_eq!(folded, &straight, "fold {i}, ops {ops:?} bias {bias:?}");
+        }
+    }
+
+    #[test]
+    fn counted_fold_equals_the_straight_fold_on_every_small_log() {
+        let mut seen = [0; 3];
+        for log in every_log(4, 3, 10) {
+            for bias in [GapBias::Start, GapBias::End] {
+                assert_counted_fold_is_straight(&log, bias, &mut seen);
+            }
+        }
+        // A one-unit delete touches one block at most.
+        assert!(seen[1] > 0 && seen[2] > 0, "seam cases met: {seen:?}");
+    }
+
+    #[test]
+    fn counted_fold_equals_the_straight_fold_on_long_random_logs() {
+        let mut x: u64 = 0x51_7cc1_b727_220a;
+        let mut rand = move |bound: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) as usize) % bound.max(1)
+        };
+        let mut seen = [0; 3];
+        for case in 0..24 {
+            let ops = [1, 2, 3, 9, 40, 300, 1_000, 4_096][case % 8];
+            let bias = bias_of(case / 8 == 1);
+            // Text over a multi-byte alphabet: 1-3-char inserts, 1-2-char
+            // deletes three to one, a long delete now and then; positions
+            // anywhere, near the last edit, or ascending.
+            let (mut len, mut last) = (64 + rand(64), 0);
+            let mut text = Vec::new();
+            for _ in 0..ops {
+                let pos = match rand(3) {
+                    0 => rand(len + 1),
+                    1 => (last + rand(5)).saturating_sub(2).min(len),
+                    _ => (last + rand(3)).min(len),
+                };
+                if rand(4) == 0 && pos < len {
+                    let n = if rand(8) == 0 {
+                        1 + rand(40)
+                    } else {
+                        1 + rand(2)
+                    };
+                    let n = n.min(len - pos);
+                    text.push(TextOp::delete(pos, n));
+                    len -= n;
+                } else {
+                    let run: String = (0..1 + rand(3))
+                        .map(|_| ['a', 'é', '✨', 'z'][rand(4)])
+                        .collect();
+                    len += run.chars().count();
+                    text.push(TextOp::insert(pos, run));
+                }
+                last = pos;
+            }
+            assert_counted_fold_is_straight(&text, bias, &mut seen);
+            // Lists: point and run forms.
+            let (mut len, mut last) = (64 + rand(64), 0);
+            let mut list: Vec<ListOp<u32>> = Vec::new();
+            for i in 0..ops as u32 {
+                let pos = if rand(2) == 0 {
+                    rand(len + 1)
+                } else {
+                    (last + rand(3)).min(len)
+                };
+                list.push(match rand(6) {
+                    0 | 1 if pos < len => {
+                        len -= 1;
+                        ListOp::Delete(pos)
+                    }
+                    2 if pos < len => {
+                        let n = (1 + rand(24)).min(len - pos);
+                        len -= n;
+                        ListOp::DeleteRange(pos, n)
+                    }
+                    3 => {
+                        let n = 1 + rand(3);
+                        len += n;
+                        ListOp::InsertRun(pos, (0..n as u32).map(|j| i * 4 + j).collect())
+                    }
+                    _ => {
+                        len += 1;
+                        ListOp::Insert(pos, i * 4)
+                    }
+                });
+                last = pos;
+            }
+            assert_counted_fold_is_straight(&list, bias, &mut seen);
+        }
+        assert!(seen.iter().all(|&n| n > 0), "seam cases met: {seen:?}");
     }
 
     #[test]

@@ -995,7 +995,7 @@ mod tests {
             };
             let left = gen(&mut rng, base.len());
             let right = gen(&mut rng, base.len());
-            seq::assert_converges(&base, &left, &right);
+            seq::tests::assert_converges(&base, &left, &right);
         }
     }
 }

@@ -151,6 +151,6 @@ mod tests {
     fn sequences_converge() {
         let left = vec![Op::Put("a", 1), Op::Remove("b"), Op::Put("c", 3)];
         let right = vec![Op::Put("b", 9), Op::Put("a", 7)];
-        seq::assert_converges(&base(), &left, &right);
+        seq::tests::assert_converges(&base(), &left, &right);
     }
 }

@@ -81,7 +81,7 @@ mod tests {
     fn write_sequences_converge_to_last_serialized() {
         let left = vec![RegisterOp::set('a'), RegisterOp::set('b')];
         let right = vec![RegisterOp::set('x')];
-        seq::assert_converges(&'0', &left, &right);
+        seq::tests::assert_converges(&'0', &left, &right);
         let rebased = seq::rebase(&right, &left);
         let mut s = '0';
         crate::apply_all(&mut s, &left).unwrap();

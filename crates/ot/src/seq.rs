@@ -180,49 +180,49 @@ fn transform_pieces_single<O: Operation>(pieces: &[O], s: &O) -> (Vec<O>, Vec<O>
     (pieces_out, s_pieces)
 }
 
-/// Test-support oracle: apply both serializations and return the resulting
-/// states. They must be equal for convergent transformation functions:
-/// `base ∘ left ∘ right'` vs `base ∘ right ∘ left'`.
-pub fn convergence_outcome<O>(
-    base: &O::State,
-    left: &[O],
-    right: &[O],
-) -> Result<(O::State, O::State), crate::ApplyError>
-where
-    O: Operation,
-{
-    let (left_t, right_t) = transform_seqs(left, right);
-
-    let mut via_left = base.clone();
-    crate::apply_all(&mut via_left, left)?;
-    crate::apply_all(&mut via_left, &right_t)?;
-
-    let mut via_right = base.clone();
-    crate::apply_all(&mut via_right, right)?;
-    crate::apply_all(&mut via_right, &left_t)?;
-
-    Ok((via_left, via_right))
-}
-
-/// Assert that two concurrent sequences converge under [`transform_seqs`].
-pub fn assert_converges<O>(base: &O::State, left: &[O], right: &[O])
-where
-    O: Operation,
-    O::State: PartialEq,
-{
-    let (a, b) = convergence_outcome(base, left, right)
-        .unwrap_or_else(|e| panic!("apply failure during convergence check: {e}"));
-    assert!(
-        a == b,
-        "sequences diverged:\n  left  = {left:?}\n  right = {right:?}\n  via-left  = {a:?}\n  via-right = {b:?}"
-    );
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::list::ListOp;
     use crate::state::ChunkTree;
+
+    /// The convergence oracle: apply both serializations and return the
+    /// resulting states. They must be equal for convergent transformation
+    /// functions: `base ∘ left ∘ right'` vs `base ∘ right ∘ left'`.
+    fn convergence_outcome<O>(
+        base: &O::State,
+        left: &[O],
+        right: &[O],
+    ) -> Result<(O::State, O::State), crate::ApplyError>
+    where
+        O: Operation,
+    {
+        let (left_t, right_t) = transform_seqs(left, right);
+
+        let mut via_left = base.clone();
+        crate::apply_all(&mut via_left, left)?;
+        crate::apply_all(&mut via_left, &right_t)?;
+
+        let mut via_right = base.clone();
+        crate::apply_all(&mut via_right, right)?;
+        crate::apply_all(&mut via_right, &left_t)?;
+
+        Ok((via_left, via_right))
+    }
+
+    /// Assert that two concurrent sequences converge under [`transform_seqs`].
+    pub(crate) fn assert_converges<O>(base: &O::State, left: &[O], right: &[O])
+    where
+        O: Operation,
+        O::State: PartialEq,
+    {
+        let (a, b) = convergence_outcome(base, left, right)
+            .unwrap_or_else(|e| panic!("apply failure during convergence check: {e}"));
+        assert!(
+            a == b,
+            "sequences diverged:\n  left  = {left:?}\n  right = {right:?}\n  via-left  = {a:?}\n  via-right = {b:?}"
+        );
+    }
 
     type Op = ListOp<char>;
 

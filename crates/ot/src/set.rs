@@ -120,6 +120,6 @@ mod tests {
     fn sequences_converge() {
         let left = vec![Op::Add(10), Op::Remove(1), Op::Add(2)];
         let right = vec![Op::Remove(2), Op::Add(1), Op::Add(11)];
-        seq::assert_converges(&base(), &left, &right);
+        seq::tests::assert_converges(&base(), &left, &right);
     }
 }

@@ -483,7 +483,7 @@ mod tests {
         let base = Rope::from("The quick brown fox");
         let left = vec![TextOp::insert(4, "very "), TextOp::delete(0, 4)];
         let right = vec![TextOp::delete(4, 6), TextOp::insert(0, ">> ")];
-        seq::assert_converges(&base, &left, &right);
+        seq::tests::assert_converges(&base, &left, &right);
     }
 
     #[test]
@@ -514,7 +514,7 @@ mod tests {
             };
             let left = gen(&mut rng);
             let right = gen(&mut rng);
-            seq::assert_converges(&base, &left, &right);
+            seq::tests::assert_converges(&base, &left, &right);
         }
     }
 }

@@ -528,6 +528,6 @@ mod tests {
                 node: Node::branch("r", vec![Node::leaf("rc")]),
             },
         ];
-        seq::assert_converges(&base(), &left, &right);
+        seq::tests::assert_converges(&base(), &left, &right);
     }
 }

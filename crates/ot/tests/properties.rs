@@ -14,12 +14,33 @@ use sm_ot::counter::CounterOp;
 use sm_ot::list::ListOp;
 use sm_ot::map::MapOp;
 use sm_ot::register::RegisterOp;
-use sm_ot::seq::{assert_converges, rebase, transform_seqs};
+use sm_ot::seq::{rebase, transform_seqs};
 use sm_ot::set::SetOp;
 use sm_ot::state::{ChunkTree, Rope};
 use sm_ot::text::TextOp;
 use sm_ot::tree::{Node, TreeOp};
 use sm_ot::{apply_all, assert_tp1, Operation};
+
+/// The convergence oracle: `base ∘ left ∘ right'` and `base ∘ right ∘
+/// left'` under [`transform_seqs`] are one state.
+fn assert_converges<O>(base: &O::State, left: &[O], right: &[O])
+where
+    O: Operation,
+    O::State: PartialEq,
+{
+    let (left_t, right_t) = transform_seqs(left, right);
+    let serialized = |first: &[O], then: &[O]| {
+        let mut state = base.clone();
+        apply_all(&mut state, first).expect("a side applies to the base");
+        apply_all(&mut state, then).expect("a transformed side applies after the other");
+        state
+    };
+    let (a, b) = (serialized(left, &right_t), serialized(right, &left_t));
+    assert!(
+        a == b,
+        "sequences diverged:\n  left  = {left:?}\n  right = {right:?}\n  via-left  = {a:?}\n  via-right = {b:?}"
+    );
+}
 
 // ---------------------------------------------------------------------
 // strategies: ops valid against a known base state
