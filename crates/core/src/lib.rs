@@ -50,7 +50,9 @@
 //!   (`merge*`); a parent-child mutual wait resolves by the merge itself,
 //!   and `merge_any_from_set` over an empty set returns instead of
 //!   blocking (§IV-B). The deadlock-freedom integration tests exercise
-//!   this.
+//!   this. Code that waits on anything else (a socket, a foreign channel)
+//!   should do so inside [`blocking`], which frees its worker; the pool's
+//!   backstop only bounds how long a wait that does not stalls the queue.
 //! * **Determinism by default** — see [`TaskCtx::merge_all`]; the
 //!   semaphore emulation ([`semaphore`]) shows the non-deterministic
 //!   subset is still as expressive as semaphores (§IV-A).
@@ -70,7 +72,7 @@ mod trace;
 pub use error::{AbortReason, SyncError, TaskAbort, TaskResult};
 pub use journal::CommitSink;
 pub use merge::{Condition, Disposition, MergeReport, MergedChild};
-pub use pool::{Pool, PoolStats};
+pub use pool::{blocking, Pool, PoolStats};
 pub use runtime::{run, run_with_pool, run_with_sink};
 pub use task::{TaskCtx, TaskHandle, TaskId, TaskOutcome};
 pub use trace::{MergeTrace, ReplayError, TraceCursor};
@@ -786,6 +788,42 @@ mod tests {
             assert!(ctx.merge_all().all_merged());
         });
         assert_eq!(counter.get(), 5);
+    }
+
+    #[test]
+    fn children_blocked_in_sync_free_their_workers() {
+        // The parent merges only once every child has reached its `sync`,
+        // so each child needs a worker while the ones before it wait: the
+        // pool must replace a worker that blocks, on any number of cores.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        let children = 4 * std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let synced = std::sync::Arc::new(AtomicUsize::new(0));
+            let (c, ()) = run(MCounter::new(0), |ctx| {
+                for _ in 0..children {
+                    let synced = std::sync::Arc::clone(&synced);
+                    ctx.spawn(move |c| {
+                        c.data_mut().inc();
+                        synced.fetch_add(1, Ordering::SeqCst);
+                        c.sync()?;
+                        c.data_mut().inc();
+                        Ok(())
+                    });
+                }
+                while synced.load(Ordering::SeqCst) < children {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ctx.merge_all();
+                ctx.merge_all();
+            });
+            tx.send(c.get()).unwrap();
+        });
+        let total = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a child never got a worker");
+        assert_eq!(total, 2 * children as i64);
     }
 
     #[test]

@@ -228,8 +228,9 @@ impl<D: Mergeable> TaskCtx<D> {
                 return Some(merged);
             }
             let ev = self
-                .events_rx
-                .recv()
+                .family
+                .pool
+                .recv(&self.events_rx)
                 .expect("event channel cannot disconnect while the context holds its family");
             if targets.contains(&ev.child) {
                 let merged = self.handle_event(ev, cond);
@@ -297,8 +298,9 @@ impl<D: Mergeable> TaskCtx<D> {
         loop {
             let ev = self.events_rx.try_recv().unwrap_or_else(|_| {
                 self.flush_replies();
-                self.events_rx
-                    .recv()
+                self.family
+                    .pool
+                    .recv(&self.events_rx)
                     .expect("event channel cannot disconnect while the context holds its family")
             });
             if ev.child == id {

@@ -1,35 +1,39 @@
-//! A cached, grow-on-demand worker pool.
-//!
-//! Spawn & Merge tasks are "much more lightweight [than processes] and
-//! therefore cheap to create and to delete" (§II), and the paper notes
-//! tasks "may also be scheduled to be executed on a pool of threads".
-//! Tasks can block for long stretches (in `Sync`, or accepting
-//! connections), so a *fixed-size* pool would deadlock — instead this pool
-//! grows whenever no worker is idle and retires workers that stay idle past
-//! a keep-alive. Task spawning therefore amortizes thread creation without
-//! ever limiting parallelism.
-//!
-//! Determinism never depends on this pool: it only decides *where* a task
-//! runs, never how merges are ordered.
+//! A core-sized worker pool that grows on block. Tasks are "cheap to
+//! create" and "may also be scheduled to be executed on a pool of threads"
+//! (§II): `available_parallelism()` workers drain one FIFO of jobs, and a
+//! worker about to block says so ([`blocking`]; every wait the runtime
+//! owns does), so the pool starts a replacement if work is queued. A task
+//! waiting on a tree edge thus always frees its slot: §IV-B's deadlock
+//! freedom holds with a core-sized set. Determinism never depends on it.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError};
+use parking_lot::{Condvar, Mutex};
 use sm_obs::{emit, EventKind, TaskPath};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// How long a queued job may wait before the pool starts a worker for it
+/// beyond `available_parallelism()`.
+const STALL: Duration = Duration::from_millis(10);
+
+thread_local! {
+    static WORKER_OF: RefCell<Option<Arc<Inner>>> = const { RefCell::new(None) };
+}
 
 /// Pool statistics (diagnostics; used by the fork/spawn cost benches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// OS threads created over the pool's lifetime.
     pub threads_created: u64,
-    /// Jobs executed (including currently running).
+    /// Jobs executed (including currently running and queued).
     pub jobs_executed: u64,
-    /// Worker threads currently alive (busy or idle).
+    /// Worker threads currently alive (busy, blocked or idle).
     pub live_workers: u64,
     /// High-water mark of simultaneously live worker threads.
     pub peak_workers: u64,
@@ -37,20 +41,26 @@ pub struct PoolStats {
     pub queue_wait_nanos: u64,
 }
 
-struct Inner {
-    /// Idle workers parked waiting for a job, each addressed by a
-    /// rendezvous sender and a claim token.
-    idle: Mutex<Vec<(u64, Sender<Job>)>>,
-    next_token: AtomicU64,
-    keep_alive: Duration,
-    threads_created: AtomicU64,
-    jobs_executed: AtomicU64,
-    live_workers: AtomicUsize,
-    peak_workers: AtomicUsize,
-    queue_wait_nanos: AtomicU64,
+#[derive(Default)]
+struct State {
+    /// Jobs not yet taken, with their submission times.
+    queue: VecDeque<(Instant, Job)>,
+    idle: usize,
+    /// Workers inside [`blocking`].
+    blocked: usize,
+    stats: PoolStats,
 }
 
-/// The cached worker pool. Cloning shares the pool.
+struct Inner {
+    state: Mutex<State>,
+    /// Signalled when a job is queued for an idle worker.
+    work: Condvar,
+    /// Workers that may run at once outside [`blocking`].
+    target: usize,
+    keep_alive: Duration,
+}
+
+/// The worker pool. Cloning shares the pool.
 #[derive(Clone)]
 pub struct Pool {
     inner: Arc<Inner>,
@@ -72,106 +82,129 @@ impl Pool {
     pub fn with_keep_alive(keep_alive: Duration) -> Self {
         Pool {
             inner: Arc::new(Inner {
-                idle: Mutex::new(Vec::new()),
-                next_token: AtomicU64::new(0),
+                state: Mutex::new(State::default()),
+                work: Condvar::new(),
+                target: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 keep_alive,
-                threads_created: AtomicU64::new(0),
-                jobs_executed: AtomicU64::new(0),
-                live_workers: AtomicUsize::new(0),
-                peak_workers: AtomicUsize::new(0),
-                queue_wait_nanos: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Run `job` on an idle worker, or on a freshly spawned one if none is
-    /// idle. Never blocks and never queues behind a busy worker, so a job
-    /// that blocks forever cannot starve later jobs.
+    /// Queue `job` behind the jobs already submitted. Wakes a worker if
+    /// one is idle, else starts one while fewer than
+    /// `available_parallelism()` workers run outside [`blocking`]; a job
+    /// otherwise waits for a running worker to finish. Never blocks.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.inner.jobs_executed.fetch_add(1, Ordering::Relaxed);
-        let submitted = Instant::now();
-        let wait_sink = Arc::clone(&self.inner);
-        let job: Job = Box::new(move || {
-            wait_sink
-                .queue_wait_nanos
-                .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            job()
-        });
-        // Claim an idle worker if one exists. Popping under the lock makes
-        // the claim exclusive; the worker either receives in its
-        // `recv_timeout`, or — if it timed out concurrently — notices its
-        // token is gone and does a blocking `recv` for this very job.
-        let claimed = self.inner.idle.lock().pop();
-        match claimed {
-            Some((_token, tx)) => {
-                tx.send(job).expect("claimed worker must be receiving");
-            }
-            None => self.spawn_worker(job),
+        let mut st = self.inner.state.lock();
+        st.stats.jobs_executed += 1;
+        st.queue.push_back((Instant::now(), Box::new(job)));
+        if st.idle >= st.queue.len() {
+            self.inner.work.notify_one();
+        } else {
+            self.inner.grow(&mut st);
         }
     }
 
-    fn spawn_worker(&self, first_job: Job) {
-        let inner = Arc::clone(&self.inner);
-        let worker = inner.threads_created.fetch_add(1, Ordering::Relaxed);
-        let live = inner.live_workers.fetch_add(1, Ordering::Relaxed) + 1;
-        inner.peak_workers.fetch_max(live, Ordering::Relaxed);
+    /// Receive from `rx` as a runtime wait: announced ([`blocking`]), and
+    /// checking every [`STALL`] for a job stuck behind an unannounced one.
+    pub(crate) fn recv<T>(&self, rx: &Receiver<T>) -> Result<T, RecvError> {
+        blocking(|| loop {
+            match rx.recv_timeout(STALL) {
+                Err(RecvTimeoutError::Timeout) => self.inner.grow(&mut self.inner.state.lock()),
+                got => return got.map_err(|_| RecvError),
+            }
+        })
+    }
+
+    /// Pool statistics snapshot.
+    pub fn stats(&self) -> PoolStats {
+        self.inner.state.lock().stats
+    }
+
+    /// Number of currently idle workers (diagnostics).
+    pub fn idle_workers(&self) -> usize {
+        self.inner.state.lock().idle
+    }
+
+    /// Number of live worker threads (diagnostics).
+    pub fn live_workers(&self) -> usize {
+        self.inner.state.lock().stats.live_workers as usize
+    }
+}
+
+/// Run `f`, a wait on something other than Spawn & Merge (a socket, a
+/// foreign channel or lock), telling the pool: while `f` runs, the calling
+/// worker does not count against `available_parallelism()`, and a queued
+/// job gets a replacement worker. Off a worker (or nested) it only runs `f`.
+pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    let _announced = WORKER_OF.take().map(|inner| {
+        let mut st = inner.state.lock();
+        st.blocked += 1;
+        inner.grow(&mut st);
+        drop(st);
+        Blocked(inner)
+    });
+    f()
+}
+
+/// A worker inside [`blocking`], out of its slot (see `WORKER_OF`) until
+/// dropped, on unwind too.
+struct Blocked(Arc<Inner>);
+
+impl Drop for Blocked {
+    fn drop(&mut self) {
+        self.0.state.lock().blocked -= 1;
+        WORKER_OF.set(Some(Arc::clone(&self.0)));
+    }
+}
+
+impl Inner {
+    /// Start a worker if more jobs are queued than idle workers will take,
+    /// and fewer than `target` run outside [`blocking`] or the oldest job
+    /// has waited a [`STALL`] (the backstop for unannounced waits).
+    fn grow(self: &Arc<Self>, st: &mut State) {
+        let running = st.stats.live_workers as usize - st.blocked;
+        let fresh = |(at, _): &(Instant, Job)| at.elapsed() < STALL;
+        if st.queue.len() <= st.idle
+            || running >= self.target && st.queue.front().is_some_and(fresh)
+        {
+            return;
+        }
+        let worker = st.stats.threads_created;
+        st.stats.threads_created += 1;
+        st.stats.live_workers += 1;
+        st.stats.peak_workers = st.stats.peak_workers.max(st.stats.live_workers);
+        let inner = Arc::clone(self);
         std::thread::Builder::new()
             .name("sm-task-worker".into())
             .spawn(move || {
                 emit(&TaskPath::root(), || EventKind::WorkerStarted { worker });
-                worker_loop(&inner, first_job);
-                inner.live_workers.fetch_sub(1, Ordering::Relaxed);
+                WORKER_OF.set(Some(Arc::clone(&inner)));
+                inner.work();
                 emit(&TaskPath::root(), || EventKind::WorkerRetired { worker });
             })
             .expect("failed to spawn worker thread");
     }
 
-    /// Pool statistics snapshot.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            threads_created: self.inner.threads_created.load(Ordering::Relaxed),
-            jobs_executed: self.inner.jobs_executed.load(Ordering::Relaxed),
-            live_workers: self.inner.live_workers.load(Ordering::Relaxed) as u64,
-            peak_workers: self.inner.peak_workers.load(Ordering::Relaxed) as u64,
-            queue_wait_nanos: self.inner.queue_wait_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of currently idle workers (diagnostics).
-    pub fn idle_workers(&self) -> usize {
-        self.inner.idle.lock().len()
-    }
-
-    /// Number of live worker threads (diagnostics).
-    pub fn live_workers(&self) -> usize {
-        self.inner.live_workers.load(Ordering::Relaxed)
-    }
-}
-
-fn worker_loop(inner: &Inner, first_job: Job) {
-    first_job();
-    loop {
-        let (tx, rx) = bounded::<Job>(1);
-        let token = inner.next_token.fetch_add(1, Ordering::Relaxed);
-        inner.idle.lock().push((token, tx));
-        match rx.recv_timeout(inner.keep_alive) {
-            Ok(job) => job(),
-            Err(RecvTimeoutError::Timeout) => {
-                // Retire — unless someone claimed us in the window between
-                // the timeout and this lock, in which case a job is already
-                // in flight on `rx` and we must take it.
-                let mut idle = inner.idle.lock();
-                if let Some(pos) = idle.iter().position(|(t, _)| *t == token) {
-                    idle.remove(pos);
-                    return;
-                }
-                drop(idle);
-                match rx.recv() {
-                    Ok(job) => job(),
-                    Err(_) => return,
-                }
+    /// A worker's life: run queued jobs in order; retire, under the lock,
+    /// once the queue stayed empty for a keep-alive.
+    fn work(&self) {
+        let mut st = self.state.lock();
+        loop {
+            while let Some((at, job)) = st.queue.pop_front() {
+                st.stats.queue_wait_nanos += at.elapsed().as_nanos() as u64;
+                drop(st);
+                // A panicking job must not take its worker's slot with it.
+                let _ = catch_unwind(AssertUnwindSafe(job));
+                st = self.state.lock();
             }
-            Err(RecvTimeoutError::Disconnected) => return,
+            st.idle += 1;
+            let timed_out = self.work.wait_for(&mut st, self.keep_alive).timed_out();
+            st.idle -= 1;
+            if timed_out && st.queue.is_empty() {
+                st.stats.live_workers -= 1;
+                return;
+            }
         }
     }
 }
@@ -179,7 +212,7 @@ fn worker_loop(inner: &Inner, first_job: Job) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::mpsc;
 
     #[test]
@@ -227,22 +260,86 @@ mod tests {
         let pool = Pool::new();
         let gate = Arc::new(AtomicU32::new(0));
         let (tx, rx) = mpsc::channel();
-        // 8 jobs that all block until everyone arrived: requires 8 workers.
+        // 8 jobs that all wait, announced, until everyone arrived: requires
+        // 8 workers however many cores there are.
         for _ in 0..8 {
             let gate = Arc::clone(&gate);
             let tx = tx.clone();
             pool.execute(move || {
                 gate.fetch_add(1, Ordering::SeqCst);
-                while gate.load(Ordering::SeqCst) < 8 {
-                    std::thread::yield_now();
-                }
+                blocking(|| {
+                    while gate.load(Ordering::SeqCst) < 8 {
+                        std::thread::yield_now();
+                    }
+                });
                 tx.send(()).unwrap();
             });
         }
         for _ in 0..8 {
-            rx.recv().unwrap();
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("a blocked worker was not replaced");
         }
         assert!(pool.stats().threads_created >= 8);
+    }
+
+    #[test]
+    fn a_burst_that_never_blocks_stays_core_sized() {
+        let pool = Pool::new();
+        let (tx, rx) = mpsc::channel();
+        for i in 0..1000 {
+            let tx = tx.clone();
+            pool.execute(move || tx.send(i).unwrap());
+        }
+        for _ in 0..1000 {
+            rx.recv().unwrap();
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let stats = pool.stats();
+        assert_eq!(stats.jobs_executed, 1000);
+        assert!(
+            stats.peak_workers <= cores,
+            "{} workers for {cores} cores",
+            stats.peak_workers
+        );
+    }
+
+    /// Run `f` on a thread of its own; fail if it has not finished within
+    /// `secs` (it hung) or panicked.
+    fn within(secs: u64, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(secs))
+            .expect("hung or panicked");
+    }
+
+    #[test]
+    fn a_job_blocked_out_of_sight_lets_a_queued_sibling_run() {
+        // Every core's worker waits, unannounced, for a job queued behind
+        // them: only the backstop in a runtime wait can start its worker.
+        let pool = Pool::new();
+        let cores = pool.inner.target;
+        let (release_tx, release_rx) = crossbeam::channel::unbounded::<()>();
+        let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
+        for _ in 0..cores {
+            let (release_rx, done_tx) = (release_rx.clone(), done_tx.clone());
+            pool.execute(move || {
+                release_rx.recv().unwrap();
+                done_tx.send(()).unwrap();
+            });
+        }
+        pool.execute(move || {
+            for _ in 0..cores {
+                release_tx.send(()).unwrap();
+            }
+        });
+        within(10, move || {
+            for _ in 0..cores {
+                pool.recv(&done_rx).unwrap();
+            }
+        });
     }
 
     #[test]
@@ -265,14 +362,17 @@ mod tests {
             let tx = tx.clone();
             pool.execute(move || {
                 gate.fetch_add(1, Ordering::SeqCst);
-                while gate.load(Ordering::SeqCst) < 4 {
-                    std::thread::yield_now();
-                }
+                blocking(|| {
+                    while gate.load(Ordering::SeqCst) < 4 {
+                        std::thread::yield_now();
+                    }
+                });
                 tx.send(()).unwrap();
             });
         }
         for _ in 0..4 {
-            rx.recv().unwrap();
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("a blocked worker was not replaced");
         }
         let stats = pool.stats();
         assert!(

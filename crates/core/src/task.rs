@@ -417,7 +417,7 @@ impl<D: Mergeable> TaskCtx<D> {
             return Err(SyncError::ParentGone);
         }
         // An error here is the parent dropping the request unanswered.
-        let verdict = reply_rx.recv().ok().map(|back| {
+        let verdict = self.family.pool.recv(&reply_rx).ok().map(|back| {
             self.reply = Some((back.reply, reply_rx));
             back.verdict
         });
@@ -495,17 +495,9 @@ where
     };
     let parent_family = Arc::clone(parent);
     let pool = parent.pool.clone();
-    let pool_for_child = pool.clone();
-
-    pool.execute(move || {
+    parent.pool.execute(move || {
         let externally_aborted = Arc::clone(&abort);
-        let mut ctx = TaskCtx::new(
-            data,
-            id,
-            Some(Arc::clone(&parent_family)),
-            abort,
-            pool_for_child,
-        );
+        let mut ctx = TaskCtx::new(data, id, Some(Arc::clone(&parent_family)), abort, pool);
         let path = ctx.path.clone();
         let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
 

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod conventional;
-pub mod document;
 pub mod live;
 pub mod message;
 pub mod spawnmerge;
@@ -35,7 +34,6 @@ pub mod workload;
 use std::time::Duration;
 
 pub use conventional::run_conventional;
-pub use document::{digest_document, run_document, DocConfig, DocResult};
 pub use live::{run_live, LiveReport};
 pub use message::{Message, Routing, SimConfig};
 pub use spawnmerge::{run_spawn_merge, run_spawn_merge_with_pool, SimData};

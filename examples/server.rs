@@ -37,7 +37,7 @@ use spawn_merge::obs::{
     self, http_get, DeterminismAuditor, FlightRecorder, Metrics, MultiRecorder, ObsServer,
     Recorder, TelemetrySources,
 };
-use spawn_merge::{run, MMap, SyncError, TaskAbort, TaskCtx, TaskResult};
+use spawn_merge::{blocking, run, MMap, SyncError, TaskAbort, TaskCtx, TaskResult};
 
 type Db = MMap<String, String>;
 
@@ -50,7 +50,8 @@ fn conn(socket: Stream, ctx: &mut TaskCtx<Db>) -> TaskResult {
     // The inherited data is "most likely outdated": refresh first.
     ctx.sync()?;
     loop {
-        let Ok(request) = socket.recv_str() else {
+        // Socket waits are not Spawn & Merge waits: tell the pool.
+        let Ok(request) = blocking(|| socket.recv_str()) else {
             return Ok(()); // connection closed
         };
         let reply = handle_request(&request, ctx.data_mut());
@@ -101,7 +102,7 @@ fn accept_task(net: Network, ctx: &mut TaskCtx<Db>) -> TaskResult {
         if ctx.is_aborted() {
             return Ok(()); // server shutting down
         }
-        match listener.accept_timeout(std::time::Duration::from_millis(10)) {
+        match blocking(|| listener.accept_timeout(std::time::Duration::from_millis(10))) {
             Ok(socket) => {
                 // Clone(conn, socket, data): a sibling task the ROOT merges.
                 ctx.clone_task(move |c| conn(socket, c))?;

@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
 use sm_codec::{Decode, Encode};
-use sm_core::{TaskAbort, TaskCtx, TaskResult};
+use sm_core::{blocking, TaskAbort, TaskCtx, TaskResult};
 use sm_mergeable::Persist;
 use sm_net::{Network, Stream};
 
@@ -177,10 +177,11 @@ impl<D: Persist> Cluster<D> {
         let mut state = BytesMut::new();
         ctx.data().encode_state(&mut state);
         let request: Request = (job.to_owned(), state.into(), arg.to_vec());
-        let reply = {
+        // The node's round trip is a wait the pool cannot see: announce it.
+        let reply = blocking(|| {
             let link = link.lock().expect("no code panics holding a link");
             link.send(&request.to_bytes()).and_then(|()| link.recv())
-        }
+        })
         .map_err(|e| TaskAbort::new(format!("link to node {node}: {e}")))?;
         let (ok, payload) = Reply::from_bytes(&reply)
             .map_err(|e| TaskAbort::new(format!("reply from node {node}: {e}")))?;

@@ -70,7 +70,7 @@ pub use sm_store as store;
 
 // The everyday API, flattened.
 pub use sm_core::{
-    run, run_with_pool, run_with_sink, AbortReason, CommitSink, Condition, Disposition,
+    blocking, run, run_with_pool, run_with_sink, AbortReason, CommitSink, Condition, Disposition,
     MergeReport, MergedChild, Pool, SyncError, TaskAbort, TaskCtx, TaskHandle, TaskId, TaskResult,
 };
 pub use sm_mergeable::{

@@ -190,9 +190,11 @@ fn swapping_recorders_mid_run_loses_no_events() {
     obs::install(metrics.clone());
 
     let stop = Arc::new(AtomicBool::new(false));
+    let swapped = Arc::new(AtomicU64::new(0));
     let churner = {
         let metrics = Arc::clone(&metrics);
         let stop = Arc::clone(&stop);
+        let swapped = Arc::clone(&swapped);
         std::thread::spawn(move || {
             let mut swaps = 0u64;
             while !stop.load(Ordering::Relaxed) {
@@ -202,10 +204,15 @@ fn swapping_recorders_mid_run_loses_no_events() {
                 obs::install(Arc::new(MultiRecorder::new(vec![metrics.clone(), extra])));
                 obs::install(metrics.clone());
                 swaps += 2;
+                swapped.store(swaps, Ordering::SeqCst);
             }
             swaps
         })
     };
+    // The run must overlap the churn, wherever the churner was placed.
+    while swapped.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
 
     const CHILDREN: u64 = 24;
     let (list, ()) = run(MList::<u64>::new(), |ctx| {
