@@ -73,6 +73,8 @@ use std::sync::Arc;
 use sm_ot::compose::compact_cow;
 use sm_ot::{seq, ApplyError, Operation};
 
+use crate::persist::ReplayError;
+
 /// Saturating elapsed nanoseconds since `t0`.
 fn elapsed_nanos(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
@@ -391,18 +393,7 @@ impl<O: Operation> Versioned<O> {
     /// [`Versioned::push_op`] with the fuse barrier pre-loaded, so batch
     /// appenders pay the atomic load once per run instead of per op.
     fn push_op_with_barrier(&mut self, op: O, barrier: usize) {
-        if !self.log.is_empty() && self.log_start + self.log.len() > barrier {
-            let last = self.log.last().expect("non-empty");
-            if Operation::annihilates(last, &op) {
-                self.log.pop();
-                return;
-            }
-            if let Some(fused) = Operation::compose(last, &op) {
-                *self.log.last_mut().expect("non-empty") = fused;
-                return;
-            }
-        }
-        self.log.push(op);
+        push_fused(&mut self.log, self.log_start, op, barrier);
     }
 
     /// Append a run of already-applied operations to the log, checking the
@@ -571,18 +562,18 @@ impl<O: Operation> Versioned<O> {
         }
     }
 
-    /// `child`'s fork point must lie inside this instance's retained
+    /// A child's fork point must lie inside this instance's retained
     /// history.
-    fn check_fork_point(&self, child: &Self) -> Result<(), MergeError> {
-        if child.fork_base > self.history_len() {
+    fn check_fork_point(&self, fork_base: usize) -> Result<(), MergeError> {
+        if fork_base > self.history_len() {
             return Err(MergeError::InvalidForkPoint {
-                fork_base: child.fork_base,
+                fork_base,
                 parent_log_len: self.history_len(),
             });
         }
-        if child.fork_base < self.log_start {
+        if fork_base < self.log_start {
             return Err(MergeError::ForkPointTruncated {
-                fork_base: child.fork_base,
+                fork_base,
                 log_start: self.log_start,
             });
         }
@@ -617,9 +608,46 @@ impl<O: Operation> Versioned<O> {
     /// Merging never aborts on conflicting operations — that is the OT
     /// guarantee; the error cases are structural misuse only.
     pub fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.check_fork_point(child)?;
-        if child.log.is_empty() {
-            let committed_ops = self.history_len() - child.fork_base;
+        self.merge_log_at(child.fork_base, &child.log)
+    }
+
+    /// Merge the run a clone of `base` would hold after recording `run`,
+    /// without building that clone: `run` is checked against `base`'s
+    /// state ([`Operation::check_run`]), never applied to it, and fused
+    /// exactly as [`Versioned::record`] fuses, so the result, the
+    /// history and the [`MergeStats`] are those of
+    /// `clone + record each + merge`. This is how a log that arrives
+    /// serialized — a session commit made against `base` — merges
+    /// (`Persist::merge_log`).
+    ///
+    /// # Errors
+    /// [`ReplayError::Apply`] when `run` does not apply in order to
+    /// `base`'s state; nothing here is touched then.
+    /// [`ReplayError::Merge`] when the merge itself fails.
+    pub fn merge_run(&mut self, base: &Self, run: Vec<O>) -> Result<MergeStats, ReplayError> {
+        O::check_run(&base.state, &run).map_err(|e| ReplayError::Apply(e.to_string()))?;
+        let barrier = base.fuse_barrier.load(Ordering::Relaxed);
+        let mut log = Vec::with_capacity(base.log.len() + run.len());
+        log.extend_from_slice(&base.log);
+        for op in run {
+            push_fused(&mut log, base.log_start, op, barrier);
+        }
+        self.merge_log_at(base.fork_base, &log)
+            .map_err(ReplayError::Merge)
+    }
+
+    /// The one merge body behind [`Versioned::merge`] and
+    /// [`Versioned::merge_run`]: rebase `child_log`, recorded by a fork
+    /// taken at `fork_base`, over what was committed here since, apply
+    /// it and append it.
+    fn merge_log_at(
+        &mut self,
+        fork_base: usize,
+        child_log: &[O],
+    ) -> Result<MergeStats, MergeError> {
+        self.check_fork_point(fork_base)?;
+        if child_log.is_empty() {
+            let committed_ops = self.history_len() - fork_base;
             return Ok(MergeStats {
                 committed_ops,
                 committed_ops_compacted: committed_ops,
@@ -633,15 +661,15 @@ impl<O: Operation> Versioned<O> {
         let timing = sm_obs::is_enabled();
         // Taken out for the merge: a failed apply leaves none behind.
         let mut memo = self.memo.take();
-        let key = (child.fork_base, self.history_len());
+        let key = (fork_base, self.history_len());
         let reuse = memo.as_mut().is_some_and(|m| m.key.take() == Some(key));
         let mut fresh = O::Memo::default();
         let kept = memo.as_mut().map_or(&mut fresh, |m| &mut m.kept);
-        let committed_raw = &self.log[child.fork_base - self.log_start..];
-        let (rebased, mut stats) = rebase_over(&child.log, committed_raw, kept, reuse, timing);
+        let committed_raw = &self.log[fork_base - self.log_start..];
+        let (rebased, mut stats) = rebase_over(child_log, committed_raw, kept, reuse, timing);
         if cfg!(debug_assertions) && reuse {
             let (expect, _) = rebase_over(
-                &child.log,
+                child_log,
                 committed_raw,
                 &mut O::Memo::default(),
                 false,
@@ -664,7 +692,7 @@ impl<O: Operation> Versioned<O> {
                     kept: fresh,
                 })
             });
-            memo.key = Some((child.fork_base, self.history_len()));
+            memo.key = Some((fork_base, self.history_len()));
         }
         self.memo = memo;
         Ok(stats)
@@ -767,6 +795,25 @@ impl<O: Operation> Versioned<O> {
     pub fn state_handles(&self) -> usize {
         Arc::strong_count(&self.state)
     }
+}
+
+/// Append `op` to `log`, whose first entry sits at history position
+/// `log_start`, fusing or cancelling it against the tail when the tail
+/// lies above the fuse `barrier`: the one fusion rule of every recorded
+/// log.
+fn push_fused<O: Operation>(log: &mut Vec<O>, log_start: usize, op: O, barrier: usize) {
+    let fusible = log_start + log.len() > barrier;
+    if let Some(last) = log.last_mut().filter(|_| fusible) {
+        if Operation::annihilates(last, &op) {
+            log.pop();
+            return;
+        }
+        if let Some(fused) = Operation::compose(last, &op) {
+            *last = fused;
+            return;
+        }
+    }
+    log.push(op);
 }
 
 /// Rebase `child_log` over `committed_raw` (both rooted at the same fork

@@ -51,6 +51,35 @@ impl TextOp {
         TextOp::Delete { pos, len }
     }
 
+    /// `apply`'s whole precondition on a text of `chars` characters. A
+    /// range end past `usize::MAX` is out of range, not a wrapped
+    /// position.
+    #[inline]
+    fn check_bounds(&self, chars: usize) -> Result<(), ApplyError> {
+        let refused = match self {
+            TextOp::Insert { pos, .. } => *pos > chars,
+            TextOp::Delete { pos, len } => {
+                *len > 0 && pos.checked_add(*len).is_none_or(|end| end > chars)
+            }
+        };
+        if refused {
+            return Err(self.out_of_range(chars));
+        }
+        Ok(())
+    }
+
+    /// The error of an op [`TextOp::check_bounds`] refused on a text of
+    /// `chars` characters.
+    #[cold]
+    fn out_of_range(&self, chars: usize) -> ApplyError {
+        ApplyError::new(match self {
+            TextOp::Insert { pos, .. } => format!("char position {pos} out of range"),
+            TextOp::Delete { pos, len } => {
+                format!("delete range {pos}+{len} exceeds text length {chars}")
+            }
+        })
+    }
+
     /// Length of the inserted text in characters, or 0 for deletes.
     fn ins_len(&self) -> usize {
         match self {
@@ -88,7 +117,8 @@ impl TextOp {
 /// Resolve char-range `[pos, pos + len)` to byte offsets in one
 /// `char_indices` pass, validating both endpoints.
 fn char_range_to_bytes(s: &str, pos: usize, len: usize) -> Result<(usize, usize), ApplyError> {
-    let end_pos = pos + len;
+    // An end past `usize::MAX` matches no position: out of range.
+    let end_pos = pos.checked_add(len);
     let mut start = None;
     let mut end = None;
     let mut count = 0;
@@ -96,7 +126,7 @@ fn char_range_to_bytes(s: &str, pos: usize, len: usize) -> Result<(usize, usize)
         if count == pos {
             start = Some(byte);
         }
-        if count == end_pos {
+        if Some(count) == end_pos {
             end = Some(byte);
             break;
         }
@@ -107,7 +137,7 @@ fn char_range_to_bytes(s: &str, pos: usize, len: usize) -> Result<(usize, usize)
     if start.is_none() && pos == count {
         start = Some(s.len());
     }
-    if end.is_none() && end_pos == count {
+    if end.is_none() && end_pos == Some(count) {
         end = Some(s.len());
     }
     match (start, end) {
@@ -127,24 +157,22 @@ impl Operation for TextOp {
     const SCALAR: bool = false;
 
     fn apply(&self, state: &mut Rope) -> Result<(), ApplyError> {
+        self.check_bounds(state.char_len())?;
         match self {
-            TextOp::Insert { pos, text } => {
-                if *pos > state.char_len() {
-                    return Err(ApplyError::new(format!("char position {pos} out of range")));
-                }
-                state.insert(*pos, text);
-            }
-            TextOp::Delete { pos, len } => {
-                if *len == 0 {
-                    return Ok(());
-                }
-                if pos + len > state.char_len() {
-                    return Err(ApplyError::new(format!(
-                        "delete range {pos}+{len} exceeds text length {}",
-                        state.char_len()
-                    )));
-                }
-                state.delete(*pos, *len);
+            TextOp::Insert { pos, text } => state.insert(*pos, text),
+            TextOp::Delete { len: 0, .. } => {}
+            TextOp::Delete { pos, len } => state.delete(*pos, *len),
+        }
+        Ok(())
+    }
+
+    fn check_run(state: &Rope, run: &[Self]) -> Result<(), ApplyError> {
+        let mut chars = state.char_len();
+        for op in run {
+            op.check_bounds(chars)?;
+            match op {
+                TextOp::Insert { .. } => chars += op.ins_len(),
+                TextOp::Delete { len, .. } => chars -= len,
             }
         }
         Ok(())
@@ -377,6 +405,36 @@ mod tests {
         let mut s = base();
         TextOp::delete(5, 6).apply(&mut s).unwrap();
         assert_eq!(s, "hello");
+    }
+
+    #[test]
+    fn a_delete_range_ending_past_usize_max_is_refused_not_wrapped() {
+        let hostile = TextOp::delete(usize::MAX, 2);
+        let mut s = Rope::from("abc");
+        let err = hostile.apply(&mut s).unwrap_err();
+        assert!(err.reason.contains("exceeds text length 3"), "{err}");
+        assert_eq!(s, "abc");
+        let mut plain = String::from("abc");
+        assert!(hostile.apply_str(&mut plain).is_err());
+        assert!(TextOp::delete(1, usize::MAX).apply_str(&mut plain).is_err());
+        assert_eq!(plain, "abc");
+        assert_eq!(TextOp::check_run(&s, &[hostile]), Err(err));
+    }
+
+    #[test]
+    fn check_run_walks_the_length_op_by_op() {
+        let s = Rope::from("ab");
+        let grows = [TextOp::insert(2, "é✨"), TextOp::delete(3, 1)];
+        assert_eq!(TextOp::check_run(&s, &grows), Ok(()));
+        // In range against the grown text, out of range against the base.
+        let err = TextOp::check_run(&s, &[TextOp::delete(3, 1)]).unwrap_err();
+        assert_eq!(Err(err), TextOp::delete(3, 1).apply(&mut s.clone()));
+        let shrinks = [TextOp::delete(0, 1), TextOp::insert(2, "x")];
+        assert_eq!(
+            TextOp::check_run(&s, &shrinks),
+            crate::apply_all(&mut s.clone(), &shrinks)
+        );
+        assert!(TextOp::check_run(&s, &shrinks).is_err());
     }
 
     #[test]

@@ -105,6 +105,17 @@ impl Persist for Poisonable {
         self.0.apply_log(buf)
     }
 
+    /// The same poison check as [`Mergeable::merge`], after the merge.
+    fn merge_log(&mut self, base: &Self, buf: &mut Bytes) -> Result<MergeStats, ReplayError> {
+        let stats = self.0.merge_log(&base.0, buf)?;
+        if self.0.to_string().contains(POISON) {
+            return Err(ReplayError::Merge(MergeError::ShapeMismatch {
+                detail: "poisoned payload".into(),
+            }));
+        }
+        Ok(stats)
+    }
+
     fn seal_history(&self) {
         self.0.seal_history()
     }

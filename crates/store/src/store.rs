@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use sm_core::{run_with_sink, CommitSink, Pool, TaskCtx};
 use sm_mergeable::Persist;
@@ -187,12 +187,20 @@ impl Store {
     }
 
     /// Append one commit record for the slice of `data`'s committed logs
-    /// since the previous commit, attributing it to `child`.
+    /// since the previous commit, attributing it to `child`. Returns the
+    /// record's `ops` — the slice as
+    /// [`Persist::encode_committed_since`] encoded it, shared, not copied
+    /// — and its operation count, so a caller that ships the commit on
+    /// sends the journaled bytes themselves.
     ///
     /// `Err` means the record was not appended. A failure of the automatic
     /// snapshot a commit may trigger afterwards is parked for
     /// [`take_error`](Store::take_error) instead.
-    pub fn commit<D: Persist>(&self, data: &D, child: &TaskPath) -> Result<(), StoreError> {
+    pub fn commit<D: Persist>(
+        &self,
+        data: &D,
+        child: &TaskPath,
+    ) -> Result<(Bytes, usize), StoreError> {
         self.inner.lock().commit(data, child)
     }
 
@@ -238,7 +246,11 @@ impl Store {
 }
 
 impl Inner {
-    fn commit<D: Persist>(&mut self, data: &D, child: &TaskPath) -> Result<(), StoreError> {
+    fn commit<D: Persist>(
+        &mut self,
+        data: &D,
+        child: &TaskPath,
+    ) -> Result<(Bytes, usize), StoreError> {
         if !self.started {
             return Err(StoreError::Corrupt(
                 "commit before begin/recover: no genesis baseline exists".into(),
@@ -262,7 +274,7 @@ impl Inner {
             seq,
             child: path.clone(),
             marks: marks.clone(),
-            ops,
+            ops: ops.clone(),
             ops_count: ops_count as u64,
             chain,
         });
@@ -280,7 +292,7 @@ impl Inner {
                 self.park_error(e);
             }
         }
-        Ok(())
+        Ok((ops, ops_count))
     }
 
     /// Journal the operations recorded since the last commit, if any,
@@ -533,7 +545,7 @@ impl<D> StoreSink<D> {
 
 impl<D: Persist> CommitSink<D> for StoreSink<D> {
     fn committed(&mut self, data: &D, child: &TaskPath, _child_continues: bool) {
-        self.journal(|inner| inner.commit(data, child));
+        self.journal(|inner| inner.commit(data, child).map(drop));
     }
 
     fn truncating(&mut self, data: &D, _watermark: &[usize]) {

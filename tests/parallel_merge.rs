@@ -109,6 +109,13 @@ impl<D: Persist> Persist for Seq<D> {
         self.0.apply_log(buf)
     }
 
+    fn merge_log(&mut self, base: &Self, buf: &mut Bytes) -> Result<MergeStats, ReplayError> {
+        let mut fresh = self.0.clone();
+        let stats = fresh.merge_log(&base.0, buf)?;
+        self.0 = fresh;
+        Ok(stats)
+    }
+
     fn seal_history(&self) {
         self.0.seal_history()
     }
@@ -1192,6 +1199,13 @@ impl Persist for Board {
 
     fn apply_log(&mut self, buf: &mut Bytes) -> Result<usize, ReplayError> {
         Ok(self.items.apply_log(buf)? + self.hits.apply_log(buf)? + self.tags.apply_log(buf)?)
+    }
+
+    fn merge_log(&mut self, base: &Self, buf: &mut Bytes) -> Result<MergeStats, ReplayError> {
+        let mut stats = self.items.merge_log(&base.items, buf)?;
+        stats += self.hits.merge_log(&base.hits, buf)?;
+        stats += self.tags.merge_log(&base.tags, buf)?;
+        Ok(stats)
     }
 
     fn seal_history(&self) {
