@@ -24,7 +24,7 @@
 //! (dismissed children are never merged); a scaling row — the partitioned
 //! (mixed) fan-out at 250 to 2 000 children, `merge_all` nanoseconds per
 //! child, which a `merge_all` linear in its children keeps flat; and four
-//! children whose logs are long enough to fold in segments, merged by
+//! children of 70 000 inserts inside one growing run each, merged by
 //! plain `merge` against the same refold.
 //!
 //! Usage:
@@ -706,10 +706,11 @@ fn main() {
         rows.join(", ")
     );
 
-    // Huge logs: four children far past the memo's segmenting
-    // threshold, merged by plain `merge` (each log folds in segments fused
-    // in order, and the later children continue from the memo) against
-    // the uncached refold (one straight fold per log and per slice).
+    // Huge logs: four children of 70 000 inserts, each inside the last 60
+    // units of one growing run, merged by plain `merge` (each log takes
+    // the memo's counted fold, which splits the run in place, and the
+    // later children continue from the memo) against the uncached refold
+    // (one straight fold per log and per slice).
     let split_children = 4;
     let split_ops = 70_000;
     let tails = FanoutMode::TailInserts;

@@ -4,8 +4,8 @@
 //! sockets (`tcp.accept()`, `read(socket)`, `write(socket, …)`). To keep
 //! the example runnable, testable and — where the framework allows —
 //! deterministic, this crate provides a loopback network with the same
-//! blocking control flow: named ports, listeners, bidirectional
-//! message streams, and an optional fixed propagation latency.
+//! blocking control flow: named ports, listeners and bidirectional
+//! message streams, delivered as soon as they are sent.
 //!
 //! The substitution is documented in `DESIGN.md`: nothing in the paper's
 //! evaluation depends on kernel TCP behaviour; what the example exercises
@@ -47,7 +47,7 @@ pub mod frame;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -78,15 +78,8 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// A message in flight: payload plus earliest delivery instant.
-struct Packet {
-    deliver_at: Instant,
-    data: Vec<u8>,
-}
-
 struct NetInner {
     listeners: Mutex<HashMap<u16, Sender<Stream>>>,
-    latency: Duration,
 }
 
 /// An in-memory network: a namespace of ports. Cloning shares the network.
@@ -97,9 +90,7 @@ pub struct Network {
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Network")
-            .field("latency", &self.inner.latency)
-            .finish_non_exhaustive()
+        f.debug_struct("Network").finish_non_exhaustive()
     }
 }
 
@@ -110,19 +101,11 @@ impl Default for Network {
 }
 
 impl Network {
-    /// A network with zero propagation latency.
+    /// An empty network: no port is listened on.
     pub fn new() -> Self {
-        Self::with_latency(Duration::ZERO)
-    }
-
-    /// A network that delays every message by `latency` before it becomes
-    /// receivable — enough to make timing-dependent bugs in conventional
-    /// code reproducible.
-    pub fn with_latency(latency: Duration) -> Self {
         Network {
             inner: Arc::new(NetInner {
                 listeners: Mutex::new(HashMap::new()),
-                latency,
             }),
         }
     }
@@ -151,16 +134,11 @@ impl Network {
                 .cloned()
                 .ok_or(NetError::ConnectionRefused(port))?
         };
-        let (client, server) = stream_pair(self.inner.latency);
+        let (client, server) = stream_pair();
         backlog
             .send(server)
             .map_err(|_| NetError::ConnectionRefused(port))?;
         Ok(client)
-    }
-
-    /// The configured propagation latency.
-    pub fn latency(&self) -> Duration {
-        self.inner.latency
     }
 }
 
@@ -210,36 +188,20 @@ impl Drop for Listener {
 /// peer's receives return [`NetError::Closed`] after draining.
 #[derive(Debug)]
 pub struct Stream {
-    tx: Sender<Packet>,
-    rx: Receiver<Packet>,
-    latency: Duration,
+    tx: Sender<Vec<u8>>,
+    rx: Receiver<Vec<u8>>,
 }
 
-fn stream_pair(latency: Duration) -> (Stream, Stream) {
+fn stream_pair() -> (Stream, Stream) {
     let (a_tx, a_rx) = unbounded();
     let (b_tx, b_rx) = unbounded();
-    (
-        Stream {
-            tx: a_tx,
-            rx: b_rx,
-            latency,
-        },
-        Stream {
-            tx: b_tx,
-            rx: a_rx,
-            latency,
-        },
-    )
+    (Stream { tx: a_tx, rx: b_rx }, Stream { tx: b_tx, rx: a_rx })
 }
 
 impl Stream {
     /// Send one message to the peer.
     pub fn send(&self, data: &[u8]) -> Result<(), NetError> {
-        let packet = Packet {
-            deliver_at: Instant::now() + self.latency,
-            data: data.to_vec(),
-        };
-        self.tx.send(packet).map_err(|_| NetError::Closed)
+        self.tx.send(data.to_vec()).map_err(|_| NetError::Closed)
     }
 
     /// Send a UTF-8 string message.
@@ -249,20 +211,15 @@ impl Stream {
 
     /// Block until a message arrives (or the peer closes).
     pub fn recv(&self) -> Result<Vec<u8>, NetError> {
-        let packet = self.rx.recv().map_err(|_| NetError::Closed)?;
-        wait_until(packet.deliver_at);
-        Ok(packet.data)
+        self.rx.recv().map_err(|_| NetError::Closed)
     }
 
-    /// Receive with a timeout (counted against arrival; the latency delay
-    /// is honoured on top).
+    /// Receive with a timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let packet = self.rx.recv_timeout(timeout).map_err(|e| match e {
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => NetError::Timeout,
             RecvTimeoutError::Disconnected => NetError::Closed,
-        })?;
-        wait_until(packet.deliver_at);
-        Ok(packet.data)
+        })
     }
 
     /// Receive a message and decode it as UTF-8 (lossily).
@@ -276,31 +233,20 @@ impl Stream {
     /// Split the stream into independently owned send and receive halves,
     /// so different threads can write and read concurrently.
     pub fn split(self) -> (SendHalf, RecvHalf) {
-        (
-            SendHalf {
-                tx: self.tx,
-                latency: self.latency,
-            },
-            RecvHalf { rx: self.rx },
-        )
+        (SendHalf { tx: self.tx }, RecvHalf { rx: self.rx })
     }
 }
 
 /// The owning send half of a split [`Stream`].
 #[derive(Debug)]
 pub struct SendHalf {
-    tx: Sender<Packet>,
-    latency: Duration,
+    tx: Sender<Vec<u8>>,
 }
 
 impl SendHalf {
     /// Send one message to the peer.
     pub fn send(&self, data: &[u8]) -> Result<(), NetError> {
-        let packet = Packet {
-            deliver_at: Instant::now() + self.latency,
-            data: data.to_vec(),
-        };
-        self.tx.send(packet).map_err(|_| NetError::Closed)
+        self.tx.send(data.to_vec()).map_err(|_| NetError::Closed)
     }
 
     /// Send a UTF-8 string message.
@@ -312,32 +258,21 @@ impl SendHalf {
 /// The owning receive half of a split [`Stream`].
 #[derive(Debug)]
 pub struct RecvHalf {
-    rx: Receiver<Packet>,
+    rx: Receiver<Vec<u8>>,
 }
 
 impl RecvHalf {
     /// Block until a message arrives (or the peer closes).
     pub fn recv(&self) -> Result<Vec<u8>, NetError> {
-        let packet = self.rx.recv().map_err(|_| NetError::Closed)?;
-        wait_until(packet.deliver_at);
-        Ok(packet.data)
+        self.rx.recv().map_err(|_| NetError::Closed)
     }
 
     /// Receive with a timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let packet = self.rx.recv_timeout(timeout).map_err(|e| match e {
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => NetError::Timeout,
             RecvTimeoutError::Disconnected => NetError::Closed,
-        })?;
-        wait_until(packet.deliver_at);
-        Ok(packet.data)
-    }
-}
-
-fn wait_until(instant: Instant) {
-    let now = Instant::now();
-    if instant > now {
-        std::thread::sleep(instant - now);
+        })
     }
 }
 
@@ -414,21 +349,6 @@ mod tests {
             NetError::Timeout
         );
         assert!(listener.try_accept().is_none());
-    }
-
-    #[test]
-    fn latency_delays_delivery() {
-        let net = Network::with_latency(Duration::from_millis(40));
-        let listener = net.listen(4).unwrap();
-        let client = net.connect(4).unwrap();
-        let server = listener.accept().unwrap();
-        let start = Instant::now();
-        client.send(b"x").unwrap();
-        server.recv().unwrap();
-        assert!(
-            start.elapsed() >= Duration::from_millis(35),
-            "latency must be honoured"
-        );
     }
 
     #[test]

@@ -61,9 +61,11 @@
 //! blocks of at most 62 spans, each with the output units it produces,
 //! and a finger on the block the last op touched. An op walks the block
 //! counts from the finger and splices one block, so a fold of k ops
-//! costs O(k·(s/B + B)) for blocks of about B spans. Logs of 4 096 ops or
-//! more still fold in segments ([`from_ops_chunked`]), because an edit
-//! inside a long inserted run copies the run whichever fold splices it.
+//! costs O(k·(s/B + B)) for blocks of about B spans. An edit inside an
+//! inserted run cuts it with [`DeltaPayload::split_off`]: the head stays
+//! in the run's buffer and only the tail moves out, so a log that keeps
+//! editing near the end of one long run copies what lies behind each
+//! edit, not the run. Every log, whatever its length, folds this way.
 //!
 //! # Fallback rules
 //!
@@ -106,6 +108,10 @@ pub trait DeltaPayload: Clone + PartialEq + fmt::Debug + Send + Sync + 'static {
     /// Copy out the sub-run `[start, start + len)`, in unit coordinates.
     fn slice(&self, start: usize, len: usize) -> Self;
 
+    /// Cut the run at unit `at`: `self` keeps `[0, at)`, in place, and the
+    /// rest is returned. Only the tail is copied.
+    fn split_off(&mut self, at: usize) -> Self;
+
     /// Append `other`'s content after `self`'s.
     fn append(&mut self, other: &Self);
 }
@@ -117,6 +123,16 @@ impl DeltaPayload for String {
 
     fn slice(&self, start: usize, len: usize) -> Self {
         self.chars().skip(start).take(len).collect()
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        // Char `at` is byte `at` when the chars before it are ASCII.
+        let byte = if self.as_bytes()[..at].is_ascii() {
+            at
+        } else {
+            self.char_indices().nth(at).map_or(self.len(), |(i, _)| i)
+        };
+        String::split_off(self, byte)
     }
 
     fn append(&mut self, other: &Self) {
@@ -131,6 +147,10 @@ impl<T: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> DeltaPayload for
 
     fn slice(&self, start: usize, len: usize) -> Self {
         self[start..start + len].to_vec()
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        Vec::split_off(self, at)
     }
 
     fn append(&mut self, other: &Self) {
@@ -400,25 +420,15 @@ impl<P: DeltaPayload> Delta<P> {
     /// it: extensionally equal, but the adjacency order they encode
     /// transforms differently (see the module docs).
     ///
-    /// Everything `self` holds before `run`'s leading retain stays where
-    /// it is — an allocation-free index scan — and the sweep ends with
-    /// `run`: whatever of `self` lies behind the run's last edit moves
-    /// back unread. So the cost is the spans the run actually overlaps,
-    /// not the size of `self`, and a run past the end of `self` (a fold
-    /// in ascending position order) appends.
-    ///
-    /// Under a fixed bias composition is associative, which is what lets
-    /// [`from_ops_chunked`] fold disjoint log segments independently and
-    /// fuse the segment composites in order.
-    pub fn compose_in_place(&mut self, run: &Delta<P>, bias: GapBias) {
-        self.compose_from(Finger::default(), run, bias);
-    }
-
-    /// [`Delta::compose_in_place`] with the index scan started at `from`,
-    /// a finger whose output position lies at or before `run`'s leading
-    /// retain: the spans before it are not even read. Nothing before
-    /// `spans[cut - 1]` changes — that one span may grow, when what the
-    /// sweep pushes first coalesces into it.
+    /// The index scan starts at `from`, a finger whose output position
+    /// lies at or before `run`'s leading retain: the spans before it are
+    /// not even read. Everything `self` holds before `run`'s leading
+    /// retain stays where it is — nothing before `spans[cut - 1]` changes, and
+    /// that one span may grow, when what the sweep pushes first coalesces
+    /// into it — and the sweep ends with `run`: whatever of `self` lies
+    /// behind the run's last edit moves back unread. So the cost is the
+    /// spans the run actually overlaps, not the size of `self`, and a run
+    /// past the end of `self` appends.
     fn compose_from(&mut self, from: Finger, run: &Delta<P>, bias: GapBias) {
         // An identity run has no leading retain to be at or past `from`.
         if run.is_identity() {
@@ -504,7 +514,7 @@ impl<P: DeltaPayload> Delta<P> {
     }
 
     /// By-value composition `self` (base → A) ∘ `other` (A → B): the
-    /// one-sweep definition [`Delta::compose_in_place`] and
+    /// one-sweep definition [`Delta::compose_from`] and
     /// [`Delta::compose_op`] are pinned against.
     #[cfg(test)]
     fn compose_biased(&self, other: &Delta<P>, bias: GapBias) -> Delta<P> {
@@ -576,8 +586,8 @@ impl<P: DeltaPayload> Delta<P> {
 
     /// Compose one position-addressed edit (in this delta's *output*
     /// coordinates) into `self`, in place. Semantically identical to
-    /// composing with the singleton delta of `op` under `bias`; insert
-    /// payloads are only cloned at genuine split points. This is the fold
+    /// composing with the singleton delta of `op` under `bias`; of an
+    /// insert run the edit splits, only the tail is copied. This is the fold
     /// step of [`from_ops_biased`]: it scans from span zero to the edit
     /// and moves every span behind it out and back, so a log of k ops
     /// folding to s spans costs O(k · s) span reads and moves.
@@ -622,13 +632,11 @@ impl<P: DeltaPayload> Delta<P> {
                     self.push(Span::Retain(skip));
                     pending = Some(Span::Retain(n - skip));
                 }
-                Some(Span::Insert { payload, len }) => {
-                    let head = payload.slice(0, skip);
-                    let tail = payload.slice(skip, len - skip);
-                    self.push(Span::Insert {
-                        payload: head,
-                        len: skip,
-                    });
+                // The head stays in the run's own buffer, so an edit near
+                // the end of a long run copies what follows it, not the run.
+                Some(Span::Insert { mut payload, len }) => {
+                    let tail = payload.split_off(skip);
+                    self.push(Span::Insert { payload, len: skip });
                     pending = Some(Span::Insert {
                         payload: tail,
                         len: len - skip,
@@ -673,12 +681,12 @@ impl<P: DeltaPayload> Delta<P> {
                             }
                         }
                         // Deleting our own earlier insert: annihilates.
-                        Some(Span::Insert { payload, len }) => {
+                        Some(Span::Insert { mut payload, len }) => {
                             let m = len.min(del);
                             del -= m;
                             if len > m {
                                 pending = Some(Span::Insert {
-                                    payload: payload.slice(m, len - m),
+                                    payload: payload.split_off(m),
                                     len: len - m,
                                 });
                             }
@@ -916,8 +924,8 @@ impl<P: DeltaPayload> Delta<P> {
 /// base* — and remembers where the last one began.
 ///
 /// [`Composite::absorb`] is [`rebase_delta`]'s transform step plus the
-/// [`Delta::compose_in_place`] that keeps the composite current, with
-/// both sweeps started at a **finger** instead of at span zero: a span
+/// in-place compose that keeps the composite current, with both sweeps
+/// started at a **finger** instead of at span zero: a span
 /// boundary every span before which ends strictly before the incoming
 /// delta's first edit. Before the finger the incoming delta only retains,
 /// so the transform is one `Retain` of what the skipped spans output, and
@@ -957,7 +965,7 @@ impl<P: DeltaPayload> Composite<P> {
     /// Rebase `incoming` — concurrent with the composite, over the same
     /// base — and take the rebased delta in: what
     /// [`Delta::transform_incoming`] returns, after which the composite
-    /// is its [`Delta::compose_in_place`] with that.
+    /// is composed with that, in place.
     pub fn absorb(&mut self, incoming: &Delta<P>) -> Delta<P> {
         self.seek(incoming.lead());
         let rebased = self.delta.transform_from(self.finger, incoming);
@@ -1054,8 +1062,8 @@ impl<'a, P: DeltaPayload> Cursor<'a, P> {
 
 /// Fold a sequentially-applied operation log into one base-coordinate
 /// delta, splicing each op into the accumulator in place
-/// (`Delta::compose_op`), with insert payloads cloned only at split
-/// points. Ambiguous gap inserts anchor with the committed-side
+/// (`Delta::compose_op`), copying only the tail of an insert run an op
+/// splits. Ambiguous gap inserts anchor with the committed-side
 /// [`GapBias::Start`]; use [`from_ops_biased`] to fold an incoming-side
 /// log.
 ///
@@ -1089,7 +1097,7 @@ pub fn from_ops_biased<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::
 /// edit. Until the delta outgrows one block it runs the same splices on
 /// one vector, sized for the whole log up front, so a short log
 /// allocates no more than [`from_ops_biased`] does. The merge memo's
-/// fold.
+/// fold, for logs of every length.
 pub fn from_ops_counted<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::Payload>> {
     counted_fold::<O, BLOCK_SPANS>(ops, bias)
 }
@@ -1288,28 +1296,6 @@ impl<P: DeltaPayload, const MAX: usize> SpanList<P, MAX> {
     }
 }
 
-/// Split/fuse fold: segment `ops` into runs of at most `chunk` operations,
-/// fold each segment independently with [`from_ops_biased`], and fuse the
-/// segment composites left-to-right with [`Delta::compose_in_place`] under
-/// the same bias. Because composition under a fixed bias is associative,
-/// the result equals the straight [`from_ops_biased`] fold — but a
-/// segment's inserted runs stay short until the fuse, so a huge log that
-/// keeps editing inside one run copies it once per segment instead of
-/// once per edit (a [`Memo`] folds its huge logs this way).
-///
-/// Returns `None` when any operation is not span-expressible.
-pub fn from_ops_chunked<O: DeltaOp>(
-    ops: &[O],
-    chunk: usize,
-    bias: GapBias,
-) -> Option<Delta<O::Payload>> {
-    let mut acc = Delta::identity();
-    for seg in ops.chunks(chunk.max(1)) {
-        acc.compose_in_place(&from_ops_biased(seg, bias)?, bias);
-    }
-    Some(acc)
-}
-
 /// Batch rebase of `incoming` over `committed` (both sequentially applied
 /// from the same fork base) through the delta representation: compose each
 /// side into a sorted span-set (with its side's [`GapBias`]), transform
@@ -1324,28 +1310,6 @@ pub fn rebase_delta<O: DeltaOp>(incoming: &[O], committed: &[O]) -> Option<(Vec<
         committed_spans: com.span_count(),
     };
     Some((com.transform_incoming(&inc).into_ops(), stats))
-}
-
-/// Op count from which a memo build folds one log in segments
-/// ([`from_ops_chunked`]). A segment is the square root of this long.
-/// The counted fold bounds the *spans* an edit reads and moves, not the
-/// payload it copies: an edit inside an inserted run slices that run,
-/// so a log that keeps editing one growing run (`bench_merge`'s
-/// `huge_child_split_fuse`: tail inserts, 70 000 per log) copies the run
-/// once per edit whatever the fold. Short segments keep each run short
-/// until the fuse; without them that row's merge read 3.1 s instead of
-/// ≈ 0.2 s. The result is the straight fold's, because composition
-/// under a fixed [`GapBias`] is associative.
-const SEGMENT_MIN_OPS: usize = 4_096;
-
-/// Fold one log into a base-coordinate delta, in segments when it is
-/// long; `None` when an op is not span-expressible.
-fn fold<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::Payload>> {
-    if ops.len() < SEGMENT_MIN_OPS {
-        from_ops_counted(ops, bias)
-    } else {
-        from_ops_chunked(ops, SEGMENT_MIN_OPS.isqrt(), bias)
-    }
 }
 
 /// What one delta rebase leaves for the next over the same committed
@@ -1377,18 +1341,17 @@ impl<P: DeltaPayload> Memo<P> {
     /// [`rebase_delta`], and keep what it folded. With `reuse` the
     /// committed side is the memo — see [`crate::Operation::delta_rebase`]
     /// for when the caller may say so — and `committed` is not read.
-    /// Logs fold by [`from_ops_counted`], those of 4 096 ops or more in
-    /// segments ([`from_ops_chunked`]). `None` when an op is not
-    /// span-expressible.
+    /// Logs of every length fold by [`from_ops_counted`]. `None` when an
+    /// op is not span-expressible.
     pub(crate) fn rebase<O: DeltaOp<Payload = P>>(
         &mut self,
         incoming: &[O],
         committed: &[O],
         reuse: bool,
     ) -> Option<(Vec<O>, DeltaStats)> {
-        let inc = fold(incoming, GapBias::End)?;
+        let inc = from_ops_counted(incoming, GapBias::End)?;
         if !reuse {
-            let com = fold(committed, GapBias::Start)?;
+            let com = from_ops_counted(committed, GapBias::Start)?;
             let stats = DeltaStats {
                 incoming_spans: inc.span_count(),
                 committed_spans: com.span_count(),
@@ -1540,44 +1503,22 @@ mod tests {
     }
 
     #[test]
-    fn chunked_fold_matches_straight_fold() {
-        // Split/fuse associativity: folding segment composites and fusing
-        // them in order must equal the straight left fold, for every
-        // segment size, both biases, mixed insert/delete logs. This is
-        // the algebraic fact a memo build folding a huge log leans on.
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut rand = move |bound: usize| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((x >> 33) as usize) % bound.max(1)
-        };
-        for case in 0..500 {
-            let bias = if case % 2 == 0 {
-                GapBias::Start
-            } else {
-                GapBias::End
-            };
-            let mut doc_len = 8 + rand(8);
-            let mut ops: Vec<ListOp<u64>> = Vec::new();
-            for i in 0..(1 + rand(24)) {
-                let op = if doc_len > 0 && rand(2) == 0 {
-                    let pos = rand(doc_len);
-                    doc_len -= 1;
-                    ListOp::Delete(pos)
-                } else {
-                    let pos = rand(doc_len + 1);
-                    doc_len += 1;
-                    ListOp::Insert(pos, i as u64)
-                };
-                ops.push(op);
-            }
-            let straight = from_ops_biased(&ops, bias).unwrap();
-            for chunk in [1, 2, 3, 5, ops.len().max(1)] {
-                let fused = from_ops_chunked(&ops, chunk, bias).unwrap();
-                assert_eq!(fused, straight, "ops {ops:?} chunk {chunk} bias {bias:?}");
+    fn split_off_keeps_the_head_and_returns_the_tail() {
+        fn check<P: DeltaPayload>(run: P) {
+            let len = run.unit_len();
+            for at in 0..=len {
+                let mut head = run.clone();
+                let tail = head.split_off(at);
+                assert_eq!(head, run.slice(0, at), "{run:?} at {at}");
+                assert_eq!(tail, run.slice(at, len - at), "{run:?} at {at}");
             }
         }
+        check("abcde".to_string());
+        check("aé✨z".to_string());
+        check("éa✨✨b".to_string());
+        check(String::new());
+        check(vec![1u8, 2, 3, 4]);
+        check(Vec::<u8>::new());
     }
 
     /// One raw span: kind (retain / delete / insert), length, first value.
@@ -1634,7 +1575,7 @@ mod tests {
         ) {
             let (acc, run, bias) = (delta_of(&acc), delta_of(&run), bias_of(end));
             let mut in_place = acc.clone();
-            in_place.compose_in_place(&run, bias);
+            in_place.compose_from(Finger::default(), &run, bias);
             prop_assert_eq!(in_place, acc.compose_biased(&run, bias));
         }
 
@@ -1662,7 +1603,7 @@ mod tests {
                 (lead > 0).then_some((0, lead, 0)).into_iter().chain(edits.copied()).collect();
             let run = delta_of(&at_boundary);
             let mut in_place = acc.clone();
-            in_place.compose_in_place(&run, bias);
+            in_place.compose_from(Finger::default(), &run, bias);
             prop_assert_eq!(in_place, acc.compose_biased(&run, bias));
         }
     }
@@ -1706,7 +1647,7 @@ mod tests {
         assert_eq!(rebased, com.transform(inc).1, "{}", what());
         let composed = [GapBias::Start, GapBias::End].map(|bias| {
             let mut in_place = com.clone();
-            in_place.compose_in_place(&rebased, bias);
+            in_place.compose_from(Finger::default(), &rebased, bias);
             assert_eq!(in_place, com.compose_biased(&rebased, bias), "{}", what());
             (bias, in_place)
         });
@@ -1945,9 +1886,9 @@ mod tests {
             ((x >> 33) as usize) % bound.max(1)
         };
         let mut seen = [0; 3];
-        for case in 0..24 {
-            let ops = [1, 2, 3, 9, 40, 300, 1_000, 4_096][case % 8];
-            let bias = bias_of(case / 8 == 1);
+        for case in 0..27 {
+            let ops = [1, 2, 3, 9, 40, 300, 1_000, 4_096, 16_384][case % 9];
+            let bias = bias_of(case / 9 == 1);
             // Text over a multi-byte alphabet: 1-3-char inserts, 1-2-char
             // deletes three to one, a long delete now and then; positions
             // anywhere, near the last edit, or ascending.

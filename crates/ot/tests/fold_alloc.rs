@@ -3,32 +3,38 @@
 //! `Operation::delta_rebase` with a fresh memo returns `rebase_delta`'s
 //! run, op for op, and allocates no more. Such logs fold within one block
 //! of the memo's counted fold, which must then be the straight fold with
-//! nothing built beside it. Allocation counts are a release property:
-//! run with `--release`.
+//! nothing built beside it. And a long log folds in bytes linear in its
+//! length, even when every op edits inside one growing inserted run.
+//! Allocation counts are a release property: run with `--release`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::thread::LocalKey;
 
 use sm_ot::delta::{rebase_delta, DeltaOp};
 use sm_ot::list::ListOp;
 use sm_ot::text::TextOp;
+use sm_ot::Operation;
 
-/// The system allocator, counting each thread's allocations (a `realloc`
-/// is one, through the default that calls `alloc`).
+/// The system allocator, counting each thread's allocations and the bytes
+/// they ask for (a `realloc` is one, through the default that calls
+/// `alloc`, and asks for its new size).
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: both methods forward to `System` with the caller's arguments
 // unchanged and return its result unchanged (`alloc_zeroed` and `realloc`
-// keep their defaults, which go through `alloc`); the counter is a
-// const-initialized thread-local `Cell` with no destructor, so touching
-// it never allocates and never observes a torn-down slot.
+// keep their defaults, which go through `alloc`); the counters are
+// const-initialized thread-local `Cell`s with no destructor, so touching
+// them never allocates and never observes a torn-down slot.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size()));
         // SAFETY: same contract as our caller's.
         unsafe { System.alloc(layout) }
     }
@@ -42,11 +48,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations this thread makes while `f` runs.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// What this thread's `counter` (`ALLOCATIONS` or `BYTES`) grows by
+/// while `f` runs.
+fn counted<T>(counter: &'static LocalKey<Cell<usize>>, f: impl FnOnce() -> T) -> (T, usize) {
+    let before = counter.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    (out, counter.with(Cell::get) - before)
 }
 
 /// Every log of at most `max_ops` steps over a `base_len`-unit document,
@@ -86,10 +93,11 @@ fn assert_parity<O: DeltaOp + PartialEq>(steps: impl Fn(usize) -> Vec<(O, usize)
             .flat_map(move |&other| [(log, other), (other, log)])
     });
     for (incoming, committed) in pairs {
-        let (reference, by_reference) = allocations_in(|| rebase_delta(incoming, committed));
+        let (reference, by_reference) = counted(&ALLOCATIONS, || rebase_delta(incoming, committed));
         let mut memo = O::Memo::default();
-        let (memoized, by_memo) =
-            allocations_in(|| O::delta_rebase(incoming, committed, &mut memo, false));
+        let (memoized, by_memo) = counted(&ALLOCATIONS, || {
+            O::delta_rebase(incoming, committed, &mut memo, false)
+        });
         assert!(
             reference.is_some(),
             "{incoming:?} over {committed:?} is a delta rebase"
@@ -130,4 +138,39 @@ fn a_memo_rebase_of_short_text_logs_allocates_no_more_than_the_reference() {
         all
     };
     assert_parity(steps);
+}
+
+/// Bytes a fresh memo allocates to rebase `k` inserts over an empty
+/// committed log, each op landing inside the last 60 units of one
+/// inserted run that grows by one per op (`bench_merge`'s
+/// `huge_child_split_fuse` log, before its base's last element).
+fn tail_of_run_fold_bytes(k: usize) -> usize {
+    let mut len = 64;
+    let log: Vec<ListOp<u64>> = (0..k)
+        .map(|j| {
+            let at = len - 1 - (j * 13) % 60.min(len - 1);
+            len += 1;
+            ListOp::Insert(at, j as u64)
+        })
+        .collect();
+    let mut memo = <ListOp<u64> as Operation>::Memo::default();
+    let (rebased, bytes) = counted(&BYTES, || ListOp::delta_rebase(&log, &[], &mut memo, false));
+    assert!(rebased.is_some(), "inserts are spans");
+    bytes
+}
+
+/// An edit inside an inserted run copies what lies behind it in the run,
+/// not the whole run: four times the ops, not sixteen times the bytes.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "allocation counts are a release property")]
+fn folding_inserts_into_one_long_run_allocates_linear_bytes() {
+    let (short, long) = (
+        tail_of_run_fold_bytes(16_384),
+        tail_of_run_fold_bytes(65_536),
+    );
+    let growth = long as f64 / short as f64;
+    assert!(
+        growth <= 5.0,
+        "16 384 -> 65 536 ops: {short} -> {long} bytes ({growth:.1}x)"
+    );
 }

@@ -306,7 +306,7 @@ fn handle_commit<D: Persist>(
         })
         .and_then(|_| {
             sess.store
-                .commit(&sess.data, &TaskPath::root().child(sess.seq + 1))
+                .commit(&sess.data, &sess.path)
                 .map_err(|e| format!("journal: {e}"))
         });
     let (slice, broadcast_ops) = match journaled {

@@ -7,7 +7,9 @@
 //! * an op in range against the head but not against the base it names
 //!   is refused, with seq, journal and broadcasts unchanged;
 //! * every broadcast slice is byte for byte its journal record's `ops`,
-//!   across an eviction and rehydration too.
+//!   across an eviction and rehydration too;
+//! * a session's commits are one child path in its journal: one digest
+//!   chain links them all, in the eviction snapshot and in recovery.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -22,7 +24,7 @@ use sm_ot::list::ListOp;
 use sm_ot::text::TextOp;
 use sm_server::{CommitOutcome, ServerConfig, SessionClient, SessionServer};
 use sm_store::wal::Record;
-use sm_store::RetentionPolicy;
+use sm_store::{RetentionPolicy, Store, StoreOptions};
 
 const S: u64 = 7;
 
@@ -296,5 +298,49 @@ fn every_broadcast_slice_is_its_journal_record_across_an_eviction() {
 
     drop(editors);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_chain_links_every_commit_of_a_session() {
+    const COMMITS: u64 = 5;
+    let dir = tmpdir("one-chain");
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.idle_after = Duration::from_millis(30);
+    let net = Network::new();
+    let server = SessionServer::start(&net, 4704, cfg, || MText::from("seed. ")).unwrap();
+    let mut editor: SessionClient<MText> = SessionClient::connect(&net, 4704).unwrap();
+    editor.attach(S).unwrap();
+    for seq in 1..=COMMITS {
+        let out = editor
+            .commit_with(S, |t| t.insert_str(0, format!("[{seq}]")))
+            .unwrap();
+        assert_eq!(out, CommitOutcome::Committed { seq });
+    }
+    editor.detach(S).unwrap();
+    let session = dir.join(format!("session-{S:016x}"));
+    let evicted = session.join(format!("snap-{COMMITS:020}"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !evicted.exists() {
+        assert!(Instant::now() < deadline, "the session was never evicted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(editor);
+    server.shutdown();
+
+    let bytes = std::fs::read(&evicted).unwrap();
+    let (payload, _) = decode_frame(&bytes).unwrap();
+    let Record::Snapshot(snapshot) = Record::from_bytes(payload).unwrap() else {
+        panic!("a snapshot file holds a snapshot record");
+    };
+    assert_eq!(snapshot.seq, COMMITS);
+    assert_eq!(snapshot.chains.len(), 1, "{:?}", snapshot.chains);
+    let recovered = Store::open(&session, StoreOptions::default())
+        .unwrap()
+        .recover::<MText>()
+        .unwrap()
+        .expect("the session has a journal");
+    assert_eq!(recovered.last_seq, COMMITS);
+    assert_eq!(recovered.chains.len(), 1, "{:?}", recovered.chains);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -219,7 +219,6 @@ impl Inner {
         self.chains = chains;
         self.next_seq = last_seq + 1;
         self.started = true;
-        self.bounds.clear();
         self.ops_since_snapshot = 0;
         self.open_segment(last_seq + 1)
     }

@@ -79,19 +79,6 @@ impl Default for StoreOptions {
     }
 }
 
-/// Byte position of one journaled commit's frame end inside its segment
-/// — introspection for crash-injection tests, which need to cut the WAL
-/// exactly on (or inside) record boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameBound {
-    /// The segment file holding the frame.
-    pub segment: PathBuf,
-    /// The commit's sequence number.
-    pub seq: u64,
-    /// Byte offset just past the frame inside `segment`.
-    pub end: u64,
-}
-
 pub(crate) struct Segment {
     pub file: File,
     pub path: PathBuf,
@@ -113,7 +100,6 @@ pub(crate) struct Inner {
     pub ops_since_snapshot: u64,
     pub appends_since_fsync: u32,
     pub last_fsync: Instant,
-    pub bounds: Vec<FrameBound>,
     /// First failure observed by the infallible sink callbacks.
     pub error: Option<StoreError>,
 }
@@ -145,7 +131,6 @@ impl Store {
             ops_since_snapshot: 0,
             appends_since_fsync: 0,
             last_fsync: Instant::now(),
-            bounds: Vec::new(),
             error: None,
         }));
         Ok(Store { inner })
@@ -231,12 +216,6 @@ impl Store {
     /// here; [`run_with_store`] checks this after the program finishes.
     pub fn take_error(&self) -> Option<StoreError> {
         self.inner.lock().error.take()
-    }
-
-    /// Frame boundaries of every commit appended through this handle, in
-    /// append order (crash-injection test introspection).
-    pub fn frame_bounds(&self) -> Vec<FrameBound> {
-        self.inner.lock().bounds.clone()
     }
 
     /// Sequence number of the last appended commit (0 = none yet).
@@ -335,11 +314,6 @@ impl Inner {
             .expect("started store always has an open segment");
         segment.file.write_all(&framed)?;
         segment.bytes += framed.len() as u64;
-        self.bounds.push(FrameBound {
-            segment: segment.path.clone(),
-            seq,
-            end: segment.bytes,
-        });
 
         let fsync_due = match self.options.fsync {
             FsyncPolicy::Always => true,
@@ -428,18 +402,17 @@ impl Inner {
             }
         }
         let wals = list_files(&self.dir, "wal-")?;
-        let mut removed = Vec::new();
+        let mut segments = 0usize;
         for (i, (_, path)) in wals.iter().enumerate() {
             let next_first = wals.get(i + 1).map(|(seq, _)| *seq);
             if Some(path) != current.as_ref() && next_first.is_some_and(|n| n <= covered + 1) {
                 fs::remove_file(path)?;
-                removed.push(path.clone());
+                segments += 1;
             }
         }
-        self.bounds.retain(|b| !removed.contains(&b.segment));
-        if snapshots + removed.len() > 0 {
+        if snapshots + segments > 0 {
             emit(&TaskPath::root(), || EventKind::WalSegmentsPruned {
-                segments: removed.len(),
+                segments,
                 snapshots,
             });
         }

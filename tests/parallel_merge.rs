@@ -1301,12 +1301,12 @@ fn all_declining_composite_emits_no_merge_staged() {
     assert_eq!(seen.hits(), 0);
 }
 
-/// One huge child log, folded in segments fused in order, must be
-/// indistinguishable from the straight fold: state and digest against
-/// the oracle, through the runtime at the memo's own threshold.
+/// One huge child log, two inserted runs growing at their own ends,
+/// folded by the memo must be indistinguishable from the straight fold:
+/// state and digest against the oracle, through the runtime.
 #[test]
-fn huge_child_segmented_fold_matches_sequential_digest() {
-    /// Past the memo's 4 096-op segmenting threshold.
+fn huge_child_fold_matches_sequential_digest() {
+    /// Thousands of ops in one child's log.
     const HUGE: u32 = 5_000;
     fn program<W: Host<MList<u32>>>() -> Vec<u32> {
         let (list, ()) = run(W::host(MList::from_iter(0..8u32)), |ctx| {

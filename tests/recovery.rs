@@ -61,6 +61,23 @@ fn wal_segments(dir: &Path) -> Vec<PathBuf> {
     wals
 }
 
+/// `(segment, seq, end)` of every commit frame in the WAL of `dir`, in
+/// journal order: `end` is the byte offset just past the frame, where a
+/// crash that keeps the commit and loses what follows cuts the segment.
+fn commit_ends(dir: &Path) -> Vec<(PathBuf, u64, u64)> {
+    let mut ends = Vec::new();
+    for segment in wal_segments(dir) {
+        let bytes = fs::read(&segment).unwrap();
+        let mut frames = Frames::new(&bytes);
+        while let Some((_, payload)) = frames.next() {
+            if let Record::Commit(commit) = Record::from_bytes(payload).unwrap() {
+                ends.push((segment.clone(), commit.seq, frames.offset() as u64));
+            }
+        }
+    }
+    ends
+}
+
 /// The single WAL segment of a store directory (panics if there is not
 /// exactly one — callers arrange options so rotation never triggers).
 fn single_wal(dir: &Path) -> PathBuf {
@@ -440,14 +457,14 @@ fn tamper_and_corruption_matrix_across_segment_boundaries() {
             .unwrap();
         prefix_states.push(data.to_vec());
     }
-    let bounds = store.frame_bounds();
     drop(store);
+    let bounds = commit_ends(&dir);
     let segments = wal_segments(&dir);
     assert!(segments.len() >= 3, "tiny segments must have rotated");
     let in_second: Vec<u64> = bounds
         .iter()
-        .filter(|b| b.segment == segments[1])
-        .map(|b| b.seq)
+        .filter(|(segment, ..)| *segment == segments[1])
+        .map(|&(_, seq, _)| seq)
         .collect();
     assert!(in_second.len() >= 3, "both paths recur inside a segment");
 
@@ -478,24 +495,24 @@ fn tamper_and_corruption_matrix_across_segment_boundaries() {
     }
 
     // A torn tail in the final segment: truncated, the prefix wins.
-    let last = bounds.last().unwrap();
-    assert_ne!(last.segment, segments[0]);
-    let (image, target) = image_of("boundary-torn", &last.segment);
+    let (last_segment, _, last_end) = bounds.last().unwrap();
+    assert_ne!(*last_segment, segments[0]);
+    let (image, target) = image_of("boundary-torn", last_segment);
     fs::OpenOptions::new()
         .write(true)
         .open(&target)
         .unwrap()
-        .set_len(last.end - 5)
+        .set_len(last_end - 5)
         .unwrap();
-    let before = bounds[bounds.len() - 2].clone();
-    let clean_len = if before.segment == last.segment {
-        before.end
+    let (before_segment, _, before_end) = &bounds[bounds.len() - 2];
+    let clean_len = if before_segment == last_segment {
+        *before_end
     } else {
         0
     };
     let rec = recover(&image).unwrap().expect("journal exists");
     assert_eq!(rec.last_seq, 15, "the final record was torn");
-    assert_eq!(rec.torn_bytes, last.end - 5 - clean_len);
+    assert_eq!(rec.torn_bytes, last_end - 5 - clean_len);
     assert_eq!(rec.data.to_vec(), prefix_states[15]);
     assert_eq!(fs::metadata(&target).unwrap().len(), clean_len);
 }
@@ -621,18 +638,18 @@ fn mid_stream_crash_recovery_converges_with_uninterrupted_run() {
     let (_, ()) =
         run_with_store(fresh(), Pool::new(), &half_store, |ctx| rounds(ctx, ROUNDS)).unwrap();
     let cut_seq = 3 * 60;
-    let bound = half_store
-        .frame_bounds()
+    drop(half_store);
+    let (segment, _, end) = commit_ends(&half_dir)
         .into_iter()
-        .find(|b| b.seq == cut_seq)
+        .find(|&(_, seq, _)| seq == cut_seq)
         .expect("cut bound exists");
     let image = copy_dir(&half_dir, "converge-image");
-    let target = image.join(bound.segment.file_name().unwrap());
+    let target = image.join(segment.file_name().unwrap());
     fs::OpenOptions::new()
         .write(true)
         .open(&target)
         .unwrap()
-        .set_len(bound.end)
+        .set_len(end)
         .unwrap();
 
     // Recover the prefix and resume the remaining 60 rounds.
