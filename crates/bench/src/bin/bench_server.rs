@@ -117,7 +117,6 @@ fn main() {
     let mut report: TenantReport = run_tenants(&cfg, Some(auditor));
     uninstall();
     let snap = metrics.snapshot();
-    let _ = std::fs::remove_dir_all(&dir);
 
     let elapsed_ns = report.elapsed.as_nanos() as u64;
     let commits_per_sec = report.commits as f64 / (elapsed_ns as f64 / 1e9).max(1e-9);
@@ -154,6 +153,7 @@ fn main() {
     let churned = report.reattaches > 0 && snap.sessions_rehydrated > 0;
     let attach_ok = attach_p99 <= latency_ceiling_ns;
     let commit_ok = commit_p99 <= latency_ceiling_ns;
+    let floors_hold = sessions_ok && converged && durable && churned && attach_ok && commit_ok;
 
     let mut json = String::from("{\n  \"bench\": \"server\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
@@ -212,22 +212,23 @@ fn main() {
          \"commit_p99_ok\": {commit_ok}}}\n}}"
     );
 
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => eprintln!("bench_server: wrote {out_path}"),
+    let mut failed = match std::fs::write(&out_path, &json) {
+        Ok(()) => {
+            eprintln!("bench_server: wrote {out_path}");
+            false
+        }
         Err(e) => {
             eprintln!("bench_server: could not write {out_path}: {e}");
-            std::process::exit(1);
+            true
         }
-    }
+    };
 
     if assert_floors {
-        let mut failed = false;
         if !sessions_ok {
             eprintln!(
                 "bench_server: FLOOR VIOLATION: only {} concurrent sessions < {SESSION_FLOOR}",
                 report.sessions
             );
-            failed = true;
         }
         if !converged {
             eprintln!(
@@ -236,7 +237,6 @@ fn main() {
                 report.divergent_sessions.len(),
                 report.divergent_chains.len()
             );
-            failed = true;
         }
         if !durable {
             eprintln!(
@@ -244,7 +244,6 @@ fn main() {
                  (eviction lost commits)",
                 report.seq_regressions
             );
-            failed = true;
         }
         if !churned {
             eprintln!(
@@ -252,22 +251,29 @@ fn main() {
                  ({} re-attaches, {} rehydrated)",
                 report.reattaches, snap.sessions_rehydrated
             );
-            failed = true;
         }
         if !attach_ok || !commit_ok {
             eprintln!(
                 "bench_server: FLOOR VIOLATION: p99 latency over {latency_ceiling_ns} ns \
                  (attach {attach_p99}, commit {commit_p99})"
             );
+        }
+        if floors_hold {
+            eprintln!(
+                "bench_server: floors hold ({} sessions >= {SESSION_FLOOR}, converged, durable, \
+                 churned, p99 attach/commit {attach_p99}/{commit_p99} ns)",
+                report.sessions
+            );
+        } else {
             failed = true;
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench_server: floors hold ({} sessions >= {SESSION_FLOOR}, converged, durable, \
-             churned, p99 attach/commit {attach_p99}/{commit_p99} ns)",
-            report.sessions
-        );
+    }
+
+    // The session directories go last, after the verdict is printed:
+    // deleting 10⁴ of them can take longer than the measurement did.
+    eprintln!("bench_server: removing {}", dir.display());
+    let _ = std::fs::remove_dir_all(&dir);
+    if failed {
+        std::process::exit(1);
     }
 }

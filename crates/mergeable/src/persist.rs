@@ -156,8 +156,12 @@ pub trait Persist: Mergeable {
     /// Decode a snapshot into a fresh instance with an empty log.
     fn decode_state(buf: &mut Bytes) -> Result<Self, DecodeError>;
 
-    /// Encode the locally recorded operation log.
-    fn encode_log(&self, buf: &mut BytesMut);
+    /// Encode the locally recorded operation log: the committed slice
+    /// since the start of history ([`Persist::encode_committed_since`]
+    /// with no marks, each of which reads as 0).
+    fn encode_log(&self, buf: &mut BytesMut) {
+        self.encode_committed_since(&[], &mut 0, buf);
+    }
 
     /// Decode an operation log and apply + record it here. Returns the
     /// number of operations applied.
@@ -211,31 +215,21 @@ pub trait Persist: Mergeable {
     /// count its journal frame declared; each is applied, checked against
     /// that count and sealed ([`replay_each`]). Structures override this
     /// to amortize work across consecutive commits (the list replay
-    /// session) with the same result and the same errors. On failure
-    /// reports the index of the failing commit.
+    /// session, which owns the state and records nothing into the log)
+    /// with the same state and the same errors. On failure reports the
+    /// index of the failing commit.
     fn replay_commits(&mut self, commits: Vec<(Bytes, u64)>) -> Result<usize, PreparedReplayError> {
         replay_each(self, commits)
     }
 }
 
-/// Encode a log with span compaction applied first: runs of fusible
-/// operations (contiguous inserts, same-key puts, counter adds…) are
-/// serialized as single span ops. Compaction is rebase- and
-/// apply-preserving, so replay is byte-identical in effect to shipping
-/// the raw log — only the encoded size shrinks.
-fn encode_compact_log<O>(log: &[O], buf: &mut BytesMut)
-where
-    O: Operation + Encode,
-{
-    let ops = sm_ot::compose::compact_cow(log);
-    sm_codec::put_varint(buf, ops.len() as u64);
-    for op in ops.iter() {
-        op.encode(buf);
-    }
-}
-
-/// [`encode_compact_log`] over the slice of `v`'s log at absolute
-/// positions `marks[*cursor]..`, for [`Persist::encode_committed_since`].
+/// The slice of `v`'s log at absolute positions `marks[*cursor]..` (from
+/// 0 when the mark is absent), span-compacted first, for
+/// [`Persist::encode_committed_since`]: runs of fusible operations
+/// (contiguous inserts, same-key puts, counter adds…) are serialized as
+/// single span ops. Compaction is rebase- and apply-preserving, so
+/// replay is identical in effect to shipping the raw log — only the
+/// encoded size shrinks.
 fn encode_committed_log<O>(
     v: &Versioned<O>,
     marks: &[usize],
@@ -259,10 +253,6 @@ where
 /// The log half of [`Persist`] for a [`Leaf`].
 macro_rules! persist_log_methods {
     () => {
-        fn encode_log(&self, buf: &mut BytesMut) {
-            encode_compact_log(self.log(), buf);
-        }
-
         fn apply_log(&mut self, buf: &mut Bytes) -> Result<usize, ReplayError> {
             let ops: Vec<<Self as Leaf>::Op> = Vec::decode(buf)?;
             let n = ops.len();
@@ -293,84 +283,43 @@ macro_rules! persist_log_methods {
     };
 }
 
-/// Decoded insert-only list commit: `(position, value start, run length)`
-/// spans in op order over a flat value buffer — the input shape of
-/// [`sm_ot::list::InsertPlanner::plan_assemble`], consumed by
-/// `ListReplaySession`.
+/// One journaled list commit, decoded once with the codec's own
+/// `Vec::<ListOp<T>>::decode`: its operations, or the decode error
+/// [`Persist::apply_log`] would report; the operation count the journal
+/// frame declared; and the bytes left behind the operations. Built by
+/// [`MList::decode_log_prepared`], applied by `ListReplaySession`.
 pub struct ListPreparedLog<T: Element> {
-    spans: Vec<(usize, usize, usize)>,
-    /// Per-span: encoded as `InsertRun` (true) or `Insert` (false), so
-    /// the sequential fallback reconstructs the exact operation (and its
-    /// exact apply-error text).
-    runs: Vec<bool>,
-    values: Vec<T>,
-    min_pos: usize,
+    ops: Result<Vec<ListOp<T>>, DecodeError>,
+    expected: u64,
+    trailing: usize,
 }
 
 impl<T: Element + Decode> MList<T> {
-    /// Fused single-pass decoder for the list replay's batch lane: accepts
-    /// a committed slice made solely of `Insert`/`InsertRun` ops. Returns
-    /// `None` — plain [`Persist::apply_log`] replay, preserving its error
-    /// semantics byte-for-byte — on a declared-count mismatch, non-insert
-    /// tags, empty runs (which the plain path bounds-checks before
-    /// discovering they are no-ops), trailing bytes, or any decode failure.
-    pub fn decode_log_prepared(mut buf: Bytes, expected_ops: u64) -> Option<ListPreparedLog<T>> {
-        let count = sm_codec::get_varint(&mut buf).ok()?;
-        if count != expected_ops || count > buf.remaining() as u64 {
-            return None;
+    /// The decode step of every commit the list replay
+    /// ([`Persist::replay_commits`] for `MList` and `MQueue`) applies.
+    /// Nothing is checked here: the replay applies the operations, then
+    /// checks them against `expected_ops` and the trailing bytes, in
+    /// [`replay_each`]'s order.
+    pub fn decode_log_prepared(mut buf: Bytes, expected_ops: u64) -> ListPreparedLog<T> {
+        let ops = Vec::decode(&mut buf);
+        ListPreparedLog {
+            ops,
+            expected: expected_ops,
+            trailing: buf.remaining(),
         }
-        let mut spans = Vec::with_capacity(count as usize);
-        let mut runs = Vec::with_capacity(count as usize);
-        let mut values: Vec<T> = Vec::with_capacity(count as usize);
-        let mut min_pos = usize::MAX;
-        for _ in 0..count {
-            if !buf.has_remaining() {
-                return None;
-            }
-            match buf.get_u8() {
-                // Tags from the `ListOp` wire format (sm-codec).
-                0 => {
-                    let at = usize::decode(&mut buf).ok()?;
-                    spans.push((at, values.len(), 1));
-                    runs.push(false);
-                    values.push(T::decode(&mut buf).ok()?);
-                    min_pos = min_pos.min(at);
-                }
-                3 => {
-                    let at = usize::decode(&mut buf).ok()?;
-                    let vs: Vec<T> = Vec::decode(&mut buf).ok()?;
-                    if vs.is_empty() {
-                        return None;
-                    }
-                    spans.push((at, values.len(), vs.len()));
-                    runs.push(true);
-                    values.extend(vs);
-                    min_pos = min_pos.min(at);
-                }
-                _ => return None,
-            }
-        }
-        if buf.has_remaining() {
-            return None;
-        }
-        Some(ListPreparedLog {
-            spans,
-            runs,
-            values,
-            min_pos,
-        })
     }
 }
 
-/// Replays consecutive [`ListPreparedLog`] commits over a split
-/// representation: an untouched chunk-tree prefix plus a plain `Vec`
-/// tail covering everything the batches touch. Trailing-window
-/// workloads (appends, queue churn) then amortize — each commit is one
-/// slot plan + window rewrite on the tail, with no tree rebuild until
-/// [`ListReplaySession::take_tree`]. Commits scattered wider than the
-/// planner's window apply op by op to the tree, which the session owns
-/// outright (moved out of the structure's `Versioned`, not shared with
-/// it), so no edit path-copies a node.
+/// Replays consecutive list commits over a split representation: an
+/// untouched chunk-tree prefix plus a plain `Vec` tail covering everything
+/// the planned commits touch. Trailing-window workloads (appends, queue
+/// churn) then amortize — each insert-only commit is one slot plan +
+/// window rewrite on the tail, with no tree rebuild until
+/// [`ListReplaySession::take_tree`]. Every other commit (deletes, `Set`,
+/// inserts scattered wider than the planner's window) applies op by op
+/// to the tree, which the session owns outright (moved out of the
+/// structure's `Versioned`, not shared with it), so no edit path-copies
+/// a node.
 struct ListReplaySession<T: Element> {
     /// Untouched prefix; the document is `tree ++ tail`.
     tree: ChunkTree<T>,
@@ -392,36 +341,59 @@ impl<T: Element> ListReplaySession<T> {
         }
     }
 
-    /// Apply one prepared commit; returns its op count. Falls back to
-    /// exact sequential application whenever the batch lane's
-    /// preconditions don't hold, so results *and errors* match
-    /// op-by-op replay.
-    fn apply(&mut self, item: ListPreparedLog<T>) -> Result<usize, ReplayError> {
-        let ops = item.spans.len();
-        if ops == 0 {
-            return Ok(0);
-        }
-        let doc_len = self.tree.len() + self.tail.len();
-        let k = item.values.len();
-        let s = item.min_pos;
-        if s > doc_len {
-            // The earliest insert is already out of bounds; sequential
-            // application owns the per-op error report.
-            return self.apply_sequential(item).map(|()| ops);
-        }
-        let window = doc_len - s;
-        let m = window + k;
-        if m >= u32::MAX as usize || window > 16 * k + 4096 {
-            return self.apply_sequential(item).map(|()| ops);
-        }
-        // Validate that every op lands in bounds at its time; any failure
-        // is sequential's to report.
-        let mut cur = doc_len;
-        for (pos, _, len) in &item.spans {
-            if *pos > cur {
-                return self.apply_sequential(item).map(|()| ops);
+    /// Apply one decoded commit the way [`replay_commit`] applies it —
+    /// decode error, then the operations in order, then the declared
+    /// count and the trailing bytes — and return its op count.
+    fn apply(&mut self, commit: ListPreparedLog<T>) -> Result<usize, ReplayError> {
+        let ops = commit.ops?;
+        if !self.plan(&ops) {
+            self.flush();
+            for op in &ops {
+                op.apply(&mut self.tree)
+                    .map_err(|e| ReplayError::Apply(e.to_string()))?;
             }
-            cur += len;
+        }
+        if ops.len() as u64 != commit.expected || commit.trailing != 0 {
+            return Err(ReplayError::Count {
+                applied: ops.len(),
+                expected: commit.expected,
+                trailing: commit.trailing,
+            });
+        }
+        Ok(ops.len())
+    }
+
+    /// Apply `ops` through the planner if it can take them: insert-only,
+    /// no empty run, every position in bounds at its turn, and the window
+    /// from the least position to the end at most `16·k + 4096` for `k`
+    /// inserted values. `false` leaves the session as it was.
+    fn plan(&mut self, ops: &[ListOp<T>]) -> bool {
+        let doc_len = self.tree.len() + self.tail.len();
+        // The planner's `(position, values)` runs, borrowed from the ops;
+        // `s` is the least position, `len` the length after each op.
+        let mut runs = Vec::with_capacity(ops.len());
+        let (mut s, mut len) = (doc_len, doc_len);
+        for op in ops {
+            let (at, vs) = match op {
+                ListOp::Insert(at, v) => (*at, std::slice::from_ref(v)),
+                ListOp::InsertRun(at, vs) if !vs.is_empty() => (*at, vs.as_slice()),
+                _ => return false,
+            };
+            if at > len {
+                return false;
+            }
+            s = s.min(at);
+            len += vs.len();
+            runs.push((at, vs));
+        }
+        let Some(&(_, first)) = runs.first() else {
+            return true;
+        };
+        let window = doc_len - s;
+        let m = len - s;
+        let k = len - doc_len;
+        if m >= u32::MAX as usize || window > 16 * k + 4096 {
+            return false;
         }
         // Make the window tail-resident, then rewrite it in place.
         if s < self.tree.len() {
@@ -432,34 +404,18 @@ impl<T: Element> ListReplaySession<T> {
             self.tail = suffix;
         }
         let off = s - self.tree.len();
-        let mut spans = item.spans;
-        for span in &mut spans {
-            span.0 -= s;
+        for run in &mut runs {
+            run.0 -= s;
         }
         // Save the pre-batch window, then grow `tail` to the post-batch
         // length and let the fused plan+assemble overwrite every slot of
         // the window region in place.
         self.scratch.clear();
         self.scratch.extend_from_slice(&self.tail[off..]);
-        self.tail.resize(off + m, item.values[0].clone());
+        self.tail.resize(off + m, first[0].clone());
         self.planner
-            .plan_assemble(&spans, &self.scratch, &item.values, &mut self.tail[off..]);
-        Ok(ops)
-    }
-
-    fn apply_sequential(&mut self, item: ListPreparedLog<T>) -> Result<(), ReplayError> {
-        self.flush();
-        let mut vals = item.values.into_iter();
-        for ((pos, _, len), is_run) in item.spans.into_iter().zip(item.runs) {
-            let op: ListOp<T> = if is_run {
-                ListOp::InsertRun(pos, vals.by_ref().take(len).collect())
-            } else {
-                ListOp::Insert(pos, vals.next().expect("span covers one value"))
-            };
-            op.apply(&mut self.tree)
-                .map_err(|e| ReplayError::Apply(e.to_string()))?;
-        }
-        Ok(())
+            .plan_assemble(&runs, &self.scratch, &mut self.tail[off..]);
+        true
     }
 
     /// Fold the tail back into the tree.
@@ -484,31 +440,16 @@ impl<T: Element> ListReplaySession<T> {
         std::mem::take(&mut self.tree)
     }
 
-    /// Replay `commits` in order on the session's tree. A commit the
-    /// prepared decoder refuses hands the tree back to `data`, replays
-    /// plainly there ([`replay_commit`]), and the session takes the result
-    /// over again.
-    fn replay_all<L>(
-        &mut self,
-        data: &mut L,
-        commits: Vec<(Bytes, u64)>,
-    ) -> Result<usize, PreparedReplayError>
+    /// Decode and apply `commits` in order on the session's document.
+    fn replay_all(&mut self, commits: Vec<(Bytes, u64)>) -> Result<usize, PreparedReplayError>
     where
         T: Decode,
-        L: Leaf<Op = ListOp<T>> + Persist,
     {
         let mut total = 0;
         for (index, (buf, expected)) in commits.into_iter().enumerate() {
-            let applied = match MList::<T>::decode_log_prepared(buf.clone(), expected) {
-                Some(prepared) => self.apply(prepared),
-                None => {
-                    data.versioned_mut().set_state(self.take_tree());
-                    let applied = replay_commit(data, buf, expected);
-                    self.tree = data.versioned_mut().take_state();
-                    applied
-                }
-            };
-            total += applied.map_err(|error| PreparedReplayError { index, error })?;
+            total += self
+                .apply(MList::<T>::decode_log_prepared(buf, expected))
+                .map_err(|error| PreparedReplayError { index, error })?;
         }
         Ok(total)
     }
@@ -528,7 +469,7 @@ where
     L: Leaf<Op = ListOp<T>> + Persist,
 {
     let mut session = ListReplaySession::new(data.versioned_mut().take_state());
-    let replayed = session.replay_all(data, commits);
+    let replayed = session.replay_all(commits);
     data.versioned_mut().set_state(session.take_tree());
     if replayed.is_ok() {
         data.seal_history();
@@ -698,13 +639,6 @@ impl<M: Persist> Persist for Vec<M> {
         Ok(v)
     }
 
-    fn encode_log(&self, buf: &mut BytesMut) {
-        sm_codec::put_varint(buf, self.len() as u64);
-        for m in self {
-            m.encode_log(buf);
-        }
-    }
-
     fn apply_log(&mut self, buf: &mut Bytes) -> Result<usize, ReplayError> {
         let len = sm_codec::get_varint(buf)?;
         if len as usize != self.len() {
@@ -770,10 +704,6 @@ macro_rules! impl_persist_tuple {
 
             fn decode_state(buf: &mut Bytes) -> Result<Self, DecodeError> {
                 Ok(( $( $name::decode_state(buf)?, )+ ))
-            }
-
-            fn encode_log(&self, buf: &mut BytesMut) {
-                $( self.$idx.encode_log(buf); )+
             }
 
             fn apply_log(&mut self, buf: &mut Bytes) -> Result<usize, ReplayError> {
@@ -1017,33 +947,47 @@ mod tests {
 
     #[test]
     fn a_failed_list_replay_leaves_what_the_plain_replay_leaves() {
-        use ListOp::{Delete, Insert};
-        // Insert-only, so the replay session batches it.
-        let batched = commit(&[Insert(3, 100), Insert(7, 101)]);
-        // Insert-only too; its second op is out of bounds after its first
-        // one applied.
-        let failing = commit(&[Insert(0, 200), Insert(999, 201)]);
-        // Deletes send a commit through the plain per-commit replay.
-        let mixed = commit(&[Insert(5, 300), Delete(0)]);
-        let failing_mixed = commit(&[Delete(1), Delete(999)]);
-        let cases = [
-            vec![batched.clone(), failing.clone()],
-            vec![batched.clone(), mixed.clone(), batched.clone(), failing],
-            vec![batched, mixed, failing_mixed],
+        use ListOp::{Delete, Insert, InsertRun, Set};
+        let far = 1_000_000;
+        let (valid, count) = commit(&[Insert(4990, 9)]);
+        let kinds = [
+            // Insert-only near the end: the planner takes it.
+            commit(&[Insert(4990, 100), InsertRun(4991, vec![101, 102])]),
+            // Insert-only, but an insert at 0 on 5 000 elements is wider
+            // than the planner's window (16·k + 4096).
+            commit(&[Insert(0, 200), Insert(4990, 201)]),
+            commit(&[Insert(5, 300), Delete(0)]),
+            commit(&[Set(2, 400)]),
+            commit(&[Insert(4990, 500), InsertRun(3, vec![])]),
+            commit(&[Insert(4990, 510), InsertRun(far, vec![])]),
+            // Out of bounds first, then second.
+            commit(&[Insert(far, 600), Insert(4990, 601)]),
+            commit(&[Insert(4990, 700), Insert(far, 701)]),
+            // Undecodable: the encoding cut one byte short.
+            (Bytes::copy_from_slice(&valid[..valid.len() - 1]), count),
+            (valid.clone(), count + 1),
+            (Bytes::from([&valid[..], &[0]].concat()), count),
         ];
-        let base = || MList::from_iter(0u32..10);
-        for (case, commits) in cases.into_iter().enumerate() {
-            let mut plain = base();
-            let want = replay_each(&mut plain, commits.clone()).unwrap_err();
-            let mut batch = base();
-            let got = batch.replay_commits(commits).unwrap_err();
-            assert_eq!(
-                (got.index, &got.error),
-                (want.index, &want.error),
-                "case {case}"
-            );
-            assert_eq!(batch.to_vec(), plain.to_vec(), "case {case}");
+        let base = || MList::from_iter(0u32..5000);
+        let mut cases = 0;
+        for n in 0..=3u32 {
+            for code in 0..kinds.len().pow(n) {
+                let commits: Vec<_> = (0..n)
+                    .map(|i| kinds[code / kinds.len().pow(i) % kinds.len()].clone())
+                    .collect();
+                let mut plain = base();
+                let want = replay_each(&mut plain, commits.clone()).map_err(|e| (e.index, e.error));
+                let mut batch = base();
+                let got = batch
+                    .replay_commits(commits)
+                    .map_err(|e| (e.index, e.error));
+                assert_eq!(got, want, "commits {n}, code {code}");
+                assert_eq!(batch.to_vec(), plain.to_vec(), "commits {n}, code {code}");
+                cases += 1;
+            }
         }
+        println!("{cases} commit sequences");
+        assert_eq!(cases, 1 + 11 + 11 * 11 + 11 * 11 * 11);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Recovery's list replay owns the list it replays into. A commit scattered
-//! wider than the batch lane's window applies op by op to a chunk tree
-//! nobody else holds, so no insert path-copies a node, and a full leaf
-//! splits where it stands instead of rebuilding the spine. What is left
-//! per replayed op is each decoded commit's buffers and the occasional
-//! leaf split, spread thin.
+//! Recovery's list replay owns the list it replays into. Every commit
+//! decodes once through sm-codec; one scattered wider than the
+//! `InsertPlanner`'s window, or holding deletes, applies op by op to a
+//! chunk tree nobody else holds, so no edit path-copies a node, and a
+//! full leaf splits where it stands instead of rebuilding the spine. What
+//! is left per replayed op is each decoded commit's buffers and the
+//! occasional leaf split, spread thin.
 //!
 //! Allocation counts are a release property: run with `--release`.
 

@@ -36,8 +36,6 @@ impl<K: Key> Operation for CounterMapOp<K> {
 
     type Memo = ();
 
-    const SCALAR: bool = true;
-
     fn apply(&self, state: &mut BTreeMap<K, i64>) -> Result<(), ApplyError> {
         let slot = state.entry(self.key.clone()).or_insert(0);
         *slot = slot.wrapping_add(self.delta);

@@ -26,8 +26,6 @@ impl Operation for CounterOp {
 
     type Memo = ();
 
-    const SCALAR: bool = true;
-
     fn apply(&self, state: &mut i64) -> Result<(), ApplyError> {
         *state = state.wrapping_add(self.delta);
         Ok(())

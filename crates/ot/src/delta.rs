@@ -109,8 +109,10 @@ pub trait DeltaPayload: Clone + PartialEq + fmt::Debug + Send + Sync + 'static {
     fn slice(&self, start: usize, len: usize) -> Self;
 
     /// Cut the run at unit `at`: `self` keeps `[0, at)`, in place, and the
-    /// rest is returned. Only the tail is copied.
-    fn split_off(&mut self, at: usize) -> Self;
+    /// rest is returned. Only the tail is copied. `len` is the run's unit
+    /// length, which every caller knows: text finds the cut walking from
+    /// the nearer end.
+    fn split_off(&mut self, at: usize, len: usize) -> Self;
 
     /// Append `other`'s content after `self`'s.
     fn append(&mut self, other: &Self);
@@ -125,18 +127,38 @@ impl DeltaPayload for String {
         self.chars().skip(start).take(len).collect()
     }
 
-    fn split_off(&mut self, at: usize) -> Self {
-        // Char `at` is byte `at` when the chars before it are ASCII.
-        let byte = if self.as_bytes()[..at].is_ascii() {
-            at
+    fn split_off(&mut self, at: usize, len: usize) -> Self {
+        let byte = if at <= len / 2 {
+            char_byte_from_front(self, at)
         } else {
-            self.char_indices().nth(at).map_or(self.len(), |(i, _)| i)
+            char_byte_from_back(self, at, len)
         };
         String::split_off(self, byte)
     }
 
     fn append(&mut self, other: &Self) {
         self.push_str(other);
+    }
+}
+
+/// The byte offset of char `at` of `s`, walking from the front: byte
+/// `at` when the chars before it are ASCII.
+fn char_byte_from_front(s: &str, at: usize) -> usize {
+    if s.as_bytes()[..at].is_ascii() {
+        at
+    } else {
+        s.char_indices().nth(at).map_or(s.len(), |(i, _)| i)
+    }
+}
+
+/// The byte offset of char `at` of `s`, `len` chars long, walking from
+/// the back: the last `len - at` bytes when they are ASCII.
+fn char_byte_from_back(s: &str, at: usize, len: usize) -> usize {
+    let tail = len - at;
+    if s.as_bytes()[s.len() - tail..].is_ascii() {
+        s.len() - tail
+    } else {
+        s.char_indices().rev().nth(tail - 1).map_or(0, |(i, _)| i)
     }
 }
 
@@ -149,7 +171,7 @@ impl<T: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> DeltaPayload for
         self[start..start + len].to_vec()
     }
 
-    fn split_off(&mut self, at: usize) -> Self {
+    fn split_off(&mut self, at: usize, _len: usize) -> Self {
         Vec::split_off(self, at)
     }
 
@@ -635,7 +657,7 @@ impl<P: DeltaPayload> Delta<P> {
                 // The head stays in the run's own buffer, so an edit near
                 // the end of a long run copies what follows it, not the run.
                 Some(Span::Insert { mut payload, len }) => {
-                    let tail = payload.split_off(skip);
+                    let tail = payload.split_off(skip, len);
                     self.push(Span::Insert { payload, len: skip });
                     pending = Some(Span::Insert {
                         payload: tail,
@@ -686,7 +708,7 @@ impl<P: DeltaPayload> Delta<P> {
                             del -= m;
                             if len > m {
                                 pending = Some(Span::Insert {
-                                    payload: payload.split_off(m),
+                                    payload: payload.split_off(m, len),
                                     len: len - m,
                                 });
                             }
@@ -1508,15 +1530,22 @@ mod tests {
             let len = run.unit_len();
             for at in 0..=len {
                 let mut head = run.clone();
-                let tail = head.split_off(at);
+                let tail = head.split_off(at, len);
                 assert_eq!(head, run.slice(0, at), "{run:?} at {at}");
                 assert_eq!(tail, run.slice(at, len - at), "{run:?} at {at}");
             }
         }
-        check("abcde".to_string());
-        check("aé✨z".to_string());
-        check("éa✨✨b".to_string());
-        check(String::new());
+        for text in ["abcde", "aé✨z", "éa✨✨b", "abcé", "éabc", ""] {
+            check(text.to_string());
+            // `split_off` walks from the nearer end; both walks must find
+            // every cut.
+            let len = text.chars().count();
+            for at in 0..=len {
+                let byte = text.char_indices().nth(at).map_or(text.len(), |(i, _)| i);
+                assert_eq!(char_byte_from_front(text, at), byte, "{text:?} at {at}");
+                assert_eq!(char_byte_from_back(text, at, len), byte, "{text:?} at {at}");
+            }
+        }
         check(vec![1u8, 2, 3, 4]);
         check(Vec::<u8>::new());
     }

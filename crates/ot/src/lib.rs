@@ -169,12 +169,6 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     /// the sequence algebras, `()` for those with no delta form.
     type Memo: Default + Send + Sync + fmt::Debug;
 
-    /// True when `transform` never returns [`Transformed::Two`].
-    ///
-    /// Scalar algebras (list, map, set, counter, register) admit a faster
-    /// iterative sequence-transformation path; see [`seq::transform_seqs`].
-    const SCALAR: bool;
-
     /// Apply the operation to `state`.
     fn apply(&self, state: &mut Self::State) -> Result<(), ApplyError>;
 

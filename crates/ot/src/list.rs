@@ -22,7 +22,8 @@
 //! O(|committed|·|incoming|) transformation grid (see
 //! [`crate::compose::compact`]). A `DeleteRange` interleaved by a concurrent
 //! insert splits into two ranges ([`Transformed::Two`]) so the concurrently
-//! inserted element survives — the algebra is therefore no longer scalar.
+//! inserted element survives, so a list transform may split, as a text one
+//! may.
 
 use crate::delta::{DeltaOp, OpSpan};
 use crate::state::ChunkTree;
@@ -421,10 +422,9 @@ impl InsertPlanner {
     }
 
     /// Write the result of an insert-only batch over the window `base`
-    /// straight into `out` (length `base.len() + values.len()`, every
-    /// slot is overwritten). `spans` are `(window-relative position,
-    /// value start, run length)` triples in op order, already
-    /// bounds-checked; `values` is their flattened payloads.
+    /// straight into `out` (length `base.len()` plus the inserted units,
+    /// every slot is overwritten). `runs` are `(window-relative position,
+    /// values)` in op order, already bounds-checked, none empty.
     ///
     /// Each inserted unit's final slot is found by walking the ops in
     /// reverse against the free-slot index: the op applied last sees no
@@ -433,22 +433,18 @@ impl InsertPlanner {
     /// saw. A run's units take consecutive free slots. The slots left
     /// free then take `base` in order: they are the set bits of the
     /// index.
-    pub fn plan_assemble<T: Clone>(
-        &mut self,
-        spans: &[(usize, usize, usize)],
-        base: &[T],
-        values: &[T],
-        out: &mut [T],
-    ) {
-        let m = base.len() + values.len();
-        debug_assert_eq!(out.len(), m);
-        self.free.reset(m);
-        for (rel, val_start, len) in spans.iter().rev() {
+    pub fn plan_assemble<T: Clone>(&mut self, runs: &[(usize, &[T])], base: &[T], out: &mut [T]) {
+        debug_assert_eq!(
+            out.len(),
+            base.len() + runs.iter().map(|(_, vs)| vs.len()).sum::<usize>()
+        );
+        self.free.reset(out.len());
+        for (rel, vs) in runs.iter().rev() {
             let mut slot = self.free.take(*rel as u32 + 1);
-            out[slot] = values[*val_start].clone();
-            for j in 1..*len {
+            out[slot] = vs[0].clone();
+            for v in &vs[1..] {
                 slot = self.free.take_next_after(slot);
-                out[slot] = values[*val_start + j].clone();
+                out[slot] = v.clone();
             }
         }
         let mut bpos = 0usize;
@@ -469,9 +465,6 @@ impl<T: Element> Operation for ListOp<T> {
     type State = ChunkTree<T>;
 
     type Memo = crate::delta::Memo<Vec<T>>;
-
-    // `DeleteRange` splits around a concurrent interleaving insert.
-    const SCALAR: bool = false;
 
     fn apply(&self, state: &mut ChunkTree<T>) -> Result<(), ApplyError> {
         // Length checks are O(1) against the root's cached count; the

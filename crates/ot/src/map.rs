@@ -44,8 +44,6 @@ impl<K: Key, V: Value> Operation for MapOp<K, V> {
 
     type Memo = ();
 
-    const SCALAR: bool = true;
-
     fn apply(&self, state: &mut BTreeMap<K, V>) -> Result<(), ApplyError> {
         match self {
             MapOp::Put(k, v) => {

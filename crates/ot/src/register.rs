@@ -29,8 +29,6 @@ impl<T: Value> Operation for RegisterOp<T> {
 
     type Memo = ();
 
-    const SCALAR: bool = true;
-
     fn apply(&self, state: &mut T) -> Result<(), ApplyError> {
         *state = self.value.clone();
         Ok(())

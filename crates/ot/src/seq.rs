@@ -17,12 +17,12 @@
 //! ```
 //!
 //! with ties broken in favour of `left` (the committed side). The algorithm
-//! is the classic O(|left|·|right|) transformation grid; operations that
-//! split (text range-deletes) are handled by a recursive piece expansion,
-//! and scalar algebras ([`Operation::SCALAR`]) take an allocation-light
-//! iterative fast path.
+//! is the classic O(|left|·|right|) transformation grid, one grid for
+//! every algebra: operations that split (range deletes around a
+//! concurrent insert) are handled by a recursive piece expansion, and an
+//! operation that never splits is the expansion's one-piece case.
 
-use crate::{Operation, Side, Transformed};
+use crate::{Operation, Side};
 
 /// Transform a single pair of concurrent operations.
 ///
@@ -45,11 +45,19 @@ pub fn transform_seqs<O: Operation>(left: &[O], right: &[O]) -> (Vec<O>, Vec<O>)
     if right.is_empty() {
         return (left.to_vec(), Vec::new());
     }
-    if O::SCALAR {
-        transform_seqs_scalar(left, right)
-    } else {
-        transform_seqs_general(left, right)
+    let mut right_cur: Vec<O> = right.to_vec();
+    let mut left_out: Vec<O> = Vec::with_capacity(left.len());
+
+    for l in left {
+        // `l` and `right_cur` share a base; transform `l` (possibly
+        // splitting) against the whole of `right_cur`, rewriting
+        // `right_cur` to include `l`'s effect as we go.
+        let (l_pieces, right_next) =
+            transform_pieces_single_seq(std::slice::from_ref(l), &right_cur);
+        left_out.extend(l_pieces);
+        right_cur = right_next;
     }
+    (left_out, right_cur)
 }
 
 /// Rebase a child's `incoming` operations over the parent's `committed`
@@ -66,73 +74,6 @@ pub fn rebase<O: Operation>(incoming: &[O], committed: &[O]) -> Vec<O> {
         return incoming.to_vec();
     }
     transform_seqs(committed, incoming).1
-}
-
-/// Fast path for algebras whose transforms never split (`O::SCALAR`).
-///
-/// Row-by-row grid: `right_cur` is `right` progressively rebased onto the
-/// processed prefix of `left`, so each new `left` operation shares a base
-/// with it. Vanished operations (both sides deleted the same element) are
-/// dropped from the sequences — a no-op transforms nothing and applies as
-/// nothing.
-fn transform_seqs_scalar<O: Operation>(left: &[O], right: &[O]) -> (Vec<O>, Vec<O>) {
-    debug_assert!(O::SCALAR);
-    let mut right_cur: Vec<O> = right.to_vec();
-    let mut left_out: Vec<O> = Vec::with_capacity(left.len());
-    // Scratch row reused across all |left| iterations: swapped with
-    // `right_cur` at the end of each row instead of reallocating, so the
-    // inner loop moves operations by value and never clones survivors.
-    let mut right_next: Vec<O> = Vec::with_capacity(right.len());
-
-    for l in left {
-        let mut l_cur = Some(l.clone());
-        right_next.clear();
-        for r in right_cur.drain(..) {
-            match l_cur {
-                None => right_next.push(r),
-                Some(ref lv) => {
-                    let rt = r.transform(lv, Side::Right);
-                    let lt = lv.transform(&r, Side::Left);
-                    l_cur = match lt {
-                        Transformed::One(x) => Some(x),
-                        Transformed::None => None,
-                        Transformed::Two(_, _) => {
-                            unreachable!("SCALAR operation split during transform")
-                        }
-                    };
-                    match rt {
-                        Transformed::One(x) => right_next.push(x),
-                        Transformed::None => {}
-                        Transformed::Two(_, _) => {
-                            unreachable!("SCALAR operation split during transform")
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(lv) = l_cur {
-            left_out.push(lv);
-        }
-        std::mem::swap(&mut right_cur, &mut right_next);
-    }
-    (left_out, right_cur)
-}
-
-/// General path supporting splitting operations.
-fn transform_seqs_general<O: Operation>(left: &[O], right: &[O]) -> (Vec<O>, Vec<O>) {
-    let mut right_cur: Vec<O> = right.to_vec();
-    let mut left_out: Vec<O> = Vec::with_capacity(left.len());
-
-    for l in left {
-        // `l` and `right_cur` share a base; transform `l` (possibly
-        // splitting) against the whole of `right_cur`, rewriting
-        // `right_cur` to include `l`'s effect as we go.
-        let (l_pieces, right_next) =
-            transform_pieces_single_seq(std::slice::from_ref(l), &right_cur);
-        left_out.extend(l_pieces);
-        right_cur = right_next;
-    }
-    (left_out, right_cur)
 }
 
 /// Transform a sequential run of left-side `pieces` against the right-side

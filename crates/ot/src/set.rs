@@ -36,8 +36,6 @@ impl<T: Element> Operation for SetOp<T> {
 
     type Memo = ();
 
-    const SCALAR: bool = true;
-
     fn apply(&self, state: &mut BTreeSet<T>) -> Result<(), ApplyError> {
         match self {
             SetOp::Add(e) => {

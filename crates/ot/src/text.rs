@@ -154,8 +154,6 @@ impl Operation for TextOp {
 
     type Memo = crate::delta::Memo<String>;
 
-    const SCALAR: bool = false;
-
     fn apply(&self, state: &mut Rope) -> Result<(), ApplyError> {
         self.check_bounds(state.char_len())?;
         match self {

@@ -120,8 +120,6 @@ impl<V: Value> Operation for TreeOp<V> {
 
     type Memo = ();
 
-    const SCALAR: bool = true;
-
     fn apply(&self, state: &mut Node<V>) -> Result<(), ApplyError> {
         match self {
             TreeOp::Insert { path, node } => {

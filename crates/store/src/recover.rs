@@ -6,9 +6,10 @@
 //! 1. The highest decodable snapshot is the base state.
 //! 2. The WAL suffix (commits with `seq` above the base) replays in
 //!    strict sequence order through the ordinary OT apply path
-//!    ([`Persist::apply_log`], or a batched equivalent with the same
-//!    result) — the same code path a live merge uses, which is why the
-//!    reconstructed state is bit-identical to the original run's.
+//!    ([`Persist::replay_commits`]: each commit decoded by the codec and
+//!    applied as [`Persist::apply_log`] applies it) — the operations a
+//!    live merge applied, which is why the reconstructed state is
+//!    bit-identical to the original run's.
 //! 3. Every replayed record's FNV digest chain is recomputed and checked
 //!    against the journaled value; any mismatch refuses recovery
 //!    ([`StoreError::DigestMismatch`]) rather than starting from silently
@@ -25,8 +26,12 @@
 //! sequence number and chain link against one chain map, truncates a
 //! torn tail and keeps each verified commit's op bytes undecoded;
 //! [`Persist::replay_commits`] then decodes and applies each commit in
-//! turn, amortizing work across consecutive commits (e.g. the list replay
-//! session). [`Store::recover_serial`] is the reference the differential
+//! turn. For `MList` and `MQueue` that is one replay session over a
+//! chunk tree it owns: every commit decodes once through sm-codec, an
+//! insert-only commit whose window fits goes through the `InsertPlanner`,
+//! and every other commit applies op by op to the tree; no replayed
+//! commit is recorded into the list's log. [`Store::recover_serial`] is
+//! the reference the differential
 //! tests compare it with: the same scan, then [`replay_each`]'s plain
 //! [`Persist::apply_log`] per commit. Both verify the whole journal
 //! before applying any operation and word a replay failure alike, so
