@@ -124,14 +124,19 @@ fn main() {
     let commit_hist = histogram_json("commit", &mut report.commit_nanos);
     let attach_p99 = pct(&report.attach_nanos, 99.0);
     let commit_p99 = pct(&report.commit_nanos, 99.0);
+    let build_ns = report.build.as_nanos() as u64;
+    let shutdown_ns = report.shutdown.as_nanos() as u64;
     eprintln!(
         "bench_server: {} sessions, {} commits ({} rejected) in {:.2}s \
-         ({commits_per_sec:.0} commits/s), {} attaches ({} re-attaches), \
+         ({commits_per_sec:.0} commits/s; server build {:.2}s, shutdown {:.2}s), \
+         {} attaches ({} re-attaches), \
          {} evicted / {} rehydrated, attach p99 {:.3}ms, commit p99 {:.3}ms",
         report.sessions,
         report.commits,
         report.rejected,
         elapsed_ns as f64 / 1e9,
+        build_ns as f64 / 1e9,
+        shutdown_ns as f64 / 1e9,
         report.attaches,
         report.reattaches,
         snap.sessions_evicted,
@@ -171,7 +176,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"run\": {{\"elapsed_ns\": {elapsed_ns}, \"sessions\": {}, \"commits\": {}, \
+        "  \"run\": {{\"build_ns\": {build_ns}, \"elapsed_ns\": {elapsed_ns}, \
+         \"shutdown_ns\": {shutdown_ns}, \"sessions\": {}, \"commits\": {}, \
          \"rejected\": {}, \"commits_per_sec\": {commits_per_sec:.0}, \"attaches\": {}, \
          \"reattaches\": {}, \"seq_regressions\": {}, \"divergent_sessions\": {}, \
          \"divergent_chains\": {}, \"convergence_checks\": {}}},",

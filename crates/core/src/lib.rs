@@ -20,7 +20,7 @@
 //! | `MergeAllFromSet` | [`TaskCtx::merge_all_from_set`] |
 //! | `MergeAny` | [`TaskCtx::merge_any`] |
 //! | `MergeAnyFromSet` | [`TaskCtx::merge_any_from_set`] |
-//! | `Sync()` | [`TaskCtx::sync`] |
+//! | `Sync()` | [`TaskCtx::sync`], or [`Round::Sync`] from a [`TaskCtx::spawn_rounds`] child |
 //! | `Clone(f, …)` | [`TaskCtx::clone_task`] |
 //! | abort / error flags | [`TaskResult`], [`TaskHandle::abort`], [`TaskCtx::is_aborted`] |
 //! | merge conditions | the `*_with` merge variants |
@@ -64,6 +64,7 @@ mod error;
 pub mod journal;
 mod merge;
 mod pool;
+mod round;
 mod runtime;
 pub mod semaphore;
 mod task;
@@ -73,6 +74,7 @@ pub use error::{AbortReason, SyncError, TaskAbort, TaskResult};
 pub use journal::CommitSink;
 pub use merge::{Condition, Disposition, MergeReport, MergedChild};
 pub use pool::{blocking, Pool, PoolStats};
+pub use round::{Round, RoundCtx};
 pub use runtime::{run, run_with_pool, run_with_sink};
 pub use task::{TaskCtx, TaskHandle, TaskId, TaskOutcome};
 pub use trace::{MergeTrace, ReplayError, TraceCursor};

@@ -42,7 +42,7 @@ use sm_obs::{emit, EventKind, MergeOpStats, Phase};
 
 use crate::error::AbortReason;
 use crate::task::{
-    Event, EventBody, SyncReply, SyncReturn, TaskCtx, TaskHandle, TaskId, TaskOutcome,
+    Event, EventBody, Resume, SyncReply, SyncReturn, TaskCtx, TaskHandle, TaskId, TaskOutcome,
 };
 
 /// What happened to one child during a merge call.
@@ -295,6 +295,13 @@ impl<D: Mergeable> TaskCtx<D> {
         if let Some(pos) = self.pending.iter().position(|e| e.child == id) {
             return self.pending.remove(pos).expect("position is valid");
         }
+        // A round no worker has claimed yet runs here (see `round.rs`).
+        let slot = self
+            .child_index(id)
+            .and_then(|i| self.children[i].round.as_ref());
+        if let Some((task, data)) = slot.and_then(|slot| slot.lock().round.take()) {
+            return task.run(data);
+        }
         loop {
             let ev = self.events_rx.try_recv().unwrap_or_else(|_| {
                 self.flush_replies();
@@ -316,11 +323,15 @@ impl<D: Mergeable> TaskCtx<D> {
     /// busy box — but never later than its next blocking wait;
     /// `merge_any*` and `merge_one` answer at once.
     fn flush_replies(&mut self) {
-        for (reply, verdict) in self.replies.drain(..) {
-            // The sender returns to the child inside its own message (see
-            // `SyncReturn`); the clone only lives for the send.
-            let tx = reply.clone();
-            let _ = tx.send(SyncReturn { verdict, reply });
+        for (resume, verdict) in self.replies.drain(..) {
+            match resume {
+                // The sender returns to the child inside its own message
+                // (see `SyncReturn`); the clone only lives for the send.
+                Resume::Reply(reply) => {
+                    let _ = reply.clone().send(SyncReturn { verdict, reply });
+                }
+                Resume::Round(task) => task.resume(verdict),
+            }
         }
     }
 
@@ -356,7 +367,7 @@ impl<D: Mergeable> TaskCtx<D> {
                 };
                 (true, disposition)
             }
-            EventBody::Sync { mut data, reply } => {
+            EventBody::Sync { mut data, resume } => {
                 let (verdict, disposition) = if externally_aborted {
                     (SyncReply::Rejected(data), Disposition::AbortedExternally)
                 } else if cond(&data) {
@@ -372,7 +383,7 @@ impl<D: Mergeable> TaskCtx<D> {
                 } else {
                     (SyncReply::Rejected(data), Disposition::Rejected)
                 };
-                self.replies.push((reply, verdict));
+                self.replies.push((resume, verdict));
                 (false, disposition)
             }
         };

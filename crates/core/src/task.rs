@@ -25,6 +25,7 @@ use sm_obs::{emit, AbortCause, EventKind, TaskPath};
 
 use crate::error::{AbortReason, SyncError, TaskAbort, TaskResult};
 use crate::pool::Pool;
+use crate::round::{RoundSlot, RoundTask};
 
 /// Identifier of a task, unique within its parent and monotonically
 /// increasing in creation order (`MergeAll` merges in this order).
@@ -46,9 +47,8 @@ pub(crate) enum EventBody<D> {
     Sync {
         /// The child's data (with its recorded operations).
         data: D,
-        /// Where the parent's verdict goes: the only sender of the child's
-        /// reply channel, so a request dropped unanswered disconnects it.
-        reply: ReplySender<D>,
+        /// Where the parent's verdict goes.
+        resume: Resume<D>,
     },
     /// The child finished.
     Done {
@@ -74,6 +74,15 @@ pub(crate) enum SyncReply<D> {
     Rejected(D),
 }
 
+/// Where the verdict on a `Sync` goes.
+pub(crate) enum Resume<D> {
+    /// A blocked [`TaskCtx::sync`]: the only sender of the child's reply
+    /// channel, so a request dropped unanswered disconnects it.
+    Reply(ReplySender<D>),
+    /// A round task, queued again with the verdict (`round.rs`).
+    Round(Box<RoundTask<D>>),
+}
+
 /// The sending half of a child's `Sync` reply channel.
 pub(crate) type ReplySender<D> = Sender<SyncReturn<D>>;
 
@@ -94,7 +103,7 @@ pub(crate) struct Family<D> {
     pub events_tx: Sender<Event<D>>,
     /// Children created via `Clone` by existing children; the parent
     /// adopts them at its next merge call.
-    pub adopted: Mutex<Vec<ChildRecord>>,
+    pub adopted: Mutex<Vec<ChildRecord<D>>>,
     /// Child-id allocator for this parent.
     pub next_id: AtomicU64,
     /// The runtime's worker pool.
@@ -102,7 +111,7 @@ pub(crate) struct Family<D> {
 }
 
 /// Parent-side bookkeeping for one child.
-pub(crate) struct ChildRecord {
+pub(crate) struct ChildRecord<D> {
     pub id: TaskId,
     pub abort: Arc<AtomicBool>,
     /// Absolute fork base of every log inside the child's data (in
@@ -110,14 +119,16 @@ pub(crate) struct ChildRecord {
     /// The element-wise minimum over live children is the watermark below
     /// which the root's committed-log prefix can be garbage-collected.
     pub fork_marks: Vec<usize>,
+    /// A round task's slot, where its next round waits for a thread.
+    pub round: Option<Arc<RoundSlot<D>>>,
 }
 
 /// A handle to a spawned task, used to address it in `MergeAllFromSet` /
 /// `MergeAnyFromSet` and to abort it externally.
 #[derive(Clone)]
 pub struct TaskHandle {
-    id: TaskId,
-    abort: Arc<AtomicBool>,
+    pub(crate) id: TaskId,
+    pub(crate) abort: Arc<AtomicBool>,
 }
 
 impl TaskHandle {
@@ -183,13 +194,13 @@ pub struct TaskCtx<D: Mergeable> {
     pub(crate) family: Arc<Family<D>>,
     pub(crate) events_rx: Receiver<Event<D>>,
     /// Live children, ordered by id (= creation order).
-    pub(crate) children: Vec<ChildRecord>,
+    pub(crate) children: Vec<ChildRecord<D>>,
     /// Events received while waiting for a specific child, in arrival
     /// order.
     pub(crate) pending: VecDeque<Event<D>>,
     /// Verdicts of the `Sync`s a merge call has handled and not yet
     /// answered (see `flush_replies` in `merge.rs`).
-    pub(crate) replies: Vec<(ReplySender<D>, SyncReply<D>)>,
+    pub(crate) replies: Vec<(Resume<D>, SyncReply<D>)>,
     /// Durability observer of this task's merge commits (root task only;
     /// installed by [`crate::run_with_sink`]).
     pub(crate) sink: Option<Box<dyn crate::CommitSink<D>>>,
@@ -308,6 +319,22 @@ impl<D: Mergeable> TaskCtx<D> {
     where
         F: FnOnce(&mut TaskCtx<D>) -> TaskResult + Send + 'static,
     {
+        let (id, data, fork_marks) = self.fork_child();
+        let handle = spawn_task(&self.family, id, data, f);
+        // Parent-spawned children are recorded directly, in creation order
+        // (ids are monotone, so plain push keeps `children` sorted).
+        self.children.push(ChildRecord {
+            id,
+            abort: Arc::clone(&handle.abort),
+            fork_marks,
+            round: None,
+        });
+        handle
+    }
+
+    /// A new child's id, its fork of this task's data and the fork's
+    /// marks, with its `TaskSpawned` emitted.
+    pub(crate) fn fork_child(&mut self) -> (TaskId, D, Vec<usize>) {
         let spawn_t0 = sm_obs::is_enabled().then(Instant::now);
         let id = self.family.next_id.fetch_add(1, Ordering::Relaxed);
         let data = self.data().fork();
@@ -324,15 +351,7 @@ impl<D: Mergeable> TaskCtx<D> {
                 spawn_nanos,
             });
         }
-        let handle = spawn_task(&self.family, id, data, f);
-        // Parent-spawned children are recorded directly, in creation order
-        // (ids are monotone, so plain push keeps `children` sorted).
-        self.children.push(ChildRecord {
-            id,
-            abort: Arc::clone(&handle.abort),
-            fork_marks,
-        });
-        handle
+        (id, data, fork_marks)
     }
 
     /// **Clone**: create a *sibling* task executing `f` on this task's
@@ -363,6 +382,7 @@ impl<D: Mergeable> TaskCtx<D> {
             id,
             abort: Arc::clone(&abort),
             fork_marks,
+            round: None,
         });
         // Emit BEFORE dispatching, for the same reason as in `spawn`: the
         // sibling's `TaskSpawned` must open its per-task event sequence.
@@ -408,7 +428,7 @@ impl<D: Mergeable> TaskCtx<D> {
                 child: self.id,
                 body: EventBody::Sync {
                     data,
-                    reply: reply_tx,
+                    resume: Resume::Reply(reply_tx),
                 },
             })
             .is_err()
@@ -530,29 +550,34 @@ where
                 (None, TaskOutcome::Aborted(AbortReason::Panic(msg)))
             }
         };
-        match &outcome {
-            TaskOutcome::Completed => emit(&path, || EventKind::TaskCompleted),
-            TaskOutcome::Aborted(reason) => {
-                let cause = if externally_aborted.load(Ordering::SeqCst) {
-                    AbortCause::External
-                } else {
-                    match reason {
-                        AbortReason::Error(_) => AbortCause::Failed,
-                        AbortReason::Panic(_) => AbortCause::Panicked,
-                        AbortReason::External => AbortCause::External,
-                    }
-                };
-                emit(&path, || EventKind::TaskAborted { cause });
-            }
-        }
+        let body = finished(&path, &externally_aborted, data, outcome);
         // If the parent is gone the send fails; nothing more to do.
-        let _ = parent_family.events_tx.send(Event {
-            child: id,
-            body: EventBody::Done { data, outcome },
-        });
+        let _ = parent_family.events_tx.send(Event { child: id, body });
     });
 
     handle
+}
+
+/// A finished task's `Done` event, after its last audited event.
+pub(crate) fn finished<D>(
+    path: &TaskPath,
+    externally_aborted: &AtomicBool,
+    data: Option<D>,
+    outcome: TaskOutcome,
+) -> EventBody<D> {
+    match &outcome {
+        TaskOutcome::Completed => emit(path, || EventKind::TaskCompleted),
+        TaskOutcome::Aborted(reason) => {
+            let cause = match reason {
+                _ if externally_aborted.load(Ordering::SeqCst) => AbortCause::External,
+                AbortReason::Error(_) => AbortCause::Failed,
+                AbortReason::Panic(_) => AbortCause::Panicked,
+                AbortReason::External => AbortCause::External,
+            };
+            emit(path, || EventKind::TaskAborted { cause });
+        }
+    }
+    EventBody::Done { data, outcome }
 }
 
 pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {

@@ -1,9 +1,9 @@
 //! The **Spawn & Merge** simulator — listing 4 of the paper.
 //!
 //! One task per host; the shared state is a vector of mergeable queues
-//! (plus per-host result accumulators and a shutdown flag). Each host loop
-//! iteration is: `Sync()` (merge my changes into the parent, get fresh
-//! data), pop my queue, hash, push to the destination queue. The root
+//! (plus per-host result accumulators and a shutdown flag). Each host round
+//! (`spawn_rounds`) is: `Sync()` (merge my changes into the parent, get
+//! fresh data), pop my queue, hash, push to the destination queue. The root
 //! drives deterministic rounds with `MergeAll`, so **both** routing
 //! variants produce identical results on every run — "using Spawn and
 //! Merge also the 'non-deterministic' test setup becomes deterministic".
@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use sm_core::{run_with_pool, Pool, SyncError, TaskCtx, TaskResult};
+use sm_core::{run_with_pool, Pool, Round, RoundCtx, SyncError, TaskAbort};
 use sm_mergeable::{mergeable_struct, MCounter, MQueue, MRegister};
 use sm_sha1::Digest;
 
@@ -63,36 +63,36 @@ impl SimData {
     }
 }
 
-/// The host task (the paper's `host(hostID, queues)` function).
-fn host_task(h: usize, cfg: SimConfig, ctx: &mut TaskCtx<SimData>) -> TaskResult {
-    loop {
-        // Sync: merge our previous iteration's changes, receive fresh data.
-        match ctx.sync() {
-            Ok(()) => {}
-            // Shutdown paths: the root is winding the simulation down.
-            Err(SyncError::Aborted) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        }
-        if *ctx.data().done.get() {
-            return Ok(());
-        }
-        let Some(msg) = ctx.data_mut().queues[h].pop_front() else {
-            continue; // empty inbox this round
-        };
-        let (digest, forwarded) = process_message(&msg, h, &cfg);
-
-        let data = ctx.data_mut();
-        data.processed[h].inc();
-        let mut stats = HostStats {
-            processed: 0,
-            digest: *data.digests[h].get(),
-        };
-        stats.record(msg.id, &digest);
-        data.digests[h].set(stats.digest);
-        if let Some((m, dest)) = forwarded {
-            data.queues[dest].push_back(m);
-        }
+/// One iteration of the host task (the paper's `host(hostID, queues)`).
+fn host_round(h: usize, cfg: &SimConfig, ctx: &mut RoundCtx<SimData>) -> Result<Round, TaskAbort> {
+    // Sync: merge our previous iteration's changes, receive fresh data.
+    match ctx.synced() {
+        None => return Ok(Round::Sync), // the first round only syncs
+        Some(Ok(())) => {}
+        // Shutdown paths: the root is winding the simulation down.
+        Some(Err(SyncError::Aborted)) => return Ok(Round::Done),
+        Some(Err(e)) => return Err(e.into()),
     }
+    if *ctx.data().done.get() {
+        return Ok(Round::Done);
+    }
+    let Some(msg) = ctx.data_mut().queues[h].pop_front() else {
+        return Ok(Round::Sync); // empty inbox this round
+    };
+    let (digest, forwarded) = process_message(&msg, h, cfg);
+
+    let data = ctx.data_mut();
+    data.processed[h].inc();
+    let mut stats = HostStats {
+        processed: 0,
+        digest: *data.digests[h].get(),
+    };
+    stats.record(msg.id, &digest);
+    data.digests[h].set(stats.digest);
+    if let Some((m, dest)) = forwarded {
+        data.queues[dest].push_back(m);
+    }
+    Ok(Round::Sync)
 }
 
 /// Run the Spawn & Merge simulation on the given pool.
@@ -104,7 +104,7 @@ pub fn run_spawn_merge_with_pool(cfg: &SimConfig, pool: Pool) -> SimResult {
     let (final_data, ()) = run_with_pool(data, pool, |ctx| {
         for h in 0..cfg.hosts {
             let cfg = *cfg;
-            ctx.spawn(move |c| host_task(h, cfg, c));
+            ctx.spawn_rounds(move |c| host_round(h, &cfg, c));
         }
         // Deterministic simulation rounds: each MergeAll merges every
         // host's sync (or completion) in creation order.

@@ -111,8 +111,12 @@ impl TenantConfig {
 /// Result of one multi-tenant run.
 #[derive(Debug)]
 pub struct TenantReport {
-    /// Wall-clock time of the whole run.
+    /// Wall-clock time from building the network to a started server.
+    pub build: Duration,
+    /// Wall-clock time of the clients' run, attach to the last drain.
     pub elapsed: Duration,
+    /// Wall-clock time of `SessionServer::shutdown`.
+    pub shutdown: Duration,
     /// Distinct sessions touched.
     pub sessions: usize,
     /// Successful commits across all clients.
@@ -162,6 +166,7 @@ pub fn run_tenants(
     cfg: &TenantConfig,
     server_auditor: Option<Arc<DeterminismAuditor>>,
 ) -> TenantReport {
+    let built = Instant::now();
     let net = Network::new();
     let mut server_cfg = ServerConfig::new(&cfg.dir);
     server_cfg.shards = cfg.shards;
@@ -174,6 +179,7 @@ pub fn run_tenants(
     server_cfg.store.fsync = FsyncPolicy::EveryN(cfg.fsync_every_n.max(1));
     let server = SessionServer::start(&net, cfg.port, server_cfg, || MText::from("doc: "))
         .expect("session server starts");
+    let build = built.elapsed();
 
     let start = Instant::now();
     let barrier = Arc::new(Barrier::new(cfg.clients));
@@ -191,7 +197,9 @@ pub fn run_tenants(
         .map(|j| j.join().expect("client thread panicked"))
         .collect();
     let elapsed = start.elapsed();
+    let stopping = Instant::now();
     server.shutdown();
+    let shutdown = stopping.elapsed();
 
     // State witness: every subscriber of a session ends on the same
     // (seq, digest).
@@ -229,7 +237,9 @@ pub fn run_tenants(
     }
 
     let mut report = TenantReport {
+        build,
         elapsed,
+        shutdown,
         sessions: by_session.len(),
         commits: 0,
         rejected: 0,
@@ -393,7 +403,9 @@ mod tests {
         install(Arc::new(SessionStream(auditor.clone())));
 
         let cfg = TenantConfig::small(&dir);
+        let wall = Instant::now();
         let report = run_tenants(&cfg, Some(auditor));
+        let wall = wall.elapsed();
         uninstall();
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -411,5 +423,9 @@ mod tests {
             (cfg.clients * cfg.rounds * cfg.commits_per_round) as u64
         );
         assert!(!report.commit_nanos.is_empty() && !report.attach_nanos.is_empty());
+        // Every phase is timed, and none twice.
+        let phases = report.build + report.elapsed + report.shutdown;
+        assert!(phases <= wall, "{phases:?} of phases in {wall:?}");
+        assert!(report.build > Duration::ZERO && report.shutdown > Duration::ZERO);
     }
 }

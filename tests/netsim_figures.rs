@@ -132,3 +132,25 @@ fn ttl_one_messages_die_immediately() {
         assert_eq!(r.total_processed, 9, "{}", setup.label());
     }
 }
+
+/// The paper-scale l = 0 simulation, pinned: `host_task`'s port to round
+/// tasks must reproduce its every hop and round, under both copy modes.
+#[test]
+fn paper_scale_zero_workload_spawn_merge_is_pinned() {
+    let cow = SimConfig::paper(0, Routing::HashDerived);
+    let deep = SimConfig {
+        copy_mode: spawn_merge::CopyMode::Deep,
+        ..cow
+    };
+    for cfg in [cow, deep] {
+        let r = run_setup(Setup::SpawnMergeNonDet, &cfg);
+        let hex: String = r.fingerprint.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex, "6f7be1da6c5efe409b3d2da8fc5a96cd1177163c",
+            "{:?}",
+            cfg.copy_mode
+        );
+        assert_eq!(r.rounds, 575, "{:?}", cfg.copy_mode);
+        assert_eq!(r.total_processed, 10_000, "{:?}", cfg.copy_mode);
+    }
+}
