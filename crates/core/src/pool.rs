@@ -48,6 +48,8 @@ struct State {
     idle: usize,
     /// Workers inside [`blocking`].
     blocked: usize,
+    /// No handle is left: nothing more can be queued.
+    closed: bool,
     stats: PoolStats,
 }
 
@@ -60,10 +62,26 @@ struct Inner {
     keep_alive: Duration,
 }
 
-/// The worker pool. Cloning shares the pool.
+/// The worker pool. Cloning shares the pool; dropping the last handle
+/// retires its idle workers at once, and a busy one after its job.
 #[derive(Clone)]
 pub struct Pool {
-    inner: Arc<Inner>,
+    handle: Arc<Handle>,
+}
+
+/// What the handles of one pool share. Workers hold the [`Inner`] alone.
+struct Handle(Arc<Inner>);
+
+impl Drop for Handle {
+    /// Returns once the idle workers have retired and said so.
+    fn drop(&mut self) {
+        let mut st = self.0.state.lock();
+        st.closed = true;
+        self.0.work.notify_all();
+        while st.idle > 0 {
+            self.0.work.wait(&mut st);
+        }
+    }
 }
 
 impl Default for Pool {
@@ -81,13 +99,17 @@ impl Pool {
     /// A pool whose idle workers retire after `keep_alive`.
     pub fn with_keep_alive(keep_alive: Duration) -> Self {
         Pool {
-            inner: Arc::new(Inner {
+            handle: Arc::new(Handle(Arc::new(Inner {
                 state: Mutex::new(State::default()),
                 work: Condvar::new(),
                 target: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 keep_alive,
-            }),
+            }))),
         }
+    }
+
+    fn inner(&self) -> &Arc<Inner> {
+        &self.handle.0
     }
 
     /// Queue `job` behind the jobs already submitted. Wakes a worker if
@@ -95,13 +117,13 @@ impl Pool {
     /// `available_parallelism()` workers run outside [`blocking`]; a job
     /// otherwise waits for a running worker to finish. Never blocks.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner().state.lock();
         st.stats.jobs_executed += 1;
         st.queue.push_back((Instant::now(), Box::new(job)));
         if st.idle >= st.queue.len() {
-            self.inner.work.notify_one();
+            self.inner().work.notify_one();
         } else {
-            self.inner.grow(&mut st);
+            self.inner().grow(&mut st);
         }
     }
 
@@ -110,7 +132,7 @@ impl Pool {
     pub(crate) fn recv<T>(&self, rx: &Receiver<T>) -> Result<T, RecvError> {
         blocking(|| loop {
             match rx.recv_timeout(STALL) {
-                Err(RecvTimeoutError::Timeout) => self.inner.grow(&mut self.inner.state.lock()),
+                Err(RecvTimeoutError::Timeout) => self.inner().grow(&mut self.inner().state.lock()),
                 got => return got.map_err(|_| RecvError),
             }
         })
@@ -118,17 +140,17 @@ impl Pool {
 
     /// Pool statistics snapshot.
     pub fn stats(&self) -> PoolStats {
-        self.inner.state.lock().stats
+        self.inner().state.lock().stats
     }
 
     /// Number of currently idle workers (diagnostics).
     pub fn idle_workers(&self) -> usize {
-        self.inner.state.lock().idle
+        self.inner().state.lock().idle
     }
 
     /// Number of live worker threads (diagnostics).
     pub fn live_workers(&self) -> usize {
-        self.inner.state.lock().stats.live_workers as usize
+        self.inner().state.lock().stats.live_workers as usize
     }
 }
 
@@ -136,7 +158,9 @@ impl Pool {
 /// foreign channel or lock), telling the pool: while `f` runs, the calling
 /// worker does not count against `available_parallelism()`, and a queued
 /// job gets a replacement worker. Off a worker (or nested) it only runs `f`.
+/// On any thread, the rounds it parked get their jobs first (`round.rs`).
 pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    crate::round::promote_parked();
     let _announced = WORKER_OF.take().map(|inner| {
         let mut st = inner.state.lock();
         st.blocked += 1;
@@ -180,15 +204,14 @@ impl Inner {
             .spawn(move || {
                 emit(&TaskPath::root(), || EventKind::WorkerStarted { worker });
                 WORKER_OF.set(Some(Arc::clone(&inner)));
-                inner.work();
-                emit(&TaskPath::root(), || EventKind::WorkerRetired { worker });
+                inner.work(worker);
             })
             .expect("failed to spawn worker thread");
     }
 
     /// A worker's life: run queued jobs in order; retire, under the lock,
-    /// once the queue stayed empty for a keep-alive.
-    fn work(&self) {
+    /// once the queue stayed empty for a keep-alive or the pool closed.
+    fn work(&self, worker: u64) {
         let mut st = self.state.lock();
         loop {
             while let Some((at, job)) = st.queue.pop_front() {
@@ -199,10 +222,14 @@ impl Inner {
                 st = self.state.lock();
             }
             st.idle += 1;
-            let timed_out = self.work.wait_for(&mut st, self.keep_alive).timed_out();
+            let timed_out = st.closed || self.work.wait_for(&mut st, self.keep_alive).timed_out();
             st.idle -= 1;
             if timed_out && st.queue.is_empty() {
                 st.stats.live_workers -= 1;
+                emit(&TaskPath::root(), || EventKind::WorkerRetired { worker });
+                if st.closed {
+                    self.work.notify_all();
+                }
                 return;
             }
         }
@@ -320,7 +347,7 @@ mod tests {
         // Every core's worker waits, unannounced, for a job queued behind
         // them: only the backstop in a runtime wait can start its worker.
         let pool = Pool::new();
-        let cores = pool.inner.target;
+        let cores = pool.inner().target;
         let (release_tx, release_rx) = crossbeam::channel::unbounded::<()>();
         let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
         for _ in 0..cores {
@@ -349,6 +376,47 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(pool.idle_workers(), 0, "idle worker must retire");
         assert_eq!(pool.live_workers(), 0);
+    }
+
+    #[test]
+    fn dropping_the_last_handle_retires_idle_workers_at_once() {
+        let pool = Pool::with_keep_alive(Duration::from_secs(60));
+        let inner = Arc::clone(pool.inner());
+        let live = move || inner.state.lock().stats.live_workers;
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (ran_tx, ran_rx) = mpsc::channel();
+        // One worker busy until released, the others (one or two, as the
+        // pool's growth races the busy job's announcement) idle.
+        let busy_ran = ran_tx.clone();
+        pool.execute(move || {
+            blocking(|| release_rx.recv().unwrap());
+            busy_ran.send("busy").unwrap();
+        });
+        pool.execute(move || ran_tx.send("quick").unwrap());
+        assert_eq!(ran_rx.recv_timeout(Duration::from_secs(10)), Ok("quick"));
+        let until = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::yield_now();
+            }
+        };
+        until("the quick job's worker never idled", &|| {
+            pool.idle_workers() as u64 + 1 == live()
+        });
+        let workers = live();
+        assert!(workers >= 2);
+        let other = pool.clone();
+        drop(pool);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(live(), workers, "a handle is left");
+        // Well inside the keep-alive: the idle workers are gone when the
+        // drop returns, the busy one finishes its job first.
+        within(10, move || drop(other));
+        assert_eq!(live(), 1, "an idle worker outlived the last handle");
+        release_tx.send(()).unwrap();
+        assert_eq!(ran_rx.recv_timeout(Duration::from_secs(10)), Ok("busy"));
+        until("the busy worker outlived its job", &|| live() == 0);
     }
 
     #[test]

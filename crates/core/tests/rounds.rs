@@ -6,9 +6,14 @@
 //!
 //! Each program runs on a fresh pool, whose idle workers claim the rounds
 //! queued while the parent sleeps before each merge call (the stolen
-//! path), and on a pool whose workers all sleep in jobs queued first, so
-//! that the parent's walk finds every round unclaimed and runs it itself
-//! (the inline path). Both paths are counted and must occur.
+//! path; there every round outlasts a wake-up, so the next one gets a
+//! pool job), and on a pool whose workers all sleep in jobs queued first,
+//! so that the parent's walk finds every round unclaimed and runs it
+//! itself (the inline path). Both paths are counted and must occur.
+//!
+//! A round cheaper than a wake-up leaves its next round parked for the
+//! parent's walk with no pool job; the last tests hold that such rounds
+//! take no jobs, and that a parent about to block hands them jobs first.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,10 +22,10 @@ use std::thread::ThreadId;
 use std::time::Duration;
 
 use sm_core::{
-    run_with_pool, Disposition, MergeReport, MergeTrace, Pool, Round, SyncError, TaskAbort,
-    TaskCtx, TaskHandle,
+    blocking, run_with_pool, Disposition, MergeReport, MergeTrace, Pool, Round, SyncError,
+    TaskAbort, TaskCtx, TaskHandle,
 };
-use sm_mergeable::MList;
+use sm_mergeable::{MCounter, MList};
 use sm_obs::{DeterminismAuditor, TaskPath};
 
 /// The value the faulty child pushes in its second round when the case is
@@ -102,6 +107,7 @@ fn spawn_child(
     k: u64,
     root: ThreadId,
     paths: &Arc<Paths>,
+    slow: bool,
 ) -> TaskHandle {
     match form {
         Form::Blocking => ctx.spawn(move |c| {
@@ -125,6 +131,10 @@ fn spawn_child(
                     &paths.stolen
                 };
                 on.fetch_add(1, Ordering::Relaxed);
+                if slow {
+                    // Longer than a wake-up: the next round gets its job.
+                    std::thread::sleep(Duration::from_micros(100));
+                }
                 round += 1;
                 let (synced, aborted) = (c.synced(), c.is_aborted());
                 body(case, k, round - 1, synced, aborted, c.data_mut())
@@ -150,7 +160,7 @@ fn run_case(case: Case, form: Form, busy: bool, paths: &Arc<Paths>) -> Outcome {
     let root = std::thread::current().id();
     let (list, reports) = run_with_pool(MList::from_iter([1u64]), pool, |ctx| {
         let handles: Vec<TaskHandle> = (0..case.children)
-            .map(|k| spawn_child(ctx, form, case, k, root, paths))
+            .map(|k| spawn_child(ctx, form, case, k, root, paths, !busy))
             .collect();
         let cond = |d: &MList<u64>| !d.to_vec().contains(&POISON);
         let mut reports = Vec::new();
@@ -302,11 +312,20 @@ fn a_round_sees_the_verdicts_a_blocking_sync_returns() {
     assert_eq!(list.to_vec(), [1], "only the first round merged");
 }
 
-/// Three round children of three rounds each, driven by `drive` on a
-/// thread of its own; fails if they have not finished within 10 s.
-fn three_round_children(drive: impl FnOnce(&mut TaskCtx<MList<u64>>) + Send + 'static) -> Vec<u64> {
+/// Run `f` on a thread of its own; fail if it has not finished within
+/// 10 s (it hung) or panicked.
+fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
+    std::thread::spawn(move || done_tx.send(f()).unwrap());
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("hung or panicked")
+}
+
+/// Three round children of three cheap rounds each, driven by `drive`
+/// under [`within`].
+fn three_round_children(drive: impl FnOnce(&mut TaskCtx<MList<u64>>) + Send + 'static) -> Vec<u64> {
+    within(move || {
         let (list, ()) = run_with_pool(MList::<u64>::new(), Pool::new(), |ctx| {
             for k in 0..3u64 {
                 let mut round = 0;
@@ -319,15 +338,13 @@ fn three_round_children(drive: impl FnOnce(&mut TaskCtx<MList<u64>>) + Send + 's
             }
             drive(ctx);
         });
-        done_tx.send(list.to_vec()).unwrap();
-    });
-    done_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("a round never ran")
+        list.to_vec()
+    })
 }
 
 /// `merge_any` never runs a round itself, so every round must reach a
-/// worker through its queued job; replaying the recorded order through
+/// worker through a job, which a cheap round's successor only gets when
+/// `merge_any` is about to wait; replaying the recorded order through
 /// `merge_one`, which does run rounds inline, must give the same list.
 #[test]
 fn merge_any_leaves_rounds_to_workers_and_its_trace_replays() {
@@ -345,4 +362,99 @@ fn merge_any_leaves_rounds_to_workers_and_its_trace_replays() {
         while let Ok(Some(_)) = ctx.merge_any_replaying(&mut cursor) {}
     });
     assert_eq!(recorded, replayed);
+}
+
+const CHILDREN: u64 = 4;
+const ROUNDS: u64 = 50;
+
+/// The pool jobs [`CHILDREN`] round children of [`ROUNDS`] cheap rounds
+/// take when `merge_all` drives them on an idle pool.
+fn jobs_for_cheap_rounds() -> u64 {
+    let pool = Pool::new();
+    // Workers that have run a job first: a thread's first allocation can
+    // outlast a wake-up, and a round that does would rightly get a job.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let all_in = Arc::new(std::sync::Barrier::new(workers));
+    for _ in 0..workers {
+        let all_in = Arc::clone(&all_in);
+        pool.execute(move || {
+            drop(std::hint::black_box(vec![0u64; 1024]));
+            all_in.wait();
+        });
+    }
+    while pool.idle_workers() < workers {
+        std::thread::yield_now();
+    }
+    let warm = pool.stats().jobs_executed;
+    let (count, ()) = run_with_pool(MCounter::new(0), pool.clone(), |ctx| {
+        for _ in 0..CHILDREN {
+            let mut round = 0;
+            ctx.spawn_rounds(move |c| {
+                round += 1;
+                c.data_mut().inc();
+                Ok(if round < ROUNDS {
+                    Round::Sync
+                } else {
+                    Round::Done
+                })
+            });
+        }
+        // The workers take the first rounds while nothing else runs: a
+        // round pre-empted on a busy core would rightly get a job too.
+        std::thread::sleep(Duration::from_millis(20));
+        while ctx.live_children() > 0 {
+            ctx.merge_all();
+        }
+    });
+    assert_eq!(count.get() as u64, CHILDREN * ROUNDS);
+    pool.stats().jobs_executed - warm
+}
+
+/// Cheap rounds driven by `merge_all` run on the parent's walk: each child
+/// takes one pool job, for its first round, whose cost is unknown. A round
+/// the clock reads slow (an interrupt, a page fault) rightly takes one
+/// more, so the best of three runs counts; a job for every round would be
+/// over a hundred in each.
+#[test]
+fn cheap_rounds_take_no_pool_jobs_after_the_first() {
+    let _guard = serial();
+    let jobs: Vec<u64> = (0..3).map(|_| jobs_for_cheap_rounds()).collect();
+    assert!(
+        jobs.iter().any(|&n| n <= CHILDREN),
+        "{jobs:?} pool jobs for {CHILDREN} children of {ROUNDS} cheap rounds"
+    );
+}
+
+/// A parent that waits in `blocking` for what only a parked round sends
+/// hands that round its job first.
+#[test]
+fn a_parent_blocking_between_merges_hands_its_parked_rounds_jobs() {
+    let _guard = serial();
+    let list = within(|| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (list, ()) = run_with_pool(MList::<u64>::new(), Pool::new(), move |ctx| {
+            let mut round = 0;
+            ctx.spawn_rounds(move |c| {
+                round += 1;
+                c.data_mut().push(round);
+                if round < 3 {
+                    return Ok(Round::Sync);
+                }
+                tx.send(round).unwrap();
+                Ok(Round::Done)
+            });
+            // Each job is taken while the parent sleeps, so none is left
+            // over for a later round. The first round may be slow on a
+            // worker's first job; the second is cheap and leaves the third
+            // parked for the next walk, which comes only after this wait.
+            for _ in 0..2 {
+                std::thread::sleep(Duration::from_millis(20));
+                ctx.merge_all();
+            }
+            assert_eq!(blocking(|| rx.recv()), Ok(3));
+            ctx.merge_all();
+        });
+        list.to_vec()
+    });
+    assert_eq!(list, [1, 2, 3]);
 }
