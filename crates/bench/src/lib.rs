@@ -2,8 +2,8 @@
 //! statistics (linear fits, overhead percentages), and table rendering.
 //!
 //! The `figure3` binary (`cargo run --release -p sm-bench --bin figure3`)
-//! regenerates the paper's only measured figure; the Criterion benches
-//! under `benches/` provide per-point statistics and the ablations listed
+//! regenerates the paper's only measured figure; the `bench_*` binaries
+//! write the `BENCH_*.json` numbers behind the ablations listed
 //! in `DESIGN.md`.
 
 #![forbid(unsafe_code)]

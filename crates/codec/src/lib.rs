@@ -131,6 +131,29 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
     res
 }
 
+/// Read a one-byte enum discriminant.
+pub fn get_tag(buf: &mut Bytes) -> Result<u8, DecodeError> {
+    if !buf.has_remaining() {
+        return Err(DecodeError::UnexpectedEnd);
+    }
+    Ok(buf.get_u8())
+}
+
+/// Append a length-prefixed byte blob.
+pub fn put_blob(buf: &mut BytesMut, blob: &[u8]) {
+    put_varint(buf, blob.len() as u64);
+    buf.put_slice(blob);
+}
+
+/// Read a length-prefixed byte blob: a slice of `buf`'s storage, no copy.
+pub fn get_blob(buf: &mut Bytes) -> Result<Bytes, DecodeError> {
+    let len = get_varint(buf)?;
+    if len > buf.remaining() as u64 {
+        return Err(DecodeError::BadLength(len));
+    }
+    Ok(buf.split_to(len as usize))
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -195,10 +218,7 @@ impl Encode for bool {
 }
 impl Decode for bool {
     fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        if !buf.has_remaining() {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        match buf.get_u8() {
+        match get_tag(buf)? {
             0 => Ok(false),
             1 => Ok(true),
             t => Err(DecodeError::BadTag(t)),
@@ -220,18 +240,12 @@ impl Decode for char {
 
 impl Encode for String {
     fn encode(&self, buf: &mut BytesMut) {
-        put_varint(buf, self.len() as u64);
-        buf.put_slice(self.as_bytes());
+        put_blob(buf, self.as_bytes());
     }
 }
 impl Decode for String {
     fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let len = get_varint(buf)?;
-        if len > buf.remaining() as u64 {
-            return Err(DecodeError::BadLength(len));
-        }
-        let raw = buf.split_to(len as usize);
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        String::from_utf8(get_blob(buf)?.to_vec()).map_err(|_| DecodeError::BadUtf8)
     }
 }
 
@@ -271,10 +285,7 @@ impl<T: Encode> Encode for Option<T> {
 }
 impl<T: Decode> Decode for Option<T> {
     fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        if !buf.has_remaining() {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        match buf.get_u8() {
+        match get_tag(buf)? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(buf)?)),
             t => Err(DecodeError::BadTag(t)),

@@ -1,7 +1,7 @@
 //! [`Encode`]/[`Decode`] for every operation algebra in `sm-ot`, so whole
 //! operation logs can cross the wire in the distributed runtime.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use sm_ot::cmap::CounterMapOp;
 use sm_ot::counter::CounterOp;
 use sm_ot::list::ListOp;
@@ -11,14 +11,7 @@ use sm_ot::set::SetOp;
 use sm_ot::text::TextOp;
 use sm_ot::tree::{Node, TreeOp};
 
-use crate::{Decode, DecodeError, Encode};
-
-fn get_tag(buf: &mut Bytes) -> Result<u8, DecodeError> {
-    if !buf.has_remaining() {
-        return Err(DecodeError::UnexpectedEnd);
-    }
-    Ok(buf.get_u8())
-}
+use crate::{get_tag, Decode, DecodeError, Encode};
 
 impl<T: Encode> Encode for ListOp<T> {
     fn encode(&self, buf: &mut BytesMut) {

@@ -10,29 +10,9 @@
 //!
 //! [`Persist`]: https://docs.rs/sm-mergeable
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::{get_varint, put_varint, Decode, DecodeError, Encode};
-
-fn get_tag(buf: &mut Bytes) -> Result<u8, DecodeError> {
-    if !buf.has_remaining() {
-        return Err(DecodeError::UnexpectedEnd);
-    }
-    Ok(buf.get_u8())
-}
-
-fn put_blob(buf: &mut BytesMut, blob: &[u8]) {
-    put_varint(buf, blob.len() as u64);
-    buf.put_slice(blob);
-}
-
-fn get_blob(buf: &mut Bytes) -> Result<Vec<u8>, DecodeError> {
-    let len = get_varint(buf)?;
-    if len > buf.remaining() as u64 {
-        return Err(DecodeError::BadLength(len));
-    }
-    Ok(buf.split_to(len as usize).to_vec())
-}
+use crate::{get_blob, get_tag, put_blob, Decode, DecodeError, Encode};
 
 /// Why the server rejected a client command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,7 +141,7 @@ impl Decode for ClientMsg {
             1 => Ok(ClientMsg::Commit {
                 session: u64::decode(buf)?,
                 base_seq: u64::decode(buf)?,
-                ops: get_blob(buf)?,
+                ops: get_blob(buf)?.to_vec(),
             }),
             2 => Ok(ClientMsg::Detach {
                 session: u64::decode(buf)?,
@@ -273,13 +253,13 @@ impl Decode for ServerMsg {
             0 => Ok(ServerMsg::Attached {
                 session: u64::decode(buf)?,
                 seq: u64::decode(buf)?,
-                state: get_blob(buf)?,
+                state: get_blob(buf)?.to_vec(),
             }),
             1 => Ok(ServerMsg::Committed {
                 session: u64::decode(buf)?,
                 seq: u64::decode(buf)?,
                 applied: bool::decode(buf)?,
-                ops: get_blob(buf)?,
+                ops: get_blob(buf)?.to_vec(),
             }),
             2 => Ok(ServerMsg::Rejected {
                 session: u64::decode(buf)?,

@@ -26,7 +26,7 @@ thread_local! {
     static WORKER_OF: RefCell<Option<Arc<Inner>>> = const { RefCell::new(None) };
 }
 
-/// Pool statistics (diagnostics; used by the fork/spawn cost benches).
+/// Pool statistics (diagnostics): the snapshot [`Pool::stats`] returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// OS threads created over the pool's lifetime.
@@ -97,7 +97,7 @@ impl Pool {
     }
 
     /// A pool whose idle workers retire after `keep_alive`.
-    pub fn with_keep_alive(keep_alive: Duration) -> Self {
+    fn with_keep_alive(keep_alive: Duration) -> Self {
         Pool {
             handle: Arc::new(Handle(Arc::new(Inner {
                 state: Mutex::new(State::default()),
@@ -146,11 +146,6 @@ impl Pool {
     /// Number of currently idle workers (diagnostics).
     pub fn idle_workers(&self) -> usize {
         self.inner().state.lock().idle
-    }
-
-    /// Number of live worker threads (diagnostics).
-    pub fn live_workers(&self) -> usize {
-        self.inner().state.lock().stats.live_workers as usize
     }
 }
 
@@ -348,17 +343,19 @@ mod tests {
         // them: only the backstop in a runtime wait can start its worker.
         let pool = Pool::new();
         let cores = pool.inner().target;
-        let (release_tx, release_rx) = crossbeam::channel::unbounded::<()>();
         let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
+        let mut releases = Vec::with_capacity(cores);
         for _ in 0..cores {
-            let (release_rx, done_tx) = (release_rx.clone(), done_tx.clone());
+            let (release_tx, release_rx) = crossbeam::channel::unbounded::<()>();
+            let done_tx = done_tx.clone();
             pool.execute(move || {
                 release_rx.recv().unwrap();
                 done_tx.send(()).unwrap();
             });
+            releases.push(release_tx);
         }
         pool.execute(move || {
-            for _ in 0..cores {
+            for release_tx in releases {
                 release_tx.send(()).unwrap();
             }
         });
@@ -375,7 +372,7 @@ mod tests {
         pool.execute(|| {});
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(pool.idle_workers(), 0, "idle worker must retire");
-        assert_eq!(pool.live_workers(), 0);
+        assert_eq!(pool.stats().live_workers, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sm_mergeable::Mergeable;
 use sm_obs::{emit, AbortCause, EventKind, TaskPath};
@@ -419,7 +419,7 @@ impl<D: Mergeable> TaskCtx<D> {
         let Some(data) = self.data.take() else {
             return Err(SyncError::ParentGone);
         };
-        let (reply_tx, reply_rx) = self.reply.take().unwrap_or_else(|| bounded(1));
+        let (reply_tx, reply_rx) = self.reply.take().unwrap_or_else(unbounded);
         emit(&self.path, || EventKind::SyncBlocked);
         let blocked_t0 = Instant::now();
         if parent

@@ -1,10 +1,10 @@
 //! Offline shim for the `crossbeam` crate (see `crates/shims/README.md`).
 //!
-//! Implements the `channel` module surface this workspace uses: MPMC
-//! `unbounded`/`bounded` channels with crossbeam's disconnect semantics
-//! (a channel counts live `Sender`s and `Receiver`s; `recv` on an empty,
-//! sender-less channel and `send` on a receiver-less channel both fail
-//! with a disconnect error). Built on `std::sync::{Mutex, Condvar}`.
+//! Implements the one `channel` this workspace uses: an unbounded
+//! many-producer, one-consumer channel with crossbeam's disconnect
+//! semantics (a receive drains what is buffered, then fails once every
+//! `Sender` is gone; `send` fails once the `Receiver` is gone). Built on
+//! `std::sync::{Mutex, Condvar}`.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -14,17 +14,14 @@ pub mod channel {
 
     struct Inner<T> {
         queue: VecDeque<T>,
-        cap: Option<usize>,
         senders: usize,
-        receivers: usize,
+        receiver: bool,
     }
 
     struct Shared<T> {
         inner: Mutex<Inner<T>>,
         /// Signalled when the queue gains an item or the last sender drops.
         readable: Condvar,
-        /// Signalled when the queue loses an item or the last receiver drops.
-        writable: Condvar,
     }
 
     impl<T> Shared<T> {
@@ -40,7 +37,7 @@ pub mod channel {
         shared: Arc<Shared<T>>,
     }
 
-    /// The receiving half of a channel.
+    /// The receiving half of a channel; there is one per channel.
     pub struct Receiver<T> {
         shared: Arc<Shared<T>>,
     }
@@ -57,8 +54,14 @@ pub mod channel {
         }
     }
 
-    /// `send` failed because all receivers are gone; returns the value.
+    /// `send` failed because the receiver is gone; returns the value.
     pub struct SendError<T>(pub T);
+
+    impl<T> fmt::Debug for SendError<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("SendError(..)")
+        }
+    }
 
     /// `recv` failed because the channel is empty and all senders are gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,51 +85,15 @@ pub mod channel {
         Disconnected,
     }
 
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl<T> std::error::Error for SendError<T> {}
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => f.write_str("timed out waiting on receive"),
-                RecvTimeoutError::Disconnected => {
-                    f.write_str("receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for RecvTimeoutError {}
-
-    fn channel<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// A channel with unlimited buffering: `send` never blocks.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
-                cap,
                 senders: 1,
-                receivers: 1,
+                receiver: true,
             }),
             readable: Condvar::new(),
-            writable: Condvar::new(),
         });
         (
             Sender {
@@ -136,35 +103,13 @@ pub mod channel {
         )
     }
 
-    /// A channel with unlimited buffering: `send` never blocks.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        channel(None)
-    }
-
-    /// A channel buffering at most `cap` messages: `send` blocks when full.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        channel(Some(cap))
-    }
-
     impl<T> Sender<T> {
-        /// Deliver `value`, blocking while a bounded channel is full.
-        /// Fails (returning the value) once every receiver is dropped.
+        /// Deliver `value`. Fails (returning the value) once the receiver
+        /// is dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut inner = self.shared.lock();
-            loop {
-                if inner.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                match inner.cap {
-                    Some(cap) if inner.queue.len() >= cap => {
-                        inner = self
-                            .shared
-                            .writable
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    _ => break,
-                }
+            if !inner.receiver {
+                return Err(SendError(value));
             }
             inner.queue.push_back(value);
             drop(inner);
@@ -197,99 +142,60 @@ pub mod channel {
         /// Take the next message, blocking while the channel is empty.
         /// Fails once the channel is empty with every sender dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut inner = self.shared.lock();
-            loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.shared.writable.notify_one();
-                    return Ok(v);
-                }
-                if inner.senders == 0 {
-                    return Err(RecvError);
-                }
-                inner = self
-                    .shared
-                    .readable
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            self.recv_until(None).map_err(|_| RecvError)
         }
 
         /// Like [`recv`](Self::recv) but gives up after `timeout`.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            self.recv_until(Some(Instant::now() + timeout))
+        }
+
+        /// Wait for a message until `deadline`, or for good without one.
+        fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+            let readable = &self.shared.readable;
             let mut inner = self.shared.lock();
             loop {
                 if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.shared.writable.notify_one();
                     return Ok(v);
                 }
                 if inner.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, _) = self
-                    .shared
-                    .readable
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                inner = guard;
+                inner = match deadline {
+                    None => readable.wait(inner).unwrap_or_else(PoisonError::into_inner),
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            return Err(RecvTimeoutError::Timeout);
+                        }
+                        let waited = readable.wait_timeout(inner, deadline - now);
+                        waited.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                };
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.shared.lock();
-            if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.writable.notify_one();
-                return Ok(v);
-            }
-            if inner.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Number of messages currently buffered.
-        pub fn len(&self) -> usize {
-            self.shared.lock().queue.len()
-        }
-
-        /// Whether the buffer is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.shared.lock().queue.is_empty()
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared.lock().receivers += 1;
-            Receiver {
-                shared: self.shared.clone(),
+            match inner.queue.pop_front() {
+                Some(v) => Ok(v),
+                None if inner.senders == 0 => Err(TryRecvError::Disconnected),
+                None => Err(TryRecvError::Empty),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut inner = self.shared.lock();
-            inner.receivers -= 1;
-            if inner.receivers == 0 {
-                drop(inner);
-                self.shared.writable.notify_all();
-            }
+            self.shared.lock().receiver = false;
         }
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use std::sync::mpsc;
         use std::thread;
 
         #[test]
@@ -301,32 +207,59 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(2));
         }
 
-        #[test]
-        fn recv_fails_after_last_sender_drops() {
+        /// Two senders, one message each: every kind of receive drains
+        /// both, then reports the disconnect once the last sender is gone.
+        fn drained_then_disconnected() -> Receiver<u8> {
             let (tx, rx) = unbounded::<u8>();
             let tx2 = tx.clone();
             tx.send(7).unwrap();
+            tx2.send(8).unwrap();
             drop(tx);
             drop(tx2);
+            rx
+        }
+
+        #[test]
+        fn recv_drains_then_fails_after_last_sender_drops() {
+            let rx = drained_then_disconnected();
             assert_eq!(rx.recv(), Ok(7));
+            assert_eq!(rx.recv(), Ok(8));
             assert_eq!(rx.recv(), Err(RecvError));
+        }
+
+        #[test]
+        fn recv_timeout_drains_then_reports_disconnected() {
+            let rx = drained_then_disconnected();
+            let wait = Duration::from_millis(10);
+            assert_eq!(rx.recv_timeout(wait), Ok(7));
+            assert_eq!(rx.recv_timeout(wait), Ok(8));
+            assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Disconnected));
+        }
+
+        #[test]
+        fn try_recv_drains_then_reports_disconnected() {
+            let rx = drained_then_disconnected();
+            assert_eq!(rx.try_recv(), Ok(7));
+            assert_eq!(rx.try_recv(), Ok(8));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn try_recv_reports_empty_while_a_sender_lives() {
+            let (tx, rx) = unbounded::<u8>();
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            tx.send(3).unwrap();
+            assert_eq!(rx.try_recv(), Ok(3));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         }
 
         #[test]
         fn send_fails_after_receiver_drops() {
             let (tx, rx) = unbounded();
+            let tx2 = tx.clone();
             drop(rx);
             assert!(tx.send(1).is_err());
-        }
-
-        #[test]
-        fn bounded_blocks_until_drained() {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            let t = thread::spawn(move || tx.send(2).unwrap());
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Ok(2));
-            t.join().unwrap();
+            assert!(tx2.send(2).is_err());
         }
 
         #[test]
@@ -338,62 +271,53 @@ pub mod channel {
             );
             tx.send(5).unwrap();
             assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(5));
-            drop(tx);
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(10)),
-                Err(RecvTimeoutError::Disconnected)
-            );
         }
 
         #[test]
-        fn try_recv_reports_empty_and_disconnected() {
+        fn a_blocked_recv_wakes_when_the_last_sender_drops() {
             let (tx, rx) = unbounded::<u8>();
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-            tx.send(3).unwrap();
-            assert_eq!(rx.try_recv(), Ok(3));
+            let tx2 = tx.clone();
+            let (woke_tx, woke_rx) = mpsc::channel();
+            let receiver = thread::spawn(move || woke_tx.send(rx.recv()).unwrap());
+            // Nothing shows from outside that the receiver sleeps in its
+            // wait: the pause makes that the likely case, and the verdict
+            // must be the same if it has not got there yet.
+            thread::sleep(Duration::from_millis(20));
             drop(tx);
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+            drop(tx2);
+            assert_eq!(
+                woke_rx.recv_timeout(Duration::from_secs(10)),
+                Ok(Err(RecvError)),
+                "the blocked recv must wake with a disconnect"
+            );
+            receiver.join().unwrap();
         }
 
         #[test]
-        fn mpmc_under_contention_delivers_everything() {
-            let (tx, rx) = bounded::<u32>(4);
-            let producers: Vec<_> = (0..4)
+        fn every_message_of_many_producers_arrives_in_producer_order() {
+            const PRODUCERS: u32 = 4;
+            const EACH: u32 = 1_000;
+            let (tx, rx) = unbounded::<(u32, u32)>();
+            let producers: Vec<_> = (0..PRODUCERS)
                 .map(|p| {
                     let tx = tx.clone();
                     thread::spawn(move || {
-                        for i in 0..100 {
-                            tx.send(p * 100 + i).unwrap();
+                        for i in 0..EACH {
+                            tx.send((p, i)).unwrap();
                         }
                     })
                 })
                 .collect();
             drop(tx);
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let rx = rx.clone();
-                    thread::spawn(move || {
-                        let mut got = Vec::new();
-                        while let Ok(v) = rx.recv() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            drop(rx);
+            let mut next = [0; PRODUCERS as usize];
+            while let Ok((p, i)) = rx.recv() {
+                assert_eq!(i, next[p as usize], "producer {p} out of order");
+                next[p as usize] += 1;
+            }
+            assert_eq!(next, [EACH; PRODUCERS as usize]);
             for p in producers {
                 p.join().unwrap();
             }
-            let mut all: Vec<u32> = consumers
-                .into_iter()
-                .flat_map(|c| c.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            let want: Vec<u32> = (0..4)
-                .flat_map(|p| (0..100).map(move |i| p * 100 + i))
-                .collect();
-            assert_eq!(all, want);
         }
     }
 }

@@ -6,10 +6,9 @@
 //! `Option` so `Condvar::wait` can move it through std's by-value wait
 //! without unsafe code; the `Option` is only ever `None` inside that call.
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A mutual-exclusion lock with parking_lot's API: `lock()` returns the
 /// guard directly and never observes poisoning.
@@ -30,13 +29,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -44,37 +36,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             guard: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Acquire the lock only if it is free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { guard: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                guard: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (the `&mut` proves exclusivity).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &*g).finish(),
-            None => f.write_str("Mutex { <locked> }"),
         }
     }
 }
@@ -147,19 +108,6 @@ impl Condvar {
         WaitTimeoutResult(result.timed_out())
     }
 
-    /// [`wait`](Self::wait) until an absolute deadline.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let now = Instant::now();
-        if now >= deadline {
-            return WaitTimeoutResult(true);
-        }
-        self.wait_for(guard, deadline - now)
-    }
-
     /// Wake one waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
@@ -182,16 +130,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use bytes::{Buf, BufMut};
 /// tools (and tests) can construct or rewrite records without depending
 /// on the buffer crate directly.
 pub use bytes::{Bytes, BytesMut};
-use sm_codec::{get_varint, put_varint, DecodeError};
+use sm_codec::{get_blob, get_tag, put_blob, Decode, DecodeError, Encode};
 
 /// FNV-1a offset basis — the same constants the `sm_obs` determinism
 /// auditor uses, so the two digest families are directly comparable in
@@ -95,84 +95,25 @@ pub enum Record {
 const TAG_COMMIT: u8 = 1;
 const TAG_SNAPSHOT: u8 = 2;
 
-fn put_u64_list(buf: &mut BytesMut, vs: &[u64]) {
-    put_varint(buf, vs.len() as u64);
-    for v in vs {
-        put_varint(buf, *v);
-    }
-}
-
-fn get_u64_list(buf: &mut Bytes) -> Result<Vec<u64>, DecodeError> {
-    let n = get_varint(buf)?;
-    if n > buf.remaining() as u64 {
-        // Each element takes at least one byte: a count beyond the
-        // remaining bytes is a corrupt length prefix, not an allocation
-        // request.
-        return Err(DecodeError::BadLength(n));
-    }
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        out.push(get_varint(buf)?);
-    }
-    Ok(out)
-}
-
-fn put_chains(buf: &mut BytesMut, chains: &[(Vec<u64>, u64)]) {
-    put_varint(buf, chains.len() as u64);
-    for (path, chain) in chains {
-        put_u64_list(buf, path);
-        put_varint(buf, *chain);
-    }
-}
-
-fn get_chains(buf: &mut Bytes) -> Result<Vec<(Vec<u64>, u64)>, DecodeError> {
-    let n = get_varint(buf)?;
-    if n > buf.remaining() as u64 {
-        return Err(DecodeError::BadLength(n));
-    }
-    let mut chains = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let path = get_u64_list(buf)?;
-        let chain = get_varint(buf)?;
-        chains.push((path, chain));
-    }
-    Ok(chains)
-}
-
-fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
-    put_varint(buf, bytes.len() as u64);
-    buf.put_slice(bytes);
-}
-
-fn get_bytes(buf: &mut Bytes) -> Result<Bytes, DecodeError> {
-    let n = get_varint(buf)?;
-    if n > buf.remaining() as u64 {
-        return Err(DecodeError::BadLength(n));
-    }
-    Ok(buf.split_to(n as usize))
-}
-
 impl Record {
     /// Serialize into `buf` (tag byte first).
     pub fn encode(&self, buf: &mut BytesMut) {
         match self {
             Record::Commit(c) => {
                 buf.put_u8(TAG_COMMIT);
-                put_varint(buf, c.seq);
-                put_u64_list(buf, &c.child);
-                let marks: Vec<u64> = c.marks.iter().map(|m| *m as u64).collect();
-                put_u64_list(buf, &marks);
-                put_varint(buf, c.ops_count);
-                put_bytes(buf, c.ops.as_slice());
-                put_varint(buf, c.chain);
+                c.seq.encode(buf);
+                c.child.encode(buf);
+                c.marks.encode(buf);
+                c.ops_count.encode(buf);
+                put_blob(buf, c.ops.as_slice());
+                c.chain.encode(buf);
             }
             Record::Snapshot(s) => {
                 buf.put_u8(TAG_SNAPSHOT);
-                put_varint(buf, s.seq);
-                let marks: Vec<u64> = s.marks.iter().map(|m| *m as u64).collect();
-                put_u64_list(buf, &marks);
-                put_chains(buf, &s.chains);
-                put_bytes(buf, s.state.as_slice());
+                s.seq.encode(buf);
+                s.marks.encode(buf);
+                s.chains.encode(buf);
+                put_blob(buf, s.state.as_slice());
             }
         }
     }
@@ -186,38 +127,23 @@ impl Record {
 
     /// Decode one record from `buf`.
     pub fn decode(buf: &mut Bytes) -> Result<Record, DecodeError> {
-        if !buf.has_remaining() {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        match buf.get_u8() {
-            TAG_COMMIT => {
-                let seq = get_varint(buf)?;
-                let child = get_u64_list(buf)?;
-                let marks = get_u64_list(buf)?.into_iter().map(|m| m as usize).collect();
-                let ops_count = get_varint(buf)?;
-                let ops = get_bytes(buf)?;
-                let chain = get_varint(buf)?;
-                Ok(Record::Commit(CommitRecord {
-                    seq,
-                    child,
-                    marks,
-                    ops,
-                    ops_count,
-                    chain,
-                }))
-            }
-            TAG_SNAPSHOT => {
-                let seq = get_varint(buf)?;
-                let marks = get_u64_list(buf)?.into_iter().map(|m| m as usize).collect();
-                let chains = get_chains(buf)?;
-                let state = get_bytes(buf)?;
-                Ok(Record::Snapshot(SnapshotRecord {
-                    seq,
-                    marks,
-                    chains,
-                    state,
-                }))
-            }
+        // The fields are decoded in the order they are written below,
+        // which is the byte order `encode` writes them in.
+        match get_tag(buf)? {
+            TAG_COMMIT => Ok(Record::Commit(CommitRecord {
+                seq: u64::decode(buf)?,
+                child: Vec::decode(buf)?,
+                marks: Vec::decode(buf)?,
+                ops_count: u64::decode(buf)?,
+                ops: get_blob(buf)?,
+                chain: u64::decode(buf)?,
+            })),
+            TAG_SNAPSHOT => Ok(Record::Snapshot(SnapshotRecord {
+                seq: u64::decode(buf)?,
+                marks: Vec::decode(buf)?,
+                chains: Vec::decode(buf)?,
+                state: get_blob(buf)?,
+            })),
             tag => Err(DecodeError::BadTag(tag)),
         }
     }
@@ -258,6 +184,7 @@ pub(crate) fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_codec::put_varint;
 
     #[test]
     fn commit_record_roundtrips() {
@@ -283,6 +210,49 @@ mod tests {
         });
         let bytes = rec.to_bytes();
         assert_eq!(Record::from_bytes(bytes.as_slice()).unwrap(), rec);
+    }
+
+    /// The journal's byte format, pinned: a change here breaks every
+    /// journal already on disk.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let commit = Record::Commit(CommitRecord {
+            seq: 300,
+            child: vec![0, 3, 1],
+            marks: vec![10, 0, 7],
+            ops: Bytes::copy_from_slice(&[1, 2, 3, 4]),
+            ops_count: 2,
+            chain: 0x1234,
+        });
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            1,                  // tag: commit
+            0xAC, 0x02,         // seq 300
+            3, 0, 3, 1,         // child path
+            3, 10, 0, 7,        // marks
+            2,                  // ops count
+            4, 1, 2, 3, 4,      // ops bytes
+            0xB4, 0x24,         // chain 0x1234
+        ];
+        assert_eq!(commit.to_bytes().as_slice(), want);
+
+        let snapshot = Record::Snapshot(SnapshotRecord {
+            seq: 7,
+            marks: vec![3, 200],
+            chains: vec![(vec![0, 1], 99), (vec![0, 2], 5)],
+            state: Bytes::copy_from_slice(b"st"),
+        });
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            2,                  // tag: snapshot
+            7,                  // seq
+            2, 3, 0xC8, 0x01,   // marks [3, 200]
+            2,                  // two chains
+            2, 0, 1, 99,        // [0, 1] -> 99
+            2, 0, 2, 5,         // [0, 2] -> 5
+            2, b's', b't',      // state bytes
+        ];
+        assert_eq!(snapshot.to_bytes().as_slice(), want);
     }
 
     #[test]
