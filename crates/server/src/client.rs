@@ -1,27 +1,9 @@
-//! [`SessionClient`]: the blocking client helper for a [`SessionServer`].
-//!
-//! A client keeps one **mirror** per attached session — a copy of the
-//! authoritative state advanced *only* by applying the server's
-//! `Committed` broadcast slices in sequence order. Edits never touch the
-//! mirror directly: [`commit_with`](SessionClient::commit_with) forks
-//! it (O(1), empty log), applies the caller's edit closure to the fork,
-//! and ships the fork's log to the server; the state change lands back on
-//! the mirror via the broadcast, rebased — exactly like every other
-//! subscriber's. Nothing ever rebases against the mirror's own history,
-//! so it is dropped after every applied broadcast: a commit costs what
-//! the edit costs, however old the session is.
-//! Two clients of a session therefore converge to bit-identical mirrors
-//! no matter who committed what, which the lifecycle tests assert via
-//! [`state_digest`](SessionClient::state_digest).
-//!
-//! Every received message is acknowledged (`Ack { upto }`) with the
-//! running count of processed deliveries, which is what keeps this
-//! client inside the server's back-pressure window.
-//!
-//! [`SessionServer`]: crate::SessionServer
+//! The client side: [`Mirrors`], the protocol, and [`SessionClient`],
+//! its stream.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
@@ -121,205 +103,45 @@ impl<D: Persist> Mirror<D> {
     }
 }
 
-/// A blocking client of a [`SessionServer`](crate::SessionServer),
-/// multiplexing any number of attached sessions over one connection.
-pub struct SessionClient<D: Persist> {
-    stream: Stream,
-    received: u64,
+/// The client's half of the protocol, without a stream: one **mirror**
+/// per attached session — a copy of the authoritative state advanced
+/// *only* by the server's `Committed` broadcast slices, in sequence
+/// order, as [`on_msg`](Mirrors::on_msg) applies them. Edits never touch
+/// a mirror: [`commit_msg`](Mirrors::commit_msg) forks it (O(1), empty
+/// log), applies the caller's edit to the fork, and ships the fork's
+/// log; the change lands back on the mirror via the broadcast, rebased,
+/// like every other subscriber's. Nothing rebases against a mirror's own
+/// history, so it is dropped after every applied broadcast: a commit
+/// costs what the edit costs, however old the session is. Two clients
+/// of a session therefore converge to bit-identical mirrors, which
+/// [`state_digest`](Mirrors::state_digest) witnesses. `on_msg` returns
+/// the running count of handled messages: the `Ack { upto }` that keeps
+/// a client inside the server's back-pressure window.
+pub struct Mirrors<D> {
     mirrors: HashMap<u64, Mirror<D>>,
+    /// Messages handled: the ack owed to the server.
+    received: u64,
     commit_events: Vec<CommitEvent>,
+    /// The reason of the server's `Shutdown`, once one arrived.
     shutdown: Option<String>,
 }
 
-impl<D: Persist> SessionClient<D> {
-    /// Connect to the server listening on `port` of `net`.
-    pub fn connect(net: &Network, port: u16) -> Result<Self, ClientError> {
-        Ok(SessionClient {
-            stream: net.connect(port)?,
-            received: 0,
+impl<D> Default for Mirrors<D> {
+    fn default() -> Self {
+        Mirrors {
             mirrors: HashMap::new(),
+            received: 0,
             commit_events: Vec::new(),
             shutdown: None,
-        })
-    }
-
-    /// Attach to `session`, blocking until the state snapshot arrives.
-    /// Returns the session's current commit sequence.
-    pub fn attach(&mut self, session: u64) -> Result<u64, ClientError> {
-        self.send(&ClientMsg::Attach { session })?;
-        loop {
-            match self.pump_blocking()? {
-                ServerMsg::Attached { session: s, .. } if s == session => {
-                    return Ok(self.mirrors[&session].seq);
-                }
-                ServerMsg::Rejected { session: s, reason } if s == session => {
-                    return Err(ClientError::Protocol(format!(
-                        "attach rejected: {reason:?}"
-                    )));
-                }
-                _ => {}
-            }
         }
     }
+}
 
-    /// Detach from `session`, blocking for the acknowledgement, and drop
-    /// its mirror.
-    pub fn detach(&mut self, session: u64) -> Result<(), ClientError> {
-        self.send(&ClientMsg::Detach { session })?;
-        loop {
-            if let ServerMsg::Detached { session: s } = self.pump_blocking()? {
-                if s == session {
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// Edit `session` and commit the result, blocking until the server
-    /// confirms or rejects. `edit` runs on a fork of the mirror; the
-    /// ops it records are shipped, rebased server-side over anything
-    /// committed since this mirror's head, and land back here via the
-    /// broadcast (so after `Committed` the mirror includes the edit in
-    /// its rebased form).
-    pub fn commit_with(
-        &mut self,
-        session: u64,
-        edit: impl FnOnce(&mut D),
-    ) -> Result<CommitOutcome, ClientError> {
-        let (base_seq, ops) = {
-            let mirror = self.mirrors.get(&session).ok_or_else(|| {
-                ClientError::Protocol(format!("commit on unattached session {session}"))
-            })?;
-            let mut work = mirror.data.fork();
-            edit(&mut work);
-            // The fork's log starts empty: its whole log is the commit.
-            let mut buf = BytesMut::new();
-            work.encode_log(&mut buf);
-            (mirror.seq, buf.into())
-        };
-        self.send(&ClientMsg::Commit {
-            session,
-            base_seq,
-            ops,
-        })?;
-        loop {
-            match self.pump_blocking()? {
-                ServerMsg::Committed {
-                    session: s,
-                    seq,
-                    applied: true,
-                    ..
-                } if s == session => return Ok(CommitOutcome::Committed { seq }),
-                ServerMsg::Rejected { session: s, reason } if s == session => {
-                    return Ok(CommitOutcome::Rejected(reason))
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Process at most one pending server message. `Ok(true)` if one was
-    /// processed, `Ok(false)` on timeout.
-    pub fn pump(&mut self, timeout: Duration) -> Result<bool, ClientError> {
-        match self.stream.recv_timeout(timeout) {
-            Ok(raw) => {
-                self.handle_raw(&raw)?;
-                Ok(true)
-            }
-            Err(NetError::Timeout) => Ok(false),
-            Err(e) => Err(self.closed_reason(e)),
-        }
-    }
-
-    /// Drain every already-queued server message without blocking
-    /// longer than `timeout` per message. Returns how many were
-    /// processed.
-    pub fn pump_all(&mut self, timeout: Duration) -> Result<usize, ClientError> {
-        let mut n = 0;
-        while self.pump(timeout)? {
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// The mirror of an attached session.
-    pub fn mirror(&self, session: u64) -> Option<&D> {
-        self.mirrors.get(&session).map(|m| &m.data)
-    }
-
-    /// The mirror's commit sequence for an attached session.
-    pub fn seq(&self, session: u64) -> Option<u64> {
-        self.mirrors.get(&session).map(|m| m.seq)
-    }
-
-    /// FNV-1a digest of the mirror's encoded state — the convergence
-    /// witness the multi-tenant tests compare across subscribers.
-    pub fn state_digest(&self, session: u64) -> Option<u64> {
-        self.mirrors.get(&session).map(|m| {
-            let mut buf = BytesMut::new();
-            m.data.encode_state(&mut buf);
-            sm_obs::fnv1a(&buf)
-        })
-    }
-
-    /// Drain the log of applied `Committed` broadcasts accumulated since
-    /// the last drain, in application order.
-    pub fn drain_commit_events(&mut self) -> Vec<CommitEvent> {
-        std::mem::take(&mut self.commit_events)
-    }
-
-    /// Send a ping and block until the pong comes back, applying the
-    /// broadcasts that arrive first. The connection's reader thread
-    /// answers the ping, so it orders only against messages already
-    /// queued on this connection, not against shard work: a broadcast the
-    /// shard has yet to send this client may arrive after the pong.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send(&ClientMsg::Ping)?;
-        loop {
-            if let ServerMsg::Pong = self.pump_blocking()? {
-                return Ok(());
-            }
-        }
-    }
-
-    fn send(&mut self, msg: &ClientMsg) -> Result<(), ClientError> {
-        let mut framed = Vec::new();
-        encode_frame(&msg.to_bytes(), &mut framed);
-        self.stream.send(&framed).map_err(|e| self.closed_reason(e))
-    }
-
-    /// Receive, decode, apply, and ack one server message.
-    fn pump_blocking(&mut self) -> Result<ServerMsg, ClientError> {
-        let raw = self.stream.recv().map_err(|e| self.closed_reason(e))?;
-        self.handle_raw(&raw)
-    }
-
-    fn closed_reason(&mut self, e: NetError) -> ClientError {
-        match (&e, self.shutdown.take()) {
-            (NetError::Closed, Some(reason)) => ClientError::Shutdown(reason),
-            _ => ClientError::Net(e),
-        }
-    }
-
-    fn handle_raw(&mut self, raw: &[u8]) -> Result<ServerMsg, ClientError> {
-        let (payload, used) = sm_net::frame::decode_frame(raw).map_err(ClientError::Frame)?;
-        if used != raw.len() {
-            return Err(ClientError::Protocol("trailing bytes after frame".into()));
-        }
-        let msg = ServerMsg::from_bytes(payload).map_err(ClientError::Decode)?;
+impl<D: Persist> Mirrors<D> {
+    /// Apply one server message and return the count of messages handled
+    /// so far: the `upto` of the [`ClientMsg::Ack`] to send for it.
+    pub fn on_msg(&mut self, msg: &ServerMsg) -> Result<u64, ClientError> {
         self.received += 1;
-        // Ack before applying: the window measures delivery, not
-        // application, and an apply error kills the connection anyway.
-        // Best-effort — the server may already have closed its end (e.g.
-        // a slow-consumer disconnect) while deliveries, including the
-        // final `Shutdown` frame, are still queued for us to drain.
-        let upto = self.received;
-        let _ = self.send(&ClientMsg::Ack { upto });
-        self.apply(&msg)?;
-        Ok(msg)
-    }
-
-    fn apply(&mut self, msg: &ServerMsg) -> Result<(), ClientError> {
         match msg {
             ServerMsg::Attached {
                 session,
@@ -363,6 +185,224 @@ impl<D: Persist> SessionClient<D> {
             }
             ServerMsg::Rejected { .. } | ServerMsg::Pong => {}
         }
-        Ok(())
+        Ok(self.received)
+    }
+
+    /// The commit of `edit` to `session`: `edit` runs on a fork of the
+    /// mirror, and the message carries the fork's log against the
+    /// mirror's seq. The mirror itself changes only when the commit's
+    /// broadcast arrives.
+    pub fn commit_msg(
+        &self,
+        session: u64,
+        edit: impl FnOnce(&mut D),
+    ) -> Result<ClientMsg, ClientError> {
+        let mirror = self.mirrors.get(&session).ok_or_else(|| {
+            ClientError::Protocol(format!("commit on unattached session {session}"))
+        })?;
+        let mut work = mirror.data.fork();
+        edit(&mut work);
+        // The fork's log starts empty: its whole log is the commit.
+        let mut ops = BytesMut::new();
+        work.encode_log(&mut ops);
+        Ok(ClientMsg::Commit {
+            session,
+            base_seq: mirror.seq,
+            ops: ops.into(),
+        })
+    }
+
+    /// The mirror of an attached session.
+    pub fn mirror(&self, session: u64) -> Option<&D> {
+        self.mirrors.get(&session).map(|m| &m.data)
+    }
+
+    /// The mirror's commit sequence for an attached session.
+    pub fn seq(&self, session: u64) -> Option<u64> {
+        self.mirrors.get(&session).map(|m| m.seq)
+    }
+
+    /// FNV-1a digest of the mirror's encoded state — the convergence
+    /// witness the multi-tenant tests compare across subscribers.
+    pub fn state_digest(&self, session: u64) -> Option<u64> {
+        self.mirrors.get(&session).map(|m| {
+            let mut buf = BytesMut::new();
+            m.data.encode_state(&mut buf);
+            sm_obs::fnv1a(&buf)
+        })
+    }
+
+    /// Drain the log of applied `Committed` broadcasts accumulated since
+    /// the last drain, in application order.
+    pub fn drain_commit_events(&mut self) -> Vec<CommitEvent> {
+        std::mem::take(&mut self.commit_events)
+    }
+}
+
+/// A blocking client of a [`SessionServer`](crate::SessionServer),
+/// multiplexing any number of attached sessions over one connection: a
+/// stream plus the [`Mirrors`] it feeds, whose read-only methods
+/// ([`mirror`](Mirrors::mirror), [`seq`](Mirrors::seq),
+/// [`state_digest`](Mirrors::state_digest)) it derefs to.
+pub struct SessionClient<D: Persist> {
+    stream: Stream,
+    mirrors: Mirrors<D>,
+}
+
+impl<D: Persist> Deref for SessionClient<D> {
+    type Target = Mirrors<D>;
+
+    fn deref(&self) -> &Mirrors<D> {
+        &self.mirrors
+    }
+}
+
+impl<D: Persist> SessionClient<D> {
+    /// Connect to the server listening on `port` of `net`.
+    pub fn connect(net: &Network, port: u16) -> Result<Self, ClientError> {
+        Ok(SessionClient {
+            stream: net.connect(port)?,
+            mirrors: Mirrors::default(),
+        })
+    }
+
+    /// Attach to `session`, blocking until the state snapshot arrives.
+    /// Returns the session's current commit sequence.
+    pub fn attach(&mut self, session: u64) -> Result<u64, ClientError> {
+        self.send(&ClientMsg::Attach { session })?;
+        loop {
+            match self.pump_blocking()? {
+                ServerMsg::Attached {
+                    session: s, seq, ..
+                } if s == session => return Ok(seq),
+                ServerMsg::Rejected { session: s, reason } if s == session => {
+                    return Err(ClientError::Protocol(format!(
+                        "attach rejected: {reason:?}"
+                    )));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Detach from `session`, blocking for the acknowledgement, and drop
+    /// its mirror.
+    pub fn detach(&mut self, session: u64) -> Result<(), ClientError> {
+        self.send(&ClientMsg::Detach { session })?;
+        loop {
+            if let ServerMsg::Detached { session: s } = self.pump_blocking()? {
+                if s == session {
+                    return Ok(());
+                }
+            }
+        }
+    }
+
+    /// Edit `session` and commit the result, blocking until the server
+    /// confirms or rejects. `edit` runs on a fork of the mirror; the
+    /// ops it records are shipped, rebased server-side over anything
+    /// committed since this mirror's head, and land back here via the
+    /// broadcast (so after `Committed` the mirror includes the edit in
+    /// its rebased form).
+    pub fn commit_with(
+        &mut self,
+        session: u64,
+        edit: impl FnOnce(&mut D),
+    ) -> Result<CommitOutcome, ClientError> {
+        let commit = self.mirrors.commit_msg(session, edit)?;
+        self.send(&commit)?;
+        loop {
+            match self.pump_blocking()? {
+                ServerMsg::Committed {
+                    session: s,
+                    seq,
+                    applied: true,
+                    ..
+                } if s == session => return Ok(CommitOutcome::Committed { seq }),
+                ServerMsg::Rejected { session: s, reason } if s == session => {
+                    return Ok(CommitOutcome::Rejected(reason))
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Process at most one pending server message. `Ok(true)` if one was
+    /// processed, `Ok(false)` on timeout.
+    pub fn pump(&mut self, timeout: Duration) -> Result<bool, ClientError> {
+        match self.stream.recv_timeout(timeout) {
+            Ok(raw) => {
+                self.handle_raw(&raw)?;
+                Ok(true)
+            }
+            Err(NetError::Timeout) => Ok(false),
+            Err(e) => Err(self.closed_reason(e)),
+        }
+    }
+
+    /// Drain every already-queued server message without blocking
+    /// longer than `timeout` per message. Returns how many were
+    /// processed.
+    pub fn pump_all(&mut self, timeout: Duration) -> Result<usize, ClientError> {
+        let mut n = 0;
+        while self.pump(timeout)? {
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Drain the log of applied `Committed` broadcasts accumulated since
+    /// the last drain, in application order.
+    pub fn drain_commit_events(&mut self) -> Vec<CommitEvent> {
+        self.mirrors.drain_commit_events()
+    }
+
+    /// Send a ping and block until the pong comes back, applying the
+    /// broadcasts that arrive first. The connection's reader thread
+    /// answers the ping, so it orders only against messages already
+    /// queued on this connection, not against shard work: a broadcast the
+    /// shard has yet to send this client may arrive after the pong.
+    pub fn ping(&mut self) -> Result<(), ClientError> {
+        self.send(&ClientMsg::Ping)?;
+        loop {
+            if let ServerMsg::Pong = self.pump_blocking()? {
+                return Ok(());
+            }
+        }
+    }
+
+    fn send(&mut self, msg: &ClientMsg) -> Result<(), ClientError> {
+        let mut framed = Vec::new();
+        encode_frame(&msg.to_bytes(), &mut framed);
+        self.stream.send(&framed).map_err(|e| self.closed_reason(e))
+    }
+
+    /// Receive, decode, apply, and ack one server message.
+    fn pump_blocking(&mut self) -> Result<ServerMsg, ClientError> {
+        let raw = self.stream.recv().map_err(|e| self.closed_reason(e))?;
+        self.handle_raw(&raw)
+    }
+
+    /// Every closed-stream error after the server's `Shutdown` reports it.
+    fn closed_reason(&self, e: NetError) -> ClientError {
+        match (&e, &self.mirrors.shutdown) {
+            (NetError::Closed, Some(reason)) => ClientError::Shutdown(reason.clone()),
+            _ => ClientError::Net(e),
+        }
+    }
+
+    fn handle_raw(&mut self, raw: &[u8]) -> Result<ServerMsg, ClientError> {
+        let (payload, used) = sm_net::frame::decode_frame(raw).map_err(ClientError::Frame)?;
+        if used != raw.len() {
+            return Err(ClientError::Protocol("trailing bytes after frame".into()));
+        }
+        let msg = ServerMsg::from_bytes(payload).map_err(ClientError::Decode)?;
+        let upto = self.mirrors.on_msg(&msg)?;
+        // Best-effort: the server may already have closed its end (e.g. a
+        // slow-consumer disconnect) while deliveries, including the final
+        // `Shutdown` frame, are still queued for us to drain. A failed ack
+        // of that `Shutdown` leaves its reason for the next receive.
+        let _ = self.send(&ClientMsg::Ack { upto });
+        Ok(msg)
     }
 }

@@ -71,11 +71,11 @@ impl ConnShared {
         self.rx.recv_timeout(timeout)
     }
 
-    /// Frame and deliver `msg`, honouring the ack window. Returns false
-    /// if the connection is dead (caller should unsubscribe it).
-    pub fn send_msg(&self, msg: &ServerMsg) -> bool {
+    /// Frame and deliver `msg`, honouring the ack window; a message to a
+    /// dead connection is dropped.
+    pub fn send_msg(&self, msg: &ServerMsg) {
         if self.is_dead() {
-            return false;
+            return;
         }
         let mut framed = Vec::new();
         encode_frame(&msg.to_bytes(), &mut framed);
@@ -88,27 +88,15 @@ impl ConnShared {
             // cap: drop it rather than hold its backlog forever.
             let queued = out.queue.len();
             out.queue.clear();
-            if let Some(tx) = out.tx.take() {
-                let shutdown = ServerMsg::Shutdown {
-                    reason: SLOW_CONSUMER_REASON.into(),
-                };
-                let mut last = Vec::new();
-                encode_frame(&shutdown.to_bytes(), &mut last);
-                let _ = tx.send(&last);
-            }
             drop(out);
-            self.dead.store(true, Ordering::Relaxed);
+            self.kill(SLOW_CONSUMER_REASON);
             emit(&TaskPath::root(), || EventKind::SlowConsumerDropped {
                 queued,
             });
-            return false;
-        }
-        if out.tx.is_none() {
+        } else if out.tx.is_none() {
             drop(out);
             self.dead.store(true, Ordering::Relaxed);
-            return false;
         }
-        true
     }
 
     /// Record the client's ack and release queued deliveries into the

@@ -9,55 +9,58 @@
 //! and serves them to remote clients over one `sm-net` listener.
 //!
 //! ```text
-//!                        ┌───────────────────────────────────────────┐
-//!  client ──connect──►   │ listener ── reader thread per connection  │
-//!  client ──connect──►   │     │  ClientMsg, routed by session hash  │
-//!                        │     ▼                                     │
-//!                        │ shard 0      shard 1      …    shard N-1  │
-//!                        │ ┌────────┐  ┌────────┐       ┌─────────┐  │
-//!                        │ │sessions│  │sessions│       │sessions │  │
-//!                        │ │+ store │  │+ store │       │+ store  │  │
-//!                        │ └────────┘  └────────┘       └─────────┘  │
-//!                        └───────────────────────────────────────────┘
+//!                 ┌─────────────────────────────────────────────────┐
+//!  client ──────► │ listener ── reader thread per connection        │
+//!  client ──────► │     │  ClientMsg, routed by session hash        │
+//!                 │     ▼                                           │
+//!                 │ driver 0         driver 1    …    driver N-1    │
+//!                 │ (a thread: clock, conn id → connection, sends)  │
+//!                 │     │ now, conn id, msg   ▲ [(conn id, ServerMsg)]
+//!                 │     ▼                     │                     │
+//!                 │ Shard::command ───────────┘                     │
+//!                 │ (sessions + stores; no clock, no sockets)       │
+//!                 └─────────────────────────────────────────────────┘
 //! ```
 //!
 //! **Sharding.** Sessions are hash-routed (`fnv1a(session id) % shards`)
 //! to one of N shard threads; a shard owns its sessions exclusively, so
-//! session state needs no locking. Each session's journal writes on its
-//! shard's thread, snapshots included.
+//! session state needs no locking, and each session's journal writes on
+//! its shard's thread.
+//!
+//! **Core and driver.** The protocol is [`Shard`], a value stepped by
+//! `command`, `disconnect` and `tick`: it reads no clock and holds no
+//! connection, so a test steps it on one thread. A shard thread is its
+//! driver: it passes the time, keeps the connection behind each id, and
+//! delivers what a step sends. The client splits the same way: [`Mirrors`]
+//! applies server messages, and [`SessionClient`] is a stream plus
+//! `Mirrors`.
 //!
 //! **Commit protocol (ring of fork bases).** Each session keeps the
-//! authoritative state plus a bounded ring of `fork()` bases, one per
-//! recent commit sequence. A client commit names the sequence number its
-//! ops were made against; the shard merges the client's log into the
-//! authoritative state in place, from that base's fork point
-//! (`Persist::merge_log`) — rebasing the client's ops over everything
-//! committed since its base. The ops are checked against the base's
-//! state (`Operation::check_run`; a text session builds no copy of it):
-//! an op out of range there is rejected `BadOps`. Any failure — such a check, the merge or the
-//! journal append — is rolled back to the newest base
-//! (`Mergeable::rollback_to`), so a rejected commit leaves the session
-//! untouched. The store encodes
-//! the rebased slice (`encode_committed_since`) once: the bytes it
-//! journals are the bytes fanned out to every subscriber, whose mirrors
-//! advance by `apply_log` only — so all subscribers of a session stay
-//! digest-converged by construction. The authoritative state retains
-//! history only as far back as the oldest base in the ring, and a client
-//! mirror retains none: a commit costs what the commit contains, not
-//! what the session has accumulated.
+//! authoritative state plus a ring of `fork()` bases, one per recent
+//! commit. A commit names the base its ops were made against; the shard
+//! checks them against that base (`BadOps` if out of range), merges them
+//! into the head in place from the base's fork point
+//! (`Persist::merge_log`, rebasing over everything committed since), and
+//! journals the rebased slice. The journaled bytes are the bytes every
+//! subscriber's mirror applies, so mirrors converge by construction. Any
+//! failure rolls the head back to the newest base, leaving the session
+//! untouched. The head keeps history back to the ring's front only, and
+//! a mirror keeps none (DESIGN.md §3.11 has the details).
 //!
 //! **Back-pressure.** All server→client traffic goes through a bounded
 //! per-connection outbound queue with an ack window
-//! ([`ClientMsg::Ack`]); a consumer
-//! that stops acking first queues, then — past the cap — is disconnected
-//! (`SlowConsumerDropped`), never blocking a shard.
+//! ([`ClientMsg::Ack`]); a consumer that stops acking first queues, then
+//! — past the cap — is disconnected (`SlowConsumerDropped`), never
+//! blocking a shard.
 //!
-//! **Eviction / rehydration.** A session with no subscribers that stays
-//! idle past `idle_after` is snapshotted to its store and dropped from
-//! memory; the next attach rehydrates it via `Store::recover`, bit-for-
-//! bit — and if the process crashes between eviction and snapshot
-//! publish, the journal suffix alone reproduces the state (that is the
-//! store's ordinary recovery guarantee).
+//! **Eviction and stopping.** A session with no subscribers idle past
+//! `idle_after` is snapshotted to its store and dropped from memory; the
+//! next attach rehydrates it via `Store::recover`, bit for bit. Dropping
+//! a [`SessionServer`] (or calling `shutdown`) stops accepting, evicts
+//! every session, joins every thread and frees the port. Dropping a
+//! [`Shard`] without [`Shard::stop`] is a crash: the journal alone
+//! reproduces its sessions, as after a crash between eviction and
+//! snapshot.
 //!
 //! All lifecycle transitions are emitted as `sm-obs` events
 //! (`session_opened` / `session_attached` / `session_evicted` /
@@ -68,29 +71,34 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
+mod client;
 mod conn;
 mod shard;
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use sm_codec::session::ClientMsg;
 use sm_codec::Decode;
 use sm_net::frame::FrameError;
 use sm_net::{NetError, Network};
-use sm_obs::fnv1a;
-use sm_store::{Persist, StoreError, StoreOptions};
+use sm_obs::{fnv1a, start, Phase, TaskPath};
+use sm_store::{Persist, StoreOptions};
 
-pub use client::{ClientError, CommitEvent, CommitOutcome, SessionClient};
+pub use client::{ClientError, CommitEvent, CommitOutcome, Mirrors, SessionClient};
+use conn::ConnShared;
 pub use conn::SLOW_CONSUMER_REASON;
-pub use shard::SHARD_TICK;
+pub use shard::Shard;
+
+/// How often a shard thread scans for evictable sessions, busy or idle.
+const SHARD_TICK: Duration = Duration::from_millis(25);
 
 /// Configuration of a [`SessionServer`].
 #[derive(Debug, Clone)]
@@ -115,18 +123,13 @@ pub struct ServerConfig {
     /// Queued messages per connection before the consumer is declared
     /// slow and disconnected.
     pub queue_cap: usize,
-    /// Publish a full snapshot when evicting (the fast-rehydration
-    /// path). `false` simulates a crash in the eviction window: the
-    /// session must then rehydrate from the journal suffix alone.
-    pub snapshot_on_evict: bool,
     /// Store options applied to every session journal.
     pub store: StoreOptions,
 }
 
 impl ServerConfig {
     /// Defaults for a server rooted at `dir`: 4 shards, 30 s idle
-    /// eviction, ring of 32 bases, window 64, queue cap 256, snapshots
-    /// on evict.
+    /// eviction, ring of 32 bases, window 64, queue cap 256.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             shards: 4,
@@ -135,21 +138,18 @@ impl ServerConfig {
             ring: 32,
             window: 64,
             queue_cap: 256,
-            snapshot_on_evict: true,
             store: StoreOptions::default(),
         }
     }
 }
 
-/// Why the server failed to start or stop.
+/// Why the server failed to start.
 #[derive(Debug)]
 pub enum ServerError {
     /// The listener port could not be bound.
     Net(NetError),
     /// The root store directory could not be prepared.
     Io(std::io::Error),
-    /// A session journal failed (propagated from shard startup).
-    Store(StoreError),
 }
 
 impl fmt::Display for ServerError {
@@ -157,7 +157,6 @@ impl fmt::Display for ServerError {
         match self {
             ServerError::Net(e) => write!(f, "server network error: {e}"),
             ServerError::Io(e) => write!(f, "server I/O error: {e}"),
-            ServerError::Store(e) => write!(f, "server store error: {e}"),
         }
     }
 }
@@ -181,17 +180,29 @@ impl From<std::io::Error> for ServerError {
 /// FNV-1a over the little-endian id — stable across runs and processes,
 /// so a session's journal directory is always owned by the same shard
 /// index for a given shard count.
-pub fn shard_of(session: u64, shards: usize) -> usize {
+fn shard_of(session: u64, shards: usize) -> usize {
     (fnv1a(&session.to_le_bytes()) % shards.max(1) as u64) as usize
 }
 
-/// A running sharded session server. Dropping without
-/// [`shutdown`](SessionServer::shutdown) aborts the threads without
-/// joining them; call `shutdown` for an orderly stop.
+/// What a shard thread receives from the reader threads. The channel
+/// closing is the stop.
+enum ShardCmd {
+    /// A session-scoped client message, with the connection it came from.
+    Client {
+        conn: Arc<ConnShared>,
+        session: u64,
+        msg: ClientMsg,
+    },
+    /// A connection closed.
+    Disconnect(u64),
+}
+
+/// A running sharded session server. Dropping it is the orderly stop:
+/// the listener and every shard and reader thread are stopped and
+/// joined, and every resident session is evicted to its store.
 pub struct SessionServer {
-    port: u16,
     stop: Arc<AtomicBool>,
-    shard_txs: Vec<Sender<shard::ShardCmd>>,
+    shard_txs: Vec<Sender<ShardCmd>>,
     listener_join: Option<JoinHandle<()>>,
     shard_joins: Vec<JoinHandle<()>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -214,20 +225,19 @@ impl SessionServer {
         std::fs::create_dir_all(&config.dir)?;
         let listener = net.listen(port)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let cfg = Arc::new(config);
-        let factory: Arc<dyn Fn() -> D + Send + Sync> = Arc::new(factory);
+        let factory = Arc::new(factory);
 
-        let mut shard_txs = Vec::with_capacity(cfg.shards);
-        let mut shard_joins = Vec::with_capacity(cfg.shards);
-        for shard_id in 0..cfg.shards.max(1) {
+        let mut shard_txs = Vec::with_capacity(config.shards);
+        let mut shard_joins = Vec::with_capacity(config.shards);
+        for shard_id in 0..config.shards.max(1) {
             let (tx, rx) = unbounded();
             shard_txs.push(tx);
-            let cfg = Arc::clone(&cfg);
             let factory = Arc::clone(&factory);
+            let shard = Shard::new(shard_id as u64, config.clone(), move || factory());
             shard_joins.push(
                 std::thread::Builder::new()
                     .name(format!("sm-shard-{shard_id}"))
-                    .spawn(move || shard::shard_loop(shard_id as u64, rx, cfg, factory))
+                    .spawn(move || drive_shard(shard, rx))
                     .expect("spawn shard thread"),
             );
         }
@@ -236,7 +246,7 @@ impl SessionServer {
         let listener_join = {
             let stop = Arc::clone(&stop);
             let shard_txs = shard_txs.clone();
-            let cfg = Arc::clone(&cfg);
+            let (window, queue_cap) = (config.window, config.queue_cap);
             let readers = Arc::clone(&readers);
             std::thread::Builder::new()
                 .name("sm-listener".into())
@@ -249,12 +259,8 @@ impl SessionServer {
                         match listener.accept_timeout(Duration::from_millis(50)) {
                             Ok(stream) => {
                                 let conn_id = next_conn.fetch_add(1, Ordering::Relaxed);
-                                let conn = Arc::new(conn::ConnShared::new(
-                                    conn_id,
-                                    stream,
-                                    cfg.window,
-                                    cfg.queue_cap,
-                                ));
+                                let conn =
+                                    Arc::new(ConnShared::new(conn_id, stream, window, queue_cap));
                                 let stop = Arc::clone(&stop);
                                 let shard_txs = shard_txs.clone();
                                 let join = std::thread::Builder::new()
@@ -276,7 +282,6 @@ impl SessionServer {
         };
 
         Ok(SessionServer {
-            port,
             stop,
             shard_txs,
             listener_join: Some(listener_join),
@@ -285,39 +290,75 @@ impl SessionServer {
         })
     }
 
-    /// The listener port.
-    pub fn port(&self) -> u16 {
-        self.port
+    /// Stop the server: the same as dropping it.
+    pub fn shutdown(self) {
+        drop(self);
     }
+}
 
-    /// Stop accepting, drain the shards (each evicts what it holds to
-    /// its store), and join every thread.
-    pub fn shutdown(mut self) {
+impl Drop for SessionServer {
+    /// Stop accepting and reading, then close the shard channels: each
+    /// shard evicts its sessions and exits. Every thread is joined.
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(j) = self.listener_join.take() {
-            let _ = j.join();
-        }
-        for tx in self.shard_txs.drain(..) {
-            let _ = tx.send(shard::ShardCmd::Stop);
-        }
-        for j in self.shard_joins.drain(..) {
             let _ = j.join();
         }
         for j in self.readers.lock().drain(..) {
             let _ = j.join();
         }
+        self.shard_txs.clear();
+        for j in self.shard_joins.drain(..) {
+            let _ = j.join();
+        }
     }
+}
+
+/// A shard thread: step `shard` with each command and the clock, deliver
+/// what it sends, and scan for idle sessions once per [`SHARD_TICK`]. A
+/// tick is time since the last scan, not an empty queue: a busy shard
+/// still evicts, and does not walk every session per command.
+fn drive_shard<D: Persist>(mut shard: Shard<D>, rx: Receiver<ShardCmd>) {
+    let mut conns: HashMap<u64, Arc<ConnShared>> = HashMap::new();
+    let mut out = Vec::new();
+    let mut last_scan = Instant::now();
+    loop {
+        match rx.recv_timeout(SHARD_TICK) {
+            Ok(ShardCmd::Client { conn, session, msg }) => {
+                let span = start(Phase::ServerDispatch);
+                let conn_id = conns.entry(conn.id()).or_insert(conn).id();
+                shard.command(Instant::now(), conn_id, msg, &mut out);
+                // A dead connection drops what it is sent; its reader
+                // sends the `Disconnect` that unsubscribes it.
+                for (id, msg) in out.drain(..) {
+                    if let Some(conn) = conns.get(&id) {
+                        conn.send_msg(&msg);
+                    }
+                }
+                if let Some(span) = span {
+                    span.finish(&TaskPath::root().child(session));
+                }
+            }
+            Ok(ShardCmd::Disconnect(conn_id)) => {
+                conns.remove(&conn_id);
+                shard.disconnect(Instant::now(), conn_id);
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+        if last_scan.elapsed() >= SHARD_TICK {
+            shard.tick(Instant::now());
+            last_scan = Instant::now();
+        }
+    }
+    shard.stop();
 }
 
 /// Per-connection reader: decode CRC-framed [`ClientMsg`]s off the
 /// stream and route session-scoped commands to the owning shard.
 /// Connection-scoped commands (`Ack`, `Ping`) are handled here, off the
 /// shard threads.
-fn reader_loop(
-    conn: Arc<conn::ConnShared>,
-    shard_txs: Vec<Sender<shard::ShardCmd>>,
-    stop: Arc<AtomicBool>,
-) {
+fn reader_loop(conn: Arc<ConnShared>, shard_txs: Vec<Sender<ShardCmd>>, stop: Arc<AtomicBool>) {
     let shards = shard_txs.len();
     loop {
         if stop.load(Ordering::Relaxed) || conn.is_dead() {
@@ -337,20 +378,13 @@ fn reader_loop(
         };
         match msg {
             ClientMsg::Ack { upto } => conn.ack(upto),
-            ClientMsg::Ping => {
-                conn.send_msg(&sm_codec::session::ServerMsg::Pong);
-            }
+            ClientMsg::Ping => conn.send_msg(&sm_codec::session::ServerMsg::Pong),
             ClientMsg::Attach { session }
             | ClientMsg::Commit { session, .. }
             | ClientMsg::Detach { session } => {
                 let tx = &shard_txs[shard_of(session, shards)];
-                if tx
-                    .send(shard::ShardCmd::Client {
-                        conn: Arc::clone(&conn),
-                        msg,
-                    })
-                    .is_err()
-                {
+                let conn = Arc::clone(&conn);
+                if tx.send(ShardCmd::Client { conn, session, msg }).is_err() {
                     break;
                 }
             }
@@ -358,7 +392,7 @@ fn reader_loop(
     }
     // Let every shard forget this connection's subscriptions.
     for tx in &shard_txs {
-        let _ = tx.send(shard::ShardCmd::Disconnect { conn_id: conn.id() });
+        let _ = tx.send(ShardCmd::Disconnect(conn.id()));
     }
 }
 
@@ -410,6 +444,21 @@ mod tests {
         connect_and_drop().unwrap();
         wait_until(&|readers| readers.len() <= 3);
         server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_the_server_stops_its_threads_and_frees_its_port() {
+        let dir = std::env::temp_dir().join(format!("sm-server-drop-{}", std::process::id()));
+        let net = Network::new();
+        let server =
+            SessionServer::start(&net, 77, ServerConfig::new(&dir), || MCounter::new(0)).unwrap();
+        let mut client = SessionClient::<MCounter>::connect(&net, 77).unwrap();
+        client.attach(1).unwrap();
+        drop(server);
+        // Every thread is joined, the listener's included, so the port is
+        // free at once, though a client is still connected.
+        net.listen(77).expect("the dropped server's port is free");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

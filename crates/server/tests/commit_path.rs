@@ -10,95 +10,36 @@
 //!   across an eviction and rehydration too;
 //! * a session's commits are one child path in its journal: one digest
 //!   chain links them all, in the eviction snapshot and in recovery.
+//!
+//! Every case steps a `Shard` and its clients' `Mirrors` on the test's
+//! thread (see `step/mod.rs`).
+
+mod step;
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use sm_codec::session::{ClientMsg, RejectReason, ServerMsg};
 use sm_codec::{Decode, Encode};
 use sm_mergeable::{MList, MText};
-use sm_net::frame::{decode_frame, encode_frame, Frames};
-use sm_net::{Network, Stream};
+use sm_net::frame::{decode_frame, Frames};
 use sm_ot::list::ListOp;
 use sm_ot::text::TextOp;
-use sm_server::{CommitOutcome, ServerConfig, SessionClient, SessionServer};
+use sm_server::{CommitOutcome, ServerConfig};
 use sm_store::wal::Record;
 use sm_store::{RetentionPolicy, Store, StoreOptions};
+use step::{tmpdir, Stepped};
 
 const S: u64 = 7;
 
-/// Pump `client` until its mirror of `session` has reached `seq`.
-fn pump_to(client: &mut SessionClient<MText>, session: u64, seq: u64) {
-    while client.seq(session) < Some(seq) {
-        let got = client.pump(Duration::from_secs(10)).unwrap();
-        assert!(got, "commit {seq} never reached the client");
-    }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sm-commit-path-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A connection that speaks the protocol by hand: it sends what no
-/// `SessionClient` would, and keeps every broadcast's raw bytes.
-struct Raw {
-    stream: Stream,
-    received: u64,
-}
-
-impl Raw {
-    fn connect(net: &Network, port: u16) -> Raw {
-        Raw {
-            stream: net.connect(port).unwrap(),
-            received: 0,
-        }
-    }
-
-    fn send(&self, msg: &ClientMsg) {
-        let mut framed = Vec::new();
-        encode_frame(&msg.to_bytes(), &mut framed);
-        self.stream.send(&framed).unwrap();
-    }
-
-    fn recv(&mut self) -> ServerMsg {
-        let raw = self.stream.recv_timeout(Duration::from_secs(10)).unwrap();
-        let (payload, _) = decode_frame(&raw).unwrap();
-        let msg = ServerMsg::from_bytes(payload).unwrap();
-        self.received += 1;
-        self.send(&ClientMsg::Ack {
-            upto: self.received,
-        });
-        msg
-    }
-
-    fn attach(&mut self, session: u64) -> u64 {
-        self.send(&ClientMsg::Attach { session });
-        match self.recv() {
-            ServerMsg::Attached { seq, .. } => seq,
-            other => panic!("expected Attached, got {other:?}"),
-        }
-    }
-
-    fn commit<O: Encode>(&mut self, base_seq: u64, ops: Vec<O>) -> ServerMsg {
-        let mut buf = BytesMut::new();
-        ops.encode(&mut buf);
-        self.send(&ClientMsg::Commit {
-            session: S,
-            base_seq,
-            ops: buf.to_vec(),
-        });
-        self.recv()
-    }
-
-    /// The next broadcast: `(seq, ops bytes)`.
-    fn committed(&mut self) -> (u64, Vec<u8>) {
-        match self.recv() {
-            ServerMsg::Committed { seq, ops, .. } => (seq, ops),
-            other => panic!("expected Committed, got {other:?}"),
-        }
+/// A commit no `Mirrors` would build: `ops` against `base_seq`.
+fn raw_commit<O: Encode>(base_seq: u64, ops: Vec<O>) -> ClientMsg {
+    let mut buf = BytesMut::new();
+    ops.encode(&mut buf);
+    ClientMsg::Commit {
+        session: S,
+        base_seq,
+        ops: buf.to_vec(),
     }
 }
 
@@ -114,7 +55,7 @@ fn refused_as_bad_ops(reply: &ServerMsg) -> &str {
 
 /// Every journaled commit of session `S` under `dir`: `(seq, ops,
 /// ops_count)`, in order.
-fn journal(dir: &Path) -> Vec<(u64, Vec<u8>, u64)> {
+fn commits(dir: &Path) -> Vec<(u64, Vec<u8>, u64)> {
     let session = dir.join(format!("session-{S:016x}"));
     let mut wals: Vec<PathBuf> = std::fs::read_dir(&session)
         .unwrap()
@@ -137,88 +78,90 @@ fn journal(dir: &Path) -> Vec<(u64, Vec<u8>, u64)> {
 #[test]
 fn a_delete_range_ending_past_usize_max_is_refused_and_the_shard_keeps_committing() {
     let dir = tmpdir("hostile");
-    let net = Network::new();
-    let text = SessionServer::start(&net, 4700, ServerConfig::new(dir.join("text")), || {
-        MText::from("abc")
-    })
-    .unwrap();
-    let list = SessionServer::start(&net, 4701, ServerConfig::new(dir.join("list")), || {
+    let mut text = Stepped::new(ServerConfig::new(dir.join("text")), || MText::from("abc"));
+    let (raw, editor) = (text.connect(), text.connect());
+    assert_eq!(text.attach(raw, S), 0);
+    text.send(raw, raw_commit(0, vec![TextOp::delete(usize::MAX, 2)]));
+    let reply = text.recv(raw);
+    assert!(
+        refused_as_bad_ops(&reply).starts_with("apply: "),
+        "{reply:?}"
+    );
+    text.attach(editor, S);
+    let out = text.commit(editor, S, |t| t.push_str("d"));
+    assert_eq!(out, CommitOutcome::Committed { seq: 1 });
+    assert_eq!(text.mirrors(editor).mirror(S).unwrap().to_string(), "abcd");
+
+    let mut list = Stepped::new(ServerConfig::new(dir.join("list")), || {
         MList::from_iter([1u32, 2, 3])
-    })
-    .unwrap();
-
-    let mut raw = Raw::connect(&net, 4700);
-    assert_eq!(raw.attach(S), 0);
-    let reply = raw.commit(0, vec![TextOp::delete(usize::MAX, 2)]);
+    });
+    let (raw, editor) = (list.connect(), list.connect());
+    assert_eq!(list.attach(raw, S), 0);
+    list.send(
+        raw,
+        raw_commit(0, vec![ListOp::<u32>::DeleteRange(usize::MAX, 2)]),
+    );
+    let reply = list.recv(raw);
     assert!(
         refused_as_bad_ops(&reply).starts_with("apply: "),
         "{reply:?}"
     );
-    let mut editor: SessionClient<MText> = SessionClient::connect(&net, 4700).unwrap();
-    editor.attach(S).unwrap();
-    let out = editor.commit_with(S, |t| t.push_str("d")).unwrap();
+    list.attach(editor, S);
+    let out = list.commit(editor, S, |l| l.push(4));
     assert_eq!(out, CommitOutcome::Committed { seq: 1 });
-    assert_eq!(editor.mirror(S).unwrap().to_string(), "abcd");
-
-    let mut raw = Raw::connect(&net, 4701);
-    assert_eq!(raw.attach(S), 0);
-    let reply = raw.commit(0, vec![ListOp::<u32>::DeleteRange(usize::MAX, 2)]);
-    assert!(
-        refused_as_bad_ops(&reply).starts_with("apply: "),
-        "{reply:?}"
+    assert_eq!(
+        list.mirrors(editor).mirror(S).unwrap().to_vec(),
+        [1, 2, 3, 4]
     );
-    let mut editor: SessionClient<MList<u32>> = SessionClient::connect(&net, 4701).unwrap();
-    editor.attach(S).unwrap();
-    let out = editor.commit_with(S, |l| l.push(4)).unwrap();
-    assert_eq!(out, CommitOutcome::Committed { seq: 1 });
-    assert_eq!(editor.mirror(S).unwrap().to_vec(), vec![1, 2, 3, 4]);
 
-    text.shutdown();
-    list.shutdown();
+    text.stop();
+    list.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn an_op_in_range_against_the_head_but_not_its_base_is_refused_without_a_trace() {
     let dir = tmpdir("head-not-base");
-    let net = Network::new();
-    let server =
-        SessionServer::start(&net, 4702, ServerConfig::new(&dir), || MText::from("ab")).unwrap();
-    let mut raw = Raw::connect(&net, 4702);
-    assert_eq!(raw.attach(S), 0);
-    let mut editor: SessionClient<MText> = SessionClient::connect(&net, 4702).unwrap();
-    editor.attach(S).unwrap();
-    let out = editor.commit_with(S, |t| t.push_str("cdef")).unwrap();
+    let mut shard = Stepped::new(ServerConfig::new(&dir), || MText::from("ab"));
+    let (raw, editor) = (shard.connect(), shard.connect());
+    assert_eq!(shard.attach(raw, S), 0);
+    shard.attach(editor, S);
+    let out = shard.commit(editor, S, |t| t.push_str("cdef"));
     assert_eq!(out, CommitOutcome::Committed { seq: 1 });
-    let first = raw.committed();
-    assert_eq!(first.0, 1);
+    assert!(matches!(
+        shard.recv(raw),
+        ServerMsg::Committed { seq: 1, .. }
+    ));
 
     // "abcdef" has a 4th and 5th char; "ab", the base named, has not.
-    let reply = raw.commit(0, vec![TextOp::delete(3, 2)]);
+    shard.send(raw, raw_commit(0, vec![TextOp::delete(3, 2)]));
+    let reply = shard.recv(raw);
     assert!(
         refused_as_bad_ops(&reply).starts_with("apply: "),
         "{reply:?}"
     );
-    assert_eq!(journal(&dir).len(), 1, "nothing journaled");
+    assert_eq!(commits(&dir).len(), 1, "nothing journaled");
 
     // Against the base it was made on, the same op lands as seq 2: the
     // refusal advanced nothing and broadcast nothing.
+    shard.send(raw, raw_commit(1, vec![TextOp::delete(3, 2)]));
     assert!(matches!(
-        raw.commit(1, vec![TextOp::delete(3, 2)]),
+        shard.recv(raw),
         ServerMsg::Committed {
             seq: 2,
             applied: true,
             ..
         }
     ));
-    pump_to(&mut editor, S, 2);
-    assert_eq!(editor.seq(S), Some(2));
-    assert_eq!(editor.mirror(S).unwrap().to_string(), "abcf");
-    let events = editor.drain_commit_events();
+    shard.pump(editor);
+    let mirrors = shard.mirrors_mut(editor);
+    assert_eq!(mirrors.seq(S), Some(2));
+    assert_eq!(mirrors.mirror(S).unwrap().to_string(), "abcf");
+    let events = mirrors.drain_commit_events();
     assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2]);
-    assert_eq!(journal(&dir).len(), 2);
+    assert_eq!(commits(&dir).len(), 2);
 
-    server.shutdown();
+    shard.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -228,62 +171,54 @@ fn every_broadcast_slice_is_its_journal_record_across_an_eviction() {
     let dir = tmpdir("encode-once");
     let mut cfg = ServerConfig::new(&dir);
     cfg.ring = RING;
-    cfg.idle_after = Duration::from_millis(30);
     // Keep every segment: the records before the eviction snapshot too.
     cfg.store.retention = RetentionPolicy::KeepAll;
-    let net = Network::new();
-    let server = SessionServer::start(&net, 4703, cfg, || MText::from("seed. ")).unwrap();
-    let mut editors: [SessionClient<MText>; 2] =
-        [(); 2].map(|()| SessionClient::connect(&net, 4703).unwrap());
-    let mut watcher = Raw::connect(&net, 4703);
-    assert_eq!(watcher.attach(S), 0);
+    let mut shard = Stepped::new(cfg, || MText::from("seed. "));
+    let editors = [shard.connect(), shard.connect()];
+    let watcher = shard.connect();
+    assert_eq!(shard.attach(watcher, S), 0);
 
     let mut broadcasts = Vec::new();
     let mut seq = 0;
-    let mut round = |editors: &mut [SessionClient<MText>; 2], watcher: &mut Raw, n: usize| {
+    let mut round = |shard: &mut Stepped<MText>, n: usize| {
         for i in 0..n {
-            // The other editor's last commit is not pumped yet: every
-            // commit but the first is rebased over one or more commits.
-            let c = &mut editors[i % 2];
-            let out = c
-                .commit_with(S, |t| {
-                    t.insert_str(0, format!("[{i}]"));
-                    let end = t.char_len();
-                    t.insert_str(end, "·");
-                    t.delete_range(1, 1);
-                })
-                .unwrap();
+            // The other editor's last commit is not handed over yet:
+            // every commit but the first is rebased over one or more.
+            let out = shard.commit(editors[i % 2], S, |t| {
+                t.insert_str(0, format!("[{i}]"));
+                let end = t.char_len();
+                t.insert_str(end, "·");
+                t.delete_range(1, 1);
+            });
             seq += 1;
             assert_eq!(out, CommitOutcome::Committed { seq });
-            broadcasts.push(watcher.committed());
+            match shard.recv(watcher) {
+                ServerMsg::Committed { seq, ops, .. } => broadcasts.push((seq, ops)),
+                other => panic!("expected Committed, got {other:?}"),
+            }
         }
     };
-    for c in &mut editors {
-        c.attach(S).unwrap();
+    for c in editors {
+        shard.attach(c, S);
     }
-    round(&mut editors, &mut watcher, 2 * RING + 1);
+    round(&mut shard, 2 * RING + 1);
 
     // Everyone leaves; the session is snapshotted and evicted, then
     // rehydrated by the next attach.
-    for c in &mut editors {
-        c.detach(S).unwrap();
+    for c in editors.into_iter().chain([watcher]) {
+        shard.detach(c, S);
     }
-    watcher.send(&ClientMsg::Detach { session: S });
-    assert!(matches!(watcher.recv(), ServerMsg::Detached { session: S }));
-    let session = dir.join(format!("session-{S:016x}"));
+    shard.idle();
     let evicted = format!("snap-{:020}", 2 * RING + 1);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !session.join(&evicted).exists() {
-        assert!(Instant::now() < deadline, "the session was never evicted");
-        std::thread::sleep(Duration::from_millis(10));
+    let session = dir.join(format!("session-{S:016x}"));
+    assert!(session.join(&evicted).exists(), "the session was evicted");
+    assert_eq!(shard.attach(watcher, S), (2 * RING + 1) as u64);
+    for c in editors {
+        shard.attach(c, S);
     }
-    assert_eq!(watcher.attach(S), (2 * RING + 1) as u64);
-    for c in &mut editors {
-        c.attach(S).unwrap();
-    }
-    round(&mut editors, &mut watcher, RING + 1);
+    round(&mut shard, RING + 1);
 
-    let journaled = journal(&dir);
+    let journaled = commits(&dir);
     assert_eq!(journaled.len(), broadcasts.len());
     for ((seq, ops, count), (bseq, bops)) in journaled.iter().zip(&broadcasts) {
         assert_eq!(seq, bseq);
@@ -291,13 +226,14 @@ fn every_broadcast_slice_is_its_journal_record_across_an_eviction() {
         let decoded = Vec::<TextOp>::decode(&mut bops.clone().into()).unwrap();
         assert_eq!(decoded.len() as u64, *count, "commit {seq}: op count");
     }
-    for c in &mut editors {
-        pump_to(c, S, seq);
+    for c in editors {
+        shard.pump(c);
+        assert_eq!(shard.mirrors(c).seq(S), Some(seq));
     }
-    assert_eq!(editors[0].state_digest(S), editors[1].state_digest(S));
+    let [a, b] = editors.map(|c| shard.mirrors(c).state_digest(S));
+    assert_eq!(a, b);
 
-    drop(editors);
-    server.shutdown();
+    shard.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -305,28 +241,19 @@ fn every_broadcast_slice_is_its_journal_record_across_an_eviction() {
 fn one_chain_links_every_commit_of_a_session() {
     const COMMITS: u64 = 5;
     let dir = tmpdir("one-chain");
-    let mut cfg = ServerConfig::new(&dir);
-    cfg.idle_after = Duration::from_millis(30);
-    let net = Network::new();
-    let server = SessionServer::start(&net, 4704, cfg, || MText::from("seed. ")).unwrap();
-    let mut editor: SessionClient<MText> = SessionClient::connect(&net, 4704).unwrap();
-    editor.attach(S).unwrap();
+    let mut shard = Stepped::new(ServerConfig::new(&dir), || MText::from("seed. "));
+    let editor = shard.connect();
+    shard.attach(editor, S);
     for seq in 1..=COMMITS {
-        let out = editor
-            .commit_with(S, |t| t.insert_str(0, format!("[{seq}]")))
-            .unwrap();
+        let out = shard.commit(editor, S, |t| t.insert_str(0, format!("[{seq}]")));
         assert_eq!(out, CommitOutcome::Committed { seq });
     }
-    editor.detach(S).unwrap();
+    shard.detach(editor, S);
+    shard.idle();
     let session = dir.join(format!("session-{S:016x}"));
     let evicted = session.join(format!("snap-{COMMITS:020}"));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !evicted.exists() {
-        assert!(Instant::now() < deadline, "the session was never evicted");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    drop(editor);
-    server.shutdown();
+    assert!(evicted.exists(), "the session was evicted");
+    shard.stop();
 
     let bytes = std::fs::read(&evicted).unwrap();
     let (payload, _) = decode_frame(&bytes).unwrap();

@@ -1,43 +1,30 @@
 //! The commit path merges in place and keeps only a ring's worth of
 //! history: a commit that fails *after* mutating the head is rolled back
-//! without a trace, and neither the clients' mirrors nor the shard's
-//! head retain history in proportion to the session's age.
+//! without a trace, neither the clients' mirrors nor the shard's head
+//! retain history in proportion to the session's age, and the ring's
+//! front is exactly the oldest base a commit may name. Every case steps
+//! a `Shard` and its clients' `Mirrors` on the test's thread.
+
+mod step;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 use sm_codec::session::RejectReason;
 use sm_codec::DecodeError;
 use sm_mergeable::{MText, MergeError, MergeStats, Mergeable, ReplayError};
-use sm_net::Network;
 use sm_obs::{install, uninstall, DeterminismAuditor, EventKind, Metrics, ObsEvent, TaskPath};
-use sm_server::{CommitOutcome, ServerConfig, SessionClient, SessionServer};
+use sm_server::{CommitOutcome, Mirrors, ServerConfig};
 use sm_store::Persist;
+use step::{tmpdir, Stepped};
 
 /// The recorder slot is process-global and the tests below read totals
 /// off it: one at a time.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sm-history-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Pump `client` until its mirror of `session` has applied commit
-/// `seq`. A ping is no barrier for that: the connection's reader thread
-/// answers it, while the shard sends each commit to the subscribers one
-/// after another, so a pong can overtake the last broadcast.
-fn pump_to<D: Persist>(client: &mut SessionClient<D>, session: u64, seq: u64) {
-    while client.seq(session) < Some(seq) {
-        let got = client.pump(Duration::from_secs(10)).unwrap();
-        assert!(got, "commit {seq} never reached the client");
-    }
 }
 
 const POISON: &str = "☠";
@@ -132,9 +119,9 @@ impl Persist for Poisonable {
 
 /// Fold a client's applied broadcasts into auditor chain heads — the
 /// subscriber-side twin of the server's `session_committed` chains.
-fn chain_heads(client: &mut SessionClient<Poisonable>) -> BTreeMap<TaskPath, u64> {
+fn chain_heads(mirrors: &mut Mirrors<Poisonable>) -> BTreeMap<TaskPath, u64> {
     let auditor = DeterminismAuditor::new();
-    for ev in client.drain_commit_events() {
+    for ev in mirrors.drain_commit_events() {
         sm_obs::Recorder::record(
             &auditor,
             &ObsEvent {
@@ -159,65 +146,61 @@ struct Outcome {
 
 /// A commits, B commits one behind, (optionally) A sends a poisoned
 /// commit, then B and A commit again; a third client attaches last.
-fn poisoned_scenario(tag: &str, port: u16, poison: bool) -> Outcome {
+fn poisoned_scenario(tag: &str, poison: bool) -> Outcome {
     const S: u64 = 9;
     let dir = tmpdir(tag);
-    let net = Network::new();
-    let server = SessionServer::start(&net, port, ServerConfig::new(&dir), || {
+    let mut shard = Stepped::new(ServerConfig::new(&dir), || {
         Poisonable(MText::from("base. "))
-    })
-    .expect("server starts");
-    let mut a: SessionClient<Poisonable> = SessionClient::connect(&net, port).unwrap();
-    let mut b: SessionClient<Poisonable> = SessionClient::connect(&net, port).unwrap();
-    a.attach(S).unwrap();
-    b.attach(S).unwrap();
+    });
+    let (a, b) = (shard.connect(), shard.connect());
+    shard.attach(a, S);
+    shard.attach(b, S);
 
     let committed = |seq| CommitOutcome::Committed { seq };
     assert_eq!(
-        a.commit_with(S, |t| t.0.insert_str(0, "[a1]")).unwrap(),
+        shard.commit(a, S, |t| t.0.insert_str(0, "[a1]")),
         committed(1)
     );
-    // B has not pumped A's commit: its edit is rebased over it.
+    // B has not been handed A's commit: its edit is rebased over it.
     assert_eq!(
-        b.commit_with(S, |t| t.0.insert_str(6, "[b1]")).unwrap(),
+        shard.commit(b, S, |t| t.0.insert_str(6, "[b1]")),
         committed(2)
     );
     if poison {
         // A is one commit behind too, so the poisoned merge really
         // rebases and mutates the head before it fails.
-        let out = a.commit_with(S, |t| t.0.insert_str(2, POISON)).unwrap();
+        let out = shard.commit(a, S, |t| t.0.insert_str(2, POISON));
         assert!(
             matches!(&out, CommitOutcome::Rejected(RejectReason::BadOps(why)) if why.contains("poisoned")),
             "{out:?}"
         );
-        assert_eq!(a.seq(S), Some(2), "a rejected commit advances nothing");
+        assert_eq!(
+            shard.mirrors(a).seq(S),
+            Some(2),
+            "a rejected commit advances nothing"
+        );
     } else {
-        pump_to(&mut a, S, 2);
+        shard.pump(a);
     }
+    assert_eq!(shard.commit(b, S, |t| t.0.delete_range(0, 2)), committed(3));
     assert_eq!(
-        b.commit_with(S, |t| t.0.delete_range(0, 2)).unwrap(),
-        committed(3)
-    );
-    assert_eq!(
-        a.commit_with(S, |t| {
+        shard.commit(a, S, |t| {
             let end = t.0.char_len();
             t.0.insert_str(end, "[a2]")
-        })
-        .unwrap(),
+        }),
         committed(4)
     );
-    pump_to(&mut b, S, 4);
+    shard.pump(b);
 
-    let mut c: SessionClient<Poisonable> = SessionClient::connect(&net, port).unwrap();
-    assert_eq!(c.attach(S).unwrap(), 4);
-    let text = c.mirror(S).unwrap().0.to_string();
+    let c = shard.connect();
+    assert_eq!(shard.attach(c, S), 4);
+    let text = shard.mirrors(c).mirror(S).unwrap().0.to_string();
     assert!(!text.contains(POISON), "{text:?}");
     let outcome = Outcome {
-        digests: [&a, &b, &c].map(|client| client.state_digest(S).unwrap()),
-        heads: [chain_heads(&mut a), chain_heads(&mut b)],
+        digests: [a, b, c].map(|conn| shard.mirrors(conn).state_digest(S).unwrap()),
+        heads: [a, b].map(|conn| chain_heads(shard.mirrors_mut(conn))),
     };
-    drop((a, b, c));
-    server.shutdown();
+    shard.stop();
     let _ = std::fs::remove_dir_all(&dir);
     outcome
 }
@@ -225,8 +208,8 @@ fn poisoned_scenario(tag: &str, port: u16, poison: bool) -> Outcome {
 #[test]
 fn a_commit_that_fails_after_mutating_the_head_leaves_no_trace() {
     let _guard = serial();
-    let clean = poisoned_scenario("clean", 4600, false);
-    let poisoned = poisoned_scenario("poisoned", 4601, true);
+    let clean = poisoned_scenario("clean", false);
+    let poisoned = poisoned_scenario("poisoned", true);
 
     // Committer, second subscriber and the fresh third attach agree,
     // and agree with the run that never sent the poisoned commit.
@@ -255,50 +238,99 @@ fn retained_history_is_bounded_by_the_ring_not_the_session_age() {
     let dir = tmpdir("bounded");
     let mut cfg = ServerConfig::new(&dir);
     cfg.ring = RING;
-    let net = Network::new();
-    let server = SessionServer::start(&net, 4602, cfg, || MText::from("seed")).unwrap();
-    let mut clients: [SessionClient<MText>; 2] =
-        [(); 2].map(|()| SessionClient::connect(&net, 4602).unwrap());
-    for c in &mut clients {
-        c.attach(S).unwrap();
+    let mut shard = Stepped::new(cfg, || MText::from("seed"));
+    let clients = [shard.connect(), shard.connect()];
+    for c in clients {
+        shard.attach(c, S);
     }
 
     let mut marks = Vec::new();
     for n in 1..=COMMITS {
-        // The committer has not seen the other's last commit yet, so
+        // The committer has not been handed the other's last commit, so
         // every commit but the first is rebased. One op each: nothing
         // fuses across the seal between two commits.
-        let c = &mut clients[n % 2];
-        let out = c.commit_with(S, |t| t.insert_str(0, "x")).unwrap();
+        let c = clients[n % 2];
+        let out = shard.commit(c, S, |t| t.insert_str(0, "x"));
         assert_eq!(out, CommitOutcome::Committed { seq: n as u64 });
-        let mirror = c.mirror(S).unwrap();
+        let mirror = shard.mirrors(c).mirror(S).unwrap();
         assert_eq!(mirror.pending_ops(), 0, "mirror history after commit {n}");
         marks.clear();
         mirror.history_marks(&mut marks);
         assert_eq!(marks, [n], "history marks keep counting absolutely");
-    }
-    for c in &mut clients {
-        pump_to(c, S, COMMITS as u64);
-        assert_eq!(c.mirror(S).unwrap().pending_ops(), 0);
-    }
-    assert_eq!(clients[0].state_digest(S), clients[1].state_digest(S));
 
-    // The shard's head recorded one op per commit; whatever it has not
-    // reported as truncated it still holds.
+        // The shard's head recorded one op per commit; whatever it has
+        // not reported as truncated it still holds. Right after a wrap
+        // that is the ring's front's RING - 1 successors; the next
+        // RING - 1 commits add to them before the next wrap drops them.
+        let retained = n as u64 - metrics.snapshot().log_truncated_ops;
+        assert!(
+            retained <= 2 * RING as u64 - 2,
+            "head retains {retained} of {n} ops with a ring of {RING}"
+        );
+    }
+    for c in clients {
+        shard.pump(c);
+        assert_eq!(shard.mirrors(c).mirror(S).unwrap().pending_ops(), 0);
+    }
+    let [a, b] = clients.map(|c| shard.mirrors(c).state_digest(S));
+    assert_eq!(a, b);
+
     let snap = metrics.snapshot();
-    let retained = COMMITS as u64 - snap.log_truncated_ops;
-    assert!(
-        retained <= 2 * RING as u64,
-        "head retains {retained} of {COMMITS} ops with a ring of {RING}"
-    );
     assert!(
         (1..=(COMMITS / RING) as u64).contains(&snap.log_truncations),
         "truncation is amortised over a ring wrap, got {} runs",
         snap.log_truncations
     );
 
-    drop(clients);
-    server.shutdown();
+    shard.stop();
     uninstall();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_commit_on_the_rings_front_lands_and_one_behind_it_is_stale() {
+    const S: u64 = 4;
+    const RING: usize = 3;
+
+    // No recorder of its own, but its events must not reach another's.
+    let _guard = serial();
+    let dir = tmpdir("ring-front");
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.ring = RING;
+    let mut shard = Stepped::new(cfg, || MText::from("seed"));
+    let (head, front, behind) = (shard.connect(), shard.connect(), shard.connect());
+    assert_eq!(shard.attach(behind, S), 0);
+    shard.attach(head, S);
+    shard.commit(head, S, |t| t.insert_str(0, "x"));
+    assert_eq!(shard.attach(front, S), 1);
+    // Up to seq RING: a ring wrap, so the ring holds bases 1..=RING and
+    // the head's history was just truncated to base 1's fork point.
+    for seq in 2..=RING as u64 {
+        let out = shard.commit(head, S, |t| t.insert_str(0, "x"));
+        assert_eq!(out, CommitOutcome::Committed { seq });
+    }
+
+    let append = |t: &mut MText| {
+        let end = t.char_len();
+        t.insert_str(end, "!");
+    };
+    assert_eq!(
+        shard.commit(behind, S, append),
+        CommitOutcome::Rejected(RejectReason::StaleBase {
+            base_seq: 0,
+            oldest_retained: 1,
+        })
+    );
+    // Based on the front, the append is rebased over every commit since
+    // and still lands at the end.
+    let seq = RING as u64 + 1;
+    assert_eq!(
+        shard.commit(front, S, append),
+        CommitOutcome::Committed { seq }
+    );
+    let text = shard.mirrors(front).mirror(S).unwrap().to_string();
+    assert_eq!(text, format!("{}seed!", "x".repeat(RING)));
+
+    shard.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,24 +1,24 @@
 //! Session lifecycle durability (one test body: it owns the process-wide
-//! recorder slot):
+//! recorder slot), stepped on the test's thread:
 //!
 //! * evict-then-attach rehydrates **bit-identical** state — witnessed by
 //!   the `DeterminismAuditor`: a run whose session is evicted and
 //!   rehydrated mid-stream produces exactly the same per-session commit
 //!   digest chains as a run that never evicted;
-//! * a crash between eviction and snapshot publish (modelled by
-//!   `snapshot_on_evict = false`: the eviction syncs the WAL but never
-//!   writes the snapshot) recovers via the journal suffix alone, again
-//!   bit-identically.
+//! * a crash with the session resident (the shard dropped without
+//!   `stop`, so no eviction snapshot is written) recovers via the journal
+//!   suffix alone, again bit-identically.
 
+mod step;
+
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use sm_mergeable::MText;
-use sm_net::Network;
 use sm_obs::metrics::MetricsSnapshot;
 use sm_obs::{install, uninstall, DeterminismAuditor, Metrics, MultiRecorder, TaskPath};
-use sm_server::{CommitOutcome, ServerConfig, SessionClient, SessionServer};
-use std::collections::BTreeMap;
+use sm_server::{CommitOutcome, ServerConfig};
+use step::{tmpdir, Stepped};
 
 const SESSION: u64 = 0xC0FFEE;
 /// Fork-base ring length. The scenario commits more than two ring
@@ -29,6 +29,16 @@ const RING: usize = 4;
 const BEFORE_EVICT: u64 = 2 + 2 * RING as u64 + 1;
 const TOTAL: u64 = BEFORE_EVICT + 1;
 
+#[derive(Clone, Copy)]
+enum Leave {
+    /// Stay attached throughout.
+    Never,
+    /// Detach and let the idle scan evict the session.
+    Evicted,
+    /// Drop the shard with the session resident, and restart it.
+    Crashed,
+}
+
 struct RunResult {
     state_digest: u64,
     final_seq: u64,
@@ -36,14 +46,11 @@ struct RunResult {
     metrics: MetricsSnapshot,
 }
 
-/// Drive [`TOTAL`] commits on one session. `evict` = None: stay attached
-/// throughout. `evict` = Some(snapshot_on_evict): detach after
-/// [`BEFORE_EVICT`] commits, wait for the idle eviction, re-attach, then
-/// make the last commit against the rehydrated state.
-fn run_scenario(tag: &str, port: u16, evict: Option<bool>) -> RunResult {
-    let dir = std::env::temp_dir().join(format!("sm-lifecycle-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
+/// Drive [`TOTAL`] commits on one session, leaving it after
+/// [`BEFORE_EVICT`] commits as `leave` says, then re-attaching for the
+/// last commit.
+fn run_scenario(tag: &str, leave: Leave) -> RunResult {
+    let dir = tmpdir(tag);
     let metrics = Arc::new(Metrics::new());
     let auditor = Arc::new(DeterminismAuditor::new());
     install(Arc::new(MultiRecorder::new(vec![
@@ -52,75 +59,64 @@ fn run_scenario(tag: &str, port: u16, evict: Option<bool>) -> RunResult {
     ])));
 
     let mut cfg = ServerConfig::new(&dir);
-    cfg.shards = 2;
-    cfg.idle_after = Duration::from_millis(50);
     cfg.ring = RING;
-    cfg.snapshot_on_evict = evict.unwrap_or(true);
-    let net = Network::new();
-    let server =
-        SessionServer::start(&net, port, cfg, || MText::from("seed. ")).expect("server starts");
-
-    let mut client: SessionClient<MText> = SessionClient::connect(&net, port).unwrap();
-    assert_eq!(client.attach(SESSION).unwrap(), 0);
-    assert!(matches!(
-        client
-            .commit_with(SESSION, |t| t.insert_str(0, "[one]"))
-            .unwrap(),
+    let mut shard = Stepped::new(cfg, || MText::from("seed. "));
+    let client = shard.connect();
+    assert_eq!(shard.attach(client, SESSION), 0);
+    assert_eq!(
+        shard.commit(client, SESSION, |t| t.insert_str(0, "[one]")),
         CommitOutcome::Committed { seq: 1 }
-    ));
-    assert!(matches!(
-        client
-            .commit_with(SESSION, |t| {
-                let len = t.char_len();
-                t.insert_str(len, "[two]")
-            })
-            .unwrap(),
+    );
+    assert_eq!(
+        shard.commit(client, SESSION, |t| {
+            let len = t.char_len();
+            t.insert_str(len, "[two]")
+        }),
         CommitOutcome::Committed { seq: 2 }
-    ));
+    );
     for seq in 3..=BEFORE_EVICT {
-        let out = client
-            .commit_with(SESSION, |t| t.insert_str(3, format!("<{seq}>")))
-            .unwrap();
+        let out = shard.commit(client, SESSION, |t| t.insert_str(3, format!("<{seq}>")));
         assert_eq!(out, CommitOutcome::Committed { seq });
     }
 
-    if evict.is_some() {
-        client.detach(SESSION).unwrap();
-        // Wait for the idle scan to actually evict the session.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
+    match leave {
+        Leave::Never => {}
+        Leave::Evicted => {
+            shard.detach(client, SESSION);
+            shard.idle();
             let snap = metrics.snapshot();
-            if snap.sessions_evicted >= 1 {
-                assert_eq!(snap.sessions_active(), 0, "evicted session still active");
-                break;
-            }
-            assert!(Instant::now() < deadline, "session was never evicted");
-            std::thread::sleep(Duration::from_millis(10));
+            assert_eq!(snap.sessions_evicted, 1, "the idle scan evicts");
+            assert_eq!(snap.sessions_active(), 0, "evicted session still active");
         }
+        Leave::Crashed => shard.crash_and_restart(),
+    }
+    if !matches!(leave, Leave::Never) {
         // Re-attach: the shard must rehydrate from the store.
         assert_eq!(
-            client.attach(SESSION).unwrap(),
+            shard.attach(client, SESSION),
             BEFORE_EVICT,
             "seq must survive eviction"
         );
-        let snap = metrics.snapshot();
-        assert!(snap.sessions_rehydrated >= 1, "attach did not rehydrate");
+        assert_eq!(
+            metrics.snapshot().sessions_rehydrated,
+            1,
+            "attach did not rehydrate"
+        );
     }
 
     assert_eq!(
-        client
-            .commit_with(SESSION, |t| t.insert_str(6, "[last]"))
-            .unwrap(),
+        shard.commit(client, SESSION, |t| t.insert_str(6, "[last]")),
         CommitOutcome::Committed { seq: TOTAL }
     );
 
+    let mirrors = shard.mirrors(client);
     let result = RunResult {
-        state_digest: client.state_digest(SESSION).unwrap(),
-        final_seq: client.seq(SESSION).unwrap(),
+        state_digest: mirrors.state_digest(SESSION).unwrap(),
+        final_seq: mirrors.seq(SESSION).unwrap(),
         heads: auditor.chain_heads(),
         metrics: metrics.snapshot(),
     };
-    server.shutdown();
+    shard.stop();
     uninstall();
     let _ = std::fs::remove_dir_all(&dir);
     result
@@ -128,14 +124,12 @@ fn run_scenario(tag: &str, port: u16, evict: Option<bool>) -> RunResult {
 
 #[test]
 fn eviction_and_crash_rehydration_are_bit_identical() {
-    // Baseline: never evicted.
-    let baseline = run_scenario("baseline", 4500, None);
+    let baseline = run_scenario("lifecycle-baseline", Leave::Never);
     // Evicted with a published snapshot (the fast rehydration path).
-    let evicted = run_scenario("evict", 4501, Some(true));
-    // "Crashed" between eviction and snapshot publish: the WAL is
-    // synced but no snapshot exists, so rehydration replays the
-    // journal suffix from the genesis snapshot.
-    let crashed = run_scenario("crash", 4502, Some(false));
+    let evicted = run_scenario("lifecycle-evict", Leave::Evicted);
+    // Crashed with the session resident: no eviction snapshot exists, so
+    // rehydration replays the journal suffix.
+    let crashed = run_scenario("lifecycle-crash", Leave::Crashed);
 
     for run in [&baseline, &evicted, &crashed] {
         assert_eq!(run.final_seq, TOTAL);
@@ -160,18 +154,19 @@ fn eviction_and_crash_rehydration_are_bit_identical() {
         "the auditor must have seen the session commits"
     );
 
-    // Lifecycle accounting: both evicting runs evicted and rehydrated;
-    // the crash run rehydrated by replaying journaled ops (no snapshot
-    // to shortcut it).
-    assert!(evicted.metrics.sessions_evicted >= 1);
-    assert!(crashed.metrics.sessions_evicted >= 1);
-    assert!(evicted.metrics.sessions_rehydrated >= 1);
-    assert!(crashed.metrics.sessions_rehydrated >= 1);
-    assert!(
-        crashed.metrics.session_rehydrate_replayed_ops > 0,
-        "crash-window rehydration must have replayed the journal suffix"
+    // Lifecycle accounting (read before each run's final stop): only the
+    // evicting run evicted; the crash run rehydrated by replaying
+    // journaled ops (no snapshot to shortcut it).
+    assert_eq!(evicted.metrics.sessions_evicted, 1);
+    assert_eq!(
+        crashed.metrics.sessions_evicted, 0,
+        "a crash evicts nothing"
     );
     assert_eq!(baseline.metrics.sessions_evicted, 0);
+    assert!(
+        crashed.metrics.session_rehydrate_replayed_ops > 0,
+        "crash rehydration must have replayed the journal suffix"
+    );
     // Every run truncated its head to the ring window along the way.
     for run in [&baseline, &evicted, &crashed] {
         assert!(run.metrics.log_truncations >= 2);
