@@ -5,8 +5,7 @@
 //!
 //! * `append` — sustained commit throughput per [`FsyncPolicy`]: the
 //!   per-commit price of "no committed merge is ever lost" (`Always`)
-//!   versus group commit (`EveryN`) versus time-boxed flushing
-//!   (`Interval`).
+//!   versus group commit (`EveryN`).
 //! * `snapshot` — full-state snapshot cost against state size, and the
 //!   snapshot's on-disk footprint.
 //! * `recovery` — end-to-end crash recovery (snapshot load + WAL replay
@@ -35,7 +34,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sm_mergeable::MList;
 use sm_netsim::workload::Lcg;
@@ -101,10 +100,6 @@ fn main() {
     let policies: &[(&str, FsyncPolicy)] = &[
         ("always", FsyncPolicy::Always),
         ("every_64", FsyncPolicy::EveryN(64)),
-        (
-            "interval_5ms",
-            FsyncPolicy::Interval(Duration::from_millis(5)),
-        ),
     ];
     for (pi, (name, policy)) in policies.iter().enumerate() {
         let dir = scratch(&format!("append-{name}"));

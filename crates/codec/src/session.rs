@@ -68,6 +68,8 @@ impl Decode for RejectReason {
 
 /// Client → server commands. All session-scoped variants carry the
 /// session id explicitly so one connection can multiplex many sessions.
+/// Tag 3 is retired (it was an ack of server messages): it decodes as an
+/// unknown tag, like any other.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientMsg {
     /// Attach to (and subscribe to) `session`, creating or rehydrating it
@@ -91,12 +93,6 @@ pub enum ClientMsg {
     Detach {
         /// Session to detach from.
         session: u64,
-    },
-    /// Flow control: the client has processed every server message up to
-    /// and including delivery number `upto` on this connection.
-    Ack {
-        /// Highest processed per-connection delivery number.
-        upto: u64,
     },
     /// Liveness probe. Answered by [`ServerMsg::Pong`].
     Ping,
@@ -123,10 +119,6 @@ impl Encode for ClientMsg {
                 buf.put_u8(2);
                 session.encode(buf);
             }
-            ClientMsg::Ack { upto } => {
-                buf.put_u8(3);
-                upto.encode(buf);
-            }
             ClientMsg::Ping => buf.put_u8(4),
         }
     }
@@ -146,19 +138,14 @@ impl Decode for ClientMsg {
             2 => Ok(ClientMsg::Detach {
                 session: u64::decode(buf)?,
             }),
-            3 => Ok(ClientMsg::Ack {
-                upto: u64::decode(buf)?,
-            }),
             4 => Ok(ClientMsg::Ping),
             t => Err(DecodeError::BadTag(t)),
         }
     }
 }
 
-/// Server → client messages. Every message on a connection carries a
-/// monotonically increasing per-connection `delivery` number the client
-/// acknowledges via [`ClientMsg::Ack`] — the server's back-pressure
-/// window is measured in unacknowledged deliveries.
+/// Server → client messages. Nothing acknowledges them: the server's
+/// back-pressure is the depth of the connection's outbound stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerMsg {
     /// Attach succeeded: here is the full state snapshot at `seq`.
@@ -301,7 +288,6 @@ mod tests {
             ops: Vec::new(),
         });
         roundtrip(&ClientMsg::Detach { session: 3 });
-        roundtrip(&ClientMsg::Ack { upto: 1 << 40 });
         roundtrip(&ClientMsg::Ping);
     }
 

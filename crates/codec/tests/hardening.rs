@@ -143,3 +143,17 @@ proptest! {
         prop_assert!(<Vec<ListOp<u32>>>::from_bytes(&bytes).is_err());
     }
 }
+
+/// Tag 3 of a client message was the ack the session protocol no longer
+/// has: its old bytes, however plausible the body, are an unknown tag.
+#[test]
+fn the_retired_client_tag_3_is_refused() {
+    use sm_codec::session::ClientMsg;
+
+    for upto in [0, 1, u64::MAX] {
+        let mut b = BytesMut::new();
+        b.put_u8(3);
+        put_varint(&mut b, upto);
+        assert_eq!(ClientMsg::from_bytes(&b), Err(DecodeError::BadTag(3)));
+    }
+}

@@ -116,9 +116,10 @@ pub struct MergeStats {
     /// rebases, so `delta_rebases + grid_rebases` is the total.
     pub delta_rebases: usize,
     /// Rebases that fell back to the pairwise transformation grid
-    /// ([`sm_ot::seq`]): non-sequence algebras, logs containing operations
-    /// a span-set cannot express (e.g. `ListOp::Set`), and trivial merges
-    /// where either side's log was empty.
+    /// ([`sm_ot::seq`]): non-sequence algebras and logs containing
+    /// operations a span-set cannot express (e.g. `ListOp::Set`). A merge
+    /// where either side's log is empty rebases nothing and counts
+    /// neither kind.
     pub grid_rebases: usize,
     /// Total normalized spans swept by delta-path rebases (incoming +
     /// committed sides): the m+n the linear transform actually paid.
@@ -651,7 +652,6 @@ impl<O: Operation> Versioned<O> {
             return Ok(MergeStats {
                 committed_ops,
                 committed_ops_compacted: committed_ops,
-                grid_rebases: 1,
                 ..MergeStats::default()
             });
         }
@@ -874,7 +874,8 @@ fn rebase_over<O: Operation>(
                 committed_ops_compacted: committed.len(),
                 grid_cells: incoming.len() * committed.len(),
                 delta_rebases: 0,
-                grid_rebases: 1,
+                // With either side empty there was nothing to rebase.
+                grid_rebases: usize::from(!child_log.is_empty() && !committed_raw.is_empty()),
                 delta_spans: 0,
                 compact_nanos,
                 // The declined delta attempt is part of what the
@@ -1014,14 +1015,20 @@ mod tests {
     }
 
     #[test]
-    fn trivial_merge_counts_as_grid() {
+    fn trivial_merge_counts_no_rebase() {
         let mut parent = V::new(ct(vec![1]));
         let child = parent.fork();
         parent.record(ListOp::Insert(1, 2)).unwrap();
         let stats = parent.merge(&child).unwrap();
         assert_eq!(stats.delta_rebases, 0);
-        assert_eq!(stats.grid_rebases, 1);
+        assert_eq!(stats.grid_rebases, 0);
         assert_eq!(stats.delta_spans, 0);
+        // An empty committed slice rebases nothing either.
+        let mut child = parent.fork();
+        child.record(ListOp::Insert(0, 3)).unwrap();
+        let stats = parent.merge(&child).unwrap();
+        assert_eq!((stats.delta_rebases, stats.grid_rebases), (0, 0));
+        assert_eq!(parent.state(), &vec![3, 1, 2]);
     }
 
     #[test]
@@ -1248,7 +1255,6 @@ mod tests {
             MergeStats {
                 committed_ops: 2,
                 committed_ops_compacted: 2,
-                grid_rebases: 1,
                 ..MergeStats::default()
             }
         );

@@ -57,15 +57,14 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// What a trivial merge reported at the parent commit of this change, per
-/// log: nothing from the child, one grid rebase, and the parent's
-/// operations since the fork (`committed_ops_compacted` now reads the raw
-/// length, as the delta path's always has; none of these edits compacts).
-fn trivial(logs: usize, committed_ops: usize) -> MergeStats {
+/// What a trivial merge reports: nothing from the child, no rebase of
+/// either kind (there is nothing to rebase), and the parent's operations
+/// since the fork (`committed_ops_compacted` reads the raw length, as the
+/// delta path's always has; none of these edits compacts).
+fn trivial(committed_ops: usize) -> MergeStats {
     MergeStats {
         committed_ops,
         committed_ops_compacted: committed_ops,
-        grid_rebases: logs,
         ..MergeStats::default()
     }
 }
@@ -73,62 +72,50 @@ fn trivial(logs: usize, committed_ops: usize) -> MergeStats {
 /// Merge an untouched fork into an idle parent, then into a parent that
 /// has recorded `edit` (`committed_ops` operations) since the fork and
 /// shares its state with a younger fork.
-fn check<M: Mergeable>(
-    name: &str,
-    mut parent: M,
-    logs: usize,
-    committed_ops: usize,
-    edit: fn(&mut M),
-) {
+fn check<M: Mergeable>(name: &str, mut parent: M, committed_ops: usize, edit: fn(&mut M)) {
     let child = parent.fork();
     let (stats, allocations) = allocations_in(|| parent.merge(&child).unwrap());
     assert_eq!(allocations, 0, "{name}: idle parent");
-    assert_eq!(stats, trivial(logs, 0), "{name}: idle parent");
+    assert_eq!(stats, trivial(0), "{name}: idle parent");
 
     let child = parent.fork();
     edit(&mut parent);
     let _younger = parent.fork();
     let (stats, allocations) = allocations_in(|| parent.merge(&child).unwrap());
     assert_eq!(allocations, 0, "{name}: busy parent");
-    assert_eq!(stats, trivial(logs, committed_ops), "{name}: busy parent");
+    assert_eq!(stats, trivial(committed_ops), "{name}: busy parent");
     assert_eq!(child.pending_ops(), 0);
 }
 
 #[test]
 fn every_leaf_merges_an_untouched_fork_for_free() {
-    check("MList", MList::from_vec(vec![1u32, 2, 3, 4]), 1, 3, |l| {
+    check("MList", MList::from_vec(vec![1u32, 2, 3, 4]), 3, |l| {
         l.set(0, 9);
         l.insert(2, 8);
         l.remove(3);
     });
-    check("MText", MText::from("hello world"), 1, 3, |t| {
+    check("MText", MText::from("hello world"), 3, |t| {
         t.insert_str(0, "a");
         t.insert_str(6, "b");
         t.insert_str(3, "c");
     });
-    check("MQueue", MQueue::from_vec(vec![1u32, 2, 3]), 1, 3, |q| {
+    check("MQueue", MQueue::from_vec(vec![1u32, 2, 3]), 3, |q| {
         q.pop_front();
         q.push_back(4);
         q.pop_front();
     });
-    check(
-        "MMap",
-        MMap::from_entries([(1u32, 1u32), (2, 2)]),
-        1,
-        3,
-        |m| {
-            m.insert(3, 3);
-            m.remove(&1);
-            m.insert(4, 4);
-        },
-    );
-    check("MSet", MSet::from_items([1u32, 2]), 1, 3, |s| {
+    check("MMap", MMap::from_entries([(1u32, 1u32), (2, 2)]), 3, |m| {
+        m.insert(3, 3);
+        m.remove(&1);
+        m.insert(4, 4);
+    });
+    check("MSet", MSet::from_items([1u32, 2]), 3, |s| {
         s.insert(3);
         s.remove(&1);
         s.insert(4);
     });
     // Counter adds fuse in the log: three `inc`s are one committed op.
-    check("MCounter", MCounter::new(0), 1, 1, |c| {
+    check("MCounter", MCounter::new(0), 1, |c| {
         c.inc();
         c.inc();
         c.inc();
@@ -136,7 +123,6 @@ fn every_leaf_merges_an_untouched_fork_for_free() {
     check(
         "MCounterMap",
         MCounterMap::from_entries([(1u32, 1)]),
-        1,
         3,
         |m| {
             m.inc(1);
@@ -145,12 +131,12 @@ fn every_leaf_merges_an_untouched_fork_for_free() {
         },
     );
     // So do register writes: the last one wins inside the log already.
-    check("MRegister", MRegister::new(0u32), 1, 1, |r| {
+    check("MRegister", MRegister::new(0u32), 1, |r| {
         r.set(1);
         r.set(2);
         r.set(3);
     });
-    check("MTree", MTree::new(0u32), 1, 3, |t| {
+    check("MTree", MTree::new(0u32), 3, |t| {
         t.push_child(&[], Node::leaf(1));
         t.push_child(&[], Node::leaf(2));
         t.set_value(vec![0], 7);
@@ -184,7 +170,7 @@ fn sim_shaped() -> SimShaped {
 #[test]
 fn a_wide_composite_merges_an_untouched_fork_for_free() {
     // One host's hop, as the simulation makes it: pop, count, digest, push.
-    check("SimShaped", sim_shaped(), 3 * HOSTS + 1, 4, |d| {
+    check("SimShaped", sim_shaped(), 4, |d| {
         d.queues[3].pop_front();
         d.processed[3].inc();
         d.digests[3].set([7; 20]);
@@ -218,7 +204,7 @@ fn a_sync_over_an_untouched_wide_composite_is_free() {
         stats
     });
     assert_eq!(allocations, 0);
-    assert_eq!(stats, trivial(3 * HOSTS + 1, 0));
+    assert_eq!(stats, trivial(0));
     assert_eq!(
         state_handles(&parent),
         before,

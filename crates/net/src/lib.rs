@@ -253,6 +253,12 @@ impl SendHalf {
     pub fn send_str(&self, s: &str) -> Result<(), NetError> {
         self.send(s.as_bytes())
     }
+
+    /// Messages sent on this half that the peer has not received yet:
+    /// what a socket's send buffer holds for a reader that fell behind.
+    pub fn queued(&self) -> usize {
+        self.tx.len()
+    }
 }
 
 /// The owning receive half of a split [`Stream`].
@@ -349,6 +355,28 @@ mod tests {
             NetError::Timeout
         );
         assert!(listener.try_accept().is_none());
+    }
+
+    #[test]
+    fn queued_counts_sends_the_peer_has_not_received() {
+        let net = Network::new();
+        let listener = net.listen(4).unwrap();
+        let (client_tx, client_rx) = net.connect(4).unwrap().split();
+        let (server_tx, server_rx) = listener.accept().unwrap().split();
+        assert_eq!(server_tx.queued(), 0);
+        server_tx.send(b"a").unwrap();
+        server_tx.send(b"b").unwrap();
+        assert_eq!(server_tx.queued(), 2);
+        // The other direction has its own count.
+        assert_eq!(client_tx.queued(), 0);
+        client_tx.send(b"up").unwrap();
+        assert_eq!((client_tx.queued(), server_tx.queued()), (1, 2));
+        assert_eq!(client_rx.recv().unwrap(), b"a");
+        assert_eq!(server_tx.queued(), 1);
+        assert_eq!(client_rx.recv().unwrap(), b"b");
+        assert_eq!(server_tx.queued(), 0);
+        assert_eq!(server_rx.recv().unwrap(), b"up");
+        assert_eq!(client_tx.queued(), 0);
     }
 
     #[test]

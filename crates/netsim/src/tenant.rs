@@ -174,7 +174,6 @@ pub fn run_tenants(
     // The workload sleeps through the churn window while other clients
     // keep broadcasting: give connections queue room instead of
     // declaring them slow.
-    server_cfg.window = 256;
     server_cfg.queue_cap = 1 << 14;
     server_cfg.store.fsync = FsyncPolicy::EveryN(cfg.fsync_every_n.max(1));
     let server = SessionServer::start(&net, cfg.port, server_cfg, || MText::from("doc: "))

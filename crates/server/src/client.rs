@@ -114,13 +114,11 @@ impl<D: Persist> Mirror<D> {
 /// history, so it is dropped after every applied broadcast: a commit
 /// costs what the edit costs, however old the session is. Two clients
 /// of a session therefore converge to bit-identical mirrors, which
-/// [`state_digest`](Mirrors::state_digest) witnesses. `on_msg` returns
-/// the running count of handled messages: the `Ack { upto }` that keeps
-/// a client inside the server's back-pressure window.
+/// [`state_digest`](Mirrors::state_digest) witnesses. Nothing answers a
+/// server message: the server learns how far a client has read from the
+/// depth of its stream.
 pub struct Mirrors<D> {
     mirrors: HashMap<u64, Mirror<D>>,
-    /// Messages handled: the ack owed to the server.
-    received: u64,
     commit_events: Vec<CommitEvent>,
     /// The reason of the server's `Shutdown`, once one arrived.
     shutdown: Option<String>,
@@ -130,7 +128,6 @@ impl<D> Default for Mirrors<D> {
     fn default() -> Self {
         Mirrors {
             mirrors: HashMap::new(),
-            received: 0,
             commit_events: Vec::new(),
             shutdown: None,
         }
@@ -138,10 +135,8 @@ impl<D> Default for Mirrors<D> {
 }
 
 impl<D: Persist> Mirrors<D> {
-    /// Apply one server message and return the count of messages handled
-    /// so far: the `upto` of the [`ClientMsg::Ack`] to send for it.
-    pub fn on_msg(&mut self, msg: &ServerMsg) -> Result<u64, ClientError> {
-        self.received += 1;
+    /// Apply one server message.
+    pub fn on_msg(&mut self, msg: &ServerMsg) -> Result<(), ClientError> {
         match msg {
             ServerMsg::Attached {
                 session,
@@ -185,7 +180,7 @@ impl<D: Persist> Mirrors<D> {
             }
             ServerMsg::Rejected { .. } | ServerMsg::Pong => {}
         }
-        Ok(self.received)
+        Ok(())
     }
 
     /// The commit of `edit` to `session`: `edit` runs on a fork of the
@@ -377,7 +372,7 @@ impl<D: Persist> SessionClient<D> {
         self.stream.send(&framed).map_err(|e| self.closed_reason(e))
     }
 
-    /// Receive, decode, apply, and ack one server message.
+    /// Receive, decode and apply one server message.
     fn pump_blocking(&mut self) -> Result<ServerMsg, ClientError> {
         let raw = self.stream.recv().map_err(|e| self.closed_reason(e))?;
         self.handle_raw(&raw)
@@ -397,12 +392,7 @@ impl<D: Persist> SessionClient<D> {
             return Err(ClientError::Protocol("trailing bytes after frame".into()));
         }
         let msg = ServerMsg::from_bytes(payload).map_err(ClientError::Decode)?;
-        let upto = self.mirrors.on_msg(&msg)?;
-        // Best-effort: the server may already have closed its end (e.g. a
-        // slow-consumer disconnect) while deliveries, including the final
-        // `Shutdown` frame, are still queued for us to drain. A failed ack
-        // of that `Shutdown` leaves its reason for the next receive.
-        let _ = self.send(&ClientMsg::Ack { upto });
+        self.mirrors.on_msg(&msg)?;
         Ok(msg)
     }
 }

@@ -47,11 +47,13 @@
 //! untouched. The head keeps history back to the ring's front only, and
 //! a mirror keeps none (DESIGN.md §3.11 has the details).
 //!
-//! **Back-pressure.** All server→client traffic goes through a bounded
-//! per-connection outbound queue with an ack window
-//! ([`ClientMsg::Ack`]); a consumer that stops acking first queues, then
-//! — past the cap — is disconnected (`SlowConsumerDropped`), never
-//! blocking a shard.
+//! **Back-pressure.** The transport is the only signal: a connection's
+//! outbound stream counts the messages its client has not received yet,
+//! as a socket's send buffer would, and no client message can change
+//! that count. A message that finds more than `queue_cap` of them
+//! waiting disconnects the consumer instead (`SlowConsumerDropped`), so a
+//! shard never blocks on a client and never holds its backlog. A client
+//! sends only what it means to: attaches, commits, detaches, pings.
 //!
 //! **Eviction and stopping.** A session with no subscribers idle past
 //! `idle_after` is snapshotted to its store and dropped from memory; the
@@ -117,11 +119,8 @@ pub struct ServerConfig {
     /// client's `base_seq` may lag before its commit is rejected as
     /// stale and it must re-attach.
     pub ring: usize,
-    /// Unacknowledged server→client deliveries before further messages
-    /// queue instead of sending.
-    pub window: u64,
-    /// Queued messages per connection before the consumer is declared
-    /// slow and disconnected.
+    /// Messages a connection's client may leave unreceived; the next one
+    /// sent to it disconnects it as a slow consumer instead.
     pub queue_cap: usize,
     /// Store options applied to every session journal.
     pub store: StoreOptions,
@@ -129,14 +128,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults for a server rooted at `dir`: 4 shards, 30 s idle
-    /// eviction, ring of 32 bases, window 64, queue cap 256.
+    /// eviction, ring of 32 bases, queue cap 256.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             shards: 4,
             dir: dir.into(),
             idle_after: Duration::from_secs(30),
             ring: 32,
-            window: 64,
             queue_cap: 256,
             store: StoreOptions::default(),
         }
@@ -246,7 +244,7 @@ impl SessionServer {
         let listener_join = {
             let stop = Arc::clone(&stop);
             let shard_txs = shard_txs.clone();
-            let (window, queue_cap) = (config.window, config.queue_cap);
+            let queue_cap = config.queue_cap;
             let readers = Arc::clone(&readers);
             std::thread::Builder::new()
                 .name("sm-listener".into())
@@ -259,8 +257,7 @@ impl SessionServer {
                         match listener.accept_timeout(Duration::from_millis(50)) {
                             Ok(stream) => {
                                 let conn_id = next_conn.fetch_add(1, Ordering::Relaxed);
-                                let conn =
-                                    Arc::new(ConnShared::new(conn_id, stream, window, queue_cap));
+                                let conn = Arc::new(ConnShared::new(conn_id, stream, queue_cap));
                                 let stop = Arc::clone(&stop);
                                 let shard_txs = shard_txs.clone();
                                 let join = std::thread::Builder::new()
@@ -356,8 +353,8 @@ fn drive_shard<D: Persist>(mut shard: Shard<D>, rx: Receiver<ShardCmd>) {
 
 /// Per-connection reader: decode CRC-framed [`ClientMsg`]s off the
 /// stream and route session-scoped commands to the owning shard.
-/// Connection-scoped commands (`Ack`, `Ping`) are handled here, off the
-/// shard threads.
+/// `Ping` belongs to the connection and is answered here, off the shard
+/// threads. A frame that does not decode closes the connection.
 fn reader_loop(conn: Arc<ConnShared>, shard_txs: Vec<Sender<ShardCmd>>, stop: Arc<AtomicBool>) {
     let shards = shard_txs.len();
     loop {
@@ -377,7 +374,6 @@ fn reader_loop(conn: Arc<ConnShared>, shard_txs: Vec<Sender<ShardCmd>>, stop: Ar
             }
         };
         match msg {
-            ClientMsg::Ack { upto } => conn.ack(upto),
             ClientMsg::Ping => conn.send_msg(&sm_codec::session::ServerMsg::Pong),
             ClientMsg::Attach { session }
             | ClientMsg::Commit { session, .. }

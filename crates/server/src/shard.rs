@@ -74,8 +74,8 @@ impl<D: Persist> Shard<D> {
         }
     }
 
-    /// Handle one message from connection `conn`. `Ack` and `Ping` belong
-    /// to the connection, not to a session, and are ignored here.
+    /// Handle one message from connection `conn`. `Ping` belongs to the
+    /// connection, not to a session, and is ignored here.
     pub fn command(
         &mut self,
         now: Instant,
@@ -97,7 +97,7 @@ impl<D: Persist> Shard<D> {
                 }
                 out.push((conn, ServerMsg::Detached { session }));
             }
-            ClientMsg::Ack { .. } | ClientMsg::Ping => {}
+            ClientMsg::Ping => {}
         }
     }
 

@@ -27,7 +27,7 @@ use sm_ot::list::ListOp;
 use sm_ot::text::TextOp;
 use sm_server::{CommitOutcome, ServerConfig};
 use sm_store::wal::Record;
-use sm_store::{RetentionPolicy, Store, StoreOptions};
+use sm_store::{Store, StoreOptions};
 use step::{tmpdir, Stepped};
 
 const S: u64 = 7;
@@ -171,8 +171,6 @@ fn every_broadcast_slice_is_its_journal_record_across_an_eviction() {
     let dir = tmpdir("encode-once");
     let mut cfg = ServerConfig::new(&dir);
     cfg.ring = RING;
-    // Keep every segment: the records before the eviction snapshot too.
-    cfg.store.retention = RetentionPolicy::KeepAll;
     let mut shard = Stepped::new(cfg, || MText::from("seed. "));
     let editors = [shard.connect(), shard.connect()];
     let watcher = shard.connect();
@@ -202,6 +200,8 @@ fn every_broadcast_slice_is_its_journal_record_across_an_eviction() {
         shard.attach(c, S);
     }
     round(&mut shard, 2 * RING + 1);
+    // The eviction snapshot prunes the segments these records are in.
+    let mut journaled = commits(&dir);
 
     // Everyone leaves; the session is snapshotted and evicted, then
     // rehydrated by the next attach.
@@ -218,7 +218,7 @@ fn every_broadcast_slice_is_its_journal_record_across_an_eviction() {
     }
     round(&mut shard, RING + 1);
 
-    let journaled = commits(&dir);
+    journaled.extend(commits(&dir));
     assert_eq!(journaled.len(), broadcasts.len());
     for ((seq, ops, count), (bseq, bops)) in journaled.iter().zip(&broadcasts) {
         assert_eq!(seq, bseq);

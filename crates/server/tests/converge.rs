@@ -2,121 +2,118 @@
 //! subscriber of a session ends digest-identical, divergent concurrent
 //! commits are OT-rebased, stale bases are rejected, and slow consumers
 //! are disconnected without stalling anyone else.
+//!
+//! The protocol cases step a `Shard` and its clients' `Mirrors` on the
+//! test's thread (see `step/mod.rs`). The back-pressure cases run a
+//! `SessionServer`: the slow-consumer disconnect is the driver's, not the
+//! core's.
+
+mod step;
 
 use std::time::Duration;
 
-use sm_codec::session::RejectReason;
+use bytes::{BufMut, BytesMut};
+use sm_codec::session::{ClientMsg, RejectReason, ServerMsg};
+use sm_codec::{put_varint, Decode, Encode};
 use sm_mergeable::MText;
-use sm_net::Network;
-use sm_server::{ClientError, CommitOutcome, ServerConfig, SessionClient, SessionServer};
+use sm_net::frame::{decode_frame, encode_frame};
+use sm_net::{NetError, Network};
+use sm_server::{
+    ClientError, CommitOutcome, ServerConfig, SessionClient, SessionServer, SLOW_CONSUMER_REASON,
+};
+use step::{tmpdir, Stepped};
 
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sm-server-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn base() -> MText {
+    MText::from("base. ")
 }
 
 fn start(net: &Network, port: u16, cfg: ServerConfig) -> SessionServer {
-    SessionServer::start(net, port, cfg, || MText::from("base. ")).expect("server starts")
+    SessionServer::start(net, port, cfg, base).expect("server starts")
 }
 
 #[test]
 fn two_clients_converge_through_broadcasts() {
-    let net = Network::new();
-    let server = start(&net, 4400, ServerConfig::new(tmpdir("converge")));
+    let dir = tmpdir("converge");
+    let mut shard = Stepped::new(ServerConfig::new(&dir), base);
+    let (a, b) = (shard.connect(), shard.connect());
+    assert_eq!(shard.attach(a, 7), 0);
+    assert_eq!(shard.attach(b, 7), 0);
 
-    let mut a: SessionClient<MText> = SessionClient::connect(&net, 4400).unwrap();
-    let mut b: SessionClient<MText> = SessionClient::connect(&net, 4400).unwrap();
-    assert_eq!(a.attach(7).unwrap(), 0);
-    assert_eq!(b.attach(7).unwrap(), 0);
-
-    let out = a.commit_with(7, |t| t.insert_str(0, "[a1]")).unwrap();
+    let out = shard.commit(a, 7, |t| t.insert_str(0, "[a1]"));
     assert_eq!(out, CommitOutcome::Committed { seq: 1 });
     // B sees A's commit as a broadcast.
-    while b.seq(7) != Some(1) {
-        b.pump(Duration::from_secs(1)).unwrap();
-    }
-    assert_eq!(a.state_digest(7), b.state_digest(7));
+    shard.pump(b);
+    assert_eq!(shard.mirrors(b).seq(7), Some(1));
+    let digest = |shard: &Stepped<MText>, c| shard.mirrors(c).state_digest(7);
+    assert_eq!(digest(&shard, a), digest(&shard, b));
 
-    let out = b
-        .commit_with(7, |t| {
-            let len = t.char_len();
-            t.insert_str(len, "[b1]")
-        })
-        .unwrap();
+    let out = shard.commit(b, 7, |t| {
+        let len = t.char_len();
+        t.insert_str(len, "[b1]")
+    });
     assert_eq!(out, CommitOutcome::Committed { seq: 2 });
-    while a.seq(7) != Some(2) {
-        a.pump(Duration::from_secs(1)).unwrap();
-    }
-    assert_eq!(a.state_digest(7), b.state_digest(7));
-    let text = a.mirror(7).unwrap().to_string();
+    shard.pump(a);
+    assert_eq!(shard.mirrors(a).seq(7), Some(2));
+    assert_eq!(digest(&shard, a), digest(&shard, b));
+    let text = shard.mirrors(a).mirror(7).unwrap().to_string();
     assert!(text.contains("[a1]") && text.contains("[b1]"), "{text:?}");
 
-    server.shutdown();
+    shard.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn divergent_concurrent_commits_are_rebased() {
-    let net = Network::new();
-    let server = start(&net, 4401, ServerConfig::new(tmpdir("rebase")));
-
-    let mut a: SessionClient<MText> = SessionClient::connect(&net, 4401).unwrap();
-    let mut b: SessionClient<MText> = SessionClient::connect(&net, 4401).unwrap();
-    a.attach(1).unwrap();
-    b.attach(1).unwrap();
+    let dir = tmpdir("rebase");
+    let mut shard = Stepped::new(ServerConfig::new(&dir), base);
+    let (a, b) = (shard.connect(), shard.connect());
+    shard.attach(a, 1);
+    shard.attach(b, 1);
 
     // Both commit against seq 0; B does not see A's commit before
     // committing, so the server must rebase B's ops over A's.
     assert_eq!(
-        a.commit_with(1, |t| t.insert_str(0, "[A]")).unwrap(),
+        shard.commit(a, 1, |t| t.insert_str(0, "[A]")),
         CommitOutcome::Committed { seq: 1 }
     );
-    let out = b.commit_with(1, |t| t.insert_str(0, "[B]")).unwrap();
+    let out = shard.commit(b, 1, |t| t.insert_str(0, "[B]"));
     assert_eq!(out, CommitOutcome::Committed { seq: 2 });
 
-    while a.seq(1) != Some(2) {
-        a.pump(Duration::from_secs(1)).unwrap();
-    }
-    while b.seq(1) != Some(2) {
-        b.pump(Duration::from_secs(1)).unwrap();
+    shard.pump(a);
+    for c in [a, b] {
+        assert_eq!(shard.mirrors(c).seq(1), Some(2));
     }
     assert_eq!(
-        a.state_digest(1),
-        b.state_digest(1),
+        shard.mirrors(a).state_digest(1),
+        shard.mirrors(b).state_digest(1),
         "mirrors must converge"
     );
-    let text = a.mirror(1).unwrap().to_string();
+    let text = shard.mirrors(a).mirror(1).unwrap().to_string();
     assert!(
         text.contains("[A]") && text.contains("[B]"),
         "both divergent edits must survive the rebase: {text:?}"
     );
 
-    server.shutdown();
+    shard.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stale_base_commits_are_rejected() {
-    let net = Network::new();
-    let mut cfg = ServerConfig::new(tmpdir("stale"));
+    let dir = tmpdir("stale");
+    let mut cfg = ServerConfig::new(&dir);
     cfg.ring = 2;
-    let server = start(&net, 4402, cfg);
-
-    let mut a: SessionClient<MText> = SessionClient::connect(&net, 4402).unwrap();
-    let mut b: SessionClient<MText> = SessionClient::connect(&net, 4402).unwrap();
-    a.attach(3).unwrap();
-    b.attach(3).unwrap();
+    let mut shard = Stepped::new(cfg, base);
+    let (a, b) = (shard.connect(), shard.connect());
+    shard.attach(a, 3);
+    shard.attach(b, 3);
 
     // Four commits from A push seq to 4; the ring (length 2) forgets
     // base 0, which B still sits on.
     for i in 0..4 {
-        a.commit_with(3, |t| t.insert_str(0, format!("[a{i}]")))
-            .unwrap();
+        shard.commit(a, 3, |t| t.insert_str(0, format!("[a{i}]")));
     }
-    match b.commit_with(3, |t| t.insert_str(0, "[late]")).unwrap() {
+    match shard.commit(b, 3, |t| t.insert_str(0, "[late]")) {
         CommitOutcome::Rejected(RejectReason::StaleBase {
             base_seq,
             oldest_retained,
@@ -127,49 +124,39 @@ fn stale_base_commits_are_rejected() {
         other => panic!("expected StaleBase rejection, got {other:?}"),
     }
     // Recovery path: B re-attaches for a fresh snapshot and can commit.
-    let seq = b.attach(3).unwrap();
-    assert_eq!(seq, 4);
-    assert!(matches!(
-        b.commit_with(3, |t| t.insert_str(0, "[b-retry]")).unwrap(),
+    assert_eq!(shard.attach(b, 3), 4);
+    assert_eq!(
+        shard.commit(b, 3, |t| t.insert_str(0, "[b-retry]")),
         CommitOutcome::Committed { seq: 5 }
-    ));
+    );
 
-    server.shutdown();
+    shard.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn commit_without_attach_is_rejected() {
-    use sm_codec::session::{ClientMsg, ServerMsg};
-    use sm_codec::{Decode, Encode};
-    use sm_net::frame::{decode_frame, encode_frame};
+    let dir = tmpdir("noattach");
+    let mut shard = Stepped::new(ServerConfig::new(&dir), base);
 
-    let net = Network::new();
-    let server = start(&net, 4403, ServerConfig::new(tmpdir("noattach")));
+    // The client's mirrors refuse locally without a mirror…
+    let b = shard.connect();
+    let commit = |shard: &Stepped<MText>| shard.mirrors(b).commit_msg(9, |_| {});
+    assert!(commit(&shard).is_err(), "no mirror, no commit");
+    shard.attach(b, 9);
+    shard.detach(b, 9);
+    assert!(commit(&shard).is_err(), "detach drops the mirror too");
 
-    // The client helper refuses locally without a mirror…
-    let mut b: SessionClient<MText> = SessionClient::connect(&net, 4403).unwrap();
-    assert!(b.commit_with(9, |_| {}).is_err(), "no mirror, no commit");
-    b.attach(9).unwrap();
-    b.detach(9).unwrap();
-    assert!(
-        b.commit_with(9, |_| {}).is_err(),
-        "detach drops the mirror too"
-    );
-
-    // …and the server itself bounces a raw commit from a connection
-    // that never attached.
-    let raw = net.connect(4403).unwrap();
+    // …and the shard itself bounces a raw commit from a connection that
+    // never attached.
+    let raw = shard.connect();
     let msg = ClientMsg::Commit {
         session: 9,
         base_seq: 0,
         ops: Vec::new(),
     };
-    let mut framed = Vec::new();
-    encode_frame(&msg.to_bytes(), &mut framed);
-    raw.send(&framed).unwrap();
-    let reply = raw.recv_timeout(Duration::from_secs(2)).unwrap();
-    let (payload, _) = decode_frame(&reply).unwrap();
-    match ServerMsg::from_bytes(payload).unwrap() {
+    shard.send(raw, msg);
+    match shard.recv(raw) {
         ServerMsg::Rejected {
             session: 9,
             reason: RejectReason::NotAttached,
@@ -177,14 +164,15 @@ fn commit_without_attach_is_rejected() {
         other => panic!("expected NotAttached rejection, got {other:?}"),
     }
 
-    server.shutdown();
+    shard.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn slow_consumer_is_disconnected_without_stalling_others() {
     let net = Network::new();
-    let mut cfg = ServerConfig::new(tmpdir("slow"));
-    cfg.window = 2;
+    let dir = tmpdir("slow");
+    let mut cfg = ServerConfig::new(&dir);
     cfg.queue_cap = 4;
     let server = start(&net, 4404, cfg);
 
@@ -193,8 +181,8 @@ fn slow_consumer_is_disconnected_without_stalling_others() {
     fast.attach(5).unwrap();
     slow.attach(5).unwrap();
 
-    // `slow` never pumps: after `window` deliveries its broadcasts
-    // queue, and past `queue_cap` the server cuts it loose. `fast` keeps
+    // `slow` never pumps: its broadcasts wait in its stream, and past
+    // `queue_cap` of them the server cuts it loose. `fast` keeps
     // committing the whole time.
     for i in 0..20 {
         assert!(matches!(
@@ -213,9 +201,7 @@ fn slow_consumer_is_disconnected_without_stalling_others() {
         }
     };
     match err {
-        ClientError::Shutdown(reason) => {
-            assert_eq!(reason, sm_server::SLOW_CONSUMER_REASON)
-        }
+        ClientError::Shutdown(reason) => assert_eq!(reason, SLOW_CONSUMER_REASON),
         other => panic!("expected slow-consumer shutdown, got {other:?}"),
     }
 
@@ -226,4 +212,77 @@ fn slow_consumer_is_disconnected_without_stalling_others() {
     ));
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A subscriber that claims to have read everything the server will ever
+/// send it, in the bytes of the ack the protocol no longer has
+/// (`Ack { upto: u64::MAX }`, tag 3), and then reads nothing is cut off
+/// within `queue_cap + 2` messages, like any reader that fell behind.
+#[test]
+fn an_ack_ahead_subscriber_that_never_reads_is_disconnected() {
+    const QUEUE_CAP: usize = 4;
+    let net = Network::new();
+    let dir = tmpdir("ack-ahead");
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.queue_cap = QUEUE_CAP;
+    let server = start(&net, 4405, cfg);
+
+    let raw = net.connect(4405).unwrap();
+    let send = |payload: &[u8]| {
+        let mut framed = Vec::new();
+        encode_frame(payload, &mut framed);
+        raw.send(&framed).unwrap();
+    };
+    let recv = || {
+        let reply = raw.recv_timeout(Duration::from_secs(10));
+        let reply = reply.expect("the server answers or closes the stream");
+        let (payload, _) = decode_frame(&reply).unwrap();
+        ServerMsg::from_bytes(payload).unwrap()
+    };
+    send(&ClientMsg::Attach { session: 6 }.to_bytes());
+    assert!(matches!(recv(), ServerMsg::Attached { session: 6, .. }));
+    let mut ack = BytesMut::new();
+    ack.put_u8(3);
+    put_varint(&mut ack, u64::MAX);
+    send(&ack);
+
+    let mut fast: SessionClient<MText> = SessionClient::connect(&net, 4405).unwrap();
+    fast.attach(6).unwrap();
+    for i in 0..20 {
+        assert!(matches!(
+            fast.commit_with(6, |t| t.insert_str(0, format!("[{i}]")))
+                .unwrap(),
+            CommitOutcome::Committed { .. }
+        ));
+    }
+
+    let mut delivered = 0;
+    let reason = loop {
+        match recv() {
+            ServerMsg::Shutdown { reason } => break reason,
+            _ => delivered += 1,
+        }
+        assert!(
+            delivered <= QUEUE_CAP + 1,
+            "still subscribed after {delivered} messages past the attach"
+        );
+    };
+    assert!(
+        reason == SLOW_CONSUMER_REASON || reason.starts_with("bad client message"),
+        "{reason:?}"
+    );
+    assert_eq!(
+        raw.recv_timeout(Duration::from_secs(10)),
+        Err(NetError::Closed)
+    );
+
+    // The other subscriber is unaffected.
+    assert!(matches!(
+        fast.commit_with(6, |t| t.insert_str(0, "[after]")).unwrap(),
+        CommitOutcome::Committed { .. }
+    ));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -116,6 +116,16 @@ pub mod channel {
             self.shared.readable.notify_one();
             Ok(())
         }
+
+        /// Messages sent and not yet received.
+        pub fn len(&self) -> usize {
+            self.shared.lock().queue.len()
+        }
+
+        /// No message is waiting (upstream pairs it with `len`).
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -251,6 +261,20 @@ pub mod channel {
             tx.send(3).unwrap();
             assert_eq!(rx.try_recv(), Ok(3));
             assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        }
+
+        #[test]
+        fn len_counts_what_is_sent_and_not_yet_received() {
+            let (tx, rx) = unbounded();
+            let tx2 = tx.clone();
+            assert!(tx.is_empty());
+            tx.send(1).unwrap();
+            tx2.send(2).unwrap();
+            assert_eq!((tx.len(), tx2.len()), (2, 2));
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(tx.len(), 1);
+            assert_eq!(rx.try_recv(), Ok(2));
+            assert!(tx.is_empty());
         }
 
         #[test]

@@ -71,7 +71,7 @@ use std::fmt;
 
 pub use recover::Recovered;
 pub use sm_mergeable::{Persist, ReplayError};
-pub use store::{run_with_store, FsyncPolicy, RetentionPolicy, Store, StoreOptions, StoreSink};
+pub use store::{run_with_store, FsyncPolicy, Store, StoreOptions, StoreSink};
 
 /// Why a store operation or recovery failed.
 #[derive(Debug)]

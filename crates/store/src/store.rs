@@ -7,7 +7,7 @@ use std::io::Write;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
@@ -31,25 +31,6 @@ pub enum FsyncPolicy {
     /// to the last `n − 1` commits; recovery still restores a consistent
     /// digest-verified prefix.
     EveryN(u32),
-    /// `fsync` when at least this much time has passed since the last
-    /// one, amortizing the flush over bursts.
-    Interval(Duration),
-}
-
-/// What the store does with journal files a durable full snapshot has
-/// made redundant for recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetentionPolicy {
-    /// Log-structured retention: once a full snapshot at `S` is durable,
-    /// delete older snapshots and every *closed* WAL segment whose
-    /// commits are all ≤ `S`. Recovery work stays proportional to the
-    /// data written since the last snapshot, not to the journal's
-    /// lifetime.
-    #[default]
-    PruneCovered,
-    /// Never delete journal files; every snapshot and WAL segment since
-    /// genesis remains (archival / audit mode).
-    KeepAll,
 }
 
 /// Tunables for [`Store::open`].
@@ -64,8 +45,6 @@ pub struct StoreOptions {
     /// this many journaled operations, on the committing thread; `0`
     /// disables automatic snapshots.
     pub snapshot_every_ops: u64,
-    /// What happens to covered journal files after a full snapshot.
-    pub retention: RetentionPolicy,
 }
 
 impl Default for StoreOptions {
@@ -74,7 +53,6 @@ impl Default for StoreOptions {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             snapshot_every_ops: 0,
-            retention: RetentionPolicy::PruneCovered,
         }
     }
 }
@@ -99,7 +77,6 @@ pub(crate) struct Inner {
     pub chains: BTreeMap<Vec<u64>, u64>,
     pub ops_since_snapshot: u64,
     pub appends_since_fsync: u32,
-    pub last_fsync: Instant,
     /// First failure observed by the infallible sink callbacks.
     pub error: Option<StoreError>,
 }
@@ -130,7 +107,6 @@ impl Store {
             chains: BTreeMap::new(),
             ops_since_snapshot: 0,
             appends_since_fsync: 0,
-            last_fsync: Instant::now(),
             error: None,
         }));
         Ok(Store { inner })
@@ -198,9 +174,8 @@ impl Store {
         inner.fsync_segment()
     }
 
-    /// Persist a full-state snapshot of `data`, rotate the WAL, and —
-    /// under [`RetentionPolicy::PruneCovered`] — delete the segments and
-    /// older snapshots the new snapshot covers.
+    /// Persist a full-state snapshot of `data`, rotate the WAL, and
+    /// delete the segments and older snapshots the new snapshot covers.
     pub fn snapshot<D: Persist>(&self, data: &D) -> Result<(), StoreError> {
         self.inner.lock().snapshot(data)
     }
@@ -318,7 +293,6 @@ impl Inner {
         let fsync_due = match self.options.fsync {
             FsyncPolicy::Always => true,
             FsyncPolicy::EveryN(n) => self.appends_since_fsync + 1 >= n.max(1),
-            FsyncPolicy::Interval(d) => self.last_fsync.elapsed() >= d,
         };
         let mut fsync_nanos = 0u64;
         if fsync_due {
@@ -354,7 +328,6 @@ impl Inner {
             segment.file.sync_data()?;
         }
         self.appends_since_fsync = 0;
-        self.last_fsync = Instant::now();
         Ok(())
     }
 
@@ -384,15 +357,13 @@ impl Inner {
         Ok(())
     }
 
-    /// Apply [`RetentionPolicy`] after a durable full snapshot at
-    /// `covered`: remove older snapshots and closed WAL segments whose
-    /// commits are all ≤ `covered` (a segment is fully covered when its
-    /// successor starts at or below `covered + 1`; the open segment never
-    /// qualifies).
+    /// Retention, after a durable full snapshot at `covered`: remove
+    /// older snapshots and closed WAL segments whose commits are all
+    /// ≤ `covered` (a segment is fully covered when its successor starts
+    /// at or below `covered + 1`; the open segment never qualifies).
+    /// Recovery work stays proportional to the data written since the
+    /// last snapshot, not to the journal's lifetime.
     fn prune_covered(&mut self, covered: u64) -> Result<(), StoreError> {
-        if self.options.retention == RetentionPolicy::KeepAll {
-            return Ok(());
-        }
         let current = self.segment.as_ref().map(|s| s.path.clone());
         let mut snapshots = 0usize;
         for (seq, path) in list_files(&self.dir, "snap-")? {

@@ -77,4 +77,4 @@ pub use sm_mergeable::{
     mergeable_struct, CopyMode, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet,
     MText, MTree, MergeError, MergeStats, Mergeable, Persist, ReplayError,
 };
-pub use sm_store::{run_with_store, FsyncPolicy, RetentionPolicy, Store, StoreError, StoreOptions};
+pub use sm_store::{run_with_store, FsyncPolicy, Store, StoreError, StoreOptions};

@@ -400,7 +400,6 @@ fn durability_pipeline_counters_and_phase_timers_reach_metrics() {
         fsync: FsyncPolicy::EveryN(4),
         segment_bytes: 512,
         snapshot_every_ops: 25,
-        ..StoreOptions::default()
     };
     let store = Store::open(&dir, options.clone()).unwrap();
     let mut data = MList::<u64>::new();
@@ -411,8 +410,8 @@ fn durability_pipeline_counters_and_phase_timers_reach_metrics() {
             store.commit(&data, &TaskPath::root()).unwrap();
         }
     }
-    // Under PruneCovered every snapshot, automatic or explicit, retires
-    // the segments it covers.
+    // Every snapshot, automatic or explicit, retires the segments it
+    // covers.
     store.snapshot(&data).unwrap();
     store.sync().unwrap();
 

@@ -21,8 +21,8 @@ use spawn_merge::netsim::workload::Lcg;
 use spawn_merge::obs::TaskPath;
 use spawn_merge::store::wal::Record;
 use spawn_merge::{
-    run, run_with_store, FsyncPolicy, MCounter, MList, MText, Mergeable, Persist, Pool,
-    RetentionPolicy, Store, StoreError, StoreOptions, TaskAbort,
+    run, run_with_store, FsyncPolicy, MCounter, MList, MText, Mergeable, Persist, Pool, Store,
+    StoreError, StoreOptions, TaskAbort,
 };
 
 /// A fresh, empty scratch directory unique to this process and `tag`.
@@ -44,6 +44,30 @@ fn copy_dir(src: &Path, tag: &str) -> PathBuf {
         fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
     }
     dst
+}
+
+/// Snapshot `data` through `store`, first copying every file of its
+/// directory into `kept`: `kept` ends up holding every journal file the
+/// snapshots' prunes deleted.
+fn snapshot_keeping<D: Persist>(store: &Store, data: &D, kept: &Path) {
+    for entry in fs::read_dir(store.dir()).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), kept.join(entry.file_name())).unwrap();
+    }
+    store.snapshot(data).unwrap();
+}
+
+/// The crash image of a store that never got to prune: a fresh directory
+/// holding the files `snapshot_keeping` kept, then `dir`'s own files over
+/// them (a file in both only grew since it was kept). Every covered
+/// snapshot and segment lies beside the newer snapshots.
+fn unpruned(dir: &Path, kept: &Path, tag: &str) -> PathBuf {
+    let image = copy_dir(kept, tag);
+    for entry in fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+    }
+    image
 }
 
 /// Every WAL segment of a store directory, oldest first.
@@ -750,18 +774,18 @@ fn recover_and_serial_recovery_agree_on_state_and_chains() {
     assert_eq!(serial.chains, recovered.chains);
     assert_eq!(serial.replayed_ops, recovered.replayed_ops);
 
-    // A snapshot that left its covered segments behind (KeepAll is the
-    // crash between snapshot and prune): both recoveries skip the stale
-    // commits, and both prime the store alike — the next commit journals
-    // the same slice on the same chain and advances the history marks by
-    // the same amount. (The marks themselves are each recovery's own
-    // numbering: the list batch lane installs replayed state without
-    // re-recording the history the journal already holds.)
+    // A snapshot that left its covered segments behind (the crash
+    // between snapshot and prune: the snapshots' prunes are undone from
+    // copies): both recoveries skip the stale commits, and both prime the
+    // store alike — the next commit journals the same slice on the same
+    // chain and advances the history marks by the same amount. (The
+    // marks themselves are each recovery's own numbering: the list batch
+    // lane installs replayed state without re-recording the history the
+    // journal already holds.)
     let dir = scratch_dir("differential-stale");
+    let kept = scratch_dir("differential-stale-kept");
     let options = StoreOptions {
         segment_bytes: 1024,
-        snapshot_every_ops: 60,
-        retention: RetentionPolicy::KeepAll,
         ..StoreOptions::default()
     };
     let store = Store::open(&dir, options.clone()).unwrap();
@@ -775,9 +799,14 @@ fn recover_and_serial_recovery_agree_on_state_and_chains() {
         store
             .commit(&data, &TaskPath::root().child(round % 2))
             .unwrap();
+        // Every 60 ops, as `snapshot_every_ops: 60` would.
+        if round % 6 == 5 {
+            snapshot_keeping(&store, &data, &kept);
+        }
     }
     store.sync().unwrap();
     drop(store);
+    let dir = unpruned(&dir, &kept, "differential-stale-unpruned");
     let stale_segment = wal_segments(&dir).remove(0);
     assert!(stale_segment.ends_with("wal-00000000000000000001"));
 
@@ -919,27 +948,34 @@ fn a_leftover_delta_snapshot_file_is_inert() {
 /// — recovery must ignore them and reproduce the same state.
 #[test]
 fn crash_between_snapshot_and_prune_leaves_recovery_sound() {
-    // KeepAll models the crash *before* any deletion: every covered
-    // snapshot and segment survives alongside the new full snapshot.
-    let dir = scratch_dir("prune-crash");
+    // The crash *before* any deletion: every covered snapshot and
+    // segment, kept from before each snapshot, survives alongside the
+    // newest full snapshot.
+    let live = scratch_dir("prune-crash-live");
+    let kept = scratch_dir("prune-crash-kept");
     let options = StoreOptions {
         fsync: FsyncPolicy::EveryN(4),
         segment_bytes: 2048,
-        snapshot_every_ops: 30,
-        retention: RetentionPolicy::KeepAll,
+        snapshot_every_ops: 0,
     };
-    let store = Store::open(&dir, options.clone()).unwrap();
+    let store = Store::open(&live, options.clone()).unwrap();
     let mut data = MList::<u64>::new();
     store.begin(&data).unwrap();
     let mut rng = Lcg::new(0x9121);
-    for _ in 0..20 {
+    for round in 0..20 {
         for _ in 0..10 {
             let at = (rng.next() as usize) % (data.len() + 1);
             data.insert(at, rng.next());
         }
         store.commit(&data, &TaskPath::root()).unwrap();
+        // Every 30 ops, as `snapshot_every_ops: 30` would.
+        if round % 3 == 2 {
+            snapshot_keeping(&store, &data, &kept);
+        }
     }
     store.sync().unwrap();
+    drop(store);
+    let dir = unpruned(&live, &kept, "prune-crash");
 
     let names: Vec<String> = fs::read_dir(&dir)
         .unwrap()
@@ -947,7 +983,7 @@ fn crash_between_snapshot_and_prune_leaves_recovery_sound() {
         .collect();
     assert!(
         names.contains(&"snap-00000000000000000000".to_string()),
-        "KeepAll must preserve the genesis snapshot, found {names:?}"
+        "an unpruned journal keeps the genesis snapshot, found {names:?}"
     );
     let snaps: Vec<u64> = names
         .iter()
