@@ -473,8 +473,12 @@ mod tests {
                 value: self.value.pristine(),
             }
         }
-        fn merge(&mut self, child: &Self) -> Result<mergeable::MergeStats, mergeable::MergeError> {
-            self.value.merge(&child.value)
+        fn merge_into(
+            &mut self,
+            child: &Self,
+            stats: &mut mergeable::MergeStats,
+        ) -> Result<(), mergeable::MergeError> {
+            self.value.merge_into(&child.value, stats)
         }
         fn pending_ops(&self) -> usize {
             self.value.pending_ops()

@@ -172,8 +172,20 @@ pub trait Mergeable: Clone + Send + 'static {
     fn pristine(&self) -> Self;
 
     /// Merge a forked child's changes back into `self` via operational
-    /// transformation.
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError>;
+    /// transformation. A wrapper around [`Mergeable::merge_into`], the one
+    /// merge path: implement that one.
+    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
+        let mut stats = MergeStats::default();
+        self.merge_into(child, &mut stats)?;
+        Ok(stats)
+    }
+
+    /// [`Mergeable::merge`], adding the merge's statistics to `stats`
+    /// instead of returning them, so a composite walks its fields into
+    /// one accumulator and a field the child never wrote adds its
+    /// committed-operation count in place. On an error, `stats` holds
+    /// whatever the fields merged before it added.
+    fn merge_into(&mut self, child: &Self, stats: &mut MergeStats) -> Result<(), MergeError>;
 
     /// Operations recorded locally since creation or fork (diagnostics).
     fn pending_ops(&self) -> usize;
@@ -219,8 +231,8 @@ impl Mergeable for () {
 
     fn pristine(&self) -> Self {}
 
-    fn merge(&mut self, _child: &Self) -> Result<MergeStats, MergeError> {
-        Ok(MergeStats::default())
+    fn merge_into(&mut self, _child: &Self, _stats: &mut MergeStats) -> Result<(), MergeError> {
+        Ok(())
     }
 
     fn pending_ops(&self) -> usize {
@@ -255,17 +267,16 @@ impl<M: Mergeable> Mergeable for Vec<M> {
         self.iter().map(Mergeable::pristine).collect()
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
+    fn merge_into(&mut self, child: &Self, stats: &mut MergeStats) -> Result<(), MergeError> {
         if self.len() != child.len() {
             return Err(MergeError::ShapeMismatch {
                 detail: format!("Vec length {} vs child {}", self.len(), child.len()),
             });
         }
-        let mut stats = MergeStats::default();
         for (p, c) in self.iter_mut().zip(child) {
-            stats += p.merge(c)?;
+            p.merge_into(c, stats)?;
         }
-        Ok(stats)
+        Ok(())
     }
 
     fn pending_ops(&self) -> usize {
@@ -345,8 +356,8 @@ impl<L: Leaf> Mergeable for L {
         L::wrap(self.versioned().pristine())
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.versioned_mut().merge(child.versioned())
+    fn merge_into(&mut self, child: &Self, stats: &mut MergeStats) -> Result<(), MergeError> {
+        self.versioned_mut().merge_into(child.versioned(), stats)
     }
 
     fn pending_ops(&self) -> usize {
@@ -445,10 +456,13 @@ macro_rules! mergeable_struct {
             $( $crate::Mergeable::refork(&mut self.$f, &parent.$f); )+
         }
 
-        fn merge(&mut self, child: &Self) -> Result<$crate::MergeStats, $crate::MergeError> {
-            let mut stats = $crate::MergeStats::default();
-            $( stats += $crate::Mergeable::merge(&mut self.$f, &child.$f)?; )+
-            Ok(stats)
+        fn merge_into(
+            &mut self,
+            child: &Self,
+            stats: &mut $crate::MergeStats,
+        ) -> Result<(), $crate::MergeError> {
+            $( $crate::Mergeable::merge_into(&mut self.$f, &child.$f, stats)?; )+
+            Ok(())
         }
 
         fn pending_ops(&self) -> usize {

@@ -20,11 +20,13 @@
 //! copy the paper's unoptimized prototype performed — kept for the ablation
 //! benchmarks. Only a write pays: a merge that applies nothing (a child
 //! that recorded nothing, or a run the transform emptied) leaves the state
-//! shared, forking a log nobody edited since its last fork is one `Arc`
-//! bump, and [`Versioned::refork`] turns a merged child back into a fork
-//! in place, keeping a state it already shares with the parent and its
-//! log's allocation — so a `Sync` over a wide composite costs what the
-//! child touched, not what the composite holds.
+//! shared, a merge over a parent that committed nothing since the fork
+//! takes the child's state as it is (a *fast-forward*), forking a log
+//! nobody edited since its last fork is one `Arc` bump, and
+//! [`Versioned::refork`] turns a merged child back into a fork in place,
+//! keeping a state it already shares with the parent and its log's
+//! allocation — so a `Sync` over a wide composite costs what the child
+//! touched, not what the composite holds.
 //!
 //! A fork keeps the state it was handed from its first write on (one more
 //! `Arc` handle, taken where every state write goes through), so
@@ -594,12 +596,23 @@ impl<O: Operation> Versioned<O> {
     /// are rebase-preserving, so the result is unchanged while the grid
     /// shrinks multiplicatively.
     ///
-    /// A child that recorded nothing owes the parent nothing: its merge
-    /// validates the fork point and returns — O(1), no rebase, no scan of
-    /// the committed slice, no allocation, and the state stays shared with
-    /// every fork that shares it. It still counts as one grid rebase in
-    /// [`MergeStats`] (as does a merge over an idle parent), with
-    /// `committed_ops` read off the history length.
+    /// Three cases, after the fork point is validated:
+    ///
+    /// - **Empty log.** A child that recorded nothing owes the parent
+    ///   nothing: O(1), no rebase, no scan of the committed slice, no
+    ///   allocation, and the state stays shared with every fork that
+    ///   shares it. Its [`MergeStats`] count no rebase of either kind;
+    ///   `committed_ops` (and `committed_ops_compacted`) read
+    ///   `history_len() − fork_base` off the history length.
+    /// - **Fast-forward.** Nothing was committed here since the fork
+    ///   (`fork_base == history_len()`) and this state is the very one
+    ///   the child was handed (`Arc::ptr_eq`, which a [`CopyMode::Deep`]
+    ///   fork never is): the child's state already is this state plus its
+    ///   log, so it is taken as it is — no apply, no copy-on-write copy.
+    ///   The rebase still runs, so the appended run and the
+    ///   [`MergeStats`] are those of the replay.
+    /// - **Rebase.** Otherwise the child's log is rebased over what was
+    ///   committed since the fork, applied and appended.
     ///
     /// A delta-path merge leaves the merge memo (module docs) for the
     /// next sibling: a child with the same fork base, merged with nothing
@@ -609,7 +622,33 @@ impl<O: Operation> Versioned<O> {
     /// Merging never aborts on conflicting operations — that is the OT
     /// guarantee; the error cases are structural misuse only.
     pub fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        self.merge_log_at(child.fork_base, &child.log)
+        let mut stats = MergeStats::default();
+        self.merge_into(child, &mut stats)?;
+        Ok(stats)
+    }
+
+    /// [`Versioned::merge`], adding its [`MergeStats`] to `stats`: what
+    /// a composite's walk calls, so a field the child never wrote costs
+    /// the fork-point check and two additions.
+    pub(crate) fn merge_into(
+        &mut self,
+        child: &Self,
+        stats: &mut MergeStats,
+    ) -> Result<(), MergeError> {
+        // Fast-forward (see `merge`). `log_start == 0`: a child that
+        // dropped a prefix of its own log no longer holds every change
+        // since its fork, so its state is not what replaying it gives.
+        let fast_forward = match &child.origin {
+            Origin::Kept(handed)
+                if child.fork_base == self.history_len()
+                    && child.log_start == 0
+                    && Arc::ptr_eq(handed, &self.state) =>
+            {
+                Some(&child.state)
+            }
+            _ => None,
+        };
+        self.merge_log_at(child.fork_base, &child.log, fast_forward, stats)
     }
 
     /// Merge the run a clone of `base` would hold after recording `run`,
@@ -633,27 +672,31 @@ impl<O: Operation> Versioned<O> {
         for op in run {
             push_fused(&mut log, base.log_start, op, barrier);
         }
-        self.merge_log_at(base.fork_base, &log)
-            .map_err(ReplayError::Merge)
+        // No child state exists to fast-forward to: the run is applied.
+        let mut stats = MergeStats::default();
+        self.merge_log_at(base.fork_base, &log, None, &mut stats)
+            .map_err(ReplayError::Merge)?;
+        Ok(stats)
     }
 
-    /// The one merge body behind [`Versioned::merge`] and
+    /// The one merge body behind [`Versioned::merge_into`] and
     /// [`Versioned::merge_run`]: rebase `child_log`, recorded by a fork
     /// taken at `fork_base`, over what was committed here since, apply
-    /// it and append it.
+    /// it (or install `fast_forward`, the child's state, which already
+    /// holds it) and append it, adding the stats to `stats`.
     fn merge_log_at(
         &mut self,
         fork_base: usize,
         child_log: &[O],
-    ) -> Result<MergeStats, MergeError> {
+        fast_forward: Option<&Arc<O::State>>,
+        stats: &mut MergeStats,
+    ) -> Result<(), MergeError> {
         self.check_fork_point(fork_base)?;
         if child_log.is_empty() {
             let committed_ops = self.history_len() - fork_base;
-            return Ok(MergeStats {
-                committed_ops,
-                committed_ops_compacted: committed_ops,
-                ..MergeStats::default()
-            });
+            stats.committed_ops += committed_ops;
+            stats.committed_ops_compacted += committed_ops;
+            return Ok(());
         }
         // Phase timing is live-telemetry only: clocks are read solely
         // while an sm_obs recorder is installed, so the uninstalled
@@ -666,7 +709,7 @@ impl<O: Operation> Versioned<O> {
         let mut fresh = O::Memo::default();
         let kept = memo.as_mut().map_or(&mut fresh, |m| &mut m.kept);
         let committed_raw = &self.log[fork_base - self.log_start..];
-        let (rebased, mut stats) = rebase_over(child_log, committed_raw, kept, reuse, timing);
+        let (rebased, mut merged) = rebase_over(child_log, committed_raw, kept, reuse, timing);
         if cfg!(debug_assertions) && reuse {
             let (expect, _) = rebase_over(
                 child_log,
@@ -681,11 +724,15 @@ impl<O: Operation> Versioned<O> {
                 "a rebase from the merge memo diverged from the uncached one"
             );
         }
-        let apply_t0 = timing.then(std::time::Instant::now);
-        self.apply_run(&rebased)?;
-        stats.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
+        if let Some(state) = fast_forward {
+            *self.state_slot() = Arc::clone(state);
+        } else {
+            let apply_t0 = timing.then(std::time::Instant::now);
+            self.apply_run(&rebased)?;
+            merged.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
+        }
         self.extend_ops(rebased);
-        if stats.delta_rebases == 1 {
+        if merged.delta_rebases == 1 {
             let memo = memo.get_or_insert_with(|| {
                 Box::new(MergeMemo {
                     key: None,
@@ -695,7 +742,8 @@ impl<O: Operation> Versioned<O> {
             memo.key = Some((fork_base, self.history_len()));
         }
         self.memo = memo;
-        Ok(stats)
+        *stats += merged;
+        Ok(())
     }
 
     /// Apply a rebased run to the state. A run the transform emptied

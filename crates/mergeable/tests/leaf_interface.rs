@@ -262,7 +262,9 @@ fn untouched_merge_leaves_every_leaf_sharing_its_state() {
     check!(MTree::new(5u32));
     check!(Tally::starting_at(6));
 
-    // Field-wise through a composite, around one edited field.
+    // Field-wise through a composite, around one edited field. Nothing
+    // was committed on the parent side, so the edited field fast-forwards:
+    // it takes the child's state, which the two now share.
     let mut data = (
         vec![MQueue::from_vec(vec![1u32]), MQueue::new()],
         vec![Tally::starting_at(0), Tally::starting_at(0)],
@@ -272,7 +274,8 @@ fn untouched_merge_leaves_every_leaf_sharing_its_state() {
     child.1[0].add(1);
     data.merge(&child).unwrap();
     assert!(data.0.iter().all(|q| q.versioned().state_is_shared()));
-    assert!(!data.1[0].versioned().state_is_shared());
+    assert!(data.1[0].versioned().state_is_shared());
+    assert_eq!(*data.1[0].versioned().state(), 1);
     assert!(data.1[1].versioned().state_is_shared());
     assert!(data.2.versioned().state_is_shared());
 }

@@ -9,6 +9,14 @@
 //! `Leaf::versioned()` (`versioned.rs`, `tests/leaf_interface.rs`); here,
 //! an unsharing `Arc::make_mut` shows as an allocation.
 //!
+//! A composite walks its fields into one `MergeStats`: a child that edited
+//! a few leaves pays for those alone. A fast-forward (nothing committed
+//! since the fork) allocates the rebased run and no state copy, and a
+//! `Sync` of two touched leaves out of 61 allocates those two runs only.
+//! The walk's stats are the sum of the leaves' merges, and a leaf the
+//! child never touched still refuses a fork point past its history or in
+//! its collected prefix.
+//!
 //! Run it in release too (CI does): debug builds double every rebase
 //! served by the merge memo with the uncached one and allocate
 //! differently.
@@ -18,7 +26,7 @@ use std::cell::Cell;
 
 use sm_mergeable::{
     mergeable_struct, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText,
-    MTree, MergeStats, Mergeable,
+    MTree, MergeError, MergeStats, Mergeable,
 };
 use sm_ot::tree::Node;
 
@@ -211,4 +219,202 @@ fn a_sync_over_an_untouched_wide_composite_is_free() {
         "no state gained or lost a handle"
     );
     assert_eq!(child.pending_ops(), 0);
+}
+
+/// Allocations of a second fast-forward of `edit` into `parent` (the
+/// first one grew the parent's log), and of cloning the child's log — the
+/// run a rebase over nothing committed returns.
+fn fast_forward_allocations<L: Leaf>(mut parent: L, edit: fn(&mut L)) -> (usize, usize) {
+    let mut child = parent.fork();
+    edit(&mut child);
+    parent.merge(&child).unwrap();
+    child.refork(&parent);
+    edit(&mut child);
+    let ((), run) = allocations_in(|| drop(child.log().to_vec()));
+    let (stats, merge) = allocations_in(|| parent.merge(&child).unwrap());
+    assert_eq!((stats.child_ops, stats.committed_ops), (1, 0));
+    assert!(
+        parent.versioned().state_is_shared() && child.versioned().state_is_shared(),
+        "the parent took the child's state"
+    );
+    (merge, run)
+}
+
+#[test]
+fn a_fast_forward_allocates_the_rebased_run_and_no_state_copy() {
+    macro_rules! check {
+        ($name:literal, $leaf:expr, $edit:expr) => {{
+            let (merge, run) = fast_forward_allocations($leaf, $edit);
+            assert_eq!(merge, run, "{}", $name);
+        }};
+    }
+    check!("MList", MList::from_vec(vec![1u32, 2, 3, 4]), |l| l
+        .insert(1, 5));
+    check!("MText", MText::from("hello world"), |t| t
+        .insert_str(0, "a"));
+    check!("MQueue", MQueue::from_vec(vec![1u32, 2, 3]), |q| q
+        .push_back(4));
+    check!("MMap", MMap::from_entries([(1u32, 1u32)]), |m| {
+        let n = m.len() as u32;
+        m.insert(n + 1, n);
+    });
+    check!("MSet", MSet::from_items([1u32]), |s| {
+        let n = s.len() as u32;
+        s.insert(n + 1);
+    });
+    check!("MCounter", MCounter::new(0), MCounter::inc);
+    check!("MCounterMap", MCounterMap::from_entries([(1u32, 1)]), |m| m
+        .inc(1));
+    check!("MRegister", MRegister::new(0u32), |r| {
+        let v = *r.get();
+        r.set(v + 1);
+    });
+    check!("MTree", MTree::new(0u32), |t| t
+        .push_child(&[], Node::leaf(1)));
+}
+
+/// One host's hop that leaves its queue alone: what a fast-forward merges
+/// for two leaves of the 61.
+fn count_and_digest(d: &mut SimShaped) {
+    d.processed[3].inc();
+    let digest = *d.digests[3].get();
+    d.digests[3].set([digest[0].wrapping_add(1); 20]);
+}
+
+#[test]
+fn a_sync_over_a_wide_composite_allocates_only_the_touched_runs() {
+    // Round one grows the two touched logs; round two is the steady state.
+    let mut parent = sim_shaped();
+    let mut child = parent.fork();
+    count_and_digest(&mut child);
+    parent.merge(&child).unwrap();
+    child.refork(&parent);
+    count_and_digest(&mut child);
+    let ((), runs) = allocations_in(|| {
+        drop(child.processed[3].log().to_vec());
+        drop(child.digests[3].log().to_vec());
+    });
+    let before = state_handles(&parent);
+    let (stats, allocations) = allocations_in(|| {
+        let stats = parent.merge(&child).unwrap();
+        child.refork(&parent);
+        stats
+    });
+    assert_eq!(
+        allocations, runs,
+        "the 59 untouched leaves and the refork allocate nothing"
+    );
+    assert_eq!((stats.child_ops, stats.committed_ops), (2, 0));
+    assert_eq!(
+        state_handles(&parent),
+        before,
+        "the parent took the two states the child already shared"
+    );
+}
+
+/// A hop that touches both sides of the composite: the child edits three
+/// leaves, the parent two, one of them the same.
+fn both_sides() -> (SimShaped, SimShaped) {
+    let mut parent = sim_shaped();
+    parent.queues[5].push_back(1);
+    let mut child = parent.fork();
+    child.queues[3].pop_front();
+    child.processed[3].inc();
+    child.queues[5].push_back(2);
+    parent.queues[5].push_back(3);
+    parent.digests[8].set([1; 20]);
+    (parent, child)
+}
+
+#[test]
+fn a_composites_stats_are_the_sum_of_its_leaves() {
+    let (mut parent, child) = both_sides();
+    let mut leafwise = parent.clone();
+    let stats = parent.merge(&child).unwrap();
+
+    let mut sum = MergeStats::default();
+    for (p, c) in leafwise.queues.iter_mut().zip(&child.queues) {
+        sum += p.merge(c).unwrap();
+    }
+    for (p, c) in leafwise.processed.iter_mut().zip(&child.processed) {
+        sum += p.merge(c).unwrap();
+    }
+    for (p, c) in leafwise.digests.iter_mut().zip(&child.digests) {
+        sum += p.merge(c).unwrap();
+    }
+    sum += leafwise.done.merge(&child.done).unwrap();
+    assert_eq!(stats, sum);
+    assert_eq!((stats.child_ops, stats.committed_ops), (3, 2));
+    assert_eq!(parent.queues[5].to_vec(), leafwise.queues[5].to_vec());
+}
+
+fn invalid_fork_point(err: MergeError) -> bool {
+    matches!(
+        err,
+        MergeError::InvalidForkPoint {
+            fork_base: 1,
+            parent_log_len: 0
+        }
+    )
+}
+
+fn fork_point_truncated(err: MergeError) -> bool {
+    matches!(
+        err,
+        MergeError::ForkPointTruncated {
+            fork_base: 0,
+            log_start: 1
+        }
+    )
+}
+
+#[test]
+fn an_untouched_leaf_still_checks_its_fork_point() {
+    // Past the history: the child was forked from a structure whose
+    // `processed[7]` and `done` had recorded an operation more. The child
+    // touched nothing.
+    let mut other = sim_shaped();
+    other.processed[7].inc();
+    other.done.set(true);
+    let stranger = other.fork();
+    let parent = sim_shaped();
+    assert!(invalid_fork_point(
+        parent.clone().merge(&stranger).unwrap_err()
+    ));
+    assert!(invalid_fork_point(
+        parent
+            .processed
+            .clone()
+            .merge(&stranger.processed)
+            .unwrap_err()
+    ));
+    assert!(invalid_fork_point(
+        (parent.done.clone(), parent.processed[0].clone())
+            .merge(&(stranger.done.clone(), stranger.processed[0].clone()))
+            .unwrap_err()
+    ));
+
+    // Truncated: the parent collected the history the child forked in.
+    let mut parent = sim_shaped();
+    let child = parent.fork();
+    parent.processed[7].inc();
+    parent.done.set(true);
+    let mut marks = Vec::new();
+    parent.history_marks(&mut marks);
+    assert_eq!(parent.truncate_history(&marks, &mut 0), 2);
+    assert!(fork_point_truncated(
+        parent.clone().merge(&child).unwrap_err()
+    ));
+    assert!(fork_point_truncated(
+        parent
+            .processed
+            .clone()
+            .merge(&child.processed)
+            .unwrap_err()
+    ));
+    assert!(fork_point_truncated(
+        (parent.done.clone(), parent.processed[0].clone())
+            .merge(&(child.done.clone(), child.processed[0].clone()))
+            .unwrap_err()
+    ));
 }

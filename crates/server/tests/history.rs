@@ -44,14 +44,14 @@ impl Mergeable for Poisonable {
         Poisonable(self.0.pristine())
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
-        let stats = self.0.merge(&child.0)?;
+    fn merge_into(&mut self, child: &Self, stats: &mut MergeStats) -> Result<(), MergeError> {
+        self.0.merge_into(&child.0, stats)?;
         if self.0.to_string().contains(POISON) {
             return Err(MergeError::ShapeMismatch {
                 detail: "poisoned payload".into(),
             });
         }
-        Ok(stats)
+        Ok(())
     }
 
     fn pending_ops(&self) -> usize {

@@ -106,15 +106,17 @@ impl Sha1 {
     /// Finish the computation, producing the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // `update` adjusted `len` for the padding; the length field must
-        // reflect the original message only, so we write the saved value.
+        // Padding: 0x80 then zeros up to the 8-byte length field, which
+        // ends the block. A tail of 56 bytes or more leaves no room for
+        // it: the zeros fill that block and one more block carries it.
         let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; DIGEST_LEN];
@@ -279,6 +281,32 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), sha1(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundaries_match_reference_digests() {
+        // 0x42 repeated `len` times, digests from an independent SHA-1
+        // (Python's `hashlib`): one-block and two-block paddings on both
+        // sides of the 55/56-byte tail boundary, and a 20-byte digest input.
+        let expect = [
+            (0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (1, "ae4f281df5a5d0ff3cad6371f76d5c29b6d953ec"),
+            (19, "8923ecf3550e9ca6cbb26066590fb619a2d65e71"),
+            (20, "d7f6ecf2edc1156f8e8c525035f61a26a3a245d7"),
+            (54, "9f577f3425985e9b9ec5b11c4ed76675eb4a2aeb"),
+            (55, "f42fc57c149118d6307f96b17acc00f19b4c8de7"),
+            (56, "021f99328a6a79566f055914466ae1654d16ab01"),
+            (57, "115715576b51b2d3796193b3ad6620d87d871577"),
+            (63, "a0c875abfda10c028ba33e42922d275c404c49e1"),
+            (64, "84951fc23a4dafd10020ac349da1f5530fa65949"),
+            (65, "550fdc7cb0c34885cf8632c33c7057947578142b"),
+            (119, "646b992851b0ff16d471b27226bb4d3214c6390d"),
+            (120, "6ddccad47235dfb88cea509e6eab58ae8d68ef5a"),
+            (121, "85f475af9b0bd09dada65b69a356a4a37249d10f"),
+        ];
+        for (len, digest) in expect {
+            assert_eq!(hex(&vec![0x42u8; len]), digest, "len {len}");
         }
     }
 

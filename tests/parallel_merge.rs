@@ -64,11 +64,11 @@ impl<D: Mergeable> Mergeable for Seq<D> {
         Seq(self.0.pristine())
     }
 
-    fn merge(&mut self, child: &Self) -> Result<MergeStats, MergeError> {
+    fn merge_into(&mut self, child: &Self, stats: &mut MergeStats) -> Result<(), MergeError> {
         let mut fresh = self.0.clone();
-        let stats = fresh.merge(&child.0)?;
+        fresh.merge_into(&child.0, stats)?;
         self.0 = fresh;
-        Ok(stats)
+        Ok(())
     }
 
     fn pending_ops(&self) -> usize {
