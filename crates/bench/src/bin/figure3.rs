@@ -142,8 +142,10 @@ fn run(args: &[String]) {
         series.push(sweep(setup, &cfg, &workloads, reps));
     }
     // Ablation: the paper's unoptimized prototype copied data structures
-    // eagerly at every fork; CopyMode::Deep reproduces that, so its
-    // intercept is the analogue of the paper's ~400 ms constant overhead.
+    // eagerly at every fork. CopyMode::Deep clones each leaf's state at
+    // every fork, which copies the counters and registers but shares the
+    // queues' chunks (a chunk tree clones by its root), so its intercept
+    // is not the analogue of the paper's ~400 ms constant overhead.
     eprintln!("sweeping Spawn Merge (deep copy) ...");
     let deep_cfg = SimConfig {
         copy_mode: CopyMode::Deep,

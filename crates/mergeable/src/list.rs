@@ -126,11 +126,6 @@ impl<T: Element> MList<T> {
         );
         self.inner.record_validated(ListOp::Set(index, value));
     }
-
-    /// Whether the backing storage is currently shared with a fork.
-    pub fn storage_is_shared(&self) -> bool {
-        self.inner.state_is_shared()
-    }
 }
 
 impl<T: Element> Default for MList<T> {

@@ -14,24 +14,41 @@
 //!
 //! The paper flags the fork copy as its main constant overhead (~400 ms for
 //! 20 tasks × 20 queues) and names copy-on-write as the future-work remedy.
-//! `Versioned` keeps its state behind an [`Arc`]: [`CopyMode::CopyOnWrite`]
-//! forks in O(1) and pays one deep copy lazily at the first post-fork write
-//! on either side ([`Arc::make_mut`]). [`CopyMode::Deep`] forces the eager
-//! copy the paper's unoptimized prototype performed — kept for the ablation
-//! benchmarks. Only a write pays: a merge that applies nothing (a child
-//! that recorded nothing, or a run the transform emptied) leaves the state
-//! shared, a merge over a parent that committed nothing since the fork
-//! takes the child's state as it is (a *fast-forward*), forking a log
-//! nobody edited since its last fork is one `Arc` bump, and
-//! [`Versioned::refork`] turns a merged child back into a fork in place,
-//! keeping a state it already shares with the parent and its log's
-//! allocation — so a `Sync` over a wide composite costs what the child
-//! touched, not what the composite holds.
+//! Under [`CopyMode::CopyOnWrite`] a fork is O(1) and a copy is paid
+//! lazily, at the first post-fork write on either side, in **one layer**:
+//!
+//! - A state a copy of which costs no more than an `Arc` handle is kept
+//!   **by value** ([`Operation::STATE_BY_VALUE`]). That is a drop-free
+//!   state of at most 32 bytes (a counter, a digest or flag register),
+//!   which a fork copies and a write edits in place, and the persistent
+//!   trees behind `MList`, `MQueue` and `MText` (`ChunkTree`, `Rope`),
+//!   which already are copy-on-write: a clone shares their root and an
+//!   edit path-copies what it touches.
+//! - Every other state (the maps, sets, the tree, a large register value)
+//!   sits behind an [`Arc`] and is cloned at its first write while shared
+//!   ([`Arc::make_mut`]).
+//!
+//! [`CopyMode::Deep`] gives each fork an `Arc` around a `clone()` of the
+//! state, made at the fork. That is a full copy of every state but the
+//! two trees, whose clone copies one root handle and shares every chunk:
+//! for sequences `Deep` is not the eager copy of the paper's unoptimized
+//! prototype. It is kept for the fork-cost ablation.
+//!
+//! Only a write pays: a merge that applies nothing (a child that recorded
+//! nothing, or a run the transform emptied) leaves the state shared, a
+//! merge over a parent that committed nothing since the fork takes the
+//! child's state as it is (a *fast-forward*; a by-value scalar applies the
+//! run to its own copy instead, which costs less than taking any state),
+//! forking a log nobody edited since its last fork is one `Arc` bump or a
+//! copy as cheap, and [`Versioned::refork`] turns a merged child back into
+//! a fork in place, keeping a state it already shares with the parent and
+//! its log's allocation — so a `Sync` over a wide composite costs what the
+//! child touched, not what the composite holds.
 //!
 //! A fork keeps the state it was handed from its first write on (one more
-//! `Arc` handle, taken where every state write goes through), so
-//! [`Versioned::pristine`] rebuilds that copy only when asked — a `Clone`d
-//! sibling's starting point. A root never keeps one.
+//! handle or by-value copy, taken where every state write goes through),
+//! so [`Versioned::pristine`] rebuilds that copy only when asked — a
+//! `Clone`d sibling's starting point. A root never keeps one.
 //!
 //! # Log compaction and truncation
 //!
@@ -85,12 +102,17 @@ fn elapsed_nanos(t0: std::time::Instant) -> u64 {
 /// How forking copies the underlying state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CopyMode {
-    /// Share the state via `Arc`; deep-copy lazily on the first write after
-    /// a fork. The optimized mode and the default.
+    /// Share the state, or copy it where a copy costs no more than a
+    /// handle; pay for a write after a fork lazily, in one layer (module
+    /// docs, *Copy-on-write*). The optimized mode and the default.
     #[default]
     CopyOnWrite,
-    /// Eagerly deep-copy the state at fork time, like the paper's
-    /// proof-of-concept implementation. Used by the fork-cost ablation.
+    /// Give every fork an `Arc` around a `clone()` of the state, made at
+    /// fork time. That copies the counter, register, map, set and tree
+    /// states in full, but not the sequences: the chunk trees of `MList`,
+    /// `MQueue` and `MText` clone by copying one root handle and sharing
+    /// every chunk. So it is not the paper's eager proof-of-concept copy.
+    /// Used by the fork-cost ablation.
     Deep,
 }
 
@@ -255,7 +277,7 @@ impl From<ApplyError> for MergeError {
 /// again once every live fork's base is ≥ `log_start`.
 #[derive(Debug)]
 pub struct Versioned<O: Operation> {
-    state: Arc<O::State>,
+    state: Held<O::State>,
     log: Vec<O>,
     /// Absolute history position of `log[0]` (count of truncated ops).
     log_start: usize,
@@ -285,6 +307,55 @@ struct MergeMemo<O: Operation> {
     kept: O::Memo,
 }
 
+/// Where a [`Versioned`] keeps its state (module docs, *Copy-on-write*).
+#[derive(Clone)]
+enum Held<S> {
+    /// By value: copying it costs no more than an `Arc` handle
+    /// ([`Operation::STATE_BY_VALUE`], under [`CopyMode::CopyOnWrite`]).
+    Value(S),
+    /// Behind an `Arc`, copied at the first write while another handle
+    /// holds it.
+    Shared(Arc<S>),
+}
+
+impl<S> Held<S> {
+    fn get(&self) -> &S {
+        match self {
+            Held::Value(state) => state,
+            Held::Shared(state) => state,
+        }
+    }
+}
+
+impl<S: Clone> Held<S> {
+    /// The state, for a write: a shared one is copied first if another
+    /// handle holds it.
+    fn make_mut(&mut self) -> &mut S {
+        match self {
+            Held::Value(state) => state,
+            Held::Shared(state) => Arc::make_mut(state),
+        }
+    }
+}
+
+/// Prints the state alone, whichever way it is held.
+impl<S: fmt::Debug> fmt::Debug for Held<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// Whether `a` and `b` hold one state by identity: one `Arc`, or two
+/// by-value states [`Operation::shares_state`] calls one. A by-value
+/// scalar never is: it is copied, not shared.
+fn same_state<O: Operation>(a: &Held<O::State>, b: &Held<O::State>) -> bool {
+    match (a, b) {
+        (Held::Value(a), Held::Value(b)) => O::shares_state(a, b),
+        (Held::Shared(a), Held::Shared(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    }
+}
+
 /// What a [`Versioned`] remembers of the state its fork handed it.
 #[derive(Debug, Clone)]
 enum Origin<S> {
@@ -295,13 +366,13 @@ enum Origin<S> {
     Forked,
     /// A fork that has written: the state it was handed, kept at the
     /// first write.
-    Kept(Arc<S>),
+    Kept(Held<S>),
 }
 
 impl<O: Operation> Clone for Versioned<O> {
     fn clone(&self) -> Self {
         Versioned {
-            state: Arc::clone(&self.state),
+            state: self.state.clone(),
             log: self.log.clone(),
             log_start: self.log_start,
             fork_base: self.fork_base,
@@ -323,7 +394,7 @@ impl<O: Operation> Versioned<O> {
     /// Wrap an initial state with an explicit [`CopyMode`].
     pub fn with_mode(state: O::State, mode: CopyMode) -> Self {
         Versioned {
-            state: Arc::new(state),
+            state: Self::hold(state, mode),
             log: Vec::new(),
             log_start: 0,
             fork_base: 0,
@@ -334,9 +405,20 @@ impl<O: Operation> Versioned<O> {
         }
     }
 
+    /// `state` held the way `mode` holds it: by value under
+    /// copy-on-write when the algebra says a copy costs no more than a
+    /// handle, behind an `Arc` otherwise.
+    fn hold(state: O::State, mode: CopyMode) -> Held<O::State> {
+        if O::STATE_BY_VALUE && mode == CopyMode::CopyOnWrite {
+            Held::Value(state)
+        } else {
+            Held::Shared(Arc::new(state))
+        }
+    }
+
     /// Borrow the current state.
     pub fn state(&self) -> &O::State {
-        &self.state
+        self.state.get()
     }
 
     /// The operations recorded locally and still retained (since creation,
@@ -418,17 +500,18 @@ impl<O: Operation> Versioned<O> {
     /// Fails if the operation does not apply to the current state; the
     /// state is left unchanged and nothing is recorded.
     pub fn record(&mut self, op: O) -> Result<(), ApplyError> {
-        op.apply(Arc::make_mut(self.state_slot()))?;
+        op.apply(self.state_slot().make_mut())?;
         self.push_op(op);
         Ok(())
     }
 
-    /// The state handle, for a write. Every state write goes through
-    /// here: a fork's first write keeps the state it was handed, which
+    /// The held state, for a write. Every state write goes through
+    /// here: a fork's first write keeps a copy of the state it was handed
+    /// (a handle, or a by-value copy as cheap), which
     /// [`Versioned::pristine`] returns.
-    fn state_slot(&mut self) -> &mut Arc<O::State> {
+    fn state_slot(&mut self) -> &mut Held<O::State> {
         if let Origin::Forked = self.origin {
-            self.origin = Origin::Kept(Arc::clone(&self.state));
+            self.origin = Origin::Kept(self.state.clone());
         }
         &mut self.state
     }
@@ -451,7 +534,8 @@ impl<O: Operation> Versioned<O> {
     /// a fully GC'd history — both export future committed slices
     /// relative to marks captured after the install.
     pub(crate) fn set_state(&mut self, state: O::State) {
-        *self.state_slot() = Arc::new(state);
+        let held = Self::hold(state, self.mode);
+        *self.state_slot() = held;
     }
 
     /// Move the state out, leaving an empty one behind, without recording
@@ -463,7 +547,7 @@ impl<O: Operation> Versioned<O> {
     where
         O::State: Default,
     {
-        std::mem::take(Arc::make_mut(self.state_slot()))
+        std::mem::take(self.state_slot().make_mut())
     }
 
     /// Record `op` while performing the state mutation through `mutate`,
@@ -472,17 +556,18 @@ impl<O: Operation> Versioned<O> {
     /// need to *read* the state (e.g. remove-and-return), instead of one
     /// access to read and a second inside `record`.
     pub fn record_with<R>(&mut self, op: O, mutate: impl FnOnce(&mut O::State) -> R) -> R {
-        let result = mutate(Arc::make_mut(self.state_slot()));
+        let result = mutate(self.state_slot().make_mut());
         self.push_op(op);
         result
     }
 
-    /// The state handle another instance gets: shared under copy-on-write,
-    /// an eager deep copy under [`CopyMode::Deep`].
-    fn share_state(&self) -> Arc<O::State> {
+    /// The state another instance gets: a copy as cheap as a handle, or
+    /// the shared handle, under copy-on-write; an `Arc` around a fresh
+    /// `clone()` under [`CopyMode::Deep`].
+    fn share_state(&self) -> Held<O::State> {
         match self.mode {
-            CopyMode::CopyOnWrite => Arc::clone(&self.state),
-            CopyMode::Deep => Arc::new((*self.state).clone()),
+            CopyMode::CopyOnWrite => self.state.clone(),
+            CopyMode::Deep => Held::Shared(Arc::new(self.state().clone())),
         }
     }
 
@@ -522,11 +607,12 @@ impl<O: Operation> Versioned<O> {
     /// Turn `self` into `parent.fork()` in place — what a child that
     /// `parent` has just merged continues on. The state is kept when it
     /// already is the parent's under copy-on-write (nobody wrote it since
-    /// the last fork or refork), so an untouched log costs no allocation:
-    /// the log keeps its buffer, and the kept origin is dropped.
+    /// the last fork or refork; a by-value scalar is copied instead), so
+    /// an untouched log costs no allocation: the log keeps its buffer,
+    /// and the kept origin is dropped.
     pub fn refork(&mut self, parent: &Self) {
         let shared =
-            parent.mode == CopyMode::CopyOnWrite && Arc::ptr_eq(&self.state, &parent.state);
+            parent.mode == CopyMode::CopyOnWrite && same_state::<O>(&self.state, &parent.state);
         if !shared {
             self.state = parent.share_state();
         }
@@ -547,8 +633,8 @@ impl<O: Operation> Versioned<O> {
     #[must_use]
     pub fn pristine(&self) -> Self {
         let state = match &self.origin {
-            Origin::Kept(state) => Arc::clone(state),
-            Origin::Root | Origin::Forked => Arc::clone(&self.state),
+            Origin::Kept(state) => state.clone(),
+            Origin::Root | Origin::Forked => self.state.clone(),
         };
         Versioned {
             state,
@@ -606,11 +692,13 @@ impl<O: Operation> Versioned<O> {
     ///   `history_len() − fork_base` off the history length.
     /// - **Fast-forward.** Nothing was committed here since the fork
     ///   (`fork_base == history_len()`) and this state is the very one
-    ///   the child was handed (`Arc::ptr_eq`, which a [`CopyMode::Deep`]
-    ///   fork never is): the child's state already is this state plus its
-    ///   log, so it is taken as it is — no apply, no copy-on-write copy.
-    ///   The rebase still runs, so the appended run and the
-    ///   [`MergeStats`] are those of the replay.
+    ///   the child was handed (one `Arc`, or one chunk-tree root; a
+    ///   [`CopyMode::Deep`] fork never is, and a by-value scalar never
+    ///   answers yes: applying to it in place is cheaper than any handle):
+    ///   the child's state already is this state plus its log, so it is
+    ///   taken as it is — no apply, no copy-on-write copy. The rebase
+    ///   still runs, so the appended run and the [`MergeStats`] are those
+    ///   of the replay.
     /// - **Rebase.** Otherwise the child's log is rebased over what was
     ///   committed since the fork, applied and appended.
     ///
@@ -642,7 +730,7 @@ impl<O: Operation> Versioned<O> {
             Origin::Kept(handed)
                 if child.fork_base == self.history_len()
                     && child.log_start == 0
-                    && Arc::ptr_eq(handed, &self.state) =>
+                    && same_state::<O>(handed, &self.state) =>
             {
                 Some(&child.state)
             }
@@ -665,7 +753,7 @@ impl<O: Operation> Versioned<O> {
     /// `base`'s state; nothing here is touched then.
     /// [`ReplayError::Merge`] when the merge itself fails.
     pub fn merge_run(&mut self, base: &Self, run: Vec<O>) -> Result<MergeStats, ReplayError> {
-        O::check_run(&base.state, &run).map_err(|e| ReplayError::Apply(e.to_string()))?;
+        O::check_run(base.state(), &run).map_err(|e| ReplayError::Apply(e.to_string()))?;
         let barrier = base.fuse_barrier.load(Ordering::Relaxed);
         let mut log = Vec::with_capacity(base.log.len() + run.len());
         log.extend_from_slice(&base.log);
@@ -688,7 +776,7 @@ impl<O: Operation> Versioned<O> {
         &mut self,
         fork_base: usize,
         child_log: &[O],
-        fast_forward: Option<&Arc<O::State>>,
+        fast_forward: Option<&Held<O::State>>,
         stats: &mut MergeStats,
     ) -> Result<(), MergeError> {
         self.check_fork_point(fork_base)?;
@@ -725,13 +813,16 @@ impl<O: Operation> Versioned<O> {
             );
         }
         if let Some(state) = fast_forward {
-            *self.state_slot() = Arc::clone(state);
+            *self.state_slot() = state.clone();
         } else {
             let apply_t0 = timing.then(std::time::Instant::now);
             self.apply_run(&rebased)?;
             merged.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
         }
-        self.extend_ops(rebased);
+        match rebased {
+            Cow::Borrowed(run) => self.extend_ops(run.iter().cloned()),
+            Cow::Owned(run) => self.extend_ops(run),
+        }
         if merged.delta_rebases == 1 {
             let memo = memo.get_or_insert_with(|| {
                 Box::new(MergeMemo {
@@ -748,13 +839,13 @@ impl<O: Operation> Versioned<O> {
 
     /// Apply a rebased run to the state. A run the transform emptied
     /// (every operation a duplicate of a committed one) must not reach
-    /// [`Arc::make_mut`]: that would deep-copy a state the forks share
-    /// for no edit at all.
+    /// the state at all: that would copy a state the forks share for no
+    /// edit.
     fn apply_run(&mut self, run: &[O]) -> Result<(), ApplyError> {
         if run.is_empty() {
             return Ok(());
         }
-        let state = Arc::make_mut(self.state_slot());
+        let state = self.state_slot().make_mut();
         for op in run {
             op.apply(state)?;
         }
@@ -831,17 +922,15 @@ impl<O: Operation> Versioned<O> {
         *self.fuse_barrier.get_mut() = fork.fork_base;
     }
 
-    /// Whether the state allocation is currently shared with a fork
-    /// (diagnostic; used by the copy-on-write tests and benches).
-    pub fn state_is_shared(&self) -> bool {
-        self.state_handles() > 1
-    }
-
-    /// How many handles hold the state allocation: this instance, the
-    /// forks sharing it, and the forks that keep it as the state they
-    /// were handed (diagnostic, like [`Versioned::state_is_shared`]).
-    pub fn state_handles(&self) -> usize {
-        Arc::strong_count(&self.state)
+    /// Whether `self` and `other` hold one state by identity: a fork and
+    /// the instance it was forked from (or fast-forwarded into) while
+    /// neither has written, one `Arc` or one chunk-tree root. A state
+    /// kept by value because a copy is as cheap as a handle (a counter, a
+    /// small register) is copied, never shared, so it always answers
+    /// `false`; so does a [`CopyMode::Deep`] fork. Diagnostic; the
+    /// copy-on-write tests read it.
+    pub fn shares_state_with(&self, other: &Self) -> bool {
+        same_state::<O>(&self.state, &other.state)
     }
 }
 
@@ -869,17 +958,19 @@ fn push_fused<O: Operation>(log: &mut Vec<O>, log_start: usize, op: O, barrier: 
 /// when `reuse` says it covers `committed_raw` — the compacted pairwise
 /// grid otherwise. This is the single rebase kernel: [`Versioned::merge`]
 /// runs it, and debug builds re-run it uncached for every rebase the memo
-/// served.
+/// served. Over an empty `committed_raw` the run is the compacted child
+/// log, borrowed when it already was compact, so the merge applies and
+/// appends it without a temporary copy.
 ///
 /// `timing` gates the wall-clock fields (live telemetry only; stats
 /// nanos stay zero otherwise and no clock is read).
-fn rebase_over<O: Operation>(
-    child_log: &[O],
+fn rebase_over<'a, O: Operation>(
+    child_log: &'a [O],
     committed_raw: &[O],
     memo: &mut O::Memo,
     reuse: bool,
     timing: bool,
-) -> (Vec<O>, MergeStats) {
+) -> (Cow<'a, [O]>, MergeStats) {
     let attempt_t0 = timing.then(std::time::Instant::now);
     let delta = if !child_log.is_empty() && !committed_raw.is_empty() {
         O::delta_rebase(child_log, committed_raw, memo, reuse)
@@ -905,22 +996,29 @@ fn rebase_over<O: Operation>(
                 delta_nanos: attempt_nanos,
                 ..MergeStats::default()
             };
-            (rebased, stats)
+            (Cow::Owned(rebased), stats)
         }
         None => {
             let compact_t0 = timing.then(std::time::Instant::now);
             let committed: Cow<'_, [O]> = compact_cow(committed_raw);
-            let incoming: Cow<'_, [O]> = compact_cow(child_log);
+            let incoming: Cow<'a, [O]> = compact_cow(child_log);
             let compact_nanos = compact_t0.map_or(0, elapsed_nanos);
             let grid_t0 = timing.then(std::time::Instant::now);
-            let rebased = seq::rebase(&incoming, &committed);
+            let (incoming_len, committed_len) = (incoming.len(), committed.len());
+            // Over nothing committed the run is the compacted log itself,
+            // borrowed when it already was compact: no copy to append.
+            let rebased = if committed.is_empty() {
+                incoming
+            } else {
+                Cow::Owned(seq::rebase(&incoming, &committed))
+            };
             let stats = MergeStats {
                 child_ops: child_log.len(),
                 applied_ops: rebased.len(),
                 committed_ops: committed_raw.len(),
-                child_ops_compacted: incoming.len(),
-                committed_ops_compacted: committed.len(),
-                grid_cells: incoming.len() * committed.len(),
+                child_ops_compacted: incoming_len,
+                committed_ops_compacted: committed_len,
+                grid_cells: incoming_len * committed_len,
                 delta_rebases: 0,
                 // With either side empty there was nothing to rebase.
                 grid_rebases: usize::from(!child_log.is_empty() && !committed_raw.is_empty()),
@@ -1255,10 +1353,12 @@ mod tests {
     fn cow_fork_shares_until_write() {
         let mut parent = V::new((0..1000).collect::<ChunkTree<u32>>());
         let child = parent.fork();
-        assert!(parent.state_is_shared());
-        assert!(child.state_is_shared());
+        assert!(parent.shares_state_with(&child));
         parent.record(ListOp::Set(0, 99)).unwrap();
-        assert!(!parent.state_is_shared(), "write must unshare the writer");
+        assert!(
+            !parent.shares_state_with(&child),
+            "write must unshare the writer"
+        );
         assert_eq!(child.state()[0], 0, "child view unaffected by parent write");
     }
 
@@ -1266,9 +1366,27 @@ mod tests {
     fn deep_fork_never_shares() {
         let parent = V::with_mode(ct(vec![1, 2]), CopyMode::Deep);
         let child = parent.fork();
-        assert!(!parent.state_is_shared());
-        assert!(!child.state_is_shared());
+        assert!(!parent.shares_state_with(&child));
         assert_eq!(child.state(), parent.state());
+    }
+
+    #[test]
+    fn a_scalar_is_kept_by_value_and_merges_by_applying() {
+        use sm_ot::counter::CounterOp;
+        let mut parent = Versioned::new(5i64);
+        assert!(matches!(parent.state, Held::Value(5)));
+        let mut child = parent.fork();
+        assert!(!parent.shares_state_with(&child), "copied, not shared");
+        child.record(CounterOp::add(2)).unwrap();
+        // Nothing committed since the fork, yet no fast-forward: the
+        // run applies to the parent's own value.
+        let stats = parent.merge(&child).unwrap();
+        assert_eq!((*parent.state(), stats.applied_ops), (7, 1));
+        assert_eq!(*child.pristine().state(), 5);
+        child.refork(&parent);
+        assert_eq!(*child.state(), 7);
+        let deep = Versioned::<CounterOp>::with_mode(5, CopyMode::Deep);
+        assert!(matches!(deep.state, Held::Shared(_)));
     }
 
     #[test]
@@ -1306,7 +1424,7 @@ mod tests {
                 ..MergeStats::default()
             }
         );
-        assert!(parent.state_is_shared() && younger.state_is_shared());
+        assert!(parent.shares_state_with(&younger));
         assert_eq!((parent.pending_ops(), parent.history_len()), (2, 2));
     }
 
@@ -1321,9 +1439,22 @@ mod tests {
         let younger = parent.fork();
         let stats = parent.merge(&child).unwrap();
         assert_eq!((stats.child_ops, stats.applied_ops), (1, 0));
-        assert!(parent.state_is_shared() && younger.state_is_shared());
+        assert!(parent.shares_state_with(&younger));
         assert_eq!((parent.pending_ops(), parent.history_len()), (1, 1));
         assert_eq!(parent.state(), &vec![2, 3]);
+
+        // The same for a state behind an `Arc`, which a write would copy:
+        // both sides delete one subtree.
+        use sm_ot::tree::{Node, TreeOp};
+        let mut parent = Versioned::new(Node::branch(0u32, vec![Node::leaf(1), Node::leaf(2)]));
+        let mut child = parent.fork();
+        child.record(TreeOp::Delete { path: vec![0] }).unwrap();
+        parent.record(TreeOp::Delete { path: vec![0] }).unwrap();
+        let younger = parent.fork();
+        let stats = parent.merge(&child).unwrap();
+        assert_eq!((stats.child_ops, stats.applied_ops), (1, 0));
+        assert!(matches!(parent.state, Held::Shared(_)));
+        assert!(parent.shares_state_with(&younger));
     }
 
     /// `child`'s pristine copy: what a `clone()` of the fork held.
@@ -1387,7 +1518,10 @@ mod tests {
 
         let mut child = root.fork();
         child.record(ListOp::Insert(0, 0)).unwrap();
-        assert!(root.state_is_shared(), "the fork kept what it was handed");
+        assert!(
+            child.pristine().shares_state_with(&root),
+            "the fork kept what it was handed"
+        );
         root.merge(&child).unwrap();
         child.refork(&root);
         assert_eq!(child.state(), &vec![0, 1, 2]);

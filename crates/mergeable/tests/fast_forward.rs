@@ -10,7 +10,8 @@
 //! and fuse barrier, but a state allocation of its own, which the child was
 //! not handed, so its merge re-applies. For the nine leaves, an outside
 //! `impl Leaf`, a tuple, a `Vec` and a `mergeable_struct!`, under both copy
-//! modes (a `Deep` fork copies, so it never fast-forwards). Then the
+//! modes (a `Deep` fork copies, so it never fast-forwards, and a scalar
+//! kept by value applies its run instead of taking a state). Then the
 //! merges that must not fast-forward, each checked against a merge that
 //! cannot: a parent that wrote since the fork, `Persist::merge_log`
 //! (`Versioned::merge_run`), which has no child state to take, a parent
@@ -36,9 +37,12 @@ struct Subject<M> {
     state: fn(&M) -> Vec<u8>,
     /// What a journal commit taken at `marks` would encode next.
     since: fn(&M, &[usize]) -> Vec<u8>,
-    /// Whether the field `child_edit` writes holds one state allocation
-    /// on both sides.
+    /// Whether the field `child_edit` writes holds one state on both
+    /// sides.
     shares: fn(&M, &M) -> bool,
+    /// Whether a copy-on-write fast-forward takes the child's state, as
+    /// `shares` sees it: a scalar kept by value applies the run instead.
+    takes_state: bool,
     child_edit: fn(&mut M),
     parent_edit: fn(&mut M),
     /// `Persist::merge_log` of the child's log, where the subject has it.
@@ -64,7 +68,7 @@ fn history_marks<M: Mergeable>(m: &M) -> Vec<usize> {
 }
 
 fn same_state<L: Leaf>(a: &L, b: &L) -> bool {
-    std::ptr::eq(a.versioned().state(), b.versioned().state())
+    a.versioned().shares_state_with(b.versioned())
 }
 
 /// The session path: `child`'s log shipped as bytes and merged from the
@@ -97,7 +101,7 @@ fn differential<M: Mergeable>(s: &Subject<M>) {
         let replay_stats = replay.merge(&twin_child).unwrap();
         assert_eq!(
             (s.shares)(&ff, &child),
-            mode == CopyMode::CopyOnWrite,
+            s.takes_state && mode == CopyMode::CopyOnWrite,
             "{at}: fast-forward taken"
         );
         assert!(!(s.shares)(&replay, &twin_child), "{at}: twin replayed");
@@ -222,6 +226,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: true,
         child_edit: |l| l.insert(0, 7),
         parent_edit: |l| l.push(9),
         merge_log: Some(via_log),
@@ -236,6 +241,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: true,
         child_edit: |t| t.insert_str(0, "a"),
         parent_edit: |t| t.push_str("!"),
         merge_log: Some(via_log),
@@ -246,6 +252,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: true,
         child_edit: |q| {
             q.pop_front();
         },
@@ -262,6 +269,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: true,
         child_edit: |m| {
             m.insert(1, 10);
         },
@@ -281,6 +289,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: true,
         child_edit: |s| {
             s.insert(1);
         },
@@ -300,6 +309,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: false,
         child_edit: |c| c.add(2),
         parent_edit: MCounter::inc,
         merge_log: Some(via_log),
@@ -314,6 +324,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: true,
         child_edit: |m| m.inc(1),
         parent_edit: |m| m.add(2, 3),
         merge_log: Some(via_log),
@@ -328,6 +339,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: false,
         child_edit: |r| r.set(1),
         parent_edit: |r| {
             let v = *r.get();
@@ -345,6 +357,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
         state: encode,
         since,
         shares: same_state,
+        takes_state: true,
         child_edit: |t| t.set_value(vec![0], 1),
         parent_edit: |t| t.push_child(&[], Node::leaf(2)),
         merge_log: Some(via_log),
@@ -362,6 +375,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
             format!("{:?}", &t.0.log()[from..]).into_bytes()
         },
         shares: same_state,
+        takes_state: false,
         child_edit: |t| t.count(-3),
         parent_edit: |t| t.count(5),
         merge_log: None,
@@ -386,6 +400,7 @@ fn a_tuple_and_a_vec_fast_forward_like_their_replays() {
         state: encode,
         since,
         shares: |a, b| same_state(&a.0, &b.0),
+        takes_state: true,
         child_edit: |d| d.0.push(2),
         parent_edit: |d| {
             d.0.push(3);
@@ -403,6 +418,7 @@ fn a_tuple_and_a_vec_fast_forward_like_their_replays() {
         state: encode,
         since,
         shares: |a, b| same_state(&a[1], &b[1]),
+        takes_state: false,
         child_edit: |v| v[1].add(5),
         parent_edit: |v| {
             v[1].inc();
@@ -456,6 +472,7 @@ fn a_mergeable_struct_fast_forwards_like_its_replay() {
             buf.to_vec()
         },
         shares: |a, b| same_state(&a.total, &b.total),
+        takes_state: false,
         child_edit: |d| {
             let hop = d.queues[0].pop_front().unwrap_or_default();
             d.total.inc();

@@ -241,30 +241,34 @@ fn marks_follow_the_traversal_order() {
 fn untouched_merge_leaves_every_leaf_sharing_its_state() {
     // The runtime hands each syncing child a fork and merges it back;
     // a leaf the child never wrote must come out of that still sharing
-    // its state with the fork (no copy-on-write copy for no write).
+    // its state with the fork (no copy-on-write copy for no write). A
+    // scalar is kept by value, so the fork holds a copy, not a share.
     macro_rules! check {
-        ($leaf:expr) => {{
+        ($leaf:expr, $shared:expr) => {{
             let mut parent = $leaf;
             let child = parent.fork();
             parent.merge(&child).unwrap();
-            assert!(parent.versioned().state_is_shared());
-            assert!(child.versioned().state_is_shared());
+            assert_eq!(
+                parent.versioned().shares_state_with(child.versioned()),
+                $shared
+            );
+            assert_eq!(parent.versioned().state(), child.versioned().state());
         }};
     }
-    check!(MList::from_iter([1u32, 2]));
-    check!(MText::from("text"));
-    check!(MQueue::from_vec(vec![1u32, 2]));
-    check!(MMap::from_entries([(1u32, 2u32)]));
-    check!(MSet::from_items([1u32]));
-    check!(MCounter::new(3));
-    check!(MCounterMap::from_entries([(1u32, 2)]));
-    check!(MRegister::new(4u32));
-    check!(MTree::new(5u32));
-    check!(Tally::starting_at(6));
+    check!(MList::from_iter([1u32, 2]), true);
+    check!(MText::from("text"), true);
+    check!(MQueue::from_vec(vec![1u32, 2]), true);
+    check!(MMap::from_entries([(1u32, 2u32)]), true);
+    check!(MSet::from_items([1u32]), true);
+    check!(MCounter::new(3), false);
+    check!(MCounterMap::from_entries([(1u32, 2)]), true);
+    check!(MRegister::new(4u32), false);
+    check!(MTree::new(5u32), true);
+    check!(Tally::starting_at(6), false);
 
     // Field-wise through a composite, around one edited field. Nothing
-    // was committed on the parent side, so the edited field fast-forwards:
-    // it takes the child's state, which the two now share.
+    // was committed on the parent side, but the edited field is a
+    // by-value scalar: it applies the child's run to its own copy.
     let mut data = (
         vec![MQueue::from_vec(vec![1u32]), MQueue::new()],
         vec![Tally::starting_at(0), Tally::starting_at(0)],
@@ -273,9 +277,19 @@ fn untouched_merge_leaves_every_leaf_sharing_its_state() {
     let mut child = data.fork();
     child.1[0].add(1);
     data.merge(&child).unwrap();
-    assert!(data.0.iter().all(|q| q.versioned().state_is_shared()));
-    assert!(data.1[0].versioned().state_is_shared());
+    assert!(data
+        .0
+        .iter()
+        .zip(&child.0)
+        .all(|(p, c)| p.versioned().shares_state_with(c.versioned())));
     assert_eq!(*data.1[0].versioned().state(), 1);
-    assert!(data.1[1].versioned().state_is_shared());
-    assert!(data.2.versioned().state_is_shared());
+    assert_eq!(
+        child.1[0].versioned().state(),
+        data.1[0].versioned().state()
+    );
+    assert_eq!(
+        child.1[1].versioned().state(),
+        data.1[1].versioned().state()
+    );
+    assert_eq!(child.2.versioned().state(), data.2.versioned().state());
 }

@@ -4,18 +4,20 @@
 //! network simulation's state (three `Vec`s of leaves and a flag), over an
 //! idle parent and over a parent that committed three operations since
 //! the fork; re-forking the merged composite in place, as a `Sync` does,
-//! allocates nothing either and moves no state handle. That the state
-//! also stays *shared* is checked through
-//! `Leaf::versioned()` (`versioned.rs`, `tests/leaf_interface.rs`); here,
-//! an unsharing `Arc::make_mut` shows as an allocation.
+//! allocates nothing either and leaves every queue sharing its state
+//! with the parent (`Versioned::shares_state_with`; a counter or register
+//! is kept by value and copied). Here, an unsharing copy shows as an
+//! allocation.
 //!
 //! A composite walks its fields into one `MergeStats`: a child that edited
-//! a few leaves pays for those alone. A fast-forward (nothing committed
-//! since the fork) allocates the rebased run and no state copy, and a
-//! `Sync` of two touched leaves out of 61 allocates those two runs only.
-//! The walk's stats are the sum of the leaves' merges, and a leaf the
-//! child never touched still refuses a fork point past its history or in
-//! its collected prefix.
+//! a few leaves pays for those alone. A merge over nothing committed
+//! since the fork allocates only the copies of the operations it appends
+//! (a fast-forward takes the child's state, a scalar applies in place),
+//! and a `Sync` of two touched scalars out of 61 leaves allocates
+//! nothing. One Figure 3 hop (pop, count, digest, push, then merge and
+//! refork) has a pinned allocation budget. The walk's stats are the sum
+//! of the leaves' merges, and a leaf the child never touched still
+//! refuses a fork point past its history or in its collected prefix.
 //!
 //! Run it in release too (CI does): debug builds double every rebase
 //! served by the merge memo with the uncached one and allocate
@@ -186,16 +188,26 @@ fn a_wide_composite_merges_an_untouched_fork_for_free() {
     });
 }
 
-/// How many handles hold each leaf's state.
-fn state_handles(d: &SimShaped) -> Vec<usize> {
-    let mut out: Vec<usize> = d
-        .queues
-        .iter()
-        .map(|q| q.versioned().state_handles())
-        .collect();
-    out.extend(d.processed.iter().map(|c| c.versioned().state_handles()));
-    out.extend(d.digests.iter().map(|r| r.versioned().state_handles()));
-    out.push(d.done.versioned().state_handles());
+/// Per leaf, in field order: whether `a`'s and `b`'s hold one state.
+fn sharing(a: &SimShaped, b: &SimShaped) -> Vec<bool> {
+    fn pairs<'a, L: Leaf>(a: &'a [L], b: &'a [L]) -> impl Iterator<Item = bool> + 'a {
+        a.iter()
+            .zip(b)
+            .map(|(a, b)| a.versioned().shares_state_with(b.versioned()))
+    }
+    let done = a.done.versioned().shares_state_with(b.done.versioned());
+    pairs(&a.queues, &b.queues)
+        .chain(pairs(&a.processed, &b.processed))
+        .chain(pairs(&a.digests, &b.digests))
+        .chain([done])
+        .collect()
+}
+
+/// What a synced child and its parent share: every queue, and no
+/// scalar (kept by value, so copied).
+fn queues_shared_scalars_copied() -> Vec<bool> {
+    let mut out = vec![true; HOSTS];
+    out.resize(3 * HOSTS + 1, false);
     out
 }
 
@@ -205,7 +217,7 @@ fn a_sync_over_an_untouched_wide_composite_is_free() {
     // merge it, then re-fork its data in place for it to continue on.
     let mut parent = sim_shaped();
     let mut child = parent.fork();
-    let before = state_handles(&parent);
+    assert_eq!(sharing(&parent, &child), queues_shared_scalars_copied());
     let (stats, allocations) = allocations_in(|| {
         let stats = parent.merge(&child).unwrap();
         child.refork(&parent);
@@ -213,64 +225,102 @@ fn a_sync_over_an_untouched_wide_composite_is_free() {
     });
     assert_eq!(allocations, 0);
     assert_eq!(stats, trivial(0));
-    assert_eq!(
-        state_handles(&parent),
-        before,
-        "no state gained or lost a handle"
-    );
+    assert_eq!(sharing(&parent, &child), queues_shared_scalars_copied());
     assert_eq!(child.pending_ops(), 0);
 }
 
-/// Allocations of a second fast-forward of `edit` into `parent` (the
-/// first one grew the parent's log), and of cloning the child's log — the
-/// run a rebase over nothing committed returns.
-fn fast_forward_allocations<L: Leaf>(mut parent: L, edit: fn(&mut L)) -> (usize, usize) {
+/// Allocations of a second merge over nothing committed of `edit` into
+/// `parent` (the first one grew the parent's log), and of cloning the
+/// child's operations one by one — the copies the merge appends.
+/// `takes_state`: whether the merge fast-forwards to the child's state
+/// (a scalar kept by value applies its run in place instead).
+fn fast_forward_allocations<L: Leaf>(
+    mut parent: L,
+    edit: fn(&mut L),
+    takes_state: bool,
+) -> (usize, usize) {
     let mut child = parent.fork();
     edit(&mut child);
     parent.merge(&child).unwrap();
     child.refork(&parent);
     edit(&mut child);
-    let ((), run) = allocations_in(|| drop(child.log().to_vec()));
+    let ((), ops) = allocations_in(|| child.log().iter().cloned().for_each(drop));
     let (stats, merge) = allocations_in(|| parent.merge(&child).unwrap());
     assert_eq!((stats.child_ops, stats.committed_ops), (1, 0));
-    assert!(
-        parent.versioned().state_is_shared() && child.versioned().state_is_shared(),
+    assert_eq!(
+        parent.versioned().shares_state_with(child.versioned()),
+        takes_state,
         "the parent took the child's state"
     );
-    (merge, run)
+    (merge, ops)
 }
 
 #[test]
-fn a_fast_forward_allocates_the_rebased_run_and_no_state_copy() {
+fn a_merge_over_nothing_committed_allocates_only_the_appended_ops() {
     macro_rules! check {
-        ($name:literal, $leaf:expr, $edit:expr) => {{
-            let (merge, run) = fast_forward_allocations($leaf, $edit);
-            assert_eq!(merge, run, "{}", $name);
+        ($name:literal, $leaf:expr, $edit:expr, $takes_state:expr) => {{
+            let (merge, ops) = fast_forward_allocations($leaf, $edit, $takes_state);
+            assert_eq!(merge, ops, "{}", $name);
         }};
     }
-    check!("MList", MList::from_vec(vec![1u32, 2, 3, 4]), |l| l
-        .insert(1, 5));
-    check!("MText", MText::from("hello world"), |t| t
-        .insert_str(0, "a"));
-    check!("MQueue", MQueue::from_vec(vec![1u32, 2, 3]), |q| q
-        .push_back(4));
-    check!("MMap", MMap::from_entries([(1u32, 1u32)]), |m| {
-        let n = m.len() as u32;
-        m.insert(n + 1, n);
-    });
-    check!("MSet", MSet::from_items([1u32]), |s| {
-        let n = s.len() as u32;
-        s.insert(n + 1);
-    });
-    check!("MCounter", MCounter::new(0), MCounter::inc);
-    check!("MCounterMap", MCounterMap::from_entries([(1u32, 1)]), |m| m
-        .inc(1));
-    check!("MRegister", MRegister::new(0u32), |r| {
-        let v = *r.get();
-        r.set(v + 1);
-    });
-    check!("MTree", MTree::new(0u32), |t| t
-        .push_child(&[], Node::leaf(1)));
+    check!(
+        "MList",
+        MList::from_vec(vec![1u32, 2, 3, 4]),
+        |l| l.insert(1, 5),
+        true
+    );
+    check!(
+        "MText",
+        MText::from("hello world"),
+        |t| t.insert_str(0, "a"),
+        true
+    );
+    check!(
+        "MQueue",
+        MQueue::from_vec(vec![1u32, 2, 3]),
+        |q| q.push_back(4),
+        true
+    );
+    check!(
+        "MMap",
+        MMap::from_entries([(1u32, 1u32)]),
+        |m| {
+            let n = m.len() as u32;
+            m.insert(n + 1, n);
+        },
+        true
+    );
+    check!(
+        "MSet",
+        MSet::from_items([1u32]),
+        |s| {
+            let n = s.len() as u32;
+            s.insert(n + 1);
+        },
+        true
+    );
+    check!("MCounter", MCounter::new(0), MCounter::inc, false);
+    check!(
+        "MCounterMap",
+        MCounterMap::from_entries([(1u32, 1)]),
+        |m| m.inc(1),
+        true
+    );
+    check!(
+        "MRegister",
+        MRegister::new(0u32),
+        |r| {
+            let v = *r.get();
+            r.set(v + 1);
+        },
+        false
+    );
+    check!(
+        "MTree",
+        MTree::new(0u32),
+        |t| t.push_child(&[], Node::leaf(1)),
+        true
+    );
 }
 
 /// One host's hop that leaves its queue alone: what a fast-forward merges
@@ -282,7 +332,7 @@ fn count_and_digest(d: &mut SimShaped) {
 }
 
 #[test]
-fn a_sync_over_a_wide_composite_allocates_only_the_touched_runs() {
+fn a_sync_over_a_wide_composite_that_touched_two_scalars_allocates_nothing() {
     // Round one grows the two touched logs; round two is the steady state.
     let mut parent = sim_shaped();
     let mut child = parent.fork();
@@ -290,26 +340,64 @@ fn a_sync_over_a_wide_composite_allocates_only_the_touched_runs() {
     parent.merge(&child).unwrap();
     child.refork(&parent);
     count_and_digest(&mut child);
-    let ((), runs) = allocations_in(|| {
-        drop(child.processed[3].log().to_vec());
-        drop(child.digests[3].log().to_vec());
-    });
-    let before = state_handles(&parent);
     let (stats, allocations) = allocations_in(|| {
         let stats = parent.merge(&child).unwrap();
         child.refork(&parent);
         stats
     });
     assert_eq!(
-        allocations, runs,
-        "the 59 untouched leaves and the refork allocate nothing"
+        allocations, 0,
+        "two scalars apply in place, the 59 untouched leaves and the refork allocate nothing"
     );
     assert_eq!((stats.child_ops, stats.committed_ops), (2, 0));
+    assert_eq!(sharing(&parent, &child), queues_shared_scalars_copied());
+}
+
+/// One Figure 3 hop on a synced child: host 3 pops its inbox, counts,
+/// digests and forwards to host 11.
+fn hop(d: &mut SimShaped) {
+    let msg = d.queues[3].pop_front().unwrap();
+    count_and_digest(d);
+    d.queues[11].push_back(msg + 1);
+}
+
+#[test]
+fn one_figure_3_hop_has_a_pinned_allocation_budget() {
+    // Round one grows the logs the hop writes; round two is measured.
+    // Host 3's inbox holds five messages, about Figure 3's average.
+    let mut parent = sim_shaped();
+    for m in 100..103 {
+        parent.queues[3].push_back(m);
+    }
+    let mut child = parent.fork();
+    hop(&mut child);
+    parent.merge(&child).unwrap();
+    child.refork(&parent);
+
+    // A counter `inc` and a register `set` on a synced fork: by value,
+    // with the log's buffer kept by the refork, they allocate nothing.
+    let ((), scalars) = allocations_in(|| count_and_digest(&mut child));
+    assert_eq!(scalars, 0, "inc + set on a fork");
+    parent.merge(&child).unwrap();
+    child.refork(&parent);
+
+    // The pop path-copies its shared chunk (node and chunk), the push
+    // too and grows the copied chunk; the merge over an idle parent
+    // fast-forwards both queues and applies both scalars, and the refork
+    // keeps every state it shares.
+    let ((), edits) = allocations_in(|| hop(&mut child));
+    let (stats, sync) = allocations_in(|| {
+        let stats = parent.merge(&child).unwrap();
+        child.refork(&parent);
+        stats
+    });
     assert_eq!(
-        state_handles(&parent),
-        before,
-        "the parent took the two states the child already shared"
+        (edits, sync),
+        (5, 0),
+        "pop + inc + set + push, merge + refork"
     );
+    assert_eq!((stats.child_ops, stats.committed_ops), (4, 0));
+    assert_eq!(sharing(&parent, &child), queues_shared_scalars_copied());
 }
 
 /// A hop that touches both sides of the composite: the child edits three

@@ -48,9 +48,12 @@ pub enum Routing {
 pub struct SimConfig {
     /// How Spawn & Merge forks copy the shared state.
     /// [`CopyOnWrite`](sm_mergeable::CopyMode::CopyOnWrite) is this implementation's optimized
-    /// default; [`Deep`](sm_mergeable::CopyMode::Deep) reproduces the paper's unoptimized
-    /// prototype, whose eager copies caused the constant ~400 ms overhead.
-    /// Ignored by the conventional setups.
+    /// default. [`Deep`](sm_mergeable::CopyMode::Deep) clones every leaf's state at each
+    /// fork: the counters and registers in full, but a queue's chunk tree
+    /// clones by sharing its chunks, so the messages are not copied. It is
+    /// not the paper's unoptimized prototype, whose eager copies of every
+    /// queue caused the constant ~400 ms overhead. Ignored by the
+    /// conventional setups.
     pub copy_mode: sm_mergeable::CopyMode,
     /// Number of simulated hosts (paper: 20).
     pub hosts: usize,

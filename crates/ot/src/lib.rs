@@ -169,6 +169,25 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     /// the sequence algebras, `()` for those with no delta form.
     type Memo: Default + Send + Sync + fmt::Debug;
 
+    /// Whether a copy of the state costs no more than an `Arc` handle, so
+    /// a copy-on-write holder keeps it by value instead of behind one:
+    /// true for a state with no drop glue of at most 32 bytes (a counter,
+    /// a small register). [`list::ListOp`] and [`text::TextOp`] set it
+    /// too: their states are persistent trees whose clone shares every
+    /// chunk.
+    const STATE_BY_VALUE: bool =
+        !std::mem::needs_drop::<Self::State>() && std::mem::size_of::<Self::State>() <= 32;
+
+    /// Whether `a` and `b` are one state by identity: one is a clone of
+    /// the other and neither was written since, so they are equal without
+    /// looking. `false` (the default) only means "not known"; the
+    /// persistent trees answer by comparing their roots. A holder of a
+    /// by-value state uses it where a shared one compares `Arc`s.
+    fn shares_state(a: &Self::State, b: &Self::State) -> bool {
+        let _ = (a, b);
+        false
+    }
+
     /// Apply the operation to `state`.
     fn apply(&self, state: &mut Self::State) -> Result<(), ApplyError>;
 

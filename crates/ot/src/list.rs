@@ -466,6 +466,12 @@ impl<T: Element> Operation for ListOp<T> {
 
     type Memo = crate::delta::Memo<Vec<T>>;
 
+    const STATE_BY_VALUE: bool = true;
+
+    fn shares_state(a: &ChunkTree<T>, b: &ChunkTree<T>) -> bool {
+        a.ptr_eq(b)
+    }
+
     fn apply(&self, state: &mut ChunkTree<T>) -> Result<(), ApplyError> {
         // Length checks are O(1) against the root's cached count; the
         // edits themselves are O(log n) seek + O(chunk) splice.

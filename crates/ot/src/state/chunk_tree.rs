@@ -236,6 +236,13 @@ impl<T: Item> ChunkTree<T> {
         self.tree.leaf_count()
     }
 
+    /// Whether `self` and `other` share their root: one is a clone of the
+    /// other and neither was edited since (two empty trees count). O(1).
+    #[must_use]
+    pub(crate) fn ptr_eq(&self, other: &ChunkTree<T>) -> bool {
+        self.tree.ptr_eq(&other.tree)
+    }
+
     /// Elements of `self` whose chunk allocation is **not** shared with
     /// `other` — how far a copy-on-write clone has diverged.
     #[must_use]

@@ -121,6 +121,13 @@ impl Rope {
         self.tree.is_empty()
     }
 
+    /// Whether `self` and `other` share their root: one is a clone of the
+    /// other and neither was edited since (two empty ropes count). O(1).
+    #[must_use]
+    pub(crate) fn ptr_eq(&self, other: &Rope) -> bool {
+        self.tree.ptr_eq(&other.tree)
+    }
+
     /// Insert `text` at char-position `pos` (`pos ≤ char_len`).
     pub fn insert(&mut self, pos: usize, text: &str) {
         assert!(

@@ -390,6 +390,16 @@ impl<C: Chunk> Tree<C> {
         Leaves { stack }
     }
 
+    /// Whether `self` and `other` hold one root (or are both empty): a
+    /// clone of the other that neither side has edited since.
+    pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
+        match (&self.root, &other.root) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
     /// Number of chunks (O(n) walk; diagnostics only).
     pub(crate) fn leaf_count(&self) -> usize {
         self.leaves().count()

@@ -154,6 +154,12 @@ impl Operation for TextOp {
 
     type Memo = crate::delta::Memo<String>;
 
+    const STATE_BY_VALUE: bool = true;
+
+    fn shares_state(a: &Rope, b: &Rope) -> bool {
+        a.ptr_eq(b)
+    }
+
     fn apply(&self, state: &mut Rope) -> Result<(), ApplyError> {
         self.check_bounds(state.char_len())?;
         match self {
