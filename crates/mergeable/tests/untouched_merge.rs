@@ -381,8 +381,9 @@ fn one_figure_3_hop_has_a_pinned_allocation_budget() {
     parent.merge(&child).unwrap();
     child.refork(&parent);
 
-    // The pop path-copies its shared chunk (node and chunk), the push
-    // too and grows the copied chunk; the merge over an idle parent
+    // The pop path-copies its shared chunk (leaf and chunk), the push
+    // too, copying the chunk with a slot for its element so nothing
+    // grows it again; the merge over an idle parent
     // fast-forwards both queues and applies both scalars, and the refork
     // keeps every state it shares.
     let ((), edits) = allocations_in(|| hop(&mut child));
@@ -393,7 +394,7 @@ fn one_figure_3_hop_has_a_pinned_allocation_budget() {
     });
     assert_eq!(
         (edits, sync),
-        (5, 0),
+        (4, 0),
         "pop + inc + set + push, merge + refork"
     );
     assert_eq!((stats.child_ops, stats.committed_ops), (4, 0));

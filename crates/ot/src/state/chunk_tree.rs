@@ -4,7 +4,7 @@
 use super::tree::{Chunk, Leaves, Tree};
 use std::fmt;
 
-/// Element bound for [`ChunkTree`] storage: what the balanced tree needs
+/// Element bound for [`ChunkTree`] storage: what the chunk tree needs
 /// to clone, share across threads, and debug-print chunks.
 pub trait Item: Clone + Send + Sync + fmt::Debug + 'static {}
 impl<T: Clone + Send + Sync + fmt::Debug + 'static> Item for T {}
@@ -35,14 +35,20 @@ impl<T: Item> Chunk for Vec<T> {
     fn into_pieces(self, target: usize) -> Vec<Self> {
         self.chunks(target).map(<[T]>::to_vec).collect()
     }
+
+    fn clone_with_room(&self, extra: usize) -> Self {
+        let mut copy = Vec::with_capacity(self.len() + extra);
+        copy.extend_from_slice(self);
+        copy
+    }
 }
 
 /// Chunked element sequence: the [`crate::list::ListOp`] state backend.
 ///
-/// A balanced tree of `Arc`-shared chunks (≤ 64 elements each) with the
-/// element count cached at every node: [`ChunkTree::len`] is O(1), and
-/// insert/remove are O(log n) seek + O(chunk) splice instead of shifting
-/// the whole `Vec` tail. Cloning is O(1) and shares every chunk; edits
+/// A B+-tree of `Arc`-shared chunks (≤ 64 elements each, up to 16
+/// children per inner node) with element counts cached in every node:
+/// [`ChunkTree::len`] is O(1), and insert/remove are O(log n) seek +
+/// O(chunk) splice instead of shifting the whole `Vec` tail. Cloning is O(1) and shares every chunk; edits
 /// path-copy only the touched root-to-leaf spine, so forked copies stay
 /// cheap under copy-on-write.
 ///
@@ -260,8 +266,8 @@ impl<T: Item> ChunkTree<T> {
         }
     }
 
-    /// Validate structural invariants (balance, cached counts, chunk
-    /// bounds). Test support; panics on violation.
+    /// Validate structural invariants (one leaf depth, node occupancy,
+    /// cached counts, chunk bounds). Test support; panics on violation.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         self.tree.check_invariants();

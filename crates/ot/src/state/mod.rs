@@ -14,12 +14,13 @@
 //! - [`ChunkTree`] — a chunked element sequence with per-subtree element
 //!   counts (O(1) [`ChunkTree::len`]).
 //!
-//! Both share one engine (`tree`): a height-balanced binary tree whose
-//! leaves are bounded chunks behind `Arc`. Cloning a state is O(1) and
-//! shares every chunk, so `Versioned::fork`'s copy-on-write is
-//! **sub-structure granular** — a child that edits one chunk of a 1M-char
-//! document deep-copies ~one chunk plus the O(log n) spine above it, and
-//! `Arc::make_mut` unshares only the touched path.
+//! Both share one engine (`tree`): a persistent B+-tree whose leaves are
+//! bounded chunks behind `Arc` and whose inner nodes hold up to 16
+//! children each. Cloning a state is O(1) and shares every chunk, so
+//! `Versioned::fork`'s copy-on-write is **sub-structure granular** — a
+//! child that edits one chunk of a 1M-char document deep-copies ~one
+//! chunk plus the O(log n) spine above it, and `Arc::make_mut` unshares
+//! only the touched path.
 //!
 //! ## Invariants
 //!
@@ -27,10 +28,13 @@
 //!    units (1024 chars for text, 64 elements for lists). Oversized
 //!    content is sliced at half the maximum so fresh chunks keep splice
 //!    headroom; deletes coalesce the seam chunks when they fit.
-//! 2. **Cached counts** — every inner node caches its subtree's total
-//!    weight and height; edits fix the counts along the path they copy.
-//! 3. **Balance** — sibling heights differ by at most one (AVL), so seek
-//!    depth is O(log n) regardless of edit history.
+//! 2. **Cached counts** — every inner node caches each child's weight,
+//!    its total and its height; edits fix the counts along the path they
+//!    copy.
+//! 3. **Balance** — every leaf sits at one depth, and every inner node
+//!    below the root holds 8 to 16 children (the root 2 to 16): a full
+//!    node splits, an underfull one merges with or borrows from a
+//!    sibling, so seek depth is O(log n) regardless of edit history.
 //! 4. **Arc sharing** — nodes are immutable once shared; all mutation
 //!    goes through `Arc::make_mut` path copies, never in-place writes to
 //!    shared nodes.

@@ -81,14 +81,26 @@ impl Chunk for TextChunk {
         }
         pieces
     }
+
+    fn clone_with_room(&self, extra: usize) -> Self {
+        // A unit is a char: `extra` bytes is the room ASCII needs, and a
+        // multi-byte insert grows the copy once more.
+        let mut text = String::with_capacity(self.text.len() + extra);
+        text.push_str(&self.text);
+        TextChunk {
+            text,
+            chars: self.chars,
+        }
+    }
 }
 
 /// Chunked, char-counted text: the [`crate::text::TextOp`] state backend.
 ///
-/// A balanced tree of `Arc`-shared chunks (≤ 1024 chars each) with the
-/// char count cached at every node, so [`Rope::char_len`] is O(1) and
-/// [`Rope::insert`] / [`Rope::delete`] are O(log n) seek + O(chunk)
-/// splice instead of rescanning the whole string. Inside an ASCII chunk
+/// A B+-tree of `Arc`-shared chunks (≤ 1024 chars each, up to 16
+/// children per inner node) with char counts cached in every node, so
+/// [`Rope::char_len`] is O(1) and [`Rope::insert`] / [`Rope::delete`]
+/// are O(log n) seek + O(chunk) splice instead of rescanning the whole
+/// string. Inside an ASCII chunk
 /// (byte length = char count) a char offset is a byte offset; only a
 /// chunk holding multi-byte chars scans to find one. Cloning is O(1) and
 /// shares every chunk; edits path-copy only the touched root-to-leaf
@@ -214,8 +226,8 @@ impl Rope {
         }
     }
 
-    /// Validate structural invariants (balance, cached counts, chunk
-    /// bounds). Test support; panics on violation.
+    /// Validate structural invariants (one leaf depth, node occupancy,
+    /// cached counts, chunk bounds). Test support; panics on violation.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         self.tree.check_invariants();

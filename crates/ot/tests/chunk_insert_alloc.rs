@@ -2,6 +2,8 @@
 //! straight into that leaf: no allocation, the way `Vec::insert` into
 //! spare capacity makes none. An insert into a full leaf splits that leaf
 //! where it stands: a constant few allocations, whatever the tree's size.
+//! A point delete that empties a leaf unlinks it where it stands, and a
+//! shared leaf an insert copies is copied once, with room.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,34 +99,79 @@ fn full_leaf_insert_allocations(len: u32, at: usize) -> usize {
 
 #[test]
 fn an_insert_into_a_full_leaf_splits_it_in_place() {
-    // The leaf splits where it is: the second half's buffer, its leaf
-    // node and the inner node over both halves — the same three into a
-    // thousand elements as into a hundred thousand. A split + join of the
-    // whole tree would rebuild the spine: more nodes the taller the tree.
+    // The leaf splits where it is: the second half's buffer and its leaf,
+    // handed to a parent with room — the same two into a thousand
+    // elements as into a hundred thousand. A split + join of the whole
+    // tree would rebuild the spine: more nodes the taller the tree.
     for len in [1_000, 100_000] {
         for at in [16, len as usize / 2 + 16, len as usize - 24] {
             let allocations = full_leaf_insert_allocations(len, at);
-            assert_eq!(allocations, 3, "len {len}, at {at}");
+            assert_eq!(allocations, 2, "len {len}, at {at}");
         }
     }
 }
 
 #[test]
-fn a_full_leaf_split_that_unbalances_the_root_rotates_once() {
-    // Three leaves balance as [A, [B, C]]: splitting B or C leaves the
-    // right subtree two taller than A. Splitting B needs a double
-    // rotation (three fresh inner nodes), splitting C a single one (two).
-    for (full, at, expected) in [(1, 40, 6), (2, 80, 5)] {
-        let mut chunks = vec![vec![0u32; 32], vec![1; 32], vec![2; 32]];
-        chunks[full] = vec![3; 64];
-        let mut model = chunks.concat();
-        let mut tree = ChunkTree::from_chunk_vecs(chunks);
-        let ((), allocations) = allocations_in(|| tree.insert(at, 9));
-        model.insert(at, 9);
-        assert_eq!(tree, model, "leaf {full}");
-        tree.check_invariants();
-        assert_eq!(allocations, expected, "leaf {full}");
+fn a_leaf_split_that_fills_its_parent_splits_the_parent_too() {
+    // 24 full leaves build as two inner nodes of twelve under the root.
+    // Splitting leaves 11, 10, 9 and 8 fills the first node to sixteen
+    // children (two allocations each); the next split overflows it, and
+    // it splits into two nodes: one allocation more.
+    let chunks: Vec<Vec<u32>> = (0..24).map(|j| vec![j; 64]).collect();
+    let mut model = chunks.concat();
+    let mut tree = ChunkTree::from_chunk_vecs(chunks);
+    for (leaf, expected) in [(11, 2), (10, 2), (9, 2), (8, 2), (7, 3)] {
+        let at = 64 * leaf + 32;
+        let ((), allocations) = allocations_in(|| tree.insert(at, 99));
+        model.insert(at, 99);
+        assert_eq!(allocations, expected, "leaf {leaf}");
     }
+    assert_eq!(tree, model);
+    tree.check_invariants();
+}
+
+#[test]
+fn a_point_delete_that_empties_a_leaf_unlinks_it_in_place() {
+    // A one-element leaf among 32-element ones: removing its element
+    // unlinks the leaf from its node, and nothing is allocated.
+    let mut chunks: Vec<Vec<u32>> = (0..40).map(|j| vec![j; 32]).collect();
+    chunks[20] = vec![7_777];
+    let mut model = chunks.concat();
+    let mut tree = ChunkTree::from_chunk_vecs(chunks);
+    let at = 20 * 32;
+    let (removed, allocations) = allocations_in(|| tree.remove(at));
+    assert_eq!(removed, model.remove(at));
+    assert_eq!(allocations, 0, "unlink");
+    assert_eq!(tree, model);
+    tree.check_invariants();
+
+    // 17 leaves build as nodes of nine and eight: unlinking one of the
+    // eight leaves that node underfull, and it merges with its sibling
+    // into the one child of the root, which then gives way to it. Moving
+    // children between nodes allocates nothing either.
+    let mut chunks: Vec<Vec<u32>> = (0..17).map(|j| vec![j; 32]).collect();
+    chunks[12] = vec![7_777];
+    let mut model = chunks.concat();
+    let mut tree = ChunkTree::from_chunk_vecs(chunks);
+    let at = 12 * 32;
+    let (removed, allocations) = allocations_in(|| tree.remove(at));
+    assert_eq!(removed, model.remove(at));
+    assert_eq!(allocations, 0, "unlink + merge");
+    assert_eq!(tree, model);
+    tree.check_invariants();
+}
+
+#[test]
+fn a_push_onto_a_shared_leaf_copies_it_once_with_room() {
+    // A queue's one-leaf tree, forked: the push copies the shared chunk
+    // with a slot for the new element (the copy and its leaf) and does
+    // not grow the copy again.
+    let original: ChunkTree<u32> = ChunkTree::from_vec((0..5).collect());
+    let mut fork = original.clone();
+    let ((), allocations) = allocations_in(|| fork.push(5));
+    assert_eq!(allocations, 2, "push onto a shared leaf");
+    assert_eq!(fork, (0..6).collect::<Vec<_>>());
+    assert_eq!(original, (0..5).collect::<Vec<_>>());
 }
 
 #[test]
