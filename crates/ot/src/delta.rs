@@ -71,7 +71,7 @@
 //!
 //! Not every operation is a pure sequence edit — `ListOp::Set` overwrites
 //! in place with last-merged-wins conflict semantics that a span-set cannot
-//! express. [`DeltaOp::to_span`] returns `None` for such operations and
+//! express. [`DeltaOp::edit`] views such an operation as [`Edit::Set`] and
 //! [`from_ops`] (hence [`rebase_delta`]) bails to the caller, which falls
 //! back to the transformation grid. Non-sequence algebras never implement
 //! [`DeltaOp`] at all and take the grid unconditionally.
@@ -96,14 +96,16 @@
 
 use std::fmt;
 
-use crate::Operation;
+use crate::edit::Edit;
+use crate::{ApplyError, Operation};
 
 /// Payload carried by insert spans: an ordered run of inserted content
 /// (`String` for text, `Vec<T>` for lists), sliceable in *unit* (char /
 /// element) coordinates.
 pub trait DeltaPayload: Clone + PartialEq + fmt::Debug + Send + Sync + 'static {
-    /// Length in units (characters for text, elements for lists).
-    fn unit_len(&self) -> usize;
+    /// The borrowed form of a run (`str`, `[T]`): what an op's
+    /// [`Edit`] view lends out.
+    type Units: ?Sized + ToOwned<Owned = Self>;
 
     /// Copy out the sub-run `[start, start + len)`, in unit coordinates.
     fn slice(&self, start: usize, len: usize) -> Self;
@@ -116,12 +118,14 @@ pub trait DeltaPayload: Clone + PartialEq + fmt::Debug + Send + Sync + 'static {
 
     /// Append `other`'s content after `self`'s.
     fn append(&mut self, other: &Self);
+
+    /// A copy of `units` with its units `[at, at + len)` replaced by
+    /// `with` (removed for `None`), built in one allocation.
+    fn spliced(units: &Self::Units, at: usize, len: usize, with: Option<&Self::Units>) -> Self;
 }
 
 impl DeltaPayload for String {
-    fn unit_len(&self) -> usize {
-        self.chars().count()
-    }
+    type Units = str;
 
     fn slice(&self, start: usize, len: usize) -> Self {
         self.chars().skip(start).take(len).collect()
@@ -138,6 +142,17 @@ impl DeltaPayload for String {
 
     fn append(&mut self, other: &Self) {
         self.push_str(other);
+    }
+
+    fn spliced(units: &str, at: usize, len: usize, with: Option<&str>) -> Self {
+        let start = char_byte_from_front(units, at);
+        let end = start + char_byte_from_front(&units[start..], len);
+        let with = with.unwrap_or_default();
+        let mut s = String::with_capacity(units.len() - (end - start) + with.len());
+        s.push_str(&units[..start]);
+        s.push_str(with);
+        s.push_str(&units[end..]);
+        s
     }
 }
 
@@ -163,9 +178,7 @@ fn char_byte_from_back(s: &str, at: usize, len: usize) -> usize {
 }
 
 impl<T: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> DeltaPayload for Vec<T> {
-    fn unit_len(&self) -> usize {
-        self.len()
-    }
+    type Units = [T];
 
     fn slice(&self, start: usize, len: usize) -> Self {
         self[start..start + len].to_vec()
@@ -178,6 +191,15 @@ impl<T: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> DeltaPayload for
     fn append(&mut self, other: &Self) {
         self.extend_from_slice(other);
     }
+
+    fn spliced(units: &[T], at: usize, len: usize, with: Option<&[T]>) -> Self {
+        let with = with.unwrap_or_default();
+        let mut v = Vec::with_capacity(units.len() - len + with.len());
+        v.extend_from_slice(&units[..at]);
+        v.extend_from_slice(with);
+        v.extend_from_slice(&units[at + len..]);
+        v
+    }
 }
 
 /// One run of a delta, in base coordinates.
@@ -185,8 +207,8 @@ impl<T: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> DeltaPayload for
 pub enum Span<P> {
     /// Keep the next `n` base units unchanged.
     Retain(usize),
-    /// Insert the payload at the current position. `len` caches
-    /// `payload.unit_len()` so text spans do not re-count characters.
+    /// Insert the payload at the current position. `len` caches its
+    /// unit length so text spans do not re-count characters.
     Insert {
         /// The inserted run.
         payload: P,
@@ -229,8 +251,8 @@ impl<P> Span<P> {
     }
 }
 
-/// A position-addressed edit, the interchange form between an algebra's
-/// operations and delta spans.
+/// An owned position-addressed edit, which an algebra builds an operation
+/// from ([`DeltaOp::from_span`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpSpan<P> {
     /// Insert `payload` so it starts at `pos` (in the coordinates of the
@@ -252,20 +274,29 @@ pub enum OpSpan<P> {
 
 /// Sequence algebras whose operations round-trip through delta spans.
 ///
-/// Implemented by [`crate::text::TextOp`] and [`crate::list::ListOp`]; the
-/// grid remains the oracle and the fallback for everything else.
+/// Implemented by [`crate::text::TextOp`] and [`crate::list::ListOp`],
+/// which route their transform, compose and bounds rules through
+/// [`crate::edit`]; the grid remains the oracle and the fallback for
+/// everything else.
 pub trait DeltaOp: Operation {
     /// The insert-payload type.
     type Payload: DeltaPayload;
 
-    /// View this operation as a position-addressed span edit, or `None`
-    /// when it is not expressible as one (e.g. `ListOp::Set`) — the caller
-    /// must then fall back to the pairwise grid.
-    fn to_span(&self) -> Option<OpSpan<Self::Payload>>;
+    /// The operation's kind, position and unit length, borrowed: an
+    /// insert lends its units, nothing is copied.
+    fn edit(&self) -> Edit<'_, <Self::Payload as DeltaPayload>::Units>;
+
+    /// The operation moved to `pos`, its variant and payload kept.
+    #[must_use]
+    fn with_pos(&self, pos: usize) -> Self;
 
     /// Materialize a span edit back into an operation (span forms for
     /// multi-unit runs, point forms for single units).
     fn from_span(span: OpSpan<Self::Payload>) -> Self;
+
+    /// The error of an operation the shared bounds rule
+    /// (`edit::check_bounds`) refused on a state of `len` units.
+    fn out_of_range(&self, len: usize) -> ApplyError;
 }
 
 /// Which side of its own adjacent deletion an ambiguous gap insert
@@ -353,19 +384,13 @@ impl<P: DeltaPayload> Delta<P> {
     /// path [`Delta::compose_op`] is pinned against; production folding
     /// never materializes singleton deltas.
     #[cfg(test)]
-    fn from_op_span(op: OpSpan<P>) -> Self {
+    fn from_op_span((pos, edit): SpanEdit<P>) -> Self {
         let mut d = Delta::identity();
-        match op {
-            OpSpan::Insert { pos, payload } => {
-                let len = payload.unit_len();
-                d.push(Span::Retain(pos));
-                d.push(Span::Insert { payload, len });
-            }
-            OpSpan::Delete { pos, len } => {
-                d.push(Span::Retain(pos));
-                d.push(Span::Delete(len));
-            }
-        }
+        d.push(Span::Retain(pos));
+        d.push(match edit {
+            Ok((payload, len)) => Span::Insert { payload, len },
+            Err(len) => Span::Delete(len),
+        });
         d.trim();
         d
     }
@@ -615,8 +640,7 @@ impl<P: DeltaPayload> Delta<P> {
     /// folding to s spans costs O(k · s) span reads and moves.
     /// [`from_ops_counted`] runs the same splice on a window of a
     /// [`SpanList`], a block or a few, instead of on the whole delta.
-    fn compose_op(&mut self, op: OpSpan<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
-        let (pos, edit) = edit_of(op);
+    fn compose_op(&mut self, (pos, edit): SpanEdit<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
         self.splice(pos, edit, bias, scratch);
         self.trim();
     }
@@ -1107,7 +1131,7 @@ pub fn from_ops_biased<O: DeltaOp>(ops: &[O], bias: GapBias) -> Option<Delta<O::
     let mut acc = Delta::identity();
     let mut scratch = Vec::new();
     for op in ops {
-        acc.compose_op(op.to_span()?, bias, &mut scratch);
+        acc.compose_op(edit_of(op)?, bias, &mut scratch);
     }
     Some(acc)
 }
@@ -1147,25 +1171,27 @@ fn counted_fold<O: DeltaOp, const MAX: usize>(
         let Some(op) = ops.next() else {
             return Some(acc);
         };
-        acc.compose_op(op.to_span()?, bias, &mut scratch);
+        acc.compose_op(edit_of(op)?, bias, &mut scratch);
     }
     let mut list = SpanList::<_, MAX>::new(acc, ops.len());
     for op in ops {
-        list.compose_op(op.to_span()?, bias, &mut scratch);
+        list.compose_op(edit_of(op)?, bias, &mut scratch);
     }
     Some(list.into_delta())
 }
 
 /// An op as [`Delta::splice`] takes it: the position, and either the
 /// inserted run with its unit length or the number of deleted units.
-fn edit_of<P: DeltaPayload>(op: OpSpan<P>) -> (usize, Result<(P, usize), usize>) {
-    match op {
-        OpSpan::Insert { pos, payload } => {
-            let len = payload.unit_len();
-            (pos, Ok((payload, len)))
-        }
-        OpSpan::Delete { pos, len } => (pos, Err(len)),
-    }
+type SpanEdit<P> = (usize, Result<(P, usize), usize>);
+
+/// `op` as a [`SpanEdit`], its inserted run copied out; `None` for an op
+/// no span expresses (`ListOp::Set`).
+fn edit_of<O: DeltaOp>(op: &O) -> Option<SpanEdit<O::Payload>> {
+    Some(match op.edit() {
+        Edit::Insert(pos, len, units) => (pos, Ok((units.to_owned(), len))),
+        Edit::Delete(pos, len) => (pos, Err(len)),
+        Edit::Set(_) => return None,
+    })
 }
 
 /// The counted fold's accumulator: a normalized delta cut into blocks of
@@ -1218,8 +1244,7 @@ impl<P: DeltaPayload, const MAX: usize> SpanList<P, MAX> {
     /// [`Delta::compose_op`] on the list: splice the edit into its window
     /// and store the window back, cut into blocks. The window's output
     /// count follows from the edit alone.
-    fn compose_op(&mut self, op: OpSpan<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
-        let (pos, edit) = edit_of(op);
+    fn compose_op(&mut self, (pos, edit): SpanEdit<P>, bias: GapBias, scratch: &mut Vec<Span<P>>) {
         let reach = match &edit {
             Ok(_) => pos,
             Err(len) => pos + len,
@@ -1515,7 +1540,7 @@ mod tests {
                     doc_len += 1;
                     ListOp::Insert(pos, i as u64)
                 };
-                let span = op.to_span().unwrap();
+                let span = edit_of(&op).unwrap();
                 by_compose = by_compose.compose_biased(&Delta::from_op_span(span), bias);
                 ops.push(op);
             }
@@ -1526,8 +1551,7 @@ mod tests {
 
     #[test]
     fn split_off_keeps_the_head_and_returns_the_tail() {
-        fn check<P: DeltaPayload>(run: P) {
-            let len = run.unit_len();
+        fn check<P: DeltaPayload>(run: P, len: usize) {
             for at in 0..=len {
                 let mut head = run.clone();
                 let tail = head.split_off(at, len);
@@ -1536,18 +1560,18 @@ mod tests {
             }
         }
         for text in ["abcde", "aé✨z", "éa✨✨b", "abcé", "éabc", ""] {
-            check(text.to_string());
+            let len = text.chars().count();
+            check(text.to_string(), len);
             // `split_off` walks from the nearer end; both walks must find
             // every cut.
-            let len = text.chars().count();
             for at in 0..=len {
                 let byte = text.char_indices().nth(at).map_or(text.len(), |(i, _)| i);
                 assert_eq!(char_byte_from_front(text, at), byte, "{text:?} at {at}");
                 assert_eq!(char_byte_from_back(text, at, len), byte, "{text:?} at {at}");
             }
         }
-        check(vec![1u8, 2, 3, 4]);
-        check(Vec::<u8>::new());
+        check(vec![1u8, 2, 3, 4], 4);
+        check(Vec::<u8>::new(), 0);
     }
 
     /// One raw span: kind (retain / delete / insert), length, first value.
@@ -1829,7 +1853,7 @@ mod tests {
         let mut list = SpanList::<_, MAX>::new(Delta::identity(), ops.len());
         let mut scratch = Vec::new();
         for op in ops {
-            let op = op.to_span().unwrap();
+            let op = edit_of(op).unwrap();
             // Each block's output range, `[start, end)`.
             let mut start = 0;
             let ranges: Vec<(usize, usize)> = list
@@ -1841,7 +1865,7 @@ mod tests {
                 })
                 .collect();
             match &op {
-                OpSpan::Delete { pos, len } => {
+                (pos, Err(len)) => {
                     let reach = pos + len;
                     let touched = ranges.iter().filter(|&&(a, b)| b > *pos && a < reach);
                     seen[0] += usize::from(touched.count() >= 3);
@@ -1850,13 +1874,13 @@ mod tests {
                         inserts && a >= *pos && e <= reach && a < e
                     }));
                 }
-                OpSpan::Insert { pos, .. } if bias == GapBias::End => {
+                (pos, Ok(_)) if bias == GapBias::End => {
                     seen[2] +=
                         usize::from(ranges.iter().zip(&list.blocks[1..]).any(|(r, next)| {
                             r.1 == *pos && matches!(next.spans.first(), Some(Span::Delete(_)))
                         }));
                 }
-                OpSpan::Insert { .. } => {}
+                (_, Ok(_)) => {}
             }
             list.compose_op(op, bias, &mut scratch);
             let mut before = 0;

@@ -9,8 +9,9 @@
 //! 1. **Transformation functions** — per data structure, per operation pair:
 //!    rewrite a concurrent operation so that it can be applied *after*
 //!    another operation while preserving its intention. These live in the
-//!    structure modules: [`list`], [`text`], [`map`], [`set`], [`counter`],
-//!    [`register`], [`tree`].
+//!    structure modules: [`map`], [`set`], [`counter`], [`register`],
+//!    [`tree`], and for the sequences [`list`] and [`text`] in one shared
+//!    module, [`edit`].
 //! 2. **Transformation control algorithm** — decides which transformation
 //!    function is applied to which pair of concurrent operations. Because
 //!    Spawn & Merge merges are *centralized at the parent task*, the control
@@ -43,6 +44,7 @@ pub mod cmap;
 pub mod compose;
 pub mod counter;
 pub mod delta;
+pub mod edit;
 pub mod list;
 pub mod map;
 pub mod register;
@@ -196,8 +198,9 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     /// first failing operation would report. `state` is not changed.
     ///
     /// The default is that definition: clone `state` and
-    /// [`apply_all`]. [`text::TextOp`], whose `apply` checks only the
-    /// char length, overrides it with a walk over that length.
+    /// [`apply_all`]. The sequence algebras ([`text::TextOp`],
+    /// [`list::ListOp`]), whose `apply` checks only the state's length,
+    /// override it with one walk over that length (`edit::check_run`).
     fn check_run(state: &Self::State, run: &[Self]) -> Result<(), ApplyError> {
         apply_all(&mut state.clone(), run)
     }

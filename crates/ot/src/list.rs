@@ -8,24 +8,24 @@
 //! implementation for differential tests.
 //! Operations are index-addressed insert / delete / set
 //! plus their **span** forms [`ListOp::InsertRun`] / [`ListOp::DeleteRange`],
-//! which carry a whole contiguous run in one operation. The transformation
-//! functions below implement classic Ellis & Gibbs-style index shifting
-//! generalized to spans (the same interval arithmetic as the text algebra),
-//! with the Spawn & Merge tie-break rule: on an equal-index insert/insert
-//! conflict the committed ([`Side::Left`]) operation keeps its position; on
-//! an equal-index set/set conflict the *incoming* operation wins
-//! (last-merged-wins), which keeps TP1 intact because exactly one of the
-//! pair survives.
+//! which carry a whole contiguous run in one operation. Inserts and
+//! deletes are the text algebra's over a `Vec<T>` payload: their
+//! transform, compose and bounds rules are [`crate::edit`]'s, with the
+//! Spawn & Merge tie-break rule that on an equal-index insert/insert
+//! conflict the committed ([`Side::Left`]) operation keeps its position.
+//! This module keeps only the `Set` arms: on an equal-index set/set
+//! conflict the *incoming* operation wins (last-merged-wins), which keeps
+//! TP1 intact because exactly one of the pair survives.
 //!
 //! Span operations exist for merge cost: a child that appended 500 elements
 //! rebases as **one** `InsertRun` instead of 500 `Insert`s, collapsing the
 //! O(|committed|·|incoming|) transformation grid (see
 //! [`crate::compose::compact`]). A `DeleteRange` interleaved by a concurrent
-//! insert splits into two ranges ([`Transformed::Two`]) so the concurrently
-//! inserted element survives, so a list transform may split, as a text one
-//! may.
+//! insert splits into two ranges so the concurrently inserted element
+//! survives.
 
 use crate::delta::{DeltaOp, OpSpan};
+use crate::edit::{self, Edit};
 use crate::state::ChunkTree;
 use crate::{ApplyError, Operation, Side, Transformed};
 
@@ -51,164 +51,27 @@ pub enum ListOp<T> {
 }
 
 impl<T: Element> ListOp<T> {
-    /// The index the operation targets.
-    pub fn index(&self) -> usize {
-        match self {
-            ListOp::Insert(i, _)
-            | ListOp::Delete(i)
-            | ListOp::Set(i, _)
-            | ListOp::InsertRun(i, _)
-            | ListOp::DeleteRange(i, _) => *i,
-        }
-    }
-
-    /// Rewrite the target index.
-    fn with_index(&self, i: usize) -> Self {
-        match self {
-            ListOp::Insert(_, v) => ListOp::Insert(i, v.clone()),
-            ListOp::Delete(_) => ListOp::Delete(i),
-            ListOp::Set(_, v) => ListOp::Set(i, v.clone()),
-            ListOp::InsertRun(_, vs) => ListOp::InsertRun(i, vs.clone()),
-            ListOp::DeleteRange(_, n) => ListOp::DeleteRange(i, *n),
-        }
-    }
-
-    /// `(start, len)` of the inserted span, for both insert forms.
-    fn ins_span(&self) -> Option<(usize, usize)> {
-        match self {
-            ListOp::Insert(i, _) => Some((*i, 1)),
-            ListOp::InsertRun(i, vs) => Some((*i, vs.len())),
-            _ => None,
-        }
-    }
-
-    /// `(start, len)` of the deleted span, for both delete forms.
-    fn del_span(&self) -> Option<(usize, usize)> {
-        match self {
-            ListOp::Delete(i) => Some((*i, 1)),
-            ListOp::DeleteRange(i, n) => Some((*i, *n)),
-            _ => None,
-        }
-    }
-
-    /// The inserted elements as an owned run (insert forms only).
-    fn ins_payload(&self) -> Vec<T> {
-        match self {
-            ListOp::Insert(_, v) => vec![v.clone()],
-            ListOp::InsertRun(_, vs) => vs.clone(),
-            _ => unreachable!("ins_payload on a non-insert"),
-        }
-    }
-
-    /// Canonical insert for a run: plain `Insert` when the run is a single
-    /// element.
-    fn ins_from(i: usize, mut vs: Vec<T>) -> Self {
-        if vs.len() == 1 {
-            ListOp::Insert(i, vs.pop().expect("len checked"))
-        } else {
-            ListOp::InsertRun(i, vs)
-        }
-    }
-
-    /// Canonical delete for a span: plain `Delete` when the span is a single
-    /// element.
-    fn del_from(i: usize, n: usize) -> Self {
-        if n == 1 {
-            ListOp::Delete(i)
-        } else {
-            ListOp::DeleteRange(i, n)
-        }
-    }
-
-    /// True for span forms that touch nothing (empty run / zero-length
-    /// range); they apply as nothing and transform to nothing.
-    fn is_noop(&self) -> bool {
-        matches!(self, ListOp::InsertRun(_, vs) if vs.is_empty())
-            || matches!(self, ListOp::DeleteRange(_, 0))
-    }
-
     /// Apply against a plain `Vec`: the scalar reference implementation
     /// the property suites diff the [`ChunkTree`] backend against.
     ///
     /// # Errors
     /// Fails when the index or range falls outside the list.
     pub fn apply_vec(&self, state: &mut Vec<T>) -> Result<(), ApplyError> {
+        edit::check_bounds(self, state.len())?;
         match self {
-            ListOp::Insert(i, v) => {
-                if *i > state.len() {
-                    return Err(ApplyError::new(format!(
-                        "insert index {i} out of range (len {})",
-                        state.len()
-                    )));
-                }
-                state.insert(*i, v.clone());
-            }
+            ListOp::Insert(i, v) => state.insert(*i, v.clone()),
             ListOp::Delete(i) => {
-                if *i >= state.len() {
-                    return Err(ApplyError::new(format!(
-                        "delete index {i} out of range (len {})",
-                        state.len()
-                    )));
-                }
                 state.remove(*i);
             }
-            ListOp::Set(i, v) => {
-                if *i >= state.len() {
-                    return Err(ApplyError::new(format!(
-                        "set index {i} out of range (len {})",
-                        state.len()
-                    )));
-                }
-                state[*i] = v.clone();
-            }
+            ListOp::Set(i, v) => state[*i] = v.clone(),
             ListOp::InsertRun(i, vs) => {
-                if *i > state.len() {
-                    return Err(ApplyError::new(format!(
-                        "insert-run index {i} out of range (len {})",
-                        state.len()
-                    )));
-                }
                 state.splice(*i..*i, vs.iter().cloned());
             }
             ListOp::DeleteRange(i, n) => {
-                if i.checked_add(*n).is_none_or(|end| end > state.len()) {
-                    return Err(ApplyError::new(format!(
-                        "delete range {i}+{n} out of range (len {})",
-                        state.len()
-                    )));
-                }
                 state.drain(*i..i + n);
             }
         }
         Ok(())
-    }
-
-    /// `apply`'s whole precondition on a list of `len` elements. A range
-    /// end past `usize::MAX` is out of range, not a wrapped index.
-    #[inline]
-    fn check_bounds(&self, len: usize) -> Result<(), ApplyError> {
-        let refused = match self {
-            ListOp::Insert(i, _) | ListOp::InsertRun(i, _) => *i > len,
-            ListOp::Delete(i) | ListOp::Set(i, _) => *i >= len,
-            ListOp::DeleteRange(i, n) => i.checked_add(*n).is_none_or(|end| end > len),
-        };
-        if refused {
-            return Err(self.out_of_range(len));
-        }
-        Ok(())
-    }
-
-    /// The error of an op [`ListOp::check_bounds`] refused on a list of
-    /// `len` elements.
-    #[cold]
-    fn out_of_range(&self, len: usize) -> ApplyError {
-        ApplyError::new(match self {
-            ListOp::Insert(i, _) => format!("insert index {i} out of range (len {len})"),
-            ListOp::Delete(i) => format!("delete index {i} out of range (len {len})"),
-            ListOp::Set(i, _) => format!("set index {i} out of range (len {len})"),
-            ListOp::InsertRun(i, _) => format!("insert-run index {i} out of range (len {len})"),
-            ListOp::DeleteRange(i, n) => format!("delete range {i}+{n} out of range (len {len})"),
-        })
     }
 }
 
@@ -475,7 +338,7 @@ impl<T: Element> Operation for ListOp<T> {
     fn apply(&self, state: &mut ChunkTree<T>) -> Result<(), ApplyError> {
         // Length checks are O(1) against the root's cached count; the
         // edits themselves are O(log n) seek + O(chunk) splice.
-        self.check_bounds(state.len())?;
+        edit::check_bounds(self, state.len())?;
         match self {
             ListOp::Insert(i, v) => state.insert(*i, v.clone()),
             ListOp::Delete(i) => {
@@ -488,166 +351,50 @@ impl<T: Element> Operation for ListOp<T> {
         Ok(())
     }
 
+    fn check_run(state: &ChunkTree<T>, run: &[Self]) -> Result<(), ApplyError> {
+        edit::check_run(state.len(), run)
+    }
+
     fn transform(&self, against: &Self, side: Side) -> Transformed<Self> {
-        if self.is_noop() {
-            return Transformed::None;
+        let ListOp::Set(i, _) = *self else {
+            return edit::transform(self, against, side);
+        };
+        match against.edit() {
+            // An insert at or before our slot pushes it right.
+            Edit::Insert(j, t, _) if j <= i => Transformed::One(self.with_pos(i + t)),
+            // The element we intended to overwrite is gone.
+            Edit::Delete(j, m) if j <= i && i < j + m => Transformed::None,
+            Edit::Delete(j, m) if j <= i => Transformed::One(self.with_pos(i - m)),
+            // Exactly one of two writes to one slot survives, so both
+            // serializations agree: the incoming (Right) write wins.
+            Edit::Set(j) if j == i && side == Side::Left => Transformed::None,
+            _ => Transformed::One(self.clone()),
         }
-        if against.is_noop() {
-            return Transformed::One(self.clone());
-        }
-        let i = self.index();
-        let j = against.index();
-
-        if let Some((_, t)) = against.ins_span() {
-            // `against` inserts `t` elements at `j`.
-            if let Some((_, n)) = self.del_span() {
-                return if j <= i {
-                    Transformed::One(self.with_index(i + t))
-                } else if j >= i + n {
-                    Transformed::One(self.clone())
-                } else {
-                    // Insert interleaves our range: split around it so the
-                    // concurrently inserted elements survive.
-                    Transformed::Two(Self::del_from(i, j - i), Self::del_from(i + t, n - (j - i)))
-                };
-            }
-            if self.ins_span().is_some() {
-                // The other insert shifts us right if it lands strictly
-                // before us, or at the same index when we lose the tie.
-                return if j < i || (j == i && side == Side::Right) {
-                    Transformed::One(self.with_index(i + t))
-                } else {
-                    Transformed::One(self.clone())
-                };
-            }
-            // self is a Set: an insert at or before our slot pushes it right.
-            return if j <= i {
-                Transformed::One(self.with_index(i + t))
-            } else {
-                Transformed::One(self.clone())
-            };
-        }
-
-        if let Some((_, m)) = against.del_span() {
-            // `against` deletes the span [j, j+m).
-            if let Some((_, n)) = self.del_span() {
-                let overlap = (i + n).min(j + m).saturating_sub(i.max(j));
-                let remaining = n - overlap;
-                if remaining == 0 {
-                    return Transformed::None;
-                }
-                // Our surviving range starts where it did if we begin before
-                // the other delete, else right after the other's start.
-                let new_pos = if i <= j {
-                    i
-                } else {
-                    i.saturating_sub(m).max(j)
-                };
-                return Transformed::One(Self::del_from(new_pos, remaining));
-            }
-            if self.ins_span().is_some() {
-                return if i <= j {
-                    Transformed::One(self.clone())
-                } else if i >= j + m {
-                    Transformed::One(self.with_index(i - m))
-                } else {
-                    // Insertion point fell inside the deleted span: land at
-                    // the deletion point (closest surviving position).
-                    Transformed::One(self.with_index(j))
-                };
-            }
-            // self is a Set.
-            return if i < j {
-                Transformed::One(self.clone())
-            } else if i >= j + m {
-                Transformed::One(self.with_index(i - m))
-            } else {
-                // The element we intended to overwrite is gone.
-                Transformed::None
-            };
-        }
-
-        // `against` is a Set: only a same-slot Set conflicts with it.
-        if matches!(self, ListOp::Set(..)) && j == i {
-            // Exactly one survives so both serializations agree: the
-            // incoming (Right) write wins.
-            return match side {
-                Side::Left => Transformed::None,
-                Side::Right => Transformed::One(self.clone()),
-            };
-        }
-        Transformed::One(self.clone())
     }
 
     fn compose(&self, next: &Self) -> Option<Self> {
-        use ListOp::*;
-        if self.is_noop() {
-            return Some(next.clone());
-        }
-        if next.is_noop() {
-            return Some(self.clone());
-        }
-        // Two writes to the same slot: the second wins.
-        if let (Set(i, _), Set(j, v)) = (self, next) {
-            if i == j {
-                return Some(Set(*i, v.clone()));
+        match (self, next, self.edit(), next.edit()) {
+            // Two writes to the same slot: the second wins. A write whose
+            // slot the very next delete removes: the delete alone.
+            (ListOp::Set(i, _), ListOp::Set(j, _), ..) if i == j => Some(next.clone()),
+            (ListOp::Set(i, _), _, _, Edit::Delete(j, m)) if j <= *i && *i < j + m => {
+                Some(next.clone())
             }
-        }
-        // A write whose slot the very next delete removes: the delete alone.
-        if let Set(i, _) = self {
-            if let Some((j, m)) = next.del_span() {
-                if j <= *i && *i < j + m {
-                    return Some(next.clone());
-                }
-            }
-        }
-        if let Some((i, len)) = self.ins_span() {
             // Insert then overwrite inside the run: insert the final value.
-            if let Set(j, v) = next {
-                if i <= *j && *j < i + len {
-                    let mut vs = self.ins_payload();
-                    vs[*j - i] = v.clone();
-                    return Some(Self::ins_from(i, vs));
-                }
+            (_, ListOp::Set(j, v), Edit::Insert(i, len, units), _) if i <= *j && *j < i + len => {
+                let mut vs = units.to_vec();
+                vs[j - i] = v.clone();
+                Some(Self::from_span(OpSpan::Insert {
+                    pos: i,
+                    payload: vs,
+                }))
             }
-            // Insert then insert at / inside / right after the run: one
-            // bigger run (the list analogue of text insert splicing).
-            if let Some((j, _)) = next.ins_span() {
-                if i <= j && j <= i + len {
-                    let mut vs = self.ins_payload();
-                    vs.splice(j - i..j - i, next.ins_payload());
-                    return Some(Self::ins_from(i, vs));
-                }
-            }
-            // Insert then delete of part of the run: shrink the run. Full
-            // cancellation is `annihilates`.
-            if let Some((j, m)) = next.del_span() {
-                if i <= j && j + m <= i + len && m < len {
-                    let mut vs = self.ins_payload();
-                    vs.drain(j - i..j - i + m);
-                    return Some(Self::ins_from(i, vs));
-                }
-            }
+            _ => edit::compose(self, next),
         }
-        // Delete then delete at the same spot (text slid left under the
-        // cursor) or immediately before (backspace style): one bigger span.
-        if let (Some((i, n)), Some((j, m))) = (self.del_span(), next.del_span()) {
-            if j == i {
-                return Some(Self::del_from(i, n + m));
-            }
-            if j + m == i {
-                return Some(Self::del_from(j, n + m));
-            }
-        }
-        None
     }
 
     fn annihilates(&self, next: &Self) -> bool {
-        // A run created and destroyed with nothing in between.
-        match (self.ins_span(), next.del_span()) {
-            (Some((i, len)), Some((j, m))) => len > 0 && j == i && m == len,
-            _ => false,
-        }
+        edit::annihilates(self, next)
     }
 
     fn delta_rebase(
@@ -663,31 +410,47 @@ impl<T: Element> Operation for ListOp<T> {
 impl<T: Element> DeltaOp for ListOp<T> {
     type Payload = Vec<T>;
 
-    fn to_span(&self) -> Option<OpSpan<Vec<T>>> {
+    fn edit(&self) -> Edit<'_, [T]> {
         match self {
-            // `Set` overwrites in place with incoming-wins conflict
-            // semantics a span-set cannot express: force the grid fallback
-            // for the whole log.
-            ListOp::Set(..) => None,
-            _ => {
-                if let Some((i, _)) = self.ins_span() {
-                    Some(OpSpan::Insert {
-                        pos: i,
-                        payload: self.ins_payload(),
-                    })
-                } else {
-                    let (i, n) = self.del_span().expect("insert/set handled above");
-                    Some(OpSpan::Delete { pos: i, len: n })
-                }
-            }
+            ListOp::Insert(pos, v) => Edit::Insert(*pos, 1, std::slice::from_ref(v)),
+            ListOp::InsertRun(pos, vs) => Edit::Insert(*pos, vs.len(), vs),
+            ListOp::Delete(pos) => Edit::Delete(*pos, 1),
+            ListOp::DeleteRange(pos, len) => Edit::Delete(*pos, *len),
+            ListOp::Set(pos, _) => Edit::Set(*pos),
         }
     }
 
+    fn with_pos(&self, i: usize) -> Self {
+        match self {
+            ListOp::Insert(_, v) => ListOp::Insert(i, v.clone()),
+            ListOp::Delete(_) => ListOp::Delete(i),
+            ListOp::Set(_, v) => ListOp::Set(i, v.clone()),
+            ListOp::InsertRun(_, vs) => ListOp::InsertRun(i, vs.clone()),
+            ListOp::DeleteRange(_, n) => ListOp::DeleteRange(i, *n),
+        }
+    }
+
+    /// Canonical forms: a plain `Insert` / `Delete` for a single element.
     fn from_span(span: OpSpan<Vec<T>>) -> Self {
         match span {
-            OpSpan::Insert { pos, payload } => Self::ins_from(pos, payload),
-            OpSpan::Delete { pos, len } => Self::del_from(pos, len),
+            OpSpan::Insert { pos, mut payload } if payload.len() == 1 => {
+                ListOp::Insert(pos, payload.pop().expect("len checked"))
+            }
+            OpSpan::Insert { pos, payload } => ListOp::InsertRun(pos, payload),
+            OpSpan::Delete { pos, len: 1 } => ListOp::Delete(pos),
+            OpSpan::Delete { pos, len } => ListOp::DeleteRange(pos, len),
         }
+    }
+
+    #[cold]
+    fn out_of_range(&self, len: usize) -> ApplyError {
+        ApplyError::new(match self {
+            ListOp::Insert(i, _) => format!("insert index {i} out of range (len {len})"),
+            ListOp::Delete(i) => format!("delete index {i} out of range (len {len})"),
+            ListOp::Set(i, _) => format!("set index {i} out of range (len {len})"),
+            ListOp::InsertRun(i, _) => format!("insert-run index {i} out of range (len {len})"),
+            ListOp::DeleteRange(i, n) => format!("delete range {i}+{n} out of range (len {len})"),
+        })
     }
 }
 

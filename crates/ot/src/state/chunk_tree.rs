@@ -1,8 +1,9 @@
 //! [`ChunkTree`]: chunked element sequence with O(1) length and
 //! O(log n) point edits.
 
-use super::tree::{Chunk, Leaves, Tree};
+use super::tree::{Chunk, InLeaf, Leaves, Tree};
 use std::fmt;
+use std::sync::Arc;
 
 /// Element bound for [`ChunkTree`] storage: what the chunk tree needs
 /// to clone, share across threads, and debug-print chunks.
@@ -132,13 +133,14 @@ impl<T: Item> ChunkTree<T> {
             "remove at {index} beyond length {}",
             self.len()
         );
-        let (chunk, off) = self.tree.leaf_at(index);
-        if chunk.len() > 1 {
-            self.tree.with_leaf_mut(index, |c, off| c.remove(off))
-        } else {
-            let value = chunk[off].clone();
-            self.tree.delete(index, 1);
-            value
+        match self.tree.delete_in_leaf(index, 1, |c, off| c.remove(off)) {
+            InLeaf::Edited(value) => value,
+            // The leaf held this element alone.
+            InLeaf::Unlinked(leaf) => Arc::try_unwrap(leaf).map_or_else(
+                |shared| shared[0].clone(),
+                |mut c| c.pop().expect("a leaf is never empty"),
+            ),
+            InLeaf::Crosses => unreachable!("one element lies in one leaf"),
         }
     }
 

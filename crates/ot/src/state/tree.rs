@@ -22,8 +22,9 @@
 //! An insert of at most one chunk's worth takes one path-copying descent
 //! even when its leaf is full: the leaf splits in place and hands its
 //! right half to its parent, an inner node that overflows splits the same
-//! way, and a full root grows a level. A delete inside one leaf stays in
-//! place; one that removes a whole leaf unlinks it in place, and an inner
+//! way, and a full root grows a level. A delete inside one leaf is
+//! classified and made on one descent: it stays in place, or, when it
+//! removes the whole leaf, unlinks the leaf in place, and an inner
 //! node left with fewer than `FAN / 2` children merges with or borrows
 //! from a sibling, so the depth stays O(log n) under any churn.
 //!
@@ -556,25 +557,18 @@ impl<C: Chunk> Tree<C> {
 
     /// Delete the `len` units starting at `pos` (`pos + len ≤ weight`).
     ///
-    /// A range inside a single leaf that leaves the leaf non-empty is
-    /// removed with an in-place path-copy, and one that is a whole leaf
-    /// unlinks it in place. Otherwise the tree is split around the range;
-    /// the two boundary chunks at the seam are coalesced when their
-    /// combined weight fits one chunk, bounding fragmentation under
-    /// delete churn.
+    /// A range inside a single leaf takes one path-copying descent
+    /// ([`Tree::delete_in_leaf`]). Otherwise the tree is split around the
+    /// range; the two boundary chunks at the seam are coalesced when their
+    /// combined weight fits one chunk, bounding fragmentation under delete
+    /// churn.
     pub(crate) fn delete(&mut self, pos: usize, len: usize) {
         debug_assert!(pos + len <= self.weight());
         if len == 0 {
             return;
         }
-        let (c, off) = self.leaf_at(pos);
-        let leaf_weight = c.weight();
-        if off + len <= leaf_weight {
-            if len < leaf_weight {
-                self.with_leaf_mut(pos, |c, off| c.remove_range(off, len));
-            } else {
-                self.unlink(pos);
-            }
+        let in_leaf = self.delete_in_leaf(pos, len, |c, off| c.remove_range(off, len));
+        if !matches!(in_leaf, InLeaf::Crosses) {
             return;
         }
         let taken = self.root.take().expect("non-empty checked above");
@@ -587,17 +581,30 @@ impl<C: Chunk> Tree<C> {
         *self = Tree::concat_merging_seam(Tree { root: l }, Tree { root: rr });
     }
 
-    /// Take the leaf holding `pos` out of the tree, repairing any inner
-    /// node it leaves underfull on the way back up.
-    fn unlink(&mut self, pos: usize) {
-        let Some(Node::Inner(root)) = &mut self.root else {
-            self.root = None;
-            return;
-        };
-        let root = Arc::make_mut(root);
-        unlink_rec(root, pos);
-        if root.len() == 1 {
-            self.root = Some(root.remove(0));
+    /// Delete the `len ≥ 1` units starting at `pos` if they lie inside one
+    /// leaf, classified on the path-copying descent that deletes them:
+    /// `edit` removes them (at the in-leaf offset) from a leaf that keeps
+    /// units, and a leaf they cover is unlinked and handed back.
+    pub(crate) fn delete_in_leaf<R>(
+        &mut self,
+        pos: usize,
+        len: usize,
+        edit: impl FnOnce(&mut C, usize) -> R,
+    ) -> InLeaf<C, R> {
+        debug_assert!(len > 0 && pos + len <= self.weight());
+        match self.root.as_mut().expect("len > 0 implies non-empty") {
+            Node::Leaf(c) if len < c.weight() => InLeaf::Edited(leaf_mut(c, pos, edit)),
+            Node::Leaf(_) => match self.root.take() {
+                Some(Node::Leaf(c)) => InLeaf::Unlinked(c),
+                _ => unreachable!("the root was a leaf"),
+            },
+            Node::Inner(n) => {
+                let done = delete_rec(n, pos, len, edit);
+                if n.len() == 1 {
+                    self.root = Some(Arc::make_mut(n).remove(0));
+                }
+                done
+            }
         }
     }
 
@@ -748,11 +755,12 @@ impl<C: Chunk> Tree<C> {
             };
         }
         let lw = l.weight();
-        let (last, _) = l.leaf_at(lw - 1);
-        let (first, _) = r.leaf_at(0);
-        if last.weight() + first.weight() <= C::MAX_WEIGHT {
-            let first = first.clone();
-            r.unlink(0);
+        let width = r.leaf_at(0).0.weight();
+        if l.leaf_at(lw - 1).0.weight() + width <= C::MAX_WEIGHT {
+            // A whole leaf is unlinked, never edited.
+            let InLeaf::Unlinked(first) = r.delete_in_leaf(0, width, |_, _| ()) else {
+                unreachable!("a whole leaf unlinks")
+            };
             l.with_leaf_mut(lw - 1, |c, _| {
                 let at = c.weight();
                 Chunk::splice(c, at, &first);
@@ -867,21 +875,45 @@ fn splice_and_split<C: Chunk>(
     }
 }
 
-/// Unlink the leaf holding `pos` from below `n`. A child left with fewer
-/// than [`MIN_FAN`] children merges with or borrows from a sibling.
-fn unlink_rec<C: Chunk>(n: &mut Inner<C>, pos: usize) {
+/// What [`Tree::delete_in_leaf`] did.
+pub(crate) enum InLeaf<C, R> {
+    /// The range lay inside a leaf that keeps units: `edit`'s answer.
+    Edited(R),
+    /// The range was a whole leaf, now unlinked.
+    Unlinked(Arc<C>),
+    /// The range crosses a leaf boundary; nothing was deleted.
+    Crosses,
+}
+
+/// [`Tree::delete_in_leaf`] below `n`, leaving a node whose children the
+/// range crosses as it is. A child left with fewer than [`MIN_FAN`]
+/// children merges with or borrows from a sibling.
+fn delete_rec<C: Chunk, R>(
+    n: &mut Arc<Inner<C>>,
+    pos: usize,
+    len: usize,
+    edit: impl FnOnce(&mut C, usize) -> R,
+) -> InLeaf<C, R> {
     let (i, off) = n.find(pos);
-    if n.height == 1 {
-        n.remove(i);
-        return;
+    if off + len > n.weights[i] {
+        return InLeaf::Crosses;
     }
-    let child = n.inner_kid_mut(i);
-    unlink_rec(child, off);
-    let underfull = child.len() < MIN_FAN;
+    let n = Arc::make_mut(n);
+    let done = match &mut n.kids {
+        Kids::Leaves(ls) if len < n.weights[i] => {
+            InLeaf::Edited(leaf_mut(slot_mut(&mut ls[i]), off, edit))
+        }
+        Kids::Leaves(_) => match n.remove(i) {
+            Node::Leaf(c) => return InLeaf::Unlinked(c),
+            Node::Inner(_) => unreachable!("a leaf slot"),
+        },
+        Kids::Inners(ns) => delete_rec(slot_mut(&mut ns[i]), off, len, edit),
+    };
     n.refresh(i);
-    if underfull {
+    if matches!(&n.kids, Kids::Inners(ns) if slot(&ns[i]).len() < MIN_FAN) {
         repair(n, i);
     }
+    done
 }
 
 /// Even out `n`'s underfull child `i` with a sibling: merge the two when

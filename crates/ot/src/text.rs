@@ -9,12 +9,14 @@
 //! framework). [`TextOp::apply_str`] keeps the plain-`String` semantics as
 //! the single-pass reference implementation for differential tests.
 //!
-//! This algebra is the canonical **non-scalar** one: a range delete that is
-//! interleaved by a concurrent insert splits into two deletes so that the
-//! concurrently inserted text survives — intention preservation. The
-//! sequence control algorithm handles the split via [`Transformed::Two`].
+//! Text is the list algebra over a `String` payload: its transform,
+//! compose and bounds rules are [`crate::edit`]'s, which [`TextOp`]
+//! reaches through its [`DeltaOp`] view. A range delete interleaved by a
+//! concurrent insert splits into two deletes so that the concurrently
+//! inserted text survives — intention preservation.
 
 use crate::delta::{DeltaOp, OpSpan};
+use crate::edit::{self, Edit};
 use crate::state::Rope;
 use crate::{ApplyError, Operation, Side, Transformed};
 
@@ -22,6 +24,8 @@ use crate::{ApplyError, Operation, Side, Transformed};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TextOp {
     /// Insert the string at the character position (`0 ≤ pos ≤ chars`).
+    /// An empty string touches nothing: it transforms to nothing and
+    /// composes away.
     Insert {
         /// Character position of the insertion point.
         pos: usize,
@@ -51,43 +55,6 @@ impl TextOp {
         TextOp::Delete { pos, len }
     }
 
-    /// `apply`'s whole precondition on a text of `chars` characters. A
-    /// range end past `usize::MAX` is out of range, not a wrapped
-    /// position.
-    #[inline]
-    fn check_bounds(&self, chars: usize) -> Result<(), ApplyError> {
-        let refused = match self {
-            TextOp::Insert { pos, .. } => *pos > chars,
-            TextOp::Delete { pos, len } => {
-                *len > 0 && pos.checked_add(*len).is_none_or(|end| end > chars)
-            }
-        };
-        if refused {
-            return Err(self.out_of_range(chars));
-        }
-        Ok(())
-    }
-
-    /// The error of an op [`TextOp::check_bounds`] refused on a text of
-    /// `chars` characters.
-    #[cold]
-    fn out_of_range(&self, chars: usize) -> ApplyError {
-        ApplyError::new(match self {
-            TextOp::Insert { pos, .. } => format!("char position {pos} out of range"),
-            TextOp::Delete { pos, len } => {
-                format!("delete range {pos}+{len} exceeds text length {chars}")
-            }
-        })
-    }
-
-    /// Length of the inserted text in characters, or 0 for deletes.
-    fn ins_len(&self) -> usize {
-        match self {
-            TextOp::Insert { text, .. } => text.chars().count(),
-            TextOp::Delete { .. } => 0,
-        }
-    }
-
     /// Apply against a plain `String`: the scalar reference
     /// implementation the property suites diff the [`Rope`] backend
     /// against. Resolves both range endpoints in a **single**
@@ -103,9 +70,6 @@ impl TextOp {
                 state.insert_str(at, text);
             }
             TextOp::Delete { pos, len } => {
-                if *len == 0 {
-                    return Ok(());
-                }
                 let (start, end) = char_range_to_bytes(state, *pos, *len)?;
                 state.replace_range(start..end, "");
             }
@@ -161,197 +125,28 @@ impl Operation for TextOp {
     }
 
     fn apply(&self, state: &mut Rope) -> Result<(), ApplyError> {
-        self.check_bounds(state.char_len())?;
+        edit::check_bounds(self, state.char_len())?;
         match self {
             TextOp::Insert { pos, text } => state.insert(*pos, text),
-            TextOp::Delete { len: 0, .. } => {}
             TextOp::Delete { pos, len } => state.delete(*pos, *len),
         }
         Ok(())
     }
 
     fn check_run(state: &Rope, run: &[Self]) -> Result<(), ApplyError> {
-        let mut chars = state.char_len();
-        for op in run {
-            op.check_bounds(chars)?;
-            match op {
-                TextOp::Insert { .. } => chars += op.ins_len(),
-                TextOp::Delete { len, .. } => chars -= len,
-            }
-        }
-        Ok(())
+        edit::check_run(state.char_len(), run)
     }
 
     fn transform(&self, against: &Self, side: Side) -> Transformed<Self> {
-        use TextOp::*;
-        match (self, against) {
-            (Insert { pos: i, text }, Insert { pos: j, .. }) => {
-                let shift = against.ins_len();
-                if *j < *i || (*j == *i && side == Side::Right) {
-                    Transformed::One(Insert {
-                        pos: i + shift,
-                        text: text.clone(),
-                    })
-                } else {
-                    Transformed::One(self.clone())
-                }
-            }
-            (Insert { pos: i, text }, Delete { pos: j, len: m }) => {
-                if *m == 0 || *i <= *j {
-                    Transformed::One(self.clone())
-                } else if *i >= j + m {
-                    Transformed::One(Insert {
-                        pos: i - m,
-                        text: text.clone(),
-                    })
-                } else {
-                    // Insertion point fell inside the deleted range: land at
-                    // the deletion point (closest surviving position).
-                    Transformed::One(Insert {
-                        pos: *j,
-                        text: text.clone(),
-                    })
-                }
-            }
-            (Delete { pos: i, len: n }, Insert { pos: j, .. }) => {
-                if *n == 0 {
-                    return Transformed::None;
-                }
-                let t = against.ins_len();
-                if *j <= *i {
-                    Transformed::One(Delete {
-                        pos: i + t,
-                        len: *n,
-                    })
-                } else if *j >= i + n {
-                    Transformed::One(self.clone())
-                } else {
-                    // Insert interleaves our range: split around it so the
-                    // concurrently inserted text survives.
-                    let first = Delete {
-                        pos: *i,
-                        len: j - i,
-                    };
-                    let second = Delete {
-                        pos: i + t,
-                        len: n - (j - i),
-                    };
-                    Transformed::Two(first, second)
-                }
-            }
-            (Delete { pos: i, len: n }, Delete { pos: j, len: m }) => {
-                if *n == 0 {
-                    return Transformed::None;
-                }
-                if *m == 0 {
-                    return Transformed::One(self.clone());
-                }
-                let (start, end) = (*i, i + n);
-                let (ostart, oend) = (*j, j + m);
-                let overlap = end.min(oend).saturating_sub(start.max(ostart));
-                let remaining = n - overlap;
-                if remaining == 0 {
-                    return Transformed::None;
-                }
-                // Shift: characters the other delete removed before our
-                // surviving range. The surviving range starts at `start` if
-                // we begin before the other delete, else right after it.
-                let new_pos = if start <= ostart {
-                    start
-                } else {
-                    start.saturating_sub(*m).max(ostart)
-                };
-                Transformed::One(Delete {
-                    pos: new_pos,
-                    len: remaining,
-                })
-            }
-        }
+        edit::transform(self, against, side)
     }
 
     fn compose(&self, next: &Self) -> Option<Self> {
-        use TextOp::*;
-        // Zero-length deletes are no-ops: fuse them away.
-        if matches!(next, Delete { len: 0, .. }) {
-            return Some(self.clone());
-        }
-        if matches!(self, Delete { len: 0, .. }) {
-            return Some(next.clone());
-        }
-        match (self, next) {
-            // "ab" inserted at p, then "cd" inserted right at its end (or
-            // anywhere inside it): one bigger insert.
-            (Insert { pos: p1, text: t1 }, Insert { pos: p2, text: t2 }) => {
-                let l1 = t1.chars().count();
-                if *p2 >= *p1 && *p2 <= p1 + l1 {
-                    let mut s = String::with_capacity(t1.len() + t2.len());
-                    let split_at_char = p2 - p1;
-                    let mut consumed = 0;
-                    for (count, (byte, _)) in t1.char_indices().enumerate() {
-                        if count == split_at_char {
-                            consumed = byte;
-                            break;
-                        }
-                        consumed = t1.len();
-                    }
-                    if split_at_char == 0 {
-                        consumed = 0;
-                    }
-                    s.push_str(&t1[..consumed]);
-                    s.push_str(t2);
-                    s.push_str(&t1[consumed..]);
-                    Some(Insert { pos: *p1, text: s })
-                } else {
-                    None
-                }
-            }
-            // Insert then delete of part of the inserted text: shrink the
-            // insert. Full cancellation is `annihilates`.
-            (Insert { pos: p1, text: t1 }, Delete { pos: p2, len: l2 }) => {
-                let l1 = t1.chars().count();
-                if *p2 >= *p1 && p2 + l2 <= p1 + l1 && *l2 < l1 {
-                    let start = p2 - p1;
-                    let s: String = t1
-                        .chars()
-                        .enumerate()
-                        .filter(|(k, _)| *k < start || *k >= start + l2)
-                        .map(|(_, c)| c)
-                        .collect();
-                    Some(Insert { pos: *p1, text: s })
-                } else {
-                    None
-                }
-            }
-            // Delete at p, then another delete starting at the same spot:
-            // one bigger delete (text slid left under the cursor).
-            (Delete { pos: p1, len: l1 }, Delete { pos: p2, len: l2 }) => {
-                if *p2 == *p1 {
-                    Some(Delete {
-                        pos: *p1,
-                        len: l1 + l2,
-                    })
-                } else if p2 + l2 == *p1 {
-                    // Backwards deletion (backspace style).
-                    Some(Delete {
-                        pos: *p2,
-                        len: l1 + l2,
-                    })
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
+        edit::compose(self, next)
     }
 
     fn annihilates(&self, next: &Self) -> bool {
-        // Text typed and immediately deleted again, nothing in between.
-        if let (TextOp::Insert { pos: p1, text }, TextOp::Delete { pos: p2, len }) = (self, next) {
-            let l1 = text.chars().count();
-            l1 > 0 && p2 == p1 && *len == l1
-        } else {
-            false
-        }
+        edit::annihilates(self, next)
     }
 
     fn delta_rebase(
@@ -367,17 +162,18 @@ impl Operation for TextOp {
 impl DeltaOp for TextOp {
     type Payload = String;
 
-    fn to_span(&self) -> Option<OpSpan<String>> {
-        Some(match self {
-            TextOp::Insert { pos, text } => OpSpan::Insert {
-                pos: *pos,
-                payload: text.clone(),
-            },
-            TextOp::Delete { pos, len } => OpSpan::Delete {
-                pos: *pos,
-                len: *len,
-            },
-        })
+    fn edit(&self) -> Edit<'_, str> {
+        match self {
+            TextOp::Insert { pos, text } => Edit::Insert(*pos, text.chars().count(), text),
+            TextOp::Delete { pos, len } => Edit::Delete(*pos, *len),
+        }
+    }
+
+    fn with_pos(&self, pos: usize) -> Self {
+        match self {
+            TextOp::Insert { text, .. } => TextOp::insert(pos, text.clone()),
+            TextOp::Delete { len, .. } => TextOp::delete(pos, *len),
+        }
     }
 
     fn from_span(span: OpSpan<String>) -> Self {
@@ -385,6 +181,16 @@ impl DeltaOp for TextOp {
             OpSpan::Insert { pos, payload } => TextOp::Insert { pos, text: payload },
             OpSpan::Delete { pos, len } => TextOp::Delete { pos, len },
         }
+    }
+
+    #[cold]
+    fn out_of_range(&self, chars: usize) -> ApplyError {
+        ApplyError::new(match self {
+            TextOp::Insert { pos, .. } => format!("char position {pos} out of range"),
+            TextOp::Delete { pos, len } => {
+                format!("delete range {pos}+{len} exceeds text length {chars}")
+            }
+        })
     }
 }
 
@@ -462,6 +268,35 @@ mod tests {
         let mut s = base();
         TextOp::delete(3, 0).apply(&mut s).unwrap();
         assert_eq!(s, base());
+    }
+
+    /// Text and list share one rule for ops that touch no unit.
+    #[test]
+    fn an_empty_insert_is_nothing_as_an_empty_list_run_is() {
+        use crate::list::ListOp;
+        let (empty, del) = (TextOp::insert(2, ""), TextOp::delete(1, 3));
+        let (run, range) = (
+            ListOp::<char>::InsertRun(2, vec![]),
+            ListOp::DeleteRange(1, 3),
+        );
+        for side in [Side::Left, Side::Right] {
+            // It transforms to nothing, and a delete around it does not
+            // split.
+            assert_eq!(empty.transform(&del, side), Transformed::None);
+            assert_eq!(run.transform(&range, side), Transformed::None);
+            assert_eq!(del.transform(&empty, side), Transformed::One(del.clone()));
+            assert_eq!(range.transform(&run, side), Transformed::One(range.clone()));
+        }
+        // It fuses away in front of a delete.
+        assert_eq!(empty.compose(&del), Some(del.clone()));
+        assert_eq!(run.compose(&range), Some(range.clone()));
+        // Past the end, a zero-length op is refused like any other.
+        let err = TextOp::delete(12, 0).apply(&mut base()).unwrap_err();
+        assert_eq!(err.reason, "delete range 12+0 exceeds text length 11");
+        let mut list: crate::state::ChunkTree<u8> = (0..3).collect();
+        assert!(ListOp::DeleteRange(4, 0).apply(&mut list).is_err());
+        assert!(ListOp::InsertRun(4, vec![]).apply(&mut list).is_err());
+        assert!(TextOp::insert(12, "").apply(&mut base()).is_err());
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! The sequence merge rule, checked exhaustively on small scopes.
+//! The sequence algebra, checked exhaustively on small scopes.
 //!
-//! List and text merge are defined by the delta path
-//! ([`rebase_delta`]): inserts land in base-position order, the committed
-//! side first on an exact tie. For every pair of logs in scope this suite
-//! asserts that the delta path
+//! List and text share one set of insert/delete rules (`sm_ot::edit`), so
+//! every sweep here runs that one rule with both payloads, `Vec<u8>` and
+//! `String`.
+//!
+//! The first gate is the merge rule. List and text merge are defined by
+//! the delta path ([`rebase_delta`]): inserts land in base-position order,
+//! the committed side first on an exact tie. For every pair of logs in
+//! scope this suite asserts that the delta path
 //!
 //! 1. answers, and committed-then-rebased keeps exactly the base units
 //!    neither side deleted plus every insert its own side kept, each once;
@@ -16,12 +20,19 @@
 //! pairs with the same net edits can get two grid answers. Every inserted
 //! unit is unique in scope, so a lost or doubled unit shows.
 //!
-//! A second gate holds text's [`Operation::check_run`] — the length walk
-//! a session commit runs instead of applying the client's log to a copy —
-//! to its definition: on every log of at most three ops over a text of at
-//! most four chars (positions up to one past the end, so refused ops
-//! occur), it returns what `apply_all` on a clone returns. The other
-//! algebras keep the trait's default, which is that definition.
+//! The second gate is the pairwise rules themselves, over every single op
+//! on a base of zero to four units (0- to 2-unit inserts, 0- to 3-unit
+//! deletes, the list's point and span forms and `Set`): TP1 for every
+//! concurrent pair; for every adjacent pair that `compose` fuses or
+//! `annihilates` drops, that the result applies like the pair; and that
+//! every concurrent op rebased over the result, and the result rebased
+//! over every concurrent op, reach the states the pair reaches.
+//!
+//! The third gate holds [`Operation::check_run`] — the length walk a
+//! session commit or a merge runs instead of applying a log to a copy — to
+//! its definition: on every log of at most three ops over a short state
+//! (positions up to one past the end and a range end past `usize::MAX`,
+//! so refused ops occur), it returns what `apply_all` on a clone returns.
 //!
 //! The enumerations take seconds in release and minutes with debug
 //! assertions, so debug builds skip them; CI runs this file in release.
@@ -323,42 +334,246 @@ fn text_ops_at(s: &Rope) -> Vec<TextOp> {
     ops
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "75 005 logs: well under a second in release, longer with debug assertions"
-)]
-fn text_check_run_answers_what_applying_a_copy_answers() {
+/// The ops of a list log's next step on `s`: both insert forms, the empty
+/// run, both delete forms of up to two and a `Set`, at every position up
+/// to one past the end, and a range whose end passes `usize::MAX`.
+fn list_ops_at(s: &ChunkTree<u8>) -> Vec<ListOp<u8>> {
+    let mut ops = vec![ListOp::DeleteRange(usize::MAX, 2)];
+    for pos in 0..=s.len() + 1 {
+        ops.extend([
+            ListOp::Insert(pos, 7),
+            ListOp::InsertRun(pos, vec![8, 9]),
+            ListOp::InsertRun(pos, vec![]),
+            ListOp::Delete(pos),
+            ListOp::DeleteRange(pos, 0),
+            ListOp::DeleteRange(pos, 2),
+            ListOp::Set(pos, 6),
+        ]);
+    }
+    ops
+}
+
+/// Every log of at most three ops drawn by `ops_at` (each from the state
+/// the ops before it left; a refused op leaves it) on each of `bases`:
+/// `check_run` must answer what `apply_all` on a clone answers. Returns
+/// the logs checked and how many were refused.
+fn check_run_sweep<O>(bases: Vec<O::State>, ops_at: impl Fn(&O::State) -> Vec<O>) -> (usize, usize)
+where
+    O: Operation,
+    O::State: PartialEq + std::fmt::Debug,
+{
     let (mut logs, mut refused) = (0, 0);
-    for base in ["", "a", "ab", "abé", "abéd"].map(Rope::from) {
-        // Each op is drawn from the state the ops before it left (a
-        // refused op leaves it).
+    for base in bases {
         let mut level = vec![(Vec::new(), base.clone())];
         for _ in 0..=3 {
             let mut next = Vec::new();
             for (log, state) in &level {
                 let want = apply_all(&mut base.clone(), log);
-                assert_eq!(TextOp::check_run(&base, log), want, "{log:?} on {base:?}");
+                assert_eq!(O::check_run(&base, log), want, "{log:?} on {base:?}");
                 logs += 1;
                 refused += usize::from(want.is_err());
                 if log.len() == 3 {
                     continue;
                 }
-                for op in text_ops_at(state) {
+                for op in ops_at(state) {
                     let mut after = state.clone();
                     if op.apply(&mut after).is_err() {
-                        assert_eq!(&after, state, "a refused {op:?} changed the text");
+                        assert_eq!(&after, state, "a refused {op:?} changed the state");
                     }
-                    let log: Vec<TextOp> = log.iter().cloned().chain([op]).collect();
+                    let log: Vec<O> = log.iter().cloned().chain([op]).collect();
                     next.push((log, after));
                 }
             }
             level = next;
         }
     }
-    println!("check_run text: {logs} logs, {refused} refused");
+    (logs, refused)
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "176 563 logs: about a second in release, longer with debug assertions"
+)]
+fn check_run_answers_what_applying_a_copy_answers() {
+    let texts = ["", "a", "ab", "abé", "abéd"].map(Rope::from).to_vec();
+    let text = check_run_sweep(texts, text_ops_at);
+    let lists = (0..=3u8).map(|n| (0..n).collect()).collect();
+    let list = check_run_sweep(lists, list_ops_at);
+    println!("check_run: text {text:?}, list {list:?} (logs, refused)");
     // The scope is what it says; refused logs occur.
-    assert_eq!((logs, refused), (75_005, 45_407));
+    assert_eq!(text, (75_005, 48_997));
+    assert_eq!(list, (101_558, 71_678));
+}
+
+/// A base of `n` units and every single op on it, for the pairwise
+/// sweeps: inserts of 0 to 2 fresh units counting up from `tag`, deletes
+/// of 0 to 3 units, and for the list both point and span forms and `Set`.
+trait Scope: DeltaOp + PartialEq
+where
+    Self::State: Units + PartialEq + std::fmt::Debug,
+{
+    fn base(n: usize) -> Self::State;
+    fn ops_on(len: usize, tag: u32) -> Vec<Self>;
+}
+
+impl Scope for ListOp<u8> {
+    fn base(n: usize) -> ChunkTree<u8> {
+        (0..n as u8).collect()
+    }
+
+    fn ops_on(len: usize, tag: u32) -> Vec<Self> {
+        let (a, b) = (tag as u8, tag as u8 + 1);
+        let mut ops = Vec::new();
+        for p in 0..=len {
+            ops.extend([
+                ListOp::Insert(p, a),
+                ListOp::InsertRun(p, vec![]),
+                ListOp::InsertRun(p, vec![a]),
+                ListOp::InsertRun(p, vec![a, b]),
+            ]);
+            ops.extend((0..=(len - p).min(3)).map(|n| ListOp::DeleteRange(p, n)));
+            if p < len {
+                ops.extend([ListOp::Delete(p), ListOp::Set(p, a)]);
+            }
+        }
+        ops
+    }
+}
+
+impl Scope for TextOp {
+    fn base(n: usize) -> Rope {
+        Rope::from(&"abcd"[..n])
+    }
+
+    fn ops_on(len: usize, tag: u32) -> Vec<Self> {
+        let unit = |k| char::from_u32(tag + k).unwrap();
+        let mut ops = Vec::new();
+        for p in 0..=len {
+            for n in 0..=2 {
+                ops.push(TextOp::insert(p, (0..n).map(unit).collect::<String>()));
+            }
+            ops.extend((0..=(len - p).min(3)).map(|n| TextOp::delete(p, n)));
+        }
+        ops
+    }
+}
+
+/// What the pairwise sweeps saw.
+#[derive(Debug, Default, PartialEq)]
+struct Pairwise {
+    concurrent: usize,
+    fused: usize,
+    annihilated: usize,
+    rebased: usize,
+}
+
+/// TP1 for every concurrent pair of ops on every base of up to four
+/// units; then, for every adjacent pair `compose` fuses or `annihilates`
+/// drops, that the result applies like the pair and that, with every
+/// concurrent op, it rebases like the pair in both directions.
+fn pairwise_sweep<O: Scope>() -> Pairwise
+where
+    O::State: Units + PartialEq + std::fmt::Debug,
+{
+    let mut seen = Pairwise::default();
+    for n in 0..=4 {
+        let base = O::base(n);
+        let ops = O::ops_on(n, 0x41);
+        for a in &ops {
+            for b in &O::ops_on(n, 0x50) {
+                let (left, right) = sm_ot::tp1_outcome(&base, a, b).unwrap_or_else(|e| {
+                    panic!("TP1 apply failure: {a:?} ‖ {b:?} on {base:?}: {e}")
+                });
+                assert_eq!(left, right, "TP1: {a:?} ‖ {b:?} on {base:?}");
+                seen.concurrent += 1;
+            }
+        }
+        for a in &ops {
+            let mut after_a = base.clone();
+            a.apply(&mut after_a).unwrap();
+            for b in O::ops_on(after_a.units().len(), 0x50) {
+                let mut pair = after_a.clone();
+                b.apply(&mut pair).unwrap();
+                let fused = if a.annihilates(&b) {
+                    seen.annihilated += 1;
+                    Vec::new()
+                } else if let Some(c) = a.compose(&b) {
+                    seen.fused += 1;
+                    vec![c]
+                } else {
+                    continue;
+                };
+                let what = || format!("{a:?}; {b:?} as {fused:?} on {base:?}");
+                let mut once = base.clone();
+                apply_all(&mut once, &fused).unwrap_or_else(|e| panic!("{}: {e}", what()));
+                assert_eq!(once, pair, "applies unlike the pair: {}", what());
+                let committed = [a.clone(), b.clone()];
+                for x in O::ops_on(n, 0x30) {
+                    let over = |log: &[O]| {
+                        let mut s = base.clone();
+                        apply_all(&mut s, log).unwrap();
+                        apply_all(&mut s, &seq::rebase(std::slice::from_ref(&x), log)).unwrap();
+                        s
+                    };
+                    assert_eq!(
+                        over(&fused),
+                        over(&committed),
+                        "rebasing {x:?} over {}",
+                        what()
+                    );
+                    let under = |log: &[O]| {
+                        let mut s = base.clone();
+                        x.apply(&mut s).unwrap();
+                        apply_all(&mut s, &seq::rebase(log, std::slice::from_ref(&x))).unwrap();
+                        s
+                    };
+                    assert_eq!(
+                        under(&fused),
+                        under(&committed),
+                        "rebasing over {x:?}: {}",
+                        what()
+                    );
+                    seen.rebased += 1;
+                }
+            }
+        }
+    }
+    seen
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "seventy thousand rebases: well under a second in release"
+)]
+fn the_list_rules_hold_tp1_and_compose_soundly() {
+    let seen = pairwise_sweep::<ListOp<u8>>();
+    println!("list pairwise: {seen:?}");
+    let want = Pairwise {
+        concurrent: 3_466,
+        fused: 2_126,
+        annihilated: 75,
+        rebased: 71_877,
+    };
+    assert_eq!(seen, want, "the scope is what it says");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "thirty thousand rebases: well under a second in release"
+)]
+fn the_text_rules_hold_tp1_and_compose_soundly() {
+    let seen = pairwise_sweep::<TextOp>();
+    println!("text pairwise: {seen:?}");
+    let want = Pairwise {
+        concurrent: 1_647,
+        fused: 1_218,
+        annihilated: 30,
+        rebased: 28_248,
+    };
+    assert_eq!(seen, want, "the scope is what it says");
 }
 
 /// A valid log of delta-expressible list ops (no `Set`) against a list of
