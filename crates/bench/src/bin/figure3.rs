@@ -13,10 +13,8 @@
 //! messages, TTL 100, l ∈ {0, 1000, …, 10000}.
 
 use sm_bench::{
-    install_metrics, overhead_percent, render_table, sweep, sweep_labeled, write_metrics_sidecar,
-    Series,
+    install_metrics, overhead_percent, render_table, sweep, write_metrics_sidecar, Series,
 };
-use sm_mergeable::CopyMode;
 use sm_netsim::{Routing, Setup, SimConfig};
 
 fn main() {
@@ -109,7 +107,6 @@ fn run(args: &[String]) {
                 ttl: 20,
                 workload: 0,
                 routing: Routing::HashDerived,
-                ..SimConfig::default()
             },
             vec![0, 200, 400, 600, 800, 1000],
         )
@@ -141,23 +138,6 @@ fn run(args: &[String]) {
         eprintln!("sweeping {} ...", setup.label());
         series.push(sweep(setup, &cfg, &workloads, reps));
     }
-    // Ablation: the paper's unoptimized prototype copied data structures
-    // eagerly at every fork. CopyMode::Deep clones each leaf's state at
-    // every fork, which copies the counters and registers but shares the
-    // queues' chunks (a chunk tree clones by its root), so its intercept
-    // is not the analogue of the paper's ~400 ms constant overhead.
-    eprintln!("sweeping Spawn Merge (deep copy) ...");
-    let deep_cfg = SimConfig {
-        copy_mode: CopyMode::Deep,
-        ..cfg
-    };
-    series.push(sweep_labeled(
-        Setup::SpawnMergeNonDet,
-        &deep_cfg,
-        &workloads,
-        reps,
-        "Spawn Merge (deep copy)",
-    ));
 
     println!("\n=== Figure 3: Simulation Time (ms) vs Host Workload (SHA-1 iterations) ===\n");
     print!("{}", render_table(&series));
@@ -167,7 +147,9 @@ fn run(args: &[String]) {
         let (intercept, slope) = s.linear_fit();
         println!(
             "{:<28} intercept {:>9.1} ms   slope {:>9.5} ms/iter",
-            s.label, intercept, slope
+            s.setup.label(),
+            intercept,
+            slope
         );
     }
 
@@ -193,13 +175,8 @@ fn run(args: &[String]) {
     let (sm_nd_i, _) = sm_nd.linear_fit();
     let (conv_nd_i, _) = conv_nd.linear_fit();
     println!(
-        "\nConstant Spawn&Merge overhead, COW forks (intercept difference): {:.1} ms",
+        "\nConstant Spawn&Merge overhead (intercept difference): {:.1} ms (paper: ~400 ms on 2013 hardware)",
         sm_nd_i - conv_nd_i
-    );
-    let (deep_i, _) = series[4].linear_fit();
-    println!(
-        "Constant Spawn&Merge overhead, DEEP forks (paper's prototype):   {:.1} ms (paper: ~400 ms on 2013 hardware)",
-        deep_i - conv_nd_i
     );
 
     println!("\n=== Spawn & Merge det vs non-det (paper: det ~1-4% faster) ===\n");

@@ -43,7 +43,6 @@ fn main() {
             ttl,
             workload,
             routing: Routing::HashDerived,
-            ..SimConfig::default()
         };
         let conv = run_setup(Setup::ConventionalNonDet, &cfg);
         let sm = run_setup(Setup::SpawnMergeNonDet, &cfg);

@@ -80,11 +80,8 @@ pub struct Point {
 /// One setup's measured series.
 #[derive(Debug, Clone)]
 pub struct Series {
-    /// Which setup.
+    /// Which setup; its Figure 3 legend label names the series.
     pub setup: Setup,
-    /// Display label (defaults to the setup's Figure 3 legend label;
-    /// ablation series override it).
-    pub label: String,
     /// Measured points, in workload order.
     pub points: Vec<Point>,
 }
@@ -136,18 +133,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
 /// Run one setup `reps` times at each workload in `workloads`, averaging
 /// wall-clock time.
 pub fn sweep(setup: Setup, cfg: &SimConfig, workloads: &[usize], reps: usize) -> Series {
-    sweep_labeled(setup, cfg, workloads, reps, setup.label())
-}
-
-/// [`sweep`] with a custom display label (for ablation series such as the
-/// deep-copy Spawn & Merge variant).
-pub fn sweep_labeled(
-    setup: Setup,
-    cfg: &SimConfig,
-    workloads: &[usize],
-    reps: usize,
-    label: impl Into<String>,
-) -> Series {
     assert!(reps >= 1);
     let mut points = Vec::with_capacity(workloads.len());
     for &w in workloads {
@@ -164,11 +149,7 @@ pub fn sweep_labeled(
             millis: total.as_secs_f64() * 1000.0 / reps as f64,
         });
     }
-    Series {
-        setup,
-        label: label.into(),
-        points,
-    }
+    Series { setup, points }
 }
 
 /// Relative overhead of `ours` vs `baseline` at one workload, in percent.
@@ -185,7 +166,7 @@ pub fn render_table(series: &[Series]) -> String {
     let mut out = String::new();
     let _ = write!(out, "{:>10}", "workload");
     for s in series {
-        let _ = write!(out, "  {:>28}", s.label);
+        let _ = write!(out, "  {:>28}", s.setup.label());
     }
     let _ = writeln!(out);
     if let Some(first) = series.first() {

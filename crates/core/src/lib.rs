@@ -553,13 +553,14 @@ mod tests {
     /// held right after its fork (or its last accepted `Sync`), whatever
     /// wrote the data since: field writes, a `pop_front`, a rejected
     /// `Sync`, merges of the cloner's own children.
-    fn siblings_start_from_the_copy_the_cloner_was_handed(mode: sm_mergeable::CopyMode) {
+    #[test]
+    fn a_clone_starts_from_the_copy_the_cloner_was_handed() {
         let seen = within_10s(move || {
             let data = Shared {
-                list: MList::from_vec_with_mode(vec![1, 2], mode),
-                queue: MQueue::from_vec_with_mode(vec![10, 20, 30], mode),
-                count: MCounter::with_mode(0, mode),
-                flag: MRegister::with_mode(false, mode),
+                list: MList::from_vec(vec![1, 2]),
+                queue: MQueue::from_vec(vec![10, 20, 30]),
+                count: MCounter::new(0),
+                flag: MRegister::new(false),
             };
             let (seen_tx, seen_rx) = std::sync::mpsc::channel();
             run(data, |ctx| {
@@ -600,18 +601,8 @@ mod tests {
         });
         assert_eq!(seen.len(), 4);
         for (case, handed, sibling) in seen {
-            assert_eq!(sibling, handed, "{case} ({mode:?})");
+            assert_eq!(sibling, handed, "{case}");
         }
-    }
-
-    #[test]
-    fn a_clone_starts_from_the_copy_the_cloner_was_handed() {
-        siblings_start_from_the_copy_the_cloner_was_handed(sm_mergeable::CopyMode::CopyOnWrite);
-    }
-
-    #[test]
-    fn a_clone_starts_from_the_copy_the_cloner_was_handed_under_deep_copies() {
-        siblings_start_from_the_copy_the_cloner_was_handed(sm_mergeable::CopyMode::Deep);
     }
 
     /// Run `program` on its own thread; fail instead of hanging the suite.

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use sm_ot::cmap::{CounterMapOp, Key};
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable key → counter map with deterministic (ordered) iteration.
@@ -25,13 +25,6 @@ impl<K: Key> MCounterMap<K> {
     pub fn new() -> Self {
         MCounterMap {
             inner: Versioned::new(BTreeMap::new()),
-        }
-    }
-
-    /// An empty counter map with an explicit fork [`CopyMode`].
-    pub fn with_mode(mode: CopyMode) -> Self {
-        MCounterMap {
-            inner: Versioned::with_mode(BTreeMap::new(), mode),
         }
     }
 

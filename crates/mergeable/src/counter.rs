@@ -4,7 +4,7 @@
 
 use sm_ot::counter::CounterOp;
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable `i64` counter.
@@ -18,13 +18,6 @@ impl MCounter {
     pub fn new(initial: i64) -> Self {
         MCounter {
             inner: Versioned::new(initial),
-        }
-    }
-
-    /// A counter with an explicit fork [`CopyMode`].
-    pub fn with_mode(initial: i64, mode: CopyMode) -> Self {
-        MCounter {
-            inner: Versioned::with_mode(initial, mode),
         }
     }
 

@@ -135,7 +135,7 @@ pub use register::MRegister;
 pub use set::MSet;
 pub use text::MText;
 pub use tree::MTree;
-pub use versioned::{CopyMode, MergeError, MergeStats, Versioned};
+pub use versioned::{MergeError, MergeStats, Versioned};
 
 /// A data structure that can be forked for a child task and merged back.
 ///

@@ -4,7 +4,7 @@
 use sm_ot::list::{Element, ListOp};
 use sm_ot::state::ChunkTree;
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable list of `T`.
@@ -26,25 +26,11 @@ impl<T: Element> MList<T> {
         }
     }
 
-    /// An empty list with an explicit fork [`CopyMode`].
-    pub fn with_mode(mode: CopyMode) -> Self {
-        MList {
-            inner: Versioned::with_mode(ChunkTree::new(), mode),
-        }
-    }
-
     /// A list seeded with `items` (no operations recorded: this is the base
     /// state).
     pub fn from_vec(items: Vec<T>) -> Self {
         MList {
             inner: Versioned::new(ChunkTree::from_vec(items)),
-        }
-    }
-
-    /// A list seeded with `items` and an explicit fork [`CopyMode`].
-    pub fn from_vec_with_mode(items: Vec<T>, mode: CopyMode) -> Self {
-        MList {
-            inner: Versioned::with_mode(ChunkTree::from_vec(items), mode),
         }
     }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use sm_ot::map::{Key, MapOp, Value};
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable ordered map.
@@ -24,13 +24,6 @@ impl<K: Key, V: Value> MMap<K, V> {
     pub fn new() -> Self {
         MMap {
             inner: Versioned::new(BTreeMap::new()),
-        }
-    }
-
-    /// An empty map with an explicit fork [`CopyMode`].
-    pub fn with_mode(mode: CopyMode) -> Self {
-        MMap {
-            inner: Versioned::with_mode(BTreeMap::new(), mode),
         }
     }
 

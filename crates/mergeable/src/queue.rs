@@ -15,7 +15,7 @@
 use sm_ot::list::{Element, ListOp};
 use sm_ot::state::ChunkTree;
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable FIFO queue of `T`.
@@ -32,24 +32,10 @@ impl<T: Element> MQueue<T> {
         }
     }
 
-    /// An empty queue with an explicit fork [`CopyMode`].
-    pub fn with_mode(mode: CopyMode) -> Self {
-        MQueue {
-            inner: Versioned::with_mode(ChunkTree::new(), mode),
-        }
-    }
-
     /// A queue seeded with `items` front-to-back (base state, no ops).
     pub fn from_vec(items: Vec<T>) -> Self {
         MQueue {
             inner: Versioned::new(ChunkTree::from_vec(items)),
-        }
-    }
-
-    /// A seeded queue with an explicit fork [`CopyMode`].
-    pub fn from_vec_with_mode(items: Vec<T>, mode: CopyMode) -> Self {
-        MQueue {
-            inner: Versioned::with_mode(ChunkTree::from_vec(items), mode),
         }
     }
 

@@ -4,7 +4,7 @@
 
 use sm_ot::register::{RegisterOp, Value};
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable register holding one `T`.
@@ -18,13 +18,6 @@ impl<T: Value> MRegister<T> {
     pub fn new(initial: T) -> Self {
         MRegister {
             inner: Versioned::new(initial),
-        }
-    }
-
-    /// A register with an explicit fork [`CopyMode`].
-    pub fn with_mode(initial: T, mode: CopyMode) -> Self {
-        MRegister {
-            inner: Versioned::with_mode(initial, mode),
         }
     }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use sm_ot::set::{Element, SetOp};
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable ordered set.
@@ -19,13 +19,6 @@ impl<T: Element> MSet<T> {
     pub fn new() -> Self {
         MSet {
             inner: Versioned::new(BTreeSet::new()),
-        }
-    }
-
-    /// An empty set with an explicit fork [`CopyMode`].
-    pub fn with_mode(mode: CopyMode) -> Self {
-        MSet {
-            inner: Versioned::with_mode(BTreeSet::new(), mode),
         }
     }
 

@@ -6,7 +6,7 @@
 use sm_ot::state::{Chunks, Rope};
 use sm_ot::text::TextOp;
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable text document. Positions are **character** positions.
@@ -20,13 +20,6 @@ impl MText {
     pub fn new() -> Self {
         MText {
             inner: Versioned::new(Rope::new()),
-        }
-    }
-
-    /// An empty document with an explicit fork [`CopyMode`].
-    pub fn with_mode(mode: CopyMode) -> Self {
-        MText {
-            inner: Versioned::with_mode(Rope::new(), mode),
         }
     }
 

@@ -3,7 +3,7 @@
 
 use sm_ot::tree::{Node, Path, TreeOp, Value};
 
-use crate::versioned::{CopyMode, Versioned};
+use crate::versioned::Versioned;
 use crate::Leaf;
 
 /// A mergeable rooted ordered tree of `V` values.
@@ -29,13 +29,6 @@ impl<V: Value> MTree<V> {
     pub fn from_root(root: Node<V>) -> Self {
         MTree {
             inner: Versioned::new(root),
-        }
-    }
-
-    /// A tree with an explicit fork [`CopyMode`].
-    pub fn with_mode(root_value: V, mode: CopyMode) -> Self {
-        MTree {
-            inner: Versioned::with_mode(Node::leaf(root_value), mode),
         }
     }
 

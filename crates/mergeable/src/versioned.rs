@@ -14,7 +14,7 @@
 //!
 //! The paper flags the fork copy as its main constant overhead (~400 ms for
 //! 20 tasks × 20 queues) and names copy-on-write as the future-work remedy.
-//! Under [`CopyMode::CopyOnWrite`] a fork is O(1) and a copy is paid
+//! Every fork here is copy-on-write: it is O(1) and a copy is paid
 //! lazily, at the first post-fork write on either side, in **one layer**:
 //!
 //! - A state a copy of which costs no more than an `Arc` handle is kept
@@ -27,12 +27,6 @@
 //! - Every other state (the maps, sets, the tree, a large register value)
 //!   sits behind an [`Arc`] and is cloned at its first write while shared
 //!   ([`Arc::make_mut`]).
-//!
-//! [`CopyMode::Deep`] gives each fork an `Arc` around a `clone()` of the
-//! state, made at the fork. That is a full copy of every state but the
-//! two trees, whose clone copies one root handle and shares every chunk:
-//! for sequences `Deep` is not the eager copy of the paper's unoptimized
-//! prototype. It is kept for the fork-cost ablation.
 //!
 //! Only a write pays: a merge that applies nothing (a child that recorded
 //! nothing, or a run the transform emptied) leaves the state shared, a
@@ -97,23 +91,6 @@ use crate::persist::ReplayError;
 /// Saturating elapsed nanoseconds since `t0`.
 fn elapsed_nanos(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// How forking copies the underlying state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CopyMode {
-    /// Share the state, or copy it where a copy costs no more than a
-    /// handle; pay for a write after a fork lazily, in one layer (module
-    /// docs, *Copy-on-write*). The optimized mode and the default.
-    #[default]
-    CopyOnWrite,
-    /// Give every fork an `Arc` around a `clone()` of the state, made at
-    /// fork time. That copies the counter, register, map, set and tree
-    /// states in full, but not the sequences: the chunk trees of `MList`,
-    /// `MQueue` and `MText` clone by copying one root handle and sharing
-    /// every chunk. So it is not the paper's eager proof-of-concept copy.
-    /// Used by the fork-cost ablation.
-    Deep,
 }
 
 /// Statistics returned by a merge, aggregated across composite structures.
@@ -288,7 +265,6 @@ pub struct Versioned<O: Operation> {
     /// absolute position is ≥ this barrier — otherwise a live fork point
     /// would end up *between* two fused operations.
     fuse_barrier: AtomicUsize,
-    mode: CopyMode,
     /// The state this instance was handed at its fork, for
     /// [`Versioned::pristine`].
     origin: Origin<O::State>,
@@ -311,7 +287,7 @@ struct MergeMemo<O: Operation> {
 #[derive(Clone)]
 enum Held<S> {
     /// By value: copying it costs no more than an `Arc` handle
-    /// ([`Operation::STATE_BY_VALUE`], under [`CopyMode::CopyOnWrite`]).
+    /// ([`Operation::STATE_BY_VALUE`]).
     Value(S),
     /// Behind an `Arc`, copied at the first write while another handle
     /// holds it.
@@ -359,7 +335,7 @@ fn same_state<O: Operation>(a: &Held<O::State>, b: &Held<O::State>) -> bool {
 /// What a [`Versioned`] remembers of the state its fork handed it.
 #[derive(Debug, Clone)]
 enum Origin<S> {
-    /// Built by `new` / `with_mode`: a root was handed no copy.
+    /// Built by `new`: a root was handed no copy.
     Root,
     /// A fork that has not written its state yet: the current state is
     /// the one it was handed.
@@ -377,7 +353,6 @@ impl<O: Operation> Clone for Versioned<O> {
             log_start: self.log_start,
             fork_base: self.fork_base,
             fuse_barrier: AtomicUsize::new(self.fuse_barrier.load(Ordering::Relaxed)),
-            mode: self.mode,
             origin: self.origin.clone(),
             memo: None,
         }
@@ -388,28 +363,21 @@ impl<O: Operation> Versioned<O> {
     /// Wrap an initial state. The log starts empty; this instance is a root
     /// (its `fork_base` is 0 and meaningless until it is itself a fork).
     pub fn new(state: O::State) -> Self {
-        Self::with_mode(state, CopyMode::default())
-    }
-
-    /// Wrap an initial state with an explicit [`CopyMode`].
-    pub fn with_mode(state: O::State, mode: CopyMode) -> Self {
         Versioned {
-            state: Self::hold(state, mode),
+            state: Self::hold(state),
             log: Vec::new(),
             log_start: 0,
             fork_base: 0,
             fuse_barrier: AtomicUsize::new(0),
-            mode,
             origin: Origin::Root,
             memo: None,
         }
     }
 
-    /// `state` held the way `mode` holds it: by value under
-    /// copy-on-write when the algebra says a copy costs no more than a
-    /// handle, behind an `Arc` otherwise.
-    fn hold(state: O::State, mode: CopyMode) -> Held<O::State> {
-        if O::STATE_BY_VALUE && mode == CopyMode::CopyOnWrite {
+    /// `state` held by value when the algebra says a copy costs no more
+    /// than a handle, behind an `Arc` otherwise.
+    fn hold(state: O::State) -> Held<O::State> {
+        if O::STATE_BY_VALUE {
             Held::Value(state)
         } else {
             Held::Shared(Arc::new(state))
@@ -446,11 +414,6 @@ impl<O: Operation> Versioned<O> {
     /// The (absolute) parent-history position this instance was forked at.
     pub fn fork_base(&self) -> usize {
         self.fork_base
-    }
-
-    /// The configured copy mode.
-    pub fn mode(&self) -> CopyMode {
-        self.mode
     }
 
     /// Append `op` to the log, fusing or cancelling against the tail when
@@ -534,8 +497,7 @@ impl<O: Operation> Versioned<O> {
     /// a fully GC'd history — both export future committed slices
     /// relative to marks captured after the install.
     pub(crate) fn set_state(&mut self, state: O::State) {
-        let held = Self::hold(state, self.mode);
-        *self.state_slot() = held;
+        *self.state_slot() = Self::hold(state);
     }
 
     /// Move the state out, leaving an empty one behind, without recording
@@ -561,18 +523,9 @@ impl<O: Operation> Versioned<O> {
         result
     }
 
-    /// The state another instance gets: a copy as cheap as a handle, or
-    /// the shared handle, under copy-on-write; an `Arc` around a fresh
-    /// `clone()` under [`CopyMode::Deep`].
-    fn share_state(&self) -> Held<O::State> {
-        match self.mode {
-            CopyMode::CopyOnWrite => self.state.clone(),
-            CopyMode::Deep => Held::Shared(Arc::new(self.state().clone())),
-        }
-    }
-
     /// Fork a child copy: same state, empty log, fork point at the current
-    /// end of this instance's history. O(1) under copy-on-write.
+    /// end of this instance's history. O(1): the state is shared, or
+    /// copied where a copy costs no more than a handle.
     ///
     /// Forking also raises the fuse barrier: operations recorded here after
     /// the fork will not fuse across this fork point, so the child can
@@ -583,12 +536,11 @@ impl<O: Operation> Versioned<O> {
     #[must_use]
     pub fn fork(&self) -> Self {
         Versioned {
-            state: self.share_state(),
+            state: self.state.clone(),
             log: Vec::new(),
             log_start: 0,
             fork_base: self.fork_point(),
             fuse_barrier: AtomicUsize::new(0),
-            mode: self.mode,
             origin: Origin::Forked,
             memo: None,
         }
@@ -606,21 +558,18 @@ impl<O: Operation> Versioned<O> {
 
     /// Turn `self` into `parent.fork()` in place — what a child that
     /// `parent` has just merged continues on. The state is kept when it
-    /// already is the parent's under copy-on-write (nobody wrote it since
-    /// the last fork or refork; a by-value scalar is copied instead), so
-    /// an untouched log costs no allocation: the log keeps its buffer,
-    /// and the kept origin is dropped.
+    /// already is the parent's (nobody wrote it since the last fork or
+    /// refork; a by-value scalar is copied instead), so an untouched log
+    /// costs no allocation: the log keeps its buffer, and the kept origin
+    /// is dropped.
     pub fn refork(&mut self, parent: &Self) {
-        let shared =
-            parent.mode == CopyMode::CopyOnWrite && same_state::<O>(&self.state, &parent.state);
-        if !shared {
-            self.state = parent.share_state();
+        if !same_state::<O>(&self.state, &parent.state) {
+            self.state = parent.state.clone();
         }
         self.log.clear();
         self.log_start = 0;
         self.fork_base = parent.fork_point();
         *self.fuse_barrier.get_mut() = 0;
-        self.mode = parent.mode;
         self.origin = Origin::Forked;
         self.memo = None;
     }
@@ -642,7 +591,6 @@ impl<O: Operation> Versioned<O> {
             log_start: 0,
             fork_base: self.fork_base,
             fuse_barrier: AtomicUsize::new(0),
-            mode: self.mode,
             origin: match self.origin {
                 Origin::Root => Origin::Root,
                 _ => Origin::Forked,
@@ -693,8 +641,8 @@ impl<O: Operation> Versioned<O> {
     /// - **Fast-forward.** Nothing was committed here since the fork
     ///   (`fork_base == history_len()`) and this state is the very one
     ///   the child was handed (one `Arc`, or one chunk-tree root; a
-    ///   [`CopyMode::Deep`] fork never is, and a by-value scalar never
-    ///   answers yes: applying to it in place is cheaper than any handle):
+    ///   by-value scalar never answers yes: applying to it in place is
+    ///   cheaper than any handle):
     ///   the child's state already is this state plus its log, so it is
     ///   taken as it is — no apply, no copy-on-write copy. The rebase
     ///   still runs, so the appended run and the [`MergeStats`] are those
@@ -913,7 +861,7 @@ impl<O: Operation> Versioned<O> {
             self.history_len()
         );
         assert!(fork.log.is_empty(), "rollback target was modified");
-        *self.state_slot() = fork.share_state();
+        *self.state_slot() = fork.state.clone();
         self.log.truncate(fork.fork_base - self.log_start);
         // The log may grow back to the memo's length with other ops.
         self.forget_memo();
@@ -927,8 +875,7 @@ impl<O: Operation> Versioned<O> {
     /// neither has written, one `Arc` or one chunk-tree root. A state
     /// kept by value because a copy is as cheap as a handle (a counter, a
     /// small register) is copied, never shared, so it always answers
-    /// `false`; so does a [`CopyMode::Deep`] fork. Diagnostic; the
-    /// copy-on-write tests read it.
+    /// `false`. Diagnostic; the copy-on-write tests read it.
     pub fn shares_state_with(&self, other: &Self) -> bool {
         same_state::<O>(&self.state, &other.state)
     }
@@ -1363,14 +1310,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_fork_never_shares() {
-        let parent = V::with_mode(ct(vec![1, 2]), CopyMode::Deep);
-        let child = parent.fork();
-        assert!(!parent.shares_state_with(&child));
-        assert_eq!(child.state(), parent.state());
-    }
-
-    #[test]
     fn a_scalar_is_kept_by_value_and_merges_by_applying() {
         use sm_ot::counter::CounterOp;
         let mut parent = Versioned::new(5i64);
@@ -1385,8 +1324,6 @@ mod tests {
         assert_eq!(*child.pristine().state(), 5);
         child.refork(&parent);
         assert_eq!(*child.state(), 7);
-        let deep = Versioned::<CounterOp>::with_mode(5, CopyMode::Deep);
-        assert!(matches!(deep.state, Held::Shared(_)));
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! The replay is a twin parent built by the same calls: the same history
 //! and fuse barrier, but a state allocation of its own, which the child was
 //! not handed, so its merge re-applies. For the nine leaves, an outside
-//! `impl Leaf`, a tuple, a `Vec` and a `mergeable_struct!`, under both copy
-//! modes (a `Deep` fork copies, so it never fast-forwards, and a scalar
-//! kept by value applies its run instead of taking a state). Then the
+//! `impl Leaf`, a tuple, a `Vec` and a `mergeable_struct!` (a scalar kept
+//! by value applies its run instead of taking a state). Then the
 //! merges that must not fast-forward, each checked against a merge that
 //! cannot: a parent that wrote since the fork, `Persist::merge_log`
 //! (`Versioned::merge_run`), which has no child state to take, a parent
@@ -20,19 +19,17 @@
 
 use bytes::{Bytes, BytesMut};
 use sm_mergeable::{
-    mergeable_struct, CopyMode, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet,
-    MText, MTree, MergeStats, Mergeable, Persist, Versioned,
+    mergeable_struct, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText,
+    MTree, MergeStats, Mergeable, Persist, Versioned,
 };
 use sm_ot::counter::CounterOp;
 use sm_ot::tree::Node;
-
-const MODES: [CopyMode; 2] = [CopyMode::CopyOnWrite, CopyMode::Deep];
 
 /// A structure under test.
 struct Subject<M> {
     name: &'static str,
     /// A root, most with an edit recorded, so forks sit past 0.
-    make: fn(CopyMode) -> M,
+    make: fn() -> M,
     /// The observable state, as bytes.
     state: fn(&M) -> Vec<u8>,
     /// What a journal commit taken at `marks` would encode next.
@@ -86,100 +83,94 @@ fn seen<M: Mergeable>(s: &Subject<M>, m: &M, marks: &[usize]) -> (Vec<u8>, Vec<u
 }
 
 fn differential<M: Mergeable>(s: &Subject<M>) {
-    for mode in MODES {
-        let at = format!("{} {mode:?}", s.name);
-        let mut ff = (s.make)(mode);
-        let mut replay = (s.make)(mode);
-        let mut child = ff.fork();
-        // The twin's fork raises its fuse barrier where `ff`'s is.
-        let _twin = replay.fork();
-        (s.child_edit)(&mut child);
-        let mut twin_child = child.clone();
+    let at = s.name;
+    let mut ff = (s.make)();
+    let mut replay = (s.make)();
+    let mut child = ff.fork();
+    // The twin's fork raises its fuse barrier where `ff`'s is.
+    let _twin = replay.fork();
+    (s.child_edit)(&mut child);
+    let mut twin_child = child.clone();
+    let marks = history_marks(&ff);
+
+    let ff_stats = ff.merge(&child).unwrap();
+    let replay_stats = replay.merge(&twin_child).unwrap();
+    assert_eq!(
+        (s.shares)(&ff, &child),
+        s.takes_state,
+        "{at}: fast-forward taken"
+    );
+    assert!(!(s.shares)(&replay, &twin_child), "{at}: twin replayed");
+    assert_eq!(ff_stats, replay_stats, "{at}: stats");
+    assert_eq!(seen(s, &ff, &marks), seen(s, &replay, &marks), "{at}");
+
+    // The child syncs and goes on: a round over a parent edit, which
+    // rebases, then one the parent sits out, which fast-forwards again.
+    child.refork(&ff);
+    twin_child.refork(&replay);
+    for parent_writes in [true, false] {
+        let at = format!("{at} next round, parent writes: {parent_writes}");
         let marks = history_marks(&ff);
-
-        let ff_stats = ff.merge(&child).unwrap();
-        let replay_stats = replay.merge(&twin_child).unwrap();
-        assert_eq!(
-            (s.shares)(&ff, &child),
-            s.takes_state && mode == CopyMode::CopyOnWrite,
-            "{at}: fast-forward taken"
-        );
-        assert!(!(s.shares)(&replay, &twin_child), "{at}: twin replayed");
-        assert_eq!(ff_stats, replay_stats, "{at}: stats");
-        assert_eq!(seen(s, &ff, &marks), seen(s, &replay, &marks), "{at}");
-
-        // The child syncs and goes on: a round over a parent edit, which
-        // rebases, then one the parent sits out, which fast-forwards again.
-        child.refork(&ff);
-        twin_child.refork(&replay);
-        for parent_writes in [true, false] {
-            let at = format!("{at} next round, parent writes: {parent_writes}");
-            let marks = history_marks(&ff);
-            (s.child_edit)(&mut child);
-            (s.child_edit)(&mut twin_child);
-            if parent_writes {
-                (s.parent_edit)(&mut ff);
-                (s.parent_edit)(&mut replay);
-            }
-            assert_eq!(
-                (s.state)(&child.pristine()),
-                (s.state)(&twin_child.pristine()),
-                "{at}: child pristine"
-            );
-            let ff_stats = ff.merge(&child).unwrap();
-            let replay_stats = replay.merge(&twin_child).unwrap();
-            assert_eq!(ff_stats, replay_stats, "{at}: stats");
-            assert_eq!(seen(s, &ff, &marks), seen(s, &replay, &marks), "{at}");
-            child.refork(&ff);
-            twin_child.refork(&replay);
+        (s.child_edit)(&mut child);
+        (s.child_edit)(&mut twin_child);
+        if parent_writes {
+            (s.parent_edit)(&mut ff);
+            (s.parent_edit)(&mut replay);
         }
         assert_eq!(
             (s.state)(&child.pristine()),
             (s.state)(&twin_child.pristine()),
-            "{at}: pristine after the rounds"
+            "{at}: child pristine"
         );
+        let ff_stats = ff.merge(&child).unwrap();
+        let replay_stats = replay.merge(&twin_child).unwrap();
+        assert_eq!(ff_stats, replay_stats, "{at}: stats");
+        assert_eq!(seen(s, &ff, &marks), seen(s, &replay, &marks), "{at}");
+        child.refork(&ff);
+        twin_child.refork(&replay);
     }
+    assert_eq!(
+        (s.state)(&child.pristine()),
+        (s.state)(&twin_child.pristine()),
+        "{at}: pristine after the rounds"
+    );
 }
 
 fn parent_wrote_since_the_fork<M: Mergeable>(s: &Subject<M>) {
-    for mode in MODES {
-        let at = format!("{} {mode:?} parent wrote", s.name);
-        let mut parent = (s.make)(mode);
-        let mut child = parent.fork();
-        (s.child_edit)(&mut child);
-        (s.parent_edit)(&mut parent);
-        let stats = parent.merge(&child).unwrap();
-        assert!(!(s.shares)(&parent, &child), "{at}: fast-forwarded");
-        assert_eq!(stats.child_ops, child.pending_ops(), "{at}: child ops");
-        assert!(stats.committed_ops > 0, "{at}: committed ops");
-        // Every subject's two edits commute: the concurrent merge lands
-        // where the edits made one after the other land.
-        let mut serial = (s.make)(mode);
-        (s.parent_edit)(&mut serial);
-        (s.child_edit)(&mut serial);
-        assert_eq!((s.state)(&parent), (s.state)(&serial), "{at}: state");
-    }
+    let at = format!("{} parent wrote", s.name);
+    let mut parent = (s.make)();
+    let mut child = parent.fork();
+    (s.child_edit)(&mut child);
+    (s.parent_edit)(&mut parent);
+    let stats = parent.merge(&child).unwrap();
+    assert!(!(s.shares)(&parent, &child), "{at}: fast-forwarded");
+    assert_eq!(stats.child_ops, child.pending_ops(), "{at}: child ops");
+    assert!(stats.committed_ops > 0, "{at}: committed ops");
+    // Every subject's two edits commute: the concurrent merge lands
+    // where the edits made one after the other land.
+    let mut serial = (s.make)();
+    (s.parent_edit)(&mut serial);
+    (s.child_edit)(&mut serial);
+    assert_eq!((s.state)(&parent), (s.state)(&serial), "{at}: state");
 }
 
 fn merge_log_keeps_the_apply<M: Mergeable>(s: &Subject<M>) {
     let Some(merge_log) = s.merge_log else {
         return;
     };
-    for mode in MODES {
-        let at = format!("{} {mode:?} merge_log", s.name);
-        let mut ff = (s.make)(mode);
-        let mut child = ff.fork();
-        // A clone holds `ff`'s very state: only the missing child state
-        // keeps the session merge off the fast-forward.
-        let mut session = ff.clone();
-        (s.child_edit)(&mut child);
-        let marks = history_marks(&ff);
-        let ff_stats = ff.merge(&child).unwrap();
-        let session_stats = merge_log(&mut session, &child);
-        assert!(!(s.shares)(&session, &child), "{at}: applied");
-        assert_eq!(ff_stats, session_stats, "{at}: stats");
-        assert_eq!(seen(s, &ff, &marks), seen(s, &session, &marks), "{at}");
-    }
+    let at = format!("{} merge_log", s.name);
+    let mut ff = (s.make)();
+    let mut child = ff.fork();
+    // A clone holds `ff`'s very state: only the missing child state
+    // keeps the session merge off the fast-forward.
+    let mut session = ff.clone();
+    (s.child_edit)(&mut child);
+    let marks = history_marks(&ff);
+    let ff_stats = ff.merge(&child).unwrap();
+    let session_stats = merge_log(&mut session, &child);
+    assert!(!(s.shares)(&session, &child), "{at}: applied");
+    assert_eq!(ff_stats, session_stats, "{at}: stats");
+    assert_eq!(seen(s, &ff, &marks), seen(s, &session, &marks), "{at}");
 }
 
 fn check<M: Mergeable>(s: &Subject<M>) {
@@ -218,8 +209,8 @@ impl Tally {
 fn every_leaf_fast_forwards_like_its_replay() {
     check(&Subject {
         name: "MList",
-        make: |mode| {
-            let mut l = MList::from_vec_with_mode(vec![1u32, 2, 3], mode);
+        make: || {
+            let mut l = MList::from_vec(vec![1u32, 2, 3]);
             l.push(9);
             l
         },
@@ -233,8 +224,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MText",
-        make: |mode| {
-            let mut t = MText::with_mode(mode);
+        make: || {
+            let mut t = MText::new();
             t.push_str("hello");
             t
         },
@@ -248,7 +239,7 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MQueue",
-        make: |mode| MQueue::from_vec_with_mode(vec![1u32, 2, 3, 4, 5, 6], mode),
+        make: || MQueue::from_vec(vec![1u32, 2, 3, 4, 5, 6]),
         state: encode,
         since,
         shares: same_state,
@@ -261,8 +252,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MMap",
-        make: |mode| {
-            let mut m = MMap::<u32, u32>::with_mode(mode);
+        make: || {
+            let mut m = MMap::<u32, u32>::new();
             m.insert(2, 20);
             m
         },
@@ -281,8 +272,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MSet",
-        make: |mode| {
-            let mut s = MSet::<u32>::with_mode(mode);
+        make: || {
+            let mut s = MSet::<u32>::new();
             s.insert(2);
             s
         },
@@ -301,8 +292,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MCounter",
-        make: |mode| {
-            let mut c = MCounter::with_mode(0, mode);
+        make: || {
+            let mut c = MCounter::new(0);
             c.inc();
             c
         },
@@ -316,8 +307,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MCounterMap",
-        make: |mode| {
-            let mut m = MCounterMap::<u32>::with_mode(mode);
+        make: || {
+            let mut m = MCounterMap::<u32>::new();
             m.add(2, 3);
             m
         },
@@ -331,8 +322,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MRegister",
-        make: |mode| {
-            let mut r = MRegister::with_mode(0u32, mode);
+        make: || {
+            let mut r = MRegister::new(0u32);
             r.set(2);
             r
         },
@@ -349,8 +340,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "MTree",
-        make: |mode| {
-            let mut t = MTree::with_mode(0u32, mode);
+        make: || {
+            let mut t = MTree::new(0u32);
             t.push_child(&[], Node::leaf(2));
             t
         },
@@ -364,8 +355,8 @@ fn every_leaf_fast_forwards_like_its_replay() {
     });
     check(&Subject {
         name: "Tally",
-        make: |mode| {
-            let mut t = Tally(Versioned::with_mode(10, mode));
+        make: || {
+            let mut t = Tally(Versioned::new(10));
             t.count(1);
             t
         },
@@ -388,11 +379,11 @@ type Trio = (MList<u32>, MCounter, MRegister<bool>);
 fn a_tuple_and_a_vec_fast_forward_like_their_replays() {
     check(&Subject::<Trio> {
         name: "tuple",
-        make: |mode| {
+        make: || {
             let mut d = (
-                MList::from_vec_with_mode(vec![1u32], mode),
-                MCounter::with_mode(0, mode),
-                MRegister::with_mode(false, mode),
+                MList::from_vec(vec![1u32]),
+                MCounter::new(0),
+                MRegister::new(false),
             );
             d.1.inc();
             d
@@ -410,8 +401,8 @@ fn a_tuple_and_a_vec_fast_forward_like_their_replays() {
     });
     check(&Subject::<Vec<MCounter>> {
         name: "Vec",
-        make: |mode| {
-            let mut v: Vec<MCounter> = (0..4).map(|n| MCounter::with_mode(n, mode)).collect();
+        make: || {
+            let mut v: Vec<MCounter> = (0..4).map(MCounter::new).collect();
             v[3].dec();
             v
         },
@@ -442,14 +433,14 @@ mergeable_struct! {
 fn a_mergeable_struct_fast_forwards_like_its_replay() {
     check(&Subject::<Composite> {
         name: "mergeable_struct",
-        make: |mode| {
+        make: || {
             let mut d = Composite {
                 queues: (0..3)
-                    .map(|h| MQueue::from_vec_with_mode(vec![h, h + 10, h + 20, h + 30], mode))
+                    .map(|h| MQueue::from_vec(vec![h, h + 10, h + 20, h + 30]))
                     .collect(),
-                total: MCounter::with_mode(0, mode),
-                text: MText::with_mode(mode),
-                done: MRegister::with_mode(false, mode),
+                total: MCounter::new(0),
+                text: MText::new(),
+                done: MRegister::new(false),
             };
             d.text.push_str("round ");
             d
@@ -489,37 +480,31 @@ fn a_mergeable_struct_fast_forwards_like_its_replay() {
 
 #[test]
 fn a_parent_rolled_back_and_recorded_back_to_the_fork_base_replays() {
-    for mode in MODES {
-        let at = format!("{mode:?}");
-        // The parent writes a, forks the child, rolls back past a and
-        // writes b: the child's fork base is the history length again, but
-        // the state it was handed is a's, not b's.
-        let mut parent = (
-            MCounter::with_mode(0, mode),
-            MList::from_vec_with_mode(vec![1u32], mode),
-        );
-        let earlier = parent.fork();
-        parent.0.add(1);
-        parent.1.push(2);
-        let mut child = parent.fork();
-        child.0.add(2);
-        child.1.insert(0, 7);
-        parent.rollback_to(&earlier);
-        parent.0.add(5);
-        parent.1.push(3);
-        let mut fork_marks = Vec::new();
-        child.fork_marks(&mut fork_marks);
-        assert_eq!(fork_marks, history_marks(&parent), "{at}: fork base");
+    // The parent writes a, forks the child, rolls back past a and
+    // writes b: the child's fork base is the history length again, but
+    // the state it was handed is a's, not b's.
+    let mut parent = (MCounter::new(0), MList::from_vec(vec![1u32]));
+    let earlier = parent.fork();
+    parent.0.add(1);
+    parent.1.push(2);
+    let mut child = parent.fork();
+    child.0.add(2);
+    child.1.insert(0, 7);
+    parent.rollback_to(&earlier);
+    parent.0.add(5);
+    parent.1.push(3);
+    let mut fork_marks = Vec::new();
+    child.fork_marks(&mut fork_marks);
+    assert_eq!(fork_marks, history_marks(&parent), "fork base");
 
-        let stats = parent.merge(&child).unwrap();
-        assert!(!same_state(&parent.0, &child.0), "{at}: fast-forwarded");
-        assert!(!same_state(&parent.1, &child.1), "{at}: fast-forwarded");
-        // The child's log over b; a fast-forward would have left a's 3
-        // and [7, 1, 2].
-        assert_eq!(parent.0.get(), 7, "{at}");
-        assert_eq!(parent.1.to_vec(), vec![7, 1, 3], "{at}");
-        assert_eq!((stats.child_ops, stats.committed_ops), (2, 0), "{at}");
-    }
+    let stats = parent.merge(&child).unwrap();
+    assert!(!same_state(&parent.0, &child.0), "fast-forwarded");
+    assert!(!same_state(&parent.1, &child.1), "fast-forwarded");
+    // The child's log over b; a fast-forward would have left a's 3
+    // and [7, 1, 2].
+    assert_eq!(parent.0.get(), 7);
+    assert_eq!(parent.1.to_vec(), vec![7, 1, 3]);
+    assert_eq!((stats.child_ops, stats.committed_ops), (2, 0));
 }
 
 #[test]

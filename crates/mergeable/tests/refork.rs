@@ -1,6 +1,6 @@
 //! `child.refork(&parent)` is `child = parent.fork()`, done in place: what
 //! a `Sync`ed child continues on. For every leaf, a tuple, a `Vec` and a
-//! `mergeable_struct!`, under both copy modes, and whichever side edited
+//! `mergeable_struct!`, and whichever side edited
 //! before the merge, the reforked child must hold what a fresh fork holds
 //! (state, fork marks, no pending operations), and the next round — the
 //! same operation recorded on the child and on the parent, then merged —
@@ -9,12 +9,10 @@
 
 use bytes::BytesMut;
 use sm_mergeable::{
-    mergeable_struct, CopyMode, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText,
-    MTree, Mergeable, Persist,
+    mergeable_struct, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText, MTree,
+    Mergeable, Persist,
 };
 use sm_ot::tree::Node;
-
-const MODES: [CopyMode; 2] = [CopyMode::CopyOnWrite, CopyMode::Deep];
 
 /// Which side edited between the fork and the merge that precedes the
 /// refork.
@@ -32,7 +30,7 @@ const CASES: [Case; 4] = [Case::Neither, Case::Child, Case::Parent, Case::Both];
 /// from the child's side and from the parent's.
 struct Subject<M> {
     name: &'static str,
-    make: fn(CopyMode) -> M,
+    make: fn() -> M,
     state: fn(&M) -> Vec<u8>,
     child_edit: fn(&mut M),
     parent_edit: fn(&mut M),
@@ -59,8 +57,8 @@ fn history_marks<M: Mergeable>(m: &M) -> Vec<usize> {
 /// A parent with history, a child forked from it, the `case`'s edits, the
 /// merge — then the child continues on a fresh fork, built whole or by
 /// `refork`.
-fn world<M: Mergeable>(s: &Subject<M>, mode: CopyMode, case: Case, refork: bool) -> (M, M) {
-    let mut parent = (s.make)(mode);
+fn world<M: Mergeable>(s: &Subject<M>, case: Case, refork: bool) -> (M, M) {
+    let mut parent = (s.make)();
     (s.parent_edit)(&mut parent);
     let mut child = parent.fork();
     if matches!(case, Case::Child | Case::Both) {
@@ -79,53 +77,51 @@ fn world<M: Mergeable>(s: &Subject<M>, mode: CopyMode, case: Case, refork: bool)
 }
 
 fn check<M: Mergeable>(s: &Subject<M>) {
-    for mode in MODES {
-        for case in CASES {
-            let at = format!("{} {mode:?} {case:?}", s.name);
-            let (mut forked_parent, mut forked) = world(s, mode, case, false);
-            let (mut reforked_parent, mut reforked) = world(s, mode, case, true);
-            assert_eq!(reforked.pending_ops(), 0, "{at}: pending ops");
-            assert_eq!(
-                fork_marks(&reforked),
-                fork_marks(&forked),
-                "{at}: fork marks"
-            );
-            assert_eq!((s.state)(&reforked), (s.state)(&forked), "{at}: state");
-            assert_eq!(
-                history_marks(&reforked_parent),
-                history_marks(&forked_parent),
-                "{at}: parent history"
-            );
+    for case in CASES {
+        let at = format!("{} {case:?}", s.name);
+        let (mut forked_parent, mut forked) = world(s, case, false);
+        let (mut reforked_parent, mut reforked) = world(s, case, true);
+        assert_eq!(reforked.pending_ops(), 0, "{at}: pending ops");
+        assert_eq!(
+            fork_marks(&reforked),
+            fork_marks(&forked),
+            "{at}: fork marks"
+        );
+        assert_eq!((s.state)(&reforked), (s.state)(&forked), "{at}: state");
+        assert_eq!(
+            history_marks(&reforked_parent),
+            history_marks(&forked_parent),
+            "{at}: parent history"
+        );
 
-            // The next round: the same operation on both sides, merged.
-            (s.child_edit)(&mut forked);
-            (s.child_edit)(&mut reforked);
-            (s.parent_edit)(&mut forked_parent);
-            (s.parent_edit)(&mut reforked_parent);
-            assert_eq!(
-                reforked.pending_ops(),
-                forked.pending_ops(),
-                "{at}: next ops"
-            );
-            assert_eq!(
-                (s.state)(&reforked.pristine()),
-                (s.state)(&forked.pristine()),
-                "{at}: pristine"
-            );
-            let forked_stats = forked_parent.merge(&forked).unwrap();
-            let reforked_stats = reforked_parent.merge(&reforked).unwrap();
-            assert_eq!(reforked_stats, forked_stats, "{at}: next merge stats");
-            assert_eq!(
-                (s.state)(&reforked_parent),
-                (s.state)(&forked_parent),
-                "{at}: next merge state"
-            );
-            assert_eq!(
-                history_marks(&reforked_parent),
-                history_marks(&forked_parent),
-                "{at}: next merge history"
-            );
-        }
+        // The next round: the same operation on both sides, merged.
+        (s.child_edit)(&mut forked);
+        (s.child_edit)(&mut reforked);
+        (s.parent_edit)(&mut forked_parent);
+        (s.parent_edit)(&mut reforked_parent);
+        assert_eq!(
+            reforked.pending_ops(),
+            forked.pending_ops(),
+            "{at}: next ops"
+        );
+        assert_eq!(
+            (s.state)(&reforked.pristine()),
+            (s.state)(&forked.pristine()),
+            "{at}: pristine"
+        );
+        let forked_stats = forked_parent.merge(&forked).unwrap();
+        let reforked_stats = reforked_parent.merge(&reforked).unwrap();
+        assert_eq!(reforked_stats, forked_stats, "{at}: next merge stats");
+        assert_eq!(
+            (s.state)(&reforked_parent),
+            (s.state)(&forked_parent),
+            "{at}: next merge state"
+        );
+        assert_eq!(
+            history_marks(&reforked_parent),
+            history_marks(&forked_parent),
+            "{at}: next merge history"
+        );
     }
 }
 
@@ -133,15 +129,15 @@ fn check<M: Mergeable>(s: &Subject<M>) {
 fn every_leaf_reforks_like_a_fresh_fork() {
     check(&Subject {
         name: "MList",
-        make: |mode| MList::from_vec_with_mode(vec![1u32, 2, 3], mode),
+        make: || MList::from_vec(vec![1u32, 2, 3]),
         state: encode,
         child_edit: |l| l.insert(0, 7),
         parent_edit: |l| l.push(9),
     });
     check(&Subject {
         name: "MText",
-        make: |mode| {
-            let mut t = MText::with_mode(mode);
+        make: || {
+            let mut t = MText::new();
             t.push_str("hello");
             t
         },
@@ -151,7 +147,7 @@ fn every_leaf_reforks_like_a_fresh_fork() {
     });
     check(&Subject {
         name: "MQueue",
-        make: |mode| MQueue::from_vec_with_mode(vec![1u32, 2, 3, 4], mode),
+        make: || MQueue::from_vec(vec![1u32, 2, 3, 4]),
         state: encode,
         child_edit: |q| {
             q.pop_front();
@@ -160,7 +156,7 @@ fn every_leaf_reforks_like_a_fresh_fork() {
     });
     check(&Subject {
         name: "MMap",
-        make: MMap::<u32, u32>::with_mode,
+        make: MMap::<u32, u32>::new,
         state: encode,
         child_edit: |m| {
             m.insert(1, 10);
@@ -171,7 +167,7 @@ fn every_leaf_reforks_like_a_fresh_fork() {
     });
     check(&Subject {
         name: "MSet",
-        make: MSet::<u32>::with_mode,
+        make: MSet::<u32>::new,
         state: encode,
         child_edit: |s| {
             s.insert(1);
@@ -182,28 +178,28 @@ fn every_leaf_reforks_like_a_fresh_fork() {
     });
     check(&Subject {
         name: "MCounter",
-        make: |mode| MCounter::with_mode(0, mode),
+        make: || MCounter::new(0),
         state: encode,
         child_edit: |c| c.add(2),
         parent_edit: MCounter::inc,
     });
     check(&Subject {
         name: "MCounterMap",
-        make: MCounterMap::<u32>::with_mode,
+        make: MCounterMap::<u32>::new,
         state: encode,
         child_edit: |m| m.inc(1),
         parent_edit: |m| m.add(2, 3),
     });
     check(&Subject {
         name: "MRegister",
-        make: |mode| MRegister::with_mode(0u32, mode),
+        make: || MRegister::new(0u32),
         state: encode,
         child_edit: |r| r.set(1),
         parent_edit: |r| r.set(2),
     });
     check(&Subject {
         name: "MTree",
-        make: |mode| MTree::with_mode(0u32, mode),
+        make: || MTree::new(0u32),
         state: encode,
         child_edit: |t| t.push_child(&[], Node::leaf(1)),
         parent_edit: |t| t.push_child(&[], Node::leaf(2)),
@@ -214,11 +210,11 @@ fn every_leaf_reforks_like_a_fresh_fork() {
 fn a_tuple_and_a_vec_refork_like_fresh_forks() {
     check(&Subject {
         name: "tuple",
-        make: |mode| {
+        make: || {
             (
-                MList::from_vec_with_mode(vec![1u32], mode),
-                MCounter::with_mode(0, mode),
-                MRegister::with_mode(false, mode),
+                MList::from_vec(vec![1u32]),
+                MCounter::new(0),
+                MRegister::new(false),
             )
         },
         state: encode,
@@ -227,7 +223,7 @@ fn a_tuple_and_a_vec_refork_like_fresh_forks() {
     });
     check(&Subject {
         name: "Vec",
-        make: |mode| (0..4).map(|n| MCounter::with_mode(n, mode)).collect(),
+        make: || (0..4).map(MCounter::new).collect(),
         state: encode,
         child_edit: |v: &mut Vec<MCounter>| v[1].add(5),
         parent_edit: |v| {
@@ -239,18 +235,16 @@ fn a_tuple_and_a_vec_refork_like_fresh_forks() {
 
 #[test]
 fn a_vec_whose_length_drifted_reforks_whole() {
-    for mode in MODES {
-        let parent: Vec<MCounter> = (0..3).map(|n| MCounter::with_mode(n, mode)).collect();
-        let mut child = parent.fork();
-        child[0].inc();
-        child.push(MCounter::with_mode(9, mode));
-        child.refork(&parent);
-        let fresh = parent.fork();
-        assert_eq!(child.len(), 3, "{mode:?}");
-        assert_eq!(encode(&child), encode(&fresh), "{mode:?}");
-        assert_eq!(fork_marks(&child), fork_marks(&fresh), "{mode:?}");
-        assert_eq!(child.pending_ops(), 0, "{mode:?}");
-    }
+    let parent: Vec<MCounter> = (0..3).map(MCounter::new).collect();
+    let mut child = parent.fork();
+    child[0].inc();
+    child.push(MCounter::new(9));
+    child.refork(&parent);
+    let fresh = parent.fork();
+    assert_eq!(child.len(), 3);
+    assert_eq!(encode(&child), encode(&fresh));
+    assert_eq!(fork_marks(&child), fork_marks(&fresh));
+    assert_eq!(child.pending_ops(), 0);
 }
 
 mergeable_struct! {
@@ -275,13 +269,13 @@ fn composite_state(d: &Composite) -> Vec<u8> {
 fn a_mergeable_struct_reforks_like_a_fresh_fork() {
     check(&Subject {
         name: "mergeable_struct",
-        make: |mode| Composite {
+        make: || Composite {
             queues: (0..3)
-                .map(|h| MQueue::from_vec_with_mode(vec![h, h + 10, h + 20], mode))
+                .map(|h| MQueue::from_vec(vec![h, h + 10, h + 20]))
                 .collect(),
-            total: MCounter::with_mode(0, mode),
-            text: MText::with_mode(mode),
-            done: MRegister::with_mode(false, mode),
+            total: MCounter::new(0),
+            text: MText::new(),
+            done: MRegister::new(false),
         },
         state: composite_state,
         child_edit: |d| {

@@ -57,7 +57,7 @@ impl Inbox {
 }
 
 /// Run the conventional (threads + locks) simulation.
-pub fn run_conventional(cfg: &SimConfig) -> SimResult {
+pub(crate) fn run_conventional(cfg: &SimConfig) -> SimResult {
     let inboxes: Arc<Vec<Inbox>> = Arc::new((0..cfg.hosts).map(|_| Inbox::new()).collect());
     // Total processings left; hitting zero wakes every blocked host.
     let remaining = Arc::new(AtomicU64::new(cfg.expected_hops()));

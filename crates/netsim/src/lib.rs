@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conventional;
+mod conventional;
 pub mod live;
 pub mod message;
 pub mod spawnmerge;
@@ -33,7 +33,7 @@ pub mod workload;
 
 use std::time::Duration;
 
-pub use conventional::run_conventional;
+use conventional::run_conventional;
 pub use live::{run_live, LiveReport};
 pub use message::{Message, Routing, SimConfig};
 pub use spawnmerge::{run_spawn_merge, run_spawn_merge_with_pool, SimData};
@@ -88,7 +88,7 @@ impl Setup {
     }
 
     /// True for the Spawn & Merge implementations.
-    pub fn is_spawn_merge(self) -> bool {
+    fn is_spawn_merge(self) -> bool {
         matches!(self, Setup::SpawnMergeNonDet | Setup::SpawnMergeDet)
     }
 

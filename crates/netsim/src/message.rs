@@ -21,7 +21,7 @@ pub struct Message {
 
 impl Message {
     /// The `i`-th initial message with the given time-to-live.
-    pub fn initial(i: u32, ttl: u32) -> Self {
+    pub(crate) fn initial(i: u32, ttl: u32) -> Self {
         Message {
             id: i,
             payload: sha1(&i.to_be_bytes()),
@@ -46,15 +46,6 @@ pub enum Routing {
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// How Spawn & Merge forks copy the shared state.
-    /// [`CopyOnWrite`](sm_mergeable::CopyMode::CopyOnWrite) is this implementation's optimized
-    /// default. [`Deep`](sm_mergeable::CopyMode::Deep) clones every leaf's state at each
-    /// fork: the counters and registers in full, but a queue's chunk tree
-    /// clones by sharing its chunks, so the messages are not copied. It is
-    /// not the paper's unoptimized prototype, whose eager copies of every
-    /// queue caused the constant ~400 ms overhead. Ignored by the
-    /// conventional setups.
-    pub copy_mode: sm_mergeable::CopyMode,
     /// Number of simulated hosts (paper: 20).
     pub hosts: usize,
     /// Initial messages distributed round-robin over the hosts (paper: 100).
@@ -85,7 +76,6 @@ impl SimConfig {
             ttl: 100,
             workload,
             routing,
-            copy_mode: sm_mergeable::CopyMode::CopyOnWrite,
         }
     }
 
@@ -97,7 +87,6 @@ impl SimConfig {
             ttl: 6,
             workload,
             routing,
-            copy_mode: sm_mergeable::CopyMode::CopyOnWrite,
         }
     }
 
@@ -108,7 +97,7 @@ impl SimConfig {
 
     /// The initial per-host message queues (message `i` starts at host
     /// `i % hosts`).
-    pub fn initial_queues(&self) -> Vec<Vec<Message>> {
+    pub(crate) fn initial_queues(&self) -> Vec<Vec<Message>> {
         let mut queues = vec![Vec::new(); self.hosts];
         for i in 0..self.initial_messages {
             queues[i % self.hosts].push(Message::initial(i as u32, self.ttl));
@@ -145,7 +134,6 @@ mod tests {
             ttl: 5,
             workload: 0,
             routing: Routing::NextHost,
-            ..SimConfig::default()
         };
         let queues = cfg.initial_queues();
         assert_eq!(queues[0].len(), 3);

@@ -2,7 +2,7 @@
 //! deterministic seeding utility ([`Lcg`]) every reproducible workload
 //! derives its "randomness" from.
 
-use sm_sha1::{digest_to_index, sha1, sha1_iterated, Digest, Sha1};
+use sm_sha1::{digest_to_index, sha1_iterated, Digest, Sha1};
 
 use crate::message::{Message, Routing, SimConfig};
 
@@ -121,18 +121,14 @@ pub fn fingerprint(stats: &[HostStats]) -> Digest {
 }
 
 /// Total processings across hosts.
-pub fn total_processed(stats: &[HostStats]) -> u64 {
+pub(crate) fn total_processed(stats: &[HostStats]) -> u64 {
     stats.iter().map(|s| s.processed).sum()
-}
-
-/// A digest of arbitrary bytes (convenience for the harness).
-pub fn hash_bytes(data: &[u8]) -> Digest {
-    sha1(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_sha1::sha1;
 
     fn cfg(routing: Routing) -> SimConfig {
         SimConfig {
@@ -141,7 +137,6 @@ mod tests {
             ttl: 3,
             workload: 2,
             routing,
-            ..SimConfig::default()
         }
     }
 

@@ -21,7 +21,6 @@ fn main() {
         ttl: 24,
         workload: 50,
         routing: Routing::HashDerived,
-        ..SimConfig::default()
     };
     println!(
         "simulating {} hosts, {} messages, TTL {}, workload {} SHA-1 iterations\n",

@@ -48,7 +48,6 @@ fn main() {
         ttl: 12,
         workload: 20,
         routing: Routing::HashDerived,
-        ..SimConfig::default()
     };
     let result = run_spawn_merge(&cfg);
 

@@ -74,7 +74,7 @@ pub use sm_core::{
     MergeReport, MergedChild, Pool, SyncError, TaskAbort, TaskCtx, TaskHandle, TaskId, TaskResult,
 };
 pub use sm_mergeable::{
-    mergeable_struct, CopyMode, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet,
-    MText, MTree, MergeError, MergeStats, Mergeable, Persist, ReplayError,
+    mergeable_struct, Leaf, MCounter, MCounterMap, MList, MMap, MQueue, MRegister, MSet, MText,
+    MTree, MergeError, MergeStats, Mergeable, Persist, ReplayError,
 };
 pub use sm_store::{run_with_store, FsyncPolicy, Store, StoreError, StoreOptions};

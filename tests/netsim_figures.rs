@@ -24,7 +24,6 @@ fn spawn_merge_hash_routing_identical_across_five_runs() {
         ttl: 12,
         workload: 3,
         routing: Routing::HashDerived,
-        ..SimConfig::default()
     };
     let first = run_setup(Setup::SpawnMergeNonDet, &cfg);
     for _ in 0..4 {
@@ -50,7 +49,6 @@ fn spawn_merge_determinism_independent_of_parallelism() {
         ttl: 10,
         workload: 2,
         routing: Routing::HashDerived,
-        ..SimConfig::default()
     };
     let cold = run_spawn_merge_with_pool(&cfg, Pool::new());
     let warm_pool = Pool::new();
@@ -72,7 +70,6 @@ fn ring_variants_agree_across_implementations() {
         ttl: 8,
         workload: 1,
         routing: Routing::NextHost,
-        ..SimConfig::default()
     };
     let conv = run_setup(Setup::ConventionalDet, &cfg);
     let sm = run_setup(Setup::SpawnMergeDet, &cfg);
@@ -88,7 +85,6 @@ fn workload_changes_results_but_not_counts() {
         ttl: 6,
         workload: l,
         routing: Routing::HashDerived,
-        ..SimConfig::default()
     };
     let a = run_setup(Setup::SpawnMergeNonDet, &mk(0));
     let b = run_setup(Setup::SpawnMergeNonDet, &mk(5));
@@ -108,7 +104,6 @@ fn single_host_single_message_edge_case() {
         ttl: 5,
         workload: 0,
         routing: Routing::NextHost,
-        ..SimConfig::default()
     };
     for setup in Setup::ALL {
         let r = run_setup(setup, &cfg);
@@ -125,7 +120,6 @@ fn ttl_one_messages_die_immediately() {
         ttl: 1,
         workload: 0,
         routing: Routing::HashDerived,
-        ..SimConfig::default()
     };
     for setup in Setup::ALL {
         let r = run_setup(setup, &cfg);
@@ -134,23 +128,15 @@ fn ttl_one_messages_die_immediately() {
 }
 
 /// The paper-scale l = 0 simulation, pinned: `host_task`'s port to round
-/// tasks must reproduce its every hop and round, under both copy modes.
+/// tasks must reproduce its every hop and round.
 #[test]
 fn paper_scale_zero_workload_spawn_merge_is_pinned() {
-    let cow = SimConfig::paper(0, Routing::HashDerived);
-    let deep = SimConfig {
-        copy_mode: spawn_merge::CopyMode::Deep,
-        ..cow
-    };
-    for cfg in [cow, deep] {
-        let r = run_setup(Setup::SpawnMergeNonDet, &cfg);
-        let hex: String = r.fingerprint.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(
-            hex, "6f7be1da6c5efe409b3d2da8fc5a96cd1177163c",
-            "{:?}",
-            cfg.copy_mode
-        );
-        assert_eq!(r.rounds, 575, "{:?}", cfg.copy_mode);
-        assert_eq!(r.total_processed, 10_000, "{:?}", cfg.copy_mode);
-    }
+    let r = run_setup(
+        Setup::SpawnMergeNonDet,
+        &SimConfig::paper(0, Routing::HashDerived),
+    );
+    let hex: String = r.fingerprint.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "6f7be1da6c5efe409b3d2da8fc5a96cd1177163c");
+    assert_eq!(r.rounds, 575);
+    assert_eq!(r.total_processed, 10_000);
 }

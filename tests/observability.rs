@@ -37,7 +37,6 @@ fn sim_config() -> SimConfig {
         ttl: 6,
         workload: 10,
         routing: Routing::HashDerived,
-        ..SimConfig::default()
     }
 }
 

@@ -55,7 +55,6 @@ fn endpoints_answer_during_a_netsim_run_with_phase_counters() {
         ttl: 8,
         workload: 20,
         routing: Routing::NextHost,
-        ..SimConfig::default()
     };
     let report = run_live(&cfg, 9400);
     assert_eq!(report.result.total_processed, cfg.expected_hops());
