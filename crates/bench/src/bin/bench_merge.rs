@@ -23,7 +23,9 @@
 //! the same fan-out with deletes mixed in and under a merge condition
 //! (dismissed children are never merged); a scaling row — the partitioned
 //! (mixed) fan-out at 250 to 2 000 children, `merge_all` nanoseconds per
-//! child, which a `merge_all` linear in its children keeps flat; and four
+//! child, which a `merge_all` linear in its children keeps flat — and,
+//! unguarded beside it, the same fan-out with its segments shuffled over
+//! the children, so each merge lands inside the committed slice; and four
 //! children of 70 000 inserts inside one growing run each, merged by
 //! plain `merge` against the same refold.
 //!
@@ -232,6 +234,11 @@ enum FanoutMode {
     /// 8-element segment of the base. Disjoint segments keep every
     /// child's insert apart from the others' by a unit nobody deletes.
     Mixed,
+    /// [`FanoutMode::Mixed`] with the segments dealt to the children in
+    /// a seeded random order ([`segments`]): creation order is not
+    /// position order, so each merge lands somewhere in the middle of
+    /// what the earlier siblings committed.
+    Shuffled,
     /// Insert-only children merged under [`condition`], which dismisses
     /// a scatter of children out of the middle of the batch.
     Conditional,
@@ -246,7 +253,7 @@ enum FanoutMode {
 /// so a surviving retain always separates one child's spans from the
 /// next child's.
 fn fanout_base(children: usize, mode: FanoutMode) -> MList<u64> {
-    let base_len = if mode == FanoutMode::Mixed {
+    let base_len = if matches!(mode, FanoutMode::Mixed | FanoutMode::Shuffled) {
         children * 8
     } else {
         64
@@ -254,12 +261,27 @@ fn fanout_base(children: usize, mode: FanoutMode) -> MList<u64> {
     MList::from_vec((0..base_len as u64).collect())
 }
 
-/// Child `i`'s `ops_per_child` non-fusing edits (shape per `mode`).
+/// The segment each child of an `n`-child fan-out edits: child `i`
+/// takes segment `i`, except under [`FanoutMode::Shuffled`], which deals
+/// them by a seeded Fisher–Yates shuffle.
+fn segments(n: usize, mode: FanoutMode) -> Vec<u64> {
+    let mut segments: Vec<u64> = (0..n as u64).collect();
+    if mode == FanoutMode::Shuffled {
+        let mut lcg = Lcg::new(Lcg::DEFAULT_SEED);
+        for i in (1..n).rev() {
+            segments.swap(i, lcg.next_below(i + 1));
+        }
+    }
+    segments
+}
+
+/// The `ops_per_child` non-fusing edits of the child that edits segment
+/// `i` (shape per `mode`).
 fn child_edits(list: &mut MList<u64>, i: u64, ops_per_child: usize, mode: FanoutMode) {
     for j in 0..ops_per_child as u64 {
         let len = list.len();
         match mode {
-            FanoutMode::Mixed => {
+            FanoutMode::Mixed | FanoutMode::Shuffled => {
                 // Segment-local strided positions, first segment element
                 // untouched. Every fourth op deletes; net growth keeps
                 // the segment populated.
@@ -308,7 +330,7 @@ fn fanout_merge_all(
     let done = Arc::new(AtomicUsize::new(0));
     let done_in = Arc::clone(&done);
     let (list, merge_ns) = run_with_pool(fanout_base(children, mode), pool, move |ctx| {
-        for i in 0..children as u64 {
+        for i in segments(children, mode) {
             let done = Arc::clone(&done_in);
             ctx.spawn(move |c| {
                 child_edits(c.data_mut(), i, ops_per_child, mode);
@@ -386,6 +408,41 @@ fn fanout_fold(
         }
     }
     (t.elapsed().as_nanos() as u64, parent.to_vec())
+}
+
+/// Print a scaling table and add it to `json` as `name`, with the
+/// [`SCALING_CEILING`] when `guarded`; returns the growth of the cost per
+/// child from the first row to the last.
+fn scaling_row(json: &mut String, name: &str, rows: &[(usize, u64)], guarded: bool) -> f64 {
+    let per_child = |&(n, ns): &(usize, u64)| ns as f64 / n as f64;
+    let growth = per_child(&rows[rows.len() - 1]) / per_child(&rows[0]).max(1.0);
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let (n, ns) = *row;
+            eprintln!(
+                "{name}: {n} children x 8 ops merge_all {ns} ns, {:.0} ns per child",
+                per_child(row)
+            );
+            format!(
+                "{{\"children\": {n}, \"merge_all_ns\": {ns}, \"ns_per_child\": {:.0}}}",
+                per_child(row)
+            )
+        })
+        .collect();
+    eprintln!("{name}: per-child growth {growth:.2}x");
+    let ceiling = if guarded {
+        format!(", \"ceiling\": {SCALING_CEILING}")
+    } else {
+        String::new()
+    };
+    let _ = writeln!(
+        json,
+        "  \"{name}\": {{\"name\": \"{name}\", \"ops_per_child\": 8, \"rows\": [{}], \
+         \"per_child_growth\": {growth:.2}{ceiling}}},",
+        rows.join(", ")
+    );
+    growth
 }
 
 /// `k` text edits in a `commit_shared` commit's shape, drawn from `seed`:
@@ -676,35 +733,22 @@ fn main() {
     // Linear in the children means a flat cost per child. Best of a few
     // rounds over all four widths, so that a slow spell of the box (the
     // single-shot rows above read two speeds) falls on every width alike.
+    // Beside it, unguarded, the same fan-out with the segments shuffled
+    // over the children.
     let mut scaling = SCALING_CHILDREN.map(|n| (n, u64::MAX));
+    let mut shuffled = scaling;
     for _ in 0..if quick { 3 } else { 9 } {
-        for (n, best) in &mut scaling {
-            *best = (*best).min(fanout_merge_all(*n, 8, FanoutMode::Mixed).0);
+        for (rows, mode) in [
+            (&mut scaling, FanoutMode::Mixed),
+            (&mut shuffled, FanoutMode::Shuffled),
+        ] {
+            for (n, best) in rows.iter_mut() {
+                *best = (*best).min(fanout_merge_all(*n, 8, mode).0);
+            }
         }
     }
-    let per_child = |&(n, ns): &(usize, u64)| ns as f64 / n as f64;
-    let growth = per_child(&scaling[3]) / per_child(&scaling[0]).max(1.0);
-    let rows: Vec<String> = scaling
-        .iter()
-        .map(|row| {
-            let (n, ns) = *row;
-            eprintln!(
-                "partitioned_fanout_scaling: {n} children x 8 ops merge_all {ns} ns, {:.0} ns per child",
-                per_child(row)
-            );
-            format!(
-                "{{\"children\": {n}, \"merge_all_ns\": {ns}, \"ns_per_child\": {:.0}}}",
-                per_child(row)
-            )
-        })
-        .collect();
-    let _ = writeln!(
-        json,
-        "  \"partitioned_fanout_scaling\": {{\"name\": \"partitioned_fanout_scaling\", \
-         \"ops_per_child\": 8, \"rows\": [{}], \"per_child_growth\": {growth:.2}, \
-         \"ceiling\": {SCALING_CEILING}}},",
-        rows.join(", ")
-    );
+    let growth = scaling_row(&mut json, "partitioned_fanout_scaling", &scaling, true);
+    scaling_row(&mut json, "shuffled_fanout_scaling", &shuffled, false);
 
     // Huge logs: four children of 70 000 inserts, each inside the last 60
     // units of one growing run, merged by plain `merge` (each log takes

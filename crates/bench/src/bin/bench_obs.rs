@@ -12,10 +12,14 @@
 //!
 //! The workload runs the same end-to-end `MList::merge` hot loops as
 //! `bench_merge` (a contiguous append merge and a scattered insert
-//! merge — the delta and compacted paths), best-of-`iters` per config.
-//! The flight-recorder-on overhead versus uninstalled is the headline
-//! number; CI runs with `--assert-overhead 5` and fails the build when
-//! the always-on plane costs more than 5%.
+//! merge — the delta and compacted paths). Each of `iters` iterations
+//! times one pass of both loops under each configuration in turn, the
+//! order rotating from one iteration to the next, so a drift of the
+//! machine's speed falls on the three alike. An overhead is the median
+//! over the iterations of each iteration's ratio to its uninstalled pass,
+//! printed with its spread. The flight-recorder-on overhead is the
+//! headline number; CI runs with `--assert-overhead 5` and fails the
+//! build when the always-on plane costs more than 5%.
 //!
 //! Usage:
 //!
@@ -35,19 +39,8 @@ use sm_obs::{
     Phase, Recorder, TaskPath,
 };
 
-/// Best-of-`iters` wall time of `f`, in nanoseconds.
-fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
-}
-
 /// A contiguous-append fork pair: the delta fast path.
-fn contiguous_pair() -> (MList<u64>, MList<u64>) {
+fn contiguous_pair() -> Pair {
     let mut parent = MList::from_vec((0..64u64).collect());
     let mut child = parent.fork();
     for i in 0..300u64 {
@@ -59,7 +52,7 @@ fn contiguous_pair() -> (MList<u64>, MList<u64>) {
 
 /// A scattered-insert fork pair: the path record-time fusion cannot
 /// collapse.
-fn scattered_pair() -> (MList<u64>, MList<u64>) {
+fn scattered_pair() -> Pair {
     let mut parent = MList::from_vec((0..64u64).collect());
     let mut child = parent.fork();
     for (i, p) in lcg_positions(200, 64).into_iter().enumerate() {
@@ -69,16 +62,14 @@ fn scattered_pair() -> (MList<u64>, MList<u64>) {
     (parent, child)
 }
 
-struct ConfigResult {
-    name: &'static str,
-    contiguous_ns: u64,
-    scattered_ns: u64,
-}
+/// A fork pair to merge: `(parent, child)`.
+type Pair = (MList<u64>, MList<u64>);
 
-impl ConfigResult {
-    fn total_ns(&self) -> u64 {
-        self.contiguous_ns + self.scattered_ns
-    }
+/// The `q`-quantile of `values` (nearest rank), which must not be empty.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 /// One instrumented merge, emitting exactly what the core runtime's
@@ -109,34 +100,17 @@ fn instrumented_merge(parent: &MList<u64>, child: &MList<u64>, path: &TaskPath) 
     }
 }
 
-/// Time both merge loops under whatever recorder is currently
-/// installed.
-fn measure(name: &'static str, iters: usize, inner: usize) -> ConfigResult {
+/// One pass of both merge loops (contiguous, scattered), `inner` merges
+/// each, under whatever recorder is currently installed: nanoseconds.
+fn measure(pairs: &[Pair; 2], inner: usize) -> [f64; 2] {
     let path = TaskPath::root().child(1);
-    let (parent, child) = contiguous_pair();
-    let contiguous_ns = time_ns(iters, || {
+    pairs.each_ref().map(|(parent, child)| {
+        let t = Instant::now();
         for _ in 0..inner {
-            instrumented_merge(&parent, &child, &path);
+            instrumented_merge(parent, child, &path);
         }
-    });
-    let (parent, child) = scattered_pair();
-    let scattered_ns = time_ns(iters, || {
-        for _ in 0..inner {
-            instrumented_merge(&parent, &child, &path);
-        }
-    });
-    ConfigResult {
-        name,
-        contiguous_ns,
-        scattered_ns,
-    }
-}
-
-fn overhead_percent(ours: u64, baseline: u64) -> f64 {
-    if baseline == 0 {
-        return 0.0;
-    }
-    (ours as f64 - baseline as f64) / baseline as f64 * 100.0
+        t.elapsed().as_nanos() as f64
+    })
 }
 
 fn main() {
@@ -153,76 +127,101 @@ fn main() {
         .position(|a| a == "--assert-overhead")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok());
-    let (iters, inner) = if quick { (5, 3) } else { (25, 10) };
+    let (iters, inner) = if quick { (101, 3) } else { (401, 10) };
 
-    // Uninstalled: the zero-overhead baseline.
-    sm_obs::uninstall();
-    let uninstalled = measure("uninstalled", iters, inner);
-
-    // Metrics only.
+    // Metrics only, and the full always-on plane: metrics + flight rings
+    // + audit chains. `None` is uninstalled, the zero-overhead baseline.
     let metrics = Arc::new(Metrics::new());
-    sm_obs::install(metrics.clone());
-    let metrics_only = measure("metrics", iters, inner);
-    sm_obs::uninstall();
-
-    // The full always-on plane: metrics + flight rings + audit chains.
-    let metrics = Arc::new(Metrics::new());
+    let plane_metrics = Arc::new(Metrics::new());
     let flight = Arc::new(FlightRecorder::default());
-    let auditor = Arc::new(DeterminismAuditor::new());
-    sm_obs::install(Arc::new(MultiRecorder::new(vec![
-        metrics.clone() as Arc<dyn Recorder>,
+    let plane: Arc<dyn Recorder> = Arc::new(MultiRecorder::new(vec![
+        plane_metrics.clone() as Arc<dyn Recorder>,
         flight.clone() as Arc<dyn Recorder>,
-        auditor as Arc<dyn Recorder>,
-    ])));
-    let flight_on = measure("flight", iters, inner);
+        Arc::new(DeterminismAuditor::new()) as Arc<dyn Recorder>,
+    ]));
+    let configs: [(&str, Option<Arc<dyn Recorder>>); 3] = [
+        ("uninstalled", None),
+        ("metrics", Some(metrics as Arc<dyn Recorder>)),
+        ("flight", Some(plane)),
+    ];
+    let pairs = [contiguous_pair(), scattered_pair()];
+    let mut passes: [Vec<[f64; 2]>; 3] = Default::default();
+    for i in 0..iters {
+        for k in 0..configs.len() {
+            let c = (i + k) % configs.len();
+            sm_obs::uninstall();
+            if let Some(recorder) = &configs[c].1 {
+                sm_obs::install(recorder.clone());
+            }
+            passes[c].push(measure(&pairs, inner));
+        }
+    }
     sm_obs::uninstall();
     assert!(
         flight.recorded() > 0,
         "flight config must actually record events"
     );
     assert!(
-        metrics.snapshot().phase_nanos.total_count() > 0,
+        plane_metrics.snapshot().phase_nanos.total_count() > 0,
         "flight config must fill phase histograms"
     );
 
-    let baseline = uninstalled.total_ns();
+    // Each iteration's overhead over its own uninstalled pass.
+    let total = |pass: &[f64; 2]| pass[0] + pass[1];
+    let overheads: Vec<Vec<f64>> = passes
+        .iter()
+        .map(|config| {
+            config
+                .iter()
+                .zip(&passes[0])
+                .map(|(pass, base)| (total(pass) / total(base) - 1.0) * 100.0)
+                .collect()
+        })
+        .collect();
     let mut json = String::from("{\n  \"bench\": \"obs\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"iters\": {iters},");
     let _ = writeln!(json, "  \"inner_merges_per_iter\": {inner},");
     json.push_str("  \"configs\": [\n");
-    for (i, c) in [&uninstalled, &metrics_only, &flight_on].iter().enumerate() {
-        let oh = overhead_percent(c.total_ns(), baseline);
+    for (c, (name, _)) in configs.iter().enumerate() {
+        let of = |part: fn(&[f64; 2]) -> f64| {
+            quantile(&passes[c].iter().map(part).collect::<Vec<_>>(), 0.5)
+        };
+        let (contiguous_ns, scattered_ns) = (of(|p| p[0]), of(|p| p[1]));
+        let total_ns = of(total);
+        let oh = quantile(&overheads[c], 0.5);
         eprintln!(
-            "{:<12} contiguous {:>9} ns  scattered {:>9} ns  total {:>9} ns  overhead {:+.2}%",
-            c.name,
-            c.contiguous_ns,
-            c.scattered_ns,
-            c.total_ns(),
-            oh
+            "{name:<12} contiguous {contiguous_ns:>9.0} ns  scattered {scattered_ns:>9.0} ns  \
+             total {total_ns:>9.0} ns  overhead {oh:+.2}% (medians of {iters} passes)"
         );
-        if i > 0 {
+        if c > 0 {
             json.push_str(",\n");
         }
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"contiguous_ns\": {}, \"scattered_ns\": {}, \
-             \"total_ns\": {}, \"overhead_percent\": {:.3}}}",
-            c.name,
-            c.contiguous_ns,
-            c.scattered_ns,
-            c.total_ns(),
-            oh
+            "    {{\"name\": \"{name}\", \"contiguous_ns\": {contiguous_ns:.0}, \
+             \"scattered_ns\": {scattered_ns:.0}, \"total_ns\": {total_ns:.0}, \
+             \"overhead_percent\": {oh:.3}}}"
         );
     }
     json.push_str("\n  ],\n");
-    let flight_overhead = overhead_percent(flight_on.total_ns(), baseline);
-    let metrics_overhead = overhead_percent(metrics_only.total_ns(), baseline);
+    let metrics_overhead = quantile(&overheads[1], 0.5);
+    let flight_overhead = quantile(&overheads[2], 0.5);
+    let spread = [0.0, 0.25, 0.75, 1.0].map(|q| quantile(&overheads[2], q));
+    eprintln!(
+        "flight overhead per iteration: min {:+.2}%, quartiles {:+.2}% / {:+.2}%, max {:+.2}%",
+        spread[0], spread[1], spread[2], spread[3]
+    );
     let _ = writeln!(
         json,
         "  \"metrics_overhead_percent\": {metrics_overhead:.3},"
     );
     let _ = writeln!(json, "  \"flight_overhead_percent\": {flight_overhead:.3},");
+    let _ = writeln!(
+        json,
+        "  \"flight_overhead_spread_percent\": {{\"min\": {:.3}, \"q1\": {:.3}, \"q3\": {:.3}, \"max\": {:.3}}},",
+        spread[0], spread[1], spread[2], spread[3]
+    );
     let _ = writeln!(json, "  \"flight_events_recorded\": {},", flight.recorded());
     let _ = writeln!(
         json,

@@ -70,13 +70,15 @@
 //! only grows: everything since their common fork base, the earlier
 //! siblings' runs included. So a sequence log keeps what its last
 //! delta-path merge folded ([`sm_ot::delta::Memo`]), keyed on that
-//! child's fork base and the history length the merge left. The next
-//! merge of a child with the same fork base, with nothing written in
-//! between, continues from it instead of refolding the slice; any other
-//! merge rebuilds it. A record that rewrites the log tail in place, a
-//! rollback and a refork drop it. The memo is not part of the value: a
-//! clone, a fork and a snapshot start without one, and debug builds check
-//! every rebase it serves against the uncached one.
+//! child's fork base and the history length the merge left: the fold of
+//! the committed slice, paused. The next merge of a child with the same
+//! fork base, with nothing written in between, resumes it over the run
+//! appended since, as it sits in the log; any other merge rebuilds it. A
+//! merged op that fuses into the slice's last op is folded onto it
+//! (`Operation::delta_absorb`). A merged op that cancels that op, a record
+//! that rewrites the log tail in place, a rollback and a refork drop it. The memo is not part of the
+//! value: a clone, a fork and a snapshot start without one, and debug
+//! builds check every rebase it serves against the uncached one.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -423,9 +425,7 @@ impl<O: Operation> Versioned<O> {
     /// folded.
     fn push_op(&mut self, op: O) {
         let barrier = self.fuse_barrier.load(Ordering::Relaxed);
-        let len = self.log.len();
-        self.push_op_with_barrier(op, barrier);
-        if self.log.len() <= len {
+        if push_fused(&mut self.log, self.log_start, op, barrier).is_some() {
             self.forget_memo();
         }
     }
@@ -438,23 +438,35 @@ impl<O: Operation> Versioned<O> {
         }
     }
 
-    /// [`Versioned::push_op`] with the fuse barrier pre-loaded, so batch
-    /// appenders pay the atomic load once per run instead of per op.
-    fn push_op_with_barrier(&mut self, op: O, barrier: usize) {
-        push_fused(&mut self.log, self.log_start, op, barrier);
-    }
-
     /// Append a run of already-applied operations to the log, checking the
     /// fuse barrier **once** for the whole run. The fusion semantics are
     /// identical to pushing one at a time: the barrier only ever guards the
     /// current log tail, and appending can only move the tail *past* the
     /// barrier, never back across it. Used by [`Versioned::merge`] for the
     /// rebased run; does not touch the state.
-    pub(crate) fn extend_ops(&mut self, ops: impl IntoIterator<Item = O>) {
+    ///
+    /// `memo`, the merge memo this merge leaves, folded the log before the
+    /// run. An op that fuses into the op the fold ended on is handed to it
+    /// ([`Operation::delta_absorb`]); returns `false` when it could not
+    /// follow one, or one cancelled that op.
+    fn extend_ops(
+        &mut self,
+        ops: impl IntoIterator<Item = O>,
+        mut memo: Option<&mut O::Memo>,
+    ) -> bool {
         let barrier = self.fuse_barrier.load(Ordering::Relaxed);
+        let folded = self.log.len();
+        let mut followed = true;
         for op in ops {
-            self.push_op_with_barrier(op, barrier);
+            let len = self.log.len();
+            let Some(op) = push_fused(&mut self.log, self.log_start, op, barrier) else {
+                continue;
+            };
+            if let Some(memo) = memo.as_deref_mut().filter(|_| len <= folded) {
+                followed &= self.log.len() == len && O::delta_absorb(memo, &op);
+            }
         }
+        followed
     }
 
     /// Apply and record a locally generated operation.
@@ -767,11 +779,12 @@ impl<O: Operation> Versioned<O> {
             self.apply_run(&rebased)?;
             merged.apply_nanos = apply_t0.map_or(0, elapsed_nanos);
         }
-        match rebased {
-            Cow::Borrowed(run) => self.extend_ops(run.iter().cloned()),
-            Cow::Owned(run) => self.extend_ops(run),
-        }
-        if merged.delta_rebases == 1 {
+        let keep = merged.delta_rebases == 1;
+        let followed = match rebased {
+            Cow::Borrowed(run) => self.extend_ops(run.iter().cloned(), keep.then_some(&mut *kept)),
+            Cow::Owned(run) => self.extend_ops(run, keep.then_some(&mut *kept)),
+        };
+        if keep && followed {
             let memo = memo.get_or_insert_with(|| {
                 Box::new(MergeMemo {
                     key: None,
@@ -884,20 +897,27 @@ impl<O: Operation> Versioned<O> {
 /// Append `op` to `log`, whose first entry sits at history position
 /// `log_start`, fusing or cancelling it against the tail when the tail
 /// lies above the fuse `barrier`: the one fusion rule of every recorded
-/// log.
-fn push_fused<O: Operation>(log: &mut Vec<O>, log_start: usize, op: O, barrier: usize) {
+/// log. Returns `op` when it fused into the tail or cancelled it instead
+/// of landing as an entry of its own.
+fn push_fused<O: Operation>(
+    log: &mut Vec<O>,
+    log_start: usize,
+    op: O,
+    barrier: usize,
+) -> Option<O> {
     let fusible = log_start + log.len() > barrier;
     if let Some(last) = log.last_mut().filter(|_| fusible) {
         if Operation::annihilates(last, &op) {
             log.pop();
-            return;
+            return Some(op);
         }
         if let Some(fused) = Operation::compose(last, &op) {
             *last = fused;
-            return;
+            return Some(op);
         }
     }
     log.push(op);
+    None
 }
 
 /// Rebase `child_log` over `committed_raw` (both rooted at the same fork

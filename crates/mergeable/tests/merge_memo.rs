@@ -10,7 +10,8 @@
 //! for `MList` and `MText`, under an idle and a busy parent, with
 //! children that made no edit, a `ListOp::Set` child and a dismissed
 //! child at each position. Then the writes between two sibling merges
-//! that must drop the memo, or must not matter to it.
+//! that must drop the memo, or must not matter to it, and a merged run
+//! that fuses into the parent's last op, which the memo follows.
 //!
 //! The enumeration runs in release (CI does): debug builds also check
 //! every memo rebase against the uncached one, which makes it slow.
@@ -375,4 +376,51 @@ fn a_truncated_prefix_keeps_the_memo_good() {
     twin.merge(&c, &"c");
     twin.assert_equal(&"truncation");
     assert_eq!(twin.hits, 2, "b and c continued from the memo");
+}
+
+/// A parent that records after the fork, right where the first child
+/// edits: that child's rebased run fuses into the parent's last op — the
+/// op the memo's fold ended on — as an insert next to the parent's insert
+/// or a delete next to its delete. The memo folds the merged op on as it
+/// was, so the siblings after it continue from the memo and still merge
+/// like the uncached kernel.
+#[test]
+fn a_run_fusing_into_the_parents_tail_keeps_the_memo_exact() {
+    type Parent = fn(&mut MList<u8>);
+    type Child = fn(&mut MList<u8>, u8);
+    let cases: [(&str, Parent, Child); 2] = [
+        (
+            "insert",
+            |p| p.insert(2, 99),
+            |kid, i| kid.insert(2, 10 + i),
+        ),
+        (
+            "delete",
+            |p| _ = p.remove(1),
+            |kid, i| _ = kid.remove(2 + usize::from(i)),
+        ),
+    ];
+    for (what, parent_edit, child_edit) in cases {
+        let mut parent = MList::<u8>::base();
+        let kids = [0, 1].map(|i| {
+            let mut kid = parent.fork();
+            child_edit(&mut kid, i);
+            kid
+        });
+        let mut third = parent.fork();
+        third.insert(0, 30);
+        parent_edit(&mut parent);
+        let len = parent.versioned().history_len();
+        let mut twin = Twin::new(parent);
+        twin.merge(&kids[0], &what);
+        assert_eq!(
+            twin.memo.versioned().history_len(),
+            len,
+            "{what}: the first child's run fused into the parent's op"
+        );
+        twin.merge(&kids[1], &what);
+        twin.merge(&third, &what);
+        twin.assert_equal(&what);
+        assert_eq!(twin.hits, 2, "{what}: the second and third continued");
+    }
 }

@@ -32,7 +32,8 @@ use std::sync::PoisonError;
 use crate::event::{EventKind, ObsEvent, TaskPath};
 use crate::recorder::Recorder;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the state every chain starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over `bytes` — the hash the auditor chains are built from,
@@ -42,7 +43,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv_step(FNV_OFFSET, bytes)
 }
 
-pub(crate) fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
+/// Fold `bytes` into the FNV-1a state `h`: the one step every FNV
+/// digest of the workspace is built from, the store's journal chain
+/// included.
+pub fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(FNV_PRIME);

@@ -59,7 +59,7 @@ pub fn compact<O: Operation>(ops: &[O]) -> Vec<O> {
 
 /// True when [`compact`] would change `ops` — a single adjacent-pair scan,
 /// allocation-free.
-pub fn needs_compaction<O: Operation>(ops: &[O]) -> bool {
+fn needs_compaction<O: Operation>(ops: &[O]) -> bool {
     ops.windows(2)
         .any(|w| w[0].annihilates(&w[1]) || w[0].compose(&w[1]).is_some())
 }

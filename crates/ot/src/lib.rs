@@ -235,14 +235,15 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     /// span-set representation in [`delta`], O(m+n) in span count instead
     /// of the O(m·n) pairwise grid.
     ///
-    /// `memo` is what the previous call on it left: the committed side it
-    /// folded and the incoming side it rebased. `reuse` is the caller's
-    /// word that `committed` is exactly that call's committed slice
-    /// followed by the run it returned — a sibling of the last child
-    /// merged, with nothing written since — so the rebase continues from
-    /// the memo instead of refolding `committed`. Without `reuse` the
-    /// memo is rebuilt from `committed`. The result is the same either
-    /// way.
+    /// `memo` is what the previous call on it left: the fold of that
+    /// call's committed slice, paused at its end. `reuse` is the caller's
+    /// word that the memo folded a prefix of `committed`: that call's
+    /// slice, op for op, is where `committed` starts — a sibling of the
+    /// last child merged, with nothing written since but the run it
+    /// returned, fused into none of the slice's ops — so the fold resumes
+    /// over the rest of `committed` instead of starting over. Without
+    /// `reuse` the memo is rebuilt from `committed`. The result is the
+    /// same either way: one fold over the same ops.
     ///
     /// Sequence algebras ([`text::TextOp`], [`list::ListOp`]) override
     /// this with [`delta::rebase_delta`] over a [`delta::Memo`]. `None` —
@@ -265,6 +266,16 @@ pub trait Operation: Clone + Send + Sync + fmt::Debug + 'static {
     ) -> Option<(Vec<Self>, delta::DeltaStats)> {
         let _ = (incoming, committed, memo, reuse);
         None
+    }
+
+    /// `op`, merged behind the committed slice `memo` folded, fused into
+    /// the slice's last op ([`Operation::compose`]): keep `memo` the fold
+    /// of the slice as the log now holds it, or return `false` (the
+    /// default) and the caller drops it. The sequence algebras fold `op`
+    /// on: a fused pair folds as the pair does.
+    fn delta_absorb(memo: &mut Self::Memo, op: &Self) -> bool {
+        let _ = (memo, op);
+        false
     }
 }
 

@@ -405,6 +405,10 @@ impl<T: Element> Operation for ListOp<T> {
     ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
         memo.rebase(incoming, committed, reuse)
     }
+
+    fn delta_absorb(memo: &mut Self::Memo, op: &Self) -> bool {
+        memo.absorb(op)
+    }
 }
 
 impl<T: Element> DeltaOp for ListOp<T> {

@@ -29,7 +29,7 @@ use crate::{Operation, Side};
 /// Returns `(x', y')` where `x'` are the pieces of `x` rewritten to apply
 /// after `y`, and `y'` the pieces of `y` rewritten to apply after `x`.
 /// `x_side` is the side `x` is on; `y` is on the opposite side.
-pub fn transform_pair<O: Operation>(x: &O, y: &O, x_side: Side) -> (Vec<O>, Vec<O>) {
+fn transform_pair<O: Operation>(x: &O, y: &O, x_side: Side) -> (Vec<O>, Vec<O>) {
     let xt = x.transform(y, x_side).into_vec();
     let yt = y.transform(x, x_side.flip()).into_vec();
     (xt, yt)

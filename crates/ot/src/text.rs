@@ -157,6 +157,10 @@ impl Operation for TextOp {
     ) -> Option<(Vec<Self>, crate::delta::DeltaStats)> {
         memo.rebase(incoming, committed, reuse)
     }
+
+    fn delta_absorb(memo: &mut Self::Memo, op: &Self) -> bool {
+        memo.absorb(op)
+    }
 }
 
 impl DeltaOp for TextOp {

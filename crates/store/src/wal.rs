@@ -31,19 +31,11 @@ use bytes::{Buf, BufMut};
 pub use bytes::{Bytes, BytesMut};
 use sm_codec::{get_blob, get_tag, put_blob, Decode, DecodeError, Encode};
 
-/// FNV-1a offset basis — the same constants the `sm_obs` determinism
-/// auditor uses, so the two digest families are directly comparable in
+use sm_obs::audit::fnv_step;
+/// FNV-1a offset basis: the chains are the `sm_obs` determinism
+/// auditor's hash, so the two digest families are directly comparable in
 /// traces and test output.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+pub(crate) use sm_obs::audit::FNV_OFFSET;
 
 /// Fold one commit into a path's chain: the previous chain value, the
 /// commit's sequence number, then every serialized operation byte.

@@ -11,7 +11,7 @@ use std::time::Instant;
 use proptest::prelude::*;
 use spawn_merge::netsim::workload::lcg_positions;
 use spawn_merge::ot::apply_all;
-use spawn_merge::ot::delta::{from_ops, rebase_delta, DeltaOp};
+use spawn_merge::ot::delta::{from_ops_biased, rebase_delta, DeltaOp, GapBias};
 use spawn_merge::ot::list::ListOp;
 use spawn_merge::ot::seq::rebase;
 use spawn_merge::ot::state::{ChunkTree, Rope};
@@ -209,7 +209,8 @@ proptest! {
         let base: ChunkTree<u8> = (0..6).collect();
         let mut direct = base.clone();
         apply_all(&mut direct, &ops).unwrap();
-        let materialized: Vec<ListOp<u8>> = from_ops(&ops).unwrap().into_ops();
+        let materialized: Vec<ListOp<u8>> =
+            from_ops_biased(&ops, GapBias::Start).unwrap().into_ops();
         let mut via_delta = base.clone();
         apply_all(&mut via_delta, &materialized).unwrap();
         prop_assert_eq!(direct, via_delta);

@@ -680,16 +680,13 @@ fn stage_commits_match_the_merge_fold_at_the_seam() {
     }
 }
 
-/// Regression for the composite's finger (`sm_ot::delta::Composite`): a
-/// memo rebase starts its sweeps at a remembered span boundary, and the
-/// compose coalesces the first span a run pushes into the last span
-/// *before* its cut. Child 1's insert ends in a span of its own, right in
+/// A run that coalesces into the span before the point a memo rebase
+/// starts from. Child 1's insert ends in a span of its own, right in
 /// front of the delete child 0 left; child 2's insert lands at that
-/// delete too and coalesces into child 1's span. A finger that had
+/// delete too and coalesces into child 1's span. A start point that had
 /// counted that span as skipped is one output unit short from then on:
-/// child 3 came out as `[Insert(4, 103), Delete(6)]` against the
-/// sequential `[Insert(5, 103), Delete(7)]`. The finger rests one span
-/// behind what it skips.
+/// child 3 once came out as `[Insert(4, 103), Delete(6)]` against the
+/// sequential `[Insert(5, 103), Delete(7)]`.
 #[test]
 fn a_run_coalescing_into_the_span_before_its_cut_keeps_the_finger_exact() {
     for work in [ParentWork::Idle, ParentWork::Push] {
@@ -821,11 +818,10 @@ fn run_scripts<W: Host<MList<u32>>>(
     (list.d().to_vec(), stats.collect())
 }
 
-/// The finger of the memo's composite moves with the children's first
-/// edits, so the order those come in is an input of its own: ascending
-/// (it only advances), descending (it retreats every time), shuffled,
-/// and every child at one position (it never leaves the front, and every
-/// run ties with the ones before it) — each with identity members, a
+/// Where a memo rebase starts its sweep follows the children's first
+/// edits, so the order those come in is an input of its own: ascending,
+/// descending, shuffled, and every child at one position (every run
+/// ties with the ones before it) — each with identity members, a
 /// dismissed child, a `Set` and a collapsed-gap pair in mid-batch. At
 /// the seam the batch equals the uncached fold in state, log and
 /// per-child `MergeStats`, under an idle and a busy parent; through the
